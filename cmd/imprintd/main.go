@@ -146,7 +146,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	// No WriteTimeout: query deadlines already bound execution, and a
+	// large reply to a slow reader is not an attack. The header and idle
+	// timeouts keep stalled or abandoned connections from piling up.
+	hs := &http.Server{
+		Addr: *addr, Handler: srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

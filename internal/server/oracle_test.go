@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sql"
 	"repro/table"
 )
 
@@ -516,42 +518,97 @@ func marshalNoEscape(t *testing.T, v any) []byte {
 	return bytes.TrimSpace(buf.Bytes())
 }
 
-// TestRandomizedSQLOracle runs generated queries through the HTTP
-// stack and requires byte-identical rows against the brute-forced
-// ground truth.
-func TestRandomizedSQLOracle(t *testing.T) {
-	tb, d := newOrdersTable(t, 1200, 42)
-	_, ts := newTestServer(t, Config{Table: tb, Workers: 4, CacheSize: 64, Parallelism: 2})
-	rng := rand.New(rand.NewSource(271828))
-	iters := 400
-	if testing.Short() {
-		iters = 60
+// bufferedOrdersTable rebuilds d as a table of the given shard count
+// whose last buffered rows sit unsealed in the delta store (serial
+// commits fill the id space densely, so row i keeps id i at any shard
+// count).
+func bufferedOrdersTable(t *testing.T, d *ordersData, shards, buffered int) *table.Table {
+	t.Helper()
+	sealed := len(d.qty) - buffered
+	tb := table.NewWithOptions("orders", table.TableOptions{SegmentRows: 256, Shards: shards})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	for it := 0; it < iters; it++ {
-		c := generate(rng, d)
-		status, fields := postQuery(t, ts, QueryRequest{Query: c.sql, Params: c.params})
-		if status != http.StatusOK {
-			t.Fatalf("case %d %q (params %v): status %d: %s", it, c.sql, c.params, status, fields["error"])
-		}
-		wantCols, err := json.Marshal(c.columns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.rows == nil {
-			c.rows = [][]any{}
-		}
-		wantRows, err := json.Marshal(c.rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bytes.TrimSpace(fields["columns"]), wantCols) {
-			t.Fatalf("case %d %q: columns\n got %s\nwant %s", it, c.sql, fields["columns"], wantCols)
-		}
-		if !bytes.Equal(bytes.TrimSpace(fields["rows"]), wantRows) {
-			t.Fatalf("case %d %q (params %v): rows\n got %s\nwant %s", it, c.sql, c.params, fields["rows"], wantRows)
-		}
-		if got := string(fields["row_count"]); got != fmt.Sprint(len(c.rows)) {
-			t.Fatalf("case %d %q: row_count %s, want %d", it, c.sql, got, len(c.rows))
+	must(table.AddColumn(tb, "qty", d.qty[:sealed], table.Imprints, core.Options{}))
+	must(table.AddColumn(tb, "price", d.price[:sealed], table.Imprints, core.Options{}))
+	must(table.AddColumn(tb, "pri", d.pri[:sealed], table.Imprints, core.Options{}))
+	must(tb.AddStringColumn("city", d.city[:sealed], table.Imprints, core.Options{}))
+	must(tb.EnableDeltaIngest(table.IngestOptions{}))
+	t.Cleanup(func() { tb.Close() })
+	for lo := sealed; lo < len(d.qty); lo += 100 {
+		hi := min(lo+100, len(d.qty))
+		b := tb.NewBatch()
+		must(table.Append(b, "qty", d.qty[lo:hi]))
+		must(table.Append(b, "price", d.price[lo:hi]))
+		must(table.Append(b, "pri", d.pri[lo:hi]))
+		must(b.AppendStrings("city", d.city[lo:hi]))
+		must(b.Commit())
+	}
+	if got := tb.IngestStats().DeltaRows; got != buffered {
+		t.Fatalf("shards=%d: %d rows buffered, want %d", shards, got, buffered)
+	}
+	return tb
+}
+
+// TestRandomizedSQLOracle runs generated queries through the HTTP
+// stack — at 1, 2 and 4 shards × parallelism 1, 2 and 8, a quarter of
+// the rows still buffered in the delta store — and requires
+// byte-identical rows from three routes: the reply (typed batches
+// through the hand encoder), the same execution's boxed Result.Rows
+// through encoding/json, and the brute-forced ground truth.
+func TestRandomizedSQLOracle(t *testing.T) {
+	_, d := newOrdersTable(t, 1200, 42)
+	rng := rand.New(rand.NewSource(271828))
+	iters := 45
+	if testing.Short() {
+		iters = 7
+	}
+	for _, shards := range []int{1, 2, 4} {
+		tb := bufferedOrdersTable(t, d, shards, 300)
+		for _, par := range []int{1, 2, 8} {
+			_, ts := newTestServer(t, Config{Table: tb, Workers: 4, CacheSize: 64, Parallelism: par})
+			for it := 0; it < iters; it++ {
+				c := generate(rng, d)
+				tag := fmt.Sprintf("shards=%d par=%d case %d %q (params %v)", shards, par, it, c.sql, c.params)
+				status, fields := postQuery(t, ts, QueryRequest{Query: c.sql, Params: c.params})
+				if status != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", tag, status, fields["error"])
+				}
+				wantCols, err := json.Marshal(c.columns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.rows == nil {
+					c.rows = [][]any{}
+				}
+				wantRows, err := json.Marshal(c.rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bytes.TrimSpace(fields["columns"]), wantCols) {
+					t.Fatalf("%s: columns\n got %s\nwant %s", tag, fields["columns"], wantCols)
+				}
+				if !bytes.Equal(bytes.TrimSpace(fields["rows"]), wantRows) {
+					t.Fatalf("%s: rows\n got %s\nwant %s", tag, fields["rows"], wantRows)
+				}
+				if got := string(fields["row_count"]); got != fmt.Sprint(len(c.rows)) {
+					t.Fatalf("%s: row_count %s, want %d", tag, got, len(c.rows))
+				}
+				st, err := sql.Compile(tb, c.sql)
+				if err != nil {
+					t.Fatalf("%s: compile: %v", tag, err)
+				}
+				res, err := st.Exec(c.params, table.SelectOptions{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s: exec: %v", tag, err)
+				}
+				if boxed := marshalNoEscape(t, res.Rows()); !bytes.Equal(boxed, wantRows) {
+					t.Fatalf("%s: boxed Result.Rows\n got %s\nwant %s", tag, boxed, wantRows)
+				}
+			}
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -152,13 +155,28 @@ func (s *Server) LogStats() {
 		st.Cache.Size, st.Cache.Capacity, st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions)
 }
 
-// timed wraps a handler with the endpoint's latency histogram.
+// timed wraps a handler with the endpoint's latency histogram and
+// contains handler panics: replies go out whole at the end of a
+// handler, so a panic before that can still be answered with a 500
+// (counted as an error and logged) instead of a dropped connection.
 func (s *Server) timed(path string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.counters.endpoint(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		defer func() {
+			if p := recover(); p != nil {
+				if p == http.ErrAbortHandler {
+					panic(p)
+				}
+				s.counters.errors.Add(1)
+				if s.cfg.Logf != nil {
+					s.cfg.Logf("panic serving %s: %v\n%s", path, p, debug.Stack())
+				}
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
+			}
+			hist.observe(time.Since(start))
+		}()
 		h(w, r)
-		hist.observe(time.Since(start))
 	}
 }
 
@@ -254,13 +272,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, execErr)
 		return
 	}
-	s.counters.served.Add(1)
-	writeJSON(w, http.StatusOK, QueryResponse{
+	defer res.Release()
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	*buf, err = appendQueryResponse(*buf, &QueryResponse{
 		Query:     st.SQL,
 		Result:    res,
 		Cached:    cached,
 		ElapsedUs: time.Since(start).Microseconds(),
 	})
+	if err != nil {
+		s.counters.errors.Add(1)
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding reply: %w", err))
+		return
+	}
+	s.counters.served.Add(1)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -371,12 +398,32 @@ func (s *Server) submit(fn func()) bool {
 
 // ---- JSON helpers ----
 
+// writeJSON marshals v before anything reaches the client, so a value
+// that cannot be encoded answers 500 with an ErrorResponse rather than
+// the chosen status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	out := bytes.NewBuffer(*buf)
+	enc := json.NewEncoder(out)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		out.Reset()
+		_ = enc.Encode(ErrorResponse{Error: "encoding reply: " + err.Error()}) // a string field always encodes
+	}
+	*buf = out.Bytes()
+	writeBody(w, status, *buf)
+}
+
+// writeBody sends a complete JSON body in one Write, its length
+// announced up front.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write means the client is gone; nothing to report to
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

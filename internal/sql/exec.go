@@ -8,18 +8,47 @@ import (
 )
 
 // Result is one statement execution's result set in a uniform shape:
-// column headers plus value rows. Plain selects stream qualifying rows,
-// aggregates produce one row, grouped aggregates one row per group (in
-// ascending key order, deterministic at every parallelism level).
+// column headers plus rows, held as typed column batches. Plain selects
+// stream qualifying rows, aggregates produce one row, grouped
+// aggregates one row per group (in ascending key order, deterministic
+// at every parallelism level).
+//
+// On the wire (imprintd's reply encoder) a Result is the object
+// {"table", "columns", "rows": [[cell, ...], ...], "row_count",
+// "stats"}; encoding/json sees every field but the rows.
 type Result struct {
 	Table    string   `json:"table"`
 	Columns  []string `json:"columns"`
-	Rows     [][]any  `json:"rows"`
 	RowCount int      `json:"row_count"`
 	// Stats reports the index-work counters for aggregate and grouped
 	// executions; row-streaming executions omit it (the iterator path
 	// does not surface per-query stats).
 	Stats *core.QueryStats `json:"stats,omitempty"`
+	// Batches holds the rows in order, one typed vector per result
+	// column (table.Query.Batches for plain selects; aggregate and group
+	// rows use the same cells, null where an aggregate is undefined).
+	Batches []*table.RowBatch `json:"-"`
+}
+
+// Rows boxes the result into one []any per row: a column's own Go type
+// for plain selects; int64, float64, string or nil for aggregates.
+func (r *Result) Rows() [][]any {
+	rows := make([][]any, 0, r.RowCount)
+	for _, b := range r.Batches {
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.AppendRow(make([]any, 0, len(b.Cols)), i))
+		}
+	}
+	return rows
+}
+
+// Release recycles the result's batches once the caller is done with
+// the rows; the Result must not be read afterwards.
+func (r *Result) Release() {
+	for _, b := range r.Batches {
+		b.Release()
+	}
+	r.Batches = nil
 }
 
 // Exec runs one execution of the statement: binds are raw placeholder
@@ -31,7 +60,7 @@ func (s *Statement) Exec(binds map[string]any, opts table.SelectOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Table: s.tbl.Name(), Columns: s.cols, Rows: [][]any{}}
+	res := &Result{Table: s.tbl.Name(), Columns: s.cols}
 	switch s.kind {
 	case kindAgg:
 		if s.limit >= 0 {
@@ -41,27 +70,29 @@ func (s *Statement) Exec(binds map[string]any, opts table.SelectOptions) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		row := make([]any, len(s.ast.Proj))
+		cols := make([]table.ColVec, len(s.ast.Proj))
 		for i, p := range s.ast.Proj {
-			row[i] = aggJSON(ar.At(p.Index))
+			cols[i] = aggVec(1, func(int) table.AggValue { return ar.At(p.Index) })
 		}
-		res.Rows = append(res.Rows, row)
+		res.Batches = []*table.RowBatch{{Cols: cols}}
+		res.RowCount = 1
 		res.Stats = &st
 	case kindGroup:
 		gr, st, err := q.GroupBy(s.group).Aggregate(s.aggs...)
 		if err != nil {
 			return nil, err
 		}
-		for _, g := range gr.Groups {
-			row := make([]any, len(s.ast.Proj))
+		if n := len(gr.Groups); n > 0 {
+			cols := make([]table.ColVec, len(s.ast.Proj))
 			for i, p := range s.ast.Proj {
 				if p.IsAgg {
-					row[i] = aggJSON(g.Aggs[p.Index])
+					cols[i] = aggVec(n, func(g int) table.AggValue { return gr.Groups[g].Aggs[p.Index] })
 				} else {
-					row[i] = g.Key
+					cols[i] = keyVec(gr.Groups)
 				}
 			}
-			res.Rows = append(res.Rows, row)
+			res.Batches = []*table.RowBatch{{Cols: cols}}
+			res.RowCount = n
 		}
 		res.Stats = &st
 	default: // kindRows
@@ -71,19 +102,71 @@ func (s *Statement) Exec(binds map[string]any, opts table.SelectOptions) (*Resul
 		if s.limit >= 0 {
 			q.Limit(s.limit)
 		}
-		for _, r := range q.Rows() {
-			row := make([]any, len(s.cols))
-			for i := range s.cols {
-				row[i] = r.Value(i)
-			}
-			res.Rows = append(res.Rows, row)
+		for b := range q.Batches() {
+			res.Batches = append(res.Batches, b)
+			res.RowCount += b.Len()
 		}
 		if err := q.Err(); err != nil {
+			res.Release()
 			return nil, err
 		}
 	}
-	res.RowCount = len(res.Rows)
 	return res, nil
+}
+
+// aggVec flattens n typed aggregate values into one result column:
+// exact int64 for integer results, float64 otherwise, string for string
+// min/max, null where undefined (no qualifying rows). The column's kind
+// is that of its first defined value.
+func aggVec(n int, at func(i int) table.AggValue) table.ColVec {
+	v := table.ColVec{Kind: table.KindFloat, Bits: 64}
+	for i := 0; i < n; i++ {
+		a := at(i)
+		if !a.Valid {
+			continue
+		}
+		if a.IsInt {
+			v.Kind = table.KindInt
+		} else if a.IsStr {
+			v.Kind = table.KindString
+		}
+		break
+	}
+	for i := 0; i < n; i++ {
+		a := at(i)
+		if !a.Valid {
+			if v.Null == nil {
+				v.Null = make([]bool, n)
+			}
+			v.Null[i] = true
+			a = table.AggValue{} // a null cell's slot holds a zero
+		}
+		switch v.Kind {
+		case table.KindInt:
+			v.Ints = append(v.Ints, a.Int)
+		case table.KindString:
+			v.Strs = append(v.Strs, a.Str)
+		default:
+			v.Floats = append(v.Floats, a.Float)
+		}
+	}
+	return v
+}
+
+// keyVec is the group-key column: int64 keys for integer key columns,
+// strings for string key columns.
+func keyVec(groups []table.Group) table.ColVec {
+	v := table.ColVec{Bits: 64}
+	for _, g := range groups {
+		switch k := g.Key.(type) {
+		case int64:
+			v.Ints = append(v.Ints, k)
+		case string:
+			v.Kind = table.KindString
+			v.Strs = append(v.Strs, k)
+		}
+	}
+	return v
 }
 
 // Explain returns the native query plan for one execution of the
@@ -129,20 +212,4 @@ func (s *Statement) start(binds map[string]any, opts table.SelectOptions) (*tabl
 		q = q.Bind(name, v)
 	}
 	return q, nil
-}
-
-// aggJSON flattens one typed aggregate value for a JSON row: exact
-// int64 for integer results, float64 otherwise, string for string
-// min/max, nil when undefined (no qualifying rows).
-func aggJSON(v table.AggValue) any {
-	switch {
-	case !v.Valid:
-		return nil
-	case v.IsInt:
-		return v.Int
-	case v.IsStr:
-		return v.Str
-	default:
-		return v.Float
-	}
 }

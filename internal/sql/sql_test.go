@@ -174,7 +174,7 @@ func TestExecAgainstNativeCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Rows[0][0].(int64)
+		got := res.Rows()[0][0].(int64)
 		if uint64(got) != want {
 			t.Errorf("%q: sql count %d, native %d", src, got, want)
 		}
@@ -232,7 +232,7 @@ func TestExecBindsAndConversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][0].(int64); uint64(got) != native {
+		if got := res.Rows()[0][0].(int64); uint64(got) != native {
 			t.Errorf("binds %v: count %d, native %d", binds, got, native)
 		}
 	}
@@ -273,12 +273,13 @@ func TestExecRowsOrderLimitAndGroup(t *testing.T) {
 	if !reflect.DeepEqual(res.Columns, []string{"qty", "city"}) {
 		t.Fatalf("columns %v", res.Columns)
 	}
-	if res.RowCount != 5 || len(res.Rows) != 5 {
+	rows := res.Rows()
+	if res.RowCount != 5 || len(rows) != 5 {
 		t.Fatalf("rows %d, want 5", res.RowCount)
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].(int64) < res.Rows[i][0].(int64) {
-			t.Fatalf("rows not descending: %v", res.Rows)
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1][0].(int64) < rows[i][0].(int64) {
+			t.Fatalf("rows not descending: %v", rows)
 		}
 	}
 	// Grouped aggregation matches the native grouped result.
@@ -295,11 +296,11 @@ func TestExecRowsOrderLimitAndGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(gr.Groups) {
-		t.Fatalf("%d groups, native %d", len(res.Rows), len(gr.Groups))
+	if rows = res.Rows(); len(rows) != len(gr.Groups) {
+		t.Fatalf("%d groups, native %d", len(rows), len(gr.Groups))
 	}
 	for i, g := range gr.Groups {
-		row := res.Rows[i]
+		row := rows[i]
 		if row[0].(string) != g.Key.(string) || row[1].(int64) != g.Aggs[0].Int || row[2].(int64) != g.Aggs[1].Int {
 			t.Fatalf("group %d: sql %v, native %+v", i, row, g)
 		}
@@ -313,8 +314,8 @@ func TestExecRowsOrderLimitAndGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].(int64) != 0 || res.Rows[0][1] != nil || res.Rows[0][2] != nil {
-		t.Fatalf("zero-row aggregates: %v", res.Rows[0])
+	if row := res.Rows()[0]; row[0].(int64) != 0 || row[1] != nil || row[2] != nil {
+		t.Fatalf("zero-row aggregates: %v", row)
 	}
 }
 

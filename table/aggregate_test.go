@@ -587,34 +587,31 @@ func TestRowLookup(t *testing.T) {
 	}
 }
 
-func TestReuseRowsAllocs(t *testing.T) {
-	const rows = 1000
+// TestBatchesAllocs pins the batch path's allocation-free row
+// iteration: released batches recycle, so what one execution allocates
+// does not depend on how many rows it returns.
+func TestBatchesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	const rows = 4 * rowBatchSize
 	tb := aggTestTable(t, rows)
-	iterate := func(opts SelectOptions) float64 {
-		q := tb.Select("qty", "price").Options(opts)
+	iterate := func(limit int) float64 {
+		q := tb.Select("qty", "price").Options(SelectOptions{Parallelism: 1}).Limit(limit)
 		return testing.AllocsPerRun(10, func() {
 			n := 0
-			for _, row := range q.Rows() {
-				if row.Value(0) == nil {
-					t.Fatal("nil value")
-				}
-				n++
+			for b := range q.Batches() {
+				n += len(b.Cols[0].Ints)
+				b.Release()
 			}
-			if n != rows {
-				t.Fatalf("iterated %d rows", n)
+			if n != limit {
+				t.Fatalf("iterated %d rows, want %d", n, limit)
 			}
 		})
 	}
-	plain := iterate(SelectOptions{Parallelism: 1})
-	reused := iterate(SelectOptions{Parallelism: 1, ReuseRows: true})
-	// Without reuse, every row allocates its value slice: ≥ rows allocs.
-	// With reuse the per-row slice is gone; only per-query and boxing
-	// allocations remain. Pin the gap, with slack for the runtime.
-	if plain < rows {
-		t.Fatalf("plain iteration made %.0f allocs, expected ≥ %d", plain, rows)
-	}
-	if reused > plain-float64(rows)/2 {
-		t.Fatalf("ReuseRows made %.0f allocs vs %.0f plain — buffer not reused", reused, plain)
+	few, many := iterate(rowBatchSize/2), iterate(rows)
+	if many > few+4 {
+		t.Fatalf("%d rows made %.0f allocs vs %.0f for %d rows — batches not recycled", rows, many, few, rowBatchSize/2)
 	}
 }
 

@@ -71,10 +71,11 @@ func TestCancelBetweenSegments(t *testing.T) {
 	if !errors.Is(q.Err(), context.Canceled) {
 		t.Fatalf("want context.Canceled from Err, got %v", q.Err())
 	}
-	// The first segment (64 rows) was in flight when the cancel landed;
-	// everything after the segment boundary following the cancel must be
-	// skipped. Two segments of slack tolerate the already-collected one.
-	if seen >= tb.Rows() || seen > 3*64 {
+	// Rows arrive a batch at a time, so the cancel lands while the first
+	// batch is being consumed; everything after the segment boundary
+	// following it must be skipped. Two segments (64 rows each) of slack
+	// tolerate the already-collected one.
+	if seen >= tb.Rows() || seen > rowBatchSize+2*64 {
 		t.Fatalf("cancellation did not stop the iteration: saw %d of %d rows", seen, tb.Rows())
 	}
 }

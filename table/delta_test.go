@@ -134,20 +134,15 @@ func assertEquivalent(t *testing.T, dt, twin *Table, ctx string) {
 			}
 			equalIDs(t, gids, wids, label)
 
-			var got, want []string
-			qd := mk(dt)
-			for id, row := range qd.Rows() {
-				got = append(got, fmt.Sprintf("%d %s", id, row))
-			}
-			qt := mk(twin)
-			for id, row := range qt.Rows() {
-				want = append(want, fmt.Sprintf("%d %s", id, row))
-			}
-			if qd.Err() != nil || qt.Err() != nil {
-				t.Fatalf("%s: Rows: %v / %v", label, qd.Err(), qt.Err())
-			}
+			got := rowStrings(t, label+" delta", func() *Query { return mk(dt) })
+			want := rowStrings(t, label+" twin", func() *Query { return mk(twin) })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Rows diverge:\n got %v\nwant %v", label, got, want)
+			}
+			lgot := rowStrings(t, label+" delta ordered", func() *Query { return mk(dt).OrderBy(Desc("qty")).Limit(9) })
+			lwant := rowStrings(t, label+" twin ordered", func() *Query { return mk(twin).OrderBy(Desc("qty")).Limit(9) })
+			if !reflect.DeepEqual(lgot, lwant) {
+				t.Fatalf("%s: ordered Rows diverge:\n got %v\nwant %v", label, lgot, lwant)
 			}
 
 			ga, _, err := mk(dt).Aggregate(specs...)

@@ -375,12 +375,6 @@ type SelectOptions struct {
 	// Results are merged in segment order either way, so parallelism
 	// never changes what a query returns.
 	Parallelism int
-	// ReuseRows makes Rows reuse one value buffer across all yielded
-	// Row values instead of allocating a fresh one per row. Opt in only
-	// when the loop body does not retain a Row (or anything reachable
-	// from Row.Value/Get/Lookup) past the yield: the next row overwrites
-	// the shared buffer.
-	ReuseRows bool
 	// Scalar forces row-at-a-time residual evaluation through composed
 	// check closures instead of the default block-at-a-time selection-
 	// mask kernels (64 rows folded into a bitmask per dynamic call, with

@@ -438,16 +438,17 @@ func (q *Query) countParallel(en *execNode, nsegs int, limit uint64) (uint64, co
 	return n, st, nil
 }
 
-// Rows executes the query as a streaming iterator over (id, Row) pairs:
-// segment workers narrow each segment down to its qualifying ids, and
-// the consumer materializes rows one at a time in segment order — only
-// the projected columns of rows that survived the candidate-run check
-// are ever fetched (late materialization), so breaking out early
-// cancels segments not yet started. With OrderBy the qualifying ids
-// are ranked first (per-segment bounded heaps when Limit caps the
-// query) and rows stream in rank order instead of id order. With
-// SelectOptions.ReuseRows every yielded Row shares one value buffer —
-// see the option's contract.
+// Batches executes the query as a streaming iterator over columnar
+// RowBatches: segment workers narrow each segment down to its
+// qualifying ids, and the consumer gathers the projected columns of
+// those rows — and only those (late materialization) — into typed
+// vectors, one column at a time, yielding a batch whenever one fills
+// and the partly filled last one at the end. Batches arrive in segment
+// order, so breaking out early cancels segments not yet started. With
+// OrderBy the qualifying ids are ranked first (per-segment bounded
+// heaps when Limit caps the query) and rows arrive in rank order
+// instead of id order. Each yielded batch belongs to the consumer; see
+// RowBatch.Release.
 //
 // The table's read lock is held for the duration of the iteration, and
 // sync.RWMutex is not reentrant: calling any write method (Update,
@@ -455,12 +456,12 @@ func (q *Query) countParallel(en *execNode, nsegs int, limit uint64) (uint64, co
 // the loop body deadlocks, and nested reads can too once a writer is
 // queued. To mutate matching rows, materialize the ids first (IDs) and
 // write after the loop. Plan errors (unknown column, type-mismatched
-// bound) yield no rows and are reported by Err.
-func (q *Query) Rows() iter.Seq2[int, Row] {
+// bound) yield nothing and are reported by Err.
+func (q *Query) Batches() iter.Seq[*RowBatch] {
 	if q.t.shard != nil {
-		return func(yield func(int, Row) bool) { q.shardRows(yield) }
+		return q.shardBatches
 	}
-	return func(yield func(int, Row) bool) {
+	return func(yield func(*RowBatch) bool) {
 		q.t.mu.RLock()
 		defer q.t.mu.RUnlock()
 		q.err = nil
@@ -472,49 +473,19 @@ func (q *Query) Rows() iter.Seq2[int, Row] {
 		if q.limited && q.limit == 0 {
 			return
 		}
-		var reused []any
-		if q.opts.ReuseRows {
-			reused = make([]any, len(cols))
-		}
-		// The delta watermark captured here serves both materialization
-		// (ids at or past its base live in the buffer, not in segments)
-		// and the trailing exact scan of the unordered path.
+		// The delta watermark captured here serves both the gather (ids
+		// at or past its base live in the buffer, not in segments) and
+		// the trailing exact scan of the unordered path.
 		view := q.t.deltaViewLocked()
-		var dproj []int
-		if view != nil {
-			dproj = make([]int, len(names))
-			for i, name := range names {
-				dproj[i] = view.colIdx(name)
-			}
-		}
-		materialize := func(id uint32) Row {
-			vals := reused
-			if vals == nil {
-				vals = make([]any, len(cols))
-			}
-			if view != nil && int(id) >= view.base {
-				drow := view.rows[int(id)-view.base]
-				for i, pi := range dproj {
-					vals[i] = drow[pi]
-				}
-			} else {
-				for i, c := range cols {
-					vals[i] = c.valueAt(int(id))
-				}
-			}
-			return Row{id: int(id), names: names, vals: vals}
-		}
+		g := q.newGatherer(names, []gatherPart{newGatherPart(names, cols, view)}, yield)
+		defer g.finish()
 		if q.order != nil {
 			ids, _, err := q.orderedIDsLocked()
 			if err != nil {
 				q.err = err
 				return
 			}
-			for _, id := range ids {
-				if !yield(int(id), materialize(id)) {
-					return
-				}
-			}
+			g.add(ids)
 			return
 		}
 		en, err := q.bind()
@@ -522,41 +493,50 @@ func (q *Query) Rows() iter.Seq2[int, Row] {
 			q.err = err
 			return
 		}
-		emitted := 0
-		stopped := false
+		want := true
 		nsegs := q.t.segCount()
 		if err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
 			func(s int) segOut { return q.collectIDs(en, s) },
 			func(s int, o segOut) bool {
-				defer putIDScratch(o.ids)
-				for _, id := range *o.ids {
-					if !yield(int(id), materialize(id)) {
-						stopped = true
-						return false
-					}
-					emitted++
-					if q.limited && emitted >= q.limit {
-						stopped = true
-						return false
-					}
-				}
-				return true
+				want = g.add(*o.ids)
+				putIDScratch(o.ids)
+				return want
 			}); err != nil {
 			q.err = q.t.abortErr(err)
 			return
 		}
-		if stopped || view == nil {
-			return
+		if want && view != nil {
+			var dids []uint32
+			var dst core.QueryStats
+			view.scan(view.matcher(en), &dst, func(id int, _ []any) bool {
+				dids = append(dids, uint32(id))
+				return len(dids) != g.room
+			})
+			g.add(dids)
 		}
-		match := view.matcher(en)
-		var dst core.QueryStats
-		view.scan(match, &dst, func(id int, _ []any) bool {
-			if !yield(id, materialize(uint32(id))) {
-				return false
+	}
+}
+
+// Rows executes the query as a streaming iterator over (id, Row) pairs:
+// Batches, boxed one row at a time — the column values of each Row are
+// its own, safe to keep. Everything Batches documents about ordering,
+// early exit, the read lock held across the iteration, and Err applies.
+func (q *Query) Rows() iter.Seq2[int, Row] {
+	return func(yield func(int, Row) bool) {
+		for b := range q.Batches() {
+			// One value slab per batch; each Row owns its slice of it.
+			ncols := len(b.Cols)
+			vals := make([]any, 0, len(b.IDs)*ncols)
+			for i, id := range b.IDs {
+				vals = b.AppendRow(vals, i)
+				row := Row{id: int(id), names: b.names, vals: vals[i*ncols : len(vals) : len(vals)]}
+				if !yield(int(id), row) {
+					b.Release()
+					return
+				}
 			}
-			emitted++
-			return !q.limited || emitted < q.limit
-		})
+			b.Release()
+		}
 	}
 }
 

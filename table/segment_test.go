@@ -185,6 +185,27 @@ func TestSegmentedOracle(t *testing.T) {
 				t.Fatalf("%s Count = %d, want %d", phase, n, len(want))
 			}
 
+			// The batch path, Rows and the naive model agree on every
+			// projected value, serially and in parallel.
+			naive := make([]string, len(want))
+			for i, id := range want {
+				naive[i] = fmt.Sprintf("%d qty=%v price=%v ts=%v city=%v tag=%v",
+					id, m.qty[id], m.price[id], m.ts[id], m.city[id], m.tag[id])
+			}
+			for _, rpar := range []int{1, 4} {
+				got := rowStrings(t, fmt.Sprintf("%s rows par=%d", phase, rpar), func() *Query {
+					return tb.Select().Where(pred).Options(SelectOptions{Parallelism: rpar})
+				})
+				if len(got) != len(naive) {
+					t.Fatalf("%s: %d rows at par %d, oracle %d", phase, len(got), rpar, len(naive))
+				}
+				for i := range got {
+					if got[i] != naive[i] {
+						t.Fatalf("%s par %d row %d:\n got %s\nwant %s", phase, rpar, i, got[i], naive[i])
+					}
+				}
+			}
+
 			// Limit must return the same prefix at any parallelism.
 			if len(want) > 3 {
 				lim := 1 + rng.IntN(len(want)-1)

@@ -109,8 +109,9 @@ type soProbe struct {
 	predID []uint32
 	count  uint64
 	lcount uint64
-	rowsA  map[int]int64
-	rowsS  map[int]string
+	rows   []string // every qualifying row, via Rows ≡ Batches
+	lrows7 []string // ... Limit(7)
+	toprow []string // ... OrderBy(Desc("a")).Limit(10)
 	sum    AggValue
 	mn     AggValue
 	mx     AggValue
@@ -141,15 +142,10 @@ func soSweep(t *testing.T, tb *Table, lo, hi int64, par int) soProbe {
 	if p.lcount, _, err = tb.Select().Options(opts).Where(pred).Limit(7).Count(); err != nil {
 		t.Fatal(err)
 	}
-	p.rowsA, p.rowsS = map[int]int64{}, map[int]string{}
-	q := tb.Select("a", "s").Options(opts).Where(pred)
-	for id, row := range q.Rows() {
-		p.rowsA[id] = row.Get("a").(int64)
-		p.rowsS[id] = row.Get("s").(string)
-	}
-	if err := q.Err(); err != nil {
-		t.Fatal(err)
-	}
+	rq := func() *Query { return tb.Select("a", "s").Options(opts).Where(pred) }
+	p.rows = rowStrings(t, "rows", rq)
+	p.lrows7 = rowStrings(t, "limited rows", func() *Query { return rq().Limit(7) })
+	p.toprow = rowStrings(t, "top-k rows", func() *Query { return rq().OrderBy(Desc("a")).Limit(10) })
 	res, _, err := tb.Select().Options(opts).Where(pred).
 		Aggregate(Sum("a"), Min("a"), Max("a"), Avg("a"), CountAll())
 	if err != nil {
@@ -227,14 +223,18 @@ func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
 	if want := uint64(min(7, len(match))); p.lcount != want {
 		t.Fatalf("%s: limited count = %d, want %d", tag, p.lcount, want)
 	}
-	if len(p.rowsA) != len(match) {
-		t.Fatalf("%s: Rows yielded %d, model %d", tag, len(p.rowsA), len(match))
-	}
-	for _, e := range match {
-		if p.rowsA[e.id] != e.r.a || p.rowsS[e.id] != e.r.s {
-			t.Fatalf("%s: row %d = (%d,%q), model (%d,%q)",
-				tag, e.id, p.rowsA[e.id], p.rowsS[e.id], e.r.a, e.r.s)
+	render := func(es []ent) []string {
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = fmt.Sprintf("%d a=%d s=%s", e.id, e.r.a, e.r.s)
 		}
+		return out
+	}
+	if want := render(match); !reflect.DeepEqual(p.rows, want) && len(p.rows)+len(want) > 0 {
+		t.Fatalf("%s: rows\n got %v\nmodel %v", tag, p.rows, want)
+	}
+	if want := render(match[:min(7, len(match))]); !reflect.DeepEqual(p.lrows7, want) && len(p.lrows7)+len(want) > 0 {
+		t.Fatalf("%s: limited rows\n got %v\nmodel %v", tag, p.lrows7, want)
 	}
 	if p.cnt.Int != int64(len(match)) {
 		t.Fatalf("%s: CountAll = %d, model %d", tag, p.cnt.Int, len(match))
@@ -290,6 +290,9 @@ func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
 		if int(p.topk[i]) != topk[i].id {
 			t.Fatalf("%s: topk[%d] = %d, model %d", tag, i, p.topk[i], topk[i].id)
 		}
+	}
+	if want := render(topk[:ktake]); !reflect.DeepEqual(p.toprow, want) && len(p.toprow)+len(want) > 0 {
+		t.Fatalf("%s: top-k rows\n got %v\nmodel %v", tag, p.toprow, want)
 	}
 }
 

@@ -97,6 +97,22 @@ func (se *shardExec) gidShift(u shardUnit) uint32 {
 	return uint32((u.gseg - u.lseg) * se.sh.segRows)
 }
 
+// collectGids is the unit worker behind IDs and Batches: unit i's
+// qualifying ids, rebased to the global id space.
+//
+//imprintvet:locks held=kid.R
+func (se *shardExec) collectGids(i int) segOut {
+	u := se.units[i]
+	o := se.kids[u.c].collectIDs(se.ens[u.c], u.lseg)
+	if shift := se.gidShift(u); shift != 0 {
+		ids := *o.ids
+		for k := range ids {
+			ids[k] += shift
+		}
+	}
+	return o
+}
+
 // shardCheckProjection validates the projected names against the
 // shards' shared schema; callers hold shard 0's read lock.
 func (q *Query) shardCheckProjection() error {
@@ -190,17 +206,7 @@ func (q *Query) shardIDs() ([]uint32, core.QueryStats, error) {
 	}
 	var res []uint32
 	err = se.forEachUnit(q,
-		func(i int) segOut {
-			u := se.units[i]
-			o := se.kids[u.c].collectIDs(se.ens[u.c], u.lseg)
-			if shift := se.gidShift(u); shift != 0 {
-				ids := *o.ids
-				for k := range ids {
-					ids[k] += shift
-				}
-			}
-			return o
-		},
+		se.collectGids,
 		func(i int, o segOut) bool {
 			st.Add(o.st)
 			ids := *o.ids
@@ -273,13 +279,14 @@ func (q *Query) shardCount() (uint64, core.QueryStats, error) {
 	return n, st, nil
 }
 
-// shardRows is the Rows iterator over a sharded table: a streaming
-// merge that yields sealed ids in ascending global order, interleaving
-// each pending delta id before the first sealed id that exceeds it.
-// Rows materialize from the owning shard (sealed slab or delta
-// buffer), and every shard's read lock is held for the duration of
-// the iteration — the reentrancy caveats of Rows apply to all shards.
-func (q *Query) shardRows(yield func(int, Row) bool) {
+// shardBatches is the Batches iterator over a sharded table: a
+// streaming merge that feeds the gatherer sealed ids in ascending
+// global order, interleaving each pending delta id before the first
+// sealed id that exceeds it. Rows gather from the owning shard (sealed
+// slab or delta buffer), and every shard's read lock is held for the
+// duration of the iteration — the reentrancy caveats of Batches apply
+// to all shards.
+func (q *Query) shardBatches(yield func(*RowBatch) bool) {
 	q.t.mu.RLock()
 	defer q.t.mu.RUnlock()
 	q.t.shardRLock()
@@ -310,99 +317,51 @@ func (q *Query) shardRows(yield func(int, Row) bool) {
 		q.err = err
 		return
 	}
-	var reused []any
-	if q.opts.ReuseRows {
-		reused = make([]any, len(names))
+	parts := make([]gatherPart, sh.nshards)
+	for c := range parts {
+		parts[c] = newGatherPart(names, kcols[c], se.views[c])
 	}
-	dproj := make([][]int, sh.nshards)
-	for c, view := range se.views {
-		if view == nil {
-			continue
-		}
-		dproj[c] = make([]int, len(names))
-		for i, name := range names {
-			dproj[c][i] = view.colIdx(name)
-		}
-	}
-	materialize := func(gid uint32) Row {
-		c, lid := sh.decode(int(gid))
-		vals := reused
-		if vals == nil {
-			vals = make([]any, len(names))
-		}
-		if view := se.views[c]; view != nil && lid >= view.base {
-			drow := view.rows[lid-view.base]
-			for i, pi := range dproj[c] {
-				vals[i] = drow[pi]
-			}
-		} else {
-			for i, col := range kcols[c] {
-				vals[i] = col.valueAt(lid)
-			}
-		}
-		return Row{id: int(gid), names: names, vals: vals}
-	}
+	g := q.newGatherer(names, parts, yield)
+	defer g.finish()
 	if q.order != nil {
 		ids, _, err := q.shardOrderedIDs(se)
 		if err != nil {
 			q.err = err
 			return
 		}
-		for _, id := range ids {
-			if !yield(int(id), materialize(id)) {
-				return
-			}
-		}
+		g.add(ids)
 		return
 	}
 	var dst core.QueryStats
 	dg := se.deltaGids(&dst)
-	di := 0
-	emitted := 0
-	emit := func(gid uint32) bool {
-		if !yield(int(gid), materialize(gid)) {
-			return false
-		}
-		emitted++
-		return !q.limited || emitted < q.limit
-	}
+	want := true
 	if err := se.forEachUnit(q,
-		func(i int) segOut {
-			u := se.units[i]
-			o := se.kids[u.c].collectIDs(se.ens[u.c], u.lseg)
-			if shift := se.gidShift(u); shift != 0 {
-				ids := *o.ids
-				for k := range ids {
-					ids[k] += shift
-				}
-			}
-			return o
-		},
+		se.collectGids,
 		func(i int, o segOut) bool {
 			defer putIDScratch(o.ids)
-			for _, gid := range *o.ids {
-				for di < len(dg) && dg[di] < gid {
-					if !emit(dg[di]) {
-						return false
-					}
-					di++
+			for ids := *o.ids; want && len(ids) > 0; {
+				// Pending delta ids below the next sealed id go first,
+				// then the sealed ids below the next pending delta id.
+				n := sort.Search(len(dg), func(k int) bool { return dg[k] >= ids[0] })
+				if n > 0 {
+					want = g.add(dg[:n])
+					dg = dg[n:]
+					continue
 				}
-				if !emit(gid) {
-					return false
+				n = len(ids)
+				if len(dg) > 0 {
+					n = sort.Search(len(ids), func(k int) bool { return ids[k] > dg[0] })
 				}
+				want = g.add(ids[:n])
+				ids = ids[n:]
 			}
-			return true
+			return want
 		}); err != nil {
 		q.err = q.t.abortErr(err)
 		return
 	}
-	if q.limited && emitted >= q.limit {
-		return
-	}
-	for ; di < len(dg); di++ {
-		if !emit(dg[di]) {
-			return
-		}
+	if want {
+		g.add(dg)
 	}
 }
 

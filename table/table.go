@@ -135,6 +135,13 @@ type anyColumn interface {
 	maintain(satLimit float64, rebuild bool) int
 	compact(keep []int) // drop deleted rows (ids to keep, ascending)
 	valueAt(id int) any
+	// vecKind is the column's ColVec kind and numeric width; gather
+	// appends segment s's values at the given segment-local offsets to
+	// dst, and gatherDelta position ci of the buffered rows at the given
+	// offsets — unboxed, widened to dst's kind (batch.go).
+	vecKind() (ColKind, int)
+	gather(dst *ColVec, s int, locals []uint32)
+	gatherDelta(dst *ColVec, rows [][]any, ci int, locals []uint32)
 	// persistCRC writes the column's checksummed v5 sections.
 	persistCRC(io.Writer) error
 	indexStats() ColumnIndexStats
