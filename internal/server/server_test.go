@@ -472,3 +472,22 @@ func TestShardBacklogShedding(t *testing.T) {
 		t.Fatalf("post-seal status %d (%v)", status, fields)
 	}
 }
+
+// TestQueryGroupByUint64Key: group keys of a uint64 column at and above
+// 2^63 reach the wire as unsigned JSON numbers in unsigned order, not
+// wrapped to negative int64.
+func TestQueryGroupByUint64Key(t *testing.T) {
+	tb := table.NewWithOptions("u", table.TableOptions{SegmentRows: 64})
+	keys := []uint64{1, 1 << 63, ^uint64(0), 1}
+	if err := table.AddColumn(tb, "k", keys, table.Imprints, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Table: tb, Workers: 1, Parallelism: 1})
+	status, fields := postQuery(t, ts, QueryRequest{Query: "select k, count(*) from u group by k"})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %v", status, fields)
+	}
+	if got, want := string(fields["rows"]), "[[1,2],[9223372036854775808,1],[18446744073709551615,1]]"; got != want {
+		t.Fatalf("rows = %s, want %s", got, want)
+	}
+}

@@ -153,14 +153,17 @@ func aggVec(n int, at func(i int) table.AggValue) table.ColVec {
 	return v
 }
 
-// keyVec is the group-key column: int64 keys for integer key columns,
-// strings for string key columns.
+// keyVec is the group-key column: int64 keys for integer key columns
+// (uint64 for uint64 columns), strings for string key columns.
 func keyVec(groups []table.Group) table.ColVec {
 	v := table.ColVec{Bits: 64}
 	for _, g := range groups {
 		switch k := g.Key.(type) {
 		case int64:
 			v.Ints = append(v.Ints, k)
+		case uint64:
+			v.Kind = table.KindUint
+			v.Uints = append(v.Uints, k)
 		case string:
 			v.Kind = table.KindString
 			v.Strs = append(v.Strs, k)

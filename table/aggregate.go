@@ -56,6 +56,15 @@ func (op aggOp) String() string {
 	return "?"
 }
 
+// fold is the accumulation an operator needs: avg folds a sum and
+// divides when the value is rendered.
+func (op aggOp) fold() aggOp {
+	if op == aggAvg {
+		return aggSum
+	}
+	return op
+}
+
 // AggSpec names one aggregate of a Query.Aggregate (or GroupBy)
 // execution, built with Sum, Min, Max, Avg and CountAll.
 type AggSpec struct {
@@ -412,25 +421,25 @@ func (a *numSegAgg[V]) addSpan(from, to int) {
 }
 
 func (a *numSegAgg[V]) partial() aggPartial {
-	p := aggPartial{rows: a.rows}
-	if a.rows == 0 {
-		return p
+	switch {
+	case a.rows == 0:
+		return aggPartial{}
+	case a.op == aggMin || a.op == aggMax:
+		return numPartial(a.isInt, a.rows, int64(a.m), float64(a.m))
+	case a.isInt:
+		return numPartial(true, a.rows, a.isum, 0)
 	}
-	switch a.op {
-	case aggSum, aggAvg:
-		if a.isInt {
-			p.kind, p.i, p.f = partInt, a.isum, float64(a.isum)
-		} else {
-			p.kind, p.f = partFloat, a.fsum
-		}
-	case aggMin, aggMax:
-		if a.isInt {
-			p.kind, p.i, p.f = partInt, int64(a.m), float64(a.m)
-		} else {
-			p.kind, p.f = partFloat, float64(a.m)
-		}
+	return numPartial(false, a.rows, 0, a.fsum)
+}
+
+// numPartial renders a numeric accumulator's value over rows > 0 rows:
+// integer columns carry the exact int64 (and its float64 conversion),
+// float columns the float64.
+func numPartial(isInt bool, rows uint64, i int64, f float64) aggPartial {
+	if isInt {
+		return aggPartial{rows: rows, kind: partInt, i: i, f: float64(i)}
 	}
-	return p
+	return aggPartial{rows: rows, kind: partFloat, f: f}
 }
 
 // ---- string columns ----
@@ -525,10 +534,42 @@ func (a *strSegAgg) partial() aggPartial {
 
 // ---- execution ----
 
-// aggBind is one resolved spec: its column (nil for count(*)).
+// aggBind is one resolved spec: its column (nil for count(*)) and the
+// accumulator that folds it.
 type aggBind struct {
 	spec AggSpec
 	col  anyColumn
+	// acc indexes the per-segment accumulator the spec reads; -1 for
+	// count(*). Specs that need the same fold — sum and avg of one
+	// column (avg divides when the value is rendered), or a repeated
+	// spec — share one, numbered in order of first use, so the slab is
+	// folded once for all of them.
+	acc int
+}
+
+// segAccs builds segment s's accumulators, one per distinct aggBind.acc.
+//
+//imprintvet:locks held=mu.R
+func segAccs(binds []aggBind, s int) []segAgg {
+	accs := make([]segAgg, 0, len(binds))
+	for _, b := range binds {
+		if b.acc == len(accs) {
+			accs = append(accs, b.col.aggAcc(b.spec.op, s))
+		}
+	}
+	return accs
+}
+
+// mergeAccs merges the accumulators' partials into merged, one per
+// bind; count(*) binds merge the bare row count.
+func mergeAccs(merged []aggPartial, binds []aggBind, accs []segAgg, rows uint64) {
+	for i, b := range binds {
+		p := aggPartial{rows: rows}
+		if b.acc >= 0 {
+			p = accs[b.acc].partial()
+		}
+		merged[i].mergeInto(b.spec.op, p)
+	}
 }
 
 // resolveAggs validates the requested specs against the table; callers
@@ -538,8 +579,9 @@ func (t *Table) resolveAggs(specs []AggSpec) ([]aggBind, error) {
 		return nil, fmt.Errorf("table %s: Aggregate needs at least one aggregate (Sum, Min, Max, Avg, CountAll)", t.name)
 	}
 	binds := make([]aggBind, len(specs))
+	naccs := 0
 	for i, spec := range specs {
-		binds[i] = aggBind{spec: spec}
+		binds[i] = aggBind{spec: spec, acc: -1}
 		if spec.op == aggCount {
 			if spec.col != "" {
 				return nil, fmt.Errorf("table %s: count(*) takes no column", t.name)
@@ -554,6 +596,16 @@ func (t *Table) resolveAggs(specs []AggSpec) ([]aggBind, error) {
 			return nil, fmt.Errorf("table %s: %w", t.name, err)
 		}
 		binds[i].col = c
+		binds[i].acc = naccs
+		for _, b := range binds[:i] {
+			if b.col != nil && b.spec.col == spec.col && b.spec.op.fold() == spec.op.fold() {
+				binds[i].acc = b.acc
+				break
+			}
+		}
+		if binds[i].acc == naccs {
+			naccs++
+		}
 	}
 	return binds, nil
 }
@@ -622,6 +674,7 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 	n := t.segLen(s)
 	if t.aggSummaryEligible(s, ev.runs) {
 		o.count = uint64(n)
+		var accs []segAgg // by aggBind.acc, built and folded on first use
 		for i, b := range binds {
 			if b.col == nil { // count(*): the row count, no slab touched
 				o.aggs[i] = aggPartial{rows: uint64(n)}
@@ -634,49 +687,47 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 				o.st.SummaryAggRows += uint64(n)
 				continue
 			}
-			acc := b.col.aggAcc(b.spec.op, s)
-			acc.addSpan(0, n)
-			o.aggs[i] = acc.partial()
+			if accs == nil {
+				accs = make([]segAgg, len(binds))
+			}
+			if accs[b.acc] == nil {
+				accs[b.acc] = b.col.aggAcc(b.spec.op, s)
+				accs[b.acc].addSpan(0, n)
+			}
+			o.aggs[i] = accs[b.acc].partial()
 			o.st.WholesaleAggRows += uint64(n)
 		}
 		releaseEval(&ev)
 		return o
 	}
-	accs := make([]segAgg, len(binds))
-	for i, b := range binds {
-		if b.col != nil {
-			accs[i] = b.col.aggAcc(b.spec.op, s)
+	accs := segAccs(binds, s)
+	// The tiers count per requested aggregate, shared accumulator or not.
+	var counts, folds uint64
+	for _, b := range binds {
+		if b.col == nil {
+			counts++
+		} else {
+			folds++
 		}
 	}
 	t.aggWalk(s, ev, &o.st,
 		func(from, to int) {
 			span := uint64(to - from)
 			o.count += span
+			// count(*) tallies the span wholesale, values untouched.
+			o.st.SummaryAggRows += span * counts
+			o.st.WholesaleAggRows += span * folds
 			for _, acc := range accs {
-				if acc == nil {
-					// count(*) tallies the span wholesale, values untouched.
-					o.st.SummaryAggRows += span
-					continue
-				}
 				acc.addSpan(from, to)
-				o.st.WholesaleAggRows += span
 			}
 		},
 		func(base int, mask uint64) {
 			o.count += uint64(bits.OnesCount64(mask))
 			for _, acc := range accs {
-				if acc != nil {
-					acc.addMask(base, mask)
-				}
+				acc.addMask(base, mask)
 			}
 		})
-	for i, acc := range accs {
-		if acc != nil {
-			o.aggs[i] = acc.partial()
-		} else {
-			o.aggs[i] = aggPartial{rows: o.count}
-		}
-	}
+	mergeAccs(o.aggs, binds, accs, o.count)
 	releaseEval(&ev)
 	return o
 }
@@ -810,26 +861,13 @@ func (q *Query) limitedAggregate(en *execNode, binds []aggBind, merged []aggPart
 			}
 			if take > 0 {
 				base := s * q.t.segRows
-				accs := make([]segAgg, len(binds))
-				for i, b := range binds {
-					if b.col != nil {
-						accs[i] = b.col.aggAcc(b.spec.op, s)
-					}
-				}
+				accs := segAccs(binds, s)
 				for _, id := range ids[:take] {
 					for _, acc := range accs {
-						if acc != nil {
-							acc.addRow(id - uint32(base))
-						}
+						acc.addRow(id - uint32(base))
 					}
 				}
-				for i, acc := range accs {
-					if acc != nil {
-						merged[i].mergeInto(binds[i].spec.op, acc.partial())
-					} else {
-						merged[i].mergeInto(binds[i].spec.op, aggPartial{rows: uint64(take)})
-					}
-				}
+				mergeAccs(merged, binds, accs, uint64(take))
 				taken += take
 				rows += uint64(take)
 			}

@@ -14,13 +14,18 @@ import (
 // OrderBy+Limit must equal a naive full-scan fold of the table's
 // mirrored contents, across appends, updates (numeric and string),
 // deletes and compaction, at parallelism 1, 2 and 8 — including stages
-// where whole segments are answered purely from summaries.
+// where whole segments are answered purely from summaries. Grouped
+// results are additionally held bit for bit against the per-segment
+// reference fold of group_oracle_test.go, for string, narrow, wide and
+// update-widened keys.
 
 // aggMirror mirrors the table for the naive fold.
 type aggMirror struct {
 	a   []int64
 	f   []float64
 	s   []string
+	k   []uint8 // group key: narrow unsigned
+	w   []int64 // group key: wide and negative, takes the map slot path
 	del []bool
 }
 
@@ -35,6 +40,12 @@ func refreshAggMirror(t *testing.T, tb *Table) *aggMirror {
 		t.Fatal(err)
 	}
 	if m.s, err = tb.StringColumn("s"); err != nil {
+		t.Fatal(err)
+	}
+	if m.k, err = Column[uint8](tb, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if m.w, err = Column[int64](tb, "w"); err != nil {
 		t.Fatal(err)
 	}
 	m.del = make([]bool, len(m.a))
@@ -181,6 +192,38 @@ func checkAggOracle(t *testing.T, tb *Table, stage string, pred Predicate, match
 			}
 		}
 
+		// The grouped differential (group_oracle_test.go): every key
+		// kind and operator against a per-segment row-order fold, float
+		// bits included — vectorized and scalar alike.
+		for _, key := range []string{"s", "a", "k", "w"} {
+			var ref []refRow
+			for id := range m.a {
+				if m.del[id] || !match(m, id) {
+					continue
+				}
+				r := refRow{id: id, bucket: id / tb.segRows, a: m.a[id], f: m.f[id], s: m.s[id]}
+				switch key {
+				case "s":
+					r.key = m.s[id]
+				case "a":
+					r.key = m.a[id]
+				case "k":
+					r.key = int64(m.k[id])
+				default:
+					r.key = m.w[id]
+				}
+				ref = append(ref, r)
+			}
+			for _, o := range []SelectOptions{opts, {Parallelism: par, Scalar: true}} {
+				gk, _, err := tb.Select().Where(pred).Options(o).GroupBy(key).Aggregate(refSpecs()...)
+				if err != nil {
+					t.Fatalf("%s: group by %s: %v", tag, key, err)
+				}
+				checkGroupsRef(t, fmt.Sprintf("%s group by %s scalar=%v", tag, key, o.Scalar), gk.Groups, ref)
+			}
+		}
+		checkSharedAccs(t, tb, tag, pred, opts)
+
 		for _, k := range []int{3, 17} {
 			ids, _, err := tb.Select().Where(pred).Options(opts).OrderBy(Desc("f")).Limit(k).IDs()
 			if err != nil {
@@ -232,6 +275,50 @@ func checkAggOracle(t *testing.T, tb *Table, stage string, pred Predicate, match
 	}
 }
 
+// checkSharedAccs pins accumulator sharing: sum and avg of one column
+// requested together fold the slab once, and must return exactly the
+// bits — and count exactly the per-aggregate tier rows — of the same
+// aggregates executed one per query, ungrouped and grouped, on an
+// integer and a float column.
+func checkSharedAccs(t *testing.T, tb *Table, tag string, pred Predicate, opts SelectOptions) {
+	t.Helper()
+	specs := []AggSpec{Sum("f"), Avg("f"), Avg("a"), Sum("a"), CountAll(), Sum("f")}
+	q := func() *Query { return tb.Select().Where(pred).Options(opts) }
+	shared, sst, err := q().Aggregate(specs...)
+	if err != nil {
+		t.Fatalf("%s: shared aggregate: %v", tag, err)
+	}
+	gshared, _, err := q().GroupBy("s").Aggregate(specs...)
+	if err != nil {
+		t.Fatalf("%s: shared groupby: %v", tag, err)
+	}
+	var summary, wholesale uint64
+	for i, spec := range specs {
+		one, ost, err := q().Aggregate(spec)
+		if err != nil {
+			t.Fatalf("%s: %s alone: %v", tag, spec, err)
+		}
+		summary += ost.SummaryAggRows
+		wholesale += ost.WholesaleAggRows
+		if g, w := shared.At(i), one.At(0); g != w || math.Float64bits(g.Float) != math.Float64bits(w.Float) {
+			t.Fatalf("%s: shared %v, alone %v", tag, g, w)
+		}
+		gone, _, err := q().GroupBy("s").Aggregate(spec)
+		if err != nil {
+			t.Fatalf("%s: grouped %s alone: %v", tag, spec, err)
+		}
+		for gi, grp := range gone.Groups {
+			if g, w := gshared.Groups[gi].Aggs[i], grp.Aggs[0]; g != w || math.Float64bits(g.Float) != math.Float64bits(w.Float) {
+				t.Fatalf("%s: group %v: shared %v, alone %v", tag, grp.Key, g, w)
+			}
+		}
+	}
+	if sst.SummaryAggRows != summary || sst.WholesaleAggRows != wholesale {
+		t.Fatalf("%s: shared execution counted %d summary / %d wholesale agg rows, one-per-query executions %d / %d",
+			tag, sst.SummaryAggRows, sst.WholesaleAggRows, summary, wholesale)
+	}
+}
+
 func TestAggregateOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	const segRows = 192
@@ -243,10 +330,30 @@ func TestAggregateOracleRandomized(t *testing.T) {
 		s := make([]string, n)
 		for i := range a {
 			a[i] = int64(rng.IntN(50))
-			f[i] = math.Round(rng.Float64()*1000) / 4
+			f[i] = rng.Float64() * 1000 / 7
 			s[i] = symbols[rng.IntN(len(symbols))]
 		}
 		return a, f, s
+	}
+	// The extra group keys derive from a, so gen's callers stay as they are.
+	keys := func(a []int64) ([]uint8, []int64) {
+		k := make([]uint8, len(a))
+		w := make([]int64, len(a))
+		for i, v := range a {
+			k[i] = uint8(v % 9)
+			w[i] = (v%30 - 15) * 1_000_000_007
+		}
+		return k, w
+	}
+	appendKeys := func(b *Batch, a []int64) {
+		t.Helper()
+		k, w := keys(a)
+		if err := Append(b, "k", k); err != nil {
+			t.Fatal(err)
+		}
+		if err := Append(b, "w", w); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	tb := NewWithOptions("aggoracle", TableOptions{SegmentRows: segRows})
@@ -258,6 +365,13 @@ func TestAggregateOracleRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := tb.AddStringColumn("s", s, Imprints, core.Options{Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	k, w := keys(a)
+	if err := AddColumn(tb, "k", k, Imprints, core.Options{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := AddColumn(tb, "w", w, NoIndex, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,6 +419,7 @@ func TestAggregateOracleRandomized(t *testing.T) {
 	if err := b.AppendStrings("s", ns); err != nil {
 		t.Fatal(err)
 	}
+	appendKeys(b, na)
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +429,14 @@ func TestAggregateOracleRandomized(t *testing.T) {
 	// strings that re-encode a segment dictionary.
 	for u := 0; u < 150; u++ {
 		id := rng.IntN(tb.Rows())
-		switch rng.IntN(3) {
+		switch rng.IntN(4) {
+		case 3: // widen the key summaries: the dense k span grows, w stays wide
+			if err := Update(tb, "k", id, uint8(200+rng.IntN(40))); err != nil {
+				t.Fatal(err)
+			}
+			if err := Update(tb, "w", id, -int64(rng.IntN(5))); err != nil {
+				t.Fatal(err)
+			}
 		case 0:
 			if err := Update(tb, "a", id, int64(rng.IntN(80))-10); err != nil {
 				t.Fatal(err)
@@ -359,6 +481,7 @@ func TestAggregateOracleRandomized(t *testing.T) {
 	if err := b.AppendStrings("s", ns); err != nil {
 		t.Fatal(err)
 	}
+	appendKeys(b, na)
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -720,4 +722,246 @@ func TestExplainAggregateMirrorsExecutor(t *testing.T) {
 	if plan.Limit != 10 || len(plan.Aggregates) != 1 {
 		t.Fatalf("plan limit/aggs = %d/%v", plan.Limit, plan.Aggregates)
 	}
+}
+
+// TestOrderByBlockPush holds the block-level top-k (pushMask/pushSpan
+// with the one-compare reject against a full heap's root) to a full
+// sort: heavy ties on the order value within and across segments (ids
+// ascending), NaN rows in both directions, k from 1 to beyond the
+// qualifying rows, and no Limit at all (the unbounded collector) —
+// through walked blocks (a residual predicate), wholesale exact spans
+// (no predicate) and a string order column, unsharded and sharded.
+func TestOrderByBlockPush(t *testing.T) {
+	const rows = 1000
+	rng := rand.New(rand.NewPCG(0x70b, 11))
+	vals := make([]float64, rows)
+	sel := make([]int64, rows)
+	strs := make([]string, rows)
+	for i := range vals {
+		vals[i] = float64(rng.IntN(12)) / 4 // twelve distinct values: ties everywhere
+		if rng.IntN(9) == 0 {
+			vals[i] = math.NaN()
+		}
+		sel[i] = int64(rng.IntN(100))
+		strs[i] = fmt.Sprintf("s%02d", rng.IntN(7))
+	}
+	// rank is the oracle's order: value in the requested direction, NaN
+	// after every real value either way, ties by ascending id.
+	rank := func(ids []uint32, less func(a, b uint32) int) []uint32 {
+		out := append([]uint32(nil), ids...)
+		sort.SliceStable(out, func(x, y int) bool {
+			if c := less(out[x], out[y]); c != 0 {
+				return c < 0
+			}
+			return out[x] < out[y]
+		})
+		return out
+	}
+	byVal := func(desc bool) func(a, b uint32) int {
+		return func(a, b uint32) int {
+			va, vb := vals[a], vals[b]
+			switch aN, bN := va != va, vb != vb; {
+			case aN && bN:
+				return 0
+			case aN:
+				return 1
+			case bN:
+				return -1
+			case va == vb:
+				return 0
+			case (va < vb) != desc:
+				return -1
+			}
+			return 1
+		}
+	}
+	byStr := func(desc bool) func(a, b uint32) int {
+		return func(a, b uint32) int {
+			c := strings.Compare(strs[a], strs[b])
+			if desc {
+				c = -c
+			}
+			return c
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		tb := NewWithOptions("topk", TableOptions{SegmentRows: 128, Shards: shards})
+		for _, err := range []error{
+			AddColumn(tb, "v", vals, NoIndex, core.Options{}),
+			AddColumn(tb, "sel", sel, Imprints, core.Options{Seed: 9}),
+			tb.AddStringColumn("s", strs, Imprints, core.Options{Seed: 10}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var all, some []uint32
+		for i := range vals {
+			all = append(all, uint32(i))
+			if sel[i] < 35 {
+				some = append(some, uint32(i))
+			}
+		}
+		for _, c := range []struct {
+			name string
+			pred Predicate
+			ids  []uint32
+		}{{"spans", nil, all}, {"masks", LessThan[int64]("sel", 35), some}} {
+			for _, desc := range []bool{false, true} {
+				for _, col := range []string{"v", "s"} {
+					less, order := byVal(desc), Asc(col)
+					if col == "s" {
+						less = byStr(desc)
+					}
+					if desc {
+						order = Desc(col)
+					}
+					want := rank(c.ids, less)
+					for _, k := range []int{1, 3, 10, 64, len(c.ids) + 5, -1} {
+						for _, par := range []int{1, 2, 8} {
+							q := tb.Select().Where(c.pred).Options(SelectOptions{Parallelism: par}).OrderBy(order)
+							w := want
+							if k >= 0 {
+								q.Limit(k)
+								w = want[:min(k, len(want))]
+							}
+							got, _, err := q.IDs()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(got, w) {
+								t.Fatalf("shards=%d %s order by %s k=%d par=%d:\n got %v\nwant %v", shards, c.name, order, k, par, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByUint64Keys: keys at and above 2^63 do not fit int64, so a
+// uint64 key column reports Group.Key as uint64 and orders unsigned —
+// on the map slot path (a segment spanning the whole domain), the dense
+// path (a narrow segment above 2^63) and for buffered delta rows alike.
+func TestGroupByUint64Keys(t *testing.T) {
+	const top = uint64(1) << 63
+	for _, shards := range []int{1, 2} {
+		tb := NewWithOptions("u64", TableOptions{SegmentRows: 64, Shards: shards})
+		keys := []uint64{1, top, math.MaxUint64, 1}
+		for i := 0; i < 60; i++ {
+			keys = append(keys, []uint64{1, top, math.MaxUint64}[i%3])
+		}
+		for i := 0; i < 64; i++ { // segment 1: dense, entirely above 2^63
+			keys = append(keys, top+uint64(i%5))
+		}
+		ones := make([]int64, len(keys))
+		for i := range ones {
+			ones[i] = 1
+		}
+		if err := AddColumn(tb, "k", keys, Imprints, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := AddColumn(tb, "one", ones, NoIndex, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		b := tb.NewBatch()
+		delta := []uint64{math.MaxUint64 - 1, top + 1, 0}
+		if err := Append(b, "k", delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := Append(b, "one", []int64{1, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[uint64]uint64{}
+		for _, k := range append(keys, delta...) {
+			want[k]++
+		}
+		order := make([]uint64, 0, len(want))
+		for k := range want {
+			order = append(order, k)
+		}
+		slices.Sort(order)
+		for _, par := range []int{1, 2, 8} {
+			res, _, err := tb.Select().Options(SelectOptions{Parallelism: par}).GroupBy("k").Aggregate(CountAll(), Sum("one"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) != len(order) {
+				t.Fatalf("shards=%d: %d groups, want %d: %v", shards, len(res.Groups), len(order), res.Groups)
+			}
+			for i, g := range res.Groups {
+				k, ok := g.Key.(uint64)
+				if !ok || k != order[i] || g.Rows != want[k] || g.Aggs[1].Int != int64(want[k]) {
+					t.Fatalf("shards=%d par=%d: group %d = %v (%T) × %d, want %d × %d", shards, par, i, g.Key, g.Key, g.Rows, order[i], want[order[i]])
+				}
+			}
+			if g, ok := res.Find(top); !ok || g.Rows != want[top] {
+				t.Fatalf("Find(uint64(1<<63)) = %v, %v", g, ok)
+			}
+		}
+	}
+}
+
+// TestGroupByAllocs pins the grouped fold's allocation shape: per
+// segment a handful of slot-indexed slabs and one parts slab, so the
+// allocations of GroupBy(...).Aggregate(...) do not depend on how many
+// rows qualify, and stay within a small constant per segment plus the
+// per-group result cells.
+func TestGroupByAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	const segs, segRows, groups = 16, 1024, 64
+	rng := rand.New(rand.NewPCG(5, 6))
+	qty := make([]int64, segs*segRows)
+	city := make([]string, len(qty))
+	for i := range qty {
+		qty[i] = rng.Int64N(1000)
+		city[i] = fmt.Sprintf("city-%02d", rng.IntN(groups))
+	}
+	tb := NewWithOptions("allocs", TableOptions{SegmentRows: segRows})
+	if err := AddColumn(tb, "qty", qty, Imprints, core.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AddStringColumn("city", city, Imprints, core.Options{Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := tb.Prepare(And(AtLeastP("qty", Param[int64]("lo")), LessThanP("qty", Param[int64]("hi"))),
+		SelectOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(lo, hi int64) (allocs float64, rows uint64) {
+		allocs = testing.AllocsPerRun(10, func() {
+			res, _, err := prep.Bind("lo", lo).Bind("hi", hi).GroupBy("city").Aggregate(CountAll(), Sum("qty"), Avg("qty"), Max("city"))
+			if err != nil || len(res.Groups) != groups {
+				t.Fatalf("%d groups (%v), want %d", len(res.Groups), err, groups)
+			}
+			rows = 0
+			for _, g := range res.Groups {
+				rows += g.Rows
+			}
+		})
+		return allocs, rows
+	}
+	few, fewRows := measure(100, 200)
+	many, manyRows := measure(0, 950)
+	if manyRows < 8*fewRows {
+		t.Fatalf("bands select %d and %d rows; want them far apart", fewRows, manyRows)
+	}
+	if many > few+2 {
+		t.Fatalf("%d qualifying rows made %.0f allocs, %d rows %.0f — the fold allocates per row", manyRows, many, fewRows, few)
+	}
+	if limit := float64(20*segs + 4*groups + 40); many > limit {
+		t.Fatalf("grouped aggregation made %.0f allocs over %d segments and %d groups, want at most %.0f", many, segs, groups, limit)
+	}
+	t.Logf("%.0f allocs (%d rows) vs %.0f allocs (%d rows), %d segments, %d groups", few, fewRows, many, manyRows, segs, groups)
 }

@@ -556,7 +556,7 @@ func (a *strDeltaAgg) partial() aggPartial {
 }
 
 func (c *colState[V]) deltaGroupKey(v any) groupKey {
-	return groupKey{i: int64(v.(V))}
+	return groupKey{i: int64(v.(V)), isUint: isUint64[V]()}
 }
 
 func (c *strColState) deltaGroupKey(v any) groupKey {

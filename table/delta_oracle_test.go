@@ -15,7 +15,8 @@ import (
 // streams randomized atomic mutations (batch appends, updates, string
 // updates, deletes) while the background sealer concurrently moves
 // rows from the delta store into sealed segments and reader goroutines
-// probe the table with single-call aggregates. Every probe is one
+// probe the table with single-call aggregates, ungrouped and grouped
+// by turns. Every probe is one
 // snapshot (one read-lock acquisition), so its result must equal the
 // table's state after exactly k writer operations, for some k between
 // the operations known applied before the probe and those possibly
@@ -137,6 +138,39 @@ func mkLSMOracleTable(t *testing.T, vals []int64, strs []string, ingest bool) *T
 	return tb
 }
 
+// oraProbe takes the fingerprint with one ungrouped aggregate call.
+func oraProbe(tb *Table, par int) (oraSummary, error) {
+	res, _, err := tb.Select().Options(SelectOptions{Parallelism: par}).
+		Aggregate(CountAll(), Sum("a"), Min("a"), Max("a"))
+	if err != nil {
+		return oraSummary{}, err
+	}
+	return oraSummary{count: res.At(0).Int, sum: res.At(1).Int, min: res.At(2).Int, max: res.At(3).Int}, nil
+}
+
+// oraGroupedProbe takes the same fingerprint through one grouped call
+// (still one snapshot): the per-city groups — sealed slots plus delta
+// partials — must add up to exactly one version too.
+func oraGroupedProbe(tb *Table, par int) (oraSummary, error) {
+	res, _, err := tb.Select().Options(SelectOptions{Parallelism: par}).
+		GroupBy("s").Aggregate(CountAll(), Sum("a"), Min("a"), Max("a"))
+	if err != nil {
+		return oraSummary{}, err
+	}
+	var s oraSummary
+	for i, g := range res.Groups {
+		s.count += g.Aggs[0].Int
+		s.sum += g.Aggs[1].Int
+		if i == 0 || g.Aggs[2].Int < s.min {
+			s.min = g.Aggs[2].Int
+		}
+		if i == 0 || g.Aggs[3].Int > s.max {
+			s.max = g.Aggs[3].Int
+		}
+	}
+	return s, nil
+}
+
 func TestDeltaSnapshotIsolationOracle(t *testing.T) {
 	ops := 320
 	if raceEnabled {
@@ -202,19 +236,17 @@ func TestDeltaSnapshotIsolationOracle(t *testing.T) {
 						}
 						probes++
 						lo := applied.Load()
-						res, _, err := dt.Select().
-							Options(SelectOptions{Parallelism: par}).
-							Aggregate(CountAll(), Sum("a"), Min("a"), Max("a"))
+						var got oraSummary
+						var err error
+						if probes%2 == 0 {
+							got, err = oraProbe(dt, par)
+						} else {
+							got, err = oraGroupedProbe(dt, par)
+						}
 						hi := hiV.Load()
 						if err != nil {
 							t.Errorf("reader %d: %v", r, err)
 							return
-						}
-						got := oraSummary{
-							count: res.At(0).Int,
-							sum:   res.At(1).Int,
-							min:   res.At(2).Int,
-							max:   res.At(3).Int,
 						}
 						ok := false
 						for v := lo; v <= hi; v++ {

@@ -676,7 +676,11 @@ func (t *Table) compile(p Predicate) (*compiledNode, error) {
 		if len(node.kids) == 0 {
 			return nil, fmt.Errorf("table %s: empty AND", t.name)
 		}
-		return t.compileKids("and", node.kids)
+		kids := t.fuseBands(node.kids)
+		if len(kids) == 1 {
+			return t.compile(kids[0])
+		}
+		return t.compileKids("and", kids)
 	case *orPred:
 		if len(node.kids) == 0 {
 			return nil, fmt.Errorf("table %s: empty OR", t.name)
@@ -686,6 +690,55 @@ func (t *Table) compile(p Predicate) (*compiledNode, error) {
 		return t.compileKids("andnot", []Predicate{node.p, node.q})
 	}
 	return nil, fmt.Errorf("table %s: unknown predicate %T", t.name, p)
+}
+
+// fuseBands rewrites the direct kids of an AND so that an AtLeast leaf
+// and a LessThan leaf on the same numeric column become one Range leaf
+// carrying both bounds (literal or placeholder): the band is estimated,
+// probed and evaluated once — the paper's Algorithm 3 — and keeps the
+// exact runs two half-open probes would lose. The fused leaf takes the
+// earlier kid's position; each leaf joins at most one pair, so a third
+// leaf on the column stays as it is. Kids under Or/AndNot or a nested
+// And are not direct and are left alone. String columns are never
+// fused: a string Range is upper-inclusive, so StrAtLeast ∧ StrLessThan
+// has no Range equivalent. The conjunction's semantics carry over
+// because a numeric Range leaf with high <= low or a NaN bound selects
+// nothing (numLeafPlan.prune).
+func (t *Table) fuseBands(kids []Predicate) []Predicate {
+	half := func(p Predicate) *leafPred {
+		l, ok := p.(*leafPred)
+		if !ok || (l.kind != kindAtLeast && l.kind != kindLessThan) {
+			return nil
+		}
+		if c, ok := t.cols[l.col]; !ok || c.colType() == "string" {
+			return nil
+		}
+		return l
+	}
+	out := make([]Predicate, 0, len(kids))
+	used := make([]bool, len(kids))
+	for i, kid := range kids {
+		if used[i] {
+			continue
+		}
+		if a := half(kid); a != nil {
+			for j := i + 1; j < len(kids); j++ {
+				b := half(kids[j])
+				if b == nil || used[j] || b.col != a.col || b.kind == a.kind {
+					continue
+				}
+				used[j] = true
+				lo, hi := a, b
+				if a.kind == kindLessThan {
+					lo, hi = b, a
+				}
+				kid = &leafPred{col: a.col, kind: kindRange, low: lo.low, high: hi.high}
+				break
+			}
+		}
+		out = append(out, kid)
+	}
+	return out
 }
 
 func (t *Table) compileKids(op string, preds []Predicate) (*compiledNode, error) {
@@ -1078,7 +1131,9 @@ func (pl *numLeafPlan[V]) prune(s int) bool {
 	}
 	switch pl.kind {
 	case kindRange:
-		return seg.max < pl.low || seg.min >= pl.high
+		// An empty band — high <= low, or a NaN bound — selects nothing
+		// in any segment, whatever the index would say.
+		return !(pl.low < pl.high) || seg.max < pl.low || seg.min >= pl.high
 	case kindAtLeast:
 		return seg.max < pl.low
 	case kindLessThan:

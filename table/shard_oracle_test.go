@@ -14,18 +14,34 @@ import (
 
 // Randomized sharded query oracle: the same operation log runs against
 // an unsharded table and sharded tables (2 and 4 shards), and every
-// probe — ids, counts, rows, aggregates, groups, top-k, limited
-// aggregates — must match a serial model that replicates the global-id
+// probe — ids, counts, rows, aggregates, groups (every key kind and
+// operator, float sums bit for bit — see group_oracle_test.go), top-k,
+// limited aggregates — must match a serial model that replicates the global-id
 // mapping (including chunked commit routing and shard-local compaction)
 // with plain loops. Each probe also runs at parallelism 1, 2 and 8 and
 // the three results must be deeply identical, pinning the deterministic
 // (shard, segment) merge.
 
-// soRow is one live row of the model.
+// soRow is one live row of the model. f, k and n are derived from the
+// a value the row was appended with (soDerive): a float column for
+// bit-exact grouped sums and two more group keys — a uint8 and a
+// negative narrow-range int64 — beside the string s and the wide a
+// (which takes the map slot path).
 type soRow struct {
 	a int64
 	s string
+	f float64
+	k uint8
+	n int64
 }
+
+func soDerive(a int64) (f float64, k uint8, n int64) {
+	return float64(a)/7 + 0.1, uint8(a % 11), -(a % 40) - 1
+}
+
+// soWiden is the out-of-range n value an update of a also writes, so
+// sealed segments' n summaries get widened by updates.
+func soWiden(val int64) int64 { return -(val % 90) - 1 }
 
 // soMirror is the serial model of one table variant. It tracks rows by
 // global id using the same gid arithmetic as shardState, so it predicts
@@ -58,7 +74,8 @@ func (m *soMirror) append(vals []int64, strs []string) {
 		}
 		n := min(len(vals)-from, m.sh.segRows-m.cnt[c]%m.sh.segRows)
 		for i := 0; i < n; i++ {
-			m.rows[m.sh.gidOf(c, m.cnt[c]+i)] = soRow{a: vals[from+i], s: strs[from+i]}
+			f, k, n := soDerive(vals[from+i])
+			m.rows[m.sh.gidOf(c, m.cnt[c]+i)] = soRow{a: vals[from+i], s: strs[from+i], f: f, k: k, n: n}
 		}
 		m.cnt[c] += n
 		from += n
@@ -121,7 +138,15 @@ type soProbe struct {
 	lrows  uint64
 	groups []Group
 	topk   []uint32
+	// Grouped differential probes: every operator per group key, the
+	// float bits included, plus a count(*)-only grouping.
+	byKey   map[string][]Group
+	cntOnly []Group
 }
+
+// soGroupKeys are the grouped probe's key columns: string dictionary
+// codes, a uint8, a negative dense int64, and the wide a (map slots).
+var soGroupKeys = []string{"s", "k", "n", "a"}
 
 // soSweep executes every probe shape once at the given parallelism.
 func soSweep(t *testing.T, tb *Table, lo, hi int64, par int) soProbe {
@@ -163,6 +188,19 @@ func soSweep(t *testing.T, tb *Table, lo, hi int64, par int) soProbe {
 		t.Fatal(err)
 	}
 	p.groups = gres.Groups
+	p.byKey = map[string][]Group{}
+	for _, key := range soGroupKeys {
+		g, _, err := tb.Select().Options(opts).Where(pred).GroupBy(key).Aggregate(refSpecs()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.byKey[key] = g.Groups
+	}
+	cres, _, err := tb.Select().Options(opts).Where(pred).GroupBy("k").Aggregate(CountAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.cntOnly = cres.Groups
 	if p.topk, _, err = tb.Select().Options(opts).Where(pred).
 		OrderBy(Desc("a")).Limit(10).IDs(); err != nil {
 		t.Fatal(err)
@@ -170,8 +208,9 @@ func soSweep(t *testing.T, tb *Table, lo, hi int64, par int) soProbe {
 	return p
 }
 
-// soCheck verifies one probe against the model.
-func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
+// soCheck verifies one probe against the model; tb tells the grouped
+// reference which rows are still buffered in a delta.
+func soCheck(t *testing.T, tag string, p soProbe, tb *Table, m *soMirror, lo, hi int64) {
 	t.Helper()
 	live := m.liveIDs()
 	if len(p.allIDs) != len(live) {
@@ -195,7 +234,7 @@ func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
 	}{}
 	for _, id := range live {
 		r := m.rows[id]
-		if r.a < lo || r.a > hi {
+		if r.a < lo || r.a >= hi {
 			continue
 		}
 		match = append(match, ent{id: id, r: r})
@@ -275,6 +314,42 @@ func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
 				tag, g.Key, g.Rows, g.Aggs[1].Int, k, groups[k].rows, groups[k].sum)
 		}
 	}
+	// The grouped differential: every key kind and operator against the
+	// reference fold, float bits included.
+	for _, key := range soGroupKeys {
+		ref := make([]refRow, len(match))
+		for i, e := range match {
+			c, lid := m.sh.decode(e.id)
+			sealed := tb.rows
+			if tb.shard != nil {
+				sealed = tb.shard.kids[c].rows
+			}
+			r := refRow{id: e.id, bucket: e.id / m.sh.segRows, a: e.r.a, f: e.r.f, s: e.r.s}
+			if lid >= sealed {
+				r.bucket = refDeltaBucket + c
+			}
+			switch key {
+			case "s":
+				r.key = e.r.s
+			case "k":
+				r.key = int64(e.r.k)
+			case "n":
+				r.key = e.r.n
+			default:
+				r.key = e.r.a
+			}
+			ref[i] = r
+		}
+		checkGroupsRef(t, tag+" group by "+key, p.byKey[key], ref)
+	}
+	if len(p.cntOnly) != len(p.byKey["k"]) {
+		t.Fatalf("%s: count(*)-only grouping has %d groups, the full grouping %d", tag, len(p.cntOnly), len(p.byKey["k"]))
+	}
+	for i, g := range p.byKey["k"] {
+		if c := p.cntOnly[i]; c.Key != g.Key || c.Rows != g.Rows || c.Aggs[0].Int != int64(g.Rows) {
+			t.Fatalf("%s: count(*)-only group %v diverges from the full grouping %v", tag, c, g)
+		}
+	}
 	topk := append([]ent(nil), match...)
 	sort.Slice(topk, func(i, j int) bool {
 		if topk[i].r.a != topk[j].r.a {
@@ -297,6 +372,21 @@ func soCheck(t *testing.T, tag string, p soProbe, m *soMirror, lo, hi int64) {
 }
 
 func mkShardOracleTable(t *testing.T, shards int, vals []int64, strs []string, ingest bool) *Table {
+	return mkShardOracleTableCols(t, shards, vals, strs, ingest, false)
+}
+
+// soDerived computes the derived columns of a batch of a values.
+func soDerived(vals []int64) (fs []float64, ks []uint8, ns []int64) {
+	fs, ks, ns = make([]float64, len(vals)), make([]uint8, len(vals)), make([]int64, len(vals))
+	for i, a := range vals {
+		fs[i], ks[i], ns[i] = soDerive(a)
+	}
+	return fs, ks, ns
+}
+
+// mkShardOracleTableCols builds the oracle table; derived adds the
+// f/k/n columns of soDerive.
+func mkShardOracleTableCols(t *testing.T, shards int, vals []int64, strs []string, ingest, derived bool) *Table {
 	t.Helper()
 	tb := NewWithOptions("oracle", TableOptions{SegmentRows: 128, Shards: shards})
 	if err := AddColumn(tb, "a", vals, Imprints, core.Options{Seed: 21}); err != nil {
@@ -304,6 +394,18 @@ func mkShardOracleTable(t *testing.T, shards int, vals []int64, strs []string, i
 	}
 	if err := tb.AddStringColumn("s", strs, Imprints, core.Options{Seed: 22}); err != nil {
 		t.Fatal(err)
+	}
+	if derived {
+		fs, ks, ns := soDerived(vals)
+		if err := AddColumn(tb, "f", fs, Zonemap, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := AddColumn(tb, "k", ks, Imprints, core.Options{Seed: 23}); err != nil {
+			t.Fatal(err)
+		}
+		if err := AddColumn(tb, "n", ns, NoIndex, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if ingest {
 		if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
@@ -335,10 +437,24 @@ func (op soOp) applyTable(tb *Table, m *soMirror) error {
 		if err := b.AppendStrings("s", op.strs); err != nil {
 			return err
 		}
+		fs, ks, ns := soDerived(op.rows)
+		if err := Append(b, "f", fs); err != nil {
+			return err
+		}
+		if err := Append(b, "k", ks); err != nil {
+			return err
+		}
+		if err := Append(b, "n", ns); err != nil {
+			return err
+		}
 		return b.Commit()
 	case 'u':
 		if live := m.liveIDs(); len(live) > 0 {
-			return Update(tb, "a", live[op.rank%len(live)], op.val)
+			id := live[op.rank%len(live)]
+			if err := Update(tb, "a", id, op.val); err != nil {
+				return err
+			}
+			return Update(tb, "n", id, soWiden(op.val))
 		}
 	case 's':
 		if live := m.liveIDs(); len(live) > 0 {
@@ -365,12 +481,16 @@ func (op soOp) applyMirror(m *soMirror) {
 	case 'u':
 		if live := m.liveIDs(); len(live) > 0 {
 			id := live[op.rank%len(live)]
-			m.rows[id] = soRow{a: op.val, s: m.rows[id].s}
+			r := m.rows[id]
+			r.a, r.n = op.val, soWiden(op.val)
+			m.rows[id] = r
 		}
 	case 's':
 		if live := m.liveIDs(); len(live) > 0 {
 			id := live[op.rank%len(live)]
-			m.rows[id] = soRow{a: m.rows[id].a, s: op.str}
+			r := m.rows[id]
+			r.s = op.str
+			m.rows[id] = r
 		}
 	case 'd':
 		if live := m.liveIDs(); len(live) > 0 {
@@ -396,7 +516,11 @@ func soGen(rng *rand.Rand, ingest bool) soOp {
 	case r < 65:
 		return soOp{kind: 'u', rank: rng.IntN(1 << 20), val: rng.Int64N(1_000_000)}
 	case r < 75:
-		return soOp{kind: 's', rank: rng.IntN(1 << 20), str: oraCities[rng.IntN(len(oraCities))]}
+		str := oraCities[rng.IntN(len(oraCities))]
+		if rng.IntN(4) == 0 { // a novel symbol re-encodes the segment's dictionary
+			str = fmt.Sprintf("novel-%d", rng.IntN(40))
+		}
+		return soOp{kind: 's', rank: rng.IntN(1 << 20), str: str}
 	case r < 90:
 		return soOp{kind: 'd', rank: rng.IntN(1 << 20)}
 	case r < 95 && ingest:
@@ -425,7 +549,7 @@ func runShardOracle(t *testing.T, ingest bool) {
 	tbs := make([]*Table, len(shardCounts))
 	ms := make([]*soMirror, len(shardCounts))
 	for i, sc := range shardCounts {
-		tbs[i] = mkShardOracleTable(t, sc, vals, strs, ingest)
+		tbs[i] = mkShardOracleTableCols(t, sc, vals, strs, ingest, true)
 		ms[i] = newSoMirror(max(sc, 1), 128)
 		ms[i].append(vals, strs)
 	}
@@ -458,7 +582,7 @@ func runShardOracle(t *testing.T, ingest bool) {
 		probes := make([]soProbe, len(shardCounts))
 		for i, sc := range shardCounts {
 			base := soSweep(t, tbs[i], lo, hi, 1)
-			soCheck(t, fmt.Sprintf("op %d shards=%d", k, sc), base, ms[i], lo, hi)
+			soCheck(t, fmt.Sprintf("op %d shards=%d", k, sc), base, tbs[i], ms[i], lo, hi)
 			// The merge is deterministic: parallelism must not change a
 			// single byte of any result, floats included.
 			for _, par := range []int{2, 8} {
@@ -471,9 +595,16 @@ func runShardOracle(t *testing.T, ingest bool) {
 		}
 		// Serial commits keep the id space dense, so until the first
 		// shard-local compaction every variant — unsharded included —
-		// returns byte-identical results at every shard count.
+		// returns byte-identical results at every shard count. The one
+		// exception is float sums over buffered rows: each shard's delta
+		// folds into its own partial, so with ingest the grouped float
+		// bits legitimately depend on the shard count (each variant was
+		// checked against its own reference above).
 		if !compacted {
 			for i := 1; i < len(shardCounts); i++ {
+				if ingest {
+					probes[0].byKey, probes[i].byKey = nil, nil
+				}
 				if !reflect.DeepEqual(probes[0], probes[i]) {
 					t.Fatalf("op %d: shards=%d diverges from unsharded on the dense prefix",
 						k, shardCounts[i])

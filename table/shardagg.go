@@ -183,31 +183,18 @@ func (q *Query) shardLimitedAggregate(se *shardExec, kbinds [][]aggBind, merged 
 				if taken >= q.limit {
 					break
 				}
-				if accs == nil {
-					accs = make([]segAgg, len(binds))
-					for i, b := range kbinds[u.c] {
-						if b.col != nil {
-							accs[i] = b.col.aggAcc(b.spec.op, u.lseg)
-						}
-					}
+				if segTaken == 0 {
+					accs = segAccs(kbinds[u.c], u.lseg)
 				}
 				for _, acc := range accs {
-					if acc != nil {
-						acc.addRow(id - base)
-					}
+					acc.addRow(id - base)
 				}
 				segTaken++
 				taken++
 				rows++
 			}
 			if segTaken > 0 {
-				for i, acc := range accs {
-					if acc != nil {
-						merged[i].mergeInto(binds[i].spec.op, acc.partial())
-					} else {
-						merged[i].mergeInto(binds[i].spec.op, aggPartial{rows: segTaken})
-					}
-				}
+				mergeAccs(merged, binds, accs, segTaken)
 			}
 			return taken < q.limit
 		})
@@ -233,10 +220,10 @@ func (q *Query) shardLimitedAggregate(se *shardExec, kbinds [][]aggBind, merged 
 	return res, *st, nil
 }
 
-// shardAggregate is GroupBy.Aggregate over a sharded table: the
-// unchanged per-segment grouping worker per unit, group partials
-// merged in global-segment order, each shard's delta groups folded
-// once afterwards, final groups sorted by key.
+// shardAggregate is GroupBy.Aggregate over a sharded table: the same
+// per-segment grouping worker per unit, group partials merged in
+// global-segment order, each shard's delta groups folded once
+// afterwards, final groups sorted by key.
 func (g *GroupedQuery) shardAggregate(specs []AggSpec) (*GroupedResult, core.QueryStats, error) {
 	q := g.q
 	t := q.t
@@ -270,9 +257,8 @@ func (g *GroupedQuery) shardAggregate(specs []AggSpec) (*GroupedResult, core.Que
 		}
 		keyCols[c] = keyCol
 	}
-	res := &GroupedResult{Key: g.key}
 	if q.limited && q.limit == 0 {
-		return res, st, nil
+		return &GroupedResult{Key: g.key}, st, nil
 	}
 	se, err := q.shardBind()
 	if err != nil {
@@ -282,12 +268,7 @@ func (g *GroupedQuery) shardAggregate(specs []AggSpec) (*GroupedResult, core.Que
 	for c := range sh.kids {
 		kgs[c] = &GroupedQuery{q: se.kids[c], key: g.key}
 	}
-	binds := kbinds[0]
-	type mergedGroup struct {
-		rows  uint64
-		parts []aggPartial
-	}
-	merged := map[groupKey]*mergedGroup{}
+	merge := groupMerge{binds: kbinds[0], groups: map[groupKey]*mergedGroup{}}
 	if err := se.forEachUnit(q,
 		func(i int) segOut {
 			u := se.units[i]
@@ -295,98 +276,15 @@ func (g *GroupedQuery) shardAggregate(specs []AggSpec) (*GroupedResult, core.Que
 		},
 		func(i int, o segOut) bool {
 			st.Add(o.st)
-			for _, gr := range o.groups {
-				mg := merged[gr.key]
-				if mg == nil {
-					mg = &mergedGroup{parts: make([]aggPartial, len(binds))}
-					merged[gr.key] = mg
-				}
-				mg.rows += gr.rows
-				for i := range gr.parts {
-					mg.parts[i].mergeInto(binds[i].spec.op, gr.parts[i])
-				}
-			}
+			merge.addSegment(o.groups)
 			return true
 		}); err != nil {
 		return nil, st, t.abortErr(err)
 	}
 	for c, view := range se.views {
-		if view == nil {
-			continue
-		}
-		cbinds := kbinds[c]
-		match := view.matcher(se.ens[c])
-		kci := view.colIdx(g.key)
-		cis := make([]int, len(cbinds))
-		for i, b := range cbinds {
-			if b.col != nil {
-				cis[i] = view.colIdx(b.spec.col)
-			}
-		}
-		type deltaGroup struct {
-			rows uint64
-			accs []deltaAgg
-		}
-		dgroups := map[groupKey]*deltaGroup{}
-		view.scan(match, &st, func(_ int, row []any) bool {
-			k := keyCols[c].deltaGroupKey(row[kci])
-			dg := dgroups[k]
-			if dg == nil {
-				dg = &deltaGroup{accs: make([]deltaAgg, len(cbinds))}
-				for i, b := range cbinds {
-					if b.col != nil {
-						dg.accs[i] = b.col.deltaAgg(b.spec.op)
-					}
-				}
-				dgroups[k] = dg
-			}
-			dg.rows++
-			for i, acc := range dg.accs {
-				if acc != nil {
-					acc.add(row[cis[i]])
-				}
-			}
-			return true
-		})
-		// Fold the shard's delta groups in deterministic key order (map
-		// iteration order would leak into float merge order otherwise).
-		dkeys := make([]groupKey, 0, len(dgroups))
-		for k := range dgroups {
-			dkeys = append(dkeys, k)
-		}
-		sort.Slice(dkeys, func(i, j int) bool { return dkeys[i].less(dkeys[j]) })
-		for _, k := range dkeys {
-			dg := dgroups[k]
-			mg := merged[k]
-			if mg == nil {
-				mg = &mergedGroup{parts: make([]aggPartial, len(cbinds))}
-				merged[k] = mg
-			}
-			mg.rows += dg.rows
-			for i := range cbinds {
-				if dg.accs[i] != nil {
-					mg.parts[i].mergeInto(binds[i].spec.op, dg.accs[i].partial())
-				} else {
-					mg.parts[i].mergeInto(binds[i].spec.op, aggPartial{rows: dg.rows})
-				}
-			}
-		}
+		merge.addDelta(view, se.ens[c], g.key, keyCols[c], kbinds[c], &st)
 	}
-	keys := make([]groupKey, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	res.Groups = make([]Group, len(keys))
-	for gi, k := range keys {
-		mg := merged[k]
-		grp := Group{Key: k.value(), Rows: mg.rows, Aggs: make([]AggValue, len(binds))}
-		for i, b := range binds {
-			grp.Aggs[i] = mg.parts[i].value(b.spec)
-		}
-		res.Groups[gi] = grp
-	}
-	return res, st, nil
+	return merge.result(g.key), st, nil
 }
 
 // shardExplain builds the plan of a sharded execution: every (shard,

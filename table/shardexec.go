@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -401,28 +400,8 @@ func (q *Query) shardOrderedIDs(se *shardExec) ([]uint32, core.QueryStats, error
 	err := se.forEachUnit(q,
 		func(i int) segOut {
 			u := se.units[i]
-			kid := sh.kids[u.c]
-			var o segOut
-			ev := kid.evalSegment(se.ens[u.c], u.lseg, q.opts, &o.st, false)
-			acc := cols[u.c].topkAcc(u.lseg, desc, k)
-			gbase := uint32(u.gseg * q.t.segRows)
-			kid.aggWalk(u.lseg, ev, &o.st,
-				func(from, to int) {
-					for local := from; local < to; local++ {
-						acc.push(uint32(local), gbase+uint32(local))
-					}
-				},
-				func(bb int, mask uint64) {
-					for mask != 0 {
-						i := bits.TrailingZeros64(mask)
-						mask &= mask - 1
-						local := uint32(bb + i)
-						acc.push(local, gbase+local)
-					}
-				})
-			releaseEval(&ev)
-			o.ord = acc.partial()
-			return o
+			acc := cols[u.c].topkAcc(u.lseg, uint32(u.gseg*q.t.segRows), desc, k)
+			return sh.kids[u.c].topkSegment(se.ens[u.c], u.lseg, q.opts, acc)
 		},
 		func(i int, o segOut) bool {
 			st.Add(o.st)

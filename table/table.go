@@ -164,14 +164,17 @@ type anyColumn interface {
 	// groupCheck validates the column as a GroupBy key (integer and
 	// string columns only).
 	groupCheck() error
-	// grouper returns segment s's group-key extractor: a cheap int64
-	// key per row (dictionary code for strings), finalized to the
-	// global key space when the segment's groups are emitted.
-	grouper(s int) segGrouper
+	// slotter returns segment s's group-key slotter (a dense slot id
+	// per row, decoded to the global key space when the segment's
+	// groups are emitted); slotAcc returns a per-slot fold accumulator
+	// for op over segment s.
+	slotter(s int) segSlotter
+	slotAcc(op aggOp, s int) slotAgg
 	// topkAcc returns a bounded top-k collector over segment s
-	// (unbounded when k <= 0); topkMerge ranks the per-segment
-	// partials globally and returns the ordered row ids.
-	topkAcc(s int, desc bool, k int) segTopK
+	// (unbounded when k <= 0) whose rows carry the global ids idBase +
+	// local; topkMerge ranks the per-segment partials globally and
+	// returns the ordered row ids.
+	topkAcc(s int, idBase uint32, desc bool, k int) segTopK
 	topkMerge(parts []orderPartial, desc bool, k int) []uint32
 
 	// ---- LSM-ingest hooks (delta.go, seal.go) ----

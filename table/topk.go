@@ -50,9 +50,13 @@ func (q *Query) OrderBy(o OrderSpec) *Query {
 }
 
 // segTopK collects one segment's candidate rows for an ordered
-// execution: a bounded heap when k > 0, everything otherwise.
+// execution — a bounded heap when k > 0, everything otherwise — taking
+// them a block at a time in aggWalk's currency: the surviving lanes of
+// one block (pushMask) or a wholesale exact span (pushSpan), both
+// segment-local. Rows arrive in ascending id order.
 type segTopK interface {
-	push(local, id uint32)
+	pushMask(base int, mask uint64)
+	pushSpan(from, to int)
 	partial() orderPartial
 }
 
@@ -102,6 +106,26 @@ type boundedHeap[V coltype.Value] struct {
 // the root is the worst kept entry).
 func (b *boundedHeap[V]) worseAt(i, j int) bool {
 	return rankBefore(b.h[j], b.h[i], b.desc)
+}
+
+// rejects reports, with one compare against the root's value, that a
+// full heap cannot take a later row of value v. Sound because ids
+// ascend within a segment: a value equal to the root's loses the id
+// tie-break, so only a strictly better value displaces the root (a NaN
+// v never is). While the root itself is NaN every real value beats it,
+// so nothing is rejected here and push ranks in full.
+func (b *boundedHeap[V]) rejects(v V) bool {
+	if b.k <= 0 || len(b.h) < b.k {
+		return false
+	}
+	root := b.h[0].v
+	if root != root {
+		return false
+	}
+	if b.desc {
+		return !(v > root)
+	}
+	return !(v < root)
 }
 
 func (b *boundedHeap[V]) push(e topEntry[V]) {
@@ -166,17 +190,37 @@ func mergeEntries[V coltype.Value](parts []orderPartial, desc bool, k int) []uin
 // ---- numeric columns ----
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) topkAcc(s int, desc bool, k int) segTopK {
-	return &numTopK[V]{vals: c.segs[s].vals, heap: boundedHeap[V]{desc: desc, k: k}}
+func (c *colState[V]) topkAcc(s int, idBase uint32, desc bool, k int) segTopK {
+	return &numTopK[V]{vals: c.segs[s].vals, idBase: idBase, heap: boundedHeap[V]{desc: desc, k: k}}
 }
 
+// numTopK heaps the typed values of one segment's slab; idBase is the
+// global id of the segment's first row.
 type numTopK[V coltype.Value] struct {
-	vals []V
-	heap boundedHeap[V]
+	vals   []V
+	idBase uint32
+	heap   boundedHeap[V]
 }
 
-func (t *numTopK[V]) push(local, id uint32) {
-	t.heap.push(topEntry[V]{v: t.vals[local], id: id})
+//imprintvet:hotpath
+func (t *numTopK[V]) pushMask(base int, mask uint64) {
+	blk := t.vals[base:]
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		mask &= mask - 1
+		if v := blk[i]; !t.heap.rejects(v) {
+			t.heap.push(topEntry[V]{v: v, id: t.idBase + uint32(base+i)})
+		}
+	}
+}
+
+//imprintvet:hotpath
+func (t *numTopK[V]) pushSpan(from, to int) {
+	for local := from; local < to; local++ {
+		if v := t.vals[local]; !t.heap.rejects(v) {
+			t.heap.push(topEntry[V]{v: v, id: t.idBase + uint32(local)})
+		}
+	}
 }
 
 func (t *numTopK[V]) partial() orderPartial { return t.heap.h }
@@ -190,18 +234,14 @@ func (c *colState[V]) topkMerge(parts []orderPartial, desc bool, k int) []uint32
 // strTopK heaps segment-local dictionary codes (code order is string
 // order within a segment) and decodes only the surviving entries.
 type strTopK struct {
-	seg  *strSegment
-	heap boundedHeap[int32]
+	seg *strSegment
+	numTopK[int32]
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) topkAcc(s int, desc bool, k int) segTopK {
+func (c *strColState) topkAcc(s int, idBase uint32, desc bool, k int) segTopK {
 	seg := c.segs[s]
-	return &strTopK{seg: seg, heap: boundedHeap[int32]{desc: desc, k: k}}
-}
-
-func (t *strTopK) push(local, id uint32) {
-	t.heap.push(topEntry[int32]{v: t.seg.codes()[local], id: id})
+	return &strTopK{seg: seg, numTopK: numTopK[int32]{vals: seg.codes(), idBase: idBase, heap: boundedHeap[int32]{desc: desc, k: k}}}
 }
 
 // strOrdEntry is a decoded string entry; partials decode before the
@@ -249,6 +289,20 @@ func (c *strColState) topkMerge(parts []orderPartial, desc bool, k int) []uint32
 
 // ---- execution ----
 
+// topkSegment is the per-segment ordered worker, shared by the
+// unsharded and sharded executors: the segment's qualifying rows
+// stream block by block into acc.
+//
+//imprintvet:locks held=mu.R
+func (t *Table) topkSegment(en *execNode, s int, opts SelectOptions, acc segTopK) segOut {
+	var o segOut
+	ev := t.evalSegment(en, s, opts, &o.st, false)
+	t.aggWalk(s, ev, &o.st, acc.pushSpan, acc.pushMask)
+	releaseEval(&ev)
+	o.ord = acc.partial()
+	return o
+}
+
 // orderedIDsLocked executes an OrderBy query down to the ranked row
 // ids; the caller holds the table's read lock. Every segment must
 // report (a pruned one cheaply), so there is no early cancel; the
@@ -277,27 +331,7 @@ func (q *Query) orderedIDsLocked() ([]uint32, core.QueryStats, error) {
 	parts := make([]orderPartial, nsegs)
 	err = q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
 		func(s int) segOut {
-			var o segOut
-			ev := q.t.evalSegment(en, s, q.opts, &o.st, false)
-			acc := col.topkAcc(s, desc, k)
-			base := uint32(s * q.t.segRows)
-			q.t.aggWalk(s, ev, &o.st,
-				func(from, to int) {
-					for local := from; local < to; local++ {
-						acc.push(uint32(local), base+uint32(local))
-					}
-				},
-				func(bb int, mask uint64) {
-					for mask != 0 {
-						i := bits.TrailingZeros64(mask)
-						mask &= mask - 1
-						local := uint32(bb + i)
-						acc.push(local, base+local)
-					}
-				})
-			releaseEval(&ev)
-			o.ord = acc.partial()
-			return o
+			return q.t.topkSegment(en, s, q.opts, col.topkAcc(s, uint32(s*q.t.segRows), desc, k))
 		},
 		func(s int, o segOut) bool {
 			st.Add(o.st)
