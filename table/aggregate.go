@@ -732,46 +732,52 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 	return o
 }
 
-// deltaAggFold folds the qualifying buffered delta rows of one
-// captured view into merged (capped so already + folded never exceeds
-// Limit on limited queries) and returns the number of rows folded.
-// Delta ids all follow their table's sealed ids, so folding after the
-// segment merge preserves the deterministic merge order. Callers hold
-// the read lock the view was captured under.
-//
-//imprintvet:locks held=mu.R
-func (q *Query) deltaAggFold(view *deltaView, en *execNode, binds []aggBind, merged []aggPartial, already uint64, st *core.QueryStats) uint64 {
-	if view == nil {
-		return 0
-	}
-	match := view.matcher(en)
+// newDeltaAggs builds one delta accumulator per column aggregate (nil
+// for count(*)).
+func newDeltaAggs(binds []aggBind) []deltaAgg {
 	accs := make([]deltaAgg, len(binds))
-	cis := make([]int, len(binds))
 	for i, b := range binds {
 		if b.col != nil {
 			accs[i] = b.col.deltaAgg(b.spec.op)
-			cis[i] = view.colIdx(b.spec.col)
 		}
 	}
-	var rows uint64
-	limit := uint64(q.limit)
-	view.scan(match, st, func(_ int, row []any) bool {
-		for i, acc := range accs {
-			if acc != nil {
-				acc.add(row[cis[i]])
+	return accs
+}
+
+// aggCols returns the aggregated columns' positions in the part's
+// delta row layout (unused for count(*)).
+func (p *part) aggCols() []int {
+	if p.dcis == nil {
+		p.dcis = make([]int, len(p.aggs))
+		for i, b := range p.aggs {
+			if b.col != nil {
+				p.dcis[i] = p.view.colIdx(b.spec.col)
 			}
 		}
-		rows++
-		return !q.limited || already+rows < limit
-	})
-	for i := range merged {
-		if accs[i] != nil {
-			merged[i].mergeInto(binds[i].spec.op, accs[i].partial())
-		} else {
-			merged[i].mergeInto(binds[i].spec.op, aggPartial{rows: rows})
+	}
+	return p.dcis
+}
+
+// foldDeltaRow folds one buffered row into the accumulators; cis maps
+// each to its column's position in the row.
+func foldDeltaRow(accs []deltaAgg, cis []int, row []any) {
+	for i, acc := range accs {
+		if acc != nil {
+			acc.add(row[cis[i]])
 		}
 	}
-	return rows
+}
+
+// mergeDeltaAggs merges the accumulators' partials over rows buffered
+// rows into merged; count(*) binds merge the bare row count.
+func mergeDeltaAggs(merged []aggPartial, binds []aggBind, accs []deltaAgg, rows uint64) {
+	for i := range merged {
+		p := aggPartial{rows: rows}
+		if accs[i] != nil {
+			p = accs[i].partial()
+		}
+		merged[i].mergeInto(binds[i].spec.op, p)
+	}
 }
 
 // Aggregate executes the query as a set of aggregates over the
@@ -788,100 +794,111 @@ func (q *Query) deltaAggFold(view *deltaView, en *execNode, binds []aggBind, mer
 // in ascending id order; that path folds row by row (no pushdown).
 // OrderBy does not apply to aggregates and is rejected.
 func (q *Query) Aggregate(specs ...AggSpec) (*AggResult, core.QueryStats, error) {
-	if q.t.shard != nil {
-		return q.shardAggregate(specs)
-	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	var st core.QueryStats
+	var x exec
+	x.begin(q)
+	defer x.end()
 	if q.order != nil {
-		return nil, st, fmt.Errorf("table %s: OrderBy does not apply to Aggregate (aggregates are order-independent)", q.t.name)
+		return nil, x.st, fmt.Errorf("table %s: OrderBy does not apply to Aggregate (aggregates are order-independent)", q.t.name)
 	}
-	binds, err := q.t.resolveAggs(specs)
+	err := x.checkProjection()
+	if err == nil {
+		err = x.resolveAggs(specs)
+	}
 	if err != nil {
-		return nil, st, err
+		return nil, x.st, err
 	}
-	if err := q.checkProjection(); err != nil {
-		return nil, st, err
-	}
+	binds := x.parts[0].aggs
 	res := &AggResult{vals: make([]AggValue, len(binds))}
 	merged := make([]aggPartial, len(binds))
-	finish := func() *AggResult {
-		for i, b := range binds {
-			res.vals[i] = merged[i].value(b.spec)
-		}
-		return res
+	run, err := x.ready(nil)
+	if run {
+		res.Rows, err = x.aggregate(merged)
 	}
-	if q.limited && q.limit == 0 {
-		return finish(), st, nil
-	}
-	en, err := q.bind()
 	if err != nil {
-		return nil, st, err
+		return nil, x.st, err
 	}
-	if q.limited {
-		return q.limitedAggregate(en, binds, merged, finish, &st)
+	for i, b := range binds {
+		res.vals[i] = merged[i].value(b.spec)
 	}
-	nsegs := q.t.segCount()
-	if err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut { return q.aggSegment(en, s, binds) },
-		func(s int, o segOut) bool {
-			st.Add(o.st)
-			res.Rows += o.count
-			for i := range merged {
-				merged[i].mergeInto(binds[i].spec.op, o.aggs[i])
-			}
-			return true
-		}); err != nil {
-		return nil, st, q.t.abortErr(err)
-	}
-	res.Rows += q.deltaAggFold(q.t.deltaViewLocked(), en, binds, merged, res.Rows, &st)
-	return finish(), st, nil
+	return res, x.st, nil
 }
 
-// limitedAggregate folds the first q.limit qualifying rows in id
-// order: segment workers materialize capped id lists (the IDs
-// machinery) and the consumer folds them row by row, so the cap is
-// applied deterministically across segments.
+// aggregate folds the bound execution's qualifying rows into merged
+// and returns how many there were. Unlimited: per-unit partials merge
+// in global-segment order and each part's buffered rows fold once
+// afterwards in part order. Limited: the first Limit ids of the ordered
+// stream fold row by row — a sealed run through its segment's
+// accumulators, merged as the run ends; buffered rows through one set
+// of delta accumulators, merged after every sealed partial — so the cap
+// lands on the same rows at every parallelism level and shard count.
 //
 //imprintvet:locks held=mu.R
-func (q *Query) limitedAggregate(en *execNode, binds []aggBind, merged []aggPartial, finish func() *AggResult, st *core.QueryStats) (*AggResult, core.QueryStats, error) {
-	taken := 0
+func (x *exec) aggregate(merged []aggPartial) (uint64, error) {
+	q := x.q
+	binds := x.parts[0].aggs
 	var rows uint64
-	nsegs := q.t.segCount()
-	err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut { return q.collectIDs(en, s) },
-		func(s int, o segOut) bool {
-			st.Add(o.st)
-			ids := *o.ids
-			defer putIDScratch(o.ids)
-			take := len(ids)
-			if q.limit-taken < take {
-				take = q.limit - taken
-			}
-			if take > 0 {
-				base := s * q.t.segRows
-				accs := segAccs(binds, s)
-				for _, id := range ids[:take] {
-					for _, acc := range accs {
-						acc.addRow(id - uint32(base))
-					}
+	if !q.limited {
+		if err := x.forEachUnit(
+			func(u unit) segOut {
+				p := &x.parts[u.c]
+				return p.q.aggSegment(p.en, u.lseg, p.aggs)
+			},
+			func(_ unit, o segOut) bool {
+				rows += o.count
+				for i := range merged {
+					merged[i].mergeInto(binds[i].spec.op, o.aggs[i])
 				}
-				mergeAccs(merged, binds, accs, uint64(take))
-				taken += take
-				rows += uint64(take)
+				return true
+			}); err != nil {
+			return 0, err
+		}
+		for c := range x.parts {
+			p := &x.parts[c]
+			if p.view == nil {
+				continue
 			}
-			return taken < q.limit
-		})
-	if err != nil {
-		return nil, *st, q.t.abortErr(err)
+			accs, cis := newDeltaAggs(binds), p.aggCols()
+			var drows uint64
+			p.view.scan(p.match, &x.st, func(_ int, row []any) bool {
+				foldDeltaRow(accs, cis, row)
+				drows++
+				return true
+			})
+			mergeDeltaAggs(merged, binds, accs, drows)
+			rows += drows
+		}
+		return rows, nil
 	}
-	if taken < q.limit {
-		n := q.deltaAggFold(q.t.deltaViewLocked(), en, binds, merged, uint64(taken), st)
-		rows += n
-		taken += int(n)
+	var daccs []deltaAgg
+	var drows uint64
+	if err := x.streamIDs(func(u unit, gids []uint32, sealed bool) bool {
+		p := &x.parts[u.c]
+		rows += uint64(len(gids))
+		if sealed {
+			accs := segAccs(p.aggs, u.lseg)
+			base := uint32(u.gseg * q.t.segRows)
+			for _, gid := range gids {
+				for _, acc := range accs {
+					acc.addRow(gid - base)
+				}
+			}
+			mergeAccs(merged, binds, accs, uint64(len(gids)))
+			return true
+		}
+		if daccs == nil {
+			daccs = newDeltaAggs(binds)
+		}
+		cis := p.aggCols()
+		for _, gid := range gids {
+			foldDeltaRow(daccs, cis, x.deltaRow(u, gid))
+		}
+		drows += uint64(len(gids))
+		return true
+	}); err != nil {
+		return 0, err
 	}
-	res := finish()
-	res.Rows = rows
-	return res, *st, nil
+	if daccs != nil {
+		mergeDeltaAggs(merged, binds, daccs, drows)
+	}
+	return rows, nil
 }

@@ -139,15 +139,8 @@ func opNode(op string, runs []core.CandidateRun, kids []*PlanNode) *PlanNode {
 // Explain builds the query's execution plan without materializing rows:
 // every segment is evaluated (in parallel, like a real execution) and
 // the per-segment plans are merged into one tree with per-leaf segment
-// breakdowns.
-func (q *Query) Explain() (*Plan, error) {
-	if q.t.shard != nil {
-		return q.shardExplain(nil, false)
-	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	return q.explainLocked(nil)
-}
+// breakdowns, labeled by global segment.
+func (q *Query) Explain() (*Plan, error) { return q.explain(nil, false) }
 
 // ExplainAggregate builds the plan of an Aggregate execution of the
 // query: the predicate plan of Explain plus the per-segment aggregate
@@ -158,113 +151,112 @@ func (q *Query) Explain() (*Plan, error) {
 // like Aggregate rejects them (OrderBy); a Limit-ed aggregation folds
 // its first rows one by one through the id path, so its plan carries
 // the limit but no pushdown tier lines.
-func (q *Query) ExplainAggregate(specs ...AggSpec) (*Plan, error) {
-	if q.t.shard != nil {
-		return q.shardExplain(specs, true)
-	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	if q.order != nil {
+func (q *Query) ExplainAggregate(specs ...AggSpec) (*Plan, error) { return q.explain(specs, true) }
+
+// explain is the one body behind both: withAggs distinguishes
+// ExplainAggregate (which validates its specs like Aggregate) from
+// plain Explain.
+func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
+	var x exec
+	x.begin(q)
+	defer x.end()
+	if withAggs && q.order != nil {
 		return nil, fmt.Errorf("table %s: OrderBy does not apply to Aggregate (aggregates are order-independent)", q.t.name)
 	}
-	binds, err := q.t.resolveAggs(specs)
+	names, err := x.projection()
+	if err == nil && withAggs {
+		err = x.resolveAggs(specs)
+	}
+	if err == nil {
+		err = x.bind()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return q.explainLocked(binds)
-}
-
-//imprintvet:locks held=mu.R
-func (q *Query) explainLocked(binds []aggBind) (*Plan, error) {
-	names, _, err := q.projection()
-	if err != nil {
-		return nil, err
+	// A Limit-ed aggregation folds row by row through the id path; no
+	// pushdown tiers apply, so none are advertised.
+	tiers := withAggs && !q.limited
+	segPlans := make([]*PlanNode, 0, x.units)
+	infos := make([]planSegInfo, 0, x.units)
+	var aggSegs []AggSegmentPlan
+	if tiers {
+		aggSegs = make([]AggSegmentPlan, 0, x.units)
 	}
-	en, err := q.bind()
-	if err != nil {
-		return nil, err
-	}
-	var st core.QueryStats
-	nsegs := q.t.segCount()
-	par := resolveParallelism(q.opts, nsegs)
-	segPlans := make([]*PlanNode, nsegs)
-	aggSegs := make([]AggSegmentPlan, nsegs)
 	var fast, vect uint64
 	pruned := 0
-	ferr := q.t.forEachSegment(q.opts.Ctx, nsegs, par,
-		func(s int) segOut {
+	if err := x.forEachUnit(
+		func(u unit) segOut {
+			p := &x.parts[u.c]
 			var o segOut
-			ev := q.t.evalSegment(en, s, q.opts, &o.st, true)
+			ev := p.t.evalSegment(p.en, u.lseg, q.opts, &o.st, true)
 			o.plan = ev.plan
-			o.fast = q.t.fastCountSegment(s, ev.runs)
+			o.fast = p.t.fastCountSegment(u.lseg, ev.runs)
 			if !q.opts.Scalar {
-				o.vect = q.t.vectorizedBlocksSegment(s, ev.runs)
+				o.vect = p.t.vectorizedBlocksSegment(u.lseg, ev.runs)
 			}
-			if binds != nil && !q.limited {
-				aggSegs[s] = q.t.aggSegmentPlan(s, ev, binds)
+			if tiers {
+				o.aggPlan = p.t.aggSegmentPlan(u.lseg, ev, p.aggs)
+				o.aggPlan.Segment = u.gseg
 			}
 			releaseEval(&ev)
 			return o
 		},
-		func(s int, o segOut) bool {
-			st.Add(o.st)
-			segPlans[s] = o.plan
+		func(u unit, o segOut) bool {
+			segPlans = append(segPlans, o.plan)
+			infos = append(infos, planSegInfo{seg: u.gseg, rows: x.parts[u.c].t.segLen(u.lseg)})
+			if tiers {
+				aggSegs = append(aggSegs, o.aggPlan)
+			}
 			fast += o.fast
 			vect += o.vect
 			if o.plan.CandidateBlocks == 0 {
 				pruned++
 			}
 			return true
-		})
-	if ferr != nil {
-		return nil, q.t.abortErr(ferr)
+		}); err != nil {
+		return nil, err
 	}
 	lim := -1
 	if q.limited {
 		lim = q.limit
 	}
-	deltaRows := 0
-	if view := q.t.deltaViewLocked(); view != nil {
-		// Evaluate the delta filter exactly (like an execution would) so
-		// the plan's stats carry the delta-scan cost.
-		deltaRows = len(view.rows)
-		view.scan(view.matcher(en), &st, func(int, []any) bool { return true })
+	sealed, deltaRows := 0, 0
+	for c := range x.parts {
+		p := &x.parts[c]
+		sealed += p.t.rows
+		if p.view != nil {
+			// Evaluate the delta filter exactly (like an execution would) so
+			// the plan's stats carry the delta-scan cost.
+			deltaRows += len(p.view.rows)
+			p.view.scan(p.match, &x.st, func(int, []any) bool { return true })
+		}
 	}
-	infos := make([]planSegInfo, nsegs)
-	for s := range infos {
-		infos[s] = planSegInfo{seg: s, rows: q.t.segLen(s)}
-	}
-	root := aggregatePlans(segPlans, infos)
-	p := &Plan{
+	plan := &Plan{
 		Table:            q.t.name,
-		Columns:          append([]string(nil), names...),
+		Columns:          names,
 		Limit:            lim,
-		TotalRows:        q.t.rows + deltaRows,
-		TotalBlocks:      (q.t.rows + BlockRows - 1) / BlockRows,
+		TotalRows:        sealed + deltaRows,
+		TotalBlocks:      (sealed + BlockRows - 1) / BlockRows,
 		DeltaRows:        deltaRows,
 		SegmentRows:      q.t.segRows,
-		Segments:         nsegs,
-		Parallelism:      par,
+		Segments:         x.units,
+		Parallelism:      x.par,
 		SegmentsPruned:   pruned,
-		Root:             root,
-		Stats:            st,
+		Root:             aggregatePlans(segPlans, infos),
+		Stats:            x.st,
 		FastCountRows:    fast,
 		BlocksVectorized: vect,
+		AggSegments:      aggSegs,
 	}
 	if q.order != nil {
-		p.OrderBy = q.order.String()
+		plan.OrderBy = q.order.String()
 	}
-	if binds != nil {
-		for _, b := range binds {
-			p.Aggregates = append(p.Aggregates, b.spec.String())
-		}
-		// A Limit-ed aggregation folds row by row through the id path;
-		// no pushdown tiers apply, so none are advertised.
-		if !q.limited {
-			p.AggSegments = aggSegs
+	if withAggs {
+		for _, b := range x.parts[0].aggs {
+			plan.Aggregates = append(plan.Aggregates, b.spec.String())
 		}
 	}
-	return p, nil
+	return plan, nil
 }
 
 // aggSegmentPlan classifies one segment's aggregate pushdown from its

@@ -487,8 +487,8 @@ func (f *groupFold) emit(binds []aggBind) []groupOut {
 	return groups
 }
 
-// groupSegment is the per-segment grouping worker, shared by the
-// unsharded and sharded executors: qualifying rows arrive a block at a
+// groupSegment is the per-segment grouping worker: qualifying rows
+// arrive a block at a
 // time (the selection mask of a walked block, or an exact span cut into
 // blocks) and fold through groupFold. Keys vary row to row, so grouped
 // aggregation always visits rows (no summary or wholesale pushdown);
@@ -496,9 +496,8 @@ func (f *groupFold) emit(binds []aggBind) []groupOut {
 // ascending row order, so float sums do not depend on the slotting.
 //
 //imprintvet:locks held=mu.R
-func (g *GroupedQuery) groupSegment(en *execNode, s int, binds []aggBind, keyCol anyColumn) segOut {
+func (q *Query) groupSegment(en *execNode, s int, binds []aggBind, keyCol anyColumn) segOut {
 	var o segOut
-	q := g.q
 	t := q.t
 	ev := t.evalSegment(en, s, q.opts, &o.st, false)
 	if len(ev.runs) > 0 {
@@ -549,47 +548,32 @@ func (m *groupMerge) addSegment(groups []groupOut) {
 	}
 }
 
-// addDelta folds one captured view's qualifying buffered rows: per-group
-// delta accumulators produce one partial per group, merged exactly
-// once in key order. binds are the view's own table's (a shard's
-// column handles differ from the parent's).
+// addDelta folds one part's qualifying buffered rows: per-group delta
+// accumulators produce one partial per group, merged exactly once in
+// key order.
 //
 //imprintvet:locks held=mu.R
-func (m *groupMerge) addDelta(view *deltaView, en *execNode, key string, keyCol anyColumn, binds []aggBind, st *core.QueryStats) {
+func (m *groupMerge) addDelta(p *part, key string, st *core.QueryStats) {
+	view, keyCol, binds := p.view, p.col, p.aggs
 	if view == nil {
 		return
 	}
-	match := view.matcher(en)
 	kci := view.colIdx(key)
-	cis := make([]int, len(binds))
-	for i, b := range binds {
-		if b.col != nil {
-			cis[i] = view.colIdx(b.spec.col)
-		}
-	}
+	cis := p.aggCols()
 	type deltaGroup struct {
 		rows uint64
 		accs []deltaAgg
 	}
 	dgroups := map[groupKey]*deltaGroup{}
-	view.scan(match, st, func(_ int, row []any) bool {
+	view.scan(p.match, st, func(_ int, row []any) bool {
 		k := keyCol.deltaGroupKey(row[kci])
 		dg := dgroups[k]
 		if dg == nil {
-			dg = &deltaGroup{accs: make([]deltaAgg, len(binds))}
-			for i, b := range binds {
-				if b.col != nil {
-					dg.accs[i] = b.col.deltaAgg(b.spec.op)
-				}
-			}
+			dg = &deltaGroup{accs: newDeltaAggs(binds)}
 			dgroups[k] = dg
 		}
 		dg.rows++
-		for i, acc := range dg.accs {
-			if acc != nil {
-				acc.add(row[cis[i]])
-			}
-		}
+		foldDeltaRow(dg.accs, cis, row)
 		return true
 	})
 	dkeys := make([]groupKey, 0, len(dgroups))
@@ -601,13 +585,7 @@ func (m *groupMerge) addDelta(view *deltaView, en *execNode, key string, keyCol 
 		dg := dgroups[k]
 		mg := m.group(k)
 		mg.rows += dg.rows
-		for i := range binds {
-			p := aggPartial{rows: dg.rows}
-			if dg.accs[i] != nil {
-				p = dg.accs[i].partial()
-			}
-			mg.parts[i].mergeInto(binds[i].spec.op, p)
-		}
+		mergeDeltaAggs(mg.parts, binds, dg.accs, dg.rows)
 	}
 }
 
@@ -632,54 +610,52 @@ func (m *groupMerge) result(key string) *GroupedResult {
 // Aggregate executes the grouped aggregation: per-segment partial
 // groups merged in segment order (each group's partials merge
 // commutatively, so results are identical at every parallelism level),
-// then sorted ascending by key. Limit does not apply to grouped
-// aggregation (except Limit(0), which returns no groups).
+// each part's buffered groups folded once afterwards, then sorted
+// ascending by key. Limit does not apply to grouped aggregation (except
+// Limit(0), which returns no groups).
 func (g *GroupedQuery) Aggregate(specs ...AggSpec) (*GroupedResult, core.QueryStats, error) {
 	q := g.q
-	if q.t.shard != nil {
-		return g.shardAggregate(specs)
-	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	var st core.QueryStats
+	var x exec
+	x.begin(q)
+	defer x.end()
 	if q.order != nil {
-		return nil, st, fmt.Errorf("table %s: OrderBy does not apply to GroupBy aggregation", q.t.name)
+		return nil, x.st, fmt.Errorf("table %s: OrderBy does not apply to GroupBy aggregation", q.t.name)
 	}
 	if q.limited && q.limit > 0 {
-		return nil, st, fmt.Errorf("table %s: Limit does not apply to GroupBy aggregation (drop the limit or use Limit(0))", q.t.name)
+		return nil, x.st, fmt.Errorf("table %s: Limit does not apply to GroupBy aggregation (drop the limit or use Limit(0))", q.t.name)
 	}
-	binds, err := q.t.resolveAggs(specs)
-	if err != nil {
-		return nil, st, err
+	err := x.checkProjection()
+	if err == nil {
+		err = x.column(g.key)
 	}
-	if err := q.checkProjection(); err != nil {
-		return nil, st, err
+	if err == nil {
+		if err = x.parts[0].col.groupCheck(); err != nil {
+			err = fmt.Errorf("table %s: %w", q.t.name, err)
+		}
 	}
-	keyCol, ok := q.t.cols[g.key]
-	if !ok {
-		return nil, st, fmt.Errorf("table %s: no column %q", q.t.name, g.key)
+	if err == nil {
+		err = x.resolveAggs(specs)
 	}
-	if err := keyCol.groupCheck(); err != nil {
-		return nil, st, fmt.Errorf("table %s: %w", q.t.name, err)
+	if run, err := x.ready(err); !run {
+		if err != nil {
+			return nil, x.st, err
+		}
+		return &GroupedResult{Key: g.key}, x.st, nil
 	}
-	if q.limited && q.limit == 0 {
-		return &GroupedResult{Key: g.key}, st, nil
-	}
-	en, err := q.bind()
-	if err != nil {
-		return nil, st, err
-	}
-	merge := groupMerge{binds: binds, groups: map[groupKey]*mergedGroup{}}
-	nsegs := q.t.segCount()
-	if err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut { return g.groupSegment(en, s, binds, keyCol) },
-		func(s int, o segOut) bool {
-			st.Add(o.st)
+	merge := groupMerge{binds: x.parts[0].aggs, groups: map[groupKey]*mergedGroup{}}
+	if err := x.forEachUnit(
+		func(u unit) segOut {
+			p := &x.parts[u.c]
+			return p.q.groupSegment(p.en, u.lseg, p.aggs, p.col)
+		},
+		func(_ unit, o segOut) bool {
 			merge.addSegment(o.groups)
 			return true
 		}); err != nil {
-		return nil, st, q.t.abortErr(err)
+		return nil, x.st, err
 	}
-	merge.addDelta(q.t.deltaViewLocked(), en, g.key, keyCol, binds, &st)
-	return merge.result(g.key), st, nil
+	for c := range x.parts {
+		merge.addDelta(&x.parts[c], g.key, &x.st)
+	}
+	return merge.result(g.key), x.st, nil
 }

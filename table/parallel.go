@@ -40,15 +40,16 @@ func resolveParallelism(opts SelectOptions, nsegs int) int {
 
 // segOut is what one segment worker hands back to the merging consumer.
 type segOut struct {
-	st     core.QueryStats
-	ids    *[]uint32 // materialized global ids (IDs/Rows); pooled, consumer returns it
-	count  uint64    // qualifying rows (Count, Aggregate)
-	fast   uint64    // live rows of exact root runs (Explain's count fast path)
-	vect   uint64    // blocks of inexact root runs (Explain's vectorized preview)
-	plan   *PlanNode
-	aggs   []aggPartial // per-spec partials (Aggregate)
-	groups []groupOut   // per-group partials (GroupBy)
-	ord    orderPartial // bounded-heap partial (OrderBy)
+	st      core.QueryStats
+	ids     *[]uint32 // materialized global ids (IDs/Rows); pooled, consumer returns it
+	count   uint64    // qualifying rows (Count, Aggregate)
+	fast    uint64    // live rows of exact root runs (Explain's count fast path)
+	vect    uint64    // blocks of inexact root runs (Explain's vectorized preview)
+	plan    *PlanNode
+	aggPlan AggSegmentPlan // aggregate pushdown tiers (ExplainAggregate)
+	aggs    []aggPartial   // per-spec partials (Aggregate)
+	groups  []groupOut     // per-group partials (GroupBy)
+	ord     orderPartial   // bounded-heap partial (OrderBy)
 }
 
 // forEachSegment evaluates segments 0..nsegs-1 with work, fanning them
@@ -57,7 +58,9 @@ type segOut struct {
 // parallelism). consume returning false cancels the segments no worker
 // has started yet — the early-exit behind Limit — while in-flight
 // segments drain before the call returns (workers touch table state
-// that is only guarded while the caller holds the read lock).
+// that is only guarded while the caller holds its read locks). It reads
+// no table state itself: the execution frame maps segment numbers to
+// (part, local segment) units.
 //
 // ctx (nil for unbounded executions) cancels the fan-out between
 // segments: serial executions check it before each segment, parallel
@@ -69,7 +72,7 @@ type segOut struct {
 //
 // With one worker (or one segment) everything runs inline on the
 // calling goroutine, with a plain early break.
-func (t *Table) forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut, consume func(s int, o segOut) bool) error {
+func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut, consume func(s int, o segOut) bool) error {
 	if nsegs == 0 {
 		return nil
 	}

@@ -10,17 +10,22 @@ import (
 
 // Query is a lazy selection over one table, built by Table.Select. It
 // records a projection, a predicate tree, and a row limit; nothing runs
-// until one of the executors — Rows, IDs, Count, Explain — is called,
-// and each execution sees a consistent snapshot of the table (readers
-// share the table lock, writers exclude them).
+// until one of the executors — Rows/Batches, IDs, Count, Aggregate,
+// GroupBy(...).Aggregate, Explain — is called, and each execution sees
+// a consistent snapshot of the table (readers share the table lock,
+// writers exclude them).
 //
-// Execution is segment-parallel: the compiled predicate is evaluated
-// against every storage segment independently — segments whose summary
-// provably excludes the predicate are pruned without probing — across a
-// worker pool bounded by SelectOptions.Parallelism, and the per-segment
-// results are merged in segment order, so ids come back ascending and
-// identical at every parallelism level. Limit cancels segments no
-// worker has started yet.
+// Every executor runs through one execution frame (exec.go): the
+// compiled predicate is evaluated against every storage segment
+// independently — segments whose summary provably excludes the
+// predicate are pruned without probing — across a worker pool bounded
+// by SelectOptions.Parallelism, and the per-segment results are merged
+// in global segment order with the buffered delta rows, so ids come
+// back ascending and identical at every parallelism level and shard
+// count (an unsharded table is the frame's single part). Limit cancels
+// segments no worker has started yet. Executors validate in one order:
+// the projection, then the order / group / aggregate columns, then the
+// Limit(0) short-circuit, then the predicate.
 //
 // A Query value is reusable (each executor re-runs the plan) but not
 // safe for concurrent use; build one per goroutine. Queries spawned
@@ -132,85 +137,15 @@ func (q *Query) bind() (*execNode, error) {
 	return q.t.bindTree(cn, nil)
 }
 
-// projection resolves the projected column names; callers hold the read
-// lock. An empty projection selects every column in definition order.
-func (q *Query) projection() ([]string, []anyColumn, error) {
-	// Copy in both branches: names escapes into Row values, and
-	// aliasing t.order (or the reusable query's own cols) would let
-	// callers mutate query or table state through Row.Columns.
-	names := append([]string(nil), q.cols...)
-	if len(names) == 0 {
-		names = append(names, q.t.order...)
-	}
-	cols := make([]anyColumn, len(names))
-	for i, name := range names {
-		c, ok := q.t.cols[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("table %s: no column %q", q.t.name, name)
-		}
-		cols[i] = c
-	}
-	return names, cols, nil
-}
-
-// checkProjection validates the projected names without materializing
-// the projection (IDs and Count never fetch values); callers hold the
-// read lock.
-func (q *Query) checkProjection() error {
-	for _, name := range q.cols {
-		if _, ok := q.t.cols[name]; !ok {
-			return fmt.Errorf("table %s: no column %q", q.t.name, name)
-		}
-	}
-	return nil
-}
-
-// deltaIDs appends the qualifying buffered delta rows' ids to res
-// (capped by Limit), evaluating the execution tree exactly over each
-// live row. Delta ids are all larger than sealed ids, so appending
-// after the segment merge keeps ids ascending. Callers hold the read
-// lock.
+// collectIDs is the segment worker behind the id stream: evaluate the
+// tree against one segment and materialize its qualifying part-local
+// ids into a pooled scratch buffer. Each surviving block's selection
+// mask expands to ids by trailing-zero iteration; the walk stops once
+// room ids are collected (negative: no cap) and the buffer may run at
+// most one block past it (the merging consumer truncates).
 //
 //imprintvet:locks held=mu.R
-func (q *Query) deltaIDs(en *execNode, res []uint32, st *core.QueryStats) []uint32 {
-	view := q.t.deltaViewLocked()
-	if view == nil {
-		return res
-	}
-	match := view.matcher(en)
-	view.scan(match, st, func(id int, _ []any) bool {
-		res = append(res, uint32(id))
-		return !q.limited || len(res) < q.limit
-	})
-	return res
-}
-
-// deltaCount adds the buffered delta rows' qualifying count to n
-// (capped by Limit); callers hold the read lock.
-//
-//imprintvet:locks held=mu.R
-func (q *Query) deltaCount(en *execNode, n uint64, st *core.QueryStats) uint64 {
-	view := q.t.deltaViewLocked()
-	if view == nil {
-		return n
-	}
-	match := view.matcher(en)
-	limit := uint64(q.limit)
-	view.scan(match, st, func(int, []any) bool {
-		n++
-		return !q.limited || n < limit
-	})
-	return n
-}
-
-// collectIDs is the segment worker behind IDs and Rows: evaluate the
-// tree against one segment and materialize its qualifying global ids
-// into a pooled scratch buffer. Each surviving block's selection mask
-// expands to ids by trailing-zero iteration; the buffer may run at most
-// one block past the limit (the merging consumer truncates).
-//
-//imprintvet:locks held=mu.R
-func (q *Query) collectIDs(en *execNode, s int) segOut {
+func (q *Query) collectIDs(en *execNode, s, room int) segOut {
 	var o segOut
 	ev := q.t.evalSegment(en, s, q.opts, &o.st, false)
 	buf, reused := getIDScratch()
@@ -220,7 +155,7 @@ func (q *Query) collectIDs(en *execNode, s int) segOut {
 	ids := *buf
 	q.t.walkBlocks(s, ev, &o.st, nil, func(base int, mask uint64) bool {
 		ids = core.AppendMaskIDs(ids, uint32(base), mask)
-		return !q.limited || len(ids) < q.limit
+		return room < 0 || len(ids) < room
 	})
 	releaseEval(&ev)
 	*buf = ids
@@ -234,100 +169,31 @@ func (q *Query) collectIDs(en *execNode, s int) segOut {
 // ordering column's value in the requested direction, ties by
 // ascending id), capped by Limit — the top-k.
 func (q *Query) IDs() ([]uint32, core.QueryStats, error) {
-	if q.t.shard != nil {
-		return q.shardIDs()
+	var x exec
+	x.begin(q)
+	defer x.end()
+	err := x.checkProjection()
+	if err == nil && q.order != nil {
+		err = x.column(q.order.col)
 	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	var st core.QueryStats
-	if err := q.checkProjection(); err != nil {
-		return nil, st, err
+	if run, err := x.ready(err); !run {
+		return nil, x.st, err
 	}
 	if q.order != nil {
-		return q.orderedIDsLocked()
+		ids, err := x.rankedIDs()
+		return ids, x.st, err
 	}
-	if q.limited && q.limit == 0 {
-		return nil, st, nil
+	// Runs accumulate in a pooled buffer, so the one allocation that
+	// scales with the result is the exact-size slice returned.
+	buf, _ := getIDScratch()
+	defer putIDScratch(buf)
+	if err := x.streamIDs(func(_ unit, gids []uint32, _ bool) bool {
+		*buf = append(*buf, gids...)
+		return true
+	}); err != nil {
+		return nil, x.st, err
 	}
-	en, err := q.bind()
-	if err != nil {
-		return nil, st, err
-	}
-	nsegs := q.t.segCount()
-	if resolveParallelism(q.opts, nsegs) == 1 {
-		return q.idsSerial(en, nsegs)
-	}
-	return q.idsParallel(en, nsegs)
-}
-
-// idsSerial is the one-worker IDs loop: every segment's masks expand
-// into one shared pooled buffer on the calling goroutine, and the only
-// allocation left in steady state is the returned slice itself (the
-// vectorized zero-alloc pin relies on this path).
-//
-//imprintvet:locks held=mu.R
-func (q *Query) idsSerial(en *execNode, nsegs int) ([]uint32, core.QueryStats, error) {
-	var st core.QueryStats
-	buf, reused := getIDScratch()
-	if reused {
-		st.ScratchReused++
-	}
-	ids := *buf
-	for s := 0; s < nsegs; s++ {
-		if err := ctxErr(q.opts.Ctx); err != nil {
-			*buf = ids
-			putIDScratch(buf)
-			return nil, st, q.t.abortErr(err)
-		}
-		ev := q.t.evalSegment(en, s, q.opts, &st, false)
-		q.t.walkBlocks(s, ev, &st, nil, func(base int, mask uint64) bool {
-			ids = core.AppendMaskIDs(ids, uint32(base), mask)
-			return !q.limited || len(ids) < q.limit
-		})
-		releaseEval(&ev)
-		if q.limited && len(ids) >= q.limit {
-			break
-		}
-	}
-	if q.limited && len(ids) > q.limit {
-		ids = ids[:q.limit]
-	}
-	res := append([]uint32(nil), ids...)
-	*buf = ids
-	putIDScratch(buf)
-	if !q.limited || len(res) < q.limit {
-		res = q.deltaIDs(en, res, &st)
-	}
-	return res, st, nil
-}
-
-// idsParallel fans the segments across the worker pool and concatenates
-// the per-segment id lists in segment order.
-//
-//imprintvet:locks held=mu.R
-func (q *Query) idsParallel(en *execNode, nsegs int) ([]uint32, core.QueryStats, error) {
-	var st core.QueryStats
-	var res []uint32
-	err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut { return q.collectIDs(en, s) },
-		func(s int, o segOut) bool {
-			st.Add(o.st)
-			ids := *o.ids
-			take := len(ids)
-			if q.limited && q.limit-len(res) < take {
-				take = q.limit - len(res)
-			}
-			res = append(res, ids[:take]...)
-			putIDScratch(o.ids)
-			return !q.limited || len(res) < q.limit
-		})
-	if err != nil {
-		return nil, st, q.t.abortErr(err)
-	}
-	if !q.limited || len(res) < q.limit {
-		res = q.deltaIDs(en, res, &st)
-	}
-	return res, st, nil
+	return append([]uint32(nil), *buf...), x.st, nil
 }
 
 // countSegment tallies one segment: exact candidate runs wholesale via
@@ -367,75 +233,43 @@ func (q *Query) countSegment(en *execNode, s int) segOut {
 // tally reported in QueryStats.FastCountedRows (and previewed by
 // Plan.FastCountRows); surviving blocks of inexact runs cost one
 // selection-mask kernel call and one popcount each. Segments are
-// counted in parallel and the tallies summed in segment order; with one
-// worker the whole execution is allocation-free in steady state.
+// counted in parallel and the tallies summed in segment order, buffered
+// delta rows counted afterwards; allocations per execution are a small
+// constant, independent of segments and rows.
 func (q *Query) Count() (uint64, core.QueryStats, error) {
-	if q.t.shard != nil {
-		return q.shardCount()
-	}
-	q.t.mu.RLock()
-	defer q.t.mu.RUnlock()
-	var st core.QueryStats
-	if err := q.checkProjection(); err != nil {
-		return 0, st, err
-	}
-	if q.limited && q.limit == 0 {
-		return 0, st, nil
-	}
-	en, err := q.bind()
-	if err != nil {
-		return 0, st, err
+	var x exec
+	x.begin(q)
+	defer x.end()
+	if run, err := x.ready(x.checkProjection()); !run {
+		return 0, x.st, err
 	}
 	limit := uint64(q.limit)
-	nsegs := q.t.segCount()
-	if resolveParallelism(q.opts, nsegs) == 1 {
-		var n uint64
-		for s := 0; s < nsegs; s++ {
-			if err := ctxErr(q.opts.Ctx); err != nil {
-				return 0, st, q.t.abortErr(err)
-			}
-			o := q.countSegment(en, s)
-			st.Add(o.st)
-			n += o.count
-			if q.limited && n >= limit {
-				break
-			}
-		}
-		if !q.limited || n < limit {
-			n = q.deltaCount(en, n, &st)
-		}
-		if q.limited && n > limit {
-			n = limit
-		}
-		return n, st, nil
-	}
-	return q.countParallel(en, nsegs, limit)
-}
-
-// countParallel fans the segments across the worker pool, summing the
-// tallies in segment order.
-//
-//imprintvet:locks held=mu.R
-func (q *Query) countParallel(en *execNode, nsegs int, limit uint64) (uint64, core.QueryStats, error) {
-	var st core.QueryStats
 	var n uint64
-	err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut { return q.countSegment(en, s) },
-		func(s int, o segOut) bool {
-			st.Add(o.st)
+	if err := x.forEachUnit(
+		func(u unit) segOut {
+			p := &x.parts[u.c]
+			return p.q.countSegment(p.en, u.lseg)
+		},
+		func(_ unit, o segOut) bool {
 			n += o.count
 			return !q.limited || n < limit
-		})
-	if err != nil {
-		return 0, st, q.t.abortErr(err)
+		}); err != nil {
+		return 0, x.st, err
 	}
-	if !q.limited || n < limit {
-		n = q.deltaCount(en, n, &st)
+	for c := range x.parts {
+		p := &x.parts[c]
+		if p.view == nil || q.limited && n >= limit {
+			continue
+		}
+		p.view.scan(p.match, &x.st, func(int, []any) bool {
+			n++
+			return !q.limited || n < limit
+		})
 	}
 	if q.limited && n > limit {
 		n = limit
 	}
-	return n, st, nil
+	return n, x.st, nil
 }
 
 // Batches executes the query as a streaming iterator over columnar
@@ -450,70 +284,43 @@ func (q *Query) countParallel(en *execNode, nsegs int, limit uint64) (uint64, co
 // instead of id order. Each yielded batch belongs to the consumer; see
 // RowBatch.Release.
 //
-// The table's read lock is held for the duration of the iteration, and
-// sync.RWMutex is not reentrant: calling any write method (Update,
-// Delete, Batch.Commit, Compact, Maintain, AddColumn, ...) from inside
-// the loop body deadlocks, and nested reads can too once a writer is
-// queued. To mutate matching rows, materialize the ids first (IDs) and
+// The table's read lock (every shard's, on a sharded table) is held for
+// the duration of the iteration, and sync.RWMutex is not reentrant:
+// calling any write method (Update, Delete, Batch.Commit, Compact,
+// Maintain, AddColumn, ...) from inside the loop body deadlocks, and
+// nested reads can too once a writer is queued. To mutate matching rows, materialize the ids first (IDs) and
 // write after the loop. Plan errors (unknown column, type-mismatched
 // bound) yield nothing and are reported by Err.
 func (q *Query) Batches() iter.Seq[*RowBatch] {
-	if q.t.shard != nil {
-		return q.shardBatches
-	}
 	return func(yield func(*RowBatch) bool) {
-		q.t.mu.RLock()
-		defer q.t.mu.RUnlock()
-		q.err = nil
-		names, cols, err := q.projection()
-		if err != nil {
-			q.err = err
+		var x exec
+		x.begin(q)
+		defer x.end()
+		names, err := x.projection()
+		if err == nil && q.order != nil {
+			err = x.column(q.order.col)
+		}
+		var run bool
+		if run, q.err = x.ready(err); !run {
 			return
 		}
-		if q.limited && q.limit == 0 {
-			return
+		// The watermarks bind captured serve both the gather (ids at or
+		// past a part's base live in its buffer, not in segments) and the
+		// exact scans that produce those ids.
+		parts := make([]gatherPart, len(x.parts))
+		for c := range parts {
+			parts[c] = newGatherPart(names, x.parts[c].proj, x.parts[c].view)
 		}
-		// The delta watermark captured here serves both the gather (ids
-		// at or past its base live in the buffer, not in segments) and
-		// the trailing exact scan of the unordered path.
-		view := q.t.deltaViewLocked()
-		g := q.newGatherer(names, []gatherPart{newGatherPart(names, cols, view)}, yield)
+		g := q.newGatherer(names, parts, yield)
 		defer g.finish()
 		if q.order != nil {
-			ids, _, err := q.orderedIDsLocked()
-			if err != nil {
-				q.err = err
-				return
+			var ids []uint32
+			if ids, q.err = x.rankedIDs(); q.err == nil {
+				g.add(ids)
 			}
-			g.add(ids)
 			return
 		}
-		en, err := q.bind()
-		if err != nil {
-			q.err = err
-			return
-		}
-		want := true
-		nsegs := q.t.segCount()
-		if err := q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-			func(s int) segOut { return q.collectIDs(en, s) },
-			func(s int, o segOut) bool {
-				want = g.add(*o.ids)
-				putIDScratch(o.ids)
-				return want
-			}); err != nil {
-			q.err = q.t.abortErr(err)
-			return
-		}
-		if want && view != nil {
-			var dids []uint32
-			var dst core.QueryStats
-			view.scan(view.matcher(en), &dst, func(id int, _ []any) bool {
-				dids = append(dids, uint32(id))
-				return len(dids) != g.room
-			})
-			g.add(dids)
-		}
+		q.err = x.streamIDs(func(_ unit, gids []uint32, _ bool) bool { return g.add(gids) })
 	}
 }
 

@@ -9,16 +9,17 @@ import (
 	"repro/internal/coltype"
 )
 
-// Sharded tables (shard.go, shardexec.go): TableOptions.Shards > 1
-// splits a table into N child shards, each a complete single-shard
-// Table with its own RWMutex, segment lists, delta store + background
-// sealer, and generation counters. Batch commits, point updates, seal
-// installs and merge-compaction on different shards proceed fully
-// concurrently — a seal install takes only the owning shard's write
-// lock, so readers and writers on every other shard are never blocked
-// by it. The parent Table carries no column storage of its own: its
-// lock guards only the schema mirror (t.order), which changes solely
-// under AddColumn / load.
+// Sharded storage (the query side lives in exec.go, which executes any
+// table as N parts — a sharded table's shards, or the unsharded table
+// itself at N = 1): TableOptions.Shards > 1 splits a table into N child
+// shards, each a complete single-shard Table with its own RWMutex,
+// segment lists, delta store + background sealer, and generation
+// counters. Batch commits, point updates, seal installs and
+// merge-compaction on different shards proceed fully concurrently — a
+// seal install takes only the owning shard's write lock, so readers and
+// writers on every other shard are never blocked by it. The parent
+// Table carries no column storage of its own: its lock guards only the
+// schema mirror (t.order), which changes solely under AddColumn / load.
 //
 // Global row ids interleave the shards' segments round-robin: global
 // segment g lives on shard g%N as that shard's local segment g/N, so
@@ -27,9 +28,11 @@ import (
 // producing exactly the ids an unsharded table would assign — which is
 // what lets the oracle pin sharded results byte-identical at every
 // shard count. Concurrent commits may leave transient holes in the
-// global id space (shards fill at independent rates); queries are
-// indifferent, since they enumerate whatever (shard, segment) units
-// exist and merge in global-segment order.
+// global id space (shards fill at independent rates), and independent
+// sealers leave one shard's rows buffered while a neighbour's later
+// segments are sealed; the execution frame enumerates global segments
+// arithmetically, skips the holes, and merges sealed and buffered rows
+// in global-segment order.
 //
 // Commit routing is lock-free with respect to the shards themselves:
 // a committer try-locks the per-shard commit tokens, picks the
@@ -80,8 +83,14 @@ func newShardState(segRows, nshards int) *shardState {
 // gidOf maps a shard's local row id to the global id space: local
 // segment lid/S of shard c is global segment (lid/S)*N + c.
 func (sh *shardState) gidOf(c, lid int) int {
-	s := sh.segRows
-	return ((lid/s)*sh.nshards+c)*s + lid%s
+	return globalID(c, lid, sh.nshards, sh.segRows)
+}
+
+// globalID is the round-robin segment interleave; with one shard it is
+// the identity, which is how an unsharded table executes as the frame's
+// single part.
+func globalID(c, lid, nshards, segRows int) int {
+	return ((lid/segRows)*nshards+c)*segRows + lid%segRows
 }
 
 // decode maps a global row id to its owning shard and local id.

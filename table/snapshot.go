@@ -113,8 +113,15 @@ func (v *deltaView) matchKids(en *execNode) []func(row []any) bool {
 //
 //imprintvet:locks held=mu.R
 func (v *deltaView) scan(match func(row []any) bool, st *core.QueryStats, visit func(id int, row []any) bool) bool {
-	for i, row := range v.rows {
-		id := v.base + i
+	return v.scanRows(0, len(v.rows), match, st, visit)
+}
+
+// scanRows is scan over the view's rows [lo, hi) only.
+//
+//imprintvet:locks held=mu.R
+func (v *deltaView) scanRows(lo, hi int, match func(row []any) bool, st *core.QueryStats, visit func(id int, row []any) bool) bool {
+	for i, row := range v.rows[lo:hi] {
+		id := v.base + lo + i
 		if v.t.deletedAt(id) {
 			continue
 		}

@@ -115,9 +115,11 @@ type TableOptions struct {
 	// shards, each shard owns its own lock, segment lists and — with
 	// EnableDeltaIngest — delta store and background sealer, so commits,
 	// updates, seals and merges on different shards run fully
-	// concurrently. 0 or 1 means the existing single-shard layout (and
-	// the unchanged on-disk v3 format); sharded tables persist as a v4
-	// envelope of per-shard v3 images.
+	// concurrently. 0 or 1 means the single-shard layout: one lock, and
+	// WriteFile writes the checksummed v5 image; sharded tables persist
+	// as a v6 envelope of per-shard v5 images. Queries run through the
+	// same execution frame either way (exec.go) — an unsharded table is
+	// its single part.
 	Shards int
 }
 

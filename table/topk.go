@@ -1,12 +1,10 @@
 package table
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
 	"repro/internal/coltype"
-	"repro/internal/core"
 )
 
 // OrderBy + Limit executes as a top-k: every segment worker keeps a
@@ -289,9 +287,8 @@ func (c *strColState) topkMerge(parts []orderPartial, desc bool, k int) []uint32
 
 // ---- execution ----
 
-// topkSegment is the per-segment ordered worker, shared by the
-// unsharded and sharded executors: the segment's qualifying rows
-// stream block by block into acc.
+// topkSegment is the per-segment ordered worker: the segment's
+// qualifying rows stream block by block into acc.
 //
 //imprintvet:locks held=mu.R
 func (t *Table) topkSegment(en *execNode, s int, opts SelectOptions, acc segTopK) segOut {
@@ -303,60 +300,52 @@ func (t *Table) topkSegment(en *execNode, s int, opts SelectOptions, acc segTopK
 	return o
 }
 
-// orderedIDsLocked executes an OrderBy query down to the ranked row
-// ids; the caller holds the table's read lock. Every segment must
+// rankedIDs executes a bound OrderBy query (x.column resolved the
+// ordering column) down to the ranked global row ids. Every unit must
 // report (a pruned one cheaply), so there is no early cancel; the
 // bounded heaps keep per-segment work at O(rows · log k).
 //
 //imprintvet:locks held=mu.R
-func (q *Query) orderedIDsLocked() ([]uint32, core.QueryStats, error) {
-	var st core.QueryStats
-	col, ok := q.t.cols[q.order.col]
-	if !ok {
-		return nil, st, fmt.Errorf("table %s: no column %q", q.t.name, q.order.col)
-	}
-	if q.limited && q.limit == 0 {
-		return nil, st, nil
-	}
-	en, err := q.bind()
-	if err != nil {
-		return nil, st, err
-	}
+func (x *exec) rankedIDs() ([]uint32, error) {
+	q := x.q
 	k := 0
 	if q.limited {
 		k = q.limit
 	}
 	desc := q.order.desc
-	nsegs := q.t.segCount()
-	parts := make([]orderPartial, nsegs)
-	err = q.t.forEachSegment(q.opts.Ctx, nsegs, resolveParallelism(q.opts, nsegs),
-		func(s int) segOut {
-			return q.t.topkSegment(en, s, q.opts, col.topkAcc(s, uint32(s*q.t.segRows), desc, k))
+	parts := make([]orderPartial, 0, x.units+len(x.parts))
+	if err := x.forEachUnit(
+		func(u unit) segOut {
+			p := &x.parts[u.c]
+			acc := p.col.topkAcc(u.lseg, uint32(u.gseg*q.t.segRows), desc, k)
+			return p.t.topkSegment(p.en, u.lseg, q.opts, acc)
 		},
-		func(s int, o segOut) bool {
-			st.Add(o.st)
-			parts[s] = o.ord
+		func(_ unit, o segOut) bool {
+			parts = append(parts, o.ord)
 			return true
-		})
-	if err != nil {
-		return nil, st, q.t.abortErr(err)
+		}); err != nil {
+		return nil, err
 	}
-	// Buffered delta rows contribute one extra partial: their ordering
-	// values are collected exactly (boxed, unsorted) and ranked by the
-	// same typed merge as the per-segment heaps.
-	if view := q.t.deltaViewLocked(); view != nil {
-		oci := view.colIdx(q.order.col)
-		match := view.matcher(en)
+	// Each part's buffered rows contribute one extra partial: their
+	// ordering values are collected exactly (boxed, unsorted) and ranked
+	// by the same typed merge as the per-segment heaps.
+	n := len(x.parts)
+	for c := range x.parts {
+		p := &x.parts[c]
+		if p.view == nil {
+			continue
+		}
+		oci := p.view.colIdx(q.order.col)
 		var vals []any
 		var ids []uint32
-		view.scan(match, &st, func(id int, row []any) bool {
+		p.view.scan(p.match, &x.st, func(id int, row []any) bool {
 			vals = append(vals, row[oci])
-			ids = append(ids, uint32(id))
+			ids = append(ids, uint32(globalID(c, id, n, q.t.segRows)))
 			return true
 		})
-		if p := col.deltaOrd(vals, ids); p != nil {
-			parts = append(parts, p)
+		if dp := p.col.deltaOrd(vals, ids); dp != nil {
+			parts = append(parts, dp)
 		}
 	}
-	return col.topkMerge(parts, desc, k), st, nil
+	return x.parts[0].col.topkMerge(parts, desc, k), nil
 }

@@ -128,44 +128,64 @@ func TestExplainBlocksVectorizedPreview(t *testing.T) {
 // TestVectorizedAllocs pins the allocation hygiene of the vectorized
 // hot path: with the run-scratch pool, the per-segment kernel caches
 // and the prepared statement's static execution tree, a steady-state
-// serial Count allocates nothing at all, and IDs allocates exactly its
-// result slice.
+// serial Count or IDs allocates only the execution frame and the
+// closures its fan-out hands the (shared serial/parallel) worker pool —
+// a small constant that does not grow with the segments walked or the
+// rows that qualify; IDs adds exactly its result slice.
 func TestVectorizedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation pin runs without -race")
 	}
-	tb := vecTestTable(t, 40_000, TableOptions{SegmentRows: 16384})
-	prep, err := tb.Prepare(Range[int64]("v", 100_000, 200_000), SelectOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := prep.Exec()
-	if _, _, err := count.Count(); err != nil {
-		t.Fatal(err)
-	}
-	countAllocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := count.Count(); err != nil {
+	const maxAllocs = 8
+	measure := func(rows int, pred Predicate) (count, ids float64, qualifying int) {
+		t.Helper()
+		tb := vecTestTable(t, rows, TableOptions{SegmentRows: 16384})
+		prep, err := tb.Prepare(pred, SelectOptions{Parallelism: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if countAllocs != 0 {
-		t.Errorf("vectorized Count made %.1f allocs/run, want 0", countAllocs)
-	}
-	ids := prep.Exec()
-	got, _, err := ids.IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("selection matched no rows")
-	}
-	idsAllocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := ids.IDs(); err != nil {
+		cq := prep.Exec()
+		if _, _, err := cq.Count(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if idsAllocs > 1 {
-		t.Errorf("vectorized IDs made %.1f allocs/run, want <= 1 (the result slice)", idsAllocs)
+		count = testing.AllocsPerRun(100, func() {
+			if _, _, err := cq.Count(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		iq := prep.Exec()
+		got, _, err := iq.IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatal("selection matched no rows")
+		}
+		ids = testing.AllocsPerRun(100, func() {
+			if _, _, err := iq.IDs(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return count, ids, len(got)
+	}
+	narrow := Range[int64]("v", 100_000, 200_000) // ~10% of the rows
+	count3, ids3, n3 := measure(40_000, narrow)   // 3 segments
+	count30, ids30, n30 := measure(480_000, narrow)
+	if count3 > maxAllocs || ids3 > maxAllocs {
+		t.Errorf("vectorized Count made %.1f and IDs %.1f allocs/run, want <= %d", count3, ids3, maxAllocs)
+	}
+	if count3 != count30 || ids3 != ids30 {
+		t.Errorf("allocs/run grow with segments: Count %.1f -> %.1f, IDs %.1f -> %.1f (3 -> 30 segments, %d -> %d rows)",
+			count3, count30, ids3, ids30, n3, n30)
+	}
+	// Same table, 1.6K vs 16K qualifying rows.
+	countFew, _, few := measure(40_000, Range[int64]("v", 100_000, 140_000))
+	countMany, _, many := measure(40_000, Range[int64]("v", 100_000, 500_000))
+	if few > 2_000 || many < 14_000 {
+		t.Fatalf("fixture drifted: %d and %d qualifying rows, want ~1.6K and ~16K", few, many)
+	}
+	if countFew != countMany {
+		t.Errorf("Count allocs/run grow with qualifying rows: %.1f at %d rows, %.1f at %d", countFew, few, countMany, many)
 	}
 }
 
