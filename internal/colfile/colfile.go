@@ -20,8 +20,9 @@ import (
 )
 
 const (
-	magic   = "CCOL"
-	version = 1
+	magic     = "CCOL"
+	version   = 1
+	headerLen = 4 + 11 // magic, then version, kind and rows
 )
 
 // ErrFormat reports an invalid column file.
@@ -52,14 +53,25 @@ func Write[V coltype.Value](w io.Writer, col []V) error {
 	return bw.Flush()
 }
 
-// Read deserializes a column of type V from r. It fails if the file
-// holds a different value kind.
+// Read deserializes a column of type V from r, which must hold exactly
+// one column file. It fails if the file holds a different value kind.
 func Read[V coltype.Value](r io.Reader) ([]V, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4+11)
-	if _, err := io.ReadFull(br, head); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
+	return Decode[V](b)
+}
+
+// Decode deserializes a column file held in memory. The declared row
+// count must account for every byte of b — checked before the column
+// is allocated, so a hostile header cannot demand more memory than the
+// input occupies.
+func Decode[V coltype.Value](b []byte) ([]V, error) {
+	if len(b) < headerLen {
+		return nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrFormat, len(b))
+	}
+	head, body := b[:headerLen], b[headerLen:]
 	if string(head[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
@@ -72,25 +84,20 @@ func Read[V coltype.Value](r io.Reader) ([]V, error) {
 		return nil, fmt.Errorf("%w: file holds %v, want %v", ErrFormat, k, wantKind)
 	}
 	n := binary.LittleEndian.Uint64(head[7:15])
-	const maxRows = 1 << 40
-	if n > maxRows {
-		return nil, fmt.Errorf("%w: absurd row count %d", ErrFormat, n)
-	}
 	width := coltype.Width[V]()
+	if len(body)%width != 0 || n != uint64(len(body)/width) {
+		return nil, fmt.Errorf("%w: header declares %d rows of %d bytes, %d bytes follow", ErrFormat, n, width, len(body))
+	}
 	col := make([]V, n)
-	buf := make([]byte, width)
 	for i := range col {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("%w: truncated at row %d: %v", ErrFormat, i, err)
-		}
-		col[i] = getValue[V](buf)
+		col[i] = getValue[V](body[i*width : (i+1)*width])
 	}
 	return col, nil
 }
 
 // Kind peeks the value kind of a column file without decoding values.
 func Kind(r io.Reader) (reflect.Kind, error) {
-	head := make([]byte, 4+11)
+	head := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrFormat, err)
 	}

@@ -2,6 +2,7 @@ package colfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -97,6 +98,31 @@ func TestTruncated(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := Read[int64](bytes.NewReader(raw[:len(raw)-4])); !errors.Is(err, ErrFormat) {
 		t.Fatalf("truncation: %v", err)
+	}
+}
+
+// TestDeclaredRowsMustMatchBytes pins that the header's row count is
+// checked against the bytes present before the column is allocated: a
+// bare header declaring 2^37 rows is an error, not a terabyte make.
+func TestDeclaredRowsMustMatchBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	hostile := append([]byte(nil), raw[:headerLen]...)
+	binary.LittleEndian.PutUint64(hostile[7:], 1<<37)
+	for name, b := range map[string][]byte{
+		"hostile row count": hostile,
+		"one row short":     raw[:len(raw)-8],
+		"trailing byte":     append(append([]byte(nil), raw...), 0),
+	} {
+		if _, err := Decode[int64](b); !errors.Is(err, ErrFormat) {
+			t.Errorf("Decode, %s: %v", name, err)
+		}
+		if _, err := Read[int64](bytes.NewReader(b)); !errors.Is(err, ErrFormat) {
+			t.Errorf("Read, %s: %v", name, err)
+		}
 	}
 }
 

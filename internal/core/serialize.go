@@ -183,9 +183,6 @@ func (cr *crcReader) u16() uint16 { return binary.LittleEndian.Uint16(cr.bytes(2
 func (cr *crcReader) u32() uint32 { return binary.LittleEndian.Uint32(cr.bytes(4)) }
 func (cr *crcReader) u64() uint64 { return binary.LittleEndian.Uint64(cr.bytes(8)) }
 
-// sane upper bounds against hostile length fields.
-const maxSerialSlice = 1 << 40
-
 // ReadIndex deserializes an index and reattaches it to col, which must
 // be the same column contents the index was built over (only its length
 // is validated here; a mismatched column silently yields wrong query
@@ -214,9 +211,13 @@ func ReadIndex[V coltype.Value](r io.Reader, col []V) (*Index[V], error) {
 	for i := range hist.Borders {
 		hist.Borders[i] = decodeValue[V](cr.u64())
 	}
+	// Every dictionary entry covers at least one cacheline and every
+	// vector word at least one stored vector, so neither count can
+	// exceed the rows of the column the image reattaches to: a hostile
+	// length is rejected before anything is allocated for it.
 	dictLen := cr.u64()
-	if dictLen > maxSerialSlice {
-		return nil, fmt.Errorf("%w: absurd dictionary length", ErrCorrupt)
+	if dictLen > uint64(len(col)) {
+		return nil, fmt.Errorf("%w: dictionary of %d entries over a %d-row column", ErrCorrupt, dictLen, len(col))
 	}
 	dict := make([]DictEntry, dictLen)
 	for i := range dict {
@@ -230,8 +231,8 @@ func ReadIndex[V coltype.Value](r io.Reader, col []V) (*Index[V], error) {
 		return nil, fmt.Errorf("%w: invalid vector width %d", ErrCorrupt, width)
 	}
 	wordLen := cr.u64()
-	if wordLen > maxSerialSlice {
-		return nil, fmt.Errorf("%w: absurd vector arena length", ErrCorrupt)
+	if wordLen > uint64(len(col)) {
+		return nil, fmt.Errorf("%w: vector arena of %d words over a %d-row column", ErrCorrupt, wordLen, len(col))
 	}
 	vecs := newVecstore(width)
 	vecs.n = vecN

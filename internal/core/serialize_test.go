@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -111,6 +112,31 @@ func TestSerializeDetectsTruncation(t *testing.T) {
 	for _, cut := range []int{0, 1, 3, 10, len(raw) / 2, len(raw) - 1} {
 		if _, err := ReadIndex[int64](bytes.NewReader(raw[:cut]), col); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestSerializeBoundsDeclaredLengths pins that dictLen and wordLen are
+// bounded by the column the image reattaches to before anything is
+// allocated for them: a hostile length is ErrCorrupt, not a terabyte
+// make.
+func TestSerializeBoundsDeclaredLengths(t *testing.T) {
+	col := clusteredCol(3000, 6)
+	var buf bytes.Buffer
+	if err := Build(col, Options{Seed: 1}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	le := binary.LittleEndian
+	// magic, version, kind, vpc, n, bins, sampledUnique, 64 borders.
+	const dictLenAt = 4 + 2 + 1 + 4 + 8 + 2 + 4 + 64*8
+	// dictLen and its entries, then vecN and vecWidth.
+	wordLenAt := dictLenAt + 8 + 4*int(le.Uint64(raw[dictLenAt:])) + 8 + 1
+	for name, at := range map[string]int{"dictLen": dictLenAt, "wordLen": wordLenAt} {
+		hostile := append([]byte(nil), raw...)
+		le.PutUint64(hostile[at:], 1<<39)
+		if _, err := ReadIndex[int64](bytes.NewReader(hostile), col); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("hostile %s: %v", name, err)
 		}
 	}
 }

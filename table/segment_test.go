@@ -2,14 +2,12 @@ package table
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/colfile"
 	"repro/internal/core"
 )
 
@@ -634,7 +632,7 @@ func TestRowsPanicDrainsWorkers(t *testing.T) {
 }
 
 // TestPersistRoundTripSegmented round-trips a multi-segment table
-// through the v3 format and checks queries agree.
+// through Write and Read and checks queries agree.
 func TestPersistRoundTripSegmented(t *testing.T) {
 	tb, m := mkSegmented(t, 1300, 256, 21)
 	var buf bytes.Buffer
@@ -662,136 +660,6 @@ func TestPersistRoundTripSegmented(t *testing.T) {
 		t.Error("persisted per-segment imprints did not probe")
 	}
 	_ = m
-}
-
-// TestV2FormatLoads hand-crafts a legacy version-2 file (monolithic
-// payload + one index image per column) and checks it still loads —
-// re-chunked into segments — with values and queries intact.
-func TestV2FormatLoads(t *testing.T) {
-	qty := []int64{5, 10, 15, 20, 25, 30, 35, 40}
-	city := []string{"a", "b", "a", "c", "b", "a", "c", "b"}
-
-	var buf bytes.Buffer
-	w := &buf
-	le := binary.LittleEndian
-	buf.WriteString("CTBL")
-	binary.Write(w, le, uint16(2)) // legacy version
-	binary.Write(w, le, uint16(len("old")))
-	buf.WriteString("old")
-	binary.Write(w, le, uint64(len(qty)))
-	binary.Write(w, le, uint16(2)) // ncols
-
-	// Column "qty": int64, Imprints mode, zero options, payload, no
-	// index image (v2 allowed absent images; the loader rebuilds).
-	binary.Write(w, le, uint16(len("qty")))
-	buf.WriteString("qty")
-	buf.Write([]byte{byte(6 /* reflect.Int64 */), byte(Imprints)})
-	binary.Write(w, le, uint32(0)) // sampleSize
-	binary.Write(w, le, uint64(0)) // seed
-	buf.WriteByte(0)               // countDup
-	binary.Write(w, le, uint32(0)) // vpc
-	binary.Write(w, le, uint32(0)) // maxBins
-	if err := colfile.Write(w, qty); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0) // hasIndex = 0
-
-	// Column "city": string with a monolithic dictionary.
-	binary.Write(w, le, uint16(len("city")))
-	buf.WriteString("city")
-	buf.Write([]byte{byte(24 /* reflect.String */), byte(Imprints)})
-	binary.Write(w, le, uint32(0))
-	binary.Write(w, le, uint64(0))
-	buf.WriteByte(0)
-	binary.Write(w, le, uint32(0))
-	binary.Write(w, le, uint32(0))
-	symbols := []string{"a", "b", "c"}
-	codeOf := map[string]int32{"a": 0, "b": 1, "c": 2}
-	binary.Write(w, le, uint32(len(symbols)))
-	for _, s := range symbols {
-		binary.Write(w, le, uint32(len(s)))
-		buf.WriteString(s)
-	}
-	codes := make([]int32, len(city))
-	for i, s := range city {
-		codes[i] = codeOf[s]
-	}
-	if err := colfile.Write(w, codes); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0) // hasIndex = 0
-
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("loading v2 file: %v", err)
-	}
-	if got.Rows() != len(qty) || got.Name() != "old" {
-		t.Fatalf("v2 load: %d rows, name %q", got.Rows(), got.Name())
-	}
-	vals, err := Column[int64](got, "qty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qty {
-		if vals[i] != qty[i] {
-			t.Fatalf("qty[%d] = %d, want %d", i, vals[i], qty[i])
-		}
-	}
-	strs, err := got.StringColumn("city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range city {
-		if strs[i] != city[i] {
-			t.Fatalf("city[%d] = %q, want %q", i, strs[i], city[i])
-		}
-	}
-	ids, _, err := got.Select().Where(And(AtLeast[int64]("qty", 20), StrEquals("city", "b"))).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalIDs(t, ids, []uint32{4, 7}, "query over loaded v2 table")
-}
-
-// TestV3RejectsUnderfullSealedSegment pins the loader invariant behind
-// id mapping: a v3 file whose non-tail segment is not exactly full
-// must be rejected as corrupt (it would otherwise load fine and panic
-// on the first point read).
-func TestV3RejectsUnderfullSealedSegment(t *testing.T) {
-	var buf bytes.Buffer
-	w := &buf
-	le := binary.LittleEndian
-	buf.WriteString("CTBL")
-	binary.Write(w, le, uint16(3))
-	binary.Write(w, le, uint16(len("bad")))
-	buf.WriteString("bad")
-	binary.Write(w, le, uint64(127))
-	binary.Write(w, le, uint32(64)) // segmentRows
-	binary.Write(w, le, uint16(1))  // ncols
-
-	binary.Write(w, le, uint16(len("c")))
-	buf.WriteString("c")
-	buf.Write([]byte{byte(6 /* reflect.Int64 */), byte(NoIndex)})
-	binary.Write(w, le, uint32(0)) // sampleSize
-	binary.Write(w, le, uint64(0)) // seed
-	buf.WriteByte(0)               // countDup
-	binary.Write(w, le, uint32(0)) // vpc
-	binary.Write(w, le, uint32(0)) // maxBins
-	binary.Write(w, le, uint32(2)) // nsegs
-	seg0 := make([]int64, 63)      // sealed segment short by one row
-	seg1 := make([]int64, 64)
-	if err := colfile.Write(w, seg0); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0) // hasIndex = 0
-	if err := colfile.Write(w, seg1); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0)
-
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("v3 file with an underfull sealed segment loaded without error")
-	}
 }
 
 // TestSealedSegmentTranslationsSurviveAppends pins the tentpole's

@@ -84,9 +84,10 @@ func TestShardPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardPersistV3Compat pins backward compatibility: an unsharded
-// (v3) image loads unsharded, and its data reads back identically.
-func TestShardPersistV3Compat(t *testing.T) {
+// TestShardPersistUnshardedImage pins that the reader tells the two
+// layouts apart: an unsharded image loads unsharded, and its data reads
+// back identically.
+func TestShardPersistUnshardedImage(t *testing.T) {
 	un := New("orders")
 	if err := AddColumn(un, "qty", []int64{}, Imprints, core.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -104,9 +105,9 @@ func TestShardPersistV3Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.shard != nil {
-		t.Fatal("v3 image loaded sharded")
+		t.Fatal("unsharded image loaded sharded")
 	}
-	shardTableEqual(t, "v3-compat", un, got)
+	shardTableEqual(t, "unsharded-image", un, got)
 }
 
 func TestShardPersistCorruptEnvelope(t *testing.T) {

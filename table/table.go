@@ -144,8 +144,8 @@ type anyColumn interface {
 	vecKind() (ColKind, int)
 	gather(dst *ColVec, s int, locals []uint32)
 	gatherDelta(dst *ColVec, rows [][]any, ci int, locals []uint32)
-	// persistCRC writes the column's checksummed v5 sections.
-	persistCRC(io.Writer) error
+	// persist writes the column's checksummed sections (persist.go).
+	persist(io.Writer) error
 	indexStats() ColumnIndexStats
 	// compileLeaf translates one predicate leaf against this column
 	// exactly once: typed bounds and IN-sets are derived here and
@@ -213,6 +213,10 @@ type colState[V coltype.Value] struct {
 	mode    IndexMode
 	vpcOpts core.Options
 	segRows int
+}
+
+func newColState[V coltype.Value](name string, mode IndexMode, opts core.Options, segRows int) *colState[V] {
+	return &colState[V]{name: name, mode: mode, vpcOpts: opts, segRows: segRows}
 }
 
 // Table is a named relation. All exported methods (and the generic free
@@ -441,7 +445,7 @@ func AddColumn[V coltype.Value](t *Table, name string, vals []V, mode IndexMode,
 	if err := t.checkNewColumn(name, len(vals), opts); err != nil {
 		return err
 	}
-	cs := &colState[V]{name: name, mode: mode, vpcOpts: opts, segRows: t.segRows}
+	cs := newColState[V](name, mode, opts, t.segRows)
 	cs.absorb(vals)
 	t.installColumn(name, cs, len(vals))
 	return nil
