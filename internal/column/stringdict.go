@@ -80,6 +80,10 @@ func (d *StringDict) SearchCode(s string) int32 {
 // Symbol returns the string for a code.
 func (d *StringDict) Symbol(code int32) string { return d.symbols[code] }
 
+// Symbols returns the distinct strings indexed by code (ascending);
+// the slice is the dictionary's own — treat it as read-only.
+func (d *StringDict) Symbols() []string { return d.symbols }
+
 // Cardinality returns the number of distinct strings.
 func (d *StringDict) Cardinality() int { return len(d.symbols) }
 

@@ -97,9 +97,11 @@ func (ix *Index[V]) ExtraBits() int { return ix.extraBits }
 // saturated the imprint (or the delta outgrows deltaRatio of the base),
 // the secondary index should be discarded and rebuilt during the next
 // scan. saturationLimit and deltaRatio are fractions in (0, 1]; typical
-// values are 0.5 and 0.1.
+// values are 0.5 and 0.1. Only update marking saturates an imprint, so
+// an index no MarkUpdated ever widened answers in O(1): the popcount
+// over every vector runs only once extraBits says an update landed.
 func (ix *Index[V]) NeedsRebuild(saturationLimit float64, deltaLen int, deltaRatio float64) bool {
-	if saturationLimit > 0 && ix.Saturation() >= saturationLimit && ix.extraBits > 0 {
+	if saturationLimit > 0 && ix.extraBits > 0 && ix.Saturation() >= saturationLimit {
 		return true
 	}
 	if deltaRatio > 0 && ix.n > 0 && float64(deltaLen)/float64(ix.n) >= deltaRatio {

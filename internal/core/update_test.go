@@ -189,6 +189,54 @@ func TestNeedsRebuild(t *testing.T) {
 	}
 }
 
+// An index no update ever marked never needs a saturation rebuild, at
+// any limit — however dense its imprints are by construction — and
+// NeedsRebuild must say so from the ExtraBits counter alone: the
+// background merge pass asks every segment of every column on every
+// commit. One mark that adds a bit is what arms the heuristic.
+func TestNeedsRebuildUntouchedIndex(t *testing.T) {
+	limits := []float64{1e-9, 0.01, 0.3, 0.5, 0.99, 1}
+	// A 3-value column saturates nothing but sets a large share of the
+	// few bins it has; random data sets many bins per vector.
+	for name, col := range map[string][]int64{
+		"dense":     randomCol(6000, 1_000_000, 5),
+		"clustered": clusteredCol(6000, 6),
+		"three":     randomCol(6000, 3, 7),
+	} {
+		fresh := Build(col[:4000], Options{Seed: 2})
+		grown := Build(col[:1000], Options{Seed: 2})
+		for end := 1500; end <= len(col); end += 500 {
+			grown.Append(col[:end])
+		}
+		for which, ix := range map[string]*Index[int64]{"fresh": fresh, "appended-to": grown} {
+			if ix.ExtraBits() != 0 {
+				t.Fatalf("%s %s: %d extra bits without an update", name, which, ix.ExtraBits())
+			}
+			for _, limit := range limits {
+				if ix.NeedsRebuild(limit, 0, 0) {
+					t.Errorf("%s %s: NeedsRebuild(%v) with saturation %v and no update", name, which, limit, ix.Saturation())
+				}
+			}
+		}
+		// Re-marking a value already covered adds no bit and arms nothing.
+		grown.MarkUpdated(10, col[10])
+		if grown.ExtraBits() != 0 || grown.NeedsRebuild(1e-9, 0, 0) {
+			t.Errorf("%s: a no-op mark armed the heuristic (%d extra bits)", name, grown.ExtraBits())
+		}
+	}
+	// The first added bit does, once saturation is past the limit.
+	col := sortedCol(4000)
+	ix := Build(col, Options{Seed: 3})
+	ix.MarkUpdated(0, col[len(col)-1])
+	if ix.ExtraBits() != 1 {
+		t.Fatalf("ExtraBits = %d after one widening mark", ix.ExtraBits())
+	}
+	if sat := ix.Saturation(); !ix.NeedsRebuild(sat, 0, 0) || ix.NeedsRebuild(sat+0.01, 0, 0) {
+		t.Errorf("one extra bit at saturation %v: limit %v -> %v, limit %v -> %v", sat,
+			sat, ix.NeedsRebuild(sat, 0, 0), sat+0.01, ix.NeedsRebuild(sat+0.01, 0, 0))
+	}
+}
+
 func TestRangeIDsDelta(t *testing.T) {
 	col := randomCol(5000, 10000, 19)
 	ix := Build(col, Options{Seed: 19})

@@ -46,7 +46,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if limit := s.cfg.MaxShardBacklog; limit > 0 {
-		if depth := s.tbl.IngestStats().MaxShardDeltaRows(); depth > limit {
+		if depth := s.tbl.MaxShardDeltaRows(); depth > limit {
 			s.counters.rejected.Add(1)
 			writeError(w, http.StatusTooManyRequests,
 				fmt.Errorf("ingest backlog: hottest shard buffers %d delta rows (limit %d)", depth, limit))

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/coltype"
@@ -26,8 +27,9 @@ import (
 //   - run-wholesale: exact, delete-free candidate runs fold their value
 //     span in one tight loop with no residual predicate check.
 //     Reported in QueryStats.WholesaleAggRows.
-//   - scanned: everything else walks row by row, applying the deleted
-//     bitmap and the residual check like any other executor.
+//   - scanned: everything else — buffered rows always — walks block by
+//     block, applying the deleted bitmap and the residual kernel like
+//     any other executor.
 
 // aggOp is one aggregate operator.
 type aggOp int
@@ -322,8 +324,8 @@ func (c *colState[V]) aggSummary(op aggOp, s int) (aggPartial, bool) {
 }
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) aggAcc(op aggOp, s int) segAgg {
-	return &numSegAgg[V]{op: op, vals: c.segs[s].vals, isInt: isIntType[V]()}
+func (c *colState[V]) aggAcc(op aggOp, r segRef) segAgg {
+	return &numSegAgg[V]{op: op, vals: c.slab(r), isInt: isIntType[V]()}
 }
 
 // numSegAgg is the typed per-segment accumulator of a numeric column.
@@ -338,12 +340,8 @@ type numSegAgg[V coltype.Value] struct {
 	fsum  float64
 }
 
-func (a *numSegAgg[V]) addRow(local uint32) { a.addVal(a.vals[local]) }
-
-// addVal folds one unboxed value — shared by the slab path (addRow)
-// and the delta-scan adapter (numDeltaAgg), so both accumulate
-// identically.
-func (a *numSegAgg[V]) addVal(v V) {
+func (a *numSegAgg[V]) addRow(local uint32) {
+	v := a.vals[local]
 	switch a.op {
 	case aggSum, aggAvg:
 		if a.isInt {
@@ -461,25 +459,41 @@ func (c *strColState) aggSummary(op aggOp, s int) (aggPartial, bool) {
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) aggAcc(op aggOp, s int) segAgg {
-	seg := c.segs[s]
-	return &strSegAgg{op: op, seg: seg, codes: seg.codes()}
+func (c *strColState) aggAcc(op aggOp, r segRef) segAgg {
+	a := &strSegAgg{op: op}
+	a.codes, a.syms, a.ordered = c.codeSlab(r)
+	return a
 }
 
-// strSegAgg folds min/max over a string segment's codes (code order is
-// string order within a segment) and decodes the winner once.
+// strSegAgg folds min/max over a string slab's codes and decodes the
+// winner once. Where code order is string order (a sealed segment)
+// codes compare directly; a delta slab's compare by symbol.
 type strSegAgg struct {
-	op    aggOp
-	seg   *strSegment
-	codes []int32
-	rows  uint64
-	any   bool
-	m     int32
+	op      aggOp
+	codes   []int32
+	syms    []string
+	ordered bool
+	rows    uint64
+	any     bool
+	m       int32
+}
+
+// strBetter reports whether code c beats the incumbent m under op
+// (aggMin or aggMax).
+func strBetter(op aggOp, c, m int32, syms []string, ordered bool) bool {
+	if c == m {
+		return false
+	}
+	less := c < m
+	if !ordered {
+		less = syms[c] < syms[m]
+	}
+	return less == (op == aggMin)
 }
 
 func (a *strSegAgg) addRow(local uint32) {
 	c := a.codes[local]
-	if !a.any || (a.op == aggMin && c < a.m) || (a.op == aggMax && c > a.m) {
+	if !a.any || strBetter(a.op, c, a.m, a.syms, a.ordered) {
 		a.m = c
 	}
 	a.any = true
@@ -495,29 +509,22 @@ func (a *strSegAgg) addMask(base int, mask uint64) {
 }
 
 func (a *strSegAgg) addSpan(from, to int) {
+	if !a.ordered {
+		for local := from; local < to; local++ {
+			a.addRow(uint32(local))
+		}
+		return
+	}
 	codes := a.codes[from:to]
 	if len(codes) == 0 {
 		return
 	}
-	m := codes[0]
+	m := slices.Max(codes)
 	if a.op == aggMin {
-		for _, c := range codes[1:] {
-			if c < m {
-				m = c
-			}
-		}
-		if !a.any || m < a.m {
-			a.m = m
-		}
-	} else {
-		for _, c := range codes[1:] {
-			if c > m {
-				m = c
-			}
-		}
-		if !a.any || m > a.m {
-			a.m = m
-		}
+		m = slices.Min(codes)
+	}
+	if !a.any || strBetter(a.op, m, a.m, a.syms, true) {
+		a.m = m
 	}
 	a.any = true
 	a.rows += uint64(len(codes))
@@ -528,7 +535,7 @@ func (a *strSegAgg) partial() aggPartial {
 	if a.rows == 0 {
 		return p
 	}
-	p.kind, p.s = partStr, a.seg.dict.Symbol(a.m)
+	p.kind, p.s = partStr, a.syms[a.m]
 	return p
 }
 
@@ -547,14 +554,15 @@ type aggBind struct {
 	acc int
 }
 
-// segAccs builds segment s's accumulators, one per distinct aggBind.acc.
+// segAccs builds the accumulators over the rows r names, one per
+// distinct aggBind.acc.
 //
 //imprintvet:locks held=mu.R
-func segAccs(binds []aggBind, s int) []segAgg {
+func segAccs(binds []aggBind, r segRef) []segAgg {
 	accs := make([]segAgg, 0, len(binds))
 	for _, b := range binds {
 		if b.acc == len(accs) {
-			accs = append(accs, b.col.aggAcc(b.spec.op, s))
+			accs = append(accs, b.col.aggAcc(b.spec.op, r))
 		}
 	}
 	return accs
@@ -637,17 +645,17 @@ func (t *Table) aggSummaryEligible(s int, runs []core.CandidateRun) bool {
 	return full && allExact && t.deletedInSpan(s*t.segRows, s*t.segRows+n) == 0
 }
 
-// aggWalk drives one segment's qualifying rows through an aggregate
-// fold: exact, delete-free runs are offered wholesale to visitSpan
-// (segment-local bounds, every row live and qualifying); every other
-// block arrives at visitMask as its segment-local base row plus the
-// surviving-lane selection mask (deleted folded, residual evaluated).
+// aggWalk drives one unit's qualifying rows through an aggregate fold:
+// exact, delete-free runs are offered wholesale to visitSpan (positions
+// in the unit's slab, every row live and qualifying); every other block
+// arrives at visitMask as its base position plus the surviving-lane
+// selection mask (deleted folded, residual evaluated).
 // Callers hold the read lock.
 //
 //imprintvet:locks held=mu.R
-func (t *Table) aggWalk(s int, ev evaluated, st *core.QueryStats, visitSpan func(from, to int), visitMask func(base int, mask uint64)) {
-	base := s * t.segRows
-	t.walkBlocks(s, ev, st,
+func (t *Table) aggWalk(ev evaluated, st *core.QueryStats, visitSpan func(from, to int), visitMask func(base int, mask uint64)) {
+	base := ev.origin
+	t.walkBlocks(ev, st,
 		func(from, to int, exact bool) spanAction {
 			if exact && visitSpan != nil && t.deletedInSpan(from, to) == 0 {
 				visitSpan(from-base, to-base)
@@ -661,18 +669,19 @@ func (t *Table) aggWalk(s int, ev evaluated, st *core.QueryStats, visitSpan func
 		})
 }
 
-// aggSegment is the per-segment aggregate worker: evaluate the
-// predicate, then fold each aggregate at the cheapest tier (summary /
-// wholesale / scanned) the coverage allows.
+// aggregate is the per-unit aggregate worker: evaluate the predicate,
+// then fold each aggregate at the cheapest tier (summary / wholesale /
+// scanned) the coverage allows — a buffered unit's one inexact run
+// leaves it the scanned tier.
 //
 //imprintvet:locks held=mu.R
-func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
+func (p *part) aggregate(u unit) segOut {
 	var o segOut
-	t := q.t
-	ev := t.evalSegment(en, s, q.opts, &o.st, false)
+	t, s, binds := p.t, u.lseg, p.aggs
+	ev := p.eval(u, &o.st)
 	o.aggs = make([]aggPartial, len(binds))
 	n := t.segLen(s)
-	if t.aggSummaryEligible(s, ev.runs) {
+	if !u.buf && t.aggSummaryEligible(s, ev.runs) {
 		o.count = uint64(n)
 		var accs []segAgg // by aggBind.acc, built and folded on first use
 		for i, b := range binds {
@@ -691,7 +700,7 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 				accs = make([]segAgg, len(binds))
 			}
 			if accs[b.acc] == nil {
-				accs[b.acc] = b.col.aggAcc(b.spec.op, s)
+				accs[b.acc] = b.col.aggAcc(b.spec.op, segRef{s: s})
 				accs[b.acc].addSpan(0, n)
 			}
 			o.aggs[i] = accs[b.acc].partial()
@@ -700,7 +709,7 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 		releaseEval(&ev)
 		return o
 	}
-	accs := segAccs(binds, s)
+	accs := segAccs(binds, p.ref(u))
 	// The tiers count per requested aggregate, shared accumulator or not.
 	var counts, folds uint64
 	for _, b := range binds {
@@ -710,7 +719,7 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 			folds++
 		}
 	}
-	t.aggWalk(s, ev, &o.st,
+	t.aggWalk(ev, &o.st,
 		func(from, to int) {
 			span := uint64(to - from)
 			o.count += span
@@ -730,54 +739,6 @@ func (q *Query) aggSegment(en *execNode, s int, binds []aggBind) segOut {
 	mergeAccs(o.aggs, binds, accs, o.count)
 	releaseEval(&ev)
 	return o
-}
-
-// newDeltaAggs builds one delta accumulator per column aggregate (nil
-// for count(*)).
-func newDeltaAggs(binds []aggBind) []deltaAgg {
-	accs := make([]deltaAgg, len(binds))
-	for i, b := range binds {
-		if b.col != nil {
-			accs[i] = b.col.deltaAgg(b.spec.op)
-		}
-	}
-	return accs
-}
-
-// aggCols returns the aggregated columns' positions in the part's
-// delta row layout (unused for count(*)).
-func (p *part) aggCols() []int {
-	if p.dcis == nil {
-		p.dcis = make([]int, len(p.aggs))
-		for i, b := range p.aggs {
-			if b.col != nil {
-				p.dcis[i] = p.view.colIdx(b.spec.col)
-			}
-		}
-	}
-	return p.dcis
-}
-
-// foldDeltaRow folds one buffered row into the accumulators; cis maps
-// each to its column's position in the row.
-func foldDeltaRow(accs []deltaAgg, cis []int, row []any) {
-	for i, acc := range accs {
-		if acc != nil {
-			acc.add(row[cis[i]])
-		}
-	}
-}
-
-// mergeDeltaAggs merges the accumulators' partials over rows buffered
-// rows into merged; count(*) binds merge the bare row count.
-func mergeDeltaAggs(merged []aggPartial, binds []aggBind, accs []deltaAgg, rows uint64) {
-	for i := range merged {
-		p := aggPartial{rows: rows}
-		if accs[i] != nil {
-			p = accs[i].partial()
-		}
-		merged[i].mergeInto(binds[i].spec.op, p)
-	}
 }
 
 // Aggregate executes the query as a set of aggregates over the
@@ -825,12 +786,10 @@ func (q *Query) Aggregate(specs ...AggSpec) (*AggResult, core.QueryStats, error)
 
 // aggregate folds the bound execution's qualifying rows into merged
 // and returns how many there were. Unlimited: per-unit partials merge
-// in global-segment order and each part's buffered rows fold once
-// afterwards in part order. Limited: the first Limit ids of the ordered
-// stream fold row by row — a sealed run through its segment's
-// accumulators, merged as the run ends; buffered rows through one set
-// of delta accumulators, merged after every sealed partial — so the cap
-// lands on the same rows at every parallelism level and shard count.
+// in unit order. Limited: the first Limit ids of the ordered stream
+// fold row by row through their unit's accumulators, merged as each
+// unit's run ends — so the cap lands on the same rows at every
+// parallelism level and shard count.
 //
 //imprintvet:locks held=mu.R
 func (x *exec) aggregate(merged []aggPartial) (uint64, error) {
@@ -838,67 +797,29 @@ func (x *exec) aggregate(merged []aggPartial) (uint64, error) {
 	binds := x.parts[0].aggs
 	var rows uint64
 	if !q.limited {
-		if err := x.forEachUnit(
-			func(u unit) segOut {
-				p := &x.parts[u.c]
-				return p.q.aggSegment(p.en, u.lseg, p.aggs)
-			},
+		err := x.forEachUnit(
+			func(u unit) segOut { return x.parts[u.c].aggregate(u) },
 			func(_ unit, o segOut) bool {
 				rows += o.count
 				for i := range merged {
 					merged[i].mergeInto(binds[i].spec.op, o.aggs[i])
 				}
 				return true
-			}); err != nil {
-			return 0, err
-		}
-		for c := range x.parts {
-			p := &x.parts[c]
-			if p.view == nil {
-				continue
-			}
-			accs, cis := newDeltaAggs(binds), p.aggCols()
-			var drows uint64
-			p.view.scan(p.match, &x.st, func(_ int, row []any) bool {
-				foldDeltaRow(accs, cis, row)
-				drows++
-				return true
 			})
-			mergeDeltaAggs(merged, binds, accs, drows)
-			rows += drows
-		}
-		return rows, nil
+		return rows, err
 	}
-	var daccs []deltaAgg
-	var drows uint64
-	if err := x.streamIDs(func(u unit, gids []uint32, sealed bool) bool {
+	err := x.streamIDs(func(u unit, gids []uint32) bool {
 		p := &x.parts[u.c]
 		rows += uint64(len(gids))
-		if sealed {
-			accs := segAccs(p.aggs, u.lseg)
-			base := uint32(u.gseg * q.t.segRows)
-			for _, gid := range gids {
-				for _, acc := range accs {
-					acc.addRow(gid - base)
-				}
-			}
-			mergeAccs(merged, binds, accs, uint64(len(gids)))
-			return true
-		}
-		if daccs == nil {
-			daccs = newDeltaAggs(binds)
-		}
-		cis := p.aggCols()
+		accs := segAccs(p.aggs, p.ref(u))
+		base := x.base(u)
 		for _, gid := range gids {
-			foldDeltaRow(daccs, cis, x.deltaRow(u, gid))
+			for _, acc := range accs {
+				acc.addRow(gid - base)
+			}
 		}
-		drows += uint64(len(gids))
+		mergeAccs(merged, binds, accs, uint64(len(gids)))
 		return true
-	}); err != nil {
-		return 0, err
-	}
-	if daccs != nil {
-		mergeDeltaAggs(merged, binds, daccs, drows)
-	}
-	return rows, nil
+	})
+	return rows, err
 }

@@ -194,36 +194,16 @@ func newRowBatch(names []string, cols []anyColumn) *RowBatch {
 	return b
 }
 
-// gatherPart is one shard's share of a gather (an unsharded table is
-// its own single part): the projected columns and the delta watermark
-// the execution captured.
-type gatherPart struct {
-	cols  []anyColumn
-	view  *deltaView // nil when nothing is buffered
-	dproj []int      // projection position -> delta row position
-}
-
-func newGatherPart(names []string, cols []anyColumn, view *deltaView) gatherPart {
-	p := gatherPart{cols: cols, view: view}
-	if view != nil {
-		p.dproj = make([]int, len(names))
-		for i, name := range names {
-			p.dproj[i] = view.colIdx(name)
-		}
-	}
-	return p
-}
-
 // gatherer is the one row-materialization routine: every row-producing
 // executor — ordered or not, sharded or not — narrows its result down
 // to global row ids and feeds them to add in emission order; the
-// gatherer cuts them into runs that share a storage segment (or a
-// shard's delta buffer), fills the current RowBatch one column at a
-// time per run with no per-value boxing, and yields each batch as it
-// fills. Valid only while the execution holds its read locks.
+// gatherer cuts them into runs that share a storage segment (or one
+// slab of a part's delta view), fills the current RowBatch one column
+// at a time per run with no per-value boxing, and yields each batch as
+// it fills. Valid only while the execution holds its read locks.
 type gatherer struct {
 	names   []string
-	parts   []gatherPart // one per shard
+	parts   []part // the execution's: projected columns and delta view
 	segRows int
 	yield   func(*RowBatch) bool
 	room    int  // rows the query's Limit still admits; negative without one
@@ -232,7 +212,7 @@ type gatherer struct {
 	locals  []uint32 // scratch: run-local row offsets
 }
 
-func (q *Query) newGatherer(names []string, parts []gatherPart, yield func(*RowBatch) bool) *gatherer {
+func (q *Query) newGatherer(names []string, parts []part, yield func(*RowBatch) bool) *gatherer {
 	g := &gatherer{names: names, parts: parts, segRows: q.t.segRows, yield: yield, room: -1,
 		locals: make([]uint32, 0, rowBatchSize)}
 	if q.limited {
@@ -254,7 +234,7 @@ func (g *gatherer) add(gids []uint32) bool {
 	}
 	for len(gids) > 0 && !g.stopped {
 		if g.cur == nil {
-			g.cur = newRowBatch(g.names, g.parts[0].cols)
+			g.cur = newRowBatch(g.names, g.parts[0].proj)
 		}
 		n := min(len(gids), rowBatchSize-len(g.cur.IDs))
 		g.fill(gids[:n])
@@ -278,8 +258,8 @@ func (g *gatherer) finish() {
 // fill appends the rows of gids (which fit the current batch) run by
 // run. A run is a maximal stretch of ids inside one global segment's
 // id span that is either all sealed or all buffered: global segment
-// gseg belongs to shard gseg%N as its local segment gseg/N, and the
-// owning shard's delta watermark splits that span at most once.
+// gseg belongs to part gseg%N as its local segment gseg/N, and the
+// owning part's delta watermark splits that span at most once.
 //
 //imprintvet:locks held=mu.R
 func (g *gatherer) fill(gids []uint32) {
@@ -290,37 +270,30 @@ func (g *gatherer) fill(gids []uint32) {
 		gseg := int(gids[0]) / g.segRows
 		p := &g.parts[gseg%nparts]
 		lseg := gseg / nparts
-		lo, hi := gseg*g.segRows, (gseg+1)*g.segRows
-		// split is the global id of the first buffered row in the span.
-		split, buffered := hi, false
-		if p.view != nil {
-			split = max(lo, min(hi, lo+p.view.base-lseg*g.segRows))
-			buffered = int(gids[0]) >= split
-		}
-		if buffered {
-			lo = split
-		} else {
-			hi = split
+		// The run's ids are [from, to): the span, cut at split — the
+		// global id of its first buffered row — to the side gids[0] is
+		// on; base is the global id of position 0 of the slab they sit in.
+		r, from, to := segRef{s: lseg}, gseg*g.segRows, (gseg+1)*g.segRows
+		base := from
+		if p.view.Rows > 0 {
+			split := max(from, min(to, from+p.view.Base-lseg*g.segRows))
+			if int(gids[0]) >= split {
+				r.view, base = &p.view, from+p.view.Origin()-lseg*g.segRows
+				from = split
+			} else {
+				to = split
+			}
 		}
 		locals := g.locals[:0]
 		for _, gid := range gids {
-			if int(gid) < lo || int(gid) >= hi {
+			if int(gid) < from || int(gid) >= to {
 				break
 			}
-			locals = append(locals, gid-uint32(lo))
+			locals = append(locals, uint32(int(gid)-base))
 		}
 		gids = gids[len(locals):]
-		if buffered {
-			// lo is the global id of shard-local row max(base, segment
-			// start): rebase the run onto the view's rows.
-			rows := p.view.rows[max(0, lseg*g.segRows-p.view.base):]
-			for ci, c := range p.cols {
-				c.gatherDelta(&b.Cols[ci], rows, p.dproj[ci], locals)
-			}
-			continue
-		}
-		for ci, c := range p.cols {
-			c.gather(&b.Cols[ci], lseg, locals)
+		for ci, c := range p.proj {
+			c.gather(&b.Cols[ci], r, locals)
 		}
 	}
 }
@@ -338,13 +311,13 @@ func (c *colState[V]) vecKind() (ColKind, int) {
 	return KindInt, bits
 }
 
-// gather appends segment s's values at the given segment-local offsets
+// gather appends the values at the given positions of the rows r names
 // to dst, widened to dst's kind.
 //
 //imprintvet:locks held=mu.R
 //imprintvet:hotpath
-func (c *colState[V]) gather(dst *ColVec, s int, locals []uint32) {
-	vals := c.segs[s].vals
+func (c *colState[V]) gather(dst *ColVec, r segRef, locals []uint32) {
+	vals := c.slab(r)
 	switch dst.Kind {
 	case KindInt:
 		out := extend(&dst.Ints, len(locals))
@@ -364,50 +337,18 @@ func (c *colState[V]) gather(dst *ColVec, s int, locals []uint32) {
 	}
 }
 
-// gatherDelta appends position ci of the buffered rows at the given
-// offsets to dst.
-//
-//imprintvet:hotpath
-func (c *colState[V]) gatherDelta(dst *ColVec, rows [][]any, ci int, locals []uint32) {
-	switch dst.Kind {
-	case KindInt:
-		out := extend(&dst.Ints, len(locals))
-		for i, l := range locals {
-			out[i] = int64(rows[l][ci].(V))
-		}
-	case KindUint:
-		out := extend(&dst.Uints, len(locals))
-		for i, l := range locals {
-			out[i] = uint64(rows[l][ci].(V))
-		}
-	default:
-		out := extend(&dst.Floats, len(locals))
-		for i, l := range locals {
-			out[i] = float64(rows[l][ci].(V))
-		}
-	}
-}
-
 func (c *strColState) vecKind() (ColKind, int) { return KindString, 0 }
 
-// gather appends segment s's strings at the given offsets to dst: the
-// segment dictionary's symbols, shared, not copied.
+// gather appends the strings at the given positions of the rows r names
+// to dst: the dictionary's symbols (the segment's, or the delta's),
+// shared, not copied.
 //
 //imprintvet:locks held=mu.R
 //imprintvet:hotpath
-func (c *strColState) gather(dst *ColVec, s int, locals []uint32) {
-	seg := c.segs[s]
-	codes := seg.codes()
+func (c *strColState) gather(dst *ColVec, r segRef, locals []uint32) {
+	codes, syms, _ := c.codeSlab(r)
 	out := extend(&dst.Strs, len(locals))
 	for i, l := range locals {
-		out[i] = seg.dict.Symbol(codes[l])
-	}
-}
-
-//imprintvet:hotpath
-func (c *strColState) gatherDelta(dst *ColVec, rows [][]any, ci int, locals []uint32) {
-	out := extend(&dst.Strs, len(locals))
-	for i, l := range locals {
-		out[i] = rows[l][ci].(string)
+		out[i] = syms[codes[l]]
 	}
 }

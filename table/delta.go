@@ -7,24 +7,34 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/coltype"
 	"repro/internal/delta"
 	"repro/internal/wal"
 )
 
 // LSM-style ingest (delta.go, seal.go, snapshot.go): with delta ingest
-// enabled, batch commits append row-major tuples to an in-memory delta
-// store (internal/delta) instead of the columnar tail, updates and
-// deletes of buffered rows never touch sealed segments, and a
-// background sealer cuts the delta into immutable full segments —
+// enabled, batch commits append their staged typed columns to an
+// in-memory columnar delta store (internal/delta: one typed vector per
+// column) instead of the columnar tail, updates and deletes of buffered
+// rows never touch sealed segments, and a background sealer cuts full
+// segment-sized slabs off the vectors into immutable segments —
 // building their imprints, zonemaps, summaries and dictionaries off
 // the query path — installing them atomically under the table lock.
-// Readers union the sealed segments (the unchanged vectorized block
-// walk) with an exact scan of the delta watermark they captured, so
-// streaming writers never block readers and readers never see a
-// half-applied batch. A merge-compactor rewrites segments whose
-// summary was widened by updates or whose index saturated, restoring
-// exact summaries (and aggregate pushdown) off the write path.
+// Readers evaluate the sealed segments and, through the same block
+// walk, kernels and folds, the vectors of the delta watermark they
+// captured, so streaming writers never block readers and readers
+// never see a half-applied batch. A merge-compactor rewrites segments
+// whose summary was widened by updates or whose index saturated,
+// restoring exact summaries (and aggregate pushdown) off the write
+// path.
+//
+// Locks: a commit appends under the table's read lock (the store has
+// its own mutex, so writers do not exclude readers); everything that
+// patches or drops buffered values — an update of a buffered row, a
+// flush, a seal install — holds the table's write lock, which is what
+// keeps an execution's view stable for as long as it holds the read
+// lock. Column vector ci of the store is column t.order[ci]; each
+// column state records its position (anyColumn.place), so no hook
+// searches the layout by name.
 
 // IngestOptions configures EnableDeltaIngest.
 type IngestOptions struct {
@@ -47,7 +57,7 @@ type IngestOptions struct {
 	CompactFraction float64
 }
 
-// deltaState is the per-table ingest state: the row-major store plus
+// deltaState is the per-table ingest state: the columnar store plus
 // the sealer bookkeeping and counters.
 type deltaState struct {
 	store *delta.Store
@@ -131,7 +141,7 @@ func (t *Table) EnableDeltaIngest(opts IngestOptions) error {
 		sat = 0.5
 	}
 	d := &deltaState{
-		store:       delta.NewStore(t.rows, t.order),
+		store:       delta.NewStore(t.rows, BlockRows, t.deltaCols()),
 		autoSeal:    opts.AutoSeal,
 		maxSealSegs: maxSegs,
 		mergeSat:    sat,
@@ -192,6 +202,16 @@ func (t *Table) totalRowsLocked() int {
 	return t.rows + t.delta.store.Len()
 }
 
+// deltaCols returns one empty delta vector per column, in column
+// order; callers hold the write lock.
+func (t *Table) deltaCols() []delta.Col {
+	cols := make([]delta.Col, len(t.order))
+	for ci, name := range t.order {
+		cols[ci] = t.cols[name].deltaCol()
+	}
+	return cols
+}
+
 // DeltaRows returns the number of rows currently buffered in the
 // delta store (0 without delta ingest).
 func (t *Table) DeltaRows() int {
@@ -208,6 +228,21 @@ func (t *Table) DeltaRows() int {
 		return 0
 	}
 	return t.delta.store.Len()
+}
+
+// MaxShardDeltaRows returns the deepest per-shard delta backlog (the
+// hottest shard; the table's own backlog when unsharded), 0 when ingest
+// is off: two counter reads per shard — the signal admission control
+// polls on every request, where IngestStats would walk every segment.
+func (t *Table) MaxShardDeltaRows() int {
+	if t.shard == nil {
+		return t.DeltaRows()
+	}
+	m := 0
+	for _, kid := range t.shard.kids {
+		m = max(m, kid.DeltaRows())
+	}
+	return m
 }
 
 // deletedAt is the length-guarded deleted-bitmap probe: delta rows may
@@ -236,39 +271,35 @@ func (t *Table) growDeletedTo(n int) {
 
 // ---- commit / update / flush ----
 
-// commitDeltaLocked applies a staged batch to the delta store; callers
-// hold at least the read lock (appends contend only on the store's own
-// mutex, so streaming writers never block readers). With a WAL
-// attached the batch is framed into the log first, under walMu spanning
-// both appends so log order equals memory order; the returned log and
-// LSN let the caller wait for durability after releasing the table
-// lock (the log is nil without a WAL). A log write error fails the
-// commit before anything becomes visible.
+// commitDeltaLocked applies a staged batch to the delta store: the
+// batch's rows of the staged typed columns are appended as they are.
+// Callers hold at least the read lock (appends contend only on the
+// store's own mutex, so streaming writers never block readers). With a
+// WAL attached the batch is framed into the log first, under walMu
+// spanning both appends so log order equals memory order; the returned
+// log and LSN let the caller wait for durability after releasing the
+// table lock (the log is nil without a WAL). A log write error fails
+// the commit before anything becomes visible.
 //
 //imprintvet:locks held=mu.R
 func (b *Batch) commitDeltaLocked(d *deltaState) (*wal.Log, int64, error) {
 	t := b.t
-	for _, name := range t.order {
-		if _, ok := b.staged[name]; !ok {
+	vals := make([]any, len(t.order))
+	for ci, name := range t.order {
+		sc, ok := b.staged[name]
+		if !ok {
 			return nil, 0, fmt.Errorf("table %s: batch is missing column %q", t.name, name)
 		}
-	}
-	rows := make([][]any, b.rows)
-	for r := range rows {
-		row := make([]any, len(t.order))
-		for ci, name := range t.order {
-			row[ci] = b.staged[name].value(r)
-		}
-		rows[r] = row
+		vals[ci] = sc.vals
 	}
 	var lsn int64
 	lg := d.wal
 	if lg != nil {
 		var err error
-		if lsn, err = d.logAndBuffer(t, lg, rows); err != nil {
+		if lsn, err = d.logAndBuffer(t, lg, vals, b.from, b.from+b.rows); err != nil {
 			return nil, 0, err
 		}
-	} else if err := d.store.Append(rows); err != nil {
+	} else if err := d.store.Append(vals, b.from, b.from+b.rows); err != nil {
 		return nil, 0, err
 	}
 	b.staged = map[string]stagedCol{}
@@ -280,44 +311,29 @@ func (b *Batch) commitDeltaLocked(d *deltaState) (*wal.Log, int64, error) {
 // store under walMu, so log order is exactly memory order. A log
 // append failure (the log is fail-stop) rejects the commit before the
 // rows become visible.
-func (d *deltaState) logAndBuffer(t *Table, lg *wal.Log, rows [][]any) (int64, error) {
+func (d *deltaState) logAndBuffer(t *Table, lg *wal.Log, vals []any, from, to int) (int64, error) {
 	d.walMu.Lock()
 	defer d.walMu.Unlock()
 	base := d.store.Base() + d.store.Len()
-	lsn, err := lg.Append(encodeWALCommit(d.walTags, base, rows))
+	lsn, err := lg.Append(encodeWALCommit(d.walTags, base, vals, from, to))
 	if err != nil {
 		return 0, fmt.Errorf("table %s: wal append: %w", t.name, err)
 	}
-	return lsn, d.store.Append(rows)
-}
-
-// deltaSetLocked updates one value of a buffered row copy-on-write;
-// callers hold the write lock and have range-checked id against the
-// buffered window.
-//
-//imprintvet:locks held=mu
-func (t *Table) deltaSetLocked(name string, id int, v any) error {
-	d := t.delta
-	ci := d.store.ColIndex(name)
-	if ci < 0 {
-		return fmt.Errorf("table %s: column %q missing from delta layout", t.name, name)
-	}
-	d.store.Set(id-d.store.Base(), ci, v)
-	return nil
+	return lsn, d.store.Append(vals, from, to)
 }
 
 // flushDeltaLocked folds the first n buffered rows into the columnar
-// tail (indexes extend under the lock — the synchronous path used by
-// Save, AddColumn, Compact and tail alignment); callers hold the write
-// lock.
+// tail, each column by one slice of its vector (indexes extend under
+// the lock — the synchronous path used by Save, AddColumn, Compact and
+// tail alignment); callers hold the write lock.
 //
 //imprintvet:locks held=mu
 func (t *Table) flushDeltaLocked(n int) {
 	d := t.delta
-	_, rows := d.store.View()
-	rows = rows[:n]
-	for ci, name := range t.order {
-		t.cols[name].absorbAny(rows, ci)
+	view := d.store.View()
+	view.Rows = n
+	for _, name := range t.order {
+		t.cols[name].absorbDelta(view)
 	}
 	t.rows += n
 	t.growDeletedTo(t.rows)
@@ -489,101 +505,49 @@ func (t *Table) mergeBacklogLocked(satLimit float64) int {
 
 // ---- per-column delta adapters ----
 
-// deltaAgg folds boxed delta-row values into the same aggPartial
-// domain the segment accumulators produce, so one merge serves both.
-type deltaAgg interface {
-	add(v any)
-	partial() aggPartial
+func (c *colState[V]) place(pos int)       { c.pos = pos }
+func (c *colState[V]) deltaCol() delta.Col { return delta.NewNum[V]() }
+func (c *strColState) place(pos int)       { c.pos = pos }
+func (c *strColState) deltaCol() delta.Col { return delta.NewStr() }
+
+// slab returns the values of the rows r names: a sealed segment's
+// value slab, or the column's vector of the delta view.
+//
+//imprintvet:locks held=mu.R
+func (c *colState[V]) slab(r segRef) []V {
+	if r.view != nil {
+		return delta.NumVec[V](*r.view, c.pos)
+	}
+	return c.segs[r.s].vals
+}
+
+// deltaValues appends view's rows of the column to dst, in id order.
+func (c *colState[V]) deltaValues(dst []V, view delta.View) []V {
+	if view.Rows == 0 {
+		return dst
+	}
+	return append(dst, delta.NumVec[V](view, c.pos)[view.Lo():]...)
 }
 
 //imprintvet:locks held=mu
-func (c *colState[V]) absorbAny(rows [][]any, ci int) {
-	vals := make([]V, len(rows))
-	for r, row := range rows {
-		vals[r] = row[ci].(V)
+func (c *colState[V]) absorbDelta(view delta.View) {
+	c.absorb(delta.NumVec[V](view, c.pos)[view.Lo():])
+}
+
+// deltaValues appends view's rows of the column, decoded, to dst, in id
+// order.
+func (c *strColState) deltaValues(dst []string, view delta.View) []string {
+	if view.Rows == 0 {
+		return dst
 	}
-	c.absorb(vals)
+	codes, syms := view.StrVec(c.pos)
+	for _, code := range codes[view.Lo():] {
+		dst = append(dst, syms[code])
+	}
+	return dst
 }
 
 //imprintvet:locks held=mu
-func (c *strColState) absorbAny(rows [][]any, ci int) {
-	vals := make([]string, len(rows))
-	for r, row := range rows {
-		vals[r] = row[ci].(string)
-	}
-	c.absorbStrings(vals)
-}
-
-func (c *colState[V]) deltaAgg(op aggOp) deltaAgg {
-	return &numDeltaAgg[V]{numSegAgg[V]{op: op, isInt: isIntType[V]()}}
-}
-
-// numDeltaAgg reuses the typed segment accumulator's fold over unboxed
-// values.
-type numDeltaAgg[V coltype.Value] struct {
-	numSegAgg[V]
-}
-
-func (a *numDeltaAgg[V]) add(v any) { a.addVal(v.(V)) }
-
-func (c *strColState) deltaAgg(op aggOp) deltaAgg { return &strDeltaAgg{op: op} }
-
-// strDeltaAgg folds min/max over raw strings (delta rows carry
-// symbols, not per-segment codes).
-type strDeltaAgg struct {
-	op   aggOp
-	rows uint64
-	any  bool
-	m    string
-}
-
-func (a *strDeltaAgg) add(v any) {
-	s := v.(string)
-	if !a.any || (a.op == aggMin && s < a.m) || (a.op == aggMax && s > a.m) {
-		a.m = s
-	}
-	a.any = true
-	a.rows++
-}
-
-func (a *strDeltaAgg) partial() aggPartial {
-	p := aggPartial{rows: a.rows}
-	if a.rows == 0 {
-		return p
-	}
-	p.kind, p.s = partStr, a.m
-	return p
-}
-
-func (c *colState[V]) deltaGroupKey(v any) groupKey {
-	return groupKey{i: int64(v.(V)), isUint: isUint64[V]()}
-}
-
-func (c *strColState) deltaGroupKey(v any) groupKey {
-	return groupKey{s: v.(string), isStr: true}
-}
-
-// deltaOrd builds one order partial from the qualifying delta rows'
-// boxed values and global ids, mergeable by the column's topkMerge
-// alongside the per-segment partials.
-func (c *colState[V]) deltaOrd(vals []any, ids []uint32) orderPartial {
-	if len(vals) == 0 {
-		return nil
-	}
-	entries := make([]topEntry[V], len(vals))
-	for i, v := range vals {
-		entries[i] = topEntry[V]{v: v.(V), id: ids[i]}
-	}
-	return entries
-}
-
-func (c *strColState) deltaOrd(vals []any, ids []uint32) orderPartial {
-	if len(vals) == 0 {
-		return nil
-	}
-	entries := make([]strOrdEntry, len(vals))
-	for i, v := range vals {
-		entries[i] = strOrdEntry{v: v.(string), id: ids[i]}
-	}
-	return entries
+func (c *strColState) absorbDelta(view delta.View) {
+	c.absorbStrings(c.deltaValues(nil, view))
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/coltype"
 	"repro/internal/core"
 )
 
@@ -295,5 +297,256 @@ func TestDeltaSnapshotIsolationOracle(t *testing.T) {
 					live.Len(), serial.Len())
 			}
 		})
+	}
+}
+
+// ---- buffered vs flushed ----
+
+// Columnar-delta oracle: the same rows, once buffered in the delta
+// store and once flushed into columnar storage, must give every
+// executor byte-identical answers — the buffered rows are evaluated by
+// the segment kernels and folds over the delta's typed vectors, so a
+// leaf, fold or gather that reads them differently shows up as a
+// divergence. Covered: all ten numeric types under every leaf kind,
+// string leaves over symbols that exist only in the delta (whose
+// dictionary is arrival-ordered, not sorted), trees of both, at shard
+// counts 1 and 3 and parallelism 1 and 2, with deletes and in-place
+// updates on both sides of the watermark. Aggregates stay in exact
+// domains (integer-valued floats), so segmentation cannot move a bit.
+
+// dcoCols names the numeric columns, one per supported type.
+var dcoCols = []string{"i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f32", "f64"}
+
+// dcoSealedSyms appear in sealed and buffered rows, dcoDeltaSyms only
+// in buffered ones ("novel…" arrives by update).
+var (
+	dcoSealedSyms = []string{"delta", "alpha", "echo", "bravo", "charlie"}
+	dcoDeltaSyms  = []string{"mike", "kilo", "lima", "juliet", "november", "kilogram"}
+)
+
+func dcoVal(i int) int { return (i*37 + 11) % 100 }
+
+func dcoSym(i, sealed int) string {
+	if i < sealed || i%3 == 0 {
+		return dcoSealedSyms[i%len(dcoSealedSyms)]
+	}
+	return dcoDeltaSyms[i%len(dcoDeltaSyms)]
+}
+
+// dcoCast fills one typed vector with dcoVal(from..to).
+func dcoCast[V coltype.Value](from, to int) []V {
+	out := make([]V, to-from)
+	for i := range out {
+		out[i] = V(dcoVal(from + i))
+	}
+	return out
+}
+
+// mkDeltaColumnarTable builds the fixture: sealed rows by AddColumn,
+// the rest by batch commits with one SealDelta in between (so sealed
+// storage holds delta-born segments too), then deletes and updates on
+// both sides of the watermark. flush folds everything buffered.
+func mkDeltaColumnarTable(t *testing.T, shards int, flush bool) *Table {
+	t.Helper()
+	const sealed, total = 300, 1000
+	tb := NewWithOptions("dco", TableOptions{SegmentRows: 128, Shards: shards})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := core.Options{Seed: 5}
+	must(AddColumn(tb, "i8", dcoCast[int8](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "i16", dcoCast[int16](0, sealed), Zonemap, opts))
+	must(AddColumn(tb, "i32", dcoCast[int32](0, sealed), NoIndex, opts))
+	must(AddColumn(tb, "i64", dcoCast[int64](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "u8", dcoCast[uint8](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "u16", dcoCast[uint16](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "u32", dcoCast[uint32](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "u64", dcoCast[uint64](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "f32", dcoCast[float32](0, sealed), Imprints, opts))
+	must(AddColumn(tb, "f64", dcoCast[float64](0, sealed), Imprints, opts))
+	syms := make([]string, total)
+	for i := range syms {
+		syms[i] = dcoSym(i, sealed)
+	}
+	must(tb.AddStringColumn("s", syms[:sealed], Imprints, opts))
+	must(tb.EnableDeltaIngest(IngestOptions{}))
+	for from := sealed; from < total; from += 97 {
+		to := min(from+97, total)
+		b := tb.NewBatch()
+		must(Append(b, "i8", dcoCast[int8](from, to)))
+		must(Append(b, "i16", dcoCast[int16](from, to)))
+		must(Append(b, "i32", dcoCast[int32](from, to)))
+		must(Append(b, "i64", dcoCast[int64](from, to)))
+		must(Append(b, "u8", dcoCast[uint8](from, to)))
+		must(Append(b, "u16", dcoCast[uint16](from, to)))
+		must(Append(b, "u32", dcoCast[uint32](from, to)))
+		must(Append(b, "u64", dcoCast[uint64](from, to)))
+		must(Append(b, "f32", dcoCast[float32](from, to)))
+		must(Append(b, "f64", dcoCast[float64](from, to)))
+		must(b.AppendStrings("s", syms[from:to]))
+		must(b.Commit())
+		if from == sealed+2*97 {
+			tb.SealDelta()
+		}
+	}
+	for _, id := range []int{5, 131, 299, 640, 801, 802, 999} {
+		must(tb.Delete(id))
+	}
+	for _, id := range []int{17, 700, 950} {
+		must(Update(tb, "i64", id, int64(48)))
+		must(Update(tb, "f32", id, float32(48)))
+		must(Update(tb, "u8", id, uint8(3)))
+		must(tb.UpdateString("s", id, "novel-"+fmt.Sprint(id)))
+	}
+	if flush {
+		tb.FlushDelta()
+		if tb.DeltaRows() != 0 {
+			t.Fatalf("FlushDelta left %d rows buffered", tb.DeltaRows())
+		}
+	} else if tb.DeltaRows() < 400 {
+		t.Fatalf("fixture buffers only %d rows", tb.DeltaRows())
+	}
+	return tb
+}
+
+// dcoNumLeaves is every leaf kind on one numeric column: a band, both
+// half-lines, a point, a small IN (compared directly) and a large one
+// (probed through the member map), an empty band.
+func dcoNumLeaves[V coltype.Value](col string) []Predicate {
+	return []Predicate{
+		Range[V](col, 20, 60), AtLeast[V](col, 90), LessThan[V](col, 7), Equals[V](col, 48),
+		In[V](col, 3, 48, 97), In[V](col, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89), Range[V](col, 60, 20),
+		And(AtLeast[V](col, 30), LessThan[V](col, 33)), // fuses into one band
+	}
+}
+
+func TestDeltaColumnarOracle(t *testing.T) {
+	type namedPred struct {
+		name string
+		p    Predicate
+	}
+	var preds []namedPred
+	add := func(col string, ps []Predicate) {
+		for i, p := range ps {
+			preds = append(preds, namedPred{fmt.Sprintf("%s/%d", col, i), p})
+		}
+	}
+	add("i8", dcoNumLeaves[int8]("i8"))
+	add("i16", dcoNumLeaves[int16]("i16"))
+	add("i32", dcoNumLeaves[int32]("i32"))
+	add("i64", dcoNumLeaves[int64]("i64"))
+	add("u8", dcoNumLeaves[uint8]("u8"))
+	add("u16", dcoNumLeaves[uint16]("u16"))
+	add("u32", dcoNumLeaves[uint32]("u32"))
+	add("u64", dcoNumLeaves[uint64]("u64"))
+	add("f32", dcoNumLeaves[float32]("f32"))
+	add("f64", dcoNumLeaves[float64]("f64"))
+	add("s", []Predicate{
+		StrEquals("s", "kilo"), StrEquals("s", "novel-700"), StrEquals("s", "absent"),
+		StrIn("s", "mike", "absent", "novel-950"),
+		StrIn("s", "juliet", "kilo", "lima", "mike", "november", "alpha", "nope"),
+		StrRange("s", "kilo", "lima"), StrRange("s", "j", "kilogram"),
+		StrPrefix("s", "kilo"), StrPrefix("s", "novel-"), StrPrefix("s", ""),
+		StrAtLeast("s", "lima"), StrLessThan("s", "bravo"), StrLessThan("s", "kilogram"),
+	})
+	add("tree", []Predicate{
+		nil,
+		And(Range[int16]("i16", 10, 80), StrPrefix("s", "k")),
+		Or(StrEquals("s", "november"), LessThan[float64]("f64", 4), Equals[uint64]("u64", 99)),
+		AndNot(AtLeast[uint32]("u32", 25), StrIn("s", "kilo", "alpha")),
+		And(Or(Equals[int8]("i8", 48), StrAtLeast("s", "mike")), AndNot(LessThan[float32]("f32", 70), StrPrefix("s", "novel"))),
+	})
+
+	aggSpecs := []AggSpec{CountAll(), Min("s"), Max("s")}
+	for _, c := range dcoCols {
+		aggSpecs = append(aggSpecs, Sum(c), Min(c), Max(c), Avg(c))
+	}
+	groupSpecs := []AggSpec{CountAll(), Sum("i64"), Min("f64"), Max("f32"), Avg("u16"), Min("s"), Max("s")}
+
+	for _, shards := range []int{1, 3} {
+		buffered := mkDeltaColumnarTable(t, shards, false)
+		flushed := mkDeltaColumnarTable(t, shards, true)
+		liveBuffered := uint64(buffered.DeltaRows() - 4) // ids 640, 801, 802, 999 are deleted
+		for _, par := range []int{1, 2} {
+			for _, pc := range preds {
+				label := fmt.Sprintf("shards=%d par=%d %s", shards, par, pc.name)
+				mk := func(tb *Table, cols ...string) *Query {
+					return tb.Select(cols...).Where(pc.p).Options(SelectOptions{Parallelism: par})
+				}
+				same := func(what string, run func(tb *Table) (any, error)) {
+					t.Helper()
+					got, err := run(buffered)
+					if err != nil {
+						t.Fatalf("%s: %s buffered: %v", label, what, err)
+					}
+					want, err := run(flushed)
+					if err != nil {
+						t.Fatalf("%s: %s flushed: %v", label, what, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s diverges\nbuffered %v\n flushed %v", label, what, got, want)
+					}
+				}
+				same("IDs", func(tb *Table) (any, error) { ids, _, err := mk(tb).IDs(); return ids, err })
+				same("IDs limit", func(tb *Table) (any, error) { ids, _, err := mk(tb).Limit(333).IDs(); return ids, err })
+				same("Count", func(tb *Table) (any, error) { n, _, err := mk(tb).Count(); return n, err })
+				same("Batches", func(tb *Table) (any, error) {
+					return rowStrings(t, label, func() *Query { return mk(tb) }), nil
+				})
+				for _, ord := range []OrderSpec{Desc("f32"), Asc("u8"), Desc("s"), Asc("s")} {
+					same("top-k "+ord.String(), func(tb *Table) (any, error) {
+						ids, _, err := mk(tb).OrderBy(ord).Limit(9).IDs()
+						return ids, err
+					})
+				}
+				same("ordered rows", func(tb *Table) (any, error) {
+					return rowStrings(t, label, func() *Query { return mk(tb, "s", "i64", "u8").OrderBy(Desc("i64")) }), nil
+				})
+				same("Aggregate", func(tb *Table) (any, error) {
+					res, _, err := mk(tb).Aggregate(aggSpecs...)
+					if err != nil {
+						return nil, err
+					}
+					return res.Values(), nil
+				})
+				same("Aggregate limit", func(tb *Table) (any, error) {
+					res, _, err := mk(tb).Limit(450).Aggregate(aggSpecs...)
+					if err != nil {
+						return nil, err
+					}
+					return res.Values(), nil
+				})
+				for _, key := range []string{"s", "i16", "u64"} {
+					same("GroupBy "+key, func(tb *Table) (any, error) {
+						res, _, err := mk(tb).GroupBy(key).Aggregate(groupSpecs...)
+						if err != nil {
+							return nil, err
+						}
+						return res.Groups, nil
+					})
+				}
+				// Explain cannot render alike (one plan has a delta line):
+				// both must describe the same table, and the buffered plan
+				// must account for every live buffered row, like an execution.
+				bp, err := mk(buffered).Explain()
+				if err != nil {
+					t.Fatalf("%s: Explain buffered: %v", label, err)
+				}
+				fp, err := mk(flushed).Explain()
+				if err != nil {
+					t.Fatalf("%s: Explain flushed: %v", label, err)
+				}
+				_, st, _ := mk(buffered).Count()
+				if bp.TotalRows != fp.TotalRows || fp.DeltaRows != 0 || bp.DeltaRows != buffered.DeltaRows() ||
+					bp.Stats.DeltaRowsScanned != liveBuffered || st.DeltaRowsScanned != liveBuffered {
+					t.Fatalf("%s: Explain: total %d/%d, delta %d/%d, scanned %d (count scanned %d), want %d live buffered",
+						label, bp.TotalRows, fp.TotalRows, bp.DeltaRows, fp.DeltaRows,
+						bp.Stats.DeltaRowsScanned, st.DeltaRowsScanned, liveBuffered)
+				}
+			}
+		}
 	}
 }

@@ -188,6 +188,14 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 		func(u unit) segOut {
 			p := &x.parts[u.c]
 			var o segOut
+			if u.buf {
+				// Evaluate the buffered rows exactly (like an execution
+				// would) so the plan's stats carry their cost.
+				ev := p.eval(u, &o.st)
+				p.t.walkBlocks(ev, &o.st, nil, func(int, uint64) bool { return true })
+				releaseEval(&ev)
+				return o
+			}
 			ev := p.t.evalSegment(p.en, u.lseg, q.opts, &o.st, true)
 			o.plan = ev.plan
 			o.fast = p.t.fastCountSegment(u.lseg, ev.runs)
@@ -202,6 +210,9 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 			return o
 		},
 		func(u unit, o segOut) bool {
+			if u.buf {
+				return true
+			}
 			segPlans = append(segPlans, o.plan)
 			infos = append(infos, planSegInfo{seg: u.gseg, rows: x.parts[u.c].t.segLen(u.lseg)})
 			if tiers {
@@ -224,12 +235,7 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 	for c := range x.parts {
 		p := &x.parts[c]
 		sealed += p.t.rows
-		if p.view != nil {
-			// Evaluate the delta filter exactly (like an execution would) so
-			// the plan's stats carry the delta-scan cost.
-			deltaRows += len(p.view.rows)
-			p.view.scan(p.match, &x.st, func(int, []any) bool { return true })
-		}
+		deltaRows += p.view.Rows
 	}
 	plan := &Plan{
 		Table:            q.t.name,
@@ -286,7 +292,7 @@ func (t *Table) aggSegmentPlan(s int, ev evaluated, binds []aggBind) AggSegmentP
 		// Classify run by run; every run is handled at span granularity
 		// (spanDone), so the block path never executes.
 		var scratch core.QueryStats
-		t.walkBlocks(s, ev, &scratch,
+		t.walkBlocks(ev, &scratch,
 			func(from, to int, exact bool) spanAction {
 				if exact && t.deletedInSpan(from, to) == 0 {
 					span := uint64(to - from)

@@ -174,10 +174,18 @@ func isUint64[V coltype.Value]() bool {
 func wide64[V coltype.Value](v V) uint64 { return uint64(int64(v)) }
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) slotter(s int) segSlotter {
-	seg := c.segs[s]
-	sl := &numSlotter[V]{vals: seg.vals, base: wide64(seg.min), unsigned: isUint64[V]()}
-	if span := wide64(seg.max) - sl.base; span < groupSlots {
+func (c *colState[V]) slotter(r segRef) segSlotter {
+	vals := c.slab(r)
+	var lo, hi V
+	if r.view == nil {
+		lo, hi = c.segs[r.s].min, c.segs[r.s].max
+	} else {
+		// The delta keeps no summary: one pass over its rows decides dense
+		// or map.
+		lo, hi, _ = summarize(vals[r.view.Lo():])
+	}
+	sl := &numSlotter[V]{vals: vals, base: wide64(lo), unsigned: isUint64[V]()}
+	if span := wide64(hi) - sl.base; span < groupSlots {
 		sl.dense = int(span) + 1
 	} else {
 		sl.index = map[int64]uint32{}
@@ -185,8 +193,8 @@ func (c *colState[V]) slotter(s int) segSlotter {
 	return sl
 }
 
-// numSlotter slots an integer key column. The segment summary covers
-// every value the slab holds (updates widen it), so when its span fits
+// numSlotter slots an integer key column. The summary covers every
+// value the slab holds (updates widen a segment's), so when its span fits
 // groupSlots the slot is v − min — already in key order. Otherwise a
 // map hands out slots in first-seen order and sorted() restores key
 // order at emission.
@@ -248,24 +256,27 @@ func (sl *numSlotter[V]) key(slot uint32) groupKey {
 func (c *strColState) groupCheck() error { return nil }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) slotter(s int) segSlotter {
-	seg := c.segs[s]
-	return &strSlotter{seg: seg, codes: seg.codes()}
+func (c *strColState) slotter(r segRef) segSlotter {
+	sl := &strSlotter{}
+	sl.codes, sl.syms, _ = c.codeSlab(r)
+	return sl
 }
 
-// strSlotter slots a string key column by segment-local dictionary
-// code — dense, and in string order within the segment — and decodes a
-// slot to its symbol only at emission, remapping the segment's private
-// code space to the global key space.
+// strSlotter slots a string key column by dictionary code — dense, the
+// dictionary being the segment's or the delta's own — and decodes a
+// slot to its symbol only at emission, remapping the private code space
+// to the global key space. A sealed segment's slots are in string
+// order; the delta's are in arrival order, which the merge (keyed, then
+// sorted) does not depend on.
 type strSlotter struct {
-	seg   *strSegment
 	codes []int32
+	syms  []string
 }
 
 //imprintvet:hotpath
 func (sl *strSlotter) assign(b *foldBlock, rows []uint64) []uint64 {
 	sel, slot := b.sel[:b.n], b.slot[:b.n]
-	rows = growSlab(rows, sl.seg.dict.Cardinality())
+	rows = growSlab(rows, len(sl.syms))
 	for j, l := range sel {
 		s := uint32(sl.codes[l])
 		slot[j] = s
@@ -277,14 +288,14 @@ func (sl *strSlotter) assign(b *foldBlock, rows []uint64) []uint64 {
 func (sl *strSlotter) sorted() []uint32 { return nil }
 
 func (sl *strSlotter) key(slot uint32) groupKey {
-	return groupKey{s: sl.seg.dict.Symbol(int32(slot)), isStr: true}
+	return groupKey{s: sl.syms[slot], isStr: true}
 }
 
 // ---- per-slot accumulators ----
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) slotAcc(op aggOp, s int) slotAgg {
-	return &numSlotAgg[V]{op: op, vals: c.segs[s].vals, isInt: isIntType[V]()}
+func (c *colState[V]) slotAcc(op aggOp, r segRef) slotAgg {
+	return &numSlotAgg[V]{op: op, vals: c.slab(r), isInt: isIntType[V]()}
 }
 
 // numSlotAgg is the per-slot form of numSegAgg: the same int64/float64
@@ -353,19 +364,21 @@ func (a *numSlotAgg[V]) partial(slot uint32, rows uint64) aggPartial {
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) slotAcc(op aggOp, s int) slotAgg {
-	seg := c.segs[s]
-	return &strSlotAgg{op: op, seg: seg, codes: seg.codes()}
+func (c *strColState) slotAcc(op aggOp, r segRef) slotAgg {
+	a := &strSlotAgg{op: op}
+	a.codes, a.syms, a.ordered = c.codeSlab(r)
+	return a
 }
 
-// strSlotAgg folds min/max per slot over a string segment's codes and
+// strSlotAgg folds min/max per slot over a string slab's codes and
 // decodes each winner once, like strSegAgg.
 type strSlotAgg struct {
-	op    aggOp
-	seg   *strSegment
-	codes []int32
-	m     []int32
-	seen  []bool
+	op      aggOp
+	codes   []int32
+	syms    []string
+	ordered bool
+	m       []int32
+	seen    []bool
 }
 
 func (a *strSlotAgg) grow(n int) { a.m, a.seen = growSlab(a.m, n), growSlab(a.seen, n) }
@@ -375,7 +388,7 @@ func (a *strSlotAgg) fold(b *foldBlock) {
 	sel, slot := b.sel[:b.n], b.slot[:b.n]
 	for j, l := range sel {
 		c, s := a.codes[l], slot[j]
-		if !a.seen[s] || (a.op == aggMin && c < a.m[s]) || (a.op == aggMax && c > a.m[s]) {
+		if !a.seen[s] || strBetter(a.op, c, a.m[s], a.syms, a.ordered) {
 			a.m[s] = c
 		}
 		a.seen[s] = true
@@ -383,7 +396,7 @@ func (a *strSlotAgg) fold(b *foldBlock) {
 }
 
 func (a *strSlotAgg) partial(slot uint32, rows uint64) aggPartial {
-	return aggPartial{rows: rows, kind: partStr, s: a.seg.dict.Symbol(a.m[slot])}
+	return aggPartial{rows: rows, kind: partStr, s: a.syms[a.m[slot]]}
 }
 
 // ---- execution ----
@@ -487,27 +500,28 @@ func (f *groupFold) emit(binds []aggBind) []groupOut {
 	return groups
 }
 
-// groupSegment is the per-segment grouping worker: qualifying rows
-// arrive a block at a
-// time (the selection mask of a walked block, or an exact span cut into
-// blocks) and fold through groupFold. Keys vary row to row, so grouped
-// aggregation always visits rows (no summary or wholesale pushdown);
-// exact runs still skip the residual check. Within a group rows fold in
-// ascending row order, so float sums do not depend on the slotting.
+// group is the per-unit grouping worker: qualifying rows arrive a block
+// at a time (the selection mask of a walked block, or an exact span cut
+// into blocks) and fold through groupFold. Keys vary row to row, so
+// grouped aggregation always visits rows (no summary or wholesale
+// pushdown); exact runs still skip the residual check. Within a group
+// rows fold in ascending row order, so float sums do not depend on the
+// slotting.
 //
 //imprintvet:locks held=mu.R
-func (q *Query) groupSegment(en *execNode, s int, binds []aggBind, keyCol anyColumn) segOut {
+func (p *part) group(u unit) segOut {
 	var o segOut
-	t := q.t
-	ev := t.evalSegment(en, s, q.opts, &o.st, false)
+	binds := p.aggs
+	ev := p.eval(u, &o.st)
 	if len(ev.runs) > 0 {
-		f := &groupFold{slots: keyCol.slotter(s), accs: make([]slotAgg, 0, len(binds))}
+		r := p.ref(u)
+		f := &groupFold{slots: p.col.slotter(r), accs: make([]slotAgg, 0, len(binds))}
 		for _, b := range binds {
 			if b.acc == len(f.accs) {
-				f.accs = append(f.accs, b.col.slotAcc(b.spec.op, s))
+				f.accs = append(f.accs, b.col.slotAcc(b.spec.op, r))
 			}
 		}
-		t.aggWalk(s, ev, &o.st, f.span, f.mask)
+		p.t.aggWalk(ev, &o.st, f.span, f.mask)
 		o.count = f.total
 		o.groups = f.emit(binds)
 	}
@@ -515,10 +529,10 @@ func (q *Query) groupSegment(en *execNode, s int, binds []aggBind, keyCol anyCol
 	return o
 }
 
-// groupMerge is the consumer side of a grouped aggregation: segment
-// partials merge in segment order, delta partials once per group
-// afterwards (each group's partials merge commutatively), and result
-// sorts the groups by key — identical at every parallelism level.
+// groupMerge is the consumer side of a grouped aggregation: unit
+// partials merge in unit order (each group's partials merge
+// commutatively), and result sorts the groups by key — identical at
+// every parallelism level.
 type groupMerge struct {
 	binds  []aggBind
 	groups map[groupKey]*mergedGroup
@@ -548,47 +562,6 @@ func (m *groupMerge) addSegment(groups []groupOut) {
 	}
 }
 
-// addDelta folds one part's qualifying buffered rows: per-group delta
-// accumulators produce one partial per group, merged exactly once in
-// key order.
-//
-//imprintvet:locks held=mu.R
-func (m *groupMerge) addDelta(p *part, key string, st *core.QueryStats) {
-	view, keyCol, binds := p.view, p.col, p.aggs
-	if view == nil {
-		return
-	}
-	kci := view.colIdx(key)
-	cis := p.aggCols()
-	type deltaGroup struct {
-		rows uint64
-		accs []deltaAgg
-	}
-	dgroups := map[groupKey]*deltaGroup{}
-	view.scan(p.match, st, func(_ int, row []any) bool {
-		k := keyCol.deltaGroupKey(row[kci])
-		dg := dgroups[k]
-		if dg == nil {
-			dg = &deltaGroup{accs: newDeltaAggs(binds)}
-			dgroups[k] = dg
-		}
-		dg.rows++
-		foldDeltaRow(dg.accs, cis, row)
-		return true
-	})
-	dkeys := make([]groupKey, 0, len(dgroups))
-	for k := range dgroups {
-		dkeys = append(dkeys, k)
-	}
-	sort.Slice(dkeys, func(i, j int) bool { return dkeys[i].less(dkeys[j]) })
-	for _, k := range dkeys {
-		dg := dgroups[k]
-		mg := m.group(k)
-		mg.rows += dg.rows
-		mergeDeltaAggs(mg.parts, binds, dg.accs, dg.rows)
-	}
-}
-
 func (m *groupMerge) result(key string) *GroupedResult {
 	keys := make([]groupKey, 0, len(m.groups))
 	for k := range m.groups {
@@ -607,10 +580,9 @@ func (m *groupMerge) result(key string) *GroupedResult {
 	return res
 }
 
-// Aggregate executes the grouped aggregation: per-segment partial
-// groups merged in segment order (each group's partials merge
-// commutatively, so results are identical at every parallelism level),
-// each part's buffered groups folded once afterwards, then sorted
+// Aggregate executes the grouped aggregation: per-unit partial groups
+// merged in unit order (each group's partials merge commutatively, so
+// results are identical at every parallelism level), then sorted
 // ascending by key. Limit does not apply to grouped aggregation (except
 // Limit(0), which returns no groups).
 func (g *GroupedQuery) Aggregate(specs ...AggSpec) (*GroupedResult, core.QueryStats, error) {
@@ -644,18 +616,12 @@ func (g *GroupedQuery) Aggregate(specs ...AggSpec) (*GroupedResult, core.QuerySt
 	}
 	merge := groupMerge{binds: x.parts[0].aggs, groups: map[groupKey]*mergedGroup{}}
 	if err := x.forEachUnit(
-		func(u unit) segOut {
-			p := &x.parts[u.c]
-			return p.q.groupSegment(p.en, u.lseg, p.aggs, p.col)
-		},
+		func(u unit) segOut { return x.parts[u.c].group(u) },
 		func(_ unit, o segOut) bool {
 			merge.addSegment(o.groups)
 			return true
 		}); err != nil {
 		return nil, x.st, err
-	}
-	for c := range x.parts {
-		merge.addDelta(&x.parts[c], g.key, &x.st)
 	}
 	return merge.result(g.key), x.st, nil
 }

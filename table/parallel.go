@@ -206,6 +206,14 @@ func (t *Table) liveMask64(b, n int) uint64 {
 	if t.deleted == nil || t.ndel == 0 {
 		return blockOnes(n)
 	}
+	// The bitmap covers every sealed row; buffered rows may sit past its
+	// tail (no delete grew it that far) and are live there.
+	if have := t.deleted.Len() - b; have < n {
+		if have <= 0 {
+			return blockOnes(n)
+		}
+		return t.deleted.LiveMask64(b, have) | blockOnes(n)&^blockOnes(have)
+	}
 	return t.deleted.LiveMask64(b, n)
 }
 
@@ -225,19 +233,21 @@ func (t *Table) liveMask64(b, n int) uint64 {
 // meaning. block returning false stops the walk. Runs start on block
 // boundaries and segments hold whole blocks, so every mask is 64-row
 // aligned; only a segment's ragged tail yields a shorter block.
+//
+// The same walk evaluates buffered rows (ev.buffered: one inexact run
+// over a stretch of the part's delta vectors, evalDelta): the rows may
+// start inside a block — the lanes below ev.lo are cleared — the
+// residual is always the kernel, and the evaluated live lanes count
+// into st.DeltaRowsScanned instead of Comparisons and BlocksVectorized.
 // Callers hold the read lock.
 //
 //imprintvet:locks held=mu.R
 //imprintvet:hotpath
-func (t *Table) walkBlocks(s int, ev evaluated, st *core.QueryStats, span func(from, to int, exact bool) spanAction, block func(base int, mask uint64) bool) {
-	base := s * t.segRows
-	end := base + t.segLen(s)
+func (t *Table) walkBlocks(ev evaluated, st *core.QueryStats, span func(from, to int, exact bool) spanAction, block func(base int, mask uint64) bool) {
+	base := ev.origin
 	for _, r := range ev.runs {
-		from := base + int(r.Start)*BlockRows
-		to := base + (int(r.Start)+int(r.Count))*BlockRows
-		if to > end {
-			to = end
-		}
+		from := max(base+int(r.Start)*BlockRows, base+ev.lo)
+		to := min(base+(int(r.Start)+int(r.Count))*BlockRows, base+ev.hi)
 		if span != nil {
 			switch span(from, to, r.Exact) {
 			case spanDone:
@@ -250,13 +260,18 @@ func (t *Table) walkBlocks(s int, ev evaluated, st *core.QueryStats, span func(f
 			continue
 		}
 		residual := !r.Exact && (ev.kern != nil || ev.check != nil)
-		for b := from; b < to; b += BlockRows {
-			n := BlockRows
-			if b+n > to {
-				n = to - b
-			}
+		for b := from &^ (BlockRows - 1); b < to; b += BlockRows {
+			n := min(BlockRows, to-b)
 			m := t.liveMask64(b, n)
-			if residual {
+			if b < from {
+				m &^= blockOnes(from - b)
+			}
+			if ev.buffered {
+				st.DeltaRowsScanned += uint64(bits.OnesCount64(m))
+				if ev.kern != nil {
+					m &= ev.kern(b-base, b-base+n)
+				}
+			} else if residual {
 				st.Comparisons += uint64(bits.OnesCount64(m))
 				if ev.kern != nil {
 					st.BlocksVectorized++

@@ -440,11 +440,12 @@ type leafPlan interface {
 	// "scan"); per-segment deviations (pruned, scan fallback) are
 	// decided during evaluation.
 	access() string
-	// rowCheck is the exact value-level test of the leaf over boxed row
-	// values — the delta-scan path, where rows have no segment, no
-	// value slab and no dictionary. Semantics match segCheck (strings:
-	// the raw-string form of the dictionary translation).
-	rowCheck() func(v any) bool
+	// deltaKernel is the selection-mask kernel of the leaf over the
+	// buffered slab r names, derived per execution (slabs have no index,
+	// no summary and no cache). Semantics match segKernel; a string leaf
+	// is translated once against the slab's arrival-ordered dictionary
+	// into a membership set over its codes.
+	deltaKernel(r segRef) blockKernel
 }
 
 // ---- monomorphized leaf kernels ----
@@ -577,6 +578,24 @@ func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKe
 			if _, ok := member[blk[i]]; ok {
 				acc |= 1 << uint(i)
 			}
+		}
+		return acc
+	}
+}
+
+// memberKernel tests each lane's dictionary code against a membership
+// table indexed by code — how a string leaf evaluates a delta slab,
+// whose arrival-ordered codes form no interval.
+func memberKernel(codes []int32, member []bool) blockKernel {
+	return func(from, to int) uint64 {
+		var acc uint64
+		blk := codes[from:to]
+		for i := range blk {
+			bit := uint64(0)
+			if member[blk[i]] {
+				bit = 1
+			}
+			acc |= bit << uint(i)
 		}
 		return acc
 	}
@@ -802,6 +821,13 @@ type evaluated struct {
 	check core.CheckFunc      // scalar residual (nil when kern is set or match-all)
 	plan  *PlanNode
 	owner *[]core.CandidateRun // pooled backing of runs; released by releaseEval
+	// origin is the row id (part-local) that position 0 of the runs, the
+	// kernel and the value slab stand for, and positions [lo, hi) are the
+	// rows evaluated: a sealed segment's first row and [0, segLen); for
+	// buffered rows (evalDelta) the delta view's origin and a stretch of
+	// its positions.
+	origin, lo, hi int
+	buffered       bool
 }
 
 // releaseEval returns an evaluation's pooled run buffer to the scratch
@@ -829,6 +855,13 @@ func mergeRuns(a, b *evaluated, merge func(dst, x, y []core.CandidateRun) []core
 // buffer — the executor must releaseEval it after the walk. Callers
 // hold the table's read lock.
 func (t *Table) evalSegment(en *execNode, s int, opts SelectOptions, st *core.QueryStats, record bool) evaluated {
+	ev := t.evalTree(en, s, opts, st, record)
+	ev.origin, ev.hi = s*t.segRows, t.segLen(s)
+	return ev
+}
+
+// evalTree is evalSegment's recursion over the tree.
+func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.QueryStats, record bool) evaluated {
 	if en == nil {
 		buf := getRunScratch()
 		*buf = blockSpanRunsInto((*buf)[:0], t.segLen(s), true)
@@ -843,14 +876,14 @@ func (t *Table) evalSegment(en *execNode, s int, opts SelectOptions, st *core.Qu
 	case "leaf":
 		return t.evalSegmentLeaf(en, s, opts, st, record)
 	case "and":
-		acc := t.evalSegment(en.kids[0], s, opts, st, record)
+		acc := t.evalTree(en.kids[0], s, opts, st, record)
 		kerns, checks := residuals(acc, opts, nil, nil)
 		var kids []*PlanNode
 		if record {
 			kids = []*PlanNode{acc.plan}
 		}
 		for _, kid := range en.kids[1:] {
-			ev := t.evalSegment(kid, s, opts, st, record)
+			ev := t.evalTree(kid, s, opts, st, record)
 			kerns, checks = residuals(ev, opts, kerns, checks)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.IntersectRunsInto)
 			if record {
@@ -867,14 +900,14 @@ func (t *Table) evalSegment(en *execNode, s int, opts SelectOptions, st *core.Qu
 		}
 		return acc
 	case "or":
-		acc := t.evalSegment(en.kids[0], s, opts, st, record)
+		acc := t.evalTree(en.kids[0], s, opts, st, record)
 		kerns, checks := residuals(acc, opts, nil, nil)
 		var kids []*PlanNode
 		if record {
 			kids = []*PlanNode{acc.plan}
 		}
 		for _, kid := range en.kids[1:] {
-			ev := t.evalSegment(kid, s, opts, st, record)
+			ev := t.evalTree(kid, s, opts, st, record)
 			kerns, checks = residuals(ev, opts, kerns, checks)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.UnionRunsInto)
 			if record {
@@ -891,8 +924,8 @@ func (t *Table) evalSegment(en *execNode, s int, opts SelectOptions, st *core.Qu
 		}
 		return acc
 	case "andnot":
-		evP := t.evalSegment(en.kids[0], s, opts, st, record)
-		evQ := t.evalSegment(en.kids[1], s, opts, st, record)
+		evP := t.evalTree(en.kids[0], s, opts, st, record)
+		evQ := t.evalTree(en.kids[1], s, opts, st, record)
 		out := evaluated{}
 		if opts.Scalar {
 			pc, qc := evP.check, evQ.check
@@ -1168,25 +1201,8 @@ func (pl *numLeafPlan[V]) segCheck(s int) core.CheckFunc {
 	}
 }
 
-func (pl *numLeafPlan[V]) rowCheck() func(v any) bool {
-	switch pl.kind {
-	case kindIn:
-		member := pl.member
-		return func(v any) bool { _, ok := member[v.(V)]; return ok }
-	case kindRange:
-		low, high := pl.low, pl.high
-		return func(v any) bool { x := v.(V); return x >= low && x < high }
-	case kindAtLeast:
-		low := pl.low
-		return func(v any) bool { return v.(V) >= low }
-	case kindLessThan:
-		high := pl.high
-		return func(v any) bool { return v.(V) < high }
-	default: // kindEquals; compileLeaf rejected every other kind
-		low := pl.low
-		return func(v any) bool { return v.(V) == low }
-	}
-}
+//imprintvet:locks held=mu.R
+func (pl *numLeafPlan[V]) deltaKernel(r segRef) blockKernel { return pl.kernel(pl.c.slab(r)) }
 
 //imprintvet:locks held=mu.R
 func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats) {
@@ -1265,24 +1281,28 @@ func (pl *numLeafPlan[V]) segKernel(s int) blockKernel {
 	if e.k != nil && e.vals == &vals[0] && e.n == len(vals) {
 		return e.k
 	}
-	e.vals, e.n = &vals[0], len(vals)
+	e.vals, e.n, e.k = &vals[0], len(vals), pl.kernel(vals)
+	return e.k
+}
+
+// kernel derives the leaf's monomorphized selection-mask kernel over
+// one value slab — a sealed segment's or a delta slab's.
+func (pl *numLeafPlan[V]) kernel(vals []V) blockKernel {
 	switch pl.kind {
 	case kindIn:
-		e.k = inKernel(vals, pl.set, pl.member)
+		return inKernel(vals, pl.set, pl.member)
 	case kindRange:
 		if isIntType[V]() {
-			e.k = intRangeKernel(vals, pl.low, pl.high)
-		} else {
-			e.k = rangeKernel(vals, pl.low, pl.high)
+			return intRangeKernel(vals, pl.low, pl.high)
 		}
+		return rangeKernel(vals, pl.low, pl.high)
 	case kindAtLeast:
-		e.k = atLeastKernel(vals, pl.low)
+		return atLeastKernel(vals, pl.low)
 	case kindLessThan:
-		e.k = lessThanKernel(vals, pl.high)
+		return lessThanKernel(vals, pl.high)
 	default: // kindEquals; compileLeaf rejected every other kind
-		e.k = equalsKernel(vals, pl.low)
+		return equalsKernel(vals, pl.low)
 	}
-	return e.k
 }
 
 // segEstimate returns the leaf's selectivity estimate within segment s

@@ -137,32 +137,6 @@ func (q *Query) bind() (*execNode, error) {
 	return q.t.bindTree(cn, nil)
 }
 
-// collectIDs is the segment worker behind the id stream: evaluate the
-// tree against one segment and materialize its qualifying part-local
-// ids into a pooled scratch buffer. Each surviving block's selection
-// mask expands to ids by trailing-zero iteration; the walk stops once
-// room ids are collected (negative: no cap) and the buffer may run at
-// most one block past it (the merging consumer truncates).
-//
-//imprintvet:locks held=mu.R
-func (q *Query) collectIDs(en *execNode, s, room int) segOut {
-	var o segOut
-	ev := q.t.evalSegment(en, s, q.opts, &o.st, false)
-	buf, reused := getIDScratch()
-	if reused {
-		o.st.ScratchReused++
-	}
-	ids := *buf
-	q.t.walkBlocks(s, ev, &o.st, nil, func(base int, mask uint64) bool {
-		ids = core.AppendMaskIDs(ids, uint32(base), mask)
-		return room < 0 || len(ids) < room
-	})
-	releaseEval(&ev)
-	*buf = ids
-	o.ids = buf
-	return o
-}
-
 // IDs executes the query and returns the ids of qualifying,
 // non-deleted rows, with the evaluation stats. Without OrderBy the ids
 // come back ascending; with OrderBy they come back in rank order (the
@@ -187,7 +161,7 @@ func (q *Query) IDs() ([]uint32, core.QueryStats, error) {
 	// scales with the result is the exact-size slice returned.
 	buf, _ := getIDScratch()
 	defer putIDScratch(buf)
-	if err := x.streamIDs(func(_ unit, gids []uint32, _ bool) bool {
+	if err := x.streamIDs(func(_ unit, gids []uint32) bool {
 		*buf = append(*buf, gids...)
 		return true
 	}); err != nil {
@@ -196,16 +170,17 @@ func (q *Query) IDs() ([]uint32, core.QueryStats, error) {
 	return append([]uint32(nil), *buf...), x.st, nil
 }
 
-// countSegment tallies one segment: exact candidate runs wholesale via
-// the deleted-bitmap popcount (the count fast path), inexact runs one
-// popcount per surviving block mask.
+// count tallies one unit: exact candidate runs wholesale via the
+// deleted-bitmap popcount (the count fast path), inexact runs — a
+// buffered unit's always is — one popcount per surviving block mask.
 //
 //imprintvet:locks held=mu.R
-func (q *Query) countSegment(en *execNode, s int) segOut {
+func (p *part) count(u unit) segOut {
 	var o segOut
-	ev := q.t.evalSegment(en, s, q.opts, &o.st, false)
+	q := &p.q
+	ev := p.eval(u, &o.st)
 	limit := uint64(q.limit)
-	q.t.walkBlocks(s, ev, &o.st,
+	q.t.walkBlocks(ev, &o.st,
 		func(from, to int, exact bool) spanAction {
 			if !exact {
 				return spanPerBlock
@@ -232,10 +207,10 @@ func (q *Query) countSegment(en *execNode, s int) segOut {
 // block walk even while deletes are pending — with the shortcut's row
 // tally reported in QueryStats.FastCountedRows (and previewed by
 // Plan.FastCountRows); surviving blocks of inexact runs cost one
-// selection-mask kernel call and one popcount each. Segments are
-// counted in parallel and the tallies summed in segment order, buffered
-// delta rows counted afterwards; allocations per execution are a small
-// constant, independent of segments and rows.
+// selection-mask kernel call and one popcount each, buffered rows
+// included. Units are counted in parallel and the tallies summed in
+// unit order; allocations per execution are a small constant,
+// independent of segments and rows.
 func (q *Query) Count() (uint64, core.QueryStats, error) {
 	var x exec
 	x.begin(q)
@@ -246,25 +221,12 @@ func (q *Query) Count() (uint64, core.QueryStats, error) {
 	limit := uint64(q.limit)
 	var n uint64
 	if err := x.forEachUnit(
-		func(u unit) segOut {
-			p := &x.parts[u.c]
-			return p.q.countSegment(p.en, u.lseg)
-		},
+		func(u unit) segOut { return x.parts[u.c].count(u) },
 		func(_ unit, o segOut) bool {
 			n += o.count
 			return !q.limited || n < limit
 		}); err != nil {
 		return 0, x.st, err
-	}
-	for c := range x.parts {
-		p := &x.parts[c]
-		if p.view == nil || q.limited && n >= limit {
-			continue
-		}
-		p.view.scan(p.match, &x.st, func(int, []any) bool {
-			n++
-			return !q.limited || n < limit
-		})
 	}
 	if q.limited && n > limit {
 		n = limit
@@ -306,12 +268,8 @@ func (q *Query) Batches() iter.Seq[*RowBatch] {
 		}
 		// The watermarks bind captured serve both the gather (ids at or
 		// past a part's base live in its buffer, not in segments) and the
-		// exact scans that produce those ids.
-		parts := make([]gatherPart, len(x.parts))
-		for c := range parts {
-			parts[c] = newGatherPart(names, x.parts[c].proj, x.parts[c].view)
-		}
-		g := q.newGatherer(names, parts, yield)
+		// units that produce those ids.
+		g := q.newGatherer(names, x.parts, yield)
 		defer g.finish()
 		if q.order != nil {
 			var ids []uint32
@@ -320,7 +278,7 @@ func (q *Query) Batches() iter.Seq[*RowBatch] {
 			}
 			return
 		}
-		q.err = x.streamIDs(func(_ unit, gids []uint32, _ bool) bool { return g.add(gids) })
+		q.err = x.streamIDs(func(_ unit, gids []uint32) bool { return g.add(gids) })
 	}
 }
 

@@ -6,19 +6,28 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/zonemap"
 )
 
 // Background sealing (the LSM-style write path's second stage): full
-// segment-sized chunks are cut off the delta store's front, their value
-// slabs, summaries, dictionaries and indexes built OUTSIDE the table
-// lock from an immutable prefix snapshot, and the finished segments
-// installed atomically under the write lock — readers only ever see
-// either the rows in the delta or the same rows in sealed segments,
-// never both and never neither. Installation is optimistic: the store's
-// (base, generation) identity is re-checked under the lock, and a build
-// raced by an update or flush is discarded (IngestStats.SealRetries),
-// never installed.
+// segment-sized slabs are cut off the front of the delta store's
+// vectors by slice — a numeric stretch becomes its segment's value slab
+// as it is, a string stretch is decoded and re-encoded under a sorted
+// dictionary — their summaries, dictionaries and indexes built OUTSIDE
+// the table lock from a prefix snapshot that shares no mutable memory
+// with the store (delta.Store.CopyPrefix copies the rows out by typed
+// slice copy), and the finished segments installed atomically under the
+// write lock — readers only
+// ever see either the rows in the delta or the same rows in sealed
+// segments, never both and never neither. Installation is optimistic:
+// the store's (base, generation) identity is re-checked under the lock,
+// and a build raced by an update or flush is discarded
+// (IngestStats.SealRetries), never installed. The sealer holds sealMu
+// for a whole pass and the table's write lock only to top the tail up
+// and to install; the merge-compactor's idle pass costs one write-lock
+// acquisition and one flag read per segment (core.Index.NeedsRebuild
+// looks at the imprint vectors only after an update marked the index).
 
 // sealLoop is the background worker started by EnableDeltaIngest with
 // AutoSeal: it wakes on commit kicks, seals full chunks, runs one
@@ -126,24 +135,23 @@ func (t *Table) sealChunk(d *deltaState) (int, bool) {
 	}
 	t.mu.Unlock()
 
-	base, rows, gen := d.store.CopyPrefix(d.maxSealSegs * t.segRows)
-	nsegs := len(rows) / t.segRows
+	full := d.store.Len() / t.segRows
+	prefix := d.store.CopyPrefix(min(full, d.maxSealSegs) * t.segRows)
+	nsegs := prefix.Rows / t.segRows
 	if nsegs == 0 {
 		return 0, false
 	}
 	n := nsegs * t.segRows
-	rows = rows[:n]
 
-	// Build off the lock: the prefix snapshot's inner rows are
-	// immutable, so summaries, dictionaries and imprints can be
-	// computed while readers and writers proceed. Yield between
-	// segment builds so reader goroutines interleave promptly even at
-	// small GOMAXPROCS.
+	// Build off the lock: the prefix snapshot is the sealer's own, so
+	// summaries, dictionaries and imprints can be computed while readers
+	// and writers proceed. Yield between segment builds so reader
+	// goroutines interleave promptly even at small GOMAXPROCS.
 	built := make([][]any, len(cols))
 	for ci, col := range cols {
 		segsBuilt := make([]any, nsegs)
 		for k := 0; k < nsegs; k++ {
-			segsBuilt[k] = col.buildSealed(rows[k*t.segRows:(k+1)*t.segRows], ci)
+			segsBuilt[k] = col.buildSealed(prefix, k)
 			runtime.Gosched()
 		}
 		built[ci] = segsBuilt
@@ -154,7 +162,7 @@ func (t *Table) sealChunk(d *deltaState) (int, bool) {
 	// still buffered. base == t.rows is implied by an unchanged
 	// generation; asserted cheaply all the same.
 	t.mu.Lock()
-	ok := d.store.Matches(base, gen, n) && base == t.rows
+	ok := d.store.Matches(prefix.Base, prefix.Gen, n) && prefix.Base == t.rows
 	if ok {
 		for ci, col := range cols {
 			for _, seg := range built[ci] {
@@ -219,11 +227,11 @@ func (t *Table) maybeAutoCompact(d *deltaState) {
 
 // ---- per-column seal/merge hooks ----
 
-func (c *colState[V]) buildSealed(rows [][]any, ci int) any {
-	vals := make([]V, len(rows))
-	for r, row := range rows {
-		vals[r] = row[ci].(V)
-	}
+func (c *colState[V]) buildSealed(prefix delta.View, k int) any {
+	// The k-th segment's stretch of the snapshot, capped so the slab
+	// cannot grow into its neighbour's.
+	lo := prefix.Lo() + k*c.segRows
+	vals := delta.NumVec[V](prefix, c.pos)[lo : lo+c.segRows : lo+c.segRows]
 	s := &segment[V]{vals: vals}
 	s.min, s.max, _ = summarize(vals)
 	switch c.mode {
@@ -266,10 +274,12 @@ func (c *colState[V]) needsMerge(s *segment[V], satLimit float64) bool {
 	return s.sumWide || (s.ix != nil && s.ix.NeedsRebuild(satLimit, 0, 0))
 }
 
-func (c *strColState) buildSealed(rows [][]any, ci int) any {
-	vals := make([]string, len(rows))
-	for r, row := range rows {
-		vals[r] = row[ci].(string)
+func (c *strColState) buildSealed(prefix delta.View, k int) any {
+	codes, syms := prefix.StrVec(c.pos)
+	lo := prefix.Lo() + k*c.segRows
+	vals := make([]string, c.segRows)
+	for i, code := range codes[lo : lo+c.segRows] {
+		vals[i] = syms[code]
 	}
 	// The generation is assigned at install time (it needs the write
 	// lock); plans cannot have cached a translation for an uninstalled

@@ -240,19 +240,14 @@ func (b *Batch) commitSharded() error {
 	return nil
 }
 
-// commitChunk re-stages rows [from, to) of the parent batch into a
-// child batch on shard c and commits it there (the child takes the
-// delta-ingest or columnar path on its own); callers hold shard c's
-// token.
+// commitChunk commits rows [from, to) of the parent batch on shard c
+// through a child batch that shares the parent's staging (the child
+// takes the delta-ingest or columnar path on its own); callers hold
+// shard c's token.
 //
 //imprintvet:locks held=tokens acquires=kid
 func (sh *shardState) commitChunk(c int, b *Batch, from, to int) error {
-	cb := sh.kids[c].NewBatch()
-	for _, sc := range b.staged {
-		if err := sc.slice(cb, from, to); err != nil {
-			return err
-		}
-	}
+	cb := &Batch{t: sh.kids[c], rows: to - from, from: from, staged: b.staged}
 	return cb.Commit()
 }
 
@@ -372,12 +367,9 @@ func shardColumn[V coltype.Value](t *Table, name string) ([]V, error) {
 				lid++
 			}
 		}
-		if view := kid.deltaViewLocked(); view != nil {
-			if ci := view.colIdx(name); ci >= 0 {
-				for i, row := range view.rows {
-					out = append(out, ent{sh.gidOf(c, view.base+i), row[ci].(V)})
-				}
-			}
+		view := kid.deltaViewLocked()
+		for i, v := range cs.deltaValues(nil, view) {
+			out = append(out, ent{sh.gidOf(c, view.Base+i), v})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].gid < out[j].gid })
@@ -406,12 +398,9 @@ func (t *Table) shardStringColumn(name string) ([]string, error) {
 		for lid, v := range cs.decodeAll() {
 			out = append(out, ent{sh.gidOf(c, lid), v})
 		}
-		if view := kid.deltaViewLocked(); view != nil {
-			if ci := view.colIdx(name); ci >= 0 {
-				for i, row := range view.rows {
-					out = append(out, ent{sh.gidOf(c, view.base+i), row[ci].(string)})
-				}
-			}
+		view := kid.deltaViewLocked()
+		for i, v := range cs.deltaValues(nil, view) {
+			out = append(out, ent{sh.gidOf(c, view.Base+i), v})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].gid < out[j].gid })

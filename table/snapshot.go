@@ -2,136 +2,93 @@ package table
 
 import (
 	"repro/internal/core"
+	"repro/internal/delta"
 )
 
 // Snapshot reads (the LSM-style write path's read side): an execution
 // captures, under the read lock it already holds, the sealed-segment
-// epoch (the segment list at t.rows) plus a delta watermark — the
-// buffered rows visible at capture time. Sealed segments evaluate
-// through the unchanged vectorized block walk; the delta rows are
-// scanned exactly, row at a time, with the same compiled leaf
-// semantics (leafPlan.rowCheck). Concurrent appends land beyond the
-// watermark and concurrent seal installs re-home rows the execution
-// reads from the delta — either way the union each executor produces
-// is the table as of capture, so readers get stable results while
-// writers stream.
+// epoch (the segment list at t.rows) plus a delta watermark — a
+// delta.View of the rows buffered at capture time. Each part's buffered
+// rows are one more unit of the execution frame (exec.go): unindexed
+// and summary-less — one inexact run over the view's positions, never
+// pruned, probed or answered from a summary — and otherwise evaluated
+// like a sealed segment, by the same block walk (walkBlocks), the same
+// monomorphized selection-mask kernels composed under the same
+// and/or/andnot semantics (deltaKernel), and the same typed folds,
+// collectors and gathers, built over the view's column vector instead
+// of a segment's value slab (the anyColumn hooks take a segRef). There
+// is one delta read path; SelectOptions.Scalar does not apply to it.
+//
+// What a view aliases: the vectors are the store's own memory.
+// Concurrent appends land beyond the watermark (a vector only grows
+// past the viewed prefix; the dictionary only gains symbols past the
+// codes the prefix uses), and everything that patches or drops
+// buffered values — an update of a buffered row, a flush, a seal
+// install that re-homes the rows into segments — runs under the
+// table's write lock, which the execution's read lock excludes. Either
+// way the union each executor produces is the table as of capture, so
+// readers get stable results while writers stream.
 
-// deltaView is one execution's delta watermark: the buffered rows
-// visible to it, addressed by global id base+i. Valid only while the
-// capturing execution holds the table's read lock (the view aliases
-// the store's live slice; see delta.Store.View).
-type deltaView struct {
-	t    *Table
-	base int
-	rows [][]any
-	cols []string
+// segRef names the rows a column hook reads: sealed segment s of the
+// column, indexed by segment-local id, or — when view is set — the
+// column's vector of the part's delta view, indexed by position (the
+// row with part-local id view.Origin()+p sits at position p).
+type segRef struct {
+	s    int
+	view *delta.View
 }
 
-// deltaViewLocked captures the delta watermark for one execution; nil
-// when the table has no delta ingest or nothing is buffered. Callers
-// hold the read lock for the view's lifetime.
+// deltaViewLocked captures the delta watermark for one execution; the
+// zero view when the table has no delta ingest. Callers hold the read
+// lock for the view's lifetime.
 //
 //imprintvet:locks held=mu.R
-func (t *Table) deltaViewLocked() *deltaView {
-	d := t.delta
-	if d == nil {
-		return nil
+func (t *Table) deltaViewLocked() delta.View {
+	if t.delta == nil {
+		return delta.View{}
 	}
-	base, rows := d.store.View()
-	if len(rows) == 0 {
-		return nil
-	}
-	return &deltaView{t: t, base: base, rows: rows, cols: d.store.Cols()}
+	return t.delta.store.View()
 }
 
-// colIdx returns a column's position in the delta row layout, or -1.
-func (v *deltaView) colIdx(name string) int {
-	for i, c := range v.cols {
-		if c == name {
-			return i
-		}
+// evalDelta is evalSegment for the part's buffered rows at positions
+// [lo, hi) of its delta view: one inexact run over the blocks they
+// touch, the residual being the execution tree compiled — once per
+// execution — to a selection-mask kernel over the view's vectors (nil
+// tree: no residual, every live row qualifies).
+//
+//imprintvet:locks held=mu.R
+func (p *part) evalDelta(lo, hi int) evaluated {
+	if p.en != nil && p.dkern == nil {
+		p.dkern = deltaKernel(p.en, segRef{view: &p.view})
 	}
-	return -1
+	buf := getRunScratch()
+	first := lo / BlockRows
+	*buf = append((*buf)[:0], core.CandidateRun{
+		Start: uint32(first),
+		Count: uint32((hi+BlockRows-1)/BlockRows - first),
+	})
+	return evaluated{runs: *buf, owner: buf, kern: p.dkern,
+		origin: p.view.Origin(), lo: lo, hi: hi, buffered: true}
 }
 
-// matcher compiles an execution tree into an exact row-at-a-time test
-// over delta rows, composing each leaf's rowCheck under the same
-// and/or/andnot semantics the segment evaluator applies. A nil tree
-// matches every row.
-func (v *deltaView) matcher(en *execNode) func(row []any) bool {
-	if en == nil {
-		return nil
+// deltaKernel compiles an execution tree into the selection-mask kernel
+// of the delta vectors r names, composing the leaves' kernels exactly
+// as evalSegment composes a sealed segment's residual.
+//
+//imprintvet:locks held=mu.R
+func deltaKernel(en *execNode, r segRef) blockKernel {
+	if en.op == "leaf" {
+		return en.plan.deltaKernel(r)
+	}
+	kerns := make([]blockKernel, len(en.kids))
+	for i, kid := range en.kids {
+		kerns[i] = deltaKernel(kid, r)
 	}
 	switch en.op {
-	case "leaf":
-		ci := v.colIdx(en.leaf.col)
-		if ci < 0 {
-			// Cannot happen: executions bind against table columns and
-			// the delta layout mirrors t.order. Fail closed.
-			return func([]any) bool { return false }
-		}
-		check := en.plan.rowCheck()
-		return func(row []any) bool { return check(row[ci]) }
 	case "and":
-		kids := v.matchKids(en)
-		return func(row []any) bool {
-			for _, k := range kids {
-				if !k(row) {
-					return false
-				}
-			}
-			return true
-		}
+		return andKernels(kerns)
 	case "or":
-		kids := v.matchKids(en)
-		return func(row []any) bool {
-			for _, k := range kids {
-				if k(row) {
-					return true
-				}
-			}
-			return false
-		}
-	default: // "andnot" — binary: p and not q
-		p, q := v.matcher(en.kids[0]), v.matcher(en.kids[1])
-		return func(row []any) bool { return p(row) && !q(row) }
+		return orKernels(kerns)
 	}
-}
-
-func (v *deltaView) matchKids(en *execNode) []func(row []any) bool {
-	kids := make([]func(row []any) bool, len(en.kids))
-	for i, kid := range en.kids {
-		kids[i] = v.matcher(kid)
-	}
-	return kids
-}
-
-// scan walks the view's live rows in id order, evaluating match (nil
-// matches all) exactly and visiting qualifying rows until visit
-// returns false. It reports whether the walk ran to completion and
-// counts evaluated rows into st.DeltaRowsScanned.
-//
-//imprintvet:locks held=mu.R
-func (v *deltaView) scan(match func(row []any) bool, st *core.QueryStats, visit func(id int, row []any) bool) bool {
-	return v.scanRows(0, len(v.rows), match, st, visit)
-}
-
-// scanRows is scan over the view's rows [lo, hi) only.
-//
-//imprintvet:locks held=mu.R
-func (v *deltaView) scanRows(lo, hi int, match func(row []any) bool, st *core.QueryStats, visit func(id int, row []any) bool) bool {
-	for i, row := range v.rows[lo:hi] {
-		id := v.base + lo + i
-		if v.t.deletedAt(id) {
-			continue
-		}
-		st.DeltaRowsScanned++
-		if match != nil && !match(row) {
-			continue
-		}
-		if !visit(id, row) {
-			return false
-		}
-	}
-	return true
+	return andNotKernel(kerns[0], kerns[1]) // "andnot" — binary: p and not q
 }

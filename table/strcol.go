@@ -33,6 +33,21 @@ type strSegment struct {
 func (s *strSegment) codes() []int32 { return s.dict.Codes().Values() }
 func (s *strSegment) rows() int      { return s.dict.Codes().Len() }
 
+// codeSlab returns the codes of the rows r names and their
+// dictionary's symbols by code. ordered reports that code order is
+// string order — true of a sealed segment's sorted dictionary, not of
+// the delta's arrival-ordered one.
+//
+//imprintvet:locks held=mu.R
+func (c *strColState) codeSlab(r segRef) (codes []int32, syms []string, ordered bool) {
+	if r.view != nil {
+		codes, syms = r.view.StrVec(c.pos)
+		return codes, syms, false
+	}
+	seg := c.segs[r.s]
+	return seg.codes(), seg.dict.Symbols(), true
+}
+
 // strColState is the per-column state of a string attribute, segmented
 // like colState. String predicates translate to per-segment code
 // intervals, so StrRange and friends compose in the same And/Or/AndNot
@@ -45,6 +60,7 @@ type strColState struct {
 	mode    IndexMode     // Imprints or NoIndex
 	vpcOpts core.Options
 	segRows int
+	pos     int    // position in the table's column order (place)
 	genSeq  uint64 // generation source; each (re-)encode gets a fresh value
 }
 
@@ -98,15 +114,7 @@ func (t *Table) StringColumn(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := cs.decodeAll()
-	if view := t.deltaViewLocked(); view != nil {
-		if ci := view.colIdx(name); ci >= 0 {
-			for _, row := range view.rows {
-				out = append(out, row[ci].(string))
-			}
-		}
-	}
-	return out, nil
+	return cs.deltaValues(cs.decodeAll(), t.deltaViewLocked()), nil
 }
 
 // UpdateString changes one string value in place. When the new value is
@@ -139,12 +147,11 @@ func (t *Table) updateStringLocked(name string, id int, v string) (*wal.Log, int
 		return nil, 0, fmt.Errorf("table %s: row %d out of range", t.name, id)
 	}
 	if id >= cs.colRows() {
-		// Still buffered: replace the delta row copy-on-write; no
-		// re-encode, no imprint widening.
-		if err := t.deltaSetLocked(name, id, v); err != nil {
-			return nil, 0, err
-		}
-		return t.logStringUpdateLocked(name, id, v)
+		// Still buffered: patch the delta vector in place; no re-encode,
+		// no imprint widening.
+		store := t.delta.store
+		store.SetString(id-store.Base(), cs.pos, v)
+		return t.logStringUpdateLocked(cs, id, v)
 	}
 	seg, local := cs.segs[id/cs.segRows], id%cs.segRows
 	if code, ok := seg.dict.Code(v); ok {
@@ -152,25 +159,24 @@ func (t *Table) updateStringLocked(name string, id int, v string) (*wal.Log, int
 		if seg.ix != nil {
 			seg.ix.MarkUpdated(local, code)
 		}
-		return t.logStringUpdateLocked(name, id, v)
+		return t.logStringUpdateLocked(cs, id, v)
 	}
 	all := cs.decodeSegment(seg)
 	all[local] = v
 	cs.reencodeSegment(seg, all)
-	return t.logStringUpdateLocked(name, id, v)
+	return t.logStringUpdateLocked(cs, id, v)
 }
 
 // logStringUpdateLocked frames one string update into the attached WAL
 // (no-op without one); callers hold the write lock.
 //
 //imprintvet:locks held=mu
-func (t *Table) logStringUpdateLocked(name string, id int, v string) (*wal.Log, int64, error) {
+func (t *Table) logStringUpdateLocked(cs *strColState, id int, v string) (*wal.Log, int64, error) {
 	d := t.delta
 	if d == nil || d.wal == nil {
 		return nil, 0, nil
 	}
-	ci := slices.Index(t.order, name)
-	return t.walAppendLocked(d, encodeWALUpdate(id, ci, walTagString, v))
+	return t.walAppendLocked(d, encodeWALUpdate(id, cs.pos, walTagString, []string{v}))
 }
 
 func strCol(t *Table, name string) (*strColState, error) {
@@ -274,9 +280,9 @@ func (c *strColState) rebuildSegmentIndex(s *strSegment) {
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) valueAt(id int) any {
-	seg := c.segs[id/c.segRows]
-	return seg.dict.Symbol(seg.codes()[id%c.segRows])
+func (c *strColState) valueAt(r segRef, local int) any {
+	codes, syms, _ := c.codeSlab(r)
+	return syms[codes[local]]
 }
 
 func (c *strColState) decodeSegment(s *strSegment) []string {
@@ -533,33 +539,47 @@ func (pl *strLeafPlan) segCheck(s int) core.CheckFunc {
 	return func(id uint32) bool { v := codes[id]; return v >= lo && v < hi }
 }
 
-// rowCheck tests boxed delta-row strings directly — the raw-string
-// form of the per-segment dictionary translation: Range is inclusive
-// on both ends, Equals is exact, Prefix is a literal prefix test.
-func (pl *strLeafPlan) rowCheck() func(v any) bool {
+// deltaKernel translates the leaf once against the delta's dictionary —
+// the raw-string form of the per-segment translation: Range is
+// inclusive on both ends, Equals is exact, Prefix is a literal prefix
+// test — into a membership table over its codes.
+//
+//imprintvet:locks held=mu.R
+func (pl *strLeafPlan) deltaKernel(r segRef) blockKernel {
+	codes, syms, _ := pl.c.codeSlab(r)
+	var match func(s string) bool
 	switch pl.kind {
 	case kindIn:
-		member := make(map[string]struct{}, len(pl.inSet))
-		for _, s := range pl.inSet {
-			member[s] = struct{}{}
+		match = func(s string) bool { return slices.Contains(pl.inSet, s) }
+		if len(pl.inSet) > 4 {
+			member := make(map[string]struct{}, len(pl.inSet))
+			for _, s := range pl.inSet {
+				member[s] = struct{}{}
+			}
+			match = func(s string) bool { _, ok := member[s]; return ok }
 		}
-		return func(v any) bool { _, ok := member[v.(string)]; return ok }
 	case kindRange:
-		low, high := pl.low, pl.high
-		return func(v any) bool { s := v.(string); return s >= low && s <= high }
+		match = func(s string) bool { return s >= pl.low && s <= pl.high }
 	case kindAtLeast:
-		low := pl.low
-		return func(v any) bool { return v.(string) >= low }
+		match = func(s string) bool { return s >= pl.low }
 	case kindLessThan:
-		high := pl.high
-		return func(v any) bool { return v.(string) < high }
+		match = func(s string) bool { return s < pl.high }
 	case kindPrefix:
-		pre := pl.low
-		return func(v any) bool { return strings.HasPrefix(v.(string), pre) }
+		match = func(s string) bool { return strings.HasPrefix(s, pl.low) }
 	default: // kindEquals; compileLeaf rejected every other kind
-		low := pl.low
-		return func(v any) bool { return v.(string) == low }
+		match = func(s string) bool { return s == pl.low }
 	}
+	member := make([]bool, len(syms))
+	none := true
+	for code, s := range syms {
+		if match(s) {
+			member[code], none = true, false
+		}
+	}
+	if none {
+		return zeroMask
+	}
+	return memberKernel(codes, member)
 }
 
 //imprintvet:locks held=mu.R

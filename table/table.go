@@ -76,7 +76,6 @@ package table
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,6 +84,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/coltype"
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
@@ -136,14 +136,13 @@ type anyColumn interface {
 	// satLimit and, when rebuild is set, rebuilds exactly those.
 	maintain(satLimit float64, rebuild bool) int
 	compact(keep []int) // drop deleted rows (ids to keep, ascending)
-	valueAt(id int) any
+	// valueAt boxes the value at position local of the rows r names.
+	valueAt(r segRef, local int) any
 	// vecKind is the column's ColVec kind and numeric width; gather
-	// appends segment s's values at the given segment-local offsets to
-	// dst, and gatherDelta position ci of the buffered rows at the given
-	// offsets — unboxed, widened to dst's kind (batch.go).
+	// appends the values at the given positions of the rows r names to
+	// dst — unboxed, widened to dst's kind (batch.go).
 	vecKind() (ColKind, int)
-	gather(dst *ColVec, s int, locals []uint32)
-	gatherDelta(dst *ColVec, rows [][]any, ci int, locals []uint32)
+	gather(dst *ColVec, r segRef, locals []uint32)
 	// persist writes the column's checksummed sections (persist.go).
 	persist(io.Writer) error
 	indexStats() ColumnIndexStats
@@ -161,33 +160,40 @@ type anyColumn interface {
 	// when the summary cannot answer exactly. The caller guarantees
 	// full coverage and a delete-free segment and fills in rows.
 	aggSummary(op aggOp, s int) (aggPartial, bool)
-	// aggAcc returns a typed fold accumulator for op over segment s.
-	aggAcc(op aggOp, s int) segAgg
+	// aggAcc returns a typed fold accumulator for op over the rows r
+	// names.
+	aggAcc(op aggOp, r segRef) segAgg
 	// groupCheck validates the column as a GroupBy key (integer and
 	// string columns only).
 	groupCheck() error
-	// slotter returns segment s's group-key slotter (a dense slot id
-	// per row, decoded to the global key space when the segment's
+	// slotter returns the group-key slotter of the rows r names (a dense
+	// slot id per row, decoded to the global key space when the unit's
 	// groups are emitted); slotAcc returns a per-slot fold accumulator
-	// for op over segment s.
-	slotter(s int) segSlotter
-	slotAcc(op aggOp, s int) slotAgg
-	// topkAcc returns a bounded top-k collector over segment s
-	// (unbounded when k <= 0) whose rows carry the global ids idBase +
-	// local; topkMerge ranks the per-segment partials globally and
+	// for op over them.
+	slotter(r segRef) segSlotter
+	slotAcc(op aggOp, r segRef) slotAgg
+	// topkAcc returns a bounded top-k collector over the rows r names
+	// (unbounded when k <= 0), which tags rows with global ids once
+	// rebased; topkMerge ranks the per-unit partials globally and
 	// returns the ordered row ids.
-	topkAcc(s int, idBase uint32, desc bool, k int) segTopK
+	topkAcc(r segRef, desc bool, k int) segTopK
 	topkMerge(parts []orderPartial, desc bool, k int) []uint32
 
 	// ---- LSM-ingest hooks (delta.go, seal.go) ----
-	// absorbAny extends the column tail with its values out of row-major
-	// delta rows (position ci of each row); callers hold the write lock.
-	absorbAny(rows [][]any, ci int)
+	// place records the column's position in the table — and so in
+	// every delta store and view of it — once, before the column is
+	// published (installColumn); deltaCol returns an empty delta vector
+	// of the column's type.
+	place(pos int)
+	deltaCol() delta.Col
+	// absorbDelta extends the column tail with view's rows; callers
+	// hold the write lock.
+	absorbDelta(view delta.View)
 	// buildSealed builds one full sealed segment (value slab, exact
-	// summary, index/dictionary) from exactly segRows delta rows — run
-	// outside any lock; installSealed appends the built segments under
-	// the write lock.
-	buildSealed(rows [][]any, ci int) any
+	// summary, index/dictionary) from the k-th segRows rows of a prefix
+	// snapshot — run outside any lock; installSealed appends the built
+	// segments under the write lock.
+	buildSealed(prefix delta.View, k int) any
 	installSealed(built any)
 	// mergeBacklog counts sealed segments whose summary was widened by
 	// updates or whose index saturated past satLimit; mergeOne rewrites
@@ -195,11 +201,6 @@ type anyColumn interface {
 	// write lock and reports whether it found one.
 	mergeBacklog(satLimit float64) int
 	mergeOne(satLimit float64) bool
-	// deltaAgg, deltaGroupKey and deltaOrd fold boxed delta-row values
-	// into the same partial domains the segment executors merge.
-	deltaAgg(op aggOp) deltaAgg
-	deltaGroupKey(v any) groupKey
-	deltaOrd(vals []any, ids []uint32) orderPartial
 }
 
 // colState is the concrete typed column state: an ordered list of
@@ -213,6 +214,7 @@ type colState[V coltype.Value] struct {
 	mode    IndexMode
 	vpcOpts core.Options
 	segRows int
+	pos     int // position in the table's column order (place)
 }
 
 func newColState[V coltype.Value](name string, mode IndexMode, opts core.Options, segRows int) *colState[V] {
@@ -500,6 +502,7 @@ func validateOptions(o core.Options) error {
 //
 //imprintvet:locks held=mu
 func (t *Table) installColumn(name string, c anyColumn, nvals int) {
+	c.place(len(t.order))
 	t.cols[name] = c
 	t.order = append(t.order, name)
 	if len(t.order) == 1 {
@@ -508,7 +511,7 @@ func (t *Table) installColumn(name string, c anyColumn, nvals int) {
 	if t.delta != nil {
 		// The store was drained before the layout change; re-anchor it
 		// on the new layout and row count.
-		t.delta.store.SetCols(t.order)
+		t.delta.store.SetCols(t.deltaCols())
 		t.delta.store.SetBase(t.rows)
 	}
 }
@@ -531,14 +534,7 @@ func Column[V coltype.Value](t *Table, name string) ([]V, error) {
 	for _, s := range cs.segs {
 		out = append(out, s.vals...)
 	}
-	if view := t.deltaViewLocked(); view != nil {
-		if ci := view.colIdx(name); ci >= 0 {
-			for _, row := range view.rows {
-				out = append(out, row[ci].(V))
-			}
-		}
-	}
-	return out, nil
+	return cs.deltaValues(out, t.deltaViewLocked()), nil
 }
 
 // Index returns the imprints index of a single-segment column, or nil
@@ -615,19 +611,19 @@ func typedCol[V coltype.Value](t *Table, name string) (*colState[V], error) {
 type Batch struct {
 	t      *Table
 	rows   int                  // -1 until first column staged
+	from   int                  // first staged row the batch commits (a shard's chunk of its parent)
 	staged map[string]stagedCol // staged data, one entry per column
 }
 
-// stagedCol is one column's staged batch data: the columnar commit
-// action plus a boxed row accessor so delta-ingest commits can pivot
-// the staging into row-major tuples, plus a typed re-stager so sharded
-// commits can carve the staging into per-shard child batches.
+// stagedCol is one column's staged batch data: the typed values (a []V
+// or []string copy the batch owns — what a delta-ingest commit appends
+// to the store and frames into the log as they are) and the columnar
+// commit action, which absorbs rows [from, to) of them into the
+// column's tail on table t (a sharded commit applies one staging to
+// several shards, chunk by chunk).
 type stagedCol struct {
-	apply func()          // absorb into the columnar tail (write lock held)
-	value func(i int) any // i-th staged value, boxed
-	// slice stages rows [from, to) into a child batch (sharded tables
-	// only; nil otherwise).
-	slice func(cb *Batch, from, to int) error
+	vals  any
+	apply func(t *Table, from, to int) // write lock held
 }
 
 // NewBatch starts an append batch.
@@ -635,30 +631,22 @@ func (t *Table) NewBatch() *Batch {
 	return &Batch{t: t, rows: -1, staged: map[string]stagedCol{}}
 }
 
+// schemaTable is the table column definitions are checked against: the
+// table itself, or — schemas being identical across shards — shard 0.
+func (t *Table) schemaTable() *Table {
+	if t.shard != nil {
+		return t.shard.kids[0]
+	}
+	return t
+}
+
 // Append stages new values for one column of the batch. The values are
 // copied, so the caller's slice may be reused afterwards.
 func Append[V coltype.Value](b *Batch, name string, vals []V) error {
-	if sh := b.t.shard; sh != nil {
-		kid := sh.kids[0]
-		kid.mu.RLock()
-		_, err := typedCol[V](kid, name)
-		kid.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		if err := b.stage(name, len(vals)); err != nil {
-			return err
-		}
-		vcopy := append([]V(nil), vals...)
-		b.staged[name] = stagedCol{
-			value: func(i int) any { return vcopy[i] },
-			slice: func(cb *Batch, from, to int) error { return Append(cb, name, vcopy[from:to]) },
-		}
-		return nil
-	}
-	b.t.mu.RLock()
-	cs, err := typedCol[V](b.t, name)
-	b.t.mu.RUnlock()
+	t := b.t.schemaTable()
+	t.mu.RLock()
+	_, err := typedCol[V](t, name)
+	t.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -667,37 +655,20 @@ func Append[V coltype.Value](b *Batch, name string, vals []V) error {
 	}
 	vcopy := append([]V(nil), vals...)
 	b.staged[name] = stagedCol{
+		vals: vcopy,
 		// The apply closure runs later, under Commit's write lock.
 		//imprintvet:allow locksafe apply closures run under Commit's write lock
-		apply: func() { cs.absorb(vcopy) },
-		value: func(i int) any { return vcopy[i] },
+		apply: func(t *Table, from, to int) { t.cols[name].(*colState[V]).absorb(vcopy[from:to]) },
 	}
 	return nil
 }
 
 // AppendStrings stages new values for one string column of the batch.
 func (b *Batch) AppendStrings(name string, vals []string) error {
-	if sh := b.t.shard; sh != nil {
-		kid := sh.kids[0]
-		kid.mu.RLock()
-		_, err := strCol(kid, name)
-		kid.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		if err := b.stage(name, len(vals)); err != nil {
-			return err
-		}
-		vcopy := append([]string(nil), vals...)
-		b.staged[name] = stagedCol{
-			value: func(i int) any { return vcopy[i] },
-			slice: func(cb *Batch, from, to int) error { return cb.AppendStrings(name, vcopy[from:to]) },
-		}
-		return nil
-	}
-	b.t.mu.RLock()
-	cs, err := strCol(b.t, name)
-	b.t.mu.RUnlock()
+	t := b.t.schemaTable()
+	t.mu.RLock()
+	_, err := strCol(t, name)
+	t.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -706,10 +677,10 @@ func (b *Batch) AppendStrings(name string, vals []string) error {
 	}
 	vcopy := append([]string(nil), vals...)
 	b.staged[name] = stagedCol{
+		vals: vcopy,
 		// The apply closure runs later, under Commit's write lock.
 		//imprintvet:allow locksafe apply closures run under Commit's write lock
-		apply: func() { cs.absorbStrings(vcopy) },
-		value: func(i int) any { return vcopy[i] },
+		apply: func(t *Table, from, to int) { t.cols[name].(*strColState).absorbStrings(vcopy[from:to]) },
 	}
 	return nil
 }
@@ -782,7 +753,7 @@ func (b *Batch) Commit() error {
 		}
 	}
 	for _, name := range b.t.order {
-		b.staged[name].apply()
+		b.staged[name].apply(b.t, b.from, b.from+b.rows)
 	}
 	b.t.rows += b.rows
 	t := b.t
@@ -878,9 +849,7 @@ func (c *colState[V]) absorb(vals []V) {
 }
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) valueAt(id int) any {
-	return c.segs[id/c.segRows].vals[id%c.segRows]
-}
+func (c *colState[V]) valueAt(r segRef, local int) any { return c.slab(r)[local] }
 
 // maintain applies the Section 4.2 saturation heuristic segment by
 // segment: only segments whose own imprint is saturated are rebuilt,
@@ -942,11 +911,10 @@ func updateLocked[V coltype.Value](t *Table, name string, id int, v V) (*wal.Log
 		return nil, 0, fmt.Errorf("table %s: row %d out of range", t.name, id)
 	}
 	if id >= cs.colRows() {
-		// Still buffered: replace the delta row copy-on-write; no
-		// segment summary widens, no index saturates.
-		if err := t.deltaSetLocked(name, id, v); err != nil {
-			return nil, 0, err
-		}
+		// Still buffered: patch the delta vector in place; no segment
+		// summary widens, no index saturates.
+		store := t.delta.store
+		delta.SetNum(store, id-store.Base(), cs.pos, v)
 	} else {
 		seg, local := cs.segs[id/cs.segRows], id%cs.segRows
 		seg.vals[local] = v
@@ -956,9 +924,7 @@ func updateLocked[V coltype.Value](t *Table, name string, id int, v V) (*wal.Log
 	if d == nil || d.wal == nil {
 		return nil, 0, nil
 	}
-	ci := slices.Index(t.order, name)
-	tag, _ := walValueTag(any(v))
-	return t.walAppendLocked(d, encodeWALUpdate(id, ci, tag, any(v)))
+	return t.walAppendLocked(d, encodeWALUpdate(id, cs.pos, d.walTags[cs.pos], []V{v}))
 }
 
 // Delete marks a row deleted; it stops appearing in query results.
@@ -1187,16 +1153,13 @@ func (t *Table) ReadRow(id int) (map[string]any, error) {
 		return nil, fmt.Errorf("table %s: row %d is deleted", t.name, id)
 	}
 	row := make(map[string]any, len(t.order))
+	r, local := segRef{s: id / t.segRows}, id%t.segRows
 	if id >= t.rows {
-		base, drows := t.delta.store.View()
-		drow := drows[id-base]
-		for ci, name := range t.order {
-			row[name] = drow[ci]
-		}
-		return row, nil
+		view := t.deltaViewLocked()
+		r.view, local = &view, id-view.Origin()
 	}
 	for _, name := range t.order {
-		row[name] = t.cols[name].valueAt(id)
+		row[name] = t.cols[name].valueAt(r, local)
 	}
 	return row, nil
 }

@@ -47,12 +47,15 @@ func (q *Query) OrderBy(o OrderSpec) *Query {
 	return q
 }
 
-// segTopK collects one segment's candidate rows for an ordered
-// execution — a bounded heap when k > 0, everything otherwise — taking
-// them a block at a time in aggWalk's currency: the surviving lanes of
-// one block (pushMask) or a wholesale exact span (pushSpan), both
-// segment-local. Rows arrive in ascending id order.
+// segTopK collects one unit's candidate rows for an ordered execution —
+// a bounded heap when k > 0, everything otherwise — taking them a block
+// at a time in aggWalk's currency: the surviving lanes of one block
+// (pushMask) or a wholesale exact span (pushSpan), both in positions of
+// the unit's slab. Rows arrive in ascending id order; rebase sets the
+// global id of position 0 for the rows that follow (a part's buffered
+// rows span several global segments).
 type segTopK interface {
+	rebase(idBase uint32)
 	pushMask(base int, mask uint64)
 	pushSpan(from, to int)
 	partial() orderPartial
@@ -188,17 +191,19 @@ func mergeEntries[V coltype.Value](parts []orderPartial, desc bool, k int) []uin
 // ---- numeric columns ----
 
 //imprintvet:locks held=mu.R
-func (c *colState[V]) topkAcc(s int, idBase uint32, desc bool, k int) segTopK {
-	return &numTopK[V]{vals: c.segs[s].vals, idBase: idBase, heap: boundedHeap[V]{desc: desc, k: k}}
+func (c *colState[V]) topkAcc(r segRef, desc bool, k int) segTopK {
+	return &numTopK[V]{vals: c.slab(r), heap: boundedHeap[V]{desc: desc, k: k}}
 }
 
-// numTopK heaps the typed values of one segment's slab; idBase is the
-// global id of the segment's first row.
+// numTopK heaps the typed values of one slab; idBase is the global id
+// of its position 0.
 type numTopK[V coltype.Value] struct {
 	vals   []V
 	idBase uint32
 	heap   boundedHeap[V]
 }
+
+func (t *numTopK[V]) rebase(idBase uint32) { t.idBase = idBase }
 
 //imprintvet:hotpath
 func (t *numTopK[V]) pushMask(base int, mask uint64) {
@@ -232,15 +237,48 @@ func (c *colState[V]) topkMerge(parts []orderPartial, desc bool, k int) []uint32
 // strTopK heaps segment-local dictionary codes (code order is string
 // order within a segment) and decodes only the surviving entries.
 type strTopK struct {
-	seg *strSegment
+	syms []string
 	numTopK[int32]
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) topkAcc(s int, idBase uint32, desc bool, k int) segTopK {
-	seg := c.segs[s]
-	return &strTopK{seg: seg, numTopK: numTopK[int32]{vals: seg.codes(), idBase: idBase, heap: boundedHeap[int32]{desc: desc, k: k}}}
+func (c *strColState) topkAcc(r segRef, desc bool, k int) segTopK {
+	codes, syms, ordered := c.codeSlab(r)
+	if !ordered {
+		return &strDeltaTopK{codes: codes, syms: syms}
+	}
+	return &strTopK{syms: syms, numTopK: numTopK[int32]{vals: codes, heap: boundedHeap[int32]{desc: desc, k: k}}}
 }
+
+// strDeltaTopK collects the delta's qualifying rows decoded and
+// unbounded: arrival-ordered codes do not rank, so the cross-unit merge
+// — which sorts decoded entries anyway — does all the ranking.
+type strDeltaTopK struct {
+	codes  []int32
+	syms   []string
+	idBase uint32
+	out    []strOrdEntry
+}
+
+func (t *strDeltaTopK) rebase(idBase uint32) { t.idBase = idBase }
+
+func (t *strDeltaTopK) push(local int) {
+	t.out = append(t.out, strOrdEntry{v: t.syms[t.codes[local]], id: t.idBase + uint32(local)})
+}
+
+func (t *strDeltaTopK) pushMask(base int, mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		t.push(base + bits.TrailingZeros64(mask))
+	}
+}
+
+func (t *strDeltaTopK) pushSpan(from, to int) {
+	for local := from; local < to; local++ {
+		t.push(local)
+	}
+}
+
+func (t *strDeltaTopK) partial() orderPartial { return t.out }
 
 // strOrdEntry is a decoded string entry; partials decode before the
 // cross-segment merge because codes from different dictionaries are
@@ -253,7 +291,7 @@ type strOrdEntry struct {
 func (t *strTopK) partial() orderPartial {
 	out := make([]strOrdEntry, len(t.heap.h))
 	for i, e := range t.heap.h {
-		out[i] = strOrdEntry{v: t.seg.dict.Symbol(e.v), id: e.id}
+		out[i] = strOrdEntry{v: t.syms[e.v], id: e.id}
 	}
 	return out
 }
@@ -287,15 +325,27 @@ func (c *strColState) topkMerge(parts []orderPartial, desc bool, k int) []uint32
 
 // ---- execution ----
 
-// topkSegment is the per-segment ordered worker: the segment's
-// qualifying rows stream block by block into acc.
+// topk is the per-unit ordered worker: the unit's qualifying rows
+// stream block by block into a collector over its slab, which tags them
+// with global ids. A part's buffered rows are walked one local segment
+// at a time, the collector rebased to each one's global id span.
 //
 //imprintvet:locks held=mu.R
-func (t *Table) topkSegment(en *execNode, s int, opts SelectOptions, acc segTopK) segOut {
+func (x *exec) topk(u unit, desc bool, k int) segOut {
 	var o segOut
-	ev := t.evalSegment(en, s, opts, &o.st, false)
-	t.aggWalk(s, ev, &o.st, acc.pushSpan, acc.pushMask)
-	releaseEval(&ev)
+	p := &x.parts[u.c]
+	acc := p.col.topkAcc(p.ref(u), desc, k)
+	last := u.lseg
+	if u.buf {
+		u.lseg, last = p.view.Base/p.t.segRows, (p.view.Base+p.view.Rows-1)/p.t.segRows
+	}
+	for ; u.lseg <= last; u.lseg++ {
+		u.gseg = u.lseg*len(x.parts) + u.c
+		acc.rebase(x.base(u))
+		ev := p.eval(u, &o.st)
+		p.t.aggWalk(ev, &o.st, acc.pushSpan, acc.pushMask)
+		releaseEval(&ev)
+	}
 	o.ord = acc.partial()
 	return o
 }
@@ -315,37 +365,12 @@ func (x *exec) rankedIDs() ([]uint32, error) {
 	desc := q.order.desc
 	parts := make([]orderPartial, 0, x.units+len(x.parts))
 	if err := x.forEachUnit(
-		func(u unit) segOut {
-			p := &x.parts[u.c]
-			acc := p.col.topkAcc(u.lseg, uint32(u.gseg*q.t.segRows), desc, k)
-			return p.t.topkSegment(p.en, u.lseg, q.opts, acc)
-		},
+		func(u unit) segOut { return x.topk(u, desc, k) },
 		func(_ unit, o segOut) bool {
 			parts = append(parts, o.ord)
 			return true
 		}); err != nil {
 		return nil, err
-	}
-	// Each part's buffered rows contribute one extra partial: their
-	// ordering values are collected exactly (boxed, unsorted) and ranked
-	// by the same typed merge as the per-segment heaps.
-	n := len(x.parts)
-	for c := range x.parts {
-		p := &x.parts[c]
-		if p.view == nil {
-			continue
-		}
-		oci := p.view.colIdx(q.order.col)
-		var vals []any
-		var ids []uint32
-		p.view.scan(p.match, &x.st, func(id int, row []any) bool {
-			vals = append(vals, row[oci])
-			ids = append(ids, uint32(globalID(c, id, n, q.t.segRows)))
-			return true
-		})
-		if dp := p.col.deltaOrd(vals, ids); dp != nil {
-			parts = append(parts, dp)
-		}
 	}
 	return x.parts[0].col.topkMerge(parts, desc, k), nil
 }

@@ -189,6 +189,83 @@ func TestVectorizedAllocs(t *testing.T) {
 	}
 }
 
+// TestDeltaScanAllocs pins the same hygiene for buffered rows: a Count
+// and a grouped aggregate over a table with rows in the delta store
+// allocate a small constant — the delta's kernels, slotter and folds
+// are built once per execution over its typed vectors — that does not
+// grow with the rows buffered (a per-row box, closure or map entry
+// would).
+func TestDeltaScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation pin runs without -race")
+	}
+	measure := func(buffered int) (count, grouped float64) {
+		t.Helper()
+		tb := vecTestTable(t, 20_000, TableOptions{})
+		kind := make([]int64, 20_000)
+		if err := AddColumn(tb, "kind", kind, NoIndex, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.AddStringColumn("city", make([]string, 20_000), Imprints, core.Options{Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(3, 4))
+		for left := buffered; left > 0; left -= 500 {
+			n := min(left, 500)
+			v, price, kind, city := make([]int64, n), make([]float64, n), make([]int64, n), make([]string, n)
+			for i := range v {
+				v[i], price[i] = rng.Int64N(1_000_000), rng.Float64()*1000
+				kind[i], city[i] = rng.Int64N(40), oraCities[rng.IntN(len(oraCities))]
+			}
+			b := tb.NewBatch()
+			for _, err := range []error{Append(b, "v", v), Append(b, "price", price),
+				Append(b, "kind", kind), b.AppendStrings("city", city), b.Commit()} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tb.DeltaRows() != buffered {
+			t.Fatalf("%d rows buffered, want %d", tb.DeltaRows(), buffered)
+		}
+		prep, err := tb.Prepare(And(Range[int64]("v", 100_000, 600_000), StrAtLeast("city", "b")),
+			SelectOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := prep.Exec()
+		if n, st, err := q.Count(); err != nil || n == 0 || st.DeltaRowsScanned != uint64(buffered) {
+			t.Fatalf("Count = %d, %d buffered rows scanned of %d (%v)", n, st.DeltaRowsScanned, buffered, err)
+		}
+		count = testing.AllocsPerRun(50, func() {
+			if _, _, err := q.Count(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, key := range []string{"kind", "city"} {
+			g := prep.Exec().GroupBy(key)
+			grouped += testing.AllocsPerRun(50, func() {
+				if _, _, err := g.Aggregate(CountAll(), Sum("v"), Max("price"), Min("city")); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return count, grouped
+	}
+	count5, grouped5 := measure(5_000)
+	count50, grouped50 := measure(50_000)
+	if count5 > 16 {
+		t.Errorf("Count over buffered rows made %.1f allocs/run, want <= 16", count5)
+	}
+	if count5 != count50 || grouped5 != grouped50 {
+		t.Errorf("allocs/run grow with the rows buffered: Count %.1f -> %.1f, GroupBy %.1f -> %.1f (5K -> 50K rows)",
+			count5, count50, grouped5, grouped50)
+	}
+}
+
 // TestKernelCacheInvalidation pins that cached kernels follow the data:
 // updates in place, appends that grow or move the slab, dictionary
 // re-encodes and compactions must all be visible to the next execution

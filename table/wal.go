@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/coltype"
 	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
@@ -18,7 +19,8 @@ import (
 // exactly the memory order. Column imprints never need to be logged:
 // the index is a ~1-2% summary rebuilt cheaply from the value slabs,
 // so recovery replays raw rows into the delta store and rebuilds
-// indexes through the ordinary seal path. Checkpoints are piggybacked
+// indexes through the ordinary seal path: a commit record decodes
+// straight into typed column vectors, the form the delta store takes. Checkpoints are piggybacked
 // on image saves: WriteFile cuts the log while the drain holds the
 // exclusive lock, persists the cut sequence inside the image, and
 // truncates the covered segments once the image is durably renamed.
@@ -158,8 +160,8 @@ func (t *Table) enableWALKid(opts WALOptions, dir string) (*RecoveryReport, erro
 			// these records describe an epoch the image already covers
 			// (possibly with since-renumbered row ids). Skip wholesale.
 			if payload[0] == walRecCommit {
-				if _, rows, err := decodeWALCommit(payload, tags); err == nil {
-					rep.RowsSkipped += len(rows)
+				if _, rows, _, err := decodeWALCommit(payload, tags); err == nil {
+					rep.RowsSkipped += rows
 				}
 			}
 			return nil
@@ -256,24 +258,23 @@ func (t *Table) applyWALRecord(d *deltaState, payload []byte, tags []byte, rep *
 	}
 	switch payload[0] {
 	case walRecCommit:
-		base, rows, err := decodeWALCommit(payload, tags)
+		base, rows, vals, err := decodeWALCommit(payload, tags)
 		if err != nil {
 			return err
 		}
 		cur := t.Rows()
 		switch {
-		case base+len(rows) <= cur:
-			rep.RowsSkipped += len(rows)
+		case base+rows <= cur:
+			rep.RowsSkipped += rows
 			return nil
 		case base > cur:
 			return fmt.Errorf("wal replay: commit base %d leaves a gap after row %d", base, cur)
 		}
 		rep.RowsSkipped += cur - base
-		suffix := rows[cur-base:]
-		if err := d.store.Append(suffix); err != nil {
+		if err := d.store.Append(vals, cur-base, rows); err != nil {
 			return fmt.Errorf("wal replay: %w", err)
 		}
-		rep.RowsReplayed += len(suffix)
+		rep.RowsReplayed += base + rows - cur
 		return nil
 	case walRecUpdate:
 		id, ci, val, err := decodeWALUpdate(payload, tags)
@@ -334,31 +335,32 @@ func (t *Table) orderName(ci int) string {
 	return t.order[ci]
 }
 
-// walApplyUpdate re-applies one decoded update by value type.
+// walApplyUpdate re-applies one decoded update by value type; val is
+// the one-cell vector decodeWALUpdate produced.
 func walApplyUpdate(t *Table, name string, id int, val any) error {
 	switch v := val.(type) {
-	case int8:
-		return Update(t, name, id, v)
-	case int16:
-		return Update(t, name, id, v)
-	case int32:
-		return Update(t, name, id, v)
-	case int64:
-		return Update(t, name, id, v)
-	case uint8:
-		return Update(t, name, id, v)
-	case uint16:
-		return Update(t, name, id, v)
-	case uint32:
-		return Update(t, name, id, v)
-	case uint64:
-		return Update(t, name, id, v)
-	case float32:
-		return Update(t, name, id, v)
-	case float64:
-		return Update(t, name, id, v)
-	case string:
-		return t.UpdateString(name, id, v)
+	case []int8:
+		return Update(t, name, id, v[0])
+	case []int16:
+		return Update(t, name, id, v[0])
+	case []int32:
+		return Update(t, name, id, v[0])
+	case []int64:
+		return Update(t, name, id, v[0])
+	case []uint8:
+		return Update(t, name, id, v[0])
+	case []uint16:
+		return Update(t, name, id, v[0])
+	case []uint32:
+		return Update(t, name, id, v[0])
+	case []uint64:
+		return Update(t, name, id, v[0])
+	case []float32:
+		return Update(t, name, id, v[0])
+	case []float64:
+		return Update(t, name, id, v[0])
+	case []string:
+		return t.UpdateString(name, id, v[0])
 	}
 	return fmt.Errorf("update of unsupported type %T", val)
 }
@@ -393,64 +395,67 @@ var walTagByType = map[string]byte{
 	"float32": walTagFloat32, "float64": walTagFloat64, "string": walTagString,
 }
 
-// walValueTag returns the tag for a boxed value (updates carry one).
-func walValueTag(v any) (byte, bool) {
-	switch v.(type) {
-	case int8:
-		return walTagInt8, true
-	case int16:
-		return walTagInt16, true
-	case int32:
-		return walTagInt32, true
-	case int64:
-		return walTagInt64, true
-	case uint8:
-		return walTagUint8, true
-	case uint16:
-		return walTagUint16, true
-	case uint32:
-		return walTagUint32, true
-	case uint64:
-		return walTagUint64, true
-	case float32:
-		return walTagFloat32, true
-	case float64:
-		return walTagFloat64, true
-	case string:
-		return walTagString, true
-	}
-	return 0, false
+// walCodec is one loggable type's side of the record codec. Values
+// travel between the codec and the table as typed vectors — a column of
+// a commit, the single cell of an update — held in an any: the []V (or
+// []string) the tag names.
+type walCodec struct {
+	newCol func(n int) any                       // an n-cell vector
+	put    func(b []byte, col any, r int) []byte // encode cell r
+	get    func(c *walCursor, col any, r int)    // decode into cell r
 }
 
-// appendWALValue encodes one boxed value; the tag must match walValueTag.
-func appendWALValue(b []byte, tag byte, v any) []byte {
-	switch tag {
-	case walTagInt8:
-		return append(b, byte(v.(int8)))
-	case walTagInt16:
-		return binary.LittleEndian.AppendUint16(b, uint16(v.(int16)))
-	case walTagInt32:
-		return binary.LittleEndian.AppendUint32(b, uint32(v.(int32)))
-	case walTagInt64:
-		return binary.LittleEndian.AppendUint64(b, uint64(v.(int64)))
-	case walTagUint8:
-		return append(b, v.(uint8))
-	case walTagUint16:
-		return binary.LittleEndian.AppendUint16(b, v.(uint16))
-	case walTagUint32:
-		return binary.LittleEndian.AppendUint32(b, v.(uint32))
-	case walTagUint64:
-		return binary.LittleEndian.AppendUint64(b, v.(uint64))
-	case walTagFloat32:
-		return binary.LittleEndian.AppendUint32(b, math.Float32bits(v.(float32)))
-	case walTagFloat64:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.(float64)))
-	case walTagString:
-		s := v.(string)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		return append(b, s...)
+func numWALCodec[V coltype.Value](put func([]byte, V) []byte, get func(*walCursor) V) walCodec {
+	return walCodec{
+		newCol: func(n int) any { return make([]V, n) },
+		put:    func(b []byte, col any, r int) []byte { return put(b, col.([]V)[r]) },
+		get:    func(c *walCursor, col any, r int) { col.([]V)[r] = get(c) },
 	}
-	panic("table: unknown wal value tag")
+}
+
+// walCodecs is indexed by tag. Tags reach it validated: a record's
+// against the table's own (decodeWALCommit, decodeWALUpdate), the
+// table's by walSchemaTags.
+var walCodecs = [walTagString + 1]walCodec{
+	walTagInt8: numWALCodec(
+		func(b []byte, v int8) []byte { return append(b, byte(v)) },
+		func(c *walCursor) int8 { return int8(c.u8()) }),
+	walTagInt16: numWALCodec(
+		func(b []byte, v int16) []byte { return binary.LittleEndian.AppendUint16(b, uint16(v)) },
+		func(c *walCursor) int16 { return int16(c.u16()) }),
+	walTagInt32: numWALCodec(
+		func(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) },
+		func(c *walCursor) int32 { return int32(c.u32()) }),
+	walTagInt64: numWALCodec(
+		func(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) },
+		func(c *walCursor) int64 { return int64(c.u64()) }),
+	walTagUint8: numWALCodec(
+		func(b []byte, v uint8) []byte { return append(b, v) },
+		(*walCursor).u8),
+	walTagUint16: numWALCodec(binary.LittleEndian.AppendUint16, (*walCursor).u16),
+	walTagUint32: numWALCodec(binary.LittleEndian.AppendUint32, (*walCursor).u32),
+	walTagUint64: numWALCodec(binary.LittleEndian.AppendUint64, (*walCursor).u64),
+	walTagFloat32: numWALCodec(
+		func(b []byte, v float32) []byte { return binary.LittleEndian.AppendUint32(b, math.Float32bits(v)) },
+		func(c *walCursor) float32 { return math.Float32frombits(c.u32()) }),
+	walTagFloat64: numWALCodec(
+		func(b []byte, v float64) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) },
+		func(c *walCursor) float64 { return math.Float64frombits(c.u64()) }),
+	walTagString: {
+		newCol: func(n int) any { return make([]string, n) },
+		put: func(b []byte, col any, r int) []byte {
+			s := col.([]string)[r]
+			return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+		},
+		get: func(c *walCursor, col any, r int) {
+			n := int(c.u32())
+			if c.err == nil && n > len(c.b)-c.off {
+				c.fail()
+				return
+			}
+			col.([]string)[r] = string(c.take(n))
+		},
+	},
 }
 
 // walCursor is a bounds-checked little-endian reader over one record.
@@ -508,104 +513,76 @@ func (c *walCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-// value decodes one tagged value into the boxed representation the
-// delta store carries.
-func (c *walCursor) value(tag byte) any {
-	switch tag {
-	case walTagInt8:
-		return int8(c.u8())
-	case walTagInt16:
-		return int16(c.u16())
-	case walTagInt32:
-		return int32(c.u32())
-	case walTagInt64:
-		return int64(c.u64())
-	case walTagUint8:
-		return c.u8()
-	case walTagUint16:
-		return c.u16()
-	case walTagUint32:
-		return c.u32()
-	case walTagUint64:
-		return c.u64()
-	case walTagFloat32:
-		return math.Float32frombits(c.u32())
-	case walTagFloat64:
-		return math.Float64frombits(c.u64())
-	case walTagString:
-		n := int(c.u32())
-		if c.err == nil && n > len(c.b)-c.off {
-			c.fail()
-			return nil
-		}
-		return string(c.take(n))
-	}
-	c.fail()
-	return nil
-}
-
-// encodeWALCommit frames one committed batch: its shard-local base row
-// and every staged value in column order.
-func encodeWALCommit(tags []byte, base int, rows [][]any) []byte {
-	b := make([]byte, 0, 16+len(tags)+len(rows)*len(tags)*8)
+// encodeWALCommit frames rows [from, to) of one committed batch — vals
+// holds its typed column vectors, in column order — as the batch's
+// shard-local base row followed by every value, row by row.
+func encodeWALCommit(tags []byte, base int, vals []any, from, to int) []byte {
+	b := make([]byte, 0, 16+len(tags)+(to-from)*len(tags)*8)
 	b = append(b, walRecCommit)
 	b = binary.LittleEndian.AppendUint64(b, uint64(base))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(to-from))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(tags)))
 	b = append(b, tags...)
-	for _, row := range rows {
+	for r := from; r < to; r++ {
 		for ci, tag := range tags {
-			b = appendWALValue(b, tag, row[ci])
+			b = walCodecs[tag].put(b, vals[ci], r)
 		}
 	}
 	return b
 }
 
-func decodeWALCommit(payload []byte, want []byte) (base int, rows [][]any, err error) {
+// decodeWALCommit returns the record's base row, row count and typed
+// column vectors.
+func decodeWALCommit(payload []byte, want []byte) (base, rows int, vals []any, err error) {
 	c := &walCursor{b: payload, off: 1}
 	base = int(c.u64())
-	nrows := int(c.u32())
+	rows = int(c.u32())
 	ncols := int(c.u16())
 	if c.err != nil {
-		return 0, nil, c.err
+		return 0, 0, nil, c.err
 	}
 	if ncols != len(want) {
-		return 0, nil, fmt.Errorf("wal replay: commit carries %d columns, table has %d", ncols, len(want))
+		return 0, 0, nil, fmt.Errorf("wal replay: commit carries %d columns, table has %d", ncols, len(want))
 	}
 	tags := c.take(ncols)
 	if !slices.Equal(tags, want) {
-		return 0, nil, fmt.Errorf("wal replay: commit column types %v do not match table %v", tags, want)
+		return 0, 0, nil, fmt.Errorf("wal replay: commit column types %v do not match table %v", tags, want)
 	}
-	if nrows < 0 || nrows > len(payload) {
-		return 0, nil, fmt.Errorf("wal replay: commit claims %d rows in a %d-byte record", nrows, len(payload))
+	if rows < 0 || rows > len(payload) {
+		return 0, 0, nil, fmt.Errorf("wal replay: commit claims %d rows in a %d-byte record", rows, len(payload))
 	}
-	rows = make([][]any, nrows)
-	for r := range rows {
-		row := make([]any, ncols)
+	vals = make([]any, ncols)
+	for ci, tag := range want {
+		vals[ci] = walCodecs[tag].newCol(rows)
+	}
+	for r := 0; r < rows; r++ {
 		for ci, tag := range want {
-			row[ci] = c.value(tag)
+			walCodecs[tag].get(c, vals[ci], r)
 		}
 		if c.err != nil {
-			return 0, nil, c.err
+			return 0, 0, nil, c.err
 		}
-		rows[r] = row
 	}
 	if c.off != len(payload) {
-		return 0, nil, fmt.Errorf("wal replay: %d trailing bytes after commit record", len(payload)-c.off)
+		return 0, 0, nil, fmt.Errorf("wal replay: %d trailing bytes after commit record", len(payload)-c.off)
 	}
-	return base, rows, nil
+	return base, rows, vals, nil
 }
 
-func encodeWALUpdate(id int, ci int, tag byte, v any) []byte {
+// encodeWALUpdate frames one update; cell is the one-cell vector of the
+// new value, of the type tag names.
+func encodeWALUpdate(id int, ci int, tag byte, cell any) []byte {
 	b := make([]byte, 0, 24)
 	b = append(b, walRecUpdate)
 	b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	b = binary.LittleEndian.AppendUint16(b, uint16(ci))
 	b = append(b, tag)
-	return appendWALValue(b, tag, v)
+	return walCodecs[tag].put(b, cell, 0)
 }
 
-func decodeWALUpdate(payload []byte, tags []byte) (id, ci int, v any, err error) {
+// decodeWALUpdate returns the updated row, column and the new value as a
+// one-cell vector.
+func decodeWALUpdate(payload []byte, tags []byte) (id, ci int, cell any, err error) {
 	c := &walCursor{b: payload, off: 1}
 	id = int(c.u64())
 	ci = int(c.u16())
@@ -619,11 +596,12 @@ func decodeWALUpdate(payload []byte, tags []byte) (id, ci int, v any, err error)
 	if tag != tags[ci] {
 		return 0, 0, nil, fmt.Errorf("wal replay: update tag %d does not match column type tag %d", tag, tags[ci])
 	}
-	v = c.value(tag)
+	cell = walCodecs[tag].newCol(1)
+	walCodecs[tag].get(c, cell, 0)
 	if c.err != nil {
 		return 0, 0, nil, c.err
 	}
-	return id, ci, v, nil
+	return id, ci, cell, nil
 }
 
 func encodeWALDelete(id int) []byte {
