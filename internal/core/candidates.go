@@ -19,6 +19,53 @@ type CandidateRun struct {
 	Exact bool   // every value in the run qualifies
 }
 
+// Masks is a predicate bound to one index's histogram — Algorithm 3's
+// query mask and innermask: Mask has a bit for every bin that may hold
+// a qualifying value, Inner for every bin lying entirely inside the
+// predicate. An imprint vector disjoint from Mask rules its cachelines
+// out; one with no bit outside Inner guarantees every value qualifies.
+// Build one with RangeMasks/AtLeastMasks/LessThanMasks/PointMasks/
+// InSetMasks and hand it to RunsInto (the probe) or ResidualShare (the
+// access-path sample); it is only meaningful against the index that
+// built it.
+type Masks struct{ Mask, Inner uint64 }
+
+func (ix *Index[V]) bind(p pred[V]) Masks {
+	mask, inner := ix.masks(&p)
+	return Masks{Mask: mask, Inner: inner}
+}
+
+// RangeMasks binds low <= v < high.
+func (ix *Index[V]) RangeMasks(low, high V) Masks {
+	return ix.bind(pred[V]{low: low, high: high, lowIncl: true})
+}
+
+// AtLeastMasks binds v >= low.
+func (ix *Index[V]) AtLeastMasks(low V) Masks {
+	return ix.bind(pred[V]{low: low, lowIncl: true, highUnb: true})
+}
+
+// LessThanMasks binds v < high.
+func (ix *Index[V]) LessThanMasks(high V) Masks {
+	return ix.bind(pred[V]{high: high, lowUnb: true})
+}
+
+// PointMasks binds v == x.
+func (ix *Index[V]) PointMasks(x V) Masks {
+	return ix.bind(pred[V]{low: x, high: x, lowIncl: true, highIncl: true})
+}
+
+// InSetMasks binds v in set: the bin bit of every member. Equality is
+// never inner (a bin may hold neighbors), so every matching cacheline
+// is checked.
+func (ix *Index[V]) InSetMasks(set []V) Masks {
+	var m Masks
+	for _, v := range set {
+		m.Mask |= 1 << uint(ix.hist.Bin(v))
+	}
+	return m
+}
+
 // RangeCachelines evaluates [low, high) down to a candidate cacheline
 // list without materializing ids.
 func (ix *Index[V]) RangeCachelines(low, high V) ([]CandidateRun, QueryStats) {
@@ -28,8 +75,7 @@ func (ix *Index[V]) RangeCachelines(low, high V) ([]CandidateRun, QueryStats) {
 // RangeCachelinesInto is RangeCachelines appending into dst (pass a
 // recycled buffer truncated to length 0 to avoid the allocation).
 func (ix *Index[V]) RangeCachelinesInto(dst []CandidateRun, low, high V) ([]CandidateRun, QueryStats) {
-	p := pred[V]{low: low, high: high, lowIncl: true}
-	return ix.cachelinesPred(&p, dst)
+	return ix.RunsInto(dst, ix.RangeMasks(low, high), 1)
 }
 
 // AtLeastCachelines evaluates v >= low down to candidate cachelines.
@@ -39,8 +85,7 @@ func (ix *Index[V]) AtLeastCachelines(low V) ([]CandidateRun, QueryStats) {
 
 // AtLeastCachelinesInto is AtLeastCachelines appending into dst.
 func (ix *Index[V]) AtLeastCachelinesInto(dst []CandidateRun, low V) ([]CandidateRun, QueryStats) {
-	p := pred[V]{low: low, lowIncl: true, highUnb: true}
-	return ix.cachelinesPred(&p, dst)
+	return ix.RunsInto(dst, ix.AtLeastMasks(low), 1)
 }
 
 // LessThanCachelines evaluates v < high down to candidate cachelines.
@@ -50,8 +95,7 @@ func (ix *Index[V]) LessThanCachelines(high V) ([]CandidateRun, QueryStats) {
 
 // LessThanCachelinesInto is LessThanCachelines appending into dst.
 func (ix *Index[V]) LessThanCachelinesInto(dst []CandidateRun, high V) ([]CandidateRun, QueryStats) {
-	p := pred[V]{high: high, lowUnb: true}
-	return ix.cachelinesPred(&p, dst)
+	return ix.RunsInto(dst, ix.LessThanMasks(high), 1)
 }
 
 // PointCachelines evaluates v == x down to candidate cachelines.
@@ -61,76 +105,285 @@ func (ix *Index[V]) PointCachelines(x V) ([]CandidateRun, QueryStats) {
 
 // PointCachelinesInto is PointCachelines appending into dst.
 func (ix *Index[V]) PointCachelinesInto(dst []CandidateRun, x V) ([]CandidateRun, QueryStats) {
-	p := pred[V]{low: x, high: x, lowIncl: true, highIncl: true}
-	return ix.cachelinesPred(&p, dst)
+	return ix.RunsInto(dst, ix.PointMasks(x), 1)
 }
 
-func (ix *Index[V]) cachelinesPred(p *pred[V], dst []CandidateRun) ([]CandidateRun, QueryStats) {
-	var st QueryStats
-	mask, inner := ix.masks(p)
-	runs := dst
+// InSetCachelines reduces an IN-list to candidate cachelines for late
+// materialization.
+func (ix *Index[V]) InSetCachelines(set []V) ([]CandidateRun, QueryStats) {
+	return ix.InSetCachelinesInto(nil, set)
+}
 
-	push := func(cl, cnt int, exact bool) {
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if last.Exact == exact && last.Start+last.Count == uint32(cl) {
-				last.Count += uint32(cnt)
-				return
-			}
-		}
-		runs = append(runs, CandidateRun{Start: uint32(cl), Count: uint32(cnt), Exact: exact})
+// InSetCachelinesInto is InSetCachelines appending into dst. An empty
+// set selects nothing and probes nothing.
+func (ix *Index[V]) InSetCachelinesInto(dst []CandidateRun, set []V) ([]CandidateRun, QueryStats) {
+	if len(set) == 0 {
+		return dst, QueryStats{}
 	}
+	return ix.RunsInto(dst, ix.InSetMasks(set), 1)
+}
 
-	iVec, cl := 0, 0
+// b2u is the flag-set behind the probe's branch-free verdict bitmaps.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// RunsInto is the one dictionary walk behind every candidate-run probe:
+// it tests each stored imprint vector against m and appends to dst the
+// maximal runs of candidate units, a unit being `unit` consecutive
+// cachelines (aligned at multiples of unit; the last may be short). A
+// unit is a candidate when any of its cachelines is, and Exact only
+// when every one of its cachelines is an exact candidate — the trailing
+// partial cacheline never is — so coarsening can only grow candidacy
+// and shrink exactness, both sound. Unit 1 is the paper's cacheline
+// probe; the table layer asks for its 64-row evaluation block
+// (Section 2.3: size the imprint's verdict to the engine's access
+// granularity) instead of renormalizing a cacheline list afterwards.
+// QueryStats count cachelines and stored-vector probes whatever the
+// unit, which must be a power of two up to 64 — every divisor of the
+// table's 64-row block is — so that the walk splits dictionary entries
+// at unit boundaries with shifts and folds 64 verdicts to a word.
+func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]CandidateRun, QueryStats) {
+	if unit < 1 || unit > 64 || unit&(unit-1) != 0 {
+		panic("core: probe unit must be a power of two in [1, 64]")
+	}
+	w := unitWalk{vs: &ix.vecs, mask: m.Mask, inner: m.Inner, f: unit, shift: uint(bits.TrailingZeros(uint(unit))),
+		runs: dst, base: len(dst)}
+	probes, iVec := 0, 0
 	for _, e := range ix.dict {
 		cnt := int(e.Count())
 		if e.Repeat() {
-			st.Probes++
+			// One verdict for the whole entry; its whole units are one run.
+			probes++
 			vec := ix.vecs.get(iVec)
 			iVec++
-			if vec&mask != 0 {
-				exact := vec&^inner == 0
-				if exact {
-					st.CachelinesExact += uint64(cnt)
-				} else {
-					st.CachelinesScanned += uint64(cnt)
-				}
-				push(cl, cnt, exact)
-			} else {
-				st.CachelinesSkipped += uint64(cnt)
-			}
-			cl += cnt
-		} else {
-			for j := 0; j < cnt; j++ {
-				st.Probes++
-				vec := ix.vecs.get(iVec)
-				iVec++
-				if vec&mask != 0 {
-					exact := vec&^inner == 0
-					if exact {
-						st.CachelinesExact++
-					} else {
-						st.CachelinesScanned++
-					}
-					push(cl, 1, exact)
-				} else {
-					st.CachelinesSkipped++
-				}
-				cl++
-			}
+			hit := vec&w.mask != 0
+			w.add(hit, hit && vec&^w.inner == 0, cnt)
+			continue
 		}
+		probes += cnt
+		if cnt >= 64 {
+			// A long stretch of distinct vectors — all an incompressible
+			// column has: align to a unit, then a word of verdicts at a time.
+			head := min(cnt, -w.cl&(unit-1))
+			w.each(iVec, head)
+			whole := (cnt - head) &^ (unit - 1)
+			w.bulk(iVec+head, whole>>w.shift)
+			w.each(iVec+head+whole, cnt-head-whole)
+		} else {
+			w.each(iVec, cnt)
+		}
+		iVec += cnt
 	}
 	if ix.pendingCount > 0 {
-		st.Probes++
-		if ix.pendingVec&mask != 0 {
-			// The partial tail is never exact: its cacheline is not full.
-			st.CachelinesScanned++
-			push(ix.committed, 1, false)
-		} else {
-			st.CachelinesSkipped++
+		// The partial tail is never exact: its cacheline is not full.
+		probes++
+		w.add(ix.pendingVec&w.mask != 0, false, 1)
+	}
+	if fill := w.cl & (unit - 1); fill > 0 && w.uHit > 0 {
+		// The column ends inside a unit: exact when all it holds is.
+		w.push(w.cl>>w.shift, 1, w.uExact == fill)
+	}
+	return w.runs, QueryStats{
+		Probes:            uint64(probes),
+		CachelinesExact:   uint64(w.exactCl),
+		CachelinesScanned: uint64(w.hitCl - w.exactCl),
+		CachelinesSkipped: uint64(ix.Cachelines() - w.hitCl),
+	}
+}
+
+// unitWalk is RunsInto's state: the run list under construction, the
+// position, the unit under assembly — fed by dictionary entries that
+// start or end inside a unit — and the cacheline tallies behind
+// QueryStats.
+type unitWalk struct {
+	vs          *vecstore
+	mask, inner uint64
+	f           int  // cachelines per unit, a power of two ...
+	shift       uint // ... namely 1 << shift
+	runs        []CandidateRun
+	base        int // runs[:base] were the caller's: never merged into
+
+	cl           int // cachelines walked: unit cl>>shift holds cl&(f-1) so far ...
+	uHit, uExact int // ... of which these many hit, and are exact
+
+	hitCl, exactCl int // cachelines that hit; those of them that are exact
+}
+
+// push appends count units from start, extending the last run when it
+// is adjacent and as exact.
+func (w *unitWalk) push(start, count int, exact bool) {
+	if n := len(w.runs); n > w.base {
+		last := &w.runs[n-1]
+		if last.Exact == exact && last.Start+last.Count == uint32(start) {
+			last.Count += uint32(count)
+			return
 		}
 	}
-	return runs, st
+	w.runs = append(w.runs, CandidateRun{Start: uint32(start), Count: uint32(count), Exact: exact})
+}
+
+// add walks cnt consecutive cachelines of one verdict — a repeat entry.
+// Misses, most of what a selective probe walks, only advance the
+// position, unless an earlier hit left a unit open: they keep it from
+// being exact, and close it when they reach its end. Of a hit's
+// cachelines the head completes the unit under assembly, whole units in
+// the middle are one run, and the tail opens the next unit.
+func (w *unitWalk) add(hit, exact bool, cnt int) {
+	if !hit {
+		if w.uHit > 0 && w.cl&(w.f-1)+cnt >= w.f {
+			w.push(w.cl>>w.shift, 1, false)
+			w.uHit, w.uExact = 0, 0
+		}
+		w.cl += cnt
+		return
+	}
+	w.hitCl += cnt
+	nExact := 0
+	if exact {
+		w.exactCl += cnt
+		nExact = w.f
+	}
+	if fill := w.cl & (w.f - 1); fill > 0 {
+		n := min(cnt, w.f-fill)
+		w.group(n, n, min(n, nExact))
+		cnt -= n
+	}
+	if n := cnt >> w.shift; n > 0 {
+		w.push(w.cl>>w.shift, n, exact)
+		w.cl += n << w.shift
+		cnt &= w.f - 1
+	}
+	if cnt > 0 {
+		w.group(cnt, cnt, min(cnt, nExact))
+	}
+}
+
+// group adds n cachelines that fit the unit under assembly, nHit of
+// them hits and nExact exact, closing the unit when they fill it.
+func (w *unitWalk) group(n, nHit, nExact int) {
+	w.uHit += nHit
+	w.uExact += nExact
+	if w.cl += n; w.cl&(w.f-1) == 0 {
+		if w.uHit > 0 {
+			w.push(w.cl>>w.shift-1, 1, w.uExact == w.f)
+		}
+		w.uHit, w.uExact = 0, 0
+	}
+}
+
+// each walks n cachelines with a stored vector each, from vector iVec
+// on, one by one: the path of the short distinct entries between the
+// repeats of a compressible column, where a test and a well-predicted
+// branch per vector beat any set-up. It is add for cnt = 1, over locals.
+func (w *unitWalk) each(iVec, n int) {
+	mask, inner, last := w.mask, w.inner, w.f-1
+	cl, uHit, uExact, hitCl, exactCl := w.cl, w.uHit, w.uExact, 0, 0
+	for end := iVec + n; iVec < end; iVec++ {
+		vec := w.vs.get(iVec)
+		if vec&mask != 0 {
+			hitCl++
+			uHit++
+			if vec&^inner == 0 {
+				exactCl++
+				uExact++
+			}
+		}
+		if cl++; cl&last == 0 {
+			if uHit > 0 {
+				w.push(cl>>w.shift-1, 1, uExact == w.f)
+			}
+			uHit, uExact = 0, 0
+		}
+	}
+	w.cl, w.uHit, w.uExact = cl, uHit, uExact
+	w.hitCl += hitCl
+	w.exactCl += exactCl
+}
+
+// bulk walks units whole units of distinct stored vectors from vector
+// iVec on, starting on a unit boundary, with the verdicts computed
+// apart from the runs they form, a word at a time: vecstore.verdicts
+// folds up to 64 vectors into a hit and an exact bitmap without a
+// branch, whose popcounts are the cacheline tallies; each unit's
+// verdict is a test of its f bits; and the runs are read off the unit
+// bitmaps with trailing-zero counts, so run extraction costs what the
+// runs number, not the units, however the hits are scattered.
+func (w *unitWalk) bulk(iVec, units int) {
+	for units > 0 {
+		n := min(units, 64>>w.shift) // units this word of verdicts holds
+		hit, exact := w.vs.verdicts(iVec, n<<w.shift, w.mask, w.inner)
+		w.hitCl += bits.OnesCount64(hit)
+		w.exactCl += bits.OnesCount64(exact)
+		if w.f > 1 {
+			hit, exact = unitVerdicts(hit, exact, uint(w.f), uint(n))
+		}
+		for u := w.cl >> w.shift; hit != 0; {
+			// The next run: candidates from bit at on, as exact as the first.
+			at := uint(bits.TrailingZeros64(hit))
+			run, isExact := hit>>at&^(exact>>at), exact>>at&1 != 0
+			if isExact {
+				run = exact >> at
+			}
+			length := uint(bits.TrailingZeros64(^run))
+			w.push(u+int(at), int(length), isExact)
+			hit &^= (1<<length - 1) << at
+		}
+		iVec += n << w.shift
+		w.cl += n << w.shift
+		units -= n
+	}
+}
+
+// unitVerdicts folds per-vector verdict bitmaps into one bit per unit
+// of f vectors, n units: a unit is hit when any of its vectors is, and
+// exact when all of them are.
+func unitVerdicts(vhit, vexact uint64, f, n uint) (hit, exact uint64) {
+	all := uint64(1)<<f - 1
+	for i := uint(0); i < n; i++ {
+		hit |= b2u(vhit>>(i*f)&all != 0) << i
+		exact |= b2u(vexact>>(i*f)&all == all) << i
+	}
+	return hit, exact
+}
+
+// sampleWindows bounds the access-path sample: at most this many
+// windows of stored vectors are read, whatever the index size.
+const sampleWindows = 64
+
+// ResidualShare estimates, without walking the dictionary, the share of
+// the column's units (unit cachelines each, as in RunsInto) a probe
+// with m would leave to the residual check — neither skipped nor exact —
+// which is what the probe costs and cannot save. It ORs up to
+// sampleWindows evenly spaced windows of unit consecutive stored
+// vectors and tests each like RunsInto tests a unit, then scales the
+// residual windows' share by the compression ratio: every stored
+// vector stands for at least one cacheline, a repeated one for many, so
+// the product is a lower bound on the residual share and an index that
+// compresses — clustered by the paper's own measure — is not talked out
+// of a probe by the incompressible stretches its stored vectors
+// over-represent. The planner's input next to EstimateSelectivity: the
+// histogram predicts how many rows qualify, this measures whether the
+// imprint can tell where they are. A pure function of the index and m.
+func (ix *Index[V]) ResidualShare(m Masks, unit int) float64 {
+	stored := ix.vecs.len()
+	if stored == 0 {
+		return 0 // only a partial cacheline: nothing to sample, nothing to save
+	}
+	width := min(unit, stored)
+	windows := stored / width
+	k := min(windows, sampleWindows)
+	residual := 0
+	for i := 0; i < k; i++ {
+		or := ix.vecs.union(i*windows/k*width, width)
+		if or&m.Mask != 0 && or&^m.Inner != 0 {
+			residual++
+		}
+	}
+	return float64(residual) / float64(k) * float64(stored) / float64(ix.Cachelines())
 }
 
 // IntersectRuns merge-joins two sorted candidate run lists, keeping only

@@ -104,10 +104,7 @@ func (ix *Index[V]) InSetIDs(set []V, res []uint32) ([]uint32, QueryStats) {
 	// are never "inner" (a bin may hold neighbors), so every matching
 	// cacheline is checked — but membership testing uses binary search
 	// over the sorted set.
-	var mask uint64
-	for _, v := range sorted {
-		mask |= 1 << uint(ix.hist.Bin(v))
-	}
+	mask := ix.InSetMasks(sorted).Mask
 	member := func(v V) bool {
 		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= v })
 		return i < len(sorted) && sorted[i] == v
@@ -156,70 +153,4 @@ func (ix *Index[V]) InSetIDs(set []V, res []uint32) ([]uint32, QueryStats) {
 		emit(ix.pendingVec, ix.committed, 1)
 	}
 	return res, st
-}
-
-// InSetCachelines reduces an IN-list to candidate cachelines for late
-// materialization.
-func (ix *Index[V]) InSetCachelines(set []V) ([]CandidateRun, QueryStats) {
-	return ix.InSetCachelinesInto(nil, set)
-}
-
-// InSetCachelinesInto is InSetCachelines appending into dst.
-func (ix *Index[V]) InSetCachelinesInto(dst []CandidateRun, set []V) ([]CandidateRun, QueryStats) {
-	var st QueryStats
-	runs := dst
-	if len(set) == 0 {
-		return runs, st
-	}
-	var mask uint64
-	for _, v := range set {
-		mask |= 1 << uint(ix.hist.Bin(v))
-	}
-	push := func(cl, cnt int) {
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if !last.Exact && last.Start+last.Count == uint32(cl) {
-				last.Count += uint32(cnt)
-				return
-			}
-		}
-		runs = append(runs, CandidateRun{Start: uint32(cl), Count: uint32(cnt)})
-	}
-	iVec, cl := 0, 0
-	for _, e := range ix.dict {
-		cnt := int(e.Count())
-		if e.Repeat() {
-			st.Probes++
-			if ix.vecs.get(iVec)&mask != 0 {
-				st.CachelinesScanned += uint64(cnt)
-				push(cl, cnt)
-			} else {
-				st.CachelinesSkipped += uint64(cnt)
-			}
-			iVec++
-			cl += cnt
-		} else {
-			for j := 0; j < cnt; j++ {
-				st.Probes++
-				if ix.vecs.get(iVec)&mask != 0 {
-					st.CachelinesScanned++
-					push(cl, 1)
-				} else {
-					st.CachelinesSkipped++
-				}
-				iVec++
-				cl++
-			}
-		}
-	}
-	if ix.pendingCount > 0 {
-		st.Probes++
-		if ix.pendingVec&mask != 0 {
-			st.CachelinesScanned++
-			push(ix.committed, 1)
-		} else {
-			st.CachelinesSkipped++
-		}
-	}
-	return runs, st
 }

@@ -39,8 +39,10 @@ type QueryStats struct {
 	// mask.
 	BlocksVectorized uint64
 	// DeltaRowsScanned counts live in-memory delta rows the execution
-	// evaluated exactly (row-at-a-time, no index) to union the unsealed
-	// write buffer with the sealed-segment results.
+	// evaluated exactly — no index, the same block-at-a-time selection-
+	// mask kernels as a sealed segment's residual, over the buffer's
+	// typed vectors — to union the unsealed write buffer with the
+	// sealed-segment results.
 	DeltaRowsScanned uint64
 }
 
@@ -99,7 +101,16 @@ func (p *pred[V]) match(v V) bool {
 func (ix *Index[V]) masks(p *pred[V]) (mask, inner uint64) {
 	h := ix.hist
 	for i := 0; i < h.Bins; i++ {
-		lo, hi, loUnb, hiUnb := h.BinBounds(i)
+		// Bin i's bounds (histogram.BinBounds, read in place: this loop
+		// runs per probed segment).
+		loUnb, hiUnb := i == 0, i == h.Bins-1
+		var lo, hi V
+		if !loUnb {
+			lo = h.Borders[i-1]
+		}
+		if !hiUnb {
+			hi = h.Borders[i]
+		}
 
 		// Overlap: some value in [lo, hi) may satisfy p.
 		overlap := true

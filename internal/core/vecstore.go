@@ -75,6 +75,43 @@ func (s *vecstore) get(i int) uint64 {
 	return (w >> shift) & s.mask
 }
 
+// verdicts tests the n <= 64 vectors from i on against a query mask
+// and innermask (Algorithm 3) and returns the outcome as bitmaps: bit j
+// of hit is set when vector i+j intersects mask, and of exact when it
+// also has no bit outside inner. The loop is get spelled out over
+// locals, with two flag-sets and no branch per vector.
+func (s *vecstore) verdicts(i, n int, mask, inner uint64) (hit, exact uint64) {
+	words, vmask := s.words, s.mask
+	perShift, slotMask, bitShift := s.perShift&63, s.slotMask, s.bitShift&63
+	for j := uint(0); j < uint(n); j++ {
+		at := uint(i) + j
+		vec := words[at>>perShift] >> ((at & slotMask) << bitShift & 63) & vmask
+		h := b2u(vec&mask != 0)
+		hit |= h << (j & 63)
+		exact |= (h & b2u(vec&^inner == 0)) << (j & 63)
+	}
+	return hit, exact
+}
+
+// union returns the OR of the n vectors from i on. Full-width vectors —
+// every column with more than 32 sampled values — are the words
+// themselves.
+func (s *vecstore) union(i, n int) uint64 {
+	words, vmask := s.words, s.mask
+	perShift, slotMask, bitShift := s.perShift&63, s.slotMask, s.bitShift&63
+	var or uint64
+	if s.width == 64 {
+		for _, w := range s.words[i : i+n] {
+			or |= w
+		}
+		return or
+	}
+	for at, end := uint(i), uint(i+n); at < end; at++ {
+		or |= words[at>>perShift] >> ((at & slotMask) << bitShift & 63) & vmask
+	}
+	return or
+}
+
 // set overwrites vector i (used by saturation marking, Section 4.2).
 func (s *vecstore) set(i int, v uint64) {
 	if v&^s.mask != 0 {

@@ -1,12 +1,20 @@
 package table
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 )
+
+// blocksFromCachelines is blocksFromCachelinesInto allocating its
+// result.
+func blocksFromCachelines(runs []core.CandidateRun, f int, totalCl int) []core.CandidateRun {
+	return blocksFromCachelinesInto(nil, runs, f, totalCl)
+}
 
 // model computes the expected per-block candidacy/exactness from a
 // per-cacheline picture.
@@ -159,5 +167,89 @@ func TestQuickBlocksModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnitProbeMatchesRenormalizedProbe is the differential oracle of
+// the unit-parametrised probe: asking the imprint for blocks directly
+// (core.Index.RunsInto at unit f) must equal the paper's cacheline
+// probe (the *CachelinesInto entry points, unit 1) renormalized by
+// blocksFromCachelinesInto — run for run, and QueryStats field for
+// field (they count cachelines whatever the unit) — for all five
+// predicate kinds, every stored vector width, every cachelines-per-block
+// factor the table can ask for, dictionaries that are all distinct
+// vectors, mostly repeats and a mix, and a column that ends in a
+// partial cacheline inside a partial block.
+func TestUnitProbeMatchesRenormalizedProbe(t *testing.T) {
+	const n, domain = 16411, 1 << 20 // n is prime: no vpc divides it
+	shapes := map[string]func(rng *rand.Rand) []int64{
+		"uncompressed": func(rng *rand.Rand) []int64 {
+			col := make([]int64, n)
+			for i := range col {
+				col[i] = rng.Int64N(domain)
+			}
+			return col
+		},
+		"repeatHeavy": func(rng *rand.Rand) []int64 {
+			col := make([]int64, n)
+			for i := 0; i < n; {
+				v := rng.Int64N(domain)
+				for end := min(n, i+50+rng.IntN(200)); i < end; i++ {
+					col[i] = v
+				}
+			}
+			return col
+		},
+		"mixed": func(rng *rand.Rand) []int64 {
+			col := make([]int64, n)
+			for i := 0; i < n; {
+				v, noisy := rng.Int64N(domain), rng.IntN(2) == 0
+				for end := min(n, i+1+rng.IntN(300)); i < end; i++ {
+					col[i] = v
+					if noisy {
+						col[i] = v/2 + rng.Int64N(domain/2)
+					}
+				}
+			}
+			return col
+		},
+	}
+	for shape, gen := range shapes {
+		for _, bins := range []int{8, 16, 32, 64} { // the vector width stored
+			for _, vpc := range []int{8, 16, 32, 64, 4} { // 4: a custom ValuesPerCacheline
+				rng := rand.New(rand.NewPCG(uint64(bins), uint64(vpc)))
+				ix := core.Build(gen(rng), core.Options{Seed: 3, MaxBins: bins, ValuesPerCacheline: vpc})
+				if ix.Bins() != bins {
+					t.Fatalf("%s: built %d bins, want %d", shape, ix.Bins(), bins)
+				}
+				f, totalCl := BlockRows/vpc, ix.Cachelines()
+				for trial := 0; trial < 12; trial++ {
+					lo := rng.Int64N(domain)
+					hi := lo + rng.Int64N(domain/4)
+					set := []int64{ix.Column()[rng.IntN(n)], lo, hi}
+					for kind, probe := range map[string]struct {
+						m  core.Masks
+						cl func() ([]core.CandidateRun, core.QueryStats)
+					}{
+						"range":    {ix.RangeMasks(lo, hi), func() ([]core.CandidateRun, core.QueryStats) { return ix.RangeCachelinesInto(nil, lo, hi) }},
+						"atLeast":  {ix.AtLeastMasks(lo), func() ([]core.CandidateRun, core.QueryStats) { return ix.AtLeastCachelinesInto(nil, lo) }},
+						"lessThan": {ix.LessThanMasks(hi), func() ([]core.CandidateRun, core.QueryStats) { return ix.LessThanCachelinesInto(nil, hi) }},
+						"point":    {ix.PointMasks(set[0]), func() ([]core.CandidateRun, core.QueryStats) { return ix.PointCachelinesInto(nil, set[0]) }},
+						"in":       {ix.InSetMasks(set), func() ([]core.CandidateRun, core.QueryStats) { return ix.InSetCachelinesInto(nil, set) }},
+					} {
+						cl, clStats := probe.cl()
+						want := blocksFromCachelinesInto(nil, cl, f, totalCl)
+						got, stats := ix.RunsInto(nil, probe.m, f)
+						ctx := fmt.Sprintf("%s bins=%d vpc=%d %s [%d, %d)", shape, bins, vpc, kind, lo, hi)
+						if stats != clStats {
+							t.Fatalf("%s: stats diverge\nunit %d: %+v\nunit 1: %+v", ctx, f, stats, clStats)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: runs diverge\nunit %d:      %+v\nrenormalized: %+v", ctx, f, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -84,12 +84,22 @@ type PlanNode struct {
 	// or "pruned" when every segment was pruned, and "mixed" when
 	// segments resolved differently (see SegmentDetails).
 	Access string
-	Reason string // why a non-default path was chosen ("unselective", "summary excludes")
+	// Reason says why a non-default path was chosen: "summary excludes"
+	// (pruned), "unselective" (scan: the histogram estimates that nearly
+	// every row qualifies) or "probe prunes nothing" (scan: the sampled
+	// imprint could skip or mark exact almost no block).
+	Reason string
 	// Selectivity is the leaf's estimated selectivity (fraction of rows
 	// expected to qualify, row-weighted across probed segments) from the
 	// imprint histograms; negative when no segment has an imprint to
 	// estimate from (scan-only, zonemap).
 	Selectivity float64
+	// Residual is the sampled share of blocks a probe would leave to the
+	// residual evaluator (core.Index.ResidualShare, row-weighted across
+	// sampled segments) — the second stage of the access-path choice;
+	// negative when no segment was sampled (no imprint, the estimate
+	// already chose the scan, or ScanThreshold >= 1 rules a scan out).
+	Residual float64
 	// Runs / CandidateBlocks / ExactBlocks summarize the candidate-run
 	// lists this subtree produced across segments: maximal runs, total
 	// candidate row blocks, and how many of those are exact (no residual
@@ -112,6 +122,7 @@ type SegmentPlan struct {
 	Access          string // "pruned", "imprints", "zonemap", "scan"
 	Reason          string
 	Selectivity     float64 // negative when the segment has no imprint
+	Residual        float64 // negative when the segment was not sampled
 	Runs            int
 	CandidateBlocks uint64
 	ExactBlocks     uint64
@@ -344,7 +355,7 @@ func aggregatePlans(plans []*PlanNode, infos []planSegInfo) *PlanNode {
 		return plans[0]
 	}
 	first := plans[0]
-	agg := &PlanNode{Op: first.Op, Pred: first.Pred, Column: first.Column, Selectivity: -1}
+	agg := &PlanNode{Op: first.Op, Pred: first.Pred, Column: first.Column, Selectivity: -1, Residual: -1}
 	// Sum the run summaries and stats.
 	for _, p := range plans {
 		agg.Runs += p.Runs
@@ -366,11 +377,12 @@ func aggregatePlans(plans []*PlanNode, infos []planSegInfo) *PlanNode {
 }
 
 // aggregateLeaf fills a merged leaf node: the per-segment breakdown,
-// the dominant access path and the row-weighted selectivity estimate.
+// the dominant access path and the row-weighted selectivity estimate
+// and sampled residual share.
 func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
 	access := ""
 	uniform, allPruned := true, true
-	var estRows, estSum float64
+	var estRows, estSum, resRows, resSum float64
 	for s, p := range plans {
 		rows := infos[s].rows
 		agg.SegmentDetails = append(agg.SegmentDetails, SegmentPlan{
@@ -379,6 +391,7 @@ func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
 			Access:          p.Access,
 			Reason:          p.Reason,
 			Selectivity:     p.Selectivity,
+			Residual:        p.Residual,
 			Runs:            p.Runs,
 			CandidateBlocks: p.CandidateBlocks,
 			ExactBlocks:     p.ExactBlocks,
@@ -396,6 +409,10 @@ func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
 				estSum += p.Selectivity * float64(rows)
 				estRows += float64(rows)
 			}
+			if p.Residual >= 0 {
+				resSum += p.Residual * float64(rows)
+				resRows += float64(rows)
+			}
 		}
 	}
 	switch {
@@ -409,16 +426,19 @@ func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
 	if estRows > 0 {
 		agg.Selectivity = estSum / estRows
 	}
+	if resRows > 0 {
+		agg.Residual = resSum / resRows
+	}
 }
 
 // String renders the plan as an indented tree, e.g.:
 //
 //	select qty, city from orders limit 10 (550000 rows, 8594 blocks of 64, 9 segments of 65536, parallelism 4)
 //	└─ or: 312 candidate blocks in 14 runs (88 exact)
-//	   ├─ qty in [4900, 5100): imprints est=0.031 → 301 blocks in 12 runs (88 exact), 4211 probes
+//	   ├─ qty in [4900, 5100): imprints est=0.031 res=0.04 → 301 blocks in 12 runs (88 exact), 4211 probes
 //	   │    · seg 0 (65536 rows): pruned (summary excludes)
-//	   │    · seg 1 (65536 rows): imprints est=0.210 → 301 blocks in 12 runs (88 exact), 4211 probes
-//	   └─ city prefix "Ams": imprints est=0.120 → 95 blocks in 3 runs (0 exact), 4211 probes
+//	   │    · seg 1 (65536 rows): imprints est=0.210 res=0.04 → 301 blocks in 12 runs (88 exact), 4211 probes
+//	   └─ city prefix "Ams": imprints est=0.120 res=0.11 → 95 blocks in 3 runs (0 exact), 4211 probes
 func (p *Plan) String() string {
 	var sb strings.Builder
 	if len(p.Aggregates) > 0 {
@@ -484,6 +504,18 @@ func renderTier(tier string) string {
 	return tier
 }
 
+// renderEstimates prints the two inputs of the access-path choice that
+// were taken: the histogram's selectivity estimate and the imprint
+// sample's residual share.
+func renderEstimates(sb *strings.Builder, est, res float64) {
+	if est >= 0 {
+		fmt.Fprintf(sb, " est=%.3f", est)
+	}
+	if res >= 0 {
+		fmt.Fprintf(sb, " res=%.2f", res)
+	}
+}
+
 func (n *PlanNode) render(sb *strings.Builder, branch, indent string) {
 	if branch == "" {
 		branch = "└─ "
@@ -495,9 +527,7 @@ func (n *PlanNode) render(sb *strings.Builder, branch, indent string) {
 		if n.Reason != "" {
 			fmt.Fprintf(sb, " (%s)", n.Reason)
 		}
-		if n.Selectivity >= 0 {
-			fmt.Fprintf(sb, " est=%.3f", n.Selectivity)
-		}
+		renderEstimates(sb, n.Selectivity, n.Residual)
 		fmt.Fprintf(sb, " → %d blocks in %d runs (%d exact)",
 			n.CandidateBlocks, n.Runs, n.ExactBlocks)
 		if n.Stats.Probes > 0 {
@@ -521,9 +551,7 @@ func (n *PlanNode) render(sb *strings.Builder, branch, indent string) {
 			fmt.Fprintf(sb, " (%s)", sp.Reason)
 		}
 		if sp.Access != "pruned" {
-			if sp.Selectivity >= 0 {
-				fmt.Fprintf(sb, " est=%.3f", sp.Selectivity)
-			}
+			renderEstimates(sb, sp.Selectivity, sp.Residual)
 			fmt.Fprintf(sb, " → %d blocks in %d runs (%d exact)",
 				sp.CandidateBlocks, sp.Runs, sp.ExactBlocks)
 			if sp.Stats.Probes > 0 {

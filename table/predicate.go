@@ -364,11 +364,22 @@ type SelectOptions struct {
 	// A query whose deadline already expired does no per-segment work at
 	// all. nil means no cancellation.
 	Ctx context.Context
-	// ScanThreshold disables index probing for a segment of a leaf whose
-	// estimated selectivity is above it (the paper's optimizer remark:
-	// prefer a scan for unselective predicates; resolved per segment
-	// from that segment's imprint histogram). 0 means the default of
-	// 0.95; set above 1 to always probe.
+	// ScanThreshold is where a leaf stops probing a segment's imprint and
+	// scans it instead (the paper's optimizer remark: prefer a scan where
+	// the index cannot pay for itself), decided per segment in two stages
+	// against this one number. First the segment's imprint histogram
+	// estimates the share of rows that qualify: above the threshold the
+	// leaf is unselective and every block would survive the probe. Then
+	// the imprint itself is sampled at the executor's block granularity
+	// (core.Index.ResidualShare — a few dozen windows of stored vectors,
+	// no state): when the share of blocks a probe could neither skip nor
+	// mark exact is above the threshold, the probe prunes nothing —
+	// qualifying rows are few but scattered into every block, the
+	// paper's worst case — and its cost buys only what a scan returns
+	// anyway. Both stages are pure functions of the segment's imprint
+	// and the bound predicate, so the choice never depends on
+	// parallelism, shard count or Scalar. 0 means the default of 0.95;
+	// set above 1 to always probe.
 	ScanThreshold float64
 	// Parallelism bounds the worker pool that fans segments out during
 	// query execution. 0 means GOMAXPROCS; 1 forces serial execution.
@@ -420,6 +431,10 @@ type leafPlan interface {
 	// segEstimate is the selectivity estimate within segment s; negative
 	// when that segment has no imprint.
 	segEstimate(s int) float64
+	// segResidual samples segment s's imprint (which segEstimate reported
+	// present) for the share of its blocks a probe would leave to the
+	// residual evaluator — neither skipped nor exact.
+	segResidual(s int) float64
 	// prune reports that segment s provably contains no qualifying row
 	// (min/max summary or dictionary excludes the predicate), so the
 	// segment can be skipped without probing.
@@ -450,11 +465,46 @@ type leafPlan interface {
 
 // ---- monomorphized leaf kernels ----
 
-// Each kernel folds up to 64 rows of a typed value slab into a
-// selection mask with a branch-light loop: the per-lane bit is computed
-// with a conditional assignment (compiled to a flag-set, not a branch)
-// and OR-ed into the accumulator, so selectivity does not stall the
-// branch predictor the way per-row check closures do.
+// Each kernel folds one 64-row block of a typed value slab into a
+// selection mask. Its loop body — the xxxLanes function — is written
+// once, over *[BlockRows]V: the fixed width tells the compiler every
+// lane index and shift count is in range (no bounds checks, no
+// oversize-shift guard) and lets the lanes be grouped four to a nibble,
+// so four flag-sets are OR-ed together before one shift lands them in
+// the accumulator. The per-lane bit is a conditional assignment
+// (compiled to a flag-set, not a branch), so selectivity does not stall
+// the branch predictor the way per-row check closures do. The one
+// ragged block a segment or delta stretch can end in runs through the
+// same body: padBlock copies it into a stack array and the padded lanes
+// are masked off. The bodies are top-level functions, not part of the
+// closures: the compiler does not inline calls inside a closure whose
+// constructor was itself inlined, so a closure holds nothing per lane.
+
+// b2u is the flag-set the kernels are built from.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// nibble packs four lane verdicts into bits 0-3.
+func nibble(b0, b1, b2, b3 bool) uint64 {
+	return b2u(b0) | b2u(b1)<<1 | b2u(b2)<<2 | b2u(b3)<<3
+}
+
+// padBlock fills pad — the caller's stack array — with a ragged block's
+// rows followed by copies of the first one: a value already in the
+// block, so a padded lane is as valid an operand (a real dictionary
+// code, say) as a real one. The caller masks the verdicts with
+// blockOnes(len(rows)).
+func padBlock[V any](pad *[BlockRows]V, rows []V) *[BlockRows]V {
+	n := copy(pad[:], rows)
+	for i := n; i < BlockRows; i++ {
+		pad[i] = pad[0]
+	}
+	return pad
+}
 
 // intRangeKernel answers low <= v < high over an integer slab with one
 // unsigned wrap-around compare per lane: for integer values,
@@ -470,17 +520,24 @@ func intRangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	lo64 := int64(low)
 	span := uint64(int64(high) - lo64)
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
-		for i := range blk {
-			bit := uint64(0)
-			if uint64(int64(blk[i])-lo64) < span {
-				bit = 1
-			}
-			acc |= bit << uint(i)
+		if to-from == BlockRows {
+			return intRangeLanes((*[BlockRows]V)(vals[from:to]), lo64, span)
 		}
-		return acc
+		var pad [BlockRows]V
+		return intRangeLanes(padBlock(&pad, vals[from:to]), lo64, span) & blockOnes(to-from)
 	}
+}
+
+func intRangeLanes[V coltype.Value](blk *[BlockRows]V, lo64 int64, span uint64) uint64 {
+	var acc uint64
+	for i := 0; i < BlockRows; i += 4 {
+		acc |= nibble(
+			uint64(int64(blk[i])-lo64) < span,
+			uint64(int64(blk[i+1])-lo64) < span,
+			uint64(int64(blk[i+2])-lo64) < span,
+			uint64(int64(blk[i+3])-lo64) < span) << uint(i)
+	}
+	return acc
 }
 
 // rangeKernel answers low <= v < high for value types where the
@@ -488,65 +545,75 @@ func intRangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 // matching the scalar check).
 func rangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
-		for i := range blk {
-			ge, lt := uint64(0), uint64(0)
-			if blk[i] >= low {
-				ge = 1
-			}
-			if blk[i] < high {
-				lt = 1
-			}
-			acc |= (ge & lt) << uint(i)
+		if to-from == BlockRows {
+			return rangeLanes((*[BlockRows]V)(vals[from:to]), low, high)
 		}
-		return acc
+		var pad [BlockRows]V
+		return rangeLanes(padBlock(&pad, vals[from:to]), low, high) & blockOnes(to-from)
 	}
+}
+
+func rangeLanes[V coltype.Value](blk *[BlockRows]V, low, high V) uint64 {
+	var acc uint64
+	for i := 0; i < BlockRows; i += 4 {
+		acc |= (nibble(blk[i] >= low, blk[i+1] >= low, blk[i+2] >= low, blk[i+3] >= low) &
+			nibble(blk[i] < high, blk[i+1] < high, blk[i+2] < high, blk[i+3] < high)) << uint(i)
+	}
+	return acc
 }
 
 func atLeastKernel[V coltype.Value](vals []V, low V) blockKernel {
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
-		for i := range blk {
-			bit := uint64(0)
-			if blk[i] >= low {
-				bit = 1
-			}
-			acc |= bit << uint(i)
+		if to-from == BlockRows {
+			return atLeastLanes((*[BlockRows]V)(vals[from:to]), low)
 		}
-		return acc
+		var pad [BlockRows]V
+		return atLeastLanes(padBlock(&pad, vals[from:to]), low) & blockOnes(to-from)
 	}
+}
+
+func atLeastLanes[V coltype.Value](blk *[BlockRows]V, low V) uint64 {
+	var acc uint64
+	for i := 0; i < BlockRows; i += 4 {
+		acc |= nibble(blk[i] >= low, blk[i+1] >= low, blk[i+2] >= low, blk[i+3] >= low) << uint(i)
+	}
+	return acc
 }
 
 func lessThanKernel[V coltype.Value](vals []V, high V) blockKernel {
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
-		for i := range blk {
-			bit := uint64(0)
-			if blk[i] < high {
-				bit = 1
-			}
-			acc |= bit << uint(i)
+		if to-from == BlockRows {
+			return lessThanLanes((*[BlockRows]V)(vals[from:to]), high)
 		}
-		return acc
+		var pad [BlockRows]V
+		return lessThanLanes(padBlock(&pad, vals[from:to]), high) & blockOnes(to-from)
 	}
+}
+
+func lessThanLanes[V coltype.Value](blk *[BlockRows]V, high V) uint64 {
+	var acc uint64
+	for i := 0; i < BlockRows; i += 4 {
+		acc |= nibble(blk[i] < high, blk[i+1] < high, blk[i+2] < high, blk[i+3] < high) << uint(i)
+	}
+	return acc
 }
 
 func equalsKernel[V coltype.Value](vals []V, v V) blockKernel {
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
-		for i := range blk {
-			bit := uint64(0)
-			if blk[i] == v {
-				bit = 1
-			}
-			acc |= bit << uint(i)
+		if to-from == BlockRows {
+			return equalsLanes((*[BlockRows]V)(vals[from:to]), v)
 		}
-		return acc
+		var pad [BlockRows]V
+		return equalsLanes(padBlock(&pad, vals[from:to]), v) & blockOnes(to-from)
 	}
+}
+
+func equalsLanes[V coltype.Value](blk *[BlockRows]V, v V) uint64 {
+	var acc uint64
+	for i := 0; i < BlockRows; i += 4 {
+		acc |= nibble(blk[i] == v, blk[i+1] == v, blk[i+2] == v, blk[i+3] == v) << uint(i)
+	}
+	return acc
 }
 
 // inKernel tests set membership per lane. Small IN-lists compare
@@ -554,33 +621,38 @@ func equalsKernel[V coltype.Value](vals []V, v V) blockKernel {
 // lane beats a map probe); larger ones fall back to the member map the
 // scalar check uses.
 func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKernel {
+	var small []V
 	if len(set) <= 4 {
-		small := append([]V(nil), set...)
-		return func(from, to int) uint64 {
-			var acc uint64
-			blk := vals[from:to]
-			for i := range blk {
-				bit := uint64(0)
-				for _, s := range small {
-					if blk[i] == s {
-						bit = 1
-					}
-				}
-				acc |= bit << uint(i)
-			}
-			return acc
-		}
+		small, member = append(small, set...), nil
 	}
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := vals[from:to]
+		if to-from == BlockRows {
+			return inLanes((*[BlockRows]V)(vals[from:to]), small, member)
+		}
+		var pad [BlockRows]V
+		return inLanes(padBlock(&pad, vals[from:to]), small, member) & blockOnes(to-from)
+	}
+}
+
+func inLanes[V coltype.Value](blk *[BlockRows]V, small []V, member map[V]struct{}) uint64 {
+	var acc uint64
+	if member != nil {
 		for i := range blk {
-			if _, ok := member[blk[i]]; ok {
-				acc |= 1 << uint(i)
-			}
+			_, ok := member[blk[i]]
+			acc |= b2u(ok) << uint(i)
 		}
 		return acc
 	}
+	for i := range blk {
+		bit := uint64(0)
+		for _, s := range small {
+			if blk[i] == s {
+				bit = 1
+			}
+		}
+		acc |= bit << uint(i)
+	}
+	return acc
 }
 
 // memberKernel tests each lane's dictionary code against a membership
@@ -588,17 +660,20 @@ func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKe
 // whose arrival-ordered codes form no interval.
 func memberKernel(codes []int32, member []bool) blockKernel {
 	return func(from, to int) uint64 {
-		var acc uint64
-		blk := codes[from:to]
-		for i := range blk {
-			bit := uint64(0)
-			if member[blk[i]] {
-				bit = 1
-			}
-			acc |= bit << uint(i)
+		if to-from == BlockRows {
+			return memberLanes((*[BlockRows]int32)(codes[from:to]), member)
 		}
-		return acc
+		var pad [BlockRows]int32
+		return memberLanes(padBlock(&pad, codes[from:to]), member) & blockOnes(to-from)
 	}
+}
+
+func memberLanes(blk *[BlockRows]int32, member []bool) uint64 {
+	var acc uint64
+	for i := range blk {
+		acc |= b2u(member[blk[i]]) << uint(i)
+	}
+	return acc
 }
 
 // ---- word-wise mask composition ----
@@ -963,15 +1038,16 @@ func neverMatch(uint32) bool { return false }
 // evalSegmentLeaf runs one leaf against one segment. Pruning comes
 // first — a segment whose summary (or dictionary) provably excludes the
 // predicate is skipped without probing. The data-dependent access-path
-// choice — probe the index or fall back to a scan when the segment's
-// estimated selectivity crosses the threshold — is resolved per segment
-// on every execution.
+// choice — probe the index or fall back to a scan — is resolved per
+// segment on every execution, in the two stages SelectOptions.
+// ScanThreshold documents: the histogram's selectivity estimate, then a
+// sample of what the imprint could prune at block granularity.
 func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *core.QueryStats, record bool) evaluated {
 	plan := en.plan
 	var node *PlanNode
 	if record {
 		node = &PlanNode{Op: "leaf", Column: en.leaf.col, Pred: en.leaf.describe(en.binds),
-			Access: plan.access(), Selectivity: -1}
+			Access: plan.access(), Selectivity: -1, Residual: -1}
 	}
 	if plan.prune(s) {
 		if record {
@@ -995,19 +1071,33 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 		return ev
 	}
 	// Cost-based access path: skip index probing for segments where the
-	// leaf is unselective. Only imprint-backed segments yield an
+	// probe cannot pay for itself. Only imprint-backed segments yield an
 	// estimate (negative means none); zonemap leaves are always probed —
-	// their per-zone cost is two comparisons, so a scan buys nothing.
+	// their per-zone cost is two comparisons, so a scan buys nothing. A
+	// threshold of 1 or more can never be crossed, so it samples nothing.
 	if est := plan.segEstimate(s); est >= 0 {
+		thr := opts.threshold()
+		why := ""
+		if est > thr {
+			why = "unselective"
+		} else if thr < 1 {
+			res := plan.segResidual(s)
+			if record {
+				node.Residual = res
+			}
+			if res > thr {
+				why = "probe prunes nothing"
+			}
+		}
 		if record {
 			node.Selectivity = est
 		}
-		if est > opts.threshold() {
+		if why != "" {
 			buf := getRunScratch()
 			*buf = blockSpanRunsInto((*buf)[:0], t.segLen(s), false)
 			if record {
 				node.Access = "scan"
-				node.Reason = "unselective"
+				node.Reason = why
 				node.setRuns(*buf)
 			}
 			return residual(evaluated{runs: *buf, plan: node, owner: buf})
@@ -1204,62 +1294,65 @@ func (pl *numLeafPlan[V]) segCheck(s int) core.CheckFunc {
 //imprintvet:locks held=mu.R
 func (pl *numLeafPlan[V]) deltaKernel(r segRef) blockKernel { return pl.kernel(pl.c.slab(r)) }
 
+// masks binds the leaf to one segment imprint's histogram.
+func (pl *numLeafPlan[V]) masks(ix *core.Index[V]) core.Masks {
+	switch pl.kind {
+	case kindIn:
+		return ix.InSetMasks(pl.set)
+	case kindRange:
+		return ix.RangeMasks(pl.low, pl.high)
+	case kindAtLeast:
+		return ix.AtLeastMasks(pl.low)
+	case kindLessThan:
+		return ix.LessThanMasks(pl.high)
+	default: // kindEquals; compileLeaf rejected every other kind
+		return ix.PointMasks(pl.low)
+	}
+}
+
+//imprintvet:locks held=mu.R
+func (pl *numLeafPlan[V]) segResidual(s int) float64 {
+	ix := pl.c.segs[s].ix
+	return ix.ResidualShare(pl.masks(ix), BlockRows/ix.ValuesPerCacheline())
+}
+
 //imprintvet:locks held=mu.R
 func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats) {
 	seg := pl.c.segs[s]
-	if seg.ix == nil && seg.zm == nil {
+	if ix := seg.ix; ix != nil {
+		// The imprint answers in the executor's own unit: one verdict per
+		// BlockRows block.
+		return ix.RunsInto(dst, pl.masks(ix), BlockRows/ix.ValuesPerCacheline())
+	}
+	if seg.zm == nil {
 		// Scan-only segment: every block is a candidate.
 		return blockSpanRunsInto(dst, len(seg.vals), false), core.QueryStats{}
 	}
-	var runs []core.CandidateRun
-	var st core.QueryStats
-	var vpc int
-	// Cacheline-granular probe output lands in a pooled temp and is
-	// renormalized to BlockRows blocks appended into dst.
-	tmp := getRunScratch()
-	cl := (*tmp)[:0]
-	if seg.ix != nil {
-		vpc = seg.ix.ValuesPerCacheline()
-		switch pl.kind {
-		case kindIn:
-			cl, st = seg.ix.InSetCachelinesInto(cl, pl.set)
-		case kindRange:
-			cl, st = seg.ix.RangeCachelinesInto(cl, pl.low, pl.high)
-		case kindAtLeast:
-			cl, st = seg.ix.AtLeastCachelinesInto(cl, pl.low)
-		case kindLessThan:
-			cl, st = seg.ix.LessThanCachelinesInto(cl, pl.high)
-		case kindEquals:
-			cl, st = seg.ix.PointCachelinesInto(cl, pl.low)
-		}
-	} else {
-		vpc = seg.zm.ValuesPerZone()
-		var zst zonemap.QueryStats
-		switch pl.kind {
-		case kindIn:
-			cl, zst = seg.zm.InSetCachelines(pl.set)
-		case kindRange:
-			cl, zst = seg.zm.RangeCachelines(pl.low, pl.high)
-		case kindAtLeast:
-			cl, zst = seg.zm.AtLeastCachelines(pl.low)
-		case kindLessThan:
-			cl, zst = seg.zm.LessThanCachelines(pl.high)
-		case kindEquals:
-			cl, zst = seg.zm.PointCachelines(pl.low)
-		}
-		st = core.QueryStats{
-			Probes:            zst.Probes,
-			Comparisons:       zst.Comparisons,
-			CachelinesScanned: zst.ZonesScanned,
-			CachelinesExact:   zst.ZonesExact,
-			CachelinesSkipped: zst.ZonesSkipped,
-		}
+	// A zonemap answers per zone: its run list lands in a pooled temp and
+	// is renormalized to BlockRows blocks appended into dst.
+	var cl []core.CandidateRun
+	var zst zonemap.QueryStats
+	switch pl.kind {
+	case kindIn:
+		cl, zst = seg.zm.InSetCachelines(pl.set)
+	case kindRange:
+		cl, zst = seg.zm.RangeCachelines(pl.low, pl.high)
+	case kindAtLeast:
+		cl, zst = seg.zm.AtLeastCachelines(pl.low)
+	case kindLessThan:
+		cl, zst = seg.zm.LessThanCachelines(pl.high)
+	case kindEquals:
+		cl, zst = seg.zm.PointCachelines(pl.low)
 	}
-	cls := (len(seg.vals) + vpc - 1) / vpc
-	runs = blocksFromCachelinesInto(dst, cl, BlockRows/vpc, cls)
-	*tmp = cl[:0]
-	putRunScratch(tmp)
-	return runs, st
+	vpc := seg.zm.ValuesPerZone()
+	zones := (len(seg.vals) + vpc - 1) / vpc
+	return blocksFromCachelinesInto(dst, cl, BlockRows/vpc, zones), core.QueryStats{
+		Probes:            zst.Probes,
+		Comparisons:       zst.Comparisons,
+		CachelinesScanned: zst.ZonesScanned,
+		CachelinesExact:   zst.ZonesExact,
+		CachelinesSkipped: zst.ZonesSkipped,
+	}
 }
 
 // segKernel returns the leaf's cached selection-mask kernel for segment
@@ -1331,25 +1424,19 @@ func (pl *numLeafPlan[V]) segEstimate(s int) float64 {
 	return -1
 }
 
-// blocksFromCachelines renormalizes a cacheline run list (vpc rows per
-// cacheline) into BlockRows blocks: f = cachelines per block. A block is
-// a candidate if any of its cachelines is, and exact only if every one
-// of its (existing) cachelines is covered exactly — exactness may only
-// shrink under coarsening, candidacy may only grow; both directions are
-// sound (false positives are re-checked, exact rows truly all qualify).
+// blocksFromCachelinesInto renormalizes a zonemap's run list (vpc rows
+// per zone) into BlockRows blocks appended into dst (which must not
+// alias runs): f = zones per block. A block is a candidate if any of
+// its zones is, and exact only if every one of its (existing) zones is
+// covered exactly — exactness may only shrink under coarsening,
+// candidacy may only grow; both directions are sound (false positives
+// are re-checked, exact rows truly all qualify). Imprint segments need
+// no such pass: core.Index.RunsInto emits blocks directly, and is held
+// to this function's output by TestUnitProbeMatchesRenormalizedProbe.
 //
 // Runs spanning many whole blocks are translated in O(1); only the
-// partial head/tail blocks of each run need accumulation.
-func blocksFromCachelines(runs []core.CandidateRun, f int, totalCl int) []core.CandidateRun {
-	if f == 1 || len(runs) == 0 {
-		return runs
-	}
-	return blocksFromCachelinesInto(nil, runs, f, totalCl)
-}
-
-// blocksFromCachelinesInto is blocksFromCachelines appending into dst
-// (which must not alias runs); an f of 1 copies, so the caller may
-// recycle runs' buffer either way.
+// partial head/tail blocks of each run need accumulation. An f of 1
+// copies.
 func blocksFromCachelinesInto(dst, runs []core.CandidateRun, f int, totalCl int) []core.CandidateRun {
 	if f == 1 || len(runs) == 0 {
 		return append(dst, runs...)

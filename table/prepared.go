@@ -22,7 +22,8 @@ import (
 // index rebuilds and even whole-table compactions never require
 // recompiling the statement, and sealed segments keep their cached
 // translations across executions. Only the data-dependent access-path
-// choice — per-segment estimated selectivity against
+// choice — per segment, the estimated selectivity and then the sampled
+// residual share of the bound predicate against
 // SelectOptions.ScanThreshold, and segment pruning — is re-resolved
 // every time.
 //

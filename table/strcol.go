@@ -593,20 +593,21 @@ func (pl *strLeafPlan) segRuns(s int, dst []core.CandidateRun) ([]core.Candidate
 		// Scan-only segment: every block is a candidate.
 		return blockSpanRunsInto(dst, seg.rows(), false), core.QueryStats{}
 	}
-	var st core.QueryStats
-	tmp := getRunScratch()
-	cl := (*tmp)[:0]
-	if pl.kind == kindIn {
-		cl, st = seg.ix.InSetCachelinesInto(cl, e.set)
-	} else {
-		cl, st = seg.ix.RangeCachelinesInto(cl, e.lo, e.hi)
+	return seg.ix.RunsInto(dst, e.masks(pl.kind, seg.ix), BlockRows/seg.ix.ValuesPerCacheline())
+}
+
+// masks binds the translated leaf to the segment's code imprint.
+func (e *strSegTrans) masks(kind leafKind, ix *core.Index[int32]) core.Masks {
+	if kind == kindIn {
+		return ix.InSetMasks(e.set)
 	}
-	vpc := seg.ix.ValuesPerCacheline()
-	cls := (seg.rows() + vpc - 1) / vpc
-	runs := blocksFromCachelinesInto(dst, cl, BlockRows/vpc, cls)
-	*tmp = cl[:0]
-	putRunScratch(tmp)
-	return runs, st
+	return ix.RangeMasks(e.lo, e.hi)
+}
+
+//imprintvet:locks held=mu.R
+func (pl *strLeafPlan) segResidual(s int) float64 {
+	ix := pl.c.segs[s].ix
+	return ix.ResidualShare(pl.trans(s).masks(pl.kind, ix), BlockRows/ix.ValuesPerCacheline())
 }
 
 // segKernel returns the leaf's cached selection-mask kernel over

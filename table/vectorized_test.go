@@ -2,10 +2,12 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"repro/internal/coltype"
 	"repro/internal/core"
 )
 
@@ -409,5 +411,198 @@ func BenchmarkVectorizedAggregate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// kernelOracle holds every numeric leaf kernel over V to the scalar
+// check it vectorizes (numLeafPlan.segCheck), lane for lane, at every
+// block width: whole (n = 64) and ragged (n = 1..63), the ragged block
+// both ending the slab — a segment's tail — and followed by further rows
+// — a delta stretch cut inside its vector — where an unmasked lane
+// would show as a qualifying row past the block. vals holds 3*BlockRows
+// values; the second block is the one evaluated.
+func kernelOracle[V coltype.Value](t *testing.T, vals []V, bounds []V) {
+	t.Helper()
+	c := &colState[V]{name: "v", segs: []*segment[V]{{vals: vals}}}
+	leaves := []*leafPred{{col: "v", kind: kindIn, low: []V{}}}
+	for i, lo := range bounds {
+		hi := bounds[(i+1)%len(bounds)]
+		leaves = append(leaves,
+			&leafPred{col: "v", kind: kindRange, low: lo, high: hi},
+			&leafPred{col: "v", kind: kindRange, low: hi, high: lo},
+			&leafPred{col: "v", kind: kindAtLeast, low: lo},
+			&leafPred{col: "v", kind: kindLessThan, high: lo},
+			&leafPred{col: "v", kind: kindEquals, low: lo},
+			&leafPred{col: "v", kind: kindIn, low: []V{lo, hi}},                      // compared directly
+			&leafPred{col: "v", kind: kindIn, low: append([]V{lo, hi}, vals[:7]...)}, // probed in the member map
+		)
+	}
+	for _, leaf := range leaves {
+		p, err := c.compileLeaf(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := p.(*numLeafPlan[V])
+		check := pl.segCheck(0)
+		for _, slab := range [][]V{vals[:2*BlockRows], vals} {
+			for n := 1; n <= BlockRows; n++ {
+				from := BlockRows
+				cut := slab[: from+n : from+n]
+				if len(slab) > 2*BlockRows {
+					cut = slab // rows past the block stay readable
+				}
+				var want uint64
+				for i := 0; i < n; i++ {
+					if check(uint32(from + i)) {
+						want |= 1 << uint(i)
+					}
+				}
+				if got := pl.kernel(cut)(from, from+n); got != want {
+					t.Fatalf("%T %s, %d-row block, slab of %d: kernel %064b\nscalar check          %064b",
+						vals[0], leaf.describe(nil), n, len(cut), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLeafKernelsMatchScalarChecks runs kernelOracle over all ten
+// numeric types — the floats with NaN, ±Inf and -0 among values and
+// bounds, uint64 with values above MaxInt64 (the wrap-around range
+// compare's blind spot, were it signed) — and the dictionary-code
+// kernels a string leaf uses: the int32 instantiation and the delta's
+// membership table.
+func TestLeafKernelsMatchScalarChecks(t *testing.T) {
+	rng := rand.New(rand.NewPCG(64, 1))
+	ints := func(lo, hi int64) []int64 { // small domain: every predicate hits and misses
+		out := make([]int64, 3*BlockRows)
+		for i := range out {
+			out[i] = lo + rng.Int64N(min(hi-lo, 40))
+		}
+		return out
+	}
+	t.Run("int8", func(t *testing.T) {
+		kernelOracle(t, castAll[int8](ints(math.MinInt8, math.MaxInt8), math.MinInt8, math.MaxInt8), []int8{math.MinInt8, -100, math.MaxInt8})
+	})
+	t.Run("int16", func(t *testing.T) {
+		kernelOracle(t, castAll[int16](ints(-20, 20), math.MinInt16, math.MaxInt16), []int16{-7, 0, 9, math.MaxInt16})
+	})
+	t.Run("int32", func(t *testing.T) { // also a sealed string segment's codes
+		kernelOracle(t, castAll[int32](ints(0, 40), math.MinInt32, math.MaxInt32), []int32{0, 5, 31, math.MinInt32})
+	})
+	t.Run("int64", func(t *testing.T) {
+		kernelOracle(t, castAll[int64](ints(-20, 20), math.MinInt64, math.MaxInt64), []int64{-7, 9, math.MinInt64, math.MaxInt64})
+	})
+	t.Run("uint8", func(t *testing.T) {
+		kernelOracle(t, castAll[uint8](ints(0, 5), 0, math.MaxUint8), []uint8{0, 1, 3, math.MaxUint8})
+	})
+	t.Run("uint16", func(t *testing.T) {
+		kernelOracle(t, castAll[uint16](ints(0, 40), 0, math.MaxUint16), []uint16{0, 11, 30, math.MaxUint16})
+	})
+	t.Run("uint32", func(t *testing.T) {
+		kernelOracle(t, castAll[uint32](ints(0, 40), 0, math.MaxUint32), []uint32{3, 17, math.MaxUint32})
+	})
+	t.Run("uint64", func(t *testing.T) {
+		vals := castAll[uint64](ints(0, 40), 0, math.MaxUint64)
+		for i := 0; i < len(vals); i += 3 {
+			vals[i] += math.MaxInt64 // straddle the sign bit
+		}
+		kernelOracle(t, vals, []uint64{5, math.MaxInt64, math.MaxInt64 + 20, math.MaxUint64})
+	})
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	t.Run("float32", func(t *testing.T) {
+		vals := castAll[float32](ints(-20, 20), float32(-inf), float32(inf))
+		vals[70], vals[100], vals[130] = float32(nan), float32(negZero), 0
+		kernelOracle(t, vals, []float32{-3, float32(negZero), 7.5, float32(nan), float32(inf), float32(-inf)})
+	})
+	t.Run("float64", func(t *testing.T) {
+		vals := castAll[float64](ints(-20, 20), -inf, inf)
+		vals[70], vals[100], vals[130] = nan, negZero, 0
+		kernelOracle(t, vals, []float64{-3, negZero, 7.5, nan, inf, -inf})
+	})
+	t.Run("member", func(t *testing.T) { // a delta slab's arrival-ordered codes
+		codes := castAll[int32](ints(0, 40), 0, 39)
+		member := make([]bool, 40)
+		for code := range member {
+			member[code] = rng.IntN(3) == 0
+		}
+		k := memberKernel(codes, member)
+		for n := 1; n <= BlockRows; n++ {
+			var want uint64
+			for i := 0; i < n; i++ {
+				if member[codes[BlockRows+i]] {
+					want |= 1 << uint(i)
+				}
+			}
+			if got := k(BlockRows, BlockRows+n); got != want {
+				t.Fatalf("%d-row block: kernel %064b\nmember table      %064b", n, got, want)
+			}
+		}
+	})
+}
+
+// castAll converts the test values to V and splices the type's extremes
+// into the block the oracle evaluates.
+func castAll[V coltype.Value](in []int64, lowest, highest V) []V {
+	out := make([]V, len(in))
+	for i, v := range in {
+		out[i] = V(v)
+	}
+	out[BlockRows+1], out[BlockRows+40] = lowest, highest
+	return out
+}
+
+// kernSink keeps the kernels' masks observable to the compiler.
+var kernSink uint64
+
+// BenchmarkLeafKernels times every leaf kernel alone, in ns per row,
+// over one 64K-row slab: whole blocks (the steady state) and ragged
+// 37-row blocks (the padded tail every segment or delta stretch can end
+// in — one block per unit, so its higher per-row cost is noise).
+func BenchmarkLeafKernels(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewPCG(21, 22))
+	ints, floats, codes := make([]int64, n), make([]float64, n), make([]int32, n)
+	for i := range ints {
+		ints[i], floats[i], codes[i] = rng.Int64N(1_000_000), rng.Float64()*1000, rng.Int32N(64)
+	}
+	big := make([]int64, 9)
+	member := map[int64]struct{}{}
+	for i := range big {
+		big[i] = int64(i) * 100_000
+		member[big[i]] = struct{}{}
+	}
+	evens := make([]bool, 64)
+	for i := range evens {
+		evens[i] = i%2 == 0
+	}
+	for _, c := range []struct {
+		name string
+		k    blockKernel
+	}{
+		{"intRange", intRangeKernel(ints, 450_000, 550_000)},
+		{"range", rangeKernel(floats, 450, 550)},
+		{"atLeast", atLeastKernel(ints, 900_000)},
+		{"lessThan", lessThanKernel(floats, 100)},
+		{"equals", equalsKernel(ints, 123_456)},
+		{"in/small", inKernel(ints, big[:3], nil)},
+		{"in/map", inKernel(ints, big, member)},
+		{"member", memberKernel(codes, evens)},
+	} {
+		for _, w := range []struct {
+			name string
+			rows int
+		}{{"full", BlockRows}, {"ragged", 37}} {
+			b.Run(c.name+"/"+w.name, func(b *testing.B) {
+				var acc uint64
+				for i := 0; i < b.N; i++ {
+					for from := 0; from < n; from += BlockRows {
+						acc += c.k(from, from+w.rows)
+					}
+				}
+				kernSink = acc
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n/BlockRows*w.rows), "ns/row")
+			})
+		}
 	}
 }
