@@ -19,10 +19,12 @@
 // -sample (a synthetic "orders" table with that many rows) selects the
 // served relation; -sample is the default.
 //
-// With -wal (requires -ingest), every commit, update and delete is
-// written to a write-ahead log under DIR before it is acknowledged;
-// on startup the log is replayed and the recovery report logged, so a
-// crash — kill -9 included — loses no acknowledged write. -fsync
+// With -wal, every commit, update and delete is written to a
+// write-ahead log under DIR before it is acknowledged; on startup the
+// log is replayed and the recovery report logged, so a crash — kill -9
+// included — loses no acknowledged write. It works with or without
+// -ingest, which only chooses when inserted rows are sealed: inside the
+// insert (the default) or buffered for the background sealer. -fsync
 // picks the durability policy, -group-window the group-commit
 // latency bound. With -quarantine, a -load image with checksum
 // damage confined to individual segments loads degraded (casualties
@@ -74,7 +76,7 @@ func main() {
 		ingest      = flag.Bool("ingest", false, "enable LSM-style delta ingest (background sealing) on the served table")
 		shards      = flag.Int("shards", 1, "sample table shard count (per-shard locks and ingest; ignored with -load)")
 		maxBacklog  = flag.Int("max-shard-backlog", 0, "shed queries with 429 while the hottest shard buffers more than this many delta rows (0 = never)")
-		walDir      = flag.String("wal", "", "write-ahead log directory (requires -ingest); replayed on startup")
+		walDir      = flag.String("wal", "", "write-ahead log directory; replayed on startup")
 		fsyncPolicy = flag.String("fsync", "always", "WAL durability policy: always, group, or off")
 		groupWindow = flag.Duration("group-window", 2*time.Millisecond, "max latency a group commit waits to batch fsyncs (with -fsync group)")
 		quarantine  = flag.Bool("quarantine", false, "load past segment-level corruption in -load images (damaged segments served empty, rows marked deleted)")
@@ -90,20 +92,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "imprintd:", err)
 		os.Exit(1)
 	}
-	if *walDir != "" && !*ingest {
-		fmt.Fprintln(os.Stderr, "imprintd: -wal requires -ingest")
-		os.Exit(1)
-	}
+	defer func() {
+		if err := tbl.Close(); err != nil {
+			log.Printf("table close: %v", err)
+		}
+	}()
 	if *ingest {
 		if err := tbl.EnableDeltaIngest(table.IngestOptions{AutoSeal: true}); err != nil {
 			fmt.Fprintln(os.Stderr, "imprintd:", err)
 			os.Exit(1)
 		}
-		defer func() {
-			if err := tbl.Close(); err != nil {
-				log.Printf("table close: %v", err)
-			}
-		}()
 		log.Printf("delta ingest enabled (background sealing)")
 	}
 	if *walDir != "" {

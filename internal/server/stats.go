@@ -52,8 +52,8 @@ type CacheStats struct {
 }
 
 // ServerStats is the GET /stats snapshot: cumulative counters since
-// the server started, plus the served table's ingest health (delta
-// rows buffered, seal and merge progress) when delta ingest is on.
+// the server started, plus the served table's write-path health (delta
+// rows buffered, seal, flush and merge progress, WAL and recovery).
 type ServerStats struct {
 	Served       uint64                     `json:"queries_served"`
 	Errors       uint64                     `json:"query_errors"`

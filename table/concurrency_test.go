@@ -1,8 +1,12 @@
 package table
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -195,4 +199,113 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 	equalIDs(t, ids, want, "post-quiesce query")
+}
+
+// TestEnableDeltaIngestUnderCommits flips the seal policy from
+// immediate to buffered (with the background sealer) while writers
+// commit and a reader counts. A commit that chose its lock under the old
+// policy finishes under the new one; whichever way it goes, every
+// committed row must end up in the table exactly once, and the write
+// path's own accounting must agree: rows sealed plus rows flushed equal
+// rows committed, so none was moved out of the delta store twice.
+func TestEnableDeltaIngestUnderCommits(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tb := mkQtyCity(t, shards)
+			defer tb.Close()
+
+			const writers, batches = 4, 60
+			var committed atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(uint64(w), 23))
+					next := int64(w) << 32 // writer w's values are its own
+					for i := 0; i < batches; i++ {
+						n := 1 + rng.IntN(90)
+						vals, strs := make([]int64, n), make([]string, n)
+						for j := range vals {
+							vals[j], strs[j] = next, cities[rng.IntN(len(cities))]
+							next++
+						}
+						if err := commitQC(tb, vals, strs); err != nil {
+							t.Error(err)
+							return
+						}
+						committed.Add(int64(n))
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			var reader sync.WaitGroup
+			reader.Add(1)
+			go func() {
+				defer reader.Done()
+				var last uint64
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					n, _, err := tb.Select().Count()
+					if err != nil || n < last {
+						t.Errorf("reader: count %d after %d (%v)", n, last, err)
+						return
+					}
+					last = n
+				}
+			}()
+
+			// Flip once the writers are under way.
+			for committed.Load() < 500 {
+				runtime.Gosched()
+			}
+			if err := tb.EnableDeltaIngest(IngestOptions{AutoSeal: true}); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			close(done)
+			reader.Wait()
+			if t.Failed() {
+				return
+			}
+
+			tb.FlushDelta()
+			total := int(committed.Load())
+			if tb.Rows() != total || tb.DeltaRows() != 0 {
+				t.Fatalf("Rows = %d with %d buffered, want %d and 0", tb.Rows(), tb.DeltaRows(), total)
+			}
+			if st := tb.IngestStats(); int(st.SealedRows+st.FlushedRows) != total || !st.Enabled {
+				t.Fatalf("sealed %d + flushed %d rows, committed %d (enabled %v)",
+					st.SealedRows, st.FlushedRows, total, st.Enabled)
+			}
+			got, err := Column[int64](tb, "qty")
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			for i := 1; i < len(got); i++ {
+				if got[i] == got[i-1] {
+					t.Fatalf("value %d committed once, stored twice", got[i])
+				}
+			}
+			// Each writer's values are consecutive from w<<32, so the
+			// sorted column is writers runs without a gap.
+			runs := 1
+			for i := 1; i < len(got); i++ {
+				if got[i] != got[i-1]+1 {
+					runs++
+				}
+			}
+			if len(got) != total || runs != writers {
+				t.Fatalf("%d values in %d consecutive runs, want %d in %d", len(got), runs, total, writers)
+			}
+			if n, _, err := tb.Select().Where(AtLeast[int64]("qty", 0)).Count(); err != nil || int(n) != total {
+				t.Fatalf("indexed count = %d (%v), want %d", n, err, total)
+			}
+		})
+	}
 }

@@ -1,9 +1,9 @@
 package table
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
@@ -12,7 +12,12 @@ import (
 // injector, kill the filesystem at every single injection point, and
 // prove recovery always lands on a serial prefix of the workload that
 // covers at least the acknowledged operations — no torn state, no lost
-// acks, no resurrections.
+// acks, no resurrections. The oracle runs once per seal policy
+// (immediate, manual, auto — the log does not care when rows are
+// sealed, and a table that never called EnableDeltaIngest must recover
+// like the others). Unsharded only: a sharded commit is one log record
+// per chunk, so a crash between chunks recovers part of a batch — see
+// commitSharded; TestWALReplayRoundTrip covers sharded recovery.
 
 // crashOp is one workload step. durable means a nil error is a
 // durability acknowledgement: a commit, update or delete returns only
@@ -42,29 +47,45 @@ func crashOps() []crashOp {
 	}
 }
 
-// mkCrashSchema builds the workload's empty qty/city schema with delta
-// ingest on and no WAL attached yet.
-func mkCrashSchema(t *testing.T) *Table {
+// sealPolicy is the axis the write-path oracles widen over: when the one
+// write path moves committed rows into columnar segments.
+type sealPolicy string
+
+const (
+	sealImmediate sealPolicy = "immediate" // EnableDeltaIngest never called
+	sealManual    sealPolicy = "manual"    // EnableDeltaIngest(IngestOptions{})
+	sealAuto      sealPolicy = "auto"      // EnableDeltaIngest(IngestOptions{AutoSeal: true})
+)
+
+var sealPolicies = []sealPolicy{sealImmediate, sealManual, sealAuto}
+
+// apply puts tb under the policy; the table is closed with the test.
+func (p sealPolicy) apply(t *testing.T, tb *Table) {
 	t.Helper()
-	tb := NewWithOptions("orders", TableOptions{SegmentRows: 64})
-	if err := AddColumn(tb, "qty", []int64{}, Imprints, core.Options{}); err != nil {
-		t.Fatal(err)
+	if p != sealImmediate {
+		if err := tb.EnableDeltaIngest(IngestOptions{AutoSeal: p == sealAuto}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tb.AddStringColumn("city", []string{}, Imprints, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { tb.Close() })
+}
+
+// mkCrashSchema builds the workload's empty qty/city schema under the
+// given seal policy, no WAL attached yet.
+func mkCrashSchema(t *testing.T, policy sealPolicy) *Table {
+	t.Helper()
+	tb := mkQtyCity(t, 1)
+	policy.apply(t, tb)
 	return tb
 }
 
 // runCrashWorkload attaches a WAL through fs and applies ops until the
 // first failure (fail-stop), returning the acknowledged frontier: the
-// number of leading ops whose durability the caller was promised.
-func runCrashWorkload(t *testing.T, fs faultfs.FS, ops []crashOp) int {
+// number of leading ops whose durability the caller was promised. Under
+// the immediate policy an acknowledged commit is also an indexed one.
+func runCrashWorkload(t *testing.T, fs faultfs.FS, ops []crashOp, policy sealPolicy) int {
 	t.Helper()
-	tb := mkCrashSchema(t)
+	tb := mkCrashSchema(t, policy)
 	if _, err := tb.EnableWAL(WALOptions{Dir: "wal", Policy: wal.SyncAlways, FS: fs}); err != nil {
 		return 0
 	}
@@ -76,6 +97,9 @@ func runCrashWorkload(t *testing.T, fs faultfs.FS, ops []crashOp) int {
 		if op.durable {
 			acked = i + 1
 		}
+		if policy == sealImmediate && tb.DeltaRows() != 0 {
+			t.Fatalf("op %s left %d rows buffered on a table that never enabled buffering", op.name, tb.DeltaRows())
+		}
 	}
 	return acked
 }
@@ -86,12 +110,18 @@ func runCrashWorkload(t *testing.T, fs faultfs.FS, ops []crashOp) int {
 // discarded), and the recovered table must equal the serial replay of
 // some workload prefix no shorter than the acknowledged one.
 func TestCrashPointOracle(t *testing.T) {
+	for _, policy := range sealPolicies {
+		t.Run(fmt.Sprintf("policy=%s", policy), func(t *testing.T) { crashPointOracle(t, policy) })
+	}
+}
+
+func crashPointOracle(t *testing.T, policy sealPolicy) {
 	ops := crashOps()
 
 	// Serial oracle: the table contents after every prefix of the
 	// workload, computed WAL-free.
 	states := make([]string, len(ops)+1)
-	shadow := mkCrashSchema(t)
+	shadow := mkCrashSchema(t, policy)
 	states[0] = dumpTable(t, shadow)
 	for i, op := range ops {
 		if err := op.run(shadow); err != nil {
@@ -104,7 +134,7 @@ func TestCrashPointOracle(t *testing.T) {
 	// injection points the workload has.
 	mem := faultfs.NewMemFS()
 	inj := faultfs.NewInjector(mem)
-	if acked := runCrashWorkload(t, inj, ops); acked != len(ops) {
+	if acked := runCrashWorkload(t, inj, ops, policy); acked != len(ops) {
 		t.Fatalf("unarmed workload acked %d/%d ops", acked, len(ops))
 	}
 	n := inj.Ops()
@@ -117,18 +147,21 @@ func TestCrashPointOracle(t *testing.T) {
 			mem := faultfs.NewMemFS()
 			inj := faultfs.NewInjector(mem)
 			inj.Arm(k, mode)
-			acked := runCrashWorkload(t, inj, ops)
+			acked := runCrashWorkload(t, inj, ops, policy)
 			if acked == len(ops) {
 				t.Fatalf("mode %d k=%d: armed workload acked every op without failing", mode, k)
 			}
 			mem.Crash()
 			inj.Arm(0, mode) // disarm for recovery
 
-			rec := mkCrashSchema(t)
+			rec := mkCrashSchema(t, policy)
 			rep, err := rec.EnableWAL(WALOptions{Dir: "wal", Policy: wal.SyncAlways, FS: inj})
 			if err != nil {
 				t.Fatalf("mode %d k=%d: recovery failed after %d acked ops: %v\ndurable:\n%s",
 					mode, k, acked, err, mem.DumpDurable())
+			}
+			if policy == sealImmediate && rec.DeltaRows() != 0 {
+				t.Fatalf("mode %d k=%d: recovery left %d rows buffered under the immediate policy", mode, k, rec.DeltaRows())
 			}
 			got := dumpTable(t, rec)
 			match := -1

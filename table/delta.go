@@ -11,30 +11,42 @@ import (
 	"repro/internal/wal"
 )
 
-// LSM-style ingest (delta.go, seal.go, snapshot.go): with delta ingest
-// enabled, batch commits append their staged typed columns to an
+// The write path (delta.go, seal.go, snapshot.go): every table owns an
 // in-memory columnar delta store (internal/delta: one typed vector per
-// column) instead of the columnar tail, updates and deletes of buffered
-// rows never touch sealed segments, and a background sealer cuts full
-// segment-sized slabs off the vectors into immutable segments —
-// building their imprints, zonemaps, summaries and dictionaries off
-// the query path — installing them atomically under the table lock.
+// column) from birth, and every batch commit appends its staged typed
+// columns to it (commitRows). What differs between tables is only the
+// seal policy — when those rows move into columnar segments:
+//
+//   - immediate (the default): the commit holds the table's write lock
+//     across the store append and a flush of the whole store into the
+//     columnar tail, so the rows are indexed when the commit returns and
+//     no reader ever sees a buffered row;
+//   - buffered, manual (EnableDeltaIngest): the commit appends under the
+//     read lock and returns; rows stay buffered until SealDelta /
+//     FlushDelta / Save / AddColumn / Compact moves them;
+//   - buffered, auto (EnableDeltaIngest with AutoSeal): the same, plus a
+//     background sealer that cuts full segment-sized slabs off the
+//     vectors into immutable segments — building their imprints,
+//     zonemaps, summaries and dictionaries off the query path —
+//     installing them atomically under the table lock.
+//
+// Updates and deletes of buffered rows never touch sealed segments.
 // Readers evaluate the sealed segments and, through the same block
 // walk, kernels and folds, the vectors of the delta watermark they
-// captured, so streaming writers never block readers and readers
-// never see a half-applied batch. A merge-compactor rewrites segments
-// whose summary was widened by updates or whose index saturated,
-// restoring exact summaries (and aggregate pushdown) off the write
-// path.
+// captured, so streaming writers never block readers and readers never
+// see a half-applied batch. A merge-compactor rewrites segments whose
+// summary was widened by updates or whose index saturated, restoring
+// exact summaries (and aggregate pushdown) off the write path.
 //
-// Locks: a commit appends under the table's read lock (the store has
-// its own mutex, so writers do not exclude readers); everything that
-// patches or drops buffered values — an update of a buffered row, a
-// flush, a seal install — holds the table's write lock, which is what
-// keeps an execution's view stable for as long as it holds the read
-// lock. Column vector ci of the store is column t.order[ci]; each
-// column state records its position (anyColumn.place), so no hook
-// searches the layout by name.
+// Locks: a buffered commit appends under the table's read lock (the
+// store has its own mutex, so writers do not exclude readers);
+// everything that patches or drops buffered values — an update of a
+// buffered row, a flush (an immediate commit's included), a seal
+// install — holds the table's write lock, which is what keeps an
+// execution's view stable for as long as it holds the read lock. Column
+// vector ci of the store is column t.order[ci]; each column state
+// records its position (anyColumn.place), so no hook searches the
+// layout by name.
 
 // IngestOptions configures EnableDeltaIngest.
 type IngestOptions struct {
@@ -51,31 +63,38 @@ type IngestOptions struct {
 	// merge-compactor rewrites a sealed segment. 0 means 0.5; set
 	// above 1 to only rewrite widened summaries.
 	MergeSaturation float64
-	// CompactFraction is the deleted-row fraction past which the
-	// background worker folds the delete bitmap with a full Compact
-	// (ids renumber). 0 means never.
-	CompactFraction float64
 }
 
-// deltaState is the per-table ingest state: the columnar store plus
-// the sealer bookkeeping and counters.
+// deltaState is the per-table write-path state, created with the table:
+// the columnar store, the seal policy, and the sealer bookkeeping and
+// counters.
 type deltaState struct {
 	store *delta.Store
+
+	// buffered is the seal policy: false (the default) seals every
+	// commit immediately, under the commit's own write lock; true, set
+	// once by EnableDeltaIngest under the write lock, leaves committed
+	// rows buffered for SealDelta / FlushDelta / the sealer. A commit
+	// reads it before choosing its lock; reading a stale false only makes
+	// that one commit flush, which is always sound under the write lock.
+	buffered atomic.Bool
 
 	// sealMu serializes seal passes (background and manual); it is
 	// never held while waiting on table commits, and t.mu write
 	// sections never acquire it, so lock order is always sealMu then
-	// t.mu.
+	// t.mu. maxSealSegs and mergeSat are written by EnableDeltaIngest
+	// under the write lock before the sealer that reads them starts.
 	sealMu      sync.Mutex
-	autoSeal    bool
 	maxSealSegs int
 	mergeSat    float64
-	compactFrac float64
 
+	// kick wakes the background sealer (a kick nobody waits for stays
+	// pending in the channel's one slot); stop ends it, and sealer is
+	// what Close waits on.
 	kick     chan struct{}
 	stop     chan struct{}
-	done     chan struct{}
 	stopOnce sync.Once
+	sealer   sync.WaitGroup
 
 	// walMu serializes WAL appends with delta-store appends so the
 	// log's record order is exactly the memory order; it nests inside
@@ -102,67 +121,75 @@ type deltaState struct {
 	flushes     atomic.Uint64
 	flushedRows atomic.Uint64
 	merges      atomic.Uint64
-	compactions atomic.Uint64
 }
 
-// kickSeal wakes the background sealer without blocking the committer.
-func (d *deltaState) kickSeal() {
-	if !d.autoSeal {
-		return
+// Defaults of IngestOptions.MaxSealSegments and MergeSaturation.
+const (
+	defaultMaxSealSegs = 4
+	defaultMergeSat    = 0.5
+)
+
+func newDeltaState() *deltaState {
+	return &deltaState{
+		store:       delta.NewStore(0, BlockRows, nil),
+		maxSealSegs: defaultMaxSealSegs,
+		mergeSat:    defaultMergeSat,
+		kick:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
 	}
+}
+
+// kickSeal wakes the background sealer, if one runs, without blocking
+// the committer.
+func (d *deltaState) kickSeal() {
 	select {
 	case d.kick <- struct{}{}:
 	default:
 	}
 }
 
-// EnableDeltaIngest switches the table to the LSM-style write path:
-// subsequent batch commits buffer rows in an in-memory delta store
-// (visible to every query through an exact scan unioned with the
-// sealed segments) until they are sealed into full immutable segments
-// — by the background worker when opts.AutoSeal is set, or by
-// SealDelta / FlushDelta / Save otherwise. Enabling is one-way for the
-// table's lifetime; Close stops the background worker.
+// EnableDeltaIngest moves the table's seal policy from immediate to
+// buffered: subsequent batch commits append under the shared lock and
+// leave their rows in the in-memory delta store (visible to every query
+// through an exact scan unioned with the sealed segments) until they
+// are sealed into full immutable segments — by the background worker
+// when opts.AutoSeal is set, or by SealDelta / FlushDelta / Save
+// otherwise. It selects when the one write path seals, not which path
+// runs. Enabling is one-way for the table's lifetime; Close stops the
+// background worker.
 func (t *Table) EnableDeltaIngest(opts IngestOptions) error {
-	if t.shard != nil {
-		return t.shardEnableDeltaIngest(opts)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.delta != nil {
+	if sh := t.shard; sh != nil {
+		for _, kid := range sh.kids {
+			if err := kid.EnableDeltaIngest(opts); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	d := t.delta
+	if d.buffered.Load() {
 		return fmt.Errorf("table %s: delta ingest already enabled", t.name)
 	}
-	maxSegs := opts.MaxSealSegments
-	if maxSegs <= 0 {
-		maxSegs = 4
+	if opts.MaxSealSegments > 0 {
+		d.maxSealSegs = opts.MaxSealSegments
 	}
-	sat := opts.MergeSaturation
-	if sat == 0 {
-		sat = 0.5
+	if opts.MergeSaturation != 0 {
+		d.mergeSat = opts.MergeSaturation
 	}
-	d := &deltaState{
-		store:       delta.NewStore(t.rows, BlockRows, t.deltaCols()),
-		autoSeal:    opts.AutoSeal,
-		maxSealSegs: maxSegs,
-		mergeSat:    sat,
-		compactFrac: opts.CompactFraction,
-		kick:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	t.delta = d
-	if d.autoSeal {
+	d.buffered.Store(true)
+	if opts.AutoSeal {
+		d.sealer.Add(1)
 		go t.sealLoop(d)
-	} else {
-		close(d.done)
 	}
 	return nil
 }
 
 // Close stops the background sealer, waiting for an in-flight pass to
-// finish. Buffered delta rows stay queryable; flush them explicitly
-// (FlushDelta or Save) if they must reach columnar storage. Close is
-// idempotent and a no-op without delta ingest.
+// finish, and closes the write-ahead log if one is attached. Buffered
+// delta rows stay queryable; flush them explicitly (FlushDelta or Save)
+// if they must reach columnar storage. Close is idempotent.
 func (t *Table) Close() error {
 	if t.shard != nil {
 		var err error
@@ -171,24 +198,13 @@ func (t *Table) Close() error {
 		}
 		return err
 	}
-	d := t.deltaPtr()
-	if d == nil {
-		return nil
-	}
+	d := t.delta
 	d.stopOnce.Do(func() { close(d.stop) })
-	<-d.done
+	d.sealer.Wait()
 	if lg := t.walPtr(); lg != nil {
 		return lg.Close()
 	}
 	return nil
-}
-
-// deltaPtr reads the ingest state under the read lock (it is assigned
-// once, under the write lock).
-func (t *Table) deltaPtr() *deltaState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.delta
 }
 
 // totalRowsLocked returns sealed plus buffered rows (including
@@ -196,9 +212,6 @@ func (t *Table) deltaPtr() *deltaState {
 //
 //imprintvet:locks held=mu.R
 func (t *Table) totalRowsLocked() int {
-	if t.delta == nil {
-		return t.rows
-	}
 	return t.rows + t.delta.store.Len()
 }
 
@@ -213,7 +226,7 @@ func (t *Table) deltaCols() []delta.Col {
 }
 
 // DeltaRows returns the number of rows currently buffered in the
-// delta store (0 without delta ingest).
+// delta store (always 0 under the immediate seal policy).
 func (t *Table) DeltaRows() int {
 	if t.shard != nil {
 		n := 0
@@ -224,15 +237,12 @@ func (t *Table) DeltaRows() int {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.delta == nil {
-		return 0
-	}
 	return t.delta.store.Len()
 }
 
 // MaxShardDeltaRows returns the deepest per-shard delta backlog (the
-// hottest shard; the table's own backlog when unsharded), 0 when ingest
-// is off: two counter reads per shard — the signal admission control
+// hottest shard; the table's own backlog when unsharded), 0 when nothing
+// is buffered: two counter reads per shard — the signal admission control
 // polls on every request, where IngestStats would walk every segment.
 func (t *Table) MaxShardDeltaRows() int {
 	if t.shard == nil {
@@ -271,40 +281,85 @@ func (t *Table) growDeletedTo(n int) {
 
 // ---- commit / update / flush ----
 
-// commitDeltaLocked applies a staged batch to the delta store: the
-// batch's rows of the staged typed columns are appended as they are.
-// Callers hold at least the read lock (appends contend only on the
-// store's own mutex, so streaming writers never block readers). With a
-// WAL attached the batch is framed into the log first, under walMu
-// spanning both appends so log order equals memory order; the returned
-// log and LSN let the caller wait for durability after releasing the
-// table lock (the log is nil without a WAL). A log write error fails
-// the commit before anything becomes visible.
+// commitRows is the one write path: it commits rows [from, to) of a
+// staged batch — a Batch's own, or a sharded parent's chunk for this
+// shard — under the table's seal policy. Buffered: validate and append
+// under the read lock and leave the rows to the sealer. Immediate: hold
+// the write lock across the append and a flush of the store, so the rows
+// are indexed (Section 4.1: they extend the tail's imprint, no stored
+// vector is touched) before any reader can look. Either way the commit
+// is acknowledged only once its log record, if a WAL is attached, is
+// durable — waited for outside every lock.
+func (t *Table) commitRows(staged map[string]any, from, to int) error {
+	d := t.delta
+	var (
+		lg  *wal.Log
+		lsn int64
+		err error
+	)
+	if d.buffered.Load() {
+		t.mu.RLock()
+		lg, lsn, err = t.commitDeltaLocked(staged, from, to)
+		t.mu.RUnlock()
+	} else {
+		t.mu.Lock()
+		if lg, lsn, err = t.commitDeltaLocked(staged, from, to); err == nil {
+			t.flushAllLocked()
+		}
+		t.mu.Unlock()
+	}
+	if err != nil {
+		return err
+	}
+	d.kickSeal()
+	if lg != nil {
+		// Acknowledge only once the logged batch is durable (fsync
+		// policy decides what that costs).
+		err = lg.WaitDurable(lsn)
+	}
+	return err
+}
+
+// stagedVectors is the one batch validation: every column of the layout
+// must be staged, and the staged typed vectors come back in column
+// order. Callers hold a lock on t (a sharded parent's schema mirror
+// stands for its shards' identical layouts).
 //
 //imprintvet:locks held=mu.R
-func (b *Batch) commitDeltaLocked(d *deltaState) (*wal.Log, int64, error) {
-	t := b.t
+func (t *Table) stagedVectors(staged map[string]any) ([]any, error) {
 	vals := make([]any, len(t.order))
 	for ci, name := range t.order {
-		sc, ok := b.staged[name]
+		v, ok := staged[name]
 		if !ok {
-			return nil, 0, fmt.Errorf("table %s: batch is missing column %q", t.name, name)
+			return nil, fmt.Errorf("table %s: batch is missing column %q", t.name, name)
 		}
-		vals[ci] = sc.vals
+		vals[ci] = v
 	}
-	var lsn int64
-	lg := d.wal
-	if lg != nil {
-		var err error
-		if lsn, err = d.logAndBuffer(t, lg, vals, b.from, b.from+b.rows); err != nil {
-			return nil, 0, err
-		}
-	} else if err := d.store.Append(vals, b.from, b.from+b.rows); err != nil {
+	return vals, nil
+}
+
+// commitDeltaLocked appends rows [from, to) of a staged batch to the
+// delta store as they are. Callers hold at least the read lock (appends
+// contend only on the store's own mutex, so streaming writers never
+// block readers). With a WAL attached the batch is framed into the log
+// first, under walMu spanning both appends so log order equals memory
+// order; the returned log and LSN let the caller wait for durability
+// after releasing the table lock (the log is nil without a WAL). A log
+// write error fails the commit before anything becomes visible.
+//
+//imprintvet:locks held=mu.R
+func (t *Table) commitDeltaLocked(staged map[string]any, from, to int) (*wal.Log, int64, error) {
+	vals, err := t.stagedVectors(staged)
+	if err != nil {
 		return nil, 0, err
 	}
-	b.staged = map[string]stagedCol{}
-	b.rows = -1
-	return lg, lsn, nil
+	d := t.delta
+	lg := d.wal
+	if lg == nil {
+		return nil, 0, d.store.Append(vals, from, to)
+	}
+	lsn, err := d.logAndBuffer(t, lg, vals, from, to)
+	return lg, lsn, err
 }
 
 // logAndBuffer appends the batch to the WAL and then to the delta
@@ -347,11 +402,7 @@ func (t *Table) flushDeltaLocked(n int) {
 //
 //imprintvet:locks held=mu
 func (t *Table) flushAllLocked() int {
-	d := t.delta
-	if d == nil {
-		return 0
-	}
-	n := d.store.Len()
+	n := t.delta.store.Len()
 	if n > 0 {
 		t.flushDeltaLocked(n)
 	}
@@ -369,11 +420,7 @@ func (t *Table) FlushDelta() int {
 		}
 		return n
 	}
-	d := t.deltaPtr()
-	if d == nil {
-		return 0
-	}
-	moved := t.sealFullChunks(d)
+	moved := t.sealFullChunks(t.delta)
 	t.mu.Lock()
 	moved += t.flushAllLocked()
 	t.mu.Unlock()
@@ -391,11 +438,7 @@ func (t *Table) SealDelta() int {
 		}
 		return n
 	}
-	d := t.deltaPtr()
-	if d == nil {
-		return 0
-	}
-	return t.sealFullChunks(d)
+	return t.sealFullChunks(t.delta)
 }
 
 // ---- observability ----
@@ -426,9 +469,6 @@ type IngestStats struct {
 	// MergeBacklog the segments currently still awaiting a rewrite.
 	Merges       uint64 `json:"merges"`
 	MergeBacklog int    `json:"merge_backlog"`
-	// Compactions counts delete-folding compactions the background
-	// worker triggered (CompactFraction crossed).
-	Compactions uint64 `json:"compactions"`
 	// WALEnabled reports whether a write-ahead log is attached
 	// (EnableWAL); WALError carries the log's sticky fail-stop error,
 	// if any — once set, every further commit is refused.
@@ -446,7 +486,7 @@ type IngestStats struct {
 }
 
 // MaxShardDeltaRows returns the deepest per-shard delta backlog (the
-// hottest shard), 0 when ingest is off.
+// hottest shard), 0 when nothing is buffered.
 func (s IngestStats) MaxShardDeltaRows() int {
 	m := 0
 	for _, n := range s.ShardDeltaRows {
@@ -455,8 +495,9 @@ func (s IngestStats) MaxShardDeltaRows() int {
 	return m
 }
 
-// IngestStats reports delta/seal/merge health; zero with Enabled false
-// when delta ingest is off.
+// IngestStats reports delta/seal/merge health. Under the immediate seal
+// policy (Enabled false) every commit counts as one flush and DeltaRows
+// is always 0.
 func (t *Table) IngestStats() IngestStats {
 	if t.shard != nil {
 		return t.shardIngestStats()
@@ -464,11 +505,8 @@ func (t *Table) IngestStats() IngestStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	d := t.delta
-	if d == nil {
-		return IngestStats{}
-	}
 	st := IngestStats{
-		Enabled:        true,
+		Enabled:        d.buffered.Load(),
 		DeltaRows:      d.store.Len(),
 		Seals:          d.seals.Load(),
 		SealedSegments: d.sealedSegs.Load(),
@@ -478,7 +516,6 @@ func (t *Table) IngestStats() IngestStats {
 		FlushedRows:    d.flushedRows.Load(),
 		Merges:         d.merges.Load(),
 		MergeBacklog:   t.mergeBacklogLocked(d.mergeSat),
-		Compactions:    d.compactions.Load(),
 		Recovery:       d.recovery,
 		ShardDeltaRows: []int{d.store.Len()},
 	}

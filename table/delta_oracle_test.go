@@ -13,10 +13,13 @@ import (
 	"repro/internal/core"
 )
 
-// Snapshot-isolation oracle for the LSM-style write path: one writer
-// streams randomized atomic mutations (batch appends, updates, string
-// updates, deletes) while the background sealer concurrently moves
-// rows from the delta store into sealed segments and reader goroutines
+// Snapshot-isolation oracle for the write path, once per seal policy:
+// one writer streams randomized atomic mutations (batch appends,
+// updates, string updates, deletes) while — auto — the background
+// sealer concurrently moves rows from the delta store into sealed
+// segments, or — manual — the writer seals by hand every few
+// operations, or — immediate — every commit seals itself under its own
+// write lock, and reader goroutines
 // probe the table with single-call aggregates, ungrouped and grouped
 // by turns. Every probe is one
 // snapshot (one read-lock acquisition), so its result must equal the
@@ -123,7 +126,7 @@ func oraGen(rng *rand.Rand, total int) oraOp {
 	}
 }
 
-func mkLSMOracleTable(t *testing.T, vals []int64, strs []string, ingest bool) *Table {
+func mkLSMOracleTable(t *testing.T, vals []int64, strs []string, policy sealPolicy) *Table {
 	t.Helper()
 	tb := NewWithOptions("oracle", TableOptions{SegmentRows: 128})
 	if err := AddColumn(tb, "a", vals, Imprints, core.Options{Seed: 11}); err != nil {
@@ -132,11 +135,7 @@ func mkLSMOracleTable(t *testing.T, vals []int64, strs []string, ingest bool) *T
 	if err := tb.AddStringColumn("s", strs, Imprints, core.Options{Seed: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if ingest {
-		if err := tb.EnableDeltaIngest(IngestOptions{AutoSeal: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	policy.apply(t, tb)
 	return tb
 }
 
@@ -179,124 +178,136 @@ func TestDeltaSnapshotIsolationOracle(t *testing.T) {
 		ops = 120
 	}
 	for _, par := range []int{1, 2, 8} {
-		par := par
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			const n0 = 1024
-			rng := rand.New(rand.NewPCG(0x04ac1e, uint64(par)))
-			vals := make([]int64, n0)
-			strs := make([]string, n0)
-			for i := range vals {
-				vals[i] = rng.Int64N(1_000_000)
-				strs[i] = oraCities[rng.IntN(len(oraCities))]
-			}
-			dt := mkLSMOracleTable(t, vals, strs, true)
-
-			// versions[k] is the exact summary after k operations; it is
-			// written before hiV publishes k, and readers only index
-			// versions up to a published hiV, so the slots they read are
-			// complete. applied publishes k only after the table mutation
-			// finished, bounding a probe's version from below.
-			mirror := &oraMirror{vals: append([]int64(nil), vals...), deleted: make([]bool, n0)}
-			versions := make([]oraSummary, ops+1)
-			versions[0] = mirror.summary()
-			opLog := make([]oraOp, 0, ops)
-			var hiV, applied atomic.Int64
-			done := make(chan struct{})
-
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer close(done)
-				for k := 1; k <= ops; k++ {
-					op := oraGen(rng, len(mirror.vals))
-					mirror.apply(op)
-					versions[k] = mirror.summary()
-					opLog = append(opLog, op)
-					hiV.Store(int64(k))
-					if err := oraApply(dt, op); err != nil {
-						t.Errorf("writer op %d: %v", k, err)
-						return
-					}
-					applied.Store(int64(k))
-				}
-			}()
-
-			const readers = 3
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					probes := 0
-					for {
-						select {
-						case <-done:
-							if probes >= 25 {
-								return
-							}
-						default:
-						}
-						probes++
-						lo := applied.Load()
-						var got oraSummary
-						var err error
-						if probes%2 == 0 {
-							got, err = oraProbe(dt, par)
-						} else {
-							got, err = oraGroupedProbe(dt, par)
-						}
-						hi := hiV.Load()
-						if err != nil {
-							t.Errorf("reader %d: %v", r, err)
-							return
-						}
-						ok := false
-						for v := lo; v <= hi; v++ {
-							if versions[v] == got {
-								ok = true
-								break
-							}
-						}
-						if !ok {
-							t.Errorf("reader %d: snapshot %+v matches no version in [%d,%d] — torn read",
-								r, got, lo, hi)
-							return
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-
-			// Serial replay: the same operations against a plain columnar
-			// table must land on the same final state, byte-identical
-			// after both images fold their deletes.
-			sr := mkLSMOracleTable(t, vals, strs, false)
-			for k, op := range opLog {
-				if err := oraApply(sr, op); err != nil {
-					t.Fatalf("replay op %d: %v", k, err)
-				}
-			}
-			if err := dt.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if g, w := dt.Compact(), sr.Compact(); g != w {
-				t.Fatalf("Compact removed %d rows, serial replay %d", g, w)
-			}
-			var live, serial bytes.Buffer
-			if err := dt.Write(&live); err != nil {
-				t.Fatal(err)
-			}
-			if err := sr.Write(&serial); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(live.Bytes(), serial.Bytes()) {
-				t.Fatalf("concurrent image (%d bytes) differs from serial replay (%d bytes)",
-					live.Len(), serial.Len())
+			for _, policy := range sealPolicies {
+				t.Run(fmt.Sprintf("policy=%s", policy), func(t *testing.T) { deltaSnapshotOracle(t, par, policy, ops) })
 			}
 		})
+	}
+}
+
+func deltaSnapshotOracle(t *testing.T, par int, policy sealPolicy, ops int) {
+	const n0 = 1024
+	rng := rand.New(rand.NewPCG(0x04ac1e, uint64(par)))
+	vals := make([]int64, n0)
+	strs := make([]string, n0)
+	for i := range vals {
+		vals[i] = rng.Int64N(1_000_000)
+		strs[i] = oraCities[rng.IntN(len(oraCities))]
+	}
+	dt := mkLSMOracleTable(t, vals, strs, policy)
+
+	// versions[k] is the exact summary after k operations; it is
+	// written before hiV publishes k, and readers only index
+	// versions up to a published hiV, so the slots they read are
+	// complete. applied publishes k only after the table mutation
+	// finished, bounding a probe's version from below.
+	mirror := &oraMirror{vals: append([]int64(nil), vals...), deleted: make([]bool, n0)}
+	versions := make([]oraSummary, ops+1)
+	versions[0] = mirror.summary()
+	opLog := make([]oraOp, 0, ops)
+	var hiV, applied atomic.Int64
+	done := make(chan struct{})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for k := 1; k <= ops; k++ {
+			op := oraGen(rng, len(mirror.vals))
+			mirror.apply(op)
+			versions[k] = mirror.summary()
+			opLog = append(opLog, op)
+			hiV.Store(int64(k))
+			if err := oraApply(dt, op); err != nil {
+				t.Errorf("writer op %d: %v", k, err)
+				return
+			}
+			applied.Store(int64(k))
+			if policy == sealManual && k%16 == 0 {
+				dt.SealDelta()
+			}
+			if policy == sealImmediate && dt.DeltaRows() != 0 {
+				t.Errorf("writer op %d left %d rows buffered under the immediate policy", k, dt.DeltaRows())
+				return
+			}
+		}
+	}()
+
+	const readers = 3
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			probes := 0
+			for {
+				select {
+				case <-done:
+					if probes >= 25 {
+						return
+					}
+				default:
+				}
+				probes++
+				lo := applied.Load()
+				var got oraSummary
+				var err error
+				if probes%2 == 0 {
+					got, err = oraProbe(dt, par)
+				} else {
+					got, err = oraGroupedProbe(dt, par)
+				}
+				hi := hiV.Load()
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				ok := false
+				for v := lo; v <= hi; v++ {
+					if versions[v] == got {
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					t.Errorf("reader %d: snapshot %+v matches no version in [%d,%d] — torn read",
+						r, got, lo, hi)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Serial replay: the same operations against a plain columnar
+	// table must land on the same final state, byte-identical
+	// after both images fold their deletes.
+	sr := mkLSMOracleTable(t, vals, strs, sealImmediate)
+	for k, op := range opLog {
+		if err := oraApply(sr, op); err != nil {
+			t.Fatalf("replay op %d: %v", k, err)
+		}
+	}
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := dt.Compact(), sr.Compact(); g != w {
+		t.Fatalf("Compact removed %d rows, serial replay %d", g, w)
+	}
+	var live, serial bytes.Buffer
+	if err := dt.Write(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Write(&serial); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), serial.Bytes()) {
+		t.Fatalf("concurrent image (%d bytes) differs from serial replay (%d bytes)",
+			live.Len(), serial.Len())
 	}
 }
 

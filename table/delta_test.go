@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -493,5 +494,70 @@ func TestDeltaAutoSeal(t *testing.T) {
 	}
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCommit is what one batch costs the write path, staging
+// included, per seal policy: "immediate" is a table that never called
+// EnableDeltaIngest (append to the store, flush, all under the write
+// lock — rows indexed on return), "buffered" one that did, without a
+// sealer (append under the read lock — rows left in the store). The
+// shapes are mixed-ingest's /insert batch (512 rows of the benchmark's
+// five columns, 64 distinct cities) and one whole segment's worth.
+// Tables are replaced outside the timer once they pass a million rows.
+func BenchmarkCommit(b *testing.B) {
+	const pool = 1 << 16
+	rng := rand.New(rand.NewPCG(23, 23))
+	ts, qty := make([]int64, pool), make([]int64, pool)
+	price, pri, city := make([]float64, pool), make([]uint8, pool), make([]string, pool)
+	for i := range ts {
+		ts[i], qty[i] = int64(i), rng.Int64N(1000)
+		price[i], pri[i] = rng.Float64()*500, uint8(rng.IntN(5))
+		city[i] = fmt.Sprint("city-", rng.IntN(64))
+	}
+	fresh := func(buffered bool) *Table {
+		tb := New("orders")
+		add := func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		add(AddColumn(tb, "ts", []int64{}, Imprints, core.Options{Seed: 1}))
+		add(AddColumn(tb, "qty", []int64{}, Imprints, core.Options{Seed: 2}))
+		add(AddColumn(tb, "price", []float64{}, Imprints, core.Options{Seed: 3}))
+		add(AddColumn(tb, "pri", []uint8{}, Imprints, core.Options{Seed: 4}))
+		add(tb.AddStringColumn("city", []string{}, Imprints, core.Options{Seed: 5}))
+		if buffered {
+			add(tb.EnableDeltaIngest(IngestOptions{}))
+		}
+		return tb
+	}
+	for _, rows := range []int{512, pool} {
+		for _, policy := range []string{"immediate", "buffered"} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, policy), func(b *testing.B) {
+				tb := fresh(policy == "buffered")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if tb.Rows() >= 1<<20 {
+						b.StopTimer()
+						tb = fresh(policy == "buffered")
+						b.StartTimer()
+					}
+					lo := (i * rows) % pool
+					bt := tb.NewBatch()
+					err := errors.Join(
+						Append(bt, "ts", ts[lo:lo+rows]), Append(bt, "qty", qty[lo:lo+rows]),
+						Append(bt, "price", price[lo:lo+rows]), Append(bt, "pri", pri[lo:lo+rows]),
+						bt.AppendStrings("city", city[lo:lo+rows]))
+					if err = errors.Join(err, bt.Commit()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if policy == "immediate" && tb.DeltaRows() != 0 {
+					b.Fatal("an immediate commit left rows buffered")
+				}
+			})
+		}
 	}
 }

@@ -20,8 +20,8 @@ type Plan struct {
 	TotalRows   int      // sealed plus buffered delta rows
 	TotalBlocks int      // row blocks of BlockRows rows (sealed storage)
 	// DeltaRows is the number of buffered delta rows the execution would
-	// scan exactly alongside the sealed segments; zero without delta
-	// ingest.
+	// scan exactly alongside the sealed segments; zero under the
+	// immediate seal policy.
 	DeltaRows int
 	// SegmentRows / Segments describe the storage segmentation the plan
 	// ran over; Parallelism is the worker count execution would use.

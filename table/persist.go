@@ -284,26 +284,20 @@ func readString(r io.Reader) (string, error) {
 // Write persists the table: checksummed sections carrying per-segment
 // column payloads plus index images (a sharded table writes the
 // envelope of its shards' images). Tables with pending deletes must be
-// compacted first. With delta ingest enabled, buffered delta rows are
-// folded into columnar storage first (under the exclusive lock, so no
-// committed row races past the image) and, with a WAL attached, the
-// log is cut under the same lock so the image carries its own
-// checkpoint watermark.
+// compacted first. Buffered delta rows are folded into columnar storage
+// first (under the exclusive lock, so no committed row races past the
+// image) and, with a WAL attached, the log is cut under the same lock so
+// the image carries its own checkpoint watermark.
 func (t *Table) Write(w io.Writer) error {
 	if t.shard != nil {
 		return t.writeSharded(w)
 	}
-	if t.deltaPtr() != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		t.flushAllLocked()
-		if err := t.walCutLocked(); err != nil {
-			return err
-		}
-		return t.writeLocked(w)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushAllLocked()
+	if err := t.walCutLocked(); err != nil {
+		return err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.writeLocked(w)
 }
 

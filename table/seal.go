@@ -10,7 +10,9 @@ import (
 	"repro/internal/zonemap"
 )
 
-// Background sealing (the LSM-style write path's second stage): full
+// Background sealing (the write path's second stage under the buffered
+// seal policy with AutoSeal; SealDelta / FlushDelta drive the same
+// passes by hand): full
 // segment-sized slabs are cut off the front of the delta store's
 // vectors by slice — a numeric stretch becomes its segment's value slab
 // as it is, a string stretch is decoded and re-encoded under a sorted
@@ -30,11 +32,12 @@ import (
 // looks at the imprint vectors only after an update marked the index).
 
 // sealLoop is the background worker started by EnableDeltaIngest with
-// AutoSeal: it wakes on commit kicks, seals full chunks, runs one
-// merge-compactor pass, and folds deletes with a full compaction when
-// the deleted fraction crosses the configured threshold.
+// AutoSeal: it wakes on commit kicks, seals full chunks and runs one
+// merge-compactor pass. It never compacts: folding deletes renumbers ids
+// and, on a sharded table, must refresh the parent's routing counters
+// under its commit tokens — Maintain does both.
 func (t *Table) sealLoop(d *deltaState) {
-	defer close(d.done)
+	defer d.sealer.Done()
 	for {
 		select {
 		case <-d.stop:
@@ -43,7 +46,6 @@ func (t *Table) sealLoop(d *deltaState) {
 		}
 		t.sealFullChunks(d)
 		t.mergePass(d)
-		t.maybeAutoCompact(d)
 	}
 }
 
@@ -79,7 +81,7 @@ func (t *Table) sealFullChunks(d *deltaState) int {
 			streak := d.conflictStreak.Add(1)
 			if streak%4 == 0 {
 				t.mu.Lock()
-				if full := (t.delta.store.Len() / t.segRows) * t.segRows; full > 0 {
+				if full := (d.store.Len() / t.segRows) * t.segRows; full > 0 {
 					t.flushDeltaLocked(full)
 					sealed += full
 				}
@@ -133,10 +135,11 @@ func (t *Table) sealChunk(d *deltaState) (int, bool) {
 	for ci, name := range order {
 		cols[ci] = t.cols[name]
 	}
+	maxSegs := d.maxSealSegs
 	t.mu.Unlock()
 
 	full := d.store.Len() / t.segRows
-	prefix := d.store.CopyPrefix(min(full, d.maxSealSegs) * t.segRows)
+	prefix := d.store.CopyPrefix(min(full, maxSegs) * t.segRows)
 	nsegs := prefix.Rows / t.segRows
 	if nsegs == 0 {
 		return 0, false
@@ -207,21 +210,6 @@ func (t *Table) mergePass(d *deltaState) {
 		if !merged {
 			return
 		}
-	}
-}
-
-// maybeAutoCompact folds the delete bitmap with a full compaction when
-// the deleted fraction crosses the configured threshold.
-func (t *Table) maybeAutoCompact(d *deltaState) {
-	if d.compactFrac <= 0 {
-		return
-	}
-	t.mu.RLock()
-	total := t.totalRowsLocked()
-	trigger := total > 0 && float64(t.ndel)/float64(total) >= d.compactFrac
-	t.mu.RUnlock()
-	if trigger && t.Compact() > 0 {
-		d.compactions.Add(1)
 	}
 }
 

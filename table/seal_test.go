@@ -45,7 +45,7 @@ func mkMergeTable(t testing.TB, mergeSat float64) *Table {
 func TestMergePassFindsWhatUpdatesTouched(t *testing.T) {
 	for _, sat := range []float64{1e-9, 0.5, 1} {
 		tb := mkMergeTable(t, sat)
-		d := tb.deltaPtr()
+		d := tb.delta
 		if got := tb.IngestStats().MergeBacklog; got != 0 {
 			t.Fatalf("limit %v: untouched table has merge backlog %d", sat, got)
 		}
@@ -56,7 +56,7 @@ func TestMergePassFindsWhatUpdatesTouched(t *testing.T) {
 	}
 
 	tb := mkMergeTable(t, 0.5)
-	d := tb.deltaPtr()
+	d := tb.delta
 	sc := tb.cols["s"].(*strColState)
 	ac := tb.cols["a"].(*colState[int64])
 
@@ -164,7 +164,7 @@ func TestSealRacedByBufferedUpdate(t *testing.T) {
 	tb := mk()
 	a, s := batch(0, 200)
 	commit(tb, a, s)
-	d := tb.deltaPtr()
+	d := tb.delta
 	prefix := d.store.CopyPrefix(128)
 	if prefix.Rows != 128 {
 		t.Fatalf("snapshot holds %d rows", prefix.Rows)
@@ -306,7 +306,7 @@ func BenchmarkMergePassIdle(b *testing.B) {
 	if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	d := tb.deltaPtr()
+	d := tb.delta
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

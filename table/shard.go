@@ -66,9 +66,6 @@ type shardState struct {
 	// refreshed under all tokens after compaction/load. Routing and
 	// Rows() read it without any lock.
 	rows []atomic.Int64
-	// ingest records that EnableDeltaIngest ran (guarded by the parent
-	// write lock; enabling is one-way).
-	ingest bool
 }
 
 func newShardState(segRows, nshards int) *shardState {
@@ -202,32 +199,30 @@ func (sh *shardState) route() int {
 	return best
 }
 
-// commitSharded routes a staged batch across the shards in
-// segment-bounded chunks. Rows land contiguously within each chunk;
-// a chunk never spans a shard's segment boundary, so every chunk maps
-// to one run of global ids. The parent read lock keeps the schema
-// stable; it is never write-held by seals, so commits on one shard
-// proceed while another shard's sealer installs.
-func (b *Batch) commitSharded() error {
-	if b.rows <= 0 {
-		b.staged = map[string]stagedCol{}
-		b.rows = -1
-		return nil
-	}
-	t := b.t
+// commitSharded routes rows [0, rows) of a staged batch across the
+// shards in segment-bounded chunks, each committed through its shard's
+// own write path (commitRows) under that shard's seal policy. Rows land
+// contiguously within each chunk; a chunk never spans a shard's segment
+// boundary, so every chunk maps to one run of global ids. The parent
+// read lock keeps the schema stable; it is never write-held by seals, so
+// commits on one shard proceed while another shard's sealer installs.
+// A batch that misses a column is refused before any chunk is routed.
+// A chunk can otherwise only fail on its shard's write-ahead log (the
+// log is fail-stop); chunks committed before it stay committed — and
+// durable — so the error then means "rows [0, k) are in, the rest are
+// not", not "nothing was applied".
+func (t *Table) commitSharded(staged map[string]any, rows int) error {
 	sh := t.shard
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, name := range t.order {
-		if _, ok := b.staged[name]; !ok {
-			return fmt.Errorf("table %s: batch is missing column %q", t.name, name)
-		}
+	if _, err := t.stagedVectors(staged); err != nil {
+		return err
 	}
-	for from := 0; from < b.rows; {
+	for from := 0; from < rows; {
 		c := sh.route()
 		lrows := int(sh.rows[c].Load())
-		n := min(b.rows-from, t.segRows-lrows%t.segRows)
-		if err := sh.commitChunk(c, b, from, from+n); err != nil {
+		n := min(rows-from, t.segRows-lrows%t.segRows)
+		if err := sh.commitChunk(c, staged, from, from+n); err != nil {
 			sh.tokens[c].Unlock()
 			return err
 		}
@@ -235,20 +230,15 @@ func (b *Batch) commitSharded() error {
 		sh.tokens[c].Unlock()
 		from += n
 	}
-	b.staged = map[string]stagedCol{}
-	b.rows = -1
 	return nil
 }
 
-// commitChunk commits rows [from, to) of the parent batch on shard c
-// through a child batch that shares the parent's staging (the child
-// takes the delta-ingest or columnar path on its own); callers hold
-// shard c's token.
+// commitChunk commits rows [from, to) of the staged batch on shard c
+// through that shard's write path; callers hold shard c's token.
 //
 //imprintvet:locks held=tokens acquires=kid
-func (sh *shardState) commitChunk(c int, b *Batch, from, to int) error {
-	cb := &Batch{t: sh.kids[c], rows: to - from, from: from, staged: b.staged}
-	return cb.Commit()
+func (sh *shardState) commitChunk(c int, staged map[string]any, from, to int) error {
+	return sh.kids[c].commitRows(staged, from, to)
 }
 
 // ---- columns ----
@@ -486,22 +476,6 @@ func (t *Table) shardMaintain(opts MaintainOptions) MaintenanceReport {
 
 // ---- ingest control ----
 
-func (t *Table) shardEnableDeltaIngest(opts IngestOptions) error {
-	sh := t.shard
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sh.ingest {
-		return fmt.Errorf("table %s: delta ingest already enabled", t.name)
-	}
-	for _, kid := range sh.kids {
-		if err := kid.EnableDeltaIngest(opts); err != nil {
-			return err
-		}
-	}
-	sh.ingest = true
-	return nil
-}
-
 func (t *Table) shardIngestStats() IngestStats {
 	var st IngestStats
 	perShard := make([]int, len(t.shard.kids))
@@ -517,7 +491,6 @@ func (t *Table) shardIngestStats() IngestStats {
 		st.FlushedRows += ks.FlushedRows
 		st.Merges += ks.Merges
 		st.MergeBacklog += ks.MergeBacklog
-		st.Compactions += ks.Compactions
 		st.WALEnabled = st.WALEnabled || ks.WALEnabled
 		if st.WALError == "" {
 			st.WALError = ks.WALError
@@ -530,8 +503,6 @@ func (t *Table) shardIngestStats() IngestStats {
 		}
 		perShard[c] = ks.DeltaRows
 	}
-	if st.Enabled {
-		st.ShardDeltaRows = perShard
-	}
+	st.ShardDeltaRows = perShard
 	return st
 }

@@ -38,15 +38,12 @@ type segRef struct {
 	view *delta.View
 }
 
-// deltaViewLocked captures the delta watermark for one execution; the
-// zero view when the table has no delta ingest. Callers hold the read
-// lock for the view's lifetime.
+// deltaViewLocked captures the delta watermark for one execution (no
+// rows under the immediate seal policy: its commits flush before they
+// unlock). Callers hold the read lock for the view's lifetime.
 //
 //imprintvet:locks held=mu.R
 func (t *Table) deltaViewLocked() delta.View {
-	if t.delta == nil {
-		return delta.View{}
-	}
 	return t.delta.store.View()
 }
 

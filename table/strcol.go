@@ -172,11 +172,10 @@ func (t *Table) updateStringLocked(name string, id int, v string) (*wal.Log, int
 //
 //imprintvet:locks held=mu
 func (t *Table) logStringUpdateLocked(cs *strColState, id int, v string) (*wal.Log, int64, error) {
-	d := t.delta
-	if d == nil || d.wal == nil {
+	if t.delta.wal == nil {
 		return nil, 0, nil
 	}
-	return t.walAppendLocked(d, encodeWALUpdate(id, cs.pos, walTagString, []string{v}))
+	return t.walAppendLocked(encodeWALUpdate(id, cs.pos, walTagString, []string{v}))
 }
 
 func strCol(t *Table, name string) (*strColState, error) {

@@ -112,9 +112,9 @@ type TableOptions struct {
 	SegmentRows int
 	// Shards splits the table into that many independently locked
 	// shards (shard.go): global segments route round-robin across
-	// shards, each shard owns its own lock, segment lists and — with
-	// EnableDeltaIngest — delta store and background sealer, so commits,
-	// updates, seals and merges on different shards run fully
+	// shards, each shard owns its own lock, segment lists, delta store
+	// and — with EnableDeltaIngest's AutoSeal — background sealer, so
+	// commits, updates, seals and merges on different shards run fully
 	// concurrently. 0 or 1 means the single-shard layout: one lock, and
 	// WriteFile writes the checksummed v5 image; sharded tables persist
 	// as a v6 envelope of per-shard v5 images. Queries run through the
@@ -234,10 +234,11 @@ type Table struct {
 	// deleted is lazily sized; nil when nothing deleted.
 	deleted *bitvec.Vector //imprintvet:guarded by=mu
 	ndel    int
-	// delta is the LSM-style ingest state; nil until enabled (the
-	// pointer is assigned once under the write lock; the store behind it
-	// has its own mutex).
-	delta *deltaState //imprintvet:guarded by=mu
+	// delta is the write-path state (delta.go): the store every commit
+	// appends to, the seal policy and the sealer's bookkeeping. Set by
+	// NewWithOptions and never reassigned; the store behind it has its
+	// own mutex.
+	delta *deltaState
 	shard *shardState // sharded layout (TableOptions.Shards > 1); nil otherwise
 	// fsys is the filesystem WriteFile/checkpointing goes through (nil
 	// means the real one); set by Open and EnableWAL.
@@ -258,7 +259,8 @@ func New(name string) *Table { return NewWithOptions(name, TableOptions{}) }
 
 // NewWithOptions creates an empty table with the given storage policy.
 func NewWithOptions(name string, opts TableOptions) *Table {
-	t := &Table{name: name, cols: map[string]anyColumn{}, segRows: normalizeSegmentRows(opts.SegmentRows)}
+	t := &Table{name: name, cols: map[string]anyColumn{}, segRows: normalizeSegmentRows(opts.SegmentRows),
+		delta: newDeltaState()}
 	if opts.Shards > 1 {
 		t.shard = newShardState(t.segRows, opts.Shards)
 		for c := 0; c < opts.Shards; c++ {
@@ -460,7 +462,7 @@ func AddColumn[V coltype.Value](t *Table, name string, vals []V, mode IndexMode,
 //
 //imprintvet:locks held=mu.R
 func (t *Table) checkWALSchemaChangeLocked() error {
-	if t.delta != nil && t.delta.wal != nil {
+	if t.delta.wal != nil {
 		return fmt.Errorf("table %s: schema changes are not supported with a write-ahead log attached", t.name)
 	}
 	return nil
@@ -508,12 +510,10 @@ func (t *Table) installColumn(name string, c anyColumn, nvals int) {
 	if len(t.order) == 1 {
 		t.rows = nvals
 	}
-	if t.delta != nil {
-		// The store was drained before the layout change; re-anchor it
-		// on the new layout and row count.
-		t.delta.store.SetCols(t.deltaCols())
-		t.delta.store.SetBase(t.rows)
-	}
+	// The store was drained before the layout change; re-anchor it on
+	// the new layout and row count.
+	t.delta.store.SetCols(t.deltaCols())
+	t.delta.store.SetBase(t.rows)
 }
 
 // Column materializes the typed values of a column into a freshly
@@ -607,28 +607,20 @@ func typedCol[V coltype.Value](t *Table, name string) (*colState[V], error) {
 // Batch stages one append of N rows across all columns. Staged data
 // lives inside the batch, so abandoning one never affects the table or
 // other batches. A Batch itself is not safe for concurrent use; Commit
-// applies it atomically under the table's write lock.
+// hands it to the table's one write path (commitRows, delta.go).
 type Batch struct {
-	t      *Table
-	rows   int                  // -1 until first column staged
-	from   int                  // first staged row the batch commits (a shard's chunk of its parent)
-	staged map[string]stagedCol // staged data, one entry per column
-}
-
-// stagedCol is one column's staged batch data: the typed values (a []V
-// or []string copy the batch owns — what a delta-ingest commit appends
-// to the store and frames into the log as they are) and the columnar
-// commit action, which absorbs rows [from, to) of them into the
-// column's tail on table t (a sharded commit applies one staging to
-// several shards, chunk by chunk).
-type stagedCol struct {
-	vals  any
-	apply func(t *Table, from, to int) // write lock held
+	t    *Table
+	rows int // -1 until first column staged
+	// staged holds one entry per staged column: its typed values, a []V
+	// or []string copy the batch owns — what a commit appends to the
+	// delta store and frames into the log as they are (a sharded commit
+	// hands windows of one staging to several shards, chunk by chunk).
+	staged map[string]any
 }
 
 // NewBatch starts an append batch.
 func (t *Table) NewBatch() *Batch {
-	return &Batch{t: t, rows: -1, staged: map[string]stagedCol{}}
+	return &Batch{t: t, rows: -1, staged: map[string]any{}}
 }
 
 // schemaTable is the table column definitions are checked against: the
@@ -653,13 +645,7 @@ func Append[V coltype.Value](b *Batch, name string, vals []V) error {
 	if err := b.stage(name, len(vals)); err != nil {
 		return err
 	}
-	vcopy := append([]V(nil), vals...)
-	b.staged[name] = stagedCol{
-		vals: vcopy,
-		// The apply closure runs later, under Commit's write lock.
-		//imprintvet:allow locksafe apply closures run under Commit's write lock
-		apply: func(t *Table, from, to int) { t.cols[name].(*colState[V]).absorb(vcopy[from:to]) },
-	}
+	b.staged[name] = append([]V(nil), vals...)
 	return nil
 }
 
@@ -675,13 +661,7 @@ func (b *Batch) AppendStrings(name string, vals []string) error {
 	if err := b.stage(name, len(vals)); err != nil {
 		return err
 	}
-	vcopy := append([]string(nil), vals...)
-	b.staged[name] = stagedCol{
-		vals: vcopy,
-		// The apply closure runs later, under Commit's write lock.
-		//imprintvet:allow locksafe apply closures run under Commit's write lock
-		apply: func(t *Table, from, to int) { t.cols[name].(*strColState).absorbStrings(vcopy[from:to]) },
-	}
+	b.staged[name] = append([]string(nil), vals...)
 	return nil
 }
 
@@ -699,72 +679,31 @@ func (b *Batch) stage(name string, nvals int) error {
 	return nil
 }
 
-// Commit validates that every column received the same number of new
-// rows and applies the batch atomically. With delta ingest enabled the
-// rows buffer in the in-memory delta store under the shared lock only
-// (writers never block readers; the sealer moves them to columnar
-// segments off the query path). Otherwise new rows flow into each
-// column's active tail segment (sealing it and opening fresh segments
-// as they fill); already sealed segments — and any compiled plans over
-// them — are untouched. On error nothing is applied.
+// Commit validates that every column of the table was staged with the
+// same number of new rows and commits the batch through the table's one
+// write path: the rows are appended to the delta store (after their WAL
+// record, if a log is attached) and — under the default, immediate seal
+// policy — folded into each column's active tail segment before the
+// exclusive lock is released (sealing it and opening fresh segments as
+// they fill; already sealed segments, and any compiled plans over them,
+// are untouched). After EnableDeltaIngest the append takes the shared
+// lock only and the rows stay buffered, visible to every query, until
+// they are sealed off the query path. On error an unsharded table is
+// unchanged and the batch keeps its staging; see commitSharded for what
+// a sharded table guarantees.
 func (b *Batch) Commit() error {
-	if b.t.shard != nil {
-		return b.commitSharded()
+	var err error
+	switch t := b.t; {
+	case b.rows <= 0:
+	case t.shard != nil:
+		err = t.commitSharded(b.staged, b.rows)
+	default:
+		err = t.commitRows(b.staged, 0, b.rows)
 	}
-	if b.rows <= 0 {
-		b.staged = map[string]stagedCol{}
-		b.rows = -1
-		return nil
+	if err == nil {
+		b.staged, b.rows = map[string]any{}, -1
 	}
-	b.t.mu.RLock()
-	if d := b.t.delta; d != nil {
-		lg, lsn, err := b.commitDeltaLocked(d)
-		b.t.mu.RUnlock()
-		if err == nil {
-			d.kickSeal()
-			if lg != nil {
-				// Acknowledge only once the logged batch is durable
-				// (fsync policy decides what that costs); waiting
-				// happens outside every lock.
-				err = lg.WaitDurable(lsn)
-			}
-		}
-		return err
-	}
-	b.t.mu.RUnlock()
-	b.t.mu.Lock()
-	if d := b.t.delta; d != nil {
-		// Delta ingest was enabled between the two lock acquisitions;
-		// the exclusive lock satisfies commitDeltaLocked's contract too.
-		lg, lsn, err := b.commitDeltaLocked(d)
-		b.t.mu.Unlock()
-		if err == nil {
-			d.kickSeal()
-			if lg != nil {
-				err = lg.WaitDurable(lsn)
-			}
-		}
-		return err
-	}
-	defer b.t.mu.Unlock()
-	for _, name := range b.t.order {
-		if _, ok := b.staged[name]; !ok {
-			return fmt.Errorf("table %s: batch is missing column %q", b.t.name, name)
-		}
-	}
-	for _, name := range b.t.order {
-		b.staged[name].apply(b.t, b.from, b.from+b.rows)
-	}
-	b.t.rows += b.rows
-	t := b.t
-	if t.deleted != nil {
-		grown := bitvec.New(t.rows)
-		copy(grown.Words(), t.deleted.Words())
-		t.deleted = grown
-	}
-	b.staged = map[string]stagedCol{}
-	b.rows = -1
-	return nil
+	return err
 }
 
 // ---- anyColumn implementation ----
@@ -921,10 +860,10 @@ func updateLocked[V coltype.Value](t *Table, name string, id int, v V) (*wal.Log
 		seg.widen(local, v)
 	}
 	d := t.delta
-	if d == nil || d.wal == nil {
+	if d.wal == nil {
 		return nil, 0, nil
 	}
-	return t.walAppendLocked(d, encodeWALUpdate(id, cs.pos, d.walTags[cs.pos], []V{v}))
+	return t.walAppendLocked(encodeWALUpdate(id, cs.pos, d.walTags[cs.pos], []V{v}))
 }
 
 // Delete marks a row deleted; it stops appearing in query results.
@@ -959,11 +898,10 @@ func (t *Table) deleteLocked(id int) (*wal.Log, int64, error) {
 		t.deleted.Set(id)
 		t.ndel++
 	}
-	d := t.delta
-	if d == nil || d.wal == nil {
+	if t.delta.wal == nil {
 		return nil, 0, nil
 	}
-	return t.walAppendLocked(d, encodeWALDelete(id))
+	return t.walAppendLocked(encodeWALDelete(id))
 }
 
 // IsDeleted reports whether a row is deleted.
@@ -1011,24 +949,17 @@ func (t *Table) compactLocked() int {
 	t.rows = len(keep)
 	t.deleted = nil
 	t.ndel = 0
-	if d := t.delta; d != nil {
-		d.store.SetBase(t.rows)
-		if d.wal != nil {
-			// Compaction renumbers ids, so later logged updates and
-			// deletes only replay correctly if recovery re-runs the
-			// same compaction at the same point. The record is logical:
-			// replay recomputes the identical keep-list from the
-			// replayed delete set. No durability wait (the write lock
-			// is held); WAL durability is prefix-ordered, so a later
-			// durable record implies this one survived too.
-			if _, _, err := t.walAppendLocked(d, encodeWALCompact(pre, t.rows)); err != nil {
-				// The log has fail-stopped: no later record can be
-				// acknowledged, so recovery replays the pre-compaction
-				// epoch consistently. Nothing to unwind here.
-				_ = err
-			}
-		}
-	}
+	t.delta.store.SetBase(t.rows)
+	// Compaction renumbers ids, so later logged updates and deletes only
+	// replay correctly if recovery re-runs the same compaction at the
+	// same point. The record is logical: replay recomputes the identical
+	// keep-list from the replayed delete set. No durability wait (the
+	// write lock is held); WAL durability is prefix-ordered, so a later
+	// durable record implies this one survived too. An append error means
+	// the log has fail-stopped: no later record can be acknowledged, so
+	// recovery replays the pre-compaction epoch consistently — nothing to
+	// unwind here.
+	_, _, _ = t.walAppendLocked(encodeWALCompact(pre, t.rows))
 	return removed
 }
 
@@ -1047,7 +978,7 @@ type MaintenanceReport struct {
 	// RowsRemoved is the number of rows reclaimed by that compaction.
 	RowsRemoved int
 	// DeltaRows is the number of rows still buffered in the in-memory
-	// delta store after the pass (0 without delta ingest).
+	// delta store after the pass (0 under the immediate seal policy).
 	DeltaRows int
 	// MergeBacklog counts sealed segments still awaiting a merge
 	// rewrite (widened summary or saturated index) after the pass.
@@ -1126,12 +1057,12 @@ func (t *Table) Maintain(opts MaintainOptions) MaintenanceReport {
 		rep.RowsRemoved = t.compactLocked()
 		rep.Compacted = true
 	}
-	if t.delta != nil {
-		rep.DeltaRows = t.delta.store.Len()
-		rep.MergeBacklog = t.mergeBacklogLocked(t.delta.mergeSat)
-		rep.SealRetries = t.delta.sealRetries.Load()
-		rep.SealBackoff = time.Duration(t.delta.backoffNanos.Load())
-		t.delta.kickSeal()
+	if d := t.delta; d.buffered.Load() {
+		rep.DeltaRows = d.store.Len()
+		rep.MergeBacklog = t.mergeBacklogLocked(d.mergeSat)
+		rep.SealRetries = d.sealRetries.Load()
+		rep.SealBackoff = time.Duration(d.backoffNanos.Load())
+		d.kickSeal()
 	}
 	return rep
 }

@@ -18,12 +18,13 @@ import (
 // same locks that order it in memory — so the log's record order is
 // exactly the memory order. Column imprints never need to be logged:
 // the index is a ~1-2% summary rebuilt cheaply from the value slabs,
-// so recovery replays raw rows into the delta store and rebuilds
-// indexes through the ordinary seal path: a commit record decodes
-// straight into typed column vectors, the form the delta store takes. Checkpoints are piggybacked
-// on image saves: WriteFile cuts the log while the drain holds the
-// exclusive lock, persists the cut sequence inside the image, and
-// truncates the covered segments once the image is durably renamed.
+// so recovery replays raw rows into the delta store — a commit record
+// decodes straight into typed column vectors, the form the store takes —
+// and rebuilds indexes through the ordinary seal path, ending with the
+// table's own seal policy. Checkpoints are piggybacked on image saves:
+// WriteFile cuts the log while the drain holds the exclusive lock,
+// persists the cut sequence inside the image, and truncates the covered
+// segments once the image is durably renamed.
 //
 // Record formats (all little endian, one record per WAL frame):
 //
@@ -100,13 +101,14 @@ func (r *RecoveryReport) String() string {
 		r.UpdatesReplayed, r.DeletesReplayed, r.TornRecords, r.BytesTruncated, r.SegmentsRebuilt)
 }
 
-// EnableWAL attaches a write-ahead log to a delta-ingest table: it
-// first replays any existing log in opts.Dir (tolerating a torn final
-// record), seals the replayed rows so their indexes are rebuilt, and
-// then starts logging every commit, update, delete and compaction.
-// Call it after EnableDeltaIngest and after loading any persisted
-// image, before serving writes. Enabling is one-way; Close flushes and
-// closes the log.
+// EnableWAL attaches a write-ahead log to the table, whatever its seal
+// policy: it first replays any existing log in opts.Dir (tolerating a
+// torn final record), seals the replayed rows so their indexes are
+// rebuilt (all of them under the immediate policy, full segments under
+// the buffered one), and then starts logging every commit, update,
+// delete and compaction. Call it after loading any persisted image,
+// before serving writes. Enabling is one-way; Close flushes and closes
+// the log.
 func (t *Table) EnableWAL(opts WALOptions) (*RecoveryReport, error) {
 	if t.shard != nil {
 		return t.shardEnableWAL(opts)
@@ -116,9 +118,6 @@ func (t *Table) EnableWAL(opts WALOptions) (*RecoveryReport, error) {
 
 func (t *Table) shardEnableWAL(opts WALOptions) (*RecoveryReport, error) {
 	sh := t.shard
-	if !sh.ingest {
-		return nil, fmt.Errorf("table %s: WAL requires delta ingest (call EnableDeltaIngest first)", t.name)
-	}
 	total := &RecoveryReport{}
 	for c, kid := range sh.kids {
 		rep, err := kid.enableWALKid(opts, shardWALDir(opts.Dir, c))
@@ -142,10 +141,7 @@ func shardWALDir(dir string, c int) string { return fmt.Sprintf("%s/shard-%03d",
 
 // enableWALKid replays and attaches one (unsharded) table's log.
 func (t *Table) enableWALKid(opts WALOptions, dir string) (*RecoveryReport, error) {
-	d := t.deltaPtr()
-	if d == nil {
-		return nil, fmt.Errorf("table %s: WAL requires delta ingest (call EnableDeltaIngest first)", t.name)
-	}
+	d := t.delta
 	if t.walPtr() != nil {
 		return nil, fmt.Errorf("table %s: WAL already enabled", t.name)
 	}
@@ -174,10 +170,16 @@ func (t *Table) enableWALKid(opts WALOptions, dir string) (*RecoveryReport, erro
 		return nil, fmt.Errorf("table %s: wal replay: %w", t.name, err)
 	}
 	// Rebuild indexes for the recovered rows through the ordinary seal
-	// path (imprints are never logged; they are cheaper to rebuild).
+	// path (imprints are never logged; they are cheaper to rebuild),
+	// once for the whole log, as the table's seal policy has it: full
+	// segments only when commits buffer, every row when they do not.
 	if rep.RowsReplayed > 0 {
 		before := t.Segments()
-		t.SealDelta()
+		if d.buffered.Load() {
+			t.SealDelta()
+		} else {
+			t.FlushDelta()
+		}
 		rep.SegmentsRebuilt = t.Segments() - before
 	}
 	lg, err := wal.Open(dir, wal.Options{
@@ -203,9 +205,6 @@ func (t *Table) enableWALKid(opts WALOptions, dir string) (*RecoveryReport, erro
 func (t *Table) walPtr() *wal.Log {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.delta == nil {
-		return nil
-	}
 	return t.delta.wal
 }
 
@@ -215,7 +214,8 @@ func (t *Table) walPtr() *wal.Log {
 // Callers hold at least the table read lock.
 //
 //imprintvet:locks held=mu.R
-func (t *Table) walAppendLocked(d *deltaState, payload []byte) (*wal.Log, int64, error) {
+func (t *Table) walAppendLocked(payload []byte) (*wal.Log, int64, error) {
+	d := t.delta
 	lg := d.wal
 	if lg == nil {
 		return nil, 0, nil
@@ -652,7 +652,7 @@ func decodeWALCheckpoint(payload []byte) (int, error) {
 //imprintvet:locks held=mu
 func (t *Table) walCutLocked() error {
 	d := t.delta
-	if d == nil || d.wal == nil {
+	if d.wal == nil {
 		return nil
 	}
 	seq, err := d.wal.Cut()
@@ -670,8 +670,8 @@ func (t *Table) walCutLocked() error {
 //
 //imprintvet:locks held=mu.R
 func (t *Table) walKeepSeqLocked() uint64 {
-	if d := t.delta; d != nil && d.pendingCut.ok {
-		return d.pendingCut.seq
+	if cut := t.delta.pendingCut; cut.ok {
+		return cut.seq
 	}
 	return t.walKeepSeq
 }
@@ -690,15 +690,8 @@ func (t *Table) walCheckpoint() error {
 	}
 	t.mu.Lock()
 	d := t.delta
-	var cut walCut
-	if d != nil {
-		cut = d.pendingCut
-		d.pendingCut = walCut{}
-	}
-	lg := (*wal.Log)(nil)
-	if d != nil {
-		lg = d.wal
-	}
+	cut, lg := d.pendingCut, d.wal
+	d.pendingCut = walCut{}
 	t.mu.Unlock()
 	if lg == nil || !cut.ok {
 		return nil

@@ -12,21 +12,32 @@ import (
 	"repro/internal/wal"
 )
 
-// newWALTable builds an empty ingest-enabled qty/city table and
-// attaches a WAL under dir on fs. AutoSeal stays off so tests control
-// sealing deterministically.
-func newWALTable(t *testing.T, fs faultfs.FS, dir string, policy wal.SyncPolicy) (*Table, *RecoveryReport) {
+// mkQtyCity builds the empty qty/city schema the WAL tests write to.
+func mkQtyCity(t *testing.T, shards int) *Table {
 	t.Helper()
-	tb := NewWithOptions("orders", TableOptions{SegmentRows: 64})
+	tb := NewWithOptions("orders", TableOptions{SegmentRows: 64, Shards: shards})
 	if err := AddColumn(tb, "qty", []int64{}, Imprints, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AddStringColumn("city", []string{}, Imprints, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	return tb
+}
+
+// newWALTable builds an empty qty/city table that buffers its commits
+// and attaches a WAL under dir on fs. AutoSeal stays off so tests
+// control sealing deterministically.
+func newWALTable(t *testing.T, fs faultfs.FS, dir string, policy wal.SyncPolicy) (*Table, *RecoveryReport) {
+	t.Helper()
+	return newWALTableWith(t, fs, dir, policy, 1, sealManual)
+}
+
+// newWALTableWith is newWALTable at a shard count and seal policy.
+func newWALTableWith(t *testing.T, fs faultfs.FS, dir string, policy wal.SyncPolicy, shards int, seal sealPolicy) (*Table, *RecoveryReport) {
+	t.Helper()
+	tb := mkQtyCity(t, shards)
+	seal.apply(t, tb)
 	rep, err := tb.EnableWAL(WALOptions{Dir: dir, Policy: policy, FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +69,23 @@ func seqRows(base, n int) ([]int64, []string) {
 }
 
 // dumpTable renders the table's complete logical contents (ids, live
-// values, tombstones) for equality comparison across recoveries.
+// values, tombstones) for equality comparison across recoveries. A
+// sharded table's ids have holes once its shards compacted, so it is
+// rendered through a query instead: every live row under its id.
 func dumpTable(t *testing.T, tb *Table) string {
 	t.Helper()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rows=%d live=%d\n", tb.Rows(), tb.LiveRows())
+	if tb.shard != nil {
+		q := tb.Select("qty", "city")
+		for id, row := range q.Rows() {
+			fmt.Fprintf(&sb, "%d %s\n", id, row)
+		}
+		if err := q.Err(); err != nil {
+			t.Fatalf("Rows: %v", err)
+		}
+		return sb.String()
+	}
 	for id := 0; id < tb.Rows(); id++ {
 		if tb.IsDeleted(id) {
 			fmt.Fprintf(&sb, "%d D\n", id)
@@ -79,10 +102,23 @@ func dumpTable(t *testing.T, tb *Table) string {
 
 // TestWALReplayRoundTrip runs commits, point updates, deletes and a
 // compaction through a WAL, crashes, and asserts recovery rebuilds the
-// exact pre-crash table and reports what it replayed.
+// exact pre-crash table and reports what it replayed — at shard counts
+// 1 and 2 (one log per shard) under every seal policy: a table that
+// never called EnableDeltaIngest logs and recovers like the others, and
+// each of its commits is indexed, not buffered, when acknowledged.
 func TestWALReplayRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, seal := range sealPolicies {
+			t.Run(fmt.Sprintf("shards=%d/policy=%s", shards, seal), func(t *testing.T) {
+				walReplayRoundTrip(t, shards, seal)
+			})
+		}
+	}
+}
+
+func walReplayRoundTrip(t *testing.T, shards int, seal sealPolicy) {
 	mem := faultfs.NewMemFS()
-	tb, rep := newWALTable(t, mem, "wal", wal.SyncAlways)
+	tb, rep := newWALTableWith(t, mem, "wal", wal.SyncAlways, shards, seal)
 	if rep.Records != 0 {
 		t.Fatalf("fresh log replayed %d records", rep.Records)
 	}
@@ -113,11 +149,17 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	if err := commitQC(tb, q, c); err != nil {
 		t.Fatal(err)
 	}
+	if seal == sealImmediate && tb.DeltaRows() != 0 {
+		t.Errorf("%d rows buffered on a table that never enabled buffering", tb.DeltaRows())
+	}
 	want := dumpTable(t, tb)
 
 	mem.Crash() // kill -9: only synced state survives
 
-	rec, rep2 := newWALTable(t, mem, "wal", wal.SyncAlways)
+	rec, rep2 := newWALTableWith(t, mem, "wal", wal.SyncAlways, shards, seal)
+	if seal == sealImmediate && rec.DeltaRows() != 0 {
+		t.Errorf("recovery left %d rows buffered under the immediate policy", rec.DeltaRows())
+	}
 	if got := dumpTable(t, rec); got != want {
 		t.Errorf("recovered table differs from pre-crash table:\n--- want\n%s--- got\n%s", want, got)
 	}
