@@ -146,11 +146,13 @@ func b2u(b bool) uint64 {
 // unit, which must be a power of two up to 64 — every divisor of the
 // table's 64-row block is — so that the walk splits dictionary entries
 // at unit boundaries with shifts and folds 64 verdicts to a word.
+//
+//imprintvet:hotpath
 func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]CandidateRun, QueryStats) {
 	if unit < 1 || unit > 64 || unit&(unit-1) != 0 {
 		panic("core: probe unit must be a power of two in [1, 64]")
 	}
-	w := unitWalk{vs: &ix.vecs, mask: m.Mask, inner: m.Inner, f: unit, shift: uint(bits.TrailingZeros(uint(unit))),
+	w := unitWalk{mask: m.Mask, inner: m.Inner, f: unit, shift: uint(bits.TrailingZeros(uint(unit))),
 		runs: dst, base: len(dst)}
 	probes, iVec := 0, 0
 	for _, e := range ix.dict {
@@ -165,18 +167,21 @@ func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]Candidate
 			continue
 		}
 		probes += cnt
-		if cnt >= 64 {
-			// A long stretch of distinct vectors — all an incompressible
-			// column has: align to a unit, then a word of verdicts at a time.
-			head := min(cnt, -w.cl&(unit-1))
-			w.each(iVec, head)
-			whole := (cnt - head) &^ (unit - 1)
-			w.bulk(iVec+head, whole>>w.shift)
-			w.each(iVec+head+whole, cnt-head-whole)
-		} else {
-			w.each(iVec, cnt)
+		if cnt < 64 {
+			// A short stretch between repeats: one vector at a time.
+			w.each(&ix.vecs, iVec, cnt)
+			iVec += cnt
+			continue
 		}
-		iVec += cnt
+		// A long stretch of distinct vectors, all an incompressible column
+		// has: a word of verdicts at a time, the first batch ending on a
+		// unit boundary so that the others hold whole units only.
+		for end := iVec + cnt; iVec < end; {
+			n := min(end-iVec, 64-w.cl&(unit-1))
+			hit, exact := ix.vecs.verdicts(iVec, n, w.mask, w.inner)
+			w.feed(hit, exact, n)
+			iVec += n
+		}
 	}
 	if ix.pendingCount > 0 {
 		// The partial tail is never exact: its cacheline is not full.
@@ -200,7 +205,6 @@ func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]Candidate
 // start or end inside a unit — and the cacheline tallies behind
 // QueryStats.
 type unitWalk struct {
-	vs          *vecstore
 	mask, inner uint64
 	f           int  // cachelines per unit, a power of two ...
 	shift       uint // ... namely 1 << shift
@@ -215,6 +219,8 @@ type unitWalk struct {
 
 // push appends count units from start, extending the last run when it
 // is adjacent and as exact.
+//
+//imprintvet:hotpath
 func (w *unitWalk) push(start, count int, exact bool) {
 	if n := len(w.runs); n > w.base {
 		last := &w.runs[n-1]
@@ -232,6 +238,8 @@ func (w *unitWalk) push(start, count int, exact bool) {
 // being exact, and close it when they reach its end. Of a hit's
 // cachelines the head completes the unit under assembly, whole units in
 // the middle are one run, and the tail opens the next unit.
+//
+//imprintvet:hotpath
 func (w *unitWalk) add(hit, exact bool, cnt int) {
 	if !hit {
 		if w.uHit > 0 && w.cl&(w.f-1)+cnt >= w.f {
@@ -264,6 +272,8 @@ func (w *unitWalk) add(hit, exact bool, cnt int) {
 
 // group adds n cachelines that fit the unit under assembly, nHit of
 // them hits and nExact exact, closing the unit when they fill it.
+//
+//imprintvet:hotpath
 func (w *unitWalk) group(n, nHit, nExact int) {
 	w.uHit += nHit
 	w.uExact += nExact
@@ -278,12 +288,21 @@ func (w *unitWalk) group(n, nHit, nExact int) {
 // each walks n cachelines with a stored vector each, from vector iVec
 // on, one by one: the path of the short distinct entries between the
 // repeats of a compressible column, where a test and a well-predicted
-// branch per vector beat any set-up. It is add for cnt = 1, over locals.
-func (w *unitWalk) each(iVec, n int) {
+// branch per vector beat any set-up. It is add for cnt = 1, over
+// locals, and reads full-width vectors as the words themselves.
+//
+//imprintvet:hotpath
+func (w *unitWalk) each(vs *vecstore, iVec, n int) {
 	mask, inner, last := w.mask, w.inner, w.f-1
 	cl, uHit, uExact, hitCl, exactCl := w.cl, w.uHit, w.uExact, 0, 0
+	words, wide := vs.words, vs.width == 64
 	for end := iVec + n; iVec < end; iVec++ {
-		vec := w.vs.get(iVec)
+		var vec uint64
+		if wide {
+			vec = words[iVec]
+		} else {
+			vec = vs.get(iVec)
+		}
 		if vec&mask != 0 {
 			hitCl++
 			uHit++
@@ -304,51 +323,107 @@ func (w *unitWalk) each(iVec, n int) {
 	w.exactCl += exactCl
 }
 
-// bulk walks units whole units of distinct stored vectors from vector
-// iVec on, starting on a unit boundary, with the verdicts computed
-// apart from the runs they form, a word at a time: vecstore.verdicts
-// folds up to 64 vectors into a hit and an exact bitmap without a
-// branch, whose popcounts are the cacheline tallies; each unit's
-// verdict is a test of its f bits; and the runs are read off the unit
-// bitmaps with trailing-zero counts, so run extraction costs what the
-// runs number, not the units, however the hits are scattered.
-func (w *unitWalk) bulk(iVec, units int) {
-	for units > 0 {
-		n := min(units, 64>>w.shift) // units this word of verdicts holds
-		hit, exact := w.vs.verdicts(iVec, n<<w.shift, w.mask, w.inner)
-		w.hitCl += bits.OnesCount64(hit)
-		w.exactCl += bits.OnesCount64(exact)
-		if w.f > 1 {
-			hit, exact = unitVerdicts(hit, exact, uint(w.f), uint(n))
-		}
-		for u := w.cl >> w.shift; hit != 0; {
-			// The next run: candidates from bit at on, as exact as the first.
-			at := uint(bits.TrailingZeros64(hit))
-			run, isExact := hit>>at&^(exact>>at), exact>>at&1 != 0
-			if isExact {
-				run = exact >> at
-			}
-			length := uint(bits.TrailingZeros64(^run))
-			w.push(u+int(at), int(length), isExact)
-			hit &^= (1<<length - 1) << at
-		}
-		iVec += n << w.shift
-		w.cl += n << w.shift
-		units -= n
+// feed walks the n <= 64 cachelines from the walk's position on, each
+// with a distinct stored vector, given their verdicts as bitmaps (bit j:
+// cacheline cl+j hits, is exact), whose popcounts are the cacheline
+// tallies. The head completes the unit under assembly and the tail
+// opens the next one, cacheline counts as add assembles them; the whole
+// units between fold to one verdict bit each (unitVerdicts), and their
+// runs are read off those bits with trailing-zero counts, so run
+// extraction costs what the runs number, not the units, however the
+// hits are scattered.
+//
+//imprintvet:hotpath
+func (w *unitWalk) feed(hit, exact uint64, n int) {
+	w.hitCl += bits.OnesCount64(hit)
+	w.exactCl += bits.OnesCount64(exact)
+	if fill := w.cl & (w.f - 1); fill > 0 {
+		k := uint(min(n, w.f-fill))
+		w.group(int(k), bits.OnesCount64(hit&lowBits(k)), bits.OnesCount64(exact&lowBits(k)))
+		hit, exact, n = hit>>k, exact>>k, n-int(k)
+	}
+	if units := uint(n) >> w.shift; units > 0 {
+		w.units(unitVerdicts(hit, exact, uint(w.f), units))
+		whole := units << w.shift
+		w.cl += int(whole)
+		hit, exact, n = hit>>whole, exact>>whole, n-int(whole)
+	}
+	if n > 0 {
+		w.group(n, bits.OnesCount64(hit&lowBits(uint(n))), bits.OnesCount64(exact&lowBits(uint(n))))
 	}
 }
 
+// units pushes the runs of the unit verdict bitmaps, bit u standing for
+// the unit u places past the walk's position (which is on a boundary).
+//
+//imprintvet:hotpath
+func (w *unitWalk) units(hit, exact uint64) {
+	for u := w.cl >> w.shift; hit != 0; {
+		// The next run: candidates from bit at on, as exact as the first.
+		at := uint(bits.TrailingZeros64(hit))
+		run, isExact := hit>>at&^(exact>>at), exact>>at&1 != 0
+		if isExact {
+			run = exact >> at
+		}
+		length := uint(bits.TrailingZeros64(^run))
+		w.push(u+int(at), int(length), isExact)
+		hit &^= lowBits(length) << at
+	}
+}
+
+// lowBits returns the word with its n <= 64 low bits set.
+func lowBits(n uint) uint64 { return uint64(1)<<n - 1 }
+
 // unitVerdicts folds per-vector verdict bitmaps into one bit per unit
 // of f vectors, n units: a unit is hit when any of its vectors is, and
-// exact when all of them are.
+// exact when all of them are. Shifted ORs (ANDs) fold each unit's f bits
+// into its lowest in log2(f) steps, and log2(64/f) shift-and-mask steps
+// pack the lowest bits together, halving the stride each time — no step
+// per unit.
+//
+//imprintvet:hotpath
 func unitVerdicts(vhit, vexact uint64, f, n uint) (hit, exact uint64) {
-	all := uint64(1)<<f - 1
-	for i := uint(0); i < n; i++ {
-		hit |= b2u(vhit>>(i*f)&all != 0) << i
-		exact |= b2u(vexact>>(i*f)&all == all) << i
+	for s := uint(1); s < f; s <<= 1 {
+		vhit |= vhit >> s
+		vexact &= vexact >> s
 	}
-	return hit, exact
+	hit, exact = vhit, vexact
+	for _, st := range packSteps[bits.TrailingZeros(f)&7] {
+		hit = (hit | hit>>st.shift) & st.keep
+		exact = (exact | exact>>st.shift) & st.keep
+	}
+	return hit & lowBits(n), exact & lowBits(n)
 }
+
+// packStep is one step of unitVerdicts' packing: OR the word with itself
+// shifted right, keep the bits that now hold unit verdicts.
+type packStep struct {
+	shift uint
+	keep  uint64
+}
+
+// packSteps[log2 f] packs bits 0, f, 2f, ... of a word into its low
+// 64/f bits: the first step keeps those bits, and every further one
+// merges neighbouring fields — of f·2^i bits, their low 2^i bits the
+// verdicts packed so far — into fields twice as wide holding twice the
+// verdicts.
+var packSteps = func() (t [7][]packStep) {
+	field := func(width, low int) uint64 { // the low bits of every field
+		var m uint64
+		for at := 0; at < 64; at += width {
+			m |= lowBits(uint(low)) << at
+		}
+		return m
+	}
+	for k := range t {
+		f := 1 << k
+		t[k] = []packStep{{0, field(f, 1)}}
+		for width, low := f, 1; low < width && width < 64; width, low = 2*width, 2*low {
+			t[k] = append(t[k], packStep{uint(width - low), field(2*width, 2*low)})
+		}
+	}
+	return t
+}()
 
 // sampleWindows bounds the access-path sample: at most this many
 // windows of stored vectors are read, whatever the index size.

@@ -98,20 +98,31 @@ func TestResidualShare(t *testing.T) {
 	}
 }
 
-// TestVecstoreBulkReads holds the two loops that read vectors in bulk —
+// TestVecstoreBulkReads holds the loops that read vectors in bulk —
 // verdicts (the probe) and union (the sample) — to get, at every stored
-// width and at offsets that straddle backing words.
+// width: ragged calls at offsets that straddle backing words, and full
+// 64-vector calls (the word-at-a-time loops) at every offset, aligned to
+// a backing word or not, for a mask with inner bins and for one with
+// none (equality: the exactness bitmap is skipped).
 func TestVecstoreBulkReads(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 16))
 	for _, width := range []int{8, 16, 32, 64} {
 		vs := newVecstore(width)
+		inner := rng.Uint64() & rng.Uint64() & vs.mask
 		for i := 0; i < 300; i++ {
-			vs.append(rng.Uint64() & rng.Uint64() & vs.mask) // sparse-ish vectors
+			vec := rng.Uint64() & rng.Uint64() & vs.mask // sparse-ish vectors
+			if i%3 == 0 {
+				vec &= inner // some exact ones at every width
+			}
+			vs.append(vec)
 		}
-		mask, inner := rng.Uint64()&vs.mask, rng.Uint64()&rng.Uint64()&vs.mask
-		for trial := 0; trial < 200; trial++ {
-			n := 1 + rng.IntN(64)
-			i := rng.IntN(vs.len() - n + 1)
+		masks := [][2]uint64{
+			{rng.Uint64() & vs.mask, inner},
+			{rng.Uint64() & vs.mask, 0},
+			{1 << uint(rng.IntN(width)), 0}, // one bin: a point
+		}
+		check := func(i, n int, mask, inner uint64) {
+			t.Helper()
 			var or, hit, exact uint64
 			for j := 0; j < n; j++ {
 				vec := vs.get(i + j)
@@ -127,36 +138,114 @@ func TestVecstoreBulkReads(t *testing.T) {
 				t.Fatalf("width %d: union(%d, %d) = %#x, want %#x", width, i, n, got, or)
 			}
 			if gh, gx := vs.verdicts(i, n, mask, inner); gh != hit || gx != exact {
-				t.Fatalf("width %d: verdicts(%d, %d) = %#x, %#x, want %#x, %#x", width, i, n, gh, gx, hit, exact)
+				t.Fatalf("width %d mask %#x inner %#x: verdicts(%d, %d) = %#x, %#x, want %#x, %#x",
+					width, mask, inner, i, n, gh, gx, hit, exact)
+			}
+		}
+		for _, m := range masks {
+			for trial := 0; trial < 200; trial++ {
+				n := 1 + rng.IntN(64)
+				check(rng.IntN(vs.len()-n+1), n, m[0], m[1])
+			}
+			for i := 0; i+64 <= vs.len(); i++ {
+				check(i, 64, m[0], m[1])
 			}
 		}
 	}
 }
 
-// benchProbeCols are the two 64K-row int64 segments the probe is timed
-// on: incompressible (one distinct vector per cacheline — the verdict
-// bitmaps) and repeat-heavy (the dictionary's run arithmetic).
+// TestUnitVerdictsMatchPerUnitLoop holds unitVerdicts' shift-and-mask
+// folding to the loop that tests each unit's f bits in turn, for every
+// unit the probe accepts and every unit count a word of verdicts holds,
+// on random bitmaps (bits past the n units included: they must not leak
+// into the last unit).
+func TestUnitVerdictsMatchPerUnitLoop(t *testing.T) {
+	perUnit := func(vhit, vexact uint64, f, n uint) (hit, exact uint64) {
+		all := uint64(1)<<f - 1
+		for i := uint(0); i < n; i++ {
+			if vhit>>(i*f)&all != 0 {
+				hit |= 1 << i
+			}
+			if vexact>>(i*f)&all == all {
+				exact |= 1 << i
+			}
+		}
+		return hit, exact
+	}
+	rng := rand.New(rand.NewPCG(27, 1))
+	for _, f := range []uint{1, 2, 4, 8, 16, 32, 64} {
+		for n := uint(0); n <= 64/f; n++ {
+			for trial := 0; trial < 300; trial++ {
+				vhit := rng.Uint64()
+				switch trial % 3 {
+				case 1:
+					vhit &= rng.Uint64() & rng.Uint64() // sparse
+				case 2:
+					vhit |= rng.Uint64() | rng.Uint64() // dense
+				}
+				vexact := vhit &^ (rng.Uint64() & rng.Uint64() & rng.Uint64())
+				gh, gx := unitVerdicts(vhit, vexact, f, n)
+				wh, wx := perUnit(vhit, vexact, f, n)
+				if gh != wh || gx != wx {
+					t.Fatalf("f=%d n=%d on %#x, %#x: got %#x, %#x, want %#x, %#x", f, n, vhit, vexact, gh, gx, wh, wx)
+				}
+			}
+		}
+	}
+}
+
+// regionalCol is a column whose values arrive in runs drawing from 4 of
+// 64 values, as a regional string column's codes do: most cachelines
+// hold all 4, so the dictionary alternates short repeats with short
+// stretches of distinct vectors.
+func regionalCol(n int, seed uint64) []int64 {
+	rng := rand.New(rand.NewPCG(seed, 0x4e6))
+	col := make([]int64, n)
+	for i := 0; i < n; {
+		region := rng.Int64N(16) * 4
+		for end := min(n, i+256+rng.IntN(1792)); i < end; i++ {
+			col[i] = (region + rng.Int64N(4)) * 15_625 // 64 values spread over [0, 1e6)
+		}
+	}
+	return col
+}
+
+// benchProbeCols are the 64K-row int64 segments the probe is timed on:
+// incompressible (one distinct vector per cacheline — the verdict
+// bitmaps), repeat-heavy (the dictionary's run arithmetic) and regional
+// (short entries: the per-vector walk between repeats).
 func benchProbeCols() map[string][]int64 {
 	return map[string][]int64{
 		"uncompressed": randomCol(1<<16, 1_000_000, 7),
 		"repeatHeavy":  repeatHeavyCol(1<<16, 8),
+		"regional":     regionalCol(1<<16, 9),
 	}
 }
 
-// BenchmarkBlockProbe times one range probe of a 64K-row segment at the
+// BenchmarkBlockProbe times one probe of a 64K-row segment at the
 // paper's cacheline unit and at the table executor's 64-row block
-// (8 int64 cachelines).
+// (8 int64 cachelines), for a range mask and for a point mask — the
+// shape of equality on an incompressible column: one bin, no inner bin,
+// every stored vector tested and none exact.
 func BenchmarkBlockProbe(b *testing.B) {
 	for name, col := range benchProbeCols() {
 		ix := Build(col, Options{Seed: 11})
-		m := ix.RangeMasks(450_000, 550_000)
-		for _, unit := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/unit%d", name, unit), func(b *testing.B) {
-				var runs []CandidateRun
-				for i := 0; i < b.N; i++ {
-					runs, _ = ix.RunsInto(runs[:0], m, unit)
-				}
-			})
+		for _, mask := range []struct {
+			name string
+			m    Masks
+		}{
+			{"range", ix.RangeMasks(450_000, 550_000)},
+			{"point", ix.PointMasks(123_456)},
+		} {
+			for _, unit := range []int{1, 8} {
+				b.Run(fmt.Sprintf("%s/%s/unit%d", name, mask.name, unit), func(b *testing.B) {
+					var runs []CandidateRun
+					for i := 0; i < b.N; i++ {
+						runs, _ = ix.RunsInto(runs[:0], mask.m, unit)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ix.StoredVectors()), "ns/vector")
+				})
+			}
 		}
 	}
 }

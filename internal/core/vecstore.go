@@ -69,6 +69,8 @@ func (s *vecstore) append(v uint64) {
 }
 
 // get returns vector i.
+//
+//imprintvet:hotpath
 func (s *vecstore) get(i int) uint64 {
 	w := s.words[uint(i)>>s.perShift]
 	shift := (uint(i) & s.slotMask) << s.bitShift
@@ -78,9 +80,16 @@ func (s *vecstore) get(i int) uint64 {
 // verdicts tests the n <= 64 vectors from i on against a query mask
 // and innermask (Algorithm 3) and returns the outcome as bitmaps: bit j
 // of hit is set when vector i+j intersects mask, and of exact when it
-// also has no bit outside inner. The loop is get spelled out over
-// locals, with two flag-sets and no branch per vector.
+// also has no bit outside inner. Full-width vectors — every column with
+// more than 32 sampled values — are the words themselves
+// (wordVerdicts); narrower ones are read as get reads them, spelled out
+// over locals, with two flag-sets and no branch per vector.
+//
+//imprintvet:hotpath
 func (s *vecstore) verdicts(i, n int, mask, inner uint64) (hit, exact uint64) {
+	if s.width == 64 {
+		return wordVerdicts(s.words[i:i+n], mask, inner)
+	}
 	words, vmask := s.words, s.mask
 	perShift, slotMask, bitShift := s.perShift&63, s.slotMask, s.bitShift&63
 	for j := uint(0); j < uint(n); j++ {
@@ -93,9 +102,48 @@ func (s *vecstore) verdicts(i, n int, mask, inner uint64) (hit, exact uint64) {
 	return hit, exact
 }
 
+// wordVerdicts is verdicts over up to 64 full-width vectors. It skips
+// the exactness bitmap when no bin of mask is inner, as for every =/IN
+// on bins that hold more than one value: a vector that hits then has a
+// bit outside inner.
+//
+//imprintvet:hotpath
+func wordVerdicts(vecs []uint64, mask, inner uint64) (hit, exact uint64) {
+	if len(vecs) == 64 {
+		hit = hitLanes((*[64]uint64)(vecs), mask)
+	} else {
+		for j, vec := range vecs {
+			hit |= b2u(vec&mask != 0) << (uint(j) & 63)
+		}
+	}
+	if mask&inner == 0 {
+		return hit, 0
+	}
+	for j, vec := range vecs {
+		exact |= b2u(vec&^inner == 0) << (uint(j) & 63)
+	}
+	return hit, exact & hit
+}
+
+// hitLanes tests 64 vectors against mask, four flag-sets OR-ed together
+// per shift into the bitmap, like the table's fixed-width lane kernels:
+// the fixed length drops every bounds check.
+//
+//imprintvet:hotpath
+func hitLanes(vecs *[64]uint64, mask uint64) uint64 {
+	var hit uint64
+	for j := 0; j < 64; j += 4 {
+		hit |= (b2u(vecs[j]&mask != 0) | b2u(vecs[j+1]&mask != 0)<<1 |
+			b2u(vecs[j+2]&mask != 0)<<2 | b2u(vecs[j+3]&mask != 0)<<3) << uint(j)
+	}
+	return hit
+}
+
 // union returns the OR of the n vectors from i on. Full-width vectors —
 // every column with more than 32 sampled values — are the words
 // themselves.
+//
+//imprintvet:hotpath
 func (s *vecstore) union(i, n int) uint64 {
 	words, vmask := s.words, s.mask
 	perShift, slotMask, bitShift := s.perShift&63, s.slotMask, s.bitShift&63

@@ -162,6 +162,55 @@ func TestAccessPathDecisionTable(t *testing.T) {
 	}
 }
 
+// TestInListDuplicatesCountOnce pins that an IN-list is estimated by its
+// members, not its entries: 61 copies of one value estimate what the
+// value's equality does on every segment — one bin's share, where
+// counting copies made it 61 bins' and sent the leaf to
+// "scan (unselective)" — take the same access path, and select the
+// same rows, on a numeric column and on a string column.
+func TestInListDuplicatesCountOnce(t *testing.T) {
+	tb, _ := accessPathTable(t)
+	for _, c := range []struct {
+		name   string
+		in, eq Predicate
+	}{
+		{"qty", In("qty", slices.Repeat([]int64{123_456}, 61)...), Equals[int64]("qty", 123_456)},
+		{"city", StrIn("city", slices.Repeat([]string{"eu-3"}, 61)...), StrEquals("city", "eu-3")},
+	} {
+		in, err := tb.Select().Where(c.in).Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq, err := tb.Select().Where(c.eq).Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed := 0
+		for s, sp := range in.Root.SegmentDetails {
+			want := eq.Root.SegmentDetails[s]
+			if sp.Access != want.Access || sp.Reason != want.Reason || sp.Selectivity != want.Selectivity {
+				t.Errorf("%s in 61 copies, segment %d: %s (%s) est=%.3f; equality: %s (%s) est=%.3f",
+					c.name, s, sp.Access, sp.Reason, sp.Selectivity, want.Access, want.Reason, want.Selectivity)
+			}
+			if sp.Access == "imprints" {
+				probed++
+			}
+		}
+		if probed == 0 {
+			t.Errorf("%s: no segment probed; the case proves nothing", c.name)
+		}
+		got, _, err := tb.Select().Where(c.in).IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIDs, _, err := tb.Select().Where(c.eq).IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalIDs(t, got, wantIDs, c.name+" in-list vs equality")
+	}
+}
+
 // TestAccessPathSampleKeepsAnswers pins that the choice is invisible in
 // results: a statement whose segments the sample sends to the scan
 // returns what the always-probe plan returns, and reports no probe.

@@ -85,9 +85,13 @@ type PlanNode struct {
 	// segments resolved differently (see SegmentDetails).
 	Access string
 	// Reason says why a non-default path was chosen: "summary excludes"
-	// (pruned), "unselective" (scan: the histogram estimates that nearly
-	// every row qualifies) or "probe prunes nothing" (scan: the sampled
-	// imprint could skip or mark exact almost no block).
+	// (pruned: the leaf's own min/max or dictionary rules the segment
+	// out), "conjunct excluded" (pruned: an enclosing and's — or andnot's
+	// minuend's — summaries ruled the segment out first, so the leaf was
+	// neither probed nor sampled there), "unselective" (scan: the
+	// histogram estimates that nearly every row qualifies) or "probe
+	// prunes nothing" (scan: the sampled imprint could skip or mark exact
+	// almost no block).
 	Reason string
 	// Selectivity is the leaf's estimated selectivity (fraction of rows
 	// expected to qualify, row-weighted across probed segments) from the
@@ -380,10 +384,13 @@ func aggregatePlans(plans []*PlanNode, infos []planSegInfo) *PlanNode {
 // the dominant access path and the row-weighted selectivity estimate
 // and sampled residual share.
 func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
-	access := ""
+	access, pruneReason := "", "conjunct excluded"
 	uniform, allPruned := true, true
 	var estRows, estSum, resRows, resSum float64
 	for s, p := range plans {
+		if p.Reason == "summary excludes" {
+			pruneReason = p.Reason
+		}
 		rows := infos[s].rows
 		agg.SegmentDetails = append(agg.SegmentDetails, SegmentPlan{
 			Segment:         infos[s].seg,
@@ -417,7 +424,8 @@ func aggregateLeaf(agg *PlanNode, plans []*PlanNode, infos []planSegInfo) {
 	}
 	switch {
 	case allPruned:
-		agg.Access, agg.Reason = "pruned", "summary excludes"
+		// Its own summary when it excluded any segment, else its conjuncts'.
+		agg.Access, agg.Reason = "pruned", pruneReason
 	case uniform:
 		agg.Access = access
 	default:

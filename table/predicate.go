@@ -3,6 +3,8 @@ package table
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -951,6 +953,9 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 	case "leaf":
 		return t.evalSegmentLeaf(en, s, opts, st, record)
 	case "and":
+		if excludes(en, s) {
+			return excluded(en, s, opts, record)
+		}
 		acc := t.evalTree(en.kids[0], s, opts, st, record)
 		kerns, checks := residuals(acc, opts, nil, nil)
 		var kids []*PlanNode
@@ -999,6 +1004,9 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 		}
 		return acc
 	case "andnot":
+		if excludes(en, s) {
+			return excluded(en, s, opts, record)
+		}
 		evP := t.evalTree(en.kids[0], s, opts, st, record)
 		evQ := t.evalTree(en.kids[1], s, opts, st, record)
 		out := evaluated{}
@@ -1019,6 +1027,81 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 		return out
 	}
 	panic("table: unknown execution op " + en.op)
+}
+
+// excludes reports, from summaries alone — min/max and dictionaries,
+// no probe, no imprint sample — that no row of segment s satisfies the
+// subtree: a leaf whose plan prunes s, a conjunction with an excluded
+// kid, a disjunction whose every kid is excluded, a difference whose
+// minuend is. evalTree asks it before evaluating any kid of an and or
+// an andnot, so the costly structures of one conjunct are never walked
+// on a segment a cheaper one has already ruled out.
+func excludes(en *execNode, s int) bool {
+	switch en.op {
+	case "leaf":
+		return en.plan.prune(s)
+	case "and":
+		for _, kid := range en.kids {
+			if excludes(kid, s) {
+				return true
+			}
+		}
+		return false
+	case "or":
+		for _, kid := range en.kids {
+			if !excludes(kid, s) {
+				return false
+			}
+		}
+		return true
+	case "andnot":
+		return excludes(en.kids[0], s)
+	}
+	return false
+}
+
+// empty is the evaluation of a subtree that matches no row of the
+// segment: no runs, and a residual that rejects every row (it is still
+// asked under or, where sibling runs may cover the segment's rows).
+func empty(opts SelectOptions, plan *PlanNode) evaluated {
+	if opts.Scalar {
+		return evaluated{check: neverMatch, plan: plan}
+	}
+	return evaluated{kern: zeroMask, plan: plan}
+}
+
+// excluded is the evaluation of a subtree excludes ruled out on segment
+// s. When recording, its plan keeps the tree's shape: every leaf is
+// pruned, for its own summary or because a conjunct excluded the
+// segment before the leaf was asked anything else.
+func excluded(en *execNode, s int, opts SelectOptions, record bool) evaluated {
+	var plan *PlanNode
+	if record {
+		plan = excludedPlan(en, s)
+	}
+	return empty(opts, plan)
+}
+
+func excludedPlan(en *execNode, s int) *PlanNode {
+	if en.op == "leaf" {
+		node := leafNode(en)
+		node.Access, node.Reason = "pruned", "conjunct excluded"
+		if en.plan.prune(s) {
+			node.Reason = "summary excludes"
+		}
+		return node
+	}
+	kids := make([]*PlanNode, len(en.kids))
+	for i, kid := range en.kids {
+		kids[i] = excludedPlan(kid, s)
+	}
+	return opNode(en.op, nil, kids)
+}
+
+// leafNode is a leaf's plan node before its segment is evaluated.
+func leafNode(en *execNode) *PlanNode {
+	return &PlanNode{Op: "leaf", Column: en.leaf.col, Pred: en.leaf.describe(en.binds),
+		Access: en.plan.access(), Selectivity: -1, Residual: -1}
 }
 
 // residuals collects one child evaluation's residual evaluator into the
@@ -1046,18 +1129,14 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 	plan := en.plan
 	var node *PlanNode
 	if record {
-		node = &PlanNode{Op: "leaf", Column: en.leaf.col, Pred: en.leaf.describe(en.binds),
-			Access: plan.access(), Selectivity: -1, Residual: -1}
+		node = leafNode(en)
 	}
 	if plan.prune(s) {
 		if record {
 			node.Access = "pruned"
 			node.Reason = "summary excludes"
 		}
-		if opts.Scalar {
-			return evaluated{check: neverMatch, plan: node}
-		}
-		return evaluated{kern: zeroMask, plan: node}
+		return empty(opts, node)
 	}
 	// residual attaches the leaf's residual evaluator in the mode the
 	// options selected: the cached per-segment selection-mask kernel, or
@@ -1219,15 +1298,18 @@ func (c *colState[V]) compileLeaf(p *leafPred) (leafPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl.set = set
-		pl.member = make(map[V]struct{}, len(set))
-		for i, v := range set {
+		// Each member once, ascending: the estimate and the kernel's
+		// small-set cutoff count members, not list entries. A NaN equals
+		// nothing, so it is no member.
+		set = slices.DeleteFunc(slices.Clone(set), func(v V) bool { return v != v })
+		slices.Sort(set)
+		pl.set = slices.Compact(set)
+		pl.member = make(map[V]struct{}, len(pl.set))
+		for _, v := range pl.set {
 			pl.member[v] = struct{}{}
-			if i == 0 {
-				pl.setLo, pl.setHi = v, v
-				continue
-			}
-			pl.setLo, pl.setHi = min(pl.setLo, v), max(pl.setHi, v)
+		}
+		if n := len(pl.set); n > 0 {
+			pl.setLo, pl.setHi = pl.set[0], pl.set[n-1]
 		}
 		return pl, nil
 	case kindRange, kindAtLeast, kindLessThan, kindEquals:
@@ -1410,7 +1492,7 @@ func (pl *numLeafPlan[V]) segEstimate(s int) float64 {
 	}
 	switch pl.kind {
 	case kindIn:
-		return min(float64(len(pl.set))/float64(ix.Bins()), 1)
+		return inSetEstimate(ix.InSetMasks(pl.set), ix.Bins())
 	case kindRange:
 		return ix.EstimateSelectivity(pl.low, pl.high)
 	case kindAtLeast:
@@ -1422,6 +1504,13 @@ func (pl *numLeafPlan[V]) segEstimate(s int) float64 {
 		return 1 / float64(ix.Bins())
 	}
 	return -1
+}
+
+// inSetEstimate is an IN-list's selectivity estimate from the masks it
+// binds: the share of bins its members light — equality's one bin's
+// share per member, a bin counted once however many members it holds.
+func inSetEstimate(m core.Masks, bins int) float64 {
+	return float64(bits.OnesCount64(m.Mask)) / float64(bins)
 }
 
 // blocksFromCachelinesInto renormalizes a zonemap's run list (vpc rows

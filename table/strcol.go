@@ -436,7 +436,10 @@ func (c *strColState) compileLeaf(p *leafPred) (leafPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("column %q is string but IN-list holds %T", c.name, p.low)
 		}
-		pl.inSet = set
+		// Each member once, ascending: the per-segment code sets then are
+		// too, and the estimate and the kernels' small-set cutoff count
+		// members, not list entries.
+		pl.inSet = slices.Compact(slices.Sorted(slices.Values(set)))
 		return pl, nil
 	case kindRange, kindAtLeast, kindLessThan, kindEquals, kindPrefix:
 		var err error
@@ -653,11 +656,7 @@ func (pl *strLeafPlan) segEstimate(s int) float64 {
 		return 0
 	}
 	if pl.kind == kindIn {
-		est := float64(len(e.set)) / float64(seg.ix.Bins())
-		if est > 1 {
-			est = 1
-		}
-		return est
+		return inSetEstimate(seg.ix.InSetMasks(e.set), seg.ix.Bins())
 	}
 	return seg.ix.EstimateSelectivity(e.lo, e.hi)
 }
