@@ -71,21 +71,23 @@ type pred[V coltype.Value] struct {
 }
 
 func (p *pred[V]) match(v V) bool {
+	// Each test is stated positively so that a float NaN, which compares
+	// false against everything, matches no predicate.
 	if !p.lowUnb {
 		if p.lowIncl {
-			if v < p.low {
+			if !(v >= p.low) {
 				return false
 			}
-		} else if v <= p.low {
+		} else if !(v > p.low) {
 			return false
 		}
 	}
 	if !p.highUnb {
 		if p.highIncl {
-			if v > p.high {
+			if !(v <= p.high) {
 				return false
 			}
-		} else if v >= p.high {
+		} else if !(v < p.high) {
 			return false
 		}
 	}
@@ -97,9 +99,12 @@ func (p *pred[V]) match(v V) bool {
 // over-approximated at the borders); innermask has a bit only for bins
 // that lie entirely inside the query range (conservatively
 // under-approximated), so that an imprint vector with no bits outside
-// innermask guarantees every value in the cacheline qualifies.
+// innermask guarantees every value in the cacheline qualifies. A float
+// NaN satisfies no predicate and bins to 0 (histogram.Bin), so bin 0 of
+// a float column is never inner.
 func (ix *Index[V]) masks(p *pred[V]) (mask, inner uint64) {
 	h := ix.hist
+	nanBin := coltype.IsFloat[V]()
 	for i := 0; i < h.Bins; i++ {
 		// Bin i's bounds (histogram.BinBounds, read in place: this loop
 		// runs per probed segment).
@@ -149,7 +154,7 @@ func (ix *Index[V]) masks(p *pred[V]) (mask, inner uint64) {
 				contained = hi <= p.high
 			}
 		}
-		if contained {
+		if contained && !(i == 0 && nanBin) {
 			inner |= 1 << uint(i)
 		}
 	}

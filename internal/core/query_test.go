@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -330,5 +331,68 @@ func TestUnboundedMasksCoverEverything(t *testing.T) {
 	}
 	if inner != full {
 		t.Errorf("unbounded inner = %#x, want %#x", inner, full)
+	}
+}
+
+// TestNaNColumnProbes holds a float column of NaN, ±Inf, −0 and
+// MaxFloat64 to the imprint's contract: no qualifying row lies outside
+// the candidate runs, no row inside an exact run fails the predicate (a
+// NaN satisfies none), and the id path returns exactly the scan's rows
+// — over a low-cardinality histogram (one border per value) and a
+// sampled one.
+func TestNaNColumnProbes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 4))
+	for _, c := range []struct{ n, card int }{{200, 20}, {6000, 700}} {
+		col := make([]float64, c.n)
+		for i := range col {
+			col[i] = float64(rng.IntN(c.card) - c.card/2)
+			switch rng.IntN(16) {
+			case 0:
+				col[i] = math.NaN()
+			case 1:
+				col[i] = math.Inf(1)
+			case 2:
+				col[i] = math.Inf(-1)
+			case 3:
+				col[i] = math.Copysign(0, -1)
+			case 4:
+				col[i] = math.MaxFloat64
+			}
+		}
+		ix := Build(col, Options{Seed: 3})
+		vpc := ix.ValuesPerCacheline()
+		for _, th := range []float64{-float64(c.card), -3, 0, 5, float64(c.card), math.MaxFloat64, math.Inf(1), math.Inf(-1)} {
+			for _, p := range []struct {
+				name string
+				m    Masks
+				ok   func(v float64) bool
+			}{
+				{"atleast", ix.AtLeastMasks(th), func(v float64) bool { return v >= th }},
+				{"lessthan", ix.LessThanMasks(th), func(v float64) bool { return v < th }},
+				{"range", ix.RangeMasks(th, th+10), func(v float64) bool { return v >= th && v < th+10 }},
+				{"point", ix.PointMasks(th), func(v float64) bool { return v == th }},
+			} {
+				runs, _ := ix.RunsInto(nil, p.m, 1)
+				covered := make([]int, c.n) // 0 none, 1 candidate, 2 exact
+				for _, r := range runs {
+					for i := int(r.Start) * vpc; i < min(int(r.Start+r.Count)*vpc, c.n); i++ {
+						covered[i] = 1
+						if r.Exact {
+							covered[i] = 2
+						}
+					}
+				}
+				for i, v := range col {
+					if p.ok(v) && covered[i] == 0 {
+						t.Fatalf("n=%d %s %v: row %d (%v) qualifies outside every candidate run", c.n, p.name, th, i, v)
+					}
+					if !p.ok(v) && covered[i] == 2 {
+						t.Fatalf("n=%d %s %v: row %d (%v) fails inside an exact run", c.n, p.name, th, i, v)
+					}
+				}
+			}
+			got, _ := ix.RangeIDs(th, th+10, nil)
+			equalIDs(t, got, scanIDs(col, th, th+10), "RangeIDs over NaN")
+		}
 	}
 }

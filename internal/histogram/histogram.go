@@ -16,6 +16,7 @@ package histogram
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/coltype"
@@ -35,7 +36,8 @@ const MaxBins = 64
 // the domain so that the branch-free search in Bin stays correct.
 type Histogram[V coltype.Value] struct {
 	// Borders[i] is the exclusive upper border of bin i. Borders are
-	// non-decreasing; entries at index >= Bins-1 equal MaxOf[V].
+	// non-decreasing; entries at index >= Bins-1 equal MaxOf[V] (+Inf
+	// when the sample held it).
 	Borders [MaxBins]V
 	// Bins is the number of usable bins: 8, 16, 32 or 64, following the
 	// rounding rule of Algorithm 2.
@@ -87,25 +89,32 @@ func Build[V coltype.Value](col []V, opts Options) *Histogram[V] {
 }
 
 // FromSample builds a histogram from an explicit sample. The sample is
-// modified (sorted) in place.
+// modified (filtered and sorted) in place. Float NaNs are dropped from
+// it: a NaN orders against nothing, so sorting it in scrambles the
+// borders, and Bin sends it to bin 0 without one.
 func FromSample[V coltype.Value](sample []V, countDuplicates bool) *Histogram[V] {
 	if len(sample) == 0 {
 		panic("histogram: empty sample")
 	}
+	sample = slices.DeleteFunc(sample, func(v V) bool { return v != v })
 	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
 
 	// Duplicate elimination. Deduping into a fresh slice keeps the sorted
 	// sample intact for the CountDuplicates variant below.
-	unique := make([]V, 1, len(sample))
-	unique[0] = sample[0]
-	for _, v := range sample[1:] {
-		if v != unique[len(unique)-1] {
+	unique := make([]V, 0, len(sample))
+	for _, v := range sample {
+		if len(unique) == 0 || v != unique[len(unique)-1] {
 			unique = append(unique, v)
 		}
 	}
 
 	h := &Histogram[V]{SampledUnique: len(unique)}
+	// Padding borders sit at the top of the domain: MaxOf[V], or +Inf
+	// when the sample holds it, so that the borders stay ascending.
 	maxV := coltype.MaxOf[V]()
+	if n := len(unique); n > 0 && unique[n-1] > maxV {
+		maxV = unique[n-1]
+	}
 
 	if len(unique) < MaxBins {
 		// Low cardinality: one unique value per bin border. Bin 0 holds

@@ -327,3 +327,25 @@ func TestSampleSmallerThanColumnStillCoversRange(t *testing.T) {
 		t.Errorf("Bin(aboveMax) = %d, want %d", got, h.Bins-1)
 	}
 }
+
+// TestNaNSampleKeepsBordersSorted: NaNs in the sample are left out of
+// the borders (sorted in, they scramble them) and a sampled +Inf pads
+// the top, so the borders ascend at low and high cardinality.
+func TestNaNSampleKeepsBordersSorted(t *testing.T) {
+	for _, card := range []int{0, 20, 500} {
+		col := make([]float64, 0, 2*card+8)
+		for i := 0; i < card; i++ {
+			col = append(col, float64(i), math.NaN())
+		}
+		col = append(col, math.NaN(), math.Inf(-1), math.MaxFloat64, math.Inf(1), math.NaN())
+		h := Build(col, Options{})
+		for i := 1; i < MaxBins; i++ {
+			if b := h.Borders; !(b[i-1] <= b[i]) {
+				t.Fatalf("card=%d: borders not ascending at %d: %v", card, i, b)
+			}
+		}
+		if got := h.Bin(math.NaN()); got != 0 {
+			t.Errorf("card=%d: Bin(NaN) = %d, want 0", card, got)
+		}
+	}
+}

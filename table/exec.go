@@ -99,7 +99,11 @@ type exec struct {
 	spans int      // global segments spanning sealed and buffered rows
 	bufs  bool     // some part buffers rows
 	par   int      // workers the fan-out uses
-	st    core.QueryStats
+	// lagged starts each unit's work only once the unit par slots before
+	// it was merged (forEachSegment): set by an executor whose workers
+	// read what the merge publishes — the top-k's bound.
+	lagged bool
+	st     core.QueryStats
 
 	// streamIDs state: the rows Limit still admits (negative without
 	// one), the first global segment whose buffered rows are not yet
@@ -303,7 +307,7 @@ func (x *exec) forEachUnit(work func(u unit) segOut, consume func(u unit, o segO
 // fan runs slots [0, n) of the fan-out, summing the workers' stats into
 // x.st; a cancellation comes back wrapped.
 func (x *exec) fan(n int, work func(u unit) segOut, consume func(u unit, o segOut) bool) error {
-	err := forEachSegment(x.q.opts.Ctx, n, x.par,
+	err := forEachSegment(x.q.opts.Ctx, n, x.par, x.lagged,
 		func(i int) segOut {
 			if u, ok := x.unit(i); ok {
 				return work(u)

@@ -385,7 +385,7 @@ func TestExecutorValidationOrder(t *testing.T) {
 				"OrderBy.IDs": func(q *Query) error { _, _, err := q.IDs(); return err },
 			},
 			want: map[string]string{
-				"IDs": `no column "nope"`, "OrderBy.IDs": `no column "nope"`, "Batches": `no column "nope"`,
+				"IDs": `no column "nope"`, "OrderBy.IDs": `no column "nope"`, "Batches": `no column "nope"`, "Explain": `no column "nope"`,
 				"Aggregate": "OrderBy does not apply", "GroupBy": "OrderBy does not apply", "ExplainAggregate": "OrderBy does not apply",
 			},
 		},

@@ -179,6 +179,9 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 		return nil, fmt.Errorf("table %s: OrderBy does not apply to Aggregate (aggregates are order-independent)", q.t.name)
 	}
 	names, err := x.projection()
+	if err == nil && q.order != nil {
+		err = x.column(q.order.col)
+	}
 	if err == nil && withAggs {
 		err = x.resolveAggs(specs)
 	}

@@ -72,7 +72,14 @@ type segOut struct {
 //
 // With one worker (or one segment) everything runs inline on the
 // calling goroutine, with a plain early break.
-func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut, consume func(s int, o segOut) bool) error {
+//
+// lagged makes work read the merge: the work of segment s starts only
+// once segment s-par has been consumed, so whatever state consume
+// published through s-par is settled when work(s) reads it — a pure
+// function of the segments before it, never of worker timing. Inline
+// executions satisfy this by construction (consume(s-1) precedes
+// work(s)).
+func forEachSegment(ctx context.Context, nsegs, par int, lagged bool, work func(s int) segOut, consume func(s int, o segOut) bool) error {
 	if nsegs == 0 {
 		return nil
 	}
@@ -93,6 +100,17 @@ func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
+	// merged[s] closes once segment s is consumed (lagged only); quit
+	// releases the workers still waiting when the consumer stops early.
+	var merged []chan struct{}
+	var quit chan struct{}
+	if lagged {
+		merged = make([]chan struct{}, nsegs)
+		for i := range merged {
+			merged[i] = make(chan struct{})
+		}
+		quit = make(chan struct{})
+	}
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -104,6 +122,12 @@ func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut
 				s := int(next.Add(1)) - 1
 				if s >= nsegs {
 					return
+				}
+				if lagged && s >= par {
+					select {
+					case <-merged[s-par]:
+					case <-quit:
+					}
 				}
 				if !stop.Load() && ctxErr(ctx) == nil {
 					outs[s] = work(s)
@@ -120,6 +144,9 @@ func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut
 	consumed := 0
 	defer func() {
 		stop.Store(true)
+		if lagged {
+			close(quit)
+		}
 		wg.Wait()
 		for s := consumed; s < nsegs; s++ {
 			putIDScratch(outs[s].ids)
@@ -135,6 +162,9 @@ func forEachSegment(ctx context.Context, nsegs, par int, work func(s int) segOut
 		consumed = s + 1
 		if !consume(s, outs[s]) {
 			return nil
+		}
+		if lagged {
+			close(merged[s])
 		}
 	}
 	return nil

@@ -174,10 +174,10 @@ type anyColumn interface {
 	slotAcc(op aggOp, r segRef) slotAgg
 	// topkAcc returns a bounded top-k collector over the rows r names
 	// (unbounded when k <= 0), which tags rows with global ids once
-	// rebased; topkMerge ranks the per-unit partials globally and
-	// returns the ordered row ids.
+	// rebased; topkMerge returns the merge that ranks the per-unit
+	// partials globally and states its k-th best value as a bound.
 	topkAcc(r segRef, desc bool, k int) segTopK
-	topkMerge(parts []orderPartial, desc bool, k int) []uint32
+	topkMerge(desc bool, k int) topMerge
 
 	// ---- LSM-ingest hooks (delta.go, seal.go) ----
 	// place records the column's position in the table — and so in
