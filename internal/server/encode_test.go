@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -58,10 +61,7 @@ func refEncode(t testing.TB, resp *QueryResponse) []byte {
 
 func checkEncoding(t testing.TB, resp *QueryResponse) {
 	t.Helper()
-	got, err := appendQueryResponse(nil, resp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := appendQueryResponse(nil, resp)
 	if want := refEncode(t, resp); !bytes.Equal(got, want) {
 		t.Fatalf("hand encoder diverges from encoding/json:\n got %s\nwant %s", got, want)
 	}
@@ -177,6 +177,170 @@ func FuzzAppendJSON(f *testing.F) {
 			RowCount: 1, Batches: []*table.RowBatch{{Cols: cols}}}
 		checkEncoding(t, &QueryResponse{Query: s, Result: res, Cached: null, ElapsedUs: i})
 	})
+}
+
+// TestAppendDecimalMatchesStrconv holds appendFloat's decimal fast path
+// to the strconv path it bypasses (itself held to encoding/json above):
+// every c/10^k for |c| ≤ 2·10^6 and k 0–7, short decimals up to 1e8 at
+// random, random bit patterns, the neighbours of the cutoffs, -0 and
+// subnormals must print the same bytes either way.
+func TestAppendDecimalMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(f float64) {
+		t.Helper()
+		got = appendFloat(got[:0], f, 64)
+		want = appendFloatStrconv(want[:0], f, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v (bits %#016x): fast path %s, strconv %s", f, math.Float64bits(f), got, want)
+		}
+	}
+	step := int64(1)
+	if raceEnabled || testing.Short() {
+		step = 13
+	}
+	for k := 0; k <= 7; k++ {
+		p := math.Pow10(k)
+		for c := int64(-2e6); c <= 2e6; c += step {
+			check(float64(c) / p) // exact operands: the nearest double to c/10^k
+		}
+	}
+	rng := rand.New(rand.NewPCG(29, 1))
+	for i := 0; i < 200_000; i++ {
+		check(float64(rng.Int64N(2e14)-1e14) / math.Pow10(rng.IntN(8)))
+		check(math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range []float64{1e-6, 1e8, 1e21, 1 << 53} {
+		for _, f := range []float64{x, -x} {
+			lo, hi := f, f
+			for i := 0; i < 256; i++ {
+				check(lo)
+				check(hi)
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			}
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, math.Nextafter(0x1p-1022, 0), 1e-310} {
+		check(f)
+	}
+}
+
+// FuzzAppendDecimal aims the fast path where FuzzAppendJSON's random
+// bit patterns almost never land: the double nearest c·10^-k, which for
+// small k is a short decimal. It must encode as encoding/json does.
+func FuzzAppendDecimal(f *testing.F) {
+	for _, s := range []struct {
+		c int64
+		k uint8
+	}{{0, 0}, {1, 6}, {-1, 6}, {12345, 2}, {99999999999999, 6}, {99999999999999, 7}, {100000000, 0},
+		{1 << 53, 0}, {math.MaxInt64, 6}, {math.MinInt64, 3}, {1, 7}, {9999995, 13}} {
+		f.Add(s.c, s.k)
+	}
+	f.Fuzz(func(t *testing.T, c int64, k uint8) {
+		x, err := strconv.ParseFloat(strconv.FormatInt(c, 10)+"e-"+strconv.Itoa(int(k%16)), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, x, 64); !bytes.Equal(got, want) {
+			t.Fatalf("%de-%d = %v: got %s, want %s", c, k%16, x, got, want)
+		}
+	})
+}
+
+// TestAppendIntMatchesStrconv holds the digit-pair writers to strconv
+// at every digit-count and bit-length boundary and at random.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	var us []uint64
+	for k := 0; k < 20; k++ {
+		p := pow10[k]
+		us = append(us, p-1, p, p+1)
+	}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		us = append(us, p-1, p, p+1)
+	}
+	rng := rand.New(rand.NewPCG(29, 2))
+	for i := 0; i < 10_000; i++ {
+		us = append(us, rng.Uint64()>>rng.IntN(64))
+	}
+	us = append(us, math.MaxUint64)
+	var got []byte
+	for _, u := range us {
+		if got = appendUint(got[:0], u); string(got) != strconv.FormatUint(u, 10) {
+			t.Fatalf("appendUint(%d) = %s", u, got)
+		}
+		for _, x := range []int64{int64(u), -int64(u)} {
+			if got = appendInt(got[:0], x); string(got) != strconv.FormatInt(x, 10) {
+				t.Fatalf("appendInt(%d) = %s", x, got)
+			}
+		}
+	}
+}
+
+// TestAppendStatsMatchesEncodingJSON sets every QueryStats field to a
+// distinct value and requires appendStats to match encoding/json: a
+// field added to the struct and not to appendStats fails here.
+func TestAppendStatsMatchesEncodingJSON(t *testing.T) {
+	var st core.QueryStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Uint64 {
+			t.Fatalf("QueryStats.%s is a %s: appendStats writes uint64 fields only", v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetUint(uint64(i+1)*1_000_003 + uint64(i)<<59)
+	}
+	want, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendStats(nil, &st); !bytes.Equal(got, want) {
+		t.Fatalf("appendStats diverges from encoding/json:\n got %s\nwant %s", got, want)
+	}
+}
+
+// BenchmarkAppendQueryResponse encodes a fetch-rows reply: 2,000 rows of
+// ts, qty, price, pri, city (int64 near 1e7, uniform int64 below 1e6, a
+// random walk in cents, uint8 below 5, a short city name) in 1,024-row
+// batches — about 68 KB, allocation-free into a reused buffer.
+func BenchmarkAppendQueryResponse(b *testing.B) {
+	const rows, batchRows = 2000, 1024
+	rng := rand.New(rand.NewPCG(42, 1))
+	res := &sql.Result{Table: "orders", Columns: []string{"ts", "qty", "price", "pri", "city"}, RowCount: rows}
+	price := 500.0
+	for lo := 0; lo < rows; lo += batchRows {
+		n := min(batchRows, rows-lo)
+		cols := []table.ColVec{
+			{Kind: table.KindInt, Bits: 64, Ints: make([]int64, n)},
+			{Kind: table.KindInt, Bits: 64, Ints: make([]int64, n)},
+			{Kind: table.KindFloat, Bits: 64, Floats: make([]float64, n)},
+			{Kind: table.KindUint, Bits: 8, Uints: make([]uint64, n)},
+			{Kind: table.KindString, Strs: make([]string, n)},
+		}
+		for i := 0; i < n; i++ {
+			price = math.Min(math.Max(price+(rng.Float64()-0.5)*4, 1), 1000)
+			cols[0].Ints[i] = int64(1_000_000+lo+i)*10 + rng.Int64N(1000)
+			cols[1].Ints[i] = rng.Int64N(1_000_000)
+			cols[2].Floats[i] = math.Round(price*100) / 100
+			cols[3].Uints[i] = uint64(rng.IntN(5))
+			cols[4].Strs[i] = []string{"af", "as", "eu", "na", "sa"}[rng.IntN(5)] + "-" + strconv.Itoa(rng.IntN(8))
+		}
+		res.Batches = append(res.Batches, &table.RowBatch{Cols: cols})
+	}
+	resp := &QueryResponse{
+		Query:  "SELECT ts, qty, price, pri, city FROM orders WHERE ts >= $lo AND ts < $hi LIMIT 2000",
+		Result: res, ElapsedUs: 1234,
+	}
+	buf := appendQueryResponse(nil, resp)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendQueryResponse(buf[:0], resp)
+	}
 }
 
 // TestReplyPoolCap pins the pool hygiene: a reply buffer that grew past

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/table"
@@ -165,6 +167,17 @@ func stageInts[V int8 | int16 | int32 | int64](b *table.Batch, name, typ string,
 func stageUints[V uint8 | uint16 | uint32 | uint64](b *table.Batch, name, typ string, vals []any) error {
 	out := make([]V, len(vals))
 	for i, v := range vals {
+		// A JSON number is read unsigned first, so a uint64 above
+		// MaxInt64 — which /query replies carry — inserts too.
+		if n, ok := v.(json.Number); ok {
+			if u, err := strconv.ParseUint(n.String(), 10, 64); err == nil {
+				out[i] = V(u)
+				if uint64(out[i]) != u {
+					return fmt.Errorf("column %q row %d: value %d out of range for %s", name, i, u, typ)
+				}
+				continue
+			}
+		}
 		n, err := asInt64(v)
 		if err != nil {
 			return fmt.Errorf("column %q row %d: wants %s: %w", name, i, typ, err)
@@ -188,6 +201,10 @@ func stageFloats[V float32 | float64](b *table.Batch, name, typ string, vals []a
 			return fmt.Errorf("column %q row %d: wants %s: %w", name, i, typ, err)
 		}
 		out[i] = V(f)
+		// A finite value past float32's range would be stored as ±Inf.
+		if x := float64(out[i]); math.IsInf(x, 0) && !math.IsInf(f, 0) {
+			return fmt.Errorf("column %q row %d: value %v out of range for %s", name, i, f, typ)
+		}
 	}
 	return table.Append(b, name, out)
 }

@@ -158,9 +158,7 @@ func TestRowsReplyAllocsIndependentOfRowCount(t *testing.T) {
 				t.Fatalf("exec: %v, %d rows, want %d", err, res.RowCount, limit)
 			}
 			buf := getReplyBuf()
-			if *buf, err = appendQueryResponse(*buf, &QueryResponse{Query: stmt.SQL, Result: res}); err != nil {
-				t.Fatal(err)
-			}
+			*buf = appendQueryResponse(*buf, &QueryResponse{Query: stmt.SQL, Result: res})
 			putReplyBuf(buf)
 			res.Release()
 		})

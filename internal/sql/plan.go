@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/coltype"
@@ -485,6 +486,13 @@ func numOps[V coltype.Value]() *typeOps {
 				}
 				return V(f), nil
 			}
+			// Unsigned first, so a uint64 above MaxInt64 binds; a
+			// negative falls through to the signed path's range error.
+			if unsigned {
+				if u, err := strconv.ParseUint(v.String(), 10, 64); err == nil {
+					return fitUint[V](u, typ)
+				}
+			}
 			i, err := v.Int64()
 			if err != nil {
 				return nil, fmt.Errorf("wants %s, got %q", typ, v.String())
@@ -606,6 +614,16 @@ func fitInt[V coltype.Value](i int64, typ string, unsigned bool) (any, error) {
 	v := V(i)
 	if int64(v) != i {
 		return nil, fmt.Errorf("value %d out of range for %s", i, typ)
+	}
+	return v, nil
+}
+
+// fitUint narrows a uint64 bind value into an unsigned V with an exact
+// range check.
+func fitUint[V coltype.Value](u uint64, typ string) (any, error) {
+	v := V(u)
+	if uint64(v) != u {
+		return nil, fmt.Errorf("value %d out of range for %s", u, typ)
 	}
 	return v, nil
 }
