@@ -471,18 +471,24 @@ type leafPlan interface {
 // selection mask. Its loop body — the xxxLanes function — is written
 // once, over *[BlockRows]V: the fixed width tells the compiler every
 // lane index and shift count is in range (no bounds checks, no
-// oversize-shift guard) and lets the lanes be grouped four to a nibble,
-// so four flag-sets are OR-ed together before one shift lands them in
-// the accumulator. The per-lane bit is a conditional assignment
-// (compiled to a flag-set, not a branch), so selectivity does not stall
-// the branch predictor the way per-row check closures do. The one
+// oversize-shift guard). No lane branches, so selectivity does not
+// stall the branch predictor the way per-row check closures do.
+// Integer comparisons — range, equality, at-least and less-than, string
+// leaves included through their int32 codes — are all one band test,
+// uint64(v-lo) < span, run by intBandLanes as a carry chain: the lanes
+// go from 63 down to 0, and each compare's borrow is the carry-in of an
+// add of the accumulator to itself, which shifts the verdict in with no
+// flag-set, shift or OR (MOV, SUB, SUB, ADC per lane). Float kernels
+// keep flag-sets — NaN fails every compare and -0 equals 0, which no
+// integer trick honours — grouped four to a nibble, so four are OR-ed
+// together before one shift lands them in the accumulator. The one
 // ragged block a segment or delta stretch can end in runs through the
 // same body: padBlock copies it into a stack array and the padded lanes
 // are masked off. The bodies are top-level functions, not part of the
 // closures: the compiler does not inline calls inside a closure whose
 // constructor was itself inlined, so a closure holds nothing per lane.
 
-// b2u is the flag-set the kernels are built from.
+// b2u is the flag-set the float kernels are built from.
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -508,43 +514,73 @@ func padBlock[V any](pad *[BlockRows]V, rows []V) *[BlockRows]V {
 	return pad
 }
 
-// intRangeKernel answers low <= v < high over an integer slab with one
-// unsigned wrap-around compare per lane: for integer values,
-// low <= v && v < high  ⟺  uint64(v-low) < uint64(high-low) (arithmetic
-// mod 2^64, valid for every signed and unsigned width once widened to
-// 64 bits), which compiles to a single flag-set instead of two
-// mispredicting branches. Callers guarantee an integer V; an empty
-// range short-circuits to zeroMask.
+// intLeafKernel answers an integer comparison leaf as one band of
+// intBandKernel: equality is the band [v, v+1), less-than the band from
+// the type's minimum up to the bound, and at-least the complement of
+// that band.
+func intLeafKernel[V coltype.Value](vals []V, kind leafKind, low, high V) blockKernel {
+	switch kind {
+	case kindRange:
+		return intRangeKernel(vals, low, high)
+	case kindEquals:
+		return intBandKernel(vals, int64(low), 1, 0)
+	}
+	min64 := int64(coltype.MinOf[V]())
+	if kind == kindAtLeast {
+		return intBandKernel(vals, min64, uint64(int64(low)-min64), ^uint64(0))
+	}
+	return intBandKernel(vals, min64, uint64(int64(high)-min64), 0) // kindLessThan
+}
+
+// intRangeKernel answers low <= v < high over an integer slab — a
+// string leaf's code interval included — with one unsigned wrap-around
+// compare per lane: for integer values, low <= v && v < high ⟺
+// uint64(v-low) < uint64(high-low) (arithmetic mod 2^64, valid for
+// every signed and unsigned width once widened to 64 bits). Callers
+// guarantee an integer V; an empty range short-circuits to zeroMask.
 func intRangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	if high <= low {
 		return zeroMask
 	}
 	lo64 := int64(low)
-	span := uint64(int64(high) - lo64)
+	return intBandKernel(vals, lo64, uint64(int64(high)-lo64), 0)
+}
+
+// intBandKernel answers uint64(v-lo64) < span for every lane, the mask
+// xor-ed with inv (all ones complements the band).
+func intBandKernel[V coltype.Value](vals []V, lo64 int64, span, inv uint64) blockKernel {
 	return func(from, to int) uint64 {
 		if to-from == BlockRows {
-			return intRangeLanes((*[BlockRows]V)(vals[from:to]), lo64, span)
+			return intBandLanes((*[BlockRows]V)(vals[from:to]), lo64, span) ^ inv
 		}
 		var pad [BlockRows]V
-		return intRangeLanes(padBlock(&pad, vals[from:to]), lo64, span) & blockOnes(to-from)
+		return (intBandLanes(padBlock(&pad, vals[from:to]), lo64, span) ^ inv) & blockOnes(to-from)
 	}
 }
 
-func intRangeLanes[V coltype.Value](blk *[BlockRows]V, lo64 int64, span uint64) uint64 {
-	var acc uint64
-	for i := 0; i < BlockRows; i += 4 {
-		acc |= nibble(
-			uint64(int64(blk[i])-lo64) < span,
-			uint64(int64(blk[i+1])-lo64) < span,
-			uint64(int64(blk[i+2])-lo64) < span,
-			uint64(int64(blk[i+3])-lo64) < span) << uint(i)
+// intBandLanes is the carry chain: the lanes from 63 down to 0, each
+// compare's borrow added into the accumulator doubled, so lane i's
+// verdict ends in bit i.
+//
+//imprintvet:hotpath
+func intBandLanes[V coltype.Value](blk *[BlockRows]V, lo64 int64, span uint64) uint64 {
+	var acc, b uint64
+	for i := BlockRows - 4; i >= 0; i -= 4 {
+		_, b = bits.Sub64(uint64(int64(blk[i+3])-lo64), span, 0)
+		acc, _ = bits.Add64(acc, acc, b)
+		_, b = bits.Sub64(uint64(int64(blk[i+2])-lo64), span, 0)
+		acc, _ = bits.Add64(acc, acc, b)
+		_, b = bits.Sub64(uint64(int64(blk[i+1])-lo64), span, 0)
+		acc, _ = bits.Add64(acc, acc, b)
+		_, b = bits.Sub64(uint64(int64(blk[i])-lo64), span, 0)
+		acc, _ = bits.Add64(acc, acc, b)
 	}
 	return acc
 }
 
-// rangeKernel answers low <= v < high for value types where the
-// wrap-around trick does not apply (floats; NaN fails both compares,
-// matching the scalar check).
+// rangeKernel answers low <= v < high over a float slab (NaN fails both
+// compares, matching the scalar check). It and the float kernels after
+// it keep flag-sets: none of the integer band's wrap-around applies.
 func rangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	return func(from, to int) uint64 {
 		if to-from == BlockRows {
@@ -555,6 +591,7 @@ func rangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	}
 }
 
+//imprintvet:hotpath
 func rangeLanes[V coltype.Value](blk *[BlockRows]V, low, high V) uint64 {
 	var acc uint64
 	for i := 0; i < BlockRows; i += 4 {
@@ -574,6 +611,7 @@ func atLeastKernel[V coltype.Value](vals []V, low V) blockKernel {
 	}
 }
 
+//imprintvet:hotpath
 func atLeastLanes[V coltype.Value](blk *[BlockRows]V, low V) uint64 {
 	var acc uint64
 	for i := 0; i < BlockRows; i += 4 {
@@ -592,6 +630,7 @@ func lessThanKernel[V coltype.Value](vals []V, high V) blockKernel {
 	}
 }
 
+//imprintvet:hotpath
 func lessThanLanes[V coltype.Value](blk *[BlockRows]V, high V) uint64 {
 	var acc uint64
 	for i := 0; i < BlockRows; i += 4 {
@@ -610,6 +649,7 @@ func equalsKernel[V coltype.Value](vals []V, v V) blockKernel {
 	}
 }
 
+//imprintvet:hotpath
 func equalsLanes[V coltype.Value](blk *[BlockRows]V, v V) uint64 {
 	var acc uint64
 	for i := 0; i < BlockRows; i += 4 {
@@ -636,6 +676,7 @@ func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKe
 	}
 }
 
+//imprintvet:hotpath
 func inLanes[V coltype.Value](blk *[BlockRows]V, small []V, member map[V]struct{}) uint64 {
 	var acc uint64
 	if member != nil {
@@ -670,6 +711,7 @@ func memberKernel(codes []int32, member []bool) blockKernel {
 	}
 }
 
+//imprintvet:hotpath
 func memberLanes(blk *[BlockRows]int32, member []bool) uint64 {
 	var acc uint64
 	for i := range blk {
@@ -1463,13 +1505,14 @@ func (pl *numLeafPlan[V]) segKernel(s int) blockKernel {
 // kernel derives the leaf's monomorphized selection-mask kernel over
 // one value slab — a sealed segment's or a delta slab's.
 func (pl *numLeafPlan[V]) kernel(vals []V) blockKernel {
-	switch pl.kind {
-	case kindIn:
+	switch {
+	case pl.kind == kindIn:
 		return inKernel(vals, pl.set, pl.member)
+	case isIntType[V]():
+		return intLeafKernel(vals, pl.kind, pl.low, pl.high)
+	}
+	switch pl.kind {
 	case kindRange:
-		if isIntType[V]() {
-			return intRangeKernel(vals, pl.low, pl.high)
-		}
 		return rangeKernel(vals, pl.low, pl.high)
 	case kindAtLeast:
 		return atLeastKernel(vals, pl.low)

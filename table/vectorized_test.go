@@ -541,6 +541,61 @@ func TestLeafKernelsMatchScalarChecks(t *testing.T) {
 	})
 }
 
+// TestCarryChainKernelEdges runs kernelOracle where the integer band's
+// arithmetic wraps: at-least and less-than bounds at each type's
+// extremes — the band from the type's minimum is then empty or the
+// whole domain — with uint64 values straddling the sign bit, and
+// equality on 0 and -1 (all ones for the unsigned types).
+func TestCarryChainKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewPCG(65, 2))
+	// vals mixes picks — the extremes, their neighbours, 0 and ±1 — with
+	// a small domain around zero, so every predicate hits and misses.
+	vals := func(picks ...int64) []int64 {
+		out := make([]int64, 3*BlockRows)
+		for i := range out {
+			if rng.IntN(2) == 0 {
+				out[i] = picks[rng.IntN(len(picks))]
+			} else {
+				out[i] = rng.Int64N(9) - 4
+			}
+		}
+		return out
+	}
+	signed := func(lo, hi int64) []int64 { return vals(lo, lo+1, hi-1, hi, 0, -1, 1) }
+	t.Run("int8", func(t *testing.T) {
+		kernelOracle(t, castAll[int8](signed(math.MinInt8, math.MaxInt8), math.MinInt8, math.MaxInt8),
+			[]int8{math.MinInt8, math.MaxInt8, 0, -1})
+	})
+	t.Run("int16", func(t *testing.T) {
+		kernelOracle(t, castAll[int16](signed(math.MinInt16, math.MaxInt16), math.MinInt16, math.MaxInt16),
+			[]int16{math.MinInt16, math.MaxInt16, 0, -1})
+	})
+	t.Run("int32", func(t *testing.T) {
+		kernelOracle(t, castAll[int32](signed(math.MinInt32, math.MaxInt32), math.MinInt32, math.MaxInt32),
+			[]int32{math.MinInt32, math.MaxInt32, 0, -1})
+	})
+	t.Run("int64", func(t *testing.T) {
+		kernelOracle(t, castAll[int64](signed(math.MinInt64, math.MaxInt64), math.MinInt64, math.MaxInt64),
+			[]int64{math.MinInt64, math.MaxInt64, 0, -1})
+	})
+	t.Run("uint8", func(t *testing.T) {
+		kernelOracle(t, castAll[uint8](vals(0, 1, math.MaxUint8-1, math.MaxUint8), 0, math.MaxUint8),
+			[]uint8{0, math.MaxUint8, 1})
+	})
+	t.Run("uint16", func(t *testing.T) {
+		kernelOracle(t, castAll[uint16](vals(0, 1, math.MaxUint16-1, math.MaxUint16), 0, math.MaxUint16),
+			[]uint16{0, math.MaxUint16, 1})
+	})
+	t.Run("uint32", func(t *testing.T) {
+		kernelOracle(t, castAll[uint32](vals(0, 1, math.MaxUint32-1, math.MaxUint32), 0, math.MaxUint32),
+			[]uint32{0, math.MaxUint32, 1})
+	})
+	t.Run("uint64", func(t *testing.T) {
+		u := castAll[uint64](vals(0, 1, -2, -1, math.MaxInt64, math.MinInt64), 0, math.MaxUint64)
+		kernelOracle(t, u, []uint64{0, math.MaxUint64, math.MaxInt64, math.MaxInt64 + 1})
+	})
+}
+
 // castAll converts the test values to V and splices the type's extremes
 // into the block the oracle evaluates.
 func castAll[V coltype.Value](in []int64, lowest, highest V) []V {
@@ -555,10 +610,24 @@ func castAll[V coltype.Value](in []int64, lowest, highest V) []V {
 // kernSink keeps the kernels' masks observable to the compiler.
 var kernSink uint64
 
+// planKernel compiles one leaf over vals and returns the kernel
+// numLeafPlan.kernel dispatches to — the one a table runs.
+func planKernel[V coltype.Value](tb testing.TB, vals []V, kind leafKind, low, high any) blockKernel {
+	tb.Helper()
+	c := &colState[V]{name: "v", segs: []*segment[V]{{vals: vals}}}
+	p, err := c.compileLeaf(&leafPred{col: "v", kind: kind, low: low, high: high})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.(*numLeafPlan[V]).kernel(vals)
+}
+
 // BenchmarkLeafKernels times every leaf kernel alone, in ns per row,
 // over one 64K-row slab: whole blocks (the steady state) and ragged
 // 37-row blocks (the padded tail every segment or delta stretch can end
-// in — one block per unit, so its higher per-row cost is noise).
+// in — one block per unit, so its higher per-row cost is noise). Each
+// kernel is the one the table dispatches to for the leaf;
+// intRange/codes is a string leaf's, over int32 dictionary codes.
 func BenchmarkLeafKernels(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewPCG(21, 22))
@@ -567,10 +636,8 @@ func BenchmarkLeafKernels(b *testing.B) {
 		ints[i], floats[i], codes[i] = rng.Int64N(1_000_000), rng.Float64()*1000, rng.Int32N(64)
 	}
 	big := make([]int64, 9)
-	member := map[int64]struct{}{}
 	for i := range big {
 		big[i] = int64(i) * 100_000
-		member[big[i]] = struct{}{}
 	}
 	evens := make([]bool, 64)
 	for i := range evens {
@@ -580,13 +647,14 @@ func BenchmarkLeafKernels(b *testing.B) {
 		name string
 		k    blockKernel
 	}{
-		{"intRange", intRangeKernel(ints, 450_000, 550_000)},
-		{"range", rangeKernel(floats, 450, 550)},
-		{"atLeast", atLeastKernel(ints, 900_000)},
-		{"lessThan", lessThanKernel(floats, 100)},
-		{"equals", equalsKernel(ints, 123_456)},
-		{"in/small", inKernel(ints, big[:3], nil)},
-		{"in/map", inKernel(ints, big, member)},
+		{"intRange", planKernel(b, ints, kindRange, int64(450_000), int64(550_000))},
+		{"intRange/codes", intRangeKernel(codes, 16, 40)},
+		{"range", planKernel(b, floats, kindRange, 450.0, 550.0)},
+		{"atLeast", planKernel(b, ints, kindAtLeast, int64(900_000), nil)},
+		{"lessThan", planKernel(b, floats, kindLessThan, nil, 100.0)},
+		{"equals", planKernel(b, ints, kindEquals, int64(123_456), nil)},
+		{"in/small", planKernel(b, ints, kindIn, big[:3], nil)},
+		{"in/map", planKernel(b, ints, kindIn, big, nil)},
 		{"member", memberKernel(codes, evens)},
 	} {
 		for _, w := range []struct {
