@@ -10,16 +10,13 @@
 // aggregate measures the segment-parallel aggregation pipeline: the
 // pushdown hit-rates of the summary-answered / run-wholesale / scanned
 // tiers plus grouped and top-k execution across a parallelism sweep —
-// vectorized sweeps the block-at-a-time selection-mask kernels
-// against the scalar residual path across selectivities (0.1%–50%) and
-// parallelism 1/2/8, including an exact-run-dominated control workload,
 // and serve load-tests the imprintd SQL serving stack over real HTTP at
 // 1/8/64 concurrent clients, reporting p50/p99 latency, statement-cache
 // hit rate, and admission-control rejections.
 //
 // Usage:
 //
-//	imprintbench [-exp all|table1|fig3|...|fig11|queryplan|prepared|segments|aggregate|vectorized|serve|ingest|shards|ingest-recover[,...]]
+//	imprintbench [-exp all|table1|fig3|...|fig11|queryplan|prepared|segments|aggregate|serve|ingest|shards|ingest-recover[,...]]
 //	             [-scale 1.0] [-seed 42] [-queries 3] [-maxcols 0]
 //	             [-format text|csv] [-json] [-outdir DIR]
 //

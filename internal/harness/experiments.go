@@ -24,7 +24,7 @@ type Experiment struct {
 
 // IDs lists all experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "queryplan", "prepared", "segments", "aggregate", "vectorized", "serve", "ingest", "shards", "ingest-recover"}
+	return []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "queryplan", "prepared", "segments", "aggregate", "serve", "ingest", "shards", "ingest-recover"}
 }
 
 // Run executes one experiment by id.
@@ -58,8 +58,6 @@ func Run(id string, cfg Config) (*Experiment, error) {
 		return SegmentsExp(cfg), nil
 	case "aggregate":
 		return AggregateExp(cfg), nil
-	case "vectorized":
-		return VectorizedExp(cfg), nil
 	case "serve":
 		return ServeExp(cfg), nil
 	case "ingest":
@@ -92,7 +90,6 @@ func RunAll(cfg Config) []*Experiment {
 		PreparedExp(cfg),
 		SegmentsExp(cfg),
 		AggregateExp(cfg),
-		VectorizedExp(cfg),
 		ServeExp(cfg),
 		IngestExp(cfg),
 		ShardsExp(cfg),

@@ -194,7 +194,8 @@ func checkAggOracle(t *testing.T, tb *Table, stage string, pred Predicate, match
 
 		// The grouped differential (group_oracle_test.go): every key
 		// kind and operator against a per-segment row-order fold, float
-		// bits included — vectorized and scalar alike.
+		// bits included — cold and again warm (kernel caches and pools
+		// hot), with the warm run's statistics equal to the cold one's.
 		for _, key := range []string{"s", "a", "k", "w"} {
 			var ref []refRow
 			for id := range m.a {
@@ -214,12 +215,19 @@ func checkAggOracle(t *testing.T, tb *Table, stage string, pred Predicate, match
 				}
 				ref = append(ref, r)
 			}
-			for _, o := range []SelectOptions{opts, {Parallelism: par, Scalar: true}} {
-				gk, _, err := tb.Select().Where(pred).Options(o).GroupBy(key).Aggregate(refSpecs()...)
+			var first core.QueryStats
+			for run, phase := range []string{"cold", "warm"} {
+				gk, st, err := tb.Select().Where(pred).Options(opts).GroupBy(key).Aggregate(refSpecs()...)
 				if err != nil {
 					t.Fatalf("%s: group by %s: %v", tag, key, err)
 				}
-				checkGroupsRef(t, fmt.Sprintf("%s group by %s scalar=%v", tag, key, o.Scalar), gk.Groups, ref)
+				checkGroupsRef(t, fmt.Sprintf("%s group by %s %s", tag, key, phase), gk.Groups, ref)
+				st.ScratchReused = 0
+				if run == 0 {
+					first = st
+				} else if st != first {
+					t.Fatalf("%s: group by %s: warm stats diverge\ncold %+v\nwarm %+v", tag, key, first, st)
+				}
 			}
 		}
 		checkSharedAccs(t, tb, tag, pred, opts)
@@ -243,34 +251,6 @@ func checkAggOracle(t *testing.T, tb *Table, stage string, pred Predicate, match
 		}
 		if fmt.Sprint(ids) != fmt.Sprint(want.minIDsByAAsc) {
 			t.Fatalf("%s: full order by a asc diverged", tag)
-		}
-
-		// The scalar residual path must reproduce the vectorized
-		// aggregation byte for byte: same partials, same merge order,
-		// hence bit-identical floats too.
-		sopts := opts
-		sopts.Scalar = true
-		sres, _, err := tb.Select().Where(pred).Options(sopts).
-			Aggregate(CountAll(), Sum("a"), Min("a"), Max("a"), Sum("f"), Avg("f"), Min("s"), Max("s"))
-		if err != nil {
-			t.Fatalf("%s: scalar aggregate: %v", tag, err)
-		}
-		if fmt.Sprint(sres.Values()) != fmt.Sprint(res.Values()) || sres.Rows != res.Rows {
-			t.Fatalf("%s: scalar aggregation diverged\nscalar     %v\nvectorized %v", tag, sres, res)
-		}
-		sids, _, err := tb.Select().Where(pred).Options(sopts).OrderBy(Asc("a")).IDs()
-		if err != nil {
-			t.Fatalf("%s: scalar order: %v", tag, err)
-		}
-		if fmt.Sprint(sids) != fmt.Sprint(ids) {
-			t.Fatalf("%s: scalar ordered ids diverged", tag)
-		}
-		sg, _, err := tb.Select().Where(pred).Options(sopts).GroupBy("s").Aggregate(CountAll(), Sum("a"))
-		if err != nil {
-			t.Fatalf("%s: scalar groupby: %v", tag, err)
-		}
-		if fmt.Sprint(sg.Groups) != fmt.Sprint(g.Groups) {
-			t.Fatalf("%s: scalar grouping diverged", tag)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func conjunctionTable(tb testing.TB, shards, segs, segRows int) (*Table, []int64
 // conjunction out, no other kid is probed or sampled, and Explain says
 // why. For an and of a city and a ts band, an and whose or-kid is
 // excluded because every kid of the or is, and an andnot whose minuend
-// is excluded, at parallelism 1/2/8, shards 1/2 and Scalar on and off:
+// is excluded, at parallelism 1/2/8 and shards 1/2:
 // (a) the ids equal brute force; (b) QueryStats.Probes equals what each
 // leaf probes alone on the segments no summary excludes; (c) on the
 // excluded segments every leaf is pruned, unsampled and unprobed, and
@@ -137,67 +137,65 @@ func TestConjunctionPruneFirst(t *testing.T) {
 				t.Fatalf("%s: %d of %d segments excluded; the case proves nothing", tc.name, excluded, segs)
 			}
 			for _, par := range []int{1, 2, 8} {
-				for _, scalar := range []bool{false, true} {
-					opts := SelectOptions{Parallelism: par, Scalar: scalar}
-					ctx := fmt.Sprintf("shards=%d %s par=%d scalar=%v", shards, tc.name, par, scalar)
-					q := tb.Select().Where(tc.pred).Options(opts)
-					got, st, err := q.IDs()
+				opts := SelectOptions{Parallelism: par}
+				ctx := fmt.Sprintf("shards=%d %s par=%d", shards, tc.name, par)
+				q := tb.Select().Where(tc.pred).Options(opts)
+				got, st, err := q.IDs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalIDs(t, got, want, ctx)
+
+				// (b) What the leaves probe alone, on admitted segments only.
+				var probes uint64
+				for _, leaf := range tc.leaves {
+					plan, err := tb.Select().Where(leaf).Options(opts).Explain()
 					if err != nil {
 						t.Fatal(err)
 					}
-					equalIDs(t, got, want, ctx)
+					for _, sp := range plan.Root.SegmentDetails {
+						if tc.admitted(sp.Segment) {
+							probes += sp.Stats.Probes
+						}
+					}
+				}
+				if st.Probes != probes {
+					t.Errorf("%s: %d probes, want %d (the leaves' own probes on admitted segments)", ctx, st.Probes, probes)
+				}
 
-					// (b) What the leaves probe alone, on admitted segments only.
-					var probes uint64
-					for _, leaf := range tc.leaves {
-						plan, err := tb.Select().Where(leaf).Options(opts).Explain()
-						if err != nil {
-							t.Fatal(err)
+				// (c) The plan of every excluded segment.
+				plan, err := q.Explain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.Stats.Probes != probes {
+					t.Errorf("%s: Explain counted %d probes, want %d", ctx, plan.Stats.Probes, probes)
+				}
+				conjunct := 0
+				var walk func(n *PlanNode)
+				walk = func(n *PlanNode) {
+					for _, sp := range n.SegmentDetails {
+						if tc.admitted(sp.Segment) {
+							continue
 						}
-						for _, sp := range plan.Root.SegmentDetails {
-							if tc.admitted(sp.Segment) {
-								probes += sp.Stats.Probes
-							}
+						if sp.Access != "pruned" || sp.Stats.Probes != 0 || sp.Residual >= 0 {
+							t.Errorf("%s: %s on excluded segment %d: %s (%s), %d probes, res=%.2f",
+								ctx, n.Pred, sp.Segment, sp.Access, sp.Reason, sp.Stats.Probes, sp.Residual)
 						}
-					}
-					if st.Probes != probes {
-						t.Errorf("%s: %d probes, want %d (the leaves' own probes on admitted segments)", ctx, st.Probes, probes)
-					}
-
-					// (c) The plan of every excluded segment.
-					plan, err := q.Explain()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if plan.Stats.Probes != probes {
-						t.Errorf("%s: Explain counted %d probes, want %d", ctx, plan.Stats.Probes, probes)
-					}
-					conjunct := 0
-					var walk func(n *PlanNode)
-					walk = func(n *PlanNode) {
-						for _, sp := range n.SegmentDetails {
-							if tc.admitted(sp.Segment) {
-								continue
-							}
-							if sp.Access != "pruned" || sp.Stats.Probes != 0 || sp.Residual >= 0 {
-								t.Errorf("%s: %s on excluded segment %d: %s (%s), %d probes, res=%.2f",
-									ctx, n.Pred, sp.Segment, sp.Access, sp.Reason, sp.Stats.Probes, sp.Residual)
-							}
-							if sp.Reason == "conjunct excluded" {
-								conjunct++
-							}
-						}
-						for _, kid := range n.Children {
-							walk(kid)
+						if sp.Reason == "conjunct excluded" {
+							conjunct++
 						}
 					}
-					walk(plan.Root)
-					if conjunct == 0 {
-						t.Errorf("%s: no leaf was pruned for its conjunct:\n%s", ctx, plan)
+					for _, kid := range n.Children {
+						walk(kid)
 					}
-					if !strings.Contains(plan.String(), "pruned (conjunct excluded)") {
-						t.Errorf("%s: plan text does not name the conjunct:\n%s", ctx, plan)
-					}
+				}
+				walk(plan.Root)
+				if conjunct == 0 {
+					t.Errorf("%s: no leaf was pruned for its conjunct:\n%s", ctx, plan)
+				}
+				if !strings.Contains(plan.String(), "pruned (conjunct excluded)") {
+					t.Errorf("%s: plan text does not name the conjunct:\n%s", ctx, plan)
 				}
 			}
 		}

@@ -42,8 +42,7 @@ type Plan struct {
 	// blocks of inexact candidate runs a full execution would evaluate
 	// through selection-mask kernels. An unlimited execution reports the
 	// same number in QueryStats.BlocksVectorized; one that stops early
-	// (Limit) reports fewer. Zero when SelectOptions.Scalar forces the
-	// row-at-a-time path.
+	// (Limit) reports fewer.
 	BlocksVectorized uint64
 	// OrderBy names the ordering an OrderBy query would apply (e.g.
 	// "price desc"); empty without one.
@@ -217,9 +216,7 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 			ev := p.t.evalSegment(p.en, u.lseg, q.opts, &o.st, true)
 			o.plan = ev.plan
 			o.fast = p.t.fastCountSegment(u.lseg, ev.runs)
-			if !q.opts.Scalar {
-				o.vect = p.t.vectorizedBlocksSegment(u.lseg, ev.runs)
-			}
+			o.vect = p.t.vectorizedBlocksSegment(u.lseg, ev.runs)
 			if tiers {
 				o.aggPlan = p.t.aggSegmentPlan(u.lseg, ev, p.aggs)
 				o.aggPlan.Segment = u.gseg

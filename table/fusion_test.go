@@ -249,40 +249,38 @@ func TestBandFusionProperty(t *testing.T) {
 					}
 					return q
 				}
+				var first string
 				for _, par := range []int{1, 2, 8} {
-					var first string
-					for _, scalar := range []bool{false, true} {
-						opts := SelectOptions{Parallelism: par, Scalar: scalar}
-						tag := fmt.Sprintf("%s par=%d scalar=%v", tag, par, scalar)
-						got, _, err := exec(opts).IDs()
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if !slices.Equal(got, wantIDs) {
-							plan, _ := exec(opts).Explain()
-							t.Fatalf("%s: %d ids, brute force %d\n%v", tag, len(got), len(wantIDs), plan)
-						}
-						cnt, _, err := exec(opts).Count()
-						if err != nil || cnt != uint64(len(wantIDs)) {
-							t.Fatalf("%s: Count = %d (%v), brute force %d", tag, cnt, err, len(wantIDs))
-						}
-						res, _, err := exec(opts).Aggregate(CountAll(), Sum("i"), Min("u"), Sum("f"), Max("s"))
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if res.Rows != uint64(len(wantIDs)) || (len(wantIDs) > 0 && res.At(1).Int != wantSum) {
-							t.Fatalf("%s: Aggregate rows/sum = %d/%d, brute force %d/%d", tag, res.Rows, res.At(1).Int, len(wantIDs), wantSum)
-						}
-						if s := fmt.Sprint(res.Values()); first == "" {
-							first = s
-						} else if s != first {
-							t.Fatalf("%s: aggregates diverge from the vectorized execution\n%s\n%s", tag, s, first)
-						}
-						if len(g.binds) == 0 { // the ad-hoc path compiles per execution
-							adhoc, _, err := tb.Select().Where(node.pred).Options(opts).IDs()
-							if err != nil || !slices.Equal(adhoc, wantIDs) {
-								t.Fatalf("%s: ad-hoc ids diverge (%v)", tag, err)
-							}
+					opts := SelectOptions{Parallelism: par}
+					tag := fmt.Sprintf("%s par=%d", tag, par)
+					got, _, err := exec(opts).IDs()
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if !slices.Equal(got, wantIDs) {
+						plan, _ := exec(opts).Explain()
+						t.Fatalf("%s: %d ids, brute force %d\n%v", tag, len(got), len(wantIDs), plan)
+					}
+					cnt, _, err := exec(opts).Count()
+					if err != nil || cnt != uint64(len(wantIDs)) {
+						t.Fatalf("%s: Count = %d (%v), brute force %d", tag, cnt, err, len(wantIDs))
+					}
+					res, _, err := exec(opts).Aggregate(CountAll(), Sum("i"), Min("u"), Sum("f"), Max("s"))
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if res.Rows != uint64(len(wantIDs)) || (len(wantIDs) > 0 && res.At(1).Int != wantSum) {
+						t.Fatalf("%s: Aggregate rows/sum = %d/%d, brute force %d/%d", tag, res.Rows, res.At(1).Int, len(wantIDs), wantSum)
+					}
+					if s := fmt.Sprint(res.Values()); first == "" {
+						first = s
+					} else if s != first {
+						t.Fatalf("%s: aggregates diverge from the serial execution\n%s\n%s", tag, s, first)
+					}
+					if len(g.binds) == 0 { // the ad-hoc path compiles per execution
+						adhoc, _, err := tb.Select().Where(node.pred).Options(opts).IDs()
+						if err != nil || !slices.Equal(adhoc, wantIDs) {
+							t.Fatalf("%s: ad-hoc ids diverge (%v)", tag, err)
 						}
 					}
 				}

@@ -254,21 +254,20 @@ func (t *Table) liveMask64(b, n int) uint64 {
 // block (the consumer) the block's global base row and its 64-lane
 // selection mask: deleted lanes are cleared with one word-AND against
 // the deleted bitmap, and inexact runs additionally evaluate the
-// residual predicate over the block — through the evaluation's
+// residual predicate over the block through the evaluation's
 // selection-mask kernel (one branch-light pass over the value slab,
-// counted in st.BlocksVectorized) or, when SelectOptions.Scalar forced
-// the row-at-a-time path, through the composed check closure per live
-// lane. Comparisons counts one comparison per evaluated live lane
-// either way (the popcount of the live mask), preserving its Figure-11
-// meaning. block returning false stops the walk. Runs start on block
-// boundaries and segments hold whole blocks, so every mask is 64-row
-// aligned; only a segment's ragged tail yields a shorter block.
+// counted in st.BlocksVectorized). Comparisons counts one comparison
+// per evaluated live lane (the popcount of the live mask), preserving
+// its Figure-11 meaning. block returning false stops the walk. Runs
+// start on block boundaries and segments hold whole blocks, so every
+// mask is 64-row aligned; only a segment's ragged tail yields a
+// shorter block.
 //
 // The same walk evaluates buffered rows (ev.buffered: one inexact run
 // over a stretch of the part's delta vectors, evalDelta): the rows may
-// start inside a block — the lanes below ev.lo are cleared — the
-// residual is always the kernel, and the evaluated live lanes count
-// into st.DeltaRowsScanned instead of Comparisons and BlocksVectorized.
+// start inside a block — the lanes below ev.lo are cleared — and the
+// evaluated live lanes count into st.DeltaRowsScanned instead of
+// Comparisons and BlocksVectorized.
 // Callers hold the read lock.
 //
 //imprintvet:locks held=mu.R
@@ -289,7 +288,7 @@ func (t *Table) walkBlocks(ev evaluated, st *core.QueryStats, span func(from, to
 		if block == nil {
 			continue
 		}
-		residual := !r.Exact && (ev.kern != nil || ev.check != nil)
+		residual := !r.Exact && ev.kern != nil
 		for b := from &^ (BlockRows - 1); b < to; b += BlockRows {
 			n := min(BlockRows, to-b)
 			m := t.liveMask64(b, n)
@@ -303,21 +302,8 @@ func (t *Table) walkBlocks(ev evaluated, st *core.QueryStats, span func(from, to
 				}
 			} else if residual {
 				st.Comparisons += uint64(bits.OnesCount64(m))
-				if ev.kern != nil {
-					st.BlocksVectorized++
-					m &= ev.kern(b-base, b-base+n)
-				} else {
-					live := m
-					m = 0
-					lb := uint32(b - base)
-					for live != 0 {
-						i := bits.TrailingZeros64(live)
-						live &= live - 1
-						if ev.check(lb + uint32(i)) {
-							m |= 1 << uint(i)
-						}
-					}
-				}
+				st.BlocksVectorized++
+				m &= ev.kern(b-base, b-base+n)
 			}
 			if m != 0 && !block(b, m) {
 				return

@@ -380,7 +380,7 @@ type SelectOptions struct {
 	// paper's worst case — and its cost buys only what a scan returns
 	// anyway. Both stages are pure functions of the segment's imprint
 	// and the bound predicate, so the choice never depends on
-	// parallelism, shard count or Scalar. 0 means the default of 0.95;
+	// parallelism or shard count. 0 means the default of 0.95;
 	// set above 1 to always probe.
 	ScanThreshold float64
 	// Parallelism bounds the worker pool that fans segments out during
@@ -388,14 +388,6 @@ type SelectOptions struct {
 	// Results are merged in segment order either way, so parallelism
 	// never changes what a query returns.
 	Parallelism int
-	// Scalar forces row-at-a-time residual evaluation through composed
-	// check closures instead of the default block-at-a-time selection-
-	// mask kernels (64 rows folded into a bitmask per dynamic call, with
-	// And/Or/AndNot combined word-wise). Results and statistics are
-	// identical either way — QueryStats.BlocksVectorized stays zero under
-	// Scalar; the option exists for benchmarking the vectorized executor
-	// against its scalar baseline and for oracle cross-checks.
-	Scalar bool
 }
 
 func (o SelectOptions) threshold() float64 {
@@ -445,9 +437,6 @@ type leafPlan interface {
 	// BlockRows units, local to the segment, appended into dst (pass a
 	// pooled buffer truncated to length 0 to keep probing alloc-free).
 	segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats)
-	// segCheck is the exact residual test for rows of segment s,
-	// addressed by segment-local id (the scalar path).
-	segCheck(s int) core.CheckFunc
 	// segKernel is the vectorized residual evaluator for segment s.
 	// Kernels are cached per segment (re-derived when the segment's
 	// value slab or dictionary generation changes), so steady-state
@@ -579,7 +568,7 @@ func intBandLanes[V coltype.Value](blk *[BlockRows]V, lo64 int64, span uint64) u
 }
 
 // rangeKernel answers low <= v < high over a float slab (NaN fails both
-// compares, matching the scalar check). It and the float kernels after
+// compares, so it never qualifies). It and the float kernels after
 // it keep flag-sets: none of the integer band's wrap-around applies.
 func rangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 	return func(from, to int) uint64 {
@@ -660,8 +649,7 @@ func equalsLanes[V coltype.Value](blk *[BlockRows]V, v V) uint64 {
 
 // inKernel tests set membership per lane. Small IN-lists compare
 // against the sorted unique values directly (a handful of flag-sets per
-// lane beats a map probe); larger ones fall back to the member map the
-// scalar check uses.
+// lane beats a map probe); larger ones fall back to the member map.
 func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKernel {
 	var small []V
 	if len(set) <= 4 {
@@ -723,8 +711,7 @@ func memberLanes(blk *[BlockRows]int32, member []bool) uint64 {
 // ---- word-wise mask composition ----
 
 // andKernels combines child masks with word-AND, short-circuiting the
-// remaining children once the accumulator is empty (the block analogue
-// of allOf's per-row short-circuit).
+// remaining children once the accumulator is empty.
 func andKernels(ks []blockKernel) blockKernel {
 	return func(from, to int) uint64 {
 		acc := ks[0](from, to)
@@ -929,15 +916,13 @@ func (t *Table) bindTree(cn *compiledNode, binds map[string]any) (*execNode, err
 }
 
 // evaluated is the composable per-segment form of a predicate subtree:
-// candidate row-block runs local to the segment, the residual evaluator
-// for rows of inexact runs — a selection-mask kernel (the vectorized
-// default) or a check closure addressed by segment-local id (under
-// SelectOptions.Scalar) — and (when plan recording is on) the plan node
-// describing how the subtree was evaluated there.
+// candidate row-block runs local to the segment, the selection-mask
+// kernel that decides the rows of inexact runs, and (when plan
+// recording is on) the plan node describing how the subtree was
+// evaluated there.
 type evaluated struct {
 	runs  []core.CandidateRun // in BlockRows units, segment-local
-	kern  blockKernel         // vectorized residual (nil under Scalar or match-all)
-	check core.CheckFunc      // scalar residual (nil when kern is set or match-all)
+	kern  blockKernel         // residual (nil for a match-all tree)
 	plan  *PlanNode
 	owner *[]core.CandidateRun // pooled backing of runs; released by releaseEval
 	// origin is the row id (part-local) that position 0 of the runs, the
@@ -996,68 +981,54 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 		return t.evalSegmentLeaf(en, s, opts, st, record)
 	case "and":
 		if excludes(en, s) {
-			return excluded(en, s, opts, record)
+			return excluded(en, s, record)
 		}
 		acc := t.evalTree(en.kids[0], s, opts, st, record)
-		kerns, checks := residuals(acc, opts, nil, nil)
+		kerns := []blockKernel{acc.kern}
 		var kids []*PlanNode
 		if record {
 			kids = []*PlanNode{acc.plan}
 		}
 		for _, kid := range en.kids[1:] {
 			ev := t.evalTree(kid, s, opts, st, record)
-			kerns, checks = residuals(ev, opts, kerns, checks)
+			kerns = append(kerns, ev.kern)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.IntersectRunsInto)
 			if record {
 				kids = append(kids, ev.plan)
 			}
 		}
-		if opts.Scalar {
-			acc.check = allOf(checks)
-		} else {
-			acc.kern = andKernels(kerns)
-		}
+		acc.kern = andKernels(kerns)
 		if record {
 			acc.plan = opNode("and", acc.runs, kids)
 		}
 		return acc
 	case "or":
 		acc := t.evalTree(en.kids[0], s, opts, st, record)
-		kerns, checks := residuals(acc, opts, nil, nil)
+		kerns := []blockKernel{acc.kern}
 		var kids []*PlanNode
 		if record {
 			kids = []*PlanNode{acc.plan}
 		}
 		for _, kid := range en.kids[1:] {
 			ev := t.evalTree(kid, s, opts, st, record)
-			kerns, checks = residuals(ev, opts, kerns, checks)
+			kerns = append(kerns, ev.kern)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.UnionRunsInto)
 			if record {
 				kids = append(kids, ev.plan)
 			}
 		}
-		if opts.Scalar {
-			acc.check = anyOf(checks)
-		} else {
-			acc.kern = orKernels(kerns)
-		}
+		acc.kern = orKernels(kerns)
 		if record {
 			acc.plan = opNode("or", acc.runs, kids)
 		}
 		return acc
 	case "andnot":
 		if excludes(en, s) {
-			return excluded(en, s, opts, record)
+			return excluded(en, s, record)
 		}
 		evP := t.evalTree(en.kids[0], s, opts, st, record)
 		evQ := t.evalTree(en.kids[1], s, opts, st, record)
-		out := evaluated{}
-		if opts.Scalar {
-			pc, qc := evP.check, evQ.check
-			out.check = func(id uint32) bool { return pc(id) && !qc(id) }
-		} else {
-			out.kern = andNotKernel(evP.kern, evQ.kern)
-		}
+		out := evaluated{kern: andNotKernel(evP.kern, evQ.kern)}
 		var plans []*PlanNode
 		if record {
 			plans = []*PlanNode{evP.plan, evQ.plan}
@@ -1105,10 +1076,7 @@ func excludes(en *execNode, s int) bool {
 // empty is the evaluation of a subtree that matches no row of the
 // segment: no runs, and a residual that rejects every row (it is still
 // asked under or, where sibling runs may cover the segment's rows).
-func empty(opts SelectOptions, plan *PlanNode) evaluated {
-	if opts.Scalar {
-		return evaluated{check: neverMatch, plan: plan}
-	}
+func empty(plan *PlanNode) evaluated {
 	return evaluated{kern: zeroMask, plan: plan}
 }
 
@@ -1116,12 +1084,12 @@ func empty(opts SelectOptions, plan *PlanNode) evaluated {
 // s. When recording, its plan keeps the tree's shape: every leaf is
 // pruned, for its own summary or because a conjunct excluded the
 // segment before the leaf was asked anything else.
-func excluded(en *execNode, s int, opts SelectOptions, record bool) evaluated {
+func excluded(en *execNode, s int, record bool) evaluated {
 	var plan *PlanNode
 	if record {
 		plan = excludedPlan(en, s)
 	}
-	return empty(opts, plan)
+	return empty(plan)
 }
 
 func excludedPlan(en *execNode, s int) *PlanNode {
@@ -1146,20 +1114,6 @@ func leafNode(en *execNode) *PlanNode {
 		Access: en.plan.access(), Selectivity: -1, Residual: -1}
 }
 
-// residuals collects one child evaluation's residual evaluator into the
-// mode-matching list (kernels when vectorizing, checks under Scalar).
-func residuals(ev evaluated, opts SelectOptions, kerns []blockKernel, checks []core.CheckFunc) ([]blockKernel, []core.CheckFunc) {
-	if opts.Scalar {
-		return kerns, append(checks, ev.check)
-	}
-	return append(kerns, ev.kern), checks
-}
-
-// neverMatch is the residual check of a pruned leaf: no row of the
-// segment satisfies it (needed under OR, where sibling runs may still
-// cover the segment's rows).
-func neverMatch(uint32) bool { return false }
-
 // evalSegmentLeaf runs one leaf against one segment. Pruning comes
 // first — a segment whose summary (or dictionary) provably excludes the
 // predicate is skipped without probing. The data-dependent access-path
@@ -1178,18 +1132,7 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 			node.Access = "pruned"
 			node.Reason = "summary excludes"
 		}
-		return empty(opts, node)
-	}
-	// residual attaches the leaf's residual evaluator in the mode the
-	// options selected: the cached per-segment selection-mask kernel, or
-	// the check closure under Scalar.
-	residual := func(ev evaluated) evaluated {
-		if opts.Scalar {
-			ev.check = plan.segCheck(s)
-		} else {
-			ev.kern = plan.segKernel(s)
-		}
-		return ev
+		return empty(node)
 	}
 	// Cost-based access path: skip index probing for segments where the
 	// probe cannot pay for itself. Only imprint-backed segments yield an
@@ -1221,7 +1164,7 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 				node.Reason = why
 				node.setRuns(*buf)
 			}
-			return residual(evaluated{runs: *buf, plan: node, owner: buf})
+			return evaluated{runs: *buf, kern: plan.segKernel(s), plan: node, owner: buf}
 		}
 	}
 	buf := getRunScratch()
@@ -1232,7 +1175,7 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 		node.Stats = s1
 		node.setRuns(runs)
 	}
-	return residual(evaluated{runs: runs, plan: node, owner: buf})
+	return evaluated{runs: runs, kern: plan.segKernel(s), plan: node, owner: buf}
 }
 
 // blockSpanRunsInto appends one run covering every block of an n-row
@@ -1244,28 +1187,6 @@ func blockSpanRunsInto(dst []core.CandidateRun, n int, exact bool) []core.Candid
 		return dst
 	}
 	return append(dst, core.CandidateRun{Start: 0, Count: uint32(blocks), Exact: exact})
-}
-
-func allOf(checks []core.CheckFunc) core.CheckFunc {
-	return func(id uint32) bool {
-		for _, c := range checks {
-			if !c(id) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-func anyOf(checks []core.CheckFunc) core.CheckFunc {
-	return func(id uint32) bool {
-		for _, c := range checks {
-			if c(id) {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // ---- typed leaf compilation on colState ----
@@ -1301,7 +1222,7 @@ func (c *colState[V]) inSet(p *leafPred) ([]V, error) {
 
 // numLeafPlan is the compiled form of a numeric leaf: bounds typed
 // once, IN-set materialized once (slice for index probes, map for the
-// residual check, [setLo, setHi] for segment pruning). Segments are
+// kernel over long lists, [setLo, setHi] for segment pruning). Segments are
 // resolved through the column state at execution time, so the plan
 // stays valid across appends, updates, rebuilds and compactions.
 type numLeafPlan[V coltype.Value] struct {
@@ -1391,28 +1312,6 @@ func (pl *numLeafPlan[V]) prune(s int) bool {
 		return len(pl.set) == 0 || pl.setHi < seg.min || pl.setLo > seg.max
 	}
 	return false
-}
-
-//imprintvet:locks held=mu.R
-func (pl *numLeafPlan[V]) segCheck(s int) core.CheckFunc {
-	vals := pl.c.segs[s].vals
-	switch pl.kind {
-	case kindIn:
-		member := pl.member
-		return func(id uint32) bool { _, ok := member[vals[id]]; return ok }
-	case kindRange:
-		low, high := pl.low, pl.high
-		return func(id uint32) bool { v := vals[id]; return v >= low && v < high }
-	case kindAtLeast:
-		low := pl.low
-		return func(id uint32) bool { return vals[id] >= low }
-	case kindLessThan:
-		high := pl.high
-		return func(id uint32) bool { return vals[id] < high }
-	default: // kindEquals; compileLeaf rejected every other kind
-		low := pl.low
-		return func(id uint32) bool { return vals[id] == low }
-	}
 }
 
 //imprintvet:locks held=mu.R

@@ -132,7 +132,7 @@ func TestSegmentedOracle(t *testing.T) {
 			pred, oracle := m.randomPred(rng)
 			want := m.oracleIDs(oracle)
 
-			serial, stVec, err := tb.Select().Where(pred).Options(SelectOptions{Parallelism: 1}).IDs()
+			serial, stSerial, err := tb.Select().Where(pred).Options(SelectOptions{Parallelism: 1}).IDs()
 			if err != nil {
 				t.Fatalf("%s serial: %v", phase, err)
 			}
@@ -143,25 +143,20 @@ func TestSegmentedOracle(t *testing.T) {
 			equalIDs(t, serial, want, phase+" serial vs oracle")
 			equalIDs(t, par, want, phase+" parallel vs oracle")
 
-			// The scalar residual path must match the vectorized default
-			// bit for bit — ids and every statistic except the kernel
-			// block counter (and pool-dependent scratch reuse).
-			for _, spar := range []int{1, 4} {
-				scalar, stSca, err := tb.Select().Where(pred).
-					Options(SelectOptions{Parallelism: spar, Scalar: true}).IDs()
+			// A re-run at each parallelism must match the serial run
+			// bit for bit — ids and every statistic except pool-
+			// dependent scratch reuse.
+			for _, rpar := range []int{1, 4} {
+				again, stAgain, err := tb.Select().Where(pred).
+					Options(SelectOptions{Parallelism: rpar}).IDs()
 				if err != nil {
-					t.Fatalf("%s scalar: %v", phase, err)
+					t.Fatalf("%s re-run: %v", phase, err)
 				}
-				equalIDs(t, scalar, want, fmt.Sprintf("%s scalar par=%d vs oracle", phase, spar))
-				if spar == 1 {
-					if stSca.BlocksVectorized != 0 {
-						t.Fatalf("%s: scalar run vectorized %d blocks", phase, stSca.BlocksVectorized)
-					}
-					a, b := stVec, stSca
-					a.BlocksVectorized, a.ScratchReused, b.ScratchReused = 0, 0, 0
-					if a != b {
-						t.Fatalf("%s: scalar vs vectorized stats diverge\nvec %+v\nsca %+v", phase, stVec, stSca)
-					}
+				equalIDs(t, again, want, fmt.Sprintf("%s re-run par=%d vs oracle", phase, rpar))
+				a, b := stSerial, stAgain
+				a.ScratchReused, b.ScratchReused = 0, 0
+				if a != b {
+					t.Fatalf("%s: re-run par=%d stats diverge from the serial run\nserial %+v\nre-run %+v", phase, rpar, stSerial, stAgain)
 				}
 			}
 

@@ -17,7 +17,7 @@ import (
 // and/or/andnot semantics (deltaKernel), and the same typed folds,
 // collectors and gathers, built over the view's column vector instead
 // of a segment's value slab (the anyColumn hooks take a segRef). There
-// is one delta read path; SelectOptions.Scalar does not apply to it.
+// is one delta read path.
 //
 // What a view aliases: the vectors are the store's own memory.
 // Concurrent appends land beyond the watermark (a vector only grows

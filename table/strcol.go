@@ -526,21 +526,6 @@ func (pl *strLeafPlan) prune(s int) bool {
 	return pl.trans(s).none
 }
 
-//imprintvet:locks held=mu.R
-func (pl *strLeafPlan) segCheck(s int) core.CheckFunc {
-	e := pl.trans(s)
-	if e.none {
-		return neverMatch
-	}
-	codes := pl.c.segs[s].codes()
-	if pl.kind == kindIn {
-		member := e.member
-		return func(id uint32) bool { _, ok := member[codes[id]]; return ok }
-	}
-	lo, hi := e.lo, e.hi
-	return func(id uint32) bool { v := codes[id]; return v >= lo && v < hi }
-}
-
 // deltaKernel translates the leaf once against the delta's dictionary —
 // the raw-string form of the per-segment translation: Range is
 // inclusive on both ends, Equals is exact, Prefix is a literal prefix

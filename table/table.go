@@ -36,8 +36,7 @@
 // block — so the residual check behind the imprints' cacheline pruning
 // costs one dynamic call per leaf per 64 rows, not per row.
 // QueryStats.BlocksVectorized (and the Explain preview) make the tier
-// observable; SelectOptions.Scalar forces the row-at-a-time baseline,
-// which returns byte-identical results and statistics.
+// observable.
 //
 // Results compose into a segment-parallel aggregation pipeline:
 // Aggregate folds typed aggregates inside the segment workers

@@ -214,7 +214,7 @@ func boundTable(t *testing.T, shards int, buffered bool) (*Table, *boundModel) {
 // TestTopKBoundOracle holds every bounded top-k to brute force: each
 // order column in both directions, k = 1, 10 and past the qualifying
 // rows, without a predicate and under a 30 % band (ad-hoc and
-// prepared), Scalar off and on, at shards 1/2/4 × parallelism 1/2/8,
+// prepared), at shards 1/2/4 × parallelism 1/2/8,
 // every row sealed or some buffered. Two executions at one parallelism
 // must report equal QueryStats: the θ each unit sees is a function of
 // the data, the query and the parallelism, never of worker timing.
@@ -239,34 +239,32 @@ func TestTopKBoundOracle(t *testing.T) {
 					}
 					for _, k := range []int{1, 10, len(band) + 7} {
 						for _, par := range []int{1, 2, 8} {
-							for _, scalar := range []bool{false, true} {
-								opts := SelectOptions{Parallelism: par, Scalar: scalar}
-								tag := fmt.Sprintf("shards=%d buffered=%v order by %s limit %d par=%d scalar=%v", shards, buffered, order, k, par, scalar)
-								for _, c := range []struct {
-									name string
-									mk   func() *Query
-									want []uint32
-								}{
-									{"all", func() *Query { return tb.Select().Options(opts) }, m.rank[col](all, desc, k)},
-									{"band", func() *Query { return tb.Select().Where(Range[int64]("sel", 10, 40)).Options(opts) }, m.rank[col](band, desc, k)},
-									{"prepared band", func() *Query {
-										return prep.Bind("lo", int64(10)).Bind("hi", int64(40)).Options(opts)
-									}, m.rank[col](band, desc, k)},
-								} {
-									got, st, err := c.mk().OrderBy(order).Limit(k).IDs()
-									if err != nil {
-										t.Fatal(err)
-									}
-									if !slices.Equal(got, c.want) {
-										t.Fatalf("%s %s:\n got %v\nwant %v", tag, c.name, got, c.want)
-									}
-									_, again, err := c.mk().OrderBy(order).Limit(k).IDs()
-									if err != nil {
-										t.Fatal(err)
-									}
-									if again != st {
-										t.Fatalf("%s %s: QueryStats differ between two executions:\n%+v\n%+v", tag, c.name, st, again)
-									}
+							opts := SelectOptions{Parallelism: par}
+							tag := fmt.Sprintf("shards=%d buffered=%v order by %s limit %d par=%d", shards, buffered, order, k, par)
+							for _, c := range []struct {
+								name string
+								mk   func() *Query
+								want []uint32
+							}{
+								{"all", func() *Query { return tb.Select().Options(opts) }, m.rank[col](all, desc, k)},
+								{"band", func() *Query { return tb.Select().Where(Range[int64]("sel", 10, 40)).Options(opts) }, m.rank[col](band, desc, k)},
+								{"prepared band", func() *Query {
+									return prep.Bind("lo", int64(10)).Bind("hi", int64(40)).Options(opts)
+								}, m.rank[col](band, desc, k)},
+							} {
+								got, st, err := c.mk().OrderBy(order).Limit(k).IDs()
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !slices.Equal(got, c.want) {
+									t.Fatalf("%s %s:\n got %v\nwant %v", tag, c.name, got, c.want)
+								}
+								_, again, err := c.mk().OrderBy(order).Limit(k).IDs()
+								if err != nil {
+									t.Fatal(err)
+								}
+								if again != st {
+									t.Fatalf("%s %s: QueryStats differ between two executions:\n%+v\n%+v", tag, c.name, st, again)
 								}
 							}
 						}

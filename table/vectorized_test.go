@@ -33,62 +33,60 @@ func vecTestTable(tb testing.TB, n int, opts TableOptions) *Table {
 	return t
 }
 
-// TestScalarOptionEquivalence pins that SelectOptions.Scalar changes
-// nothing observable except BlocksVectorized: ids, counts and every
-// other statistic are identical, and only the vectorized run reports
-// kernel blocks.
-func TestScalarOptionEquivalence(t *testing.T) {
-	tb := vecTestTable(t, 30_000, TableOptions{SegmentRows: 8192})
-	for i := 0; i < 500; i += 97 {
-		if err := tb.Delete(i); err != nil {
+// TestComparisonsCountLiveLanes pins QueryStats.Comparisons to its
+// Figure-11 meaning — one comparison per live row the residual kernel
+// evaluates — on a table where every segment is scanned: three full
+// segments and a ragged one (itself ending in a ragged block), with
+// deletes in many blocks of each. Deleted lanes are cleared before the
+// kernel runs, so they must not count; every block of every segment
+// goes through a kernel once, and the index is never probed.
+func TestComparisonsCountLiveLanes(t *testing.T) {
+	const rows, segRows = 30_000, 8192
+	tb := vecTestTable(t, rows, TableOptions{SegmentRows: segRows})
+	deleted := 0
+	for id := 5; id < rows; id += 97 {
+		if err := tb.Delete(id); err != nil {
 			t.Fatal(err)
 		}
+		deleted++
 	}
-	preds := []Predicate{
-		Range[int64]("v", 100_000, 200_000),
-		And(Range[int64]("v", 0, 900_000), Range[float64]("price", 100, 120)),
-		Or(Range[int64]("v", 0, 50_000), AtLeast[int64]("v", 950_000)),
-		AndNot(Range[int64]("v", 0, 500_000), Range[float64]("price", 0, 700)),
+	var blocks uint64
+	for lo := 0; lo < rows; lo += segRows {
+		blocks += uint64((min(segRows, rows-lo) + BlockRows - 1) / BlockRows)
 	}
-	for pi, pred := range preds {
-		for _, par := range []int{1, 2, 8} {
-			ctx := fmt.Sprintf("pred %d par %d", pi, par)
-			vec := SelectOptions{Parallelism: par}
-			sca := SelectOptions{Parallelism: par, Scalar: true}
-			idsV, stV, err := tb.Select().Where(pred).Options(vec).IDs()
-			if err != nil {
-				t.Fatal(err)
+	live := uint64(rows - deleted)
+	pred := Range[int64]("v", 0, 900_000)
+	for _, par := range []int{1, 2, 8} {
+		// The histogram estimates ~90 % of every segment qualifies, far
+		// above the threshold: each segment is one inexact scan run.
+		q := tb.Select().Where(pred).Options(SelectOptions{Parallelism: par, ScanThreshold: 0.001})
+		plan, err := q.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.BlocksVectorized != blocks {
+			t.Errorf("par %d: Plan.BlocksVectorized = %d, want %d", par, plan.BlocksVectorized, blocks)
+		}
+		ids, st, err := q.IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, cst, err := q.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != uint64(len(ids)) || n == 0 || n == live {
+			t.Fatalf("par %d: Count %d, IDs %d, live rows %d: want a nonempty proper subset", par, n, len(ids), live)
+		}
+		for op, st := range map[string]core.QueryStats{"IDs": st, "Count": cst} {
+			if st.Comparisons != live {
+				t.Errorf("par %d %s: Comparisons = %d, want one per live row (%d)", par, op, st.Comparisons, live)
 			}
-			idsS, stS, err := tb.Select().Where(pred).Options(sca).IDs()
-			if err != nil {
-				t.Fatal(err)
+			if st.BlocksVectorized != blocks {
+				t.Errorf("par %d %s: BlocksVectorized = %d, want %d", par, op, st.BlocksVectorized, blocks)
 			}
-			equalIDs(t, idsV, idsS, ctx+": vectorized vs scalar ids")
-			if stS.BlocksVectorized != 0 {
-				t.Errorf("%s: scalar run reported %d vectorized blocks", ctx, stS.BlocksVectorized)
-			}
-			if stV.BlocksVectorized == 0 {
-				t.Errorf("%s: vectorized run reported no kernel blocks", ctx)
-			}
-			// ScratchReused depends on sync.Pool warmth, not the plan.
-			stV.BlocksVectorized, stV.ScratchReused, stS.ScratchReused = 0, 0, 0
-			if stV != stS {
-				t.Errorf("%s: stats diverge\nvectorized %+v\nscalar     %+v", ctx, stV, stS)
-			}
-			nV, cstV, err := tb.Select().Where(pred).Options(vec).Count()
-			if err != nil {
-				t.Fatal(err)
-			}
-			nS, cstS, err := tb.Select().Where(pred).Options(sca).Count()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nV != nS || nV != uint64(len(idsV)) {
-				t.Errorf("%s: Count vectorized=%d scalar=%d ids=%d", ctx, nV, nS, len(idsV))
-			}
-			cstV.BlocksVectorized, cstV.ScratchReused, cstS.ScratchReused = 0, 0, 0
-			if cstV != cstS {
-				t.Errorf("%s: count stats diverge\nvectorized %+v\nscalar     %+v", ctx, cstV, cstS)
+			if st.Probes != 0 {
+				t.Errorf("par %d %s: Probes = %d on a scanned table", par, op, st.Probes)
 			}
 		}
 	}
@@ -117,13 +115,6 @@ func TestExplainBlocksVectorizedPreview(t *testing.T) {
 	}
 	if want := fmt.Sprintf("vectorized: %d blocks", plan.BlocksVectorized); !strings.Contains(plan.String(), want) {
 		t.Errorf("plan rendering lacks %q:\n%s", want, plan.String())
-	}
-	scalarPlan, err := tb.Select().Where(pred).Options(SelectOptions{Scalar: true}).Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalarPlan.BlocksVectorized != 0 {
-		t.Errorf("scalar plan previews %d vectorized blocks, want 0", scalarPlan.BlocksVectorized)
 	}
 }
 
@@ -358,65 +349,72 @@ func benchSelectTable(b *testing.B) (*Table, Predicate) {
 	return t, Range[int64]("v", 450_000, 550_000)
 }
 
-// BenchmarkVectorizedSelect compares the block-kernel residual path
-// against the scalar closure baseline for IDs and Count at ~10%
-// selectivity (single-threaded, the acceptance workload).
+// BenchmarkVectorizedSelect times IDs and Count through the block
+// kernels at ~10% selectivity (single-threaded, inexact-run heavy).
 func BenchmarkVectorizedSelect(b *testing.B) {
 	t, pred := benchSelectTable(b)
-	for _, mode := range []struct {
-		name string
-		opts SelectOptions
-	}{
-		{"scalar", SelectOptions{Parallelism: 1, Scalar: true}},
-		{"kernel", SelectOptions{Parallelism: 1}},
-	} {
-		b.Run("ids/"+mode.name, func(b *testing.B) {
-			q := t.Select().Where(pred).Options(mode.opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := q.IDs(); err != nil {
-					b.Fatal(err)
-				}
+	q := t.Select().Where(pred).Options(SelectOptions{Parallelism: 1})
+	b.Run("ids/kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := q.IDs(); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run("count/"+mode.name, func(b *testing.B) {
-			q := t.Select().Where(pred).Options(mode.opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := q.Count(); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("count/kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := q.Count(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkVectorizedAggregate compares the two residual paths under a
-// mask-consuming aggregation (sum+count over a ~10% band).
+// BenchmarkVectorizedAggregate times a mask-consuming aggregation
+// (sum+count over the same ~10% band).
 func BenchmarkVectorizedAggregate(b *testing.B) {
 	t, pred := benchSelectTable(b)
-	for _, mode := range []struct {
-		name string
-		opts SelectOptions
-	}{
-		{"scalar", SelectOptions{Parallelism: 1, Scalar: true}},
-		{"kernel", SelectOptions{Parallelism: 1}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			q := t.Select().Where(pred).Options(mode.opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := q.Aggregate(Sum("price"), CountAll()); err != nil {
-					b.Fatal(err)
-				}
+	q := t.Select().Where(pred).Options(SelectOptions{Parallelism: 1})
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := q.Aggregate(Sum("price"), CountAll()); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
-// kernelOracle holds every numeric leaf kernel over V to the scalar
-// check it vectorizes (numLeafPlan.segCheck), lane for lane, at every
-// block width: whole (n = 64) and ragged (n = 1..63), the ragged block
+// leafHolds is the row-at-a-time reference the kernels answer to: it
+// evaluates the leaf as written — its kind, its untyped low/high, its
+// raw IN-list compared with == — and shares none of compileLeaf's
+// translation (typed bounds, deduplicated set, member map, band
+// arithmetic).
+func leafHolds[V coltype.Value](p *leafPred, v V) bool {
+	switch p.kind {
+	case kindRange:
+		return v >= p.low.(V) && v < p.high.(V)
+	case kindAtLeast:
+		return v >= p.low.(V)
+	case kindLessThan:
+		return v < p.high.(V)
+	case kindEquals:
+		return v == p.low.(V)
+	case kindIn:
+		for _, m := range p.low.([]V) {
+			if v == m {
+				return true
+			}
+		}
+		return false
+	}
+	panic(fmt.Sprintf("leaf kind %d", p.kind))
+}
+
+// kernelOracle holds every numeric leaf kernel over V to leafHolds,
+// lane for lane, at every block width: whole (n = 64) and ragged (n = 1..63), the ragged block
 // both ending the slab — a segment's tail — and followed by further rows
 // — a delta stretch cut inside its vector — where an unmasked lane
 // would show as a qualifying row past the block. vals holds 3*BlockRows
@@ -443,7 +441,6 @@ func kernelOracle[V coltype.Value](t *testing.T, vals []V, bounds []V) {
 			t.Fatal(err)
 		}
 		pl := p.(*numLeafPlan[V])
-		check := pl.segCheck(0)
 		for _, slab := range [][]V{vals[:2*BlockRows], vals} {
 			for n := 1; n <= BlockRows; n++ {
 				from := BlockRows
@@ -453,12 +450,12 @@ func kernelOracle[V coltype.Value](t *testing.T, vals []V, bounds []V) {
 				}
 				var want uint64
 				for i := 0; i < n; i++ {
-					if check(uint32(from + i)) {
+					if leafHolds(leaf, slab[from+i]) {
 						want |= 1 << uint(i)
 					}
 				}
 				if got := pl.kernel(cut)(from, from+n); got != want {
-					t.Fatalf("%T %s, %d-row block, slab of %d: kernel %064b\nscalar check          %064b",
+					t.Fatalf("%T %s, %d-row block, slab of %d: kernel %064b\nreference             %064b",
 						vals[0], leaf.describe(nil), n, len(cut), got, want)
 				}
 			}
