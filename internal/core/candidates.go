@@ -147,6 +147,18 @@ func b2u(b bool) uint64 {
 // table's 64-row block is — so that the walk splits dictionary entries
 // at unit boundaries with shifts and folds 64 verdicts to a word.
 //
+// The walk costs what changes, not what the dictionary holds. Stored
+// vectors are tested in lanes, a window of probeWindow words of hit and
+// exact bitmaps at a time; then the dictionary is walked by arithmetic
+// alone (each entry advances the cacheline by its count, the vector by
+// one or its count) up to the entry holding the next vector whose
+// verdict differs, found by a trailing-zero scan of the bitmaps. A
+// same-verdict stretch is one add, however many entries it spans, and
+// a distinct entry holding a change is one feed of its bits. A long
+// distinct entry — all an incompressible column has — is not bitmapped
+// ahead but tested and fed 64 vectors at a time as the walk reaches it,
+// so equality on such a column still tests each vector once.
+//
 //imprintvet:hotpath
 func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]CandidateRun, QueryStats) {
 	if unit < 1 || unit > 64 || unit&(unit-1) != 0 {
@@ -154,35 +166,59 @@ func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]Candidate
 	}
 	w := unitWalk{mask: m.Mask, inner: m.Inner, f: unit, shift: uint(bits.TrailingZeros(uint(unit))),
 		runs: dst, base: len(dst)}
-	probes, iVec := 0, 0
-	for _, e := range ix.dict {
+	var win verdictWindow
+	var cur, curX uint64 // the verdict of the stretch being walked, all ones or zero
+	dict := ix.dict
+	cl, iVec := 0, 0
+	for d := 0; d < len(dict); {
+		// Vectors before p share the stretch's verdict: walk the entries
+		// that hold only those.
+		p := win.nextChange(iVec, cur, curX)
+		for ; d < len(dict); d++ {
+			e := dict[d]
+			if iVec+e.vectors() > p {
+				break
+			}
+			cl += int(e.Count())
+			iVec += e.vectors()
+		}
+		if cl > w.cl {
+			w.add(cur != 0, curX != 0, cl-w.cl)
+		}
+		if d == len(dict) {
+			break
+		}
+		e := dict[d]
 		cnt := int(e.Count())
-		if e.Repeat() {
-			// One verdict for the whole entry; its whole units are one run.
-			probes++
-			vec := ix.vecs.get(iVec)
-			iVec++
-			hit := vec&w.mask != 0
-			w.add(hit, hit && vec&^w.inner == 0, cnt)
-			continue
-		}
-		probes += cnt
-		if cnt < 64 {
-			// A short stretch between repeats: one vector at a time.
-			w.each(&ix.vecs, iVec, cnt)
-			iVec += cnt
-			continue
-		}
-		// A long stretch of distinct vectors, all an incompressible column
-		// has: a word of verdicts at a time, the first batch ending on a
-		// unit boundary so that the others hold whole units only.
-		for end := iVec + cnt; iVec < end; {
-			n := min(end-iVec, 64-w.cl&(unit-1))
-			hit, exact := ix.vecs.verdicts(iVec, n, w.mask, w.inner)
-			w.feed(hit, exact, n)
-			iVec += n
+		switch {
+		case e.vectors() < 64 && iVec+e.vectors() > win.hi:
+			win.fill(&ix.vecs, iVec, w.mask, w.inner)
+		case e.Repeat():
+			// The change is this entry's vector: a new stretch begins.
+			hit, exact := win.bits(iVec, 1)
+			cur, curX = -hit, -exact
+		default:
+			// A word of verdicts at a time, the first batch ending on a
+			// unit boundary so that the others hold whole units only. A
+			// long entry past the window is tested as the walk reaches it.
+			var hit, exact uint64
+			n := 0
+			for end := iVec + cnt; iVec < end; iVec += n {
+				n = min(end-iVec, 64-w.cl&(unit-1))
+				if iVec+n <= win.hi {
+					hit, exact = win.bits(iVec, n)
+				} else {
+					hit, exact = ix.vecs.verdicts(iVec, n, w.mask, w.inner)
+				}
+				w.feed(hit, exact, n)
+			}
+			// The stretch after the entry likely keeps its last verdict.
+			cur, curX = -(hit >> (n - 1) & 1), -(exact >> (n - 1) & 1)
+			cl += cnt
+			d++
 		}
 	}
+	probes := ix.vecs.len()
 	if ix.pendingCount > 0 {
 		// The partial tail is never exact: its cacheline is not full.
 		probes++
@@ -198,6 +234,72 @@ func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]Candidate
 		CachelinesScanned: uint64(w.hitCl - w.exactCl),
 		CachelinesSkipped: uint64(ix.Cachelines() - w.hitCl),
 	}
+}
+
+// probeWindow is how many words of verdict bitmaps RunsInto keeps on
+// its stack: the verdicts of 4,096 consecutive stored vectors.
+const probeWindow = 64
+
+// verdictWindow holds the verdicts of stored vectors [lo, hi) as
+// bitmaps, bit i-lo standing for vector i.
+type verdictWindow struct {
+	hit, exact [probeWindow]uint64
+	lo, hi     int
+}
+
+// fill tests the vectors from i on, as many as the window holds, 64 at
+// a time. Misses cluster — they are most of what a selective probe
+// reads — so after a batch of misses the next is first ORed together:
+// when the union misses the mask, so does every vector, for one OR
+// each.
+//
+//imprintvet:hotpath
+func (v *verdictWindow) fill(vs *vecstore, i int, mask, inner uint64) {
+	v.lo, v.hi = i, min(vs.len(), i+probeWindow*64)
+	hit := uint64(0)
+	for k := 0; i < v.hi; k, i = k+1, i+64 {
+		n := min(64, v.hi-i)
+		exact := uint64(0)
+		if hit != 0 || vs.union(i, n)&mask != 0 {
+			hit, exact = vs.verdicts(i, n, mask, inner)
+		}
+		v.hit[k&(probeWindow-1)], v.exact[k&(probeWindow-1)] = hit, exact
+	}
+}
+
+// nextChange returns the first vector from i on whose verdict is not
+// (cur, curX) — each all ones or zero — or hi when the window holds
+// none.
+//
+//imprintvet:hotpath
+func (v *verdictWindow) nextChange(i int, cur, curX uint64) int {
+	if i >= v.hi {
+		return v.hi
+	}
+	at := uint(i - v.lo)
+	before := lowBits(at & 63) // the vectors ahead of i in its word
+	for k := at >> 6; int(k<<6) < v.hi-v.lo; k++ {
+		if diff := ((v.hit[k&(probeWindow-1)] ^ cur) | (v.exact[k&(probeWindow-1)] ^ curX)) &^ before; diff != 0 {
+			return min(v.lo+int(k<<6)+bits.TrailingZeros64(diff), v.hi) // bits past hi are clear: no change, whatever they read
+		}
+		before = 0
+	}
+	return v.hi
+}
+
+// bits returns the verdicts of the n <= 64 vectors from i on, all in
+// the window, as verdicts would.
+//
+//imprintvet:hotpath
+func (v *verdictWindow) bits(i, n int) (hit, exact uint64) {
+	at := uint(i - v.lo)
+	k, s := at>>6, at&63
+	hit, exact = v.hit[k&(probeWindow-1)]>>s, v.exact[k&(probeWindow-1)]>>s
+	if s+uint(n) > 64 {
+		hit |= v.hit[(k+1)&(probeWindow-1)] << (64 - s)
+		exact |= v.exact[(k+1)&(probeWindow-1)] << (64 - s)
+	}
+	return hit & lowBits(uint(n)), exact & lowBits(uint(n))
 }
 
 // unitWalk is RunsInto's state: the run list under construction, the
@@ -283,44 +385,6 @@ func (w *unitWalk) group(n, nHit, nExact int) {
 		}
 		w.uHit, w.uExact = 0, 0
 	}
-}
-
-// each walks n cachelines with a stored vector each, from vector iVec
-// on, one by one: the path of the short distinct entries between the
-// repeats of a compressible column, where a test and a well-predicted
-// branch per vector beat any set-up. It is add for cnt = 1, over
-// locals, and reads full-width vectors as the words themselves.
-//
-//imprintvet:hotpath
-func (w *unitWalk) each(vs *vecstore, iVec, n int) {
-	mask, inner, last := w.mask, w.inner, w.f-1
-	cl, uHit, uExact, hitCl, exactCl := w.cl, w.uHit, w.uExact, 0, 0
-	words, wide := vs.words, vs.width == 64
-	for end := iVec + n; iVec < end; iVec++ {
-		var vec uint64
-		if wide {
-			vec = words[iVec]
-		} else {
-			vec = vs.get(iVec)
-		}
-		if vec&mask != 0 {
-			hitCl++
-			uHit++
-			if vec&^inner == 0 {
-				exactCl++
-				uExact++
-			}
-		}
-		if cl++; cl&last == 0 {
-			if uHit > 0 {
-				w.push(cl>>w.shift-1, 1, uExact == w.f)
-			}
-			uHit, uExact = 0, 0
-		}
-	}
-	w.cl, w.uHit, w.uExact = cl, uHit, uExact
-	w.hitCl += hitCl
-	w.exactCl += exactCl
 }
 
 // feed walks the n <= 64 cachelines from the walk's position on, each

@@ -35,6 +35,14 @@ func (e DictEntry) Count() uint32 { return uint32(e) & MaxCount }
 // Repeat reports whether the covered cachelines share one imprint vector.
 func (e DictEntry) Repeat() bool { return e&repeatBit != 0 }
 
+// vectors returns how many stored vectors the entry covers: one for a
+// repeat, Count otherwise — without a branch, which the probe's walk
+// could not predict on a dictionary that alternates the two.
+func (e DictEntry) vectors() int {
+	cnt, repeat := int(e&MaxCount), int(e&repeatBit>>24)
+	return 1 + (cnt-1)&(repeat-1)
+}
+
 // String renders the entry for debugging: "7×distinct" or "13×repeat".
 func (e DictEntry) String() string {
 	if e.Repeat() {

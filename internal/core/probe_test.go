@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"repro/internal/coltype"
 )
 
 // repeatHeavyCol is a column whose imprint compresses: long constant
@@ -210,15 +213,178 @@ func regionalCol(n int, seed uint64) []int64 {
 	return col
 }
 
+// walkCol is a reflected random walk over [0, 1e6), shaped like the
+// serving benchmark's price column: neighbouring cachelines mostly share
+// bins, so the dictionary interleaves short repeats with short stretches
+// of distinct vectors, and a band's verdict changes far less often than
+// its entries do.
+func walkCol(n int, seed uint64) []int64 {
+	rng := rand.New(rand.NewPCG(seed, 0x3a1))
+	col := make([]int64, n)
+	v := int64(500_000)
+	for i := range col {
+		v += rng.Int64N(4001) - 2000
+		if v < 0 {
+			v = -v
+		}
+		if v >= 1_000_000 {
+			v = 2*999_999 - v
+		}
+		col[i] = v
+	}
+	return col
+}
+
 // benchProbeCols are the 64K-row int64 segments the probe is timed on:
-// incompressible (one distinct vector per cacheline — the verdict
-// bitmaps), repeat-heavy (the dictionary's run arithmetic) and regional
-// (short entries: the per-vector walk between repeats).
+// incompressible (one long distinct entry — the fused verdict loop),
+// repeat-heavy (the dictionary's run arithmetic), regional and walk
+// (short entries between repeats: the skip between verdict changes).
 func benchProbeCols() map[string][]int64 {
 	return map[string][]int64{
 		"uncompressed": randomCol(1<<16, 1_000_000, 7),
 		"repeatHeavy":  repeatHeavyCol(1<<16, 8),
 		"regional":     regionalCol(1<<16, 9),
+		"walk":         walkCol(1<<16, 10),
+	}
+}
+
+// referenceRuns is RunsInto spelled out without the dictionary walk:
+// one verdict per cacheline, read from decompress plus the pending
+// vector, folded unit by unit, with runs merged only among themselves.
+func referenceRuns[V coltype.Value](ix *Index[V], dst []CandidateRun, m Masks, unit int) ([]CandidateRun, QueryStats) {
+	var hit, exact []bool
+	ix.decompress(func(_ int, vec uint64) bool {
+		hit = append(hit, vec&m.Mask != 0)
+		exact = append(exact, vec&m.Mask != 0 && vec&^m.Inner == 0)
+		return true
+	})
+	if vec, count := ix.PendingVector(); count > 0 {
+		hit = append(hit, vec&m.Mask != 0)
+		exact = append(exact, false) // a partial cacheline is never exact
+	}
+	var st QueryStats
+	for i := range hit {
+		switch {
+		case exact[i]:
+			st.CachelinesExact++
+		case hit[i]:
+			st.CachelinesScanned++
+		default:
+			st.CachelinesSkipped++
+		}
+	}
+	st.Probes = uint64(ix.StoredVectors())
+	if _, count := ix.PendingVector(); count > 0 {
+		st.Probes++
+	}
+	base := len(dst)
+	for u := 0; u*unit < len(hit); u++ {
+		uHit, uExact := false, true
+		for cl := u * unit; cl < min(len(hit), (u+1)*unit); cl++ {
+			uHit = uHit || hit[cl]
+			uExact = uExact && exact[cl]
+		}
+		if !uHit {
+			continue
+		}
+		if n := len(dst); n > base && dst[n-1].Exact == uExact && dst[n-1].Start+dst[n-1].Count == uint32(u) {
+			dst[n-1].Count++
+			continue
+		}
+		dst = append(dst, CandidateRun{Start: uint32(u), Count: 1, Exact: uExact})
+	}
+	return dst, st
+}
+
+// checkRunsInto holds RunsInto at unit to referenceRuns, twice: into an
+// empty dst, and after a caller's run that is adjacent to the first
+// run and as exact, which must be left as it is.
+func checkRunsInto[V coltype.Value](t *testing.T, ix *Index[V], m Masks, unit int, ctx string) {
+	t.Helper()
+	want, wantSt := referenceRuns(ix, nil, m, unit)
+	got, gotSt := ix.RunsInto(nil, m, unit)
+	if gotSt != wantSt {
+		t.Fatalf("%s unit %d mask %#x inner %#x: stats %+v, want %+v", ctx, unit, m.Mask, m.Inner, gotSt, wantSt)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s unit %d mask %#x inner %#x: runs\n%+v\nwant\n%+v", ctx, unit, m.Mask, m.Inner, got, want)
+	}
+	if len(want) == 0 {
+		return
+	}
+	prefix := []CandidateRun{{Start: 0, Count: want[0].Start, Exact: want[0].Exact}}
+	want, _ = referenceRuns(ix, slices.Clone(prefix), m, unit)
+	got, _ = ix.RunsInto(slices.Clone(prefix), m, unit)
+	if !slices.Equal(got, want) || got[0] != prefix[0] {
+		t.Fatalf("%s unit %d mask %#x inner %#x: after an adjacent caller run\n%+v\nwant\n%+v", ctx, unit, m.Mask, m.Inner, got, want)
+	}
+}
+
+// TestRunsIntoMatchesReference holds the probe to referenceRuns — not
+// to itself at another unit — on every dictionary shape the walk
+// distinguishes: one long distinct entry (uniform), rare jumps in a
+// clustered walk, long repeats with noisy stretches, short regional
+// entries and a reflected random walk; at every stored vector width,
+// a custom values-per-cacheline, column lengths ending in a partial
+// cacheline inside a partial unit, every unit, and masks from range,
+// point, IN and raw random bits (everything, nothing, inner bins
+// outside the mask).
+func TestRunsIntoMatchesReference(t *testing.T) {
+	shapes := map[string]func(n int, seed uint64) []int64{
+		"uniform":     func(n int, seed uint64) []int64 { return randomCol(n, 1_000_000, seed) },
+		"clustered":   clusteredCol,
+		"repeatHeavy": repeatHeavyCol,
+		"regional":    regionalCol,
+		"walk":        walkCol,
+	}
+	units := []int{1, 2, 4, 8, 16, 32, 64}
+	for shape, gen := range shapes {
+		for _, bins := range []int{8, 16, 32, 64} {
+			for _, vpc := range []int{0, 4} {
+				for _, n := range []int{1, 7, 9_000, 40_963} { // 40,963 is prime: a partial cacheline in a partial unit
+					rng := rand.New(rand.NewPCG(uint64(bins*n), uint64(vpc)))
+					ix := Build(gen(n, uint64(n+bins)), Options{Seed: 5, MaxBins: bins, ValuesPerCacheline: vpc})
+					ctx := fmt.Sprintf("%s bins=%d vpc=%d n=%d", shape, bins, ix.ValuesPerCacheline(), n)
+					col := ix.Column()
+					masks := []Masks{{}, {Mask: ^uint64(0), Inner: ^uint64(0)}, {Mask: ^uint64(0)}}
+					for trial := 0; trial < 6; trial++ {
+						lo := rng.Int64N(1_000_000)
+						x := col[rng.IntN(len(col))]
+						masks = append(masks,
+							ix.RangeMasks(lo, lo+rng.Int64N(400_000)),
+							ix.AtLeastMasks(lo),
+							ix.LessThanMasks(lo),
+							ix.PointMasks(x),
+							ix.InSetMasks([]int64{x, lo, col[rng.IntN(len(col))]}),
+							Masks{Mask: rng.Uint64(), Inner: rng.Uint64()})
+					}
+					for _, m := range masks {
+						for _, unit := range units {
+							checkRunsInto(t, ix, m, unit, ctx)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunsIntoAllocs pins the probe at zero allocations into a reused
+// dst, on the shapes that take the skip between verdict changes and
+// the fused loop, at the cacheline and the block unit.
+func TestRunsIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, name := range []string{"walk", "uncompressed"} {
+		ix := Build(benchProbeCols()[name], Options{Seed: 11})
+		m := ix.RangeMasks(450_000, 550_000)
+		for _, unit := range []int{1, 8} {
+			runs, _ := ix.RunsInto(nil, m, unit)
+			if allocs := testing.AllocsPerRun(20, func() { runs, _ = ix.RunsInto(runs[:0], m, unit) }); allocs != 0 {
+				t.Errorf("%s unit %d: %.1f allocations per probe, want 0", name, unit, allocs)
+			}
+		}
 	}
 }
 
@@ -243,7 +409,9 @@ func BenchmarkBlockProbe(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						runs, _ = ix.RunsInto(runs[:0], mask.m, unit)
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ix.StoredVectors()), "ns/vector")
+					perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					b.ReportMetric(perOp/float64(ix.StoredVectors()), "ns/vector")
+					b.ReportMetric(perOp/float64(ix.DictEntries()), "ns/entry")
 				})
 			}
 		}

@@ -102,19 +102,21 @@ func (s *vecstore) verdicts(i, n int, mask, inner uint64) (hit, exact uint64) {
 	return hit, exact
 }
 
-// wordVerdicts is verdicts over up to 64 full-width vectors. It skips
-// the exactness bitmap when no bin of mask is inner, as for every =/IN
-// on bins that hold more than one value: a vector that hits then has a
-// bit outside inner.
+// wordVerdicts is verdicts over up to 64 full-width vectors, a whole
+// 64 in lanes (hitLanes, verdictLanes). It skips the exactness bitmap
+// when no bin of mask is inner, as for every =/IN on bins that hold
+// more than one value: a vector that hits then has a bit outside inner.
 //
 //imprintvet:hotpath
 func wordVerdicts(vecs []uint64, mask, inner uint64) (hit, exact uint64) {
 	if len(vecs) == 64 {
-		hit = hitLanes((*[64]uint64)(vecs), mask)
-	} else {
-		for j, vec := range vecs {
-			hit |= b2u(vec&mask != 0) << (uint(j) & 63)
+		if mask&inner == 0 {
+			return hitLanes((*[64]uint64)(vecs), mask), 0
 		}
+		return verdictLanes((*[64]uint64)(vecs), mask, inner)
+	}
+	for j, vec := range vecs {
+		hit |= b2u(vec&mask != 0) << (uint(j) & 63)
 	}
 	if mask&inner == 0 {
 		return hit, 0
@@ -139,6 +141,22 @@ func hitLanes(vecs *[64]uint64, mask uint64) uint64 {
 	return hit
 }
 
+// verdictLanes is hitLanes with the exactness bitmap beside it, tested
+// on the same loads.
+//
+//imprintvet:hotpath
+func verdictLanes(vecs *[64]uint64, mask, inner uint64) (hit, exact uint64) {
+	outer := ^inner
+	for j := 0; j < 64; j += 4 {
+		v0, v1, v2, v3 := vecs[j], vecs[j+1], vecs[j+2], vecs[j+3]
+		hit |= (b2u(v0&mask != 0) | b2u(v1&mask != 0)<<1 |
+			b2u(v2&mask != 0)<<2 | b2u(v3&mask != 0)<<3) << uint(j)
+		exact |= (b2u(v0&outer == 0) | b2u(v1&outer == 0)<<1 |
+			b2u(v2&outer == 0)<<2 | b2u(v3&outer == 0)<<3) << uint(j)
+	}
+	return hit, exact & hit
+}
+
 // union returns the OR of the n vectors from i on. Full-width vectors —
 // every column with more than 32 sampled values — are the words
 // themselves.
@@ -149,10 +167,16 @@ func (s *vecstore) union(i, n int) uint64 {
 	perShift, slotMask, bitShift := s.perShift&63, s.slotMask, s.bitShift&63
 	var or uint64
 	if s.width == 64 {
-		for _, w := range s.words[i : i+n] {
+		// Four ORs in flight: one chain would wait on each before it.
+		ws := s.words[i : i+n]
+		var or1, or2, or3 uint64
+		for ; len(ws) >= 4; ws = ws[4:] {
+			or, or1, or2, or3 = or|ws[0], or1|ws[1], or2|ws[2], or3|ws[3]
+		}
+		for _, w := range ws {
 			or |= w
 		}
-		return or
+		return or | or1 | or2 | or3
 	}
 	for at, end := uint(i), uint(i+n); at < end; at++ {
 		or |= words[at>>perShift] >> ((at & slotMask) << bitShift & 63) & vmask
