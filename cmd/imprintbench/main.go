@@ -25,8 +25,9 @@
 // scale. -format csv emits machine-readable rows instead (to stdout, or
 // one file per experiment under -outdir), and -json emits one JSON
 // document covering every experiment run — id, title, header, rows and
-// elapsed milliseconds — for bench-trajectory tooling. EXPERIMENTS.md
-// records a reference run against the paper's findings.
+// elapsed milliseconds — for bench-trajectory tooling. The integer
+// outputs (sizes, probes, comparisons, cacheline tallies) at scale 0.1,
+// seed 42 are pinned by TestPaperCounts in internal/harness.
 package main
 
 import (

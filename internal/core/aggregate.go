@@ -11,7 +11,9 @@ import "math/bits"
 // scanned value actually falls into a bin at or below the candidate —
 // otherwise the bit was stale and the search advances to the next
 // occupied bin. On clustered, unmodified data the first candidate bin
-// wins and a tiny fraction of the column is touched.
+// wins and a tiny fraction of the column is touched. A float NaN is
+// unordered: Min and Max skip it, and answer NaN only for a column that
+// holds nothing else.
 func (ix *Index[V]) Min() (V, QueryStats) {
 	return ix.extreme(true)
 }
@@ -22,98 +24,47 @@ func (ix *Index[V]) Max() (V, QueryStats) {
 }
 
 func (ix *Index[V]) extreme(min bool) (V, QueryStats) {
-	var st QueryStats
 	// Pass 1: the union of all vectors gives the candidate bins.
-	var all uint64
-	ix.runs(func(vec uint64, _ int) bool {
-		st.Probes++
-		all |= vec
-		return true
-	})
+	st := QueryStats{Probes: uint64(ix.vecs.len())}
+	all := ix.vecs.union(0, ix.vecs.len())
 	if ix.pendingCount > 0 {
 		st.Probes++
 		all |= ix.pendingVec
 	}
-	var best V
-	if all == 0 {
-		return best, st // unreachable for a built index
-	}
 
-	col := ix.col
-	vpc := ix.vpc
-	found := false
-	// scanMatching reads every cacheline whose vector intersects bitMask
-	// and folds its values into best.
-	scanMatching := func(bitMask uint64) {
-		consider := func(fromCl, cls int) {
-			from := fromCl * vpc
-			to := (fromCl + cls) * vpc
-			if to > ix.n {
-				to = ix.n
-			}
-			st.CachelinesScanned += uint64(cls)
-			for id := from; id < to; id++ {
-				st.Comparisons++
-				v := col[id]
-				if !found || (min && v < best) || (!min && v > best) {
-					best = v
-					found = true
-				}
-			}
-		}
-		iVec, cl := 0, 0
-		for _, e := range ix.dict {
-			cnt := int(e.Count())
-			if e.Repeat() {
-				st.Probes++
-				if ix.vecs.get(iVec)&bitMask != 0 {
-					consider(cl, cnt)
-				} else {
-					st.CachelinesSkipped += uint64(cnt)
-				}
-				iVec++
-				cl += cnt
-			} else {
-				for j := 0; j < cnt; j++ {
-					st.Probes++
-					if ix.vecs.get(iVec)&bitMask != 0 {
-						consider(cl, 1)
-					} else {
-						st.CachelinesSkipped++
-					}
-					iVec++
-					cl++
-				}
-			}
-		}
-		if ix.pendingCount > 0 {
-			st.Probes++
-			if ix.pendingVec&bitMask != 0 {
-				consider(ix.committed, 1)
-			} else {
-				st.CachelinesSkipped++
-			}
-		}
-	}
-
-	// Walk candidate bins from the extreme end. The scan for bin b is
-	// conclusive once some scanned value truly lies at or beyond bin b
-	// (unscanned cachelines cannot hold anything more extreme: a missing
-	// bit guarantees an empty bin). Stale bits — possible after
+	// Walk candidate bins from the extreme end, reading every cacheline
+	// whose vector carries the bin. The scan for bin b is conclusive
+	// once some scanned value truly lies at or beyond bin b (unscanned
+	// cachelines cannot hold anything more extreme: a missing bit
+	// guarantees an empty bin). Stale bits — possible after
 	// MarkUpdated — just push the walk to the next occupied bin.
-	remaining := all
-	var tried uint64
-	for remaining != 0 {
-		var b int
-		if min {
-			b = bits.TrailingZeros64(remaining)
-		} else {
+	var best V
+	found := false
+	var runs []CandidateRun
+	for remaining := all; remaining != 0; {
+		b := bits.TrailingZeros64(remaining)
+		if !min {
 			b = 63 - bits.LeadingZeros64(remaining)
 		}
-		bit := uint64(1) << uint(b)
-		remaining &^= bit
-		tried |= bit
-		scanMatching(bit)
+		remaining &^= 1 << uint(b)
+		var s QueryStats
+		runs, s = ix.RunsInto(runs[:0], Masks{Mask: 1 << uint(b)}, 1)
+		st.Add(s)
+		for _, r := range runs {
+			from, to := ix.rows(r)
+			st.Comparisons += uint64(to - from)
+			for _, v := range ix.col[from:to] {
+				if v != v {
+					if !found {
+						best = v // NaN is unordered: the answer only when nothing else is
+					}
+					continue
+				}
+				if !found || (min && v < best) || (!min && v > best) {
+					best, found = v, true
+				}
+			}
+		}
 		if found {
 			bb := ix.hist.Bin(best)
 			if (min && bb <= b) || (!min && bb >= b) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,30 @@ func TestMinMaxFloats(t *testing.T) {
 	}
 	if got, _ := ix.Max(); got != wantMax {
 		t.Errorf("Max = %v, want %v", got, wantMax)
+	}
+}
+
+// NaN bins with the lowest values, so a Min or Max that reads bin 0's
+// cachelines meets it; it must not stick as the answer.
+func TestMinMaxSkipNaN(t *testing.T) {
+	col := make([]float64, 1000)
+	for i := range col {
+		col[i] = float64(i%97) - 40
+	}
+	col[0], col[500], col[999] = math.NaN(), math.NaN(), math.NaN()
+	ix := Build(col, Options{Seed: 4})
+	if got, _ := ix.Min(); got != -40 {
+		t.Errorf("Min = %v, want -40", got)
+	}
+	if got, _ := ix.Max(); got != 56 {
+		t.Errorf("Max = %v, want 56", got)
+	}
+	nan := Build([]float64{math.NaN(), math.NaN(), math.NaN()}, Options{Seed: 4})
+	if got, _ := nan.Min(); !math.IsNaN(got) {
+		t.Errorf("Min of NaNs = %v", got)
+	}
+	if got, _ := nan.Max(); !math.IsNaN(got) {
+		t.Errorf("Max of NaNs = %v", got)
 	}
 }
 

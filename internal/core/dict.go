@@ -168,26 +168,3 @@ func (ix *Index[V]) decompress(f func(cl int, vec uint64) bool) {
 		}
 	}
 }
-
-// runs iterates the compressed stream as (vec, runLength) pairs: each
-// repeat entry yields one run; each distinct group yields Count runs of
-// length 1. Used by entropy computation and the two-level index.
-func (ix *Index[V]) runs(f func(vec uint64, count int) bool) {
-	iVec := 0
-	for _, e := range ix.dict {
-		cnt := int(e.Count())
-		if e.Repeat() {
-			if !f(ix.vecs.get(iVec), cnt) {
-				return
-			}
-			iVec++
-		} else {
-			for j := 0; j < cnt; j++ {
-				if !f(ix.vecs.get(iVec), 1) {
-					return
-				}
-				iVec++
-			}
-		}
-	}
-}

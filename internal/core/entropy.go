@@ -14,21 +14,26 @@ import (
 // b(i) is the number of set bits of vector i. E is 0 for perfectly
 // clustered/ordered columns and approaches 1 for random ones.
 func (ix *Index[V]) Entropy() float64 {
-	var num, den uint64
-	var prev uint64
-	first := true
-	ix.runs(func(vec uint64, count int) bool {
-		if !first {
-			num += uint64(bits.OnesCount64(prev ^ vec))
+	// Each stored vector stands for one cacheline, or a repeat entry's
+	// Count; transitions inside a repeat run have distance 0.
+	var num, den, prev uint64
+	iVec := 0
+	for _, e := range ix.dict {
+		count := uint64(1)
+		if e.Repeat() {
+			count = uint64(e.Count())
 		}
-		// Transitions inside a repeat run have distance 0.
-		den += uint64(count) * uint64(bits.OnesCount64(vec))
-		prev = vec
-		first = false
-		return true
-	})
+		for end := iVec + e.vectors(); iVec < end; iVec++ {
+			vec := ix.vecs.get(iVec)
+			if iVec > 0 {
+				num += uint64(bits.OnesCount64(prev ^ vec))
+			}
+			den += count * uint64(bits.OnesCount64(vec))
+			prev = vec
+		}
+	}
 	if ix.pendingCount > 0 {
-		if !first {
+		if iVec > 0 {
 			num += uint64(bits.OnesCount64(prev ^ ix.pendingVec))
 		}
 		den += uint64(bits.OnesCount64(ix.pendingVec))

@@ -91,65 +91,23 @@ func EvaluateAndNot(res []uint32, p, q Conjunct) ([]uint32, QueryStats) {
 }
 
 // Range returns a streaming iterator over the ascending ids of values
-// in [low, high). It evaluates lazily — useful when the consumer may
-// stop early (LIMIT-style queries) or wants to avoid materializing
-// large id lists.
+// in [low, high). The probe is eager and the rows are lazy: iteration
+// starts with one walk of the dictionary, and each candidate run's
+// rows are then checked and yielded as the consumer asks for them, so
+// one that stops early (LIMIT-style queries) reads no further rows and
+// no id list is materialized.
 func (ix *Index[V]) Range(low, high V) iter.Seq[uint32] {
 	return func(yield func(uint32) bool) {
-		p := pred[V]{low: low, high: high, lowIncl: true}
-		mask, inner := ix.masks(&p)
-		col := ix.col
-		vpc := ix.vpc
-
-		emit := func(vec uint64, fromCl, cls int) bool {
-			if vec&mask == 0 {
-				return true
-			}
-			from := fromCl * vpc
-			to := (fromCl + cls) * vpc
-			if to > ix.n {
-				to = ix.n
-			}
-			if vec&^inner == 0 {
-				for id := from; id < to; id++ {
-					if !yield(uint32(id)) {
-						return false
-					}
-				}
-				return true
-			}
+		runs, _ := ix.RunsInto(nil, ix.RangeMasks(low, high), 1)
+		for _, r := range runs {
+			from, to := ix.rows(r)
 			for id := from; id < to; id++ {
-				v := col[id]
-				if v >= low && v < high {
+				if v := ix.col[id]; r.Exact || v >= low && v < high {
 					if !yield(uint32(id)) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-
-		iVec, cl := 0, 0
-		for _, e := range ix.dict {
-			cnt := int(e.Count())
-			if e.Repeat() {
-				if !emit(ix.vecs.get(iVec), cl, cnt) {
-					return
-				}
-				iVec++
-				cl += cnt
-			} else {
-				for j := 0; j < cnt; j++ {
-					if !emit(ix.vecs.get(iVec), cl, 1) {
 						return
 					}
-					iVec++
-					cl++
 				}
 			}
-		}
-		if ix.pendingCount > 0 {
-			emit(ix.pendingVec, ix.committed, 1)
 		}
 	}
 }

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/coltype"
 )
 
 // FuzzReadIndex hardens deserialization against arbitrary input: it must
@@ -45,33 +49,124 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
-// FuzzRangeQuery checks the query path against the scan oracle for
-// arbitrary column bytes and bounds.
+// FuzzRangeQuery checks every paper entry point against the scan
+// oracle for arbitrary column bytes and bounds, over an int64 column
+// and a float64 one that reaches NaN, -0 and ±Inf.
 func FuzzRangeQuery(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(2), int64(7))
 	f.Add([]byte{255, 0, 255, 0}, int64(-5), int64(300))
 	f.Add([]byte{}, int64(0), int64(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 130, 200, 0, 1, 2, 3, 9, 9, 9, 9, 9, 9, 0}, int64(1), int64(2))
 
 	f.Fuzz(func(t *testing.T, data []byte, low, high int64) {
 		if len(data) == 0 {
 			return
 		}
 		col := make([]int64, len(data))
+		floats := make([]float64, len(data))
 		for i, b := range data {
 			col[i] = int64(b) * 7
+			floats[i] = fuzzFloat(int64(b))
 		}
-		ix := Build(col, Options{Seed: 42})
-		got, _ := ix.RangeIDs(low, high, nil)
-		want := scanIDs(col, low, high)
-		if len(got) != len(want) {
-			t.Fatalf("RangeIDs %d results, scan %d (low=%d high=%d)", len(got), len(want), low, high)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("id[%d] = %d, scan %d", i, got[i], want[i])
+		checkEntryPoints(t, col, low, high)
+		checkEntryPoints(t, floats, fuzzFloat(low), fuzzFloat(high))
+	})
+}
+
+// fuzzFloat maps the low byte of x to NaN, -0, +Inf and -Inf for 0–3,
+// and to a multiple of 1/4 in [-32, 32) otherwise.
+func fuzzFloat(x int64) float64 {
+	switch x & 255 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	}
+	return float64(int8(x)) / 4
+}
+
+// checkEntryPoints holds RangeIDs, CountRange, MultiRangeIDs, InSetIDs,
+// Range and Min/Max over col to a scan of col.
+func checkEntryPoints[V coltype.Value](t *testing.T, col []V, low, high V) {
+	t.Helper()
+	ix := Build(col, Options{Seed: 42})
+	ctx := fmt.Sprintf("%T low=%v high=%v", col, low, high)
+	scan := func(keep func(v V) bool) []uint32 {
+		var ids []uint32
+		for i, v := range col {
+			if keep(v) {
+				ids = append(ids, uint32(i))
 			}
 		}
-	})
+		return ids
+	}
+
+	want := scanIDs(col, low, high)
+	got, _ := ix.RangeIDs(low, high, nil)
+	equalIDs(t, got, want, "RangeIDs "+ctx)
+	if n, _ := ix.CountRange(low, high); n != uint64(len(want)) {
+		t.Fatalf("CountRange = %d, scan %d (%s)", n, len(want), ctx)
+	}
+
+	got = got[:0]
+	for id := range ix.Range(low, high) {
+		got = append(got, id)
+	}
+	equalIDs(t, got, want, "Range "+ctx)
+	got = got[:0]
+	for id := range ix.Range(low, high) {
+		if len(got) == len(want)/2 {
+			break
+		}
+		got = append(got, id)
+	}
+	equalIDs(t, got, want[:len(want)/2], "Range stopped early "+ctx)
+
+	ranges := [][2]V{{low, high}, {col[0], col[len(col)/2]}, {col[len(col)-1], low}}
+	got, _ = ix.MultiRangeIDs(ranges, nil)
+	equalIDs(t, got, scan(func(v V) bool {
+		for _, r := range ranges {
+			if v >= r[0] && v < r[1] {
+				return true
+			}
+		}
+		return false
+	}), "MultiRangeIDs "+ctx)
+
+	set := []V{low, col[len(col)-1], high, col[0], low}
+	got, _ = ix.InSetIDs(set, nil)
+	equalIDs(t, got, scan(func(v V) bool { return slices.Contains(set, v) }), "InSetIDs "+ctx)
+
+	// Min and Max skip NaN, which is unordered; only a column of NaNs
+	// answers NaN.
+	var lo, hi V
+	seen := false
+	for _, v := range col {
+		if v != v {
+			if !seen {
+				lo, hi = v, v
+			}
+			continue
+		}
+		if !seen || v < lo {
+			lo = v
+		}
+		if !seen || v > hi {
+			hi = v
+		}
+		seen = true
+	}
+	same := func(a, b V) bool { return a == b || a != a && b != b }
+	if got, _ := ix.Min(); !same(got, lo) {
+		t.Fatalf("Min = %v, scan %v (%s)", got, lo, ctx)
+	}
+	if got, _ := ix.Max(); !same(got, hi) {
+		t.Fatalf("Max = %v, scan %v (%s)", got, hi, ctx)
+	}
 }
 
 // FuzzRunsInto checks the probe against referenceRuns for columns,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -75,6 +77,33 @@ func TestInSetIDs(t *testing.T) {
 	}
 	if st.CachelinesSkipped == 0 {
 		t.Error("absent member skipped nothing")
+	}
+}
+
+// A NaN member matches nothing, and must not hide the others: a
+// comparison sort mis-orders a set holding NaN, and a binary search
+// over it then misses members.
+func TestInSetIDsNaNMember(t *testing.T) {
+	col := make([]float64, 4096)
+	for i := range col {
+		col[i] = float64(i % 10)
+	}
+	ix := Build(col, Options{Seed: 1})
+	want, _ := ix.InSetIDs([]float64{3, 1}, nil)
+	if len(want) != 820 {
+		t.Fatalf("{3, 1} matched %d rows, want 820", len(want))
+	}
+	for _, set := range [][]float64{{3, math.NaN(), 1}, {math.NaN(), 3, 1}, {1, 3, math.NaN()}, {math.NaN(), 1, math.NaN(), 3}} {
+		got, _ := ix.InSetIDs(set, nil)
+		equalIDs(t, got, want, fmt.Sprint(set))
+	}
+	if got, _ := ix.InSetIDs([]float64{math.NaN()}, nil); len(got) != 0 {
+		t.Errorf("{NaN} matched %d rows", len(got))
+	}
+	nanCol := append([]float64{math.NaN()}, col...)
+	nix := Build(nanCol, Options{Seed: 1})
+	if got, _ := nix.InSetIDs([]float64{math.NaN(), 3}, nil); len(got) != 410 {
+		t.Errorf("{NaN, 3} over a column holding NaN matched %d rows, want 410", len(got))
 	}
 }
 

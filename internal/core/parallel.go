@@ -56,10 +56,17 @@ func BuildParallel[V coltype.Value](col []V, opts Options, workers int) *Index[V
 
 	// Replay the per-part compressed streams into the master dictionary.
 	for _, part := range parts {
-		part.runs(func(vec uint64, count int) bool {
-			master.commitRun(vec, count)
-			return true
-		})
+		iVec := 0
+		for _, e := range part.dict {
+			if e.Repeat() {
+				master.commitRun(part.vecs.get(iVec), int(e.Count()))
+				iVec++
+				continue
+			}
+			for end := iVec + int(e.Count()); iVec < end; iVec++ {
+				master.commit(part.vecs.get(iVec))
+			}
+		}
 	}
 	last := parts[workers-1]
 	master.pendingVec, master.pendingCount = last.pendingVec, last.pendingCount

@@ -194,172 +194,77 @@ func (ix *Index[V]) PointIDs(v V, res []uint32) ([]uint32, QueryStats) {
 	return ix.queryPred(&p, res)
 }
 
-// queryPred drives Algorithm 3 over the cacheline dictionary.
+// queryPred answers p with Algorithm 3: one probe of the cacheline
+// dictionary, then the ids of its runs.
 func (ix *Index[V]) queryPred(p *pred[V], res []uint32) ([]uint32, QueryStats) {
-	var st QueryStats
-	mask, inner := ix.masks(p)
-	col := ix.col
-	vpc := ix.vpc
-
-	emitAll := func(from, to int) { // [from, to) ids, all qualify
-		for id := from; id < to; id++ {
-			res = append(res, uint32(id))
-		}
-	}
-	// The canonical [low, high) query gets a branch-lean check loop; the
-	// generic matcher handles unbounded/inclusive variants.
-	fastRange := !p.lowUnb && !p.highUnb && p.lowIncl && !p.highIncl
-	low, high := p.low, p.high
-	emitChecked := func(from, to int) {
-		st.Comparisons += uint64(to - from)
-		if fastRange {
-			for id := from; id < to; id++ {
-				v := col[id]
+	runs, st := ix.RunsInto(nil, ix.bind(*p), 1)
+	if !p.lowUnb && !p.highUnb && p.lowIncl && !p.highIncl {
+		// The canonical [low, high) query gets a branch-lean check loop;
+		// the generic matcher handles unbounded/inclusive variants.
+		low, high := p.low, p.high
+		res, st.Comparisons = ix.collect(runs, res, func(res []uint32, vals []V, from int) []uint32 {
+			for i, v := range vals {
 				if v >= low && v < high {
-					res = append(res, uint32(id))
+					res = append(res, uint32(from+i))
 				}
 			}
-			return
+			return res
+		})
+		return res, st
+	}
+	res, st.Comparisons = ix.collect(runs, res, func(res []uint32, vals []V, from int) []uint32 {
+		for i, v := range vals {
+			if p.match(v) {
+				res = append(res, uint32(from+i))
+			}
 		}
-		for id := from; id < to; id++ {
-			if p.match(col[id]) {
+		return res
+	})
+	return res, st
+}
+
+// collect materializes the runs of a unit-1 probe into ascending ids:
+// an exact run's rows wholesale, every other run through one call of
+// check, which appends the ids of the qualifying values among vals —
+// the run's rows, the first of them row from. It returns the ids and
+// the number of values checked.
+func (ix *Index[V]) collect(runs []CandidateRun, res []uint32, check func(res []uint32, vals []V, from int) []uint32) ([]uint32, uint64) {
+	var checked uint64
+	for _, r := range runs {
+		from, to := ix.rows(r)
+		if r.Exact {
+			for id := from; id < to; id++ {
 				res = append(res, uint32(id))
 			}
+			continue
 		}
+		checked += uint64(to - from)
+		res = check(res, ix.col[from:to], from)
 	}
+	return res, checked
+}
 
-	iVec, cl := 0, 0
-	for _, e := range ix.dict {
-		cnt := int(e.Count())
-		if e.Repeat() {
-			// One imprint vector describes the next cnt cachelines.
-			st.Probes++
-			vec := ix.vecs.get(iVec)
-			iVec++
-			if vec&mask != 0 {
-				if vec&^inner == 0 {
-					st.CachelinesExact += uint64(cnt)
-					emitAll(cl*vpc, (cl+cnt)*vpc)
-				} else {
-					st.CachelinesScanned += uint64(cnt)
-					emitChecked(cl*vpc, (cl+cnt)*vpc)
-				}
-			} else {
-				st.CachelinesSkipped += uint64(cnt)
-			}
-			cl += cnt
-		} else {
-			// cnt distinct imprint vectors, one cacheline each.
-			for j := 0; j < cnt; j++ {
-				st.Probes++
-				vec := ix.vecs.get(iVec)
-				iVec++
-				if vec&mask != 0 {
-					if vec&^inner == 0 {
-						st.CachelinesExact++
-						emitAll(cl*vpc, (cl+1)*vpc)
-					} else {
-						st.CachelinesScanned++
-						emitChecked(cl*vpc, (cl+1)*vpc)
-					}
-				} else {
-					st.CachelinesSkipped++
-				}
-				cl++
-			}
-		}
-	}
-
-	// Trailing partial cacheline (not covered by the dictionary).
-	if ix.pendingCount > 0 {
-		st.Probes++
-		if ix.pendingVec&mask != 0 {
-			from := ix.committed * vpc
-			if ix.pendingVec&^inner == 0 {
-				st.CachelinesExact++
-				emitAll(from, ix.n)
-			} else {
-				st.CachelinesScanned++
-				emitChecked(from, ix.n)
-			}
-		} else {
-			st.CachelinesSkipped++
-		}
-	}
-	return res, st
+// rows returns the rows [from, to) of a unit-1 run.
+func (ix *Index[V]) rows(r CandidateRun) (from, to int) {
+	return int(r.Start) * ix.vpc, min((int(r.Start)+int(r.Count))*ix.vpc, ix.n)
 }
 
 // CountRange returns the number of values in [low, high) without
 // materializing ids.
 func (ix *Index[V]) CountRange(low, high V) (uint64, QueryStats) {
-	var st QueryStats
-	p := pred[V]{low: low, high: high, lowIncl: true}
-	mask, inner := ix.masks(&p)
-	col := ix.col
-	vpc := ix.vpc
+	runs, st := ix.RunsInto(nil, ix.RangeMasks(low, high), 1)
 	var count uint64
-
-	countChecked := func(from, to int) {
-		for id := from; id < to; id++ {
-			st.Comparisons++
-			if p.match(col[id]) {
+	for _, r := range runs {
+		from, to := ix.rows(r)
+		if r.Exact {
+			count += uint64(to - from)
+			continue
+		}
+		st.Comparisons += uint64(to - from)
+		for _, v := range ix.col[from:to] {
+			if v >= low && v < high {
 				count++
 			}
-		}
-	}
-
-	iVec, cl := 0, 0
-	for _, e := range ix.dict {
-		cnt := int(e.Count())
-		if e.Repeat() {
-			st.Probes++
-			vec := ix.vecs.get(iVec)
-			iVec++
-			if vec&mask != 0 {
-				if vec&^inner == 0 {
-					st.CachelinesExact += uint64(cnt)
-					count += uint64(cnt * vpc)
-				} else {
-					st.CachelinesScanned += uint64(cnt)
-					countChecked(cl*vpc, (cl+cnt)*vpc)
-				}
-			} else {
-				st.CachelinesSkipped += uint64(cnt)
-			}
-			cl += cnt
-		} else {
-			for j := 0; j < cnt; j++ {
-				st.Probes++
-				vec := ix.vecs.get(iVec)
-				iVec++
-				if vec&mask != 0 {
-					if vec&^inner == 0 {
-						st.CachelinesExact++
-						count += uint64(vpc)
-					} else {
-						st.CachelinesScanned++
-						countChecked(cl*vpc, (cl+1)*vpc)
-					}
-				} else {
-					st.CachelinesSkipped++
-				}
-				cl++
-			}
-		}
-	}
-	if ix.pendingCount > 0 {
-		st.Probes++
-		if ix.pendingVec&mask != 0 {
-			from := ix.committed * vpc
-			if ix.pendingVec&^inner == 0 {
-				st.CachelinesExact++
-				count += uint64(ix.n - from)
-			} else {
-				st.CachelinesScanned++
-				countChecked(from, ix.n)
-			}
-		} else {
-			st.CachelinesSkipped++
 		}
 	}
 	return count, st

@@ -12,8 +12,7 @@ import (
 
 // Experiment is one regenerated table or figure: structured rows for
 // machine consumption (CSV export, tests) plus a text rendering for the
-// CLI and EXPERIMENTS.md. Free-form experiments (Figure 3's prints)
-// carry only Text.
+// CLI. Free-form experiments (Figure 3's prints) carry only Text.
 type Experiment struct {
 	ID     string
 	Title  string

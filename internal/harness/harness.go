@@ -2,8 +2,9 @@
 // (Section 6): it builds imprints, zonemaps and WAH bitmaps over every
 // column of the five (synthetic) datasets, runs the selectivity-sweep
 // query workload against all of them plus a sequential scan, and renders
-// each table and figure of the paper as text. EXPERIMENTS.md records the
-// paper-vs-measured comparison produced from these runs.
+// each table and figure of the paper as text. TestPaperCounts pins the
+// integer outputs of these runs (sizes, probes, comparisons, cacheline
+// tallies; no wall times) to testdata/paper-counts.json.
 package harness
 
 import (
