@@ -2,8 +2,6 @@ package table
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 	"strings"
 
 	"repro/internal/coltype"
@@ -12,9 +10,11 @@ import (
 
 // Aggregation executes inside the same per-segment workers as every
 // other query: each segment folds its qualifying rows into one partial
-// accumulator per aggregate, and the consumer merges the partials in
-// segment order, so results are byte-identical at every parallelism
-// level (float sums included — the merge order never changes).
+// per aggregate, and the consumer merges the partials in segment order,
+// so results are byte-identical at every parallelism level (float sums
+// included — the merge order never changes). The fold is GroupBy's
+// (groupby.go) with one group: the oneSlot slotter puts every row in
+// slot 0, so one implementation of every operator serves both.
 //
 // Per segment, each aggregate is answered at the cheapest tier the
 // evaluation allows:
@@ -29,7 +29,9 @@ import (
 //     Reported in QueryStats.WholesaleAggRows.
 //   - scanned: everything else — buffered rows always — walks block by
 //     block, applying the deleted bitmap and the residual kernel like
-//     any other executor.
+//     any other executor, and hands each block's selection mask to the
+//     fold, which walks only the surviving lanes (and none at all for
+//     count(*) without an integer sum beside it).
 
 // aggOp is one aggregate operator.
 type aggOp int
@@ -268,19 +270,6 @@ func (p aggPartial) value(spec AggSpec) AggValue {
 	return v
 }
 
-// segAgg folds the qualifying rows of one segment into a partial: rows
-// one at a time (addRow), a 64-row selection mask at a time (addMask —
-// how the vectorized walk hands over surviving rows), or whole live
-// spans of exact candidate runs (addSpan). Implementations are typed
-// per column; one segAgg serves one (aggregate, segment) pair of one
-// execution.
-type segAgg interface {
-	addRow(local uint32)
-	addMask(base int, mask uint64) // segment-local block base, surviving lanes
-	addSpan(from, to int)          // segment-local, every row live and qualifying
-	partial() aggPartial
-}
-
 // ---- numeric columns ----
 
 // isIntType reports whether V is an integer type (float columns
@@ -323,113 +312,6 @@ func (c *colState[V]) aggSummary(op aggOp, s int) (aggPartial, bool) {
 	return aggPartial{kind: partFloat, f: float64(v)}, true
 }
 
-//imprintvet:locks held=mu.R
-func (c *colState[V]) aggAcc(op aggOp, r segRef) segAgg {
-	return &numSegAgg[V]{op: op, vals: c.slab(r), isInt: isIntType[V]()}
-}
-
-// numSegAgg is the typed per-segment accumulator of a numeric column.
-type numSegAgg[V coltype.Value] struct {
-	op    aggOp
-	vals  []V
-	isInt bool
-	rows  uint64
-	any   bool
-	m     V // min/max accumulator
-	isum  int64
-	fsum  float64
-}
-
-func (a *numSegAgg[V]) addRow(local uint32) {
-	v := a.vals[local]
-	switch a.op {
-	case aggSum, aggAvg:
-		if a.isInt {
-			a.isum += int64(v)
-		} else {
-			a.fsum += float64(v)
-		}
-	case aggMin:
-		if !a.any || v < a.m {
-			a.m = v
-		}
-	case aggMax:
-		if !a.any || v > a.m {
-			a.m = v
-		}
-	}
-	a.any = true
-	a.rows++
-}
-
-// addMask folds the surviving lanes of one block, trailing-zero
-// iteration inside the monomorphized accumulator so the interface cost
-// is per block, not per row.
-func (a *numSegAgg[V]) addMask(base int, mask uint64) {
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		a.addRow(uint32(base + i))
-	}
-}
-
-func (a *numSegAgg[V]) addSpan(from, to int) {
-	vals := a.vals[from:to]
-	if len(vals) == 0 {
-		return
-	}
-	switch a.op {
-	case aggSum, aggAvg:
-		if a.isInt {
-			var s int64
-			for _, v := range vals {
-				s += int64(v)
-			}
-			a.isum += s
-		} else {
-			var s float64
-			for _, v := range vals {
-				s += float64(v)
-			}
-			a.fsum += s
-		}
-	case aggMin:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		if !a.any || m < a.m {
-			a.m = m
-		}
-	case aggMax:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		if !a.any || m > a.m {
-			a.m = m
-		}
-	}
-	a.any = true
-	a.rows += uint64(len(vals))
-}
-
-func (a *numSegAgg[V]) partial() aggPartial {
-	switch {
-	case a.rows == 0:
-		return aggPartial{}
-	case a.op == aggMin || a.op == aggMax:
-		return numPartial(a.isInt, a.rows, int64(a.m), float64(a.m))
-	case a.isInt:
-		return numPartial(true, a.rows, a.isum, 0)
-	}
-	return numPartial(false, a.rows, 0, a.fsum)
-}
-
 // numPartial renders a numeric accumulator's value over rows > 0 rows:
 // integer columns carry the exact int64 (and its float64 conversion),
 // float columns the float64.
@@ -458,87 +340,6 @@ func (c *strColState) aggSummary(op aggOp, s int) (aggPartial, bool) {
 	return aggPartial{}, false
 }
 
-//imprintvet:locks held=mu.R
-func (c *strColState) aggAcc(op aggOp, r segRef) segAgg {
-	a := &strSegAgg{op: op}
-	a.codes, a.syms, a.ordered = c.codeSlab(r)
-	return a
-}
-
-// strSegAgg folds min/max over a string slab's codes and decodes the
-// winner once. Where code order is string order (a sealed segment)
-// codes compare directly; a delta slab's compare by symbol.
-type strSegAgg struct {
-	op      aggOp
-	codes   []int32
-	syms    []string
-	ordered bool
-	rows    uint64
-	any     bool
-	m       int32
-}
-
-// strBetter reports whether code c beats the incumbent m under op
-// (aggMin or aggMax).
-func strBetter(op aggOp, c, m int32, syms []string, ordered bool) bool {
-	if c == m {
-		return false
-	}
-	less := c < m
-	if !ordered {
-		less = syms[c] < syms[m]
-	}
-	return less == (op == aggMin)
-}
-
-func (a *strSegAgg) addRow(local uint32) {
-	c := a.codes[local]
-	if !a.any || strBetter(a.op, c, a.m, a.syms, a.ordered) {
-		a.m = c
-	}
-	a.any = true
-	a.rows++
-}
-
-func (a *strSegAgg) addMask(base int, mask uint64) {
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		a.addRow(uint32(base + i))
-	}
-}
-
-func (a *strSegAgg) addSpan(from, to int) {
-	if !a.ordered {
-		for local := from; local < to; local++ {
-			a.addRow(uint32(local))
-		}
-		return
-	}
-	codes := a.codes[from:to]
-	if len(codes) == 0 {
-		return
-	}
-	m := slices.Max(codes)
-	if a.op == aggMin {
-		m = slices.Min(codes)
-	}
-	if !a.any || strBetter(a.op, m, a.m, a.syms, true) {
-		a.m = m
-	}
-	a.any = true
-	a.rows += uint64(len(codes))
-}
-
-func (a *strSegAgg) partial() aggPartial {
-	p := aggPartial{rows: a.rows}
-	if a.rows == 0 {
-		return p
-	}
-	p.kind, p.s = partStr, a.syms[a.m]
-	return p
-}
-
 // ---- execution ----
 
 // aggBind is one resolved spec: its column (nil for count(*)) and the
@@ -552,32 +353,6 @@ type aggBind struct {
 	// spec — share one, numbered in order of first use, so the slab is
 	// folded once for all of them.
 	acc int
-}
-
-// segAccs builds the accumulators over the rows r names, one per
-// distinct aggBind.acc.
-//
-//imprintvet:locks held=mu.R
-func segAccs(binds []aggBind, r segRef) []segAgg {
-	accs := make([]segAgg, 0, len(binds))
-	for _, b := range binds {
-		if b.acc == len(accs) {
-			accs = append(accs, b.col.aggAcc(b.spec.op, r))
-		}
-	}
-	return accs
-}
-
-// mergeAccs merges the accumulators' partials into merged, one per
-// bind; count(*) binds merge the bare row count.
-func mergeAccs(merged []aggPartial, binds []aggBind, accs []segAgg, rows uint64) {
-	for i, b := range binds {
-		p := aggPartial{rows: rows}
-		if b.acc >= 0 {
-			p = accs[b.acc].partial()
-		}
-		merged[i].mergeInto(b.spec.op, p)
-	}
 }
 
 // resolveAggs validates the requested specs against the table; callers
@@ -672,71 +447,52 @@ func (t *Table) aggWalk(ev evaluated, st *core.QueryStats, visitSpan func(from, 
 // aggregate is the per-unit aggregate worker: evaluate the predicate,
 // then fold each aggregate at the cheapest tier (summary / wholesale /
 // scanned) the coverage allows — a buffered unit's one inexact run
-// leaves it the scanned tier.
+// leaves it the scanned tier. A summary-eligible segment answers what
+// its summary can and folds the rest as one span; any other walks its
+// runs. Either way the fold is the one-slot groupFold.
 //
 //imprintvet:locks held=mu.R
 func (p *part) aggregate(u unit) segOut {
 	var o segOut
 	t, s, binds := p.t, u.lseg, p.aggs
 	ev := p.eval(u, &o.st)
-	o.aggs = make([]aggPartial, len(binds))
-	n := t.segLen(s)
-	if !u.buf && t.aggSummaryEligible(s, ev.runs) {
-		o.count = uint64(n)
-		var accs []segAgg // by aggBind.acc, built and folded on first use
-		for i, b := range binds {
-			if b.col == nil { // count(*): the row count, no slab touched
-				o.aggs[i] = aggPartial{rows: uint64(n)}
-				o.st.SummaryAggRows += uint64(n)
-				continue
-			}
-			if p, ok := b.col.aggSummary(b.spec.op, s); ok {
-				p.rows = uint64(n)
-				o.aggs[i] = p
-				o.st.SummaryAggRows += uint64(n)
-				continue
-			}
-			if accs == nil {
-				accs = make([]segAgg, len(binds))
-			}
-			if accs[b.acc] == nil {
-				accs[b.acc] = b.col.aggAcc(b.spec.op, segRef{s: s})
-				accs[b.acc].addSpan(0, n)
-			}
-			o.aggs[i] = accs[b.acc].partial()
-			o.st.WholesaleAggRows += uint64(n)
-		}
+	if len(ev.runs) == 0 { // pruned: no rows, so no partials to merge
 		releaseEval(&ev)
 		return o
 	}
-	accs := segAccs(binds, p.ref(u))
-	// The tiers count per requested aggregate, shared accumulator or not.
-	var counts, folds uint64
-	for _, b := range binds {
+	o.aggs = make([]aggPartial, len(binds))
+	summary := !u.buf && t.aggSummaryEligible(s, ev.runs)
+	r := p.ref(u)
+	// The fold holds an accumulator only where the summary cannot answer;
+	// folds counts the requested aggregates it answers, shared or not.
+	f := groupFold{slots: oneSlot{}}
+	var folds uint64
+	for i, b := range binds {
 		if b.col == nil {
-			counts++
-		} else {
-			folds++
+			continue // count(*): the row count, no slab touched
 		}
+		if summary {
+			if sp, ok := b.col.aggSummary(b.spec.op, s); ok {
+				sp.rows = uint64(t.segLen(s))
+				o.aggs[i] = sp
+				continue
+			}
+		}
+		f.add(b, r)
+		folds++
 	}
-	t.aggWalk(ev, &o.st,
-		func(from, to int) {
-			span := uint64(to - from)
-			o.count += span
-			// count(*) tallies the span wholesale, values untouched.
-			o.st.SummaryAggRows += span * counts
-			o.st.WholesaleAggRows += span * folds
-			for _, acc := range accs {
-				acc.addSpan(from, to)
-			}
-		},
-		func(base int, mask uint64) {
-			o.count += uint64(bits.OnesCount64(mask))
-			for _, acc := range accs {
-				acc.addMask(base, mask)
-			}
-		})
-	mergeAccs(o.aggs, binds, accs, o.count)
+	if summary {
+		f.span(0, t.segLen(s))
+	} else {
+		t.aggWalk(ev, &o.st, f.span, f.mask)
+	}
+	// Rows of whole spans count once per requested aggregate: at the
+	// summary tier where no value is folded, else at the wholesale tier.
+	o.st.SummaryAggRows += f.whole * (uint64(len(binds)) - folds)
+	o.st.WholesaleAggRows += f.whole * folds
+	if o.count = f.total; o.count > 0 {
+		f.parts(binds, 0, o.count, o.aggs)
+	}
 	releaseEval(&ev)
 	return o
 }
@@ -752,8 +508,9 @@ func (p *part) aggregate(u unit) segOut {
 // executions alike (bind parameters first).
 //
 // A query with Limit aggregates only the first Limit qualifying rows
-// in ascending id order; that path folds row by row (no pushdown).
-// OrderBy does not apply to aggregates and is rejected.
+// in ascending id order; that path folds their selection masks block
+// by block (no pushdown). OrderBy does not apply to aggregates and is
+// rejected.
 func (q *Query) Aggregate(specs ...AggSpec) (*AggResult, core.QueryStats, error) {
 	var x exec
 	x.begin(q)
@@ -786,40 +543,44 @@ func (q *Query) Aggregate(specs ...AggSpec) (*AggResult, core.QueryStats, error)
 
 // aggregate folds the bound execution's qualifying rows into merged
 // and returns how many there were. Unlimited: per-unit partials merge
-// in unit order. Limited: the first Limit ids of the ordered stream
-// fold row by row through their unit's accumulators, merged as each
-// unit's run ends — so the cap lands on the same rows at every
-// parallelism level and shard count.
+// in unit order. Limited: each run of the ordered stream's first Limit
+// ids folds, grouped into one selection mask per block, through a
+// one-slot fold of its unit's own, merged as the run ends — so the cap
+// lands on the same rows at every parallelism level and shard count,
+// and a float sum adds them one by one, in id order.
 //
 //imprintvet:locks held=mu.R
 func (x *exec) aggregate(merged []aggPartial) (uint64, error) {
-	q := x.q
 	binds := x.parts[0].aggs
 	var rows uint64
-	if !q.limited {
+	merge := func(count uint64, parts []aggPartial) bool {
+		rows += count
+		for i := range parts {
+			merged[i].mergeInto(binds[i].spec.op, parts[i])
+		}
+		return true
+	}
+	if !x.q.limited {
 		err := x.forEachUnit(
 			func(u unit) segOut { return x.parts[u.c].aggregate(u) },
-			func(_ unit, o segOut) bool {
-				rows += o.count
-				for i := range merged {
-					merged[i].mergeInto(binds[i].spec.op, o.aggs[i])
-				}
-				return true
-			})
+			func(_ unit, o segOut) bool { return merge(o.count, o.aggs) })
 		return rows, err
 	}
+	parts := make([]aggPartial, len(binds))
 	err := x.streamIDs(func(u unit, gids []uint32) bool {
 		p := &x.parts[u.c]
-		rows += uint64(len(gids))
-		accs := segAccs(p.aggs, p.ref(u))
+		f := newGroupFold(oneSlot{}, p.aggs, p.ref(u))
 		base := x.base(u)
-		for _, gid := range gids {
-			for _, acc := range accs {
-				acc.addRow(gid - base)
+		for len(gids) > 0 {
+			blk := int(gids[0]-base) &^ (BlockRows - 1)
+			var mask uint64
+			for ; len(gids) > 0 && int(gids[0]-base) < blk+BlockRows; gids = gids[1:] {
+				mask |= 1 << (int(gids[0]-base) - blk)
 			}
+			f.mask(blk, mask)
 		}
-		mergeAccs(merged, binds, accs, uint64(len(gids)))
-		return true
+		f.parts(p.aggs, 0, f.total, parts)
+		return merge(f.total, parts)
 	})
 	return rows, err
 }

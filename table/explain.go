@@ -163,8 +163,8 @@ func (q *Query) Explain() (*Plan, error) { return q.explain(nil, false) }
 // scan (see AggSegmentPlan). Like Explain, no value is aggregated.
 // Queries ExplainAggregate cannot describe faithfully are rejected
 // like Aggregate rejects them (OrderBy); a Limit-ed aggregation folds
-// its first rows one by one through the id path, so its plan carries
-// the limit but no pushdown tier lines.
+// its first rows' selection masks through the id path, so its plan
+// carries the limit but no pushdown tier lines.
 func (q *Query) ExplainAggregate(specs ...AggSpec) (*Plan, error) { return q.explain(specs, true) }
 
 // explain is the one body behind both: withAggs distinguishes
@@ -190,8 +190,8 @@ func (q *Query) explain(specs []AggSpec, withAggs bool) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A Limit-ed aggregation folds row by row through the id path; no
-	// pushdown tiers apply, so none are advertised.
+	// A Limit-ed aggregation folds its ids' masks through the id path;
+	// no pushdown tiers apply, so none are advertised.
 	tiers := withAggs && !q.limited
 	segPlans := make([]*PlanNode, 0, x.units)
 	infos := make([]planSegInfo, 0, x.units)

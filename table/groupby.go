@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/coltype"
@@ -26,6 +27,12 @@ import (
 // per-segment dictionaries never leak into results. The consumer merges
 // group partials in segment order and sorts groups by key, so grouped
 // results are identical at every parallelism level.
+//
+// An ungrouped Query.Aggregate is the same fold with one group: the
+// oneSlot slotter puts every row in slot 0. Only there does an exact
+// span fold whole (slotAgg.span) rather than as full-mask blocks. A
+// block whose lanes share one slot and add no integer sum is counted by
+// its popcount.
 
 // GroupedQuery is a Query with a grouping key attached; Aggregate
 // executes it.
@@ -297,12 +304,28 @@ func (sl *strSlotter) key(slot uint32) groupKey {
 	return groupKey{s: sl.syms[slot], isStr: true}
 }
 
+// oneSlot is the slotter of an ungrouped aggregate: every lane of every
+// block is in slot 0, read from one shared zero block.
+type oneSlot struct{}
+
+var zeroSlots laneSlots
+
+func (oneSlot) slots(int, uint64) (*laneSlots, int) { return &zeroSlots, 1 }
+
+func (oneSlot) sorted() []uint32 { return nil }
+
+func (oneSlot) key(uint32) groupKey { return groupKey{} }
+
 // ---- per-slot accumulators ----
 
 // slotAgg is one aggregate's per-slot accumulator over one segment,
 // either a slotSum or an orderedAgg.
 type slotAgg interface {
 	grow(nslots int)
+	// span folds slab positions [from, to) — every row live and
+	// qualifying — into slot 0 in one tight loop: an ungrouped fold's
+	// wholesale tier. A float sum adds the span's own sum to the total.
+	span(from, to int)
 	partial(slot uint32, rows uint64) aggPartial
 }
 
@@ -335,7 +358,7 @@ func (c *colState[V]) slotAcc(op aggOp, r segRef) slotAgg {
 }
 
 // intSlotSum is the per-slot sum of an integer column (sum and avg share
-// it): an int64 per slot, wrapping like numSegAgg's.
+// it): an int64 per slot, where uint64 values beyond 2^63 wrap.
 type intSlotSum[V coltype.Value] struct {
 	vals []V
 	v64  []int64 // vals itself when V is int64: whole blocks are read in place
@@ -356,12 +379,21 @@ func (a *intSlotSum[V]) lanes(base int) (*[BlockRows]int64, []int64) {
 	return &a.wide, a.acc
 }
 
+//imprintvet:hotpath
+func (a *intSlotSum[V]) span(from, to int) {
+	var s int64
+	for _, v := range a.vals[from:to] {
+		s += int64(v)
+	}
+	a.acc[0] += s
+}
+
 func (a *intSlotSum[V]) partial(slot uint32, rows uint64) aggPartial {
 	return numPartial(true, rows, a.acc[slot], 0)
 }
 
-// numSlotAgg is the per-slot form of numSegAgg's float sums and typed
-// extrema, folded in row order — so every group's partial is
+// numSlotAgg is the per-slot float sum or typed extremum of a numeric
+// column, folded in row order — so every group's partial is
 // bit-identical to a row-at-a-time fold of its rows.
 type numSlotAgg[V coltype.Value] struct {
 	op    aggOp
@@ -410,6 +442,45 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 	}
 }
 
+// span keeps the row-at-a-time rule across spans: the first value the
+// slot sees seeds its extremum, so a span that opens with NaN after the
+// slot holds a value leaves the rest of the span to compete.
+//
+//imprintvet:hotpath
+func (a *numSlotAgg[V]) span(from, to int) {
+	vals := a.vals[from:to]
+	if len(vals) == 0 {
+		return
+	}
+	switch a.op {
+	case aggMin, aggMax:
+		m := a.m[0]
+		if !a.seen[0] {
+			m, vals = vals[0], vals[1:]
+		}
+		if a.op == aggMin {
+			for _, v := range vals {
+				if v < m {
+					m = v
+				}
+			}
+		} else {
+			for _, v := range vals {
+				if v > m {
+					m = v
+				}
+			}
+		}
+		a.m[0], a.seen[0] = m, true
+	default:
+		var s float64
+		for _, v := range vals {
+			s += float64(v)
+		}
+		a.fsum[0] += s
+	}
+}
+
 func (a *numSlotAgg[V]) partial(slot uint32, rows uint64) aggPartial {
 	if a.op == aggMin || a.op == aggMax {
 		return numPartial(a.isInt, rows, int64(a.m[slot]), float64(a.m[slot]))
@@ -425,7 +496,8 @@ func (c *strColState) slotAcc(op aggOp, r segRef) slotAgg {
 }
 
 // strSlotAgg folds min/max per slot over a string slab's codes and
-// decodes each winner once, like strSegAgg.
+// decodes each winner once. Where code order is string order (a sealed
+// segment) codes compare directly; a delta slab's compare by symbol.
 type strSlotAgg struct {
 	op      aggOp
 	codes   []int32
@@ -450,6 +522,39 @@ func (a *strSlotAgg) fold(slots *laneSlots, base int, mask uint64) {
 	}
 }
 
+// span reduces the codes with slices.Min or slices.Max: whole spans
+// come only from sealed segments (a buffered unit's one run is never
+// exact), whose code order is string order.
+//
+//imprintvet:hotpath
+func (a *strSlotAgg) span(from, to int) {
+	codes := a.codes[from:to]
+	if len(codes) == 0 {
+		return
+	}
+	m := slices.Max(codes)
+	if a.op == aggMin {
+		m = slices.Min(codes)
+	}
+	if !a.seen[0] || strBetter(a.op, m, a.m[0], a.syms, true) {
+		a.m[0] = m
+	}
+	a.seen[0] = true
+}
+
+// strBetter reports whether code c beats the incumbent m under op
+// (aggMin or aggMax).
+func strBetter(op aggOp, c, m int32, syms []string, ordered bool) bool {
+	if c == m {
+		return false
+	}
+	less := c < m
+	if !ordered {
+		less = syms[c] < syms[m]
+	}
+	return less == (op == aggMin)
+}
+
 func (a *strSlotAgg) partial(slot uint32, rows uint64) aggPartial {
 	return aggPartial{rows: rows, kind: partStr, s: a.syms[a.m[slot]]}
 }
@@ -461,11 +566,12 @@ func (a *strSlotAgg) partial(slot uint32, rows uint64) aggPartial {
 // per distinct aggregate fold (aggBind.acc), all slabs indexed by slot.
 type groupFold struct {
 	slots   segSlotter
-	rows    []uint64     // qualifying rows per slot
+	rows    []uint64     // qualifying rows per slot; a one-slot fold reads total
 	accs    []slotAgg    // by aggBind.acc
 	sums    []sumBlock   // the integer sums among accs
 	ordered []orderedAgg // the others
 	total   uint64
+	whole   uint64 // rows of the spans a one-slot fold took whole
 }
 
 // sumBlock is one integer sum and, per block, what its walk reads.
@@ -475,29 +581,80 @@ type sumBlock struct {
 	acc  []int64
 }
 
+// newGroupFold builds the fold of binds over the rows r names, slotted
+// by sl. One constructor serves GroupBy, the ungrouped aggregate (sl is
+// oneSlot) and its limited form. The fold comes back by value, so it
+// stays on the worker's stack.
+//
+//imprintvet:locks held=mu.R
+func newGroupFold(sl segSlotter, binds []aggBind, r segRef) groupFold {
+	f := groupFold{slots: sl, accs: make([]slotAgg, 0, len(binds))}
+	for _, b := range binds {
+		f.add(b, r)
+	}
+	return f
+}
+
+// add gives the fold b's accumulator over the rows r names, unless b is
+// count(*) or shares a fold the fold already holds.
+//
+//imprintvet:locks held=mu.R
+func (f *groupFold) add(b aggBind, r segRef) {
+	if b.acc < 0 || b.acc < len(f.accs) && f.accs[b.acc] != nil {
+		return
+	}
+	a := b.col.slotAcc(b.spec.op, r)
+	f.accs = growSlab(f.accs, b.acc+1)
+	f.accs[b.acc] = a
+	if s, ok := a.(slotSum); ok {
+		f.sums = append(f.sums, sumBlock{agg: s})
+	} else {
+		f.ordered = append(f.ordered, a.(orderedAgg))
+	}
+}
+
 // grow extends every slab to n slots: once per segment, at its first
 // block — and again only for a map-slotted key, whose slots appear as
 // the walk meets new keys.
 func (f *groupFold) grow(n int) {
 	f.rows = growSlab(f.rows, n)
 	for _, a := range f.accs {
-		a.grow(n)
+		if a != nil {
+			a.grow(n)
+		}
 	}
 }
 
-// span folds a wholesale exact span (every row live and qualifying)
-// block by block, each as a full mask.
+// span folds a wholesale exact span (every row live and qualifying). A
+// grouped fold cuts it into blocks, each a full mask, so every group's
+// float sum still adds row by row; the one-slot fold hands the span
+// whole to each accumulator.
 //
 //imprintvet:hotpath
 func (f *groupFold) span(from, to int) {
-	for b := from; b < to; b += BlockRows {
-		f.mask(b, blockOnes(min(BlockRows, to-b)))
+	if _, one := f.slots.(oneSlot); !one {
+		for b := from; b < to; b += BlockRows {
+			f.mask(b, blockOnes(min(BlockRows, to-b)))
+		}
+		return
+	}
+	if len(f.rows) == 0 && len(f.accs) > 0 {
+		f.grow(1)
+	}
+	f.total += uint64(to - from)
+	f.whole += uint64(to - from)
+	for _, s := range f.sums {
+		s.agg.span(from, to)
+	}
+	for _, a := range f.ordered {
+		a.span(from, to)
 	}
 }
 
 // mask folds the surviving lanes of the block at slab position base:
 // one walk for the counts and the integer sums, then one in-order walk
-// per other accumulator.
+// per other accumulator. A block whose lanes share one slot and add no
+// integer sum is counted by its popcount, no lane walked.
 //
 //imprintvet:hotpath
 func (f *groupFold) mask(base int, mask uint64) {
@@ -505,11 +662,15 @@ func (f *groupFold) mask(base int, mask uint64) {
 	if n > len(f.rows) {
 		f.grow(n)
 	}
-	f.total += uint64(bits.OnesCount64(mask))
-	if len(f.sums) == 1 {
+	c := uint64(bits.OnesCount64(mask))
+	f.total += c
+	switch {
+	case len(f.sums) == 1:
 		vals, acc := f.sums[0].agg.lanes(base)
 		countSumLanes(slots, mask, f.rows, vals, acc)
-	} else {
+	case len(f.sums) == 0 && n == 1:
+		f.rows[0] += c
+	default:
 		for k := range f.sums {
 			s := &f.sums[k]
 			s.vals, s.acc = s.agg.lanes(base)
@@ -584,13 +745,7 @@ func (f *groupFold) emit(binds []aggBind) []groupOut {
 		}
 		out := groupOut{key: f.slots.key(slot), rows: rows, parts: parts[:len(binds):len(binds)]}
 		parts = parts[len(binds):]
-		for i, b := range binds {
-			if b.acc >= 0 {
-				out.parts[i] = f.accs[b.acc].partial(slot, rows)
-			} else {
-				out.parts[i] = aggPartial{rows: rows}
-			}
-		}
+		f.parts(binds, slot, rows, out.parts)
 		groups = append(groups, out)
 	}
 	if order := f.slots.sorted(); order != nil {
@@ -603,6 +758,20 @@ func (f *groupFold) emit(binds []aggBind) []groupOut {
 		}
 	}
 	return groups
+}
+
+// parts writes each bind's partial over slot (which holds rows) into
+// dst: count(*) its row count, any other bind its accumulator's. A bind
+// whose accumulator the fold does not hold — the summary answered it —
+// keeps what dst has.
+func (f *groupFold) parts(binds []aggBind, slot uint32, rows uint64, dst []aggPartial) {
+	for i, b := range binds {
+		if b.acc < 0 {
+			dst[i] = aggPartial{rows: rows}
+		} else if b.acc < len(f.accs) && f.accs[b.acc] != nil {
+			dst[i] = f.accs[b.acc].partial(slot, rows)
+		}
+	}
 }
 
 // group is the per-unit grouping worker: qualifying rows arrive a block
@@ -618,19 +787,7 @@ func (p *part) group(u unit) segOut {
 	ev := p.eval(u, &o.st)
 	if len(ev.runs) > 0 {
 		r := p.ref(u)
-		f := &groupFold{slots: p.col.slotter(r), accs: make([]slotAgg, 0, len(binds))}
-		for _, b := range binds {
-			if b.acc != len(f.accs) {
-				continue // count(*), or a fold an earlier spec already holds
-			}
-			a := b.col.slotAcc(b.spec.op, r)
-			f.accs = append(f.accs, a)
-			if s, ok := a.(slotSum); ok {
-				f.sums = append(f.sums, sumBlock{agg: s})
-			} else {
-				f.ordered = append(f.ordered, a.(orderedAgg))
-			}
-		}
+		f := newGroupFold(p.col.slotter(r), binds, r)
 		p.t.aggWalk(ev, &o.st, f.span, f.mask)
 		o.count = f.total
 		o.groups = f.emit(binds)

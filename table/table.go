@@ -159,9 +159,6 @@ type anyColumn interface {
 	// when the summary cannot answer exactly. The caller guarantees
 	// full coverage and a delete-free segment and fills in rows.
 	aggSummary(op aggOp, s int) (aggPartial, bool)
-	// aggAcc returns a typed fold accumulator for op over the rows r
-	// names.
-	aggAcc(op aggOp, r segRef) segAgg
 	// groupCheck validates the column as a GroupBy key (integer and
 	// string columns only).
 	groupCheck() error
