@@ -200,7 +200,8 @@ type aggPartial struct {
 }
 
 // mergeInto folds partial b into a under op. Only the value merge is
-// op-dependent; rows always add.
+// op-dependent; rows always add. Float extrema merge by foldMin/foldMax,
+// so the answer does not depend on where unit boundaries fall.
 func (a *aggPartial) mergeInto(op aggOp, b aggPartial) {
 	a.rows += b.rows
 	if b.kind == partNone {
@@ -219,7 +220,7 @@ func (a *aggPartial) mergeInto(op aggOp, b aggPartial) {
 		case partInt:
 			a.i = min(a.i, b.i)
 		case partFloat:
-			a.f = min(a.f, b.f)
+			a.f = foldMin(a.f, b.f)
 		case partStr:
 			a.s = min(a.s, b.s)
 		}
@@ -228,7 +229,7 @@ func (a *aggPartial) mergeInto(op aggOp, b aggPartial) {
 		case partInt:
 			a.i = max(a.i, b.i)
 		case partFloat:
-			a.f = max(a.f, b.f)
+			a.f = foldMax(a.f, b.f)
 		case partStr:
 			a.s = max(a.s, b.s)
 		}

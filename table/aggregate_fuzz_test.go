@@ -32,37 +32,40 @@ func fuzzAggFloat(b byte) float64 {
 	return float64(int8(b)) / 4
 }
 
-// FuzzAggregate holds the three ways to aggregate the same rows to one
-// another: the unlimited Aggregate (summary, wholesale and scanned
-// tiers), Limit(n) with n at least the row count (the id stream folded
-// mask by mask), and GroupBy on a constant key (the grouped fold).
+// FuzzAggregate holds the three ways to aggregate the same rows to a
+// row-by-row reference (aggRef) and so to one another: the unlimited
+// Aggregate (summary, wholesale and scanned tiers), Limit(n) with n at
+// least the row count (the id stream folded mask by mask), and GroupBy
+// on a constant key (the grouped fold). Every input runs at Shards 1
+// and at Shards 2 with serial commits, which assign the same ids.
 //
 // Each row takes two bytes a and b of data: t advances by a>>6 (runs of
 // equal values and gaps, so a t band gives exact spans between ragged
 // edges), v is fuzzAggFloat(b), w = (a&63 − 32) << 57 wraps its sums,
 // s is one of five symbols and k is the constant key; a row with
 // a&63 = 63 is deleted. SegmentRows is 64 << (seg % 5). The last
-// buffered rows stay in the delta store, all inside the last sealed
-// row's segment span: the limited form folds buffered rows per segment
-// span, the others as one unit, and the extrema's first-value rule
-// (NaN, -0) depends on where a fold starts.
+// buffered rows stay in the delta store, across as many segment spans
+// as they reach: the limited form folds them per span, the others as
+// one unit per part, and min/max must not depend on where a fold starts
+// (foldMin/foldMax skip NaN; ties keep the first value seen).
 //
-// Counts, integer sums and extrema must agree bit for bit; float sums
-// too between the grouped and limited forms, which add row by row in
-// id order. The unlimited float sum adds an exact span's own sum to its
-// total, so it need only be close. Any two NaNs count as the same value.
+// Counts, integer sums and extrema must match the reference bit for
+// bit; float sums too in the grouped and limited forms. The unlimited
+// float sum adds an exact span's own sum to its total, so it need only
+// be close. Any two NaNs count as the same value.
 func FuzzAggregate(f *testing.F) {
 	f.Add([]byte{64, 20, 64, 0, 64, 4, 0, 4, 128, 1, 127, 2, 64, 3, 192, 9}, uint8(0), int16(1), int16(9), uint16(3))
 	f.Add([]byte{}, uint8(0), int16(0), int16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, seg uint8, lo, hi int16, buffered uint16) {
-		checkAggregateForms(t, data, 64<<(seg%5), int64(lo), int64(hi), int(buffered))
+		for _, shards := range []int{1, 2} {
+			checkAggregateForms(t, data, 64<<(seg%5), shards, int64(lo), int64(hi), int(buffered))
+		}
 	})
 }
 
-func checkAggregateForms(t *testing.T, data []byte, segRows int, lo, hi int64, buffered int) {
+func checkAggregateForms(t *testing.T, data []byte, segRows, shards int, lo, hi int64, buffered int) {
 	n := min(len(data)/2, 4096)
 	sealed := n - min(buffered, n)
-	n = sealed + min(n-sealed, segRows-sealed%segRows)
 	tv, v, w, k := make([]int64, n), make([]float64, n), make([]int64, n), make([]int64, n)
 	s := make([]string, n)
 	for i := range n {
@@ -74,7 +77,7 @@ func checkAggregateForms(t *testing.T, data []byte, segRows int, lo, hi int64, b
 		w[i] = (int64(a&63) - 32) << 57
 		s[i] = []string{"", "lisbon", "oslo", "porto", "rome"}[(a^b)%5]
 	}
-	tb := NewWithOptions("fuzzagg", TableOptions{SegmentRows: segRows})
+	tb := NewWithOptions("fuzzagg", TableOptions{SegmentRows: segRows, Shards: shards})
 	defer tb.Close()
 	for _, err := range []error{
 		AddColumn(tb, "t", tv[:sealed], Imprints, core.Options{Seed: 1}),
@@ -99,13 +102,17 @@ func checkAggregateForms(t *testing.T, data []byte, segRows int, lo, hi int64, b
 			}
 		}
 	}
+	var ref aggRef
 	for i := range n {
 		if data[2*i]&63 == 63 {
 			if err := tb.Delete(i); err != nil {
 				t.Fatal(err)
 			}
+		} else if tv[i] >= lo && tv[i] < hi {
+			ref.add(v[i], w[i], s[i])
 		}
 	}
+	want := ref.values()
 
 	pred := Range[int64]("t", lo, hi)
 	grouped, _, err := tb.Select().Where(pred).GroupBy("k").Aggregate(fuzzAggSpecs...)
@@ -116,26 +123,69 @@ func checkAggregateForms(t *testing.T, data []byte, segRows int, lo, hi int64, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := limited.Values()
+	if limited.Rows != ref.rows {
+		t.Fatalf("shards %d: limited %d rows, reference %d", shards, limited.Rows, ref.rows)
+	}
+	checkAggValues(t, "limited", limited.Values(), want, false)
 	if len(grouped.Groups) > 0 {
 		g := grouped.Groups[0]
-		if len(grouped.Groups) != 1 || g.Rows != limited.Rows {
-			t.Fatalf("grouped: %d groups, first of %d rows; limited: %d rows", len(grouped.Groups), g.Rows, limited.Rows)
+		if len(grouped.Groups) != 1 || g.Rows != ref.rows {
+			t.Fatalf("shards %d: grouped: %d groups, first of %d rows; reference %d rows", shards, len(grouped.Groups), g.Rows, ref.rows)
 		}
-		checkAggValues(t, "grouped vs limited", g.Aggs, want, false)
-	} else if limited.Rows != 0 {
-		t.Fatalf("grouped: no group; limited: %d rows", limited.Rows)
+		checkAggValues(t, "grouped", g.Aggs, want, false)
+	} else if ref.rows != 0 {
+		t.Fatalf("shards %d: grouped: no group; reference %d rows", shards, ref.rows)
 	}
 	for _, par := range []int{1, 3} {
 		unlimited, _, err := tb.Select().Where(pred).Options(SelectOptions{Parallelism: par}).Aggregate(fuzzAggSpecs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if unlimited.Rows != limited.Rows {
-			t.Fatalf("parallelism %d: unlimited %d rows, limited %d", par, unlimited.Rows, limited.Rows)
+		if unlimited.Rows != ref.rows {
+			t.Fatalf("shards %d, parallelism %d: unlimited %d rows, reference %d", shards, par, unlimited.Rows, ref.rows)
 		}
-		checkAggValues(t, "unlimited vs limited", unlimited.Values(), want, true)
+		checkAggValues(t, "unlimited", unlimited.Values(), want, true)
 	}
+}
+
+// aggRef folds fuzzAggSpecs row by row over the qualifying rows in id
+// order: integer sums wrap, float sums add in order, and min/max follow
+// foldMin/foldMax from the first row on.
+type aggRef struct {
+	rows       uint64
+	sumW       int64
+	sumV       float64
+	minV, maxV float64
+	minW, maxW int64
+	minS, maxS string
+}
+
+func (r *aggRef) add(v float64, w int64, s string) {
+	if r.rows == 0 {
+		r.minV, r.maxV, r.minW, r.maxW, r.minS, r.maxS = v, v, w, w, s, s
+	}
+	r.rows++
+	r.sumW += w
+	r.sumV += v
+	r.minV, r.maxV = foldMin(r.minV, v), foldMax(r.maxV, v)
+	r.minW, r.maxW = min(r.minW, w), max(r.maxW, w)
+	r.minS, r.maxS = min(r.minS, s), max(r.maxS, s)
+}
+
+// values renders the reference as fuzzAggSpecs' AggValues.
+func (r *aggRef) values() []AggValue {
+	ints := func(i int64) aggPartial { return numPartial(true, r.rows, i, 0) }
+	floats := func(f float64) aggPartial { return numPartial(false, r.rows, 0, f) }
+	strs := func(s string) aggPartial { return aggPartial{rows: r.rows, kind: partStr, s: s} }
+	parts := []aggPartial{
+		{rows: r.rows}, ints(r.sumW), ints(r.sumW), floats(r.sumV), floats(r.sumV),
+		floats(r.minV), floats(r.maxV), ints(r.minW), ints(r.maxW), strs(r.minS), strs(r.maxS),
+	}
+	out := make([]AggValue, len(parts))
+	for i, p := range parts {
+		out[i] = p.value(fuzzAggSpecs[i])
+	}
+	return out
 }
 
 // checkAggValues compares got with want spec by spec: float sums and

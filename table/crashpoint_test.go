@@ -17,7 +17,7 @@ import (
 // sealed, and a table that never called EnableDeltaIngest must recover
 // like the others). Unsharded only: a sharded commit is one log record
 // per chunk, so a crash between chunks recovers part of a batch — see
-// commitSharded; TestWALReplayRoundTrip covers sharded recovery.
+// Batch.Commit; TestWALReplayRoundTrip covers sharded recovery.
 
 // crashOp is one workload step. durable means a nil error is a
 // durability acknowledgement: a commit, update or delete returns only

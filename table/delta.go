@@ -158,16 +158,22 @@ func (d *deltaState) kickSeal() {
 // runs. Enabling is one-way for the table's lifetime; Close stops the
 // background worker.
 func (t *Table) EnableDeltaIngest(opts IngestOptions) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sh := t.shard; sh != nil {
-		for _, kid := range sh.kids {
-			if err := kid.EnableDeltaIngest(opts); err != nil {
-				return err
-			}
+	for _, kid := range t.parts() {
+		kid.mu.Lock()
+		err := kid.enableDeltaIngestLocked(opts)
+		kid.mu.Unlock()
+		if err != nil {
+			return err
 		}
-		return nil
 	}
+	return nil
+}
+
+// enableDeltaIngestLocked switches one part to the buffered policy;
+// callers hold the write lock.
+//
+//imprintvet:locks held=mu
+func (t *Table) enableDeltaIngestLocked(opts IngestOptions) error {
 	d := t.delta
 	if d.buffered.Load() {
 		return fmt.Errorf("table %s: delta ingest already enabled", t.name)
@@ -191,20 +197,16 @@ func (t *Table) EnableDeltaIngest(opts IngestOptions) error {
 // delta rows stay queryable; flush them explicitly (FlushDelta or Save)
 // if they must reach columnar storage. Close is idempotent.
 func (t *Table) Close() error {
-	if t.shard != nil {
-		var err error
-		for _, kid := range t.shard.kids {
-			err = errors.Join(err, kid.Close())
+	var err error
+	for _, kid := range t.parts() {
+		d := kid.delta
+		d.stopOnce.Do(func() { close(d.stop) })
+		d.sealer.Wait()
+		if lg := kid.walPtr(); lg != nil {
+			err = errors.Join(err, lg.Close())
 		}
-		return err
 	}
-	d := t.delta
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.sealer.Wait()
-	if lg := t.walPtr(); lg != nil {
-		return lg.Close()
-	}
-	return nil
+	return err
 }
 
 // totalRowsLocked returns sealed plus buffered rows (including
@@ -227,30 +229,21 @@ func (t *Table) deltaCols() []delta.Col {
 
 // DeltaRows returns the number of rows currently buffered in the
 // delta store (always 0 under the immediate seal policy).
-func (t *Table) DeltaRows() int {
-	if t.shard != nil {
-		n := 0
-		for _, kid := range t.shard.kids {
-			n += kid.DeltaRows()
-		}
-		return n
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.delta.store.Len()
-}
+func (t *Table) DeltaRows() int { return sumParts(t, (*Table).deltaRowsLocked) }
+
+//imprintvet:locks held=mu.R
+func (t *Table) deltaRowsLocked() int { return t.delta.store.Len() }
 
 // MaxShardDeltaRows returns the deepest per-shard delta backlog (the
 // hottest shard; the table's own backlog when unsharded), 0 when nothing
 // is buffered: two counter reads per shard — the signal admission control
 // polls on every request, where IngestStats would walk every segment.
 func (t *Table) MaxShardDeltaRows() int {
-	if t.shard == nil {
-		return t.DeltaRows()
-	}
 	m := 0
-	for _, kid := range t.shard.kids {
-		m = max(m, kid.DeltaRows())
+	for _, kid := range t.parts() {
+		kid.mu.RLock()
+		m = max(m, kid.delta.store.Len())
+		kid.mu.RUnlock()
 	}
 	return m
 }
@@ -282,14 +275,16 @@ func (t *Table) growDeletedTo(n int) {
 // ---- commit / update / flush ----
 
 // commitRows is the one write path: it commits rows [from, to) of a
-// staged batch — a Batch's own, or a sharded parent's chunk for this
-// shard — under the table's seal policy. Buffered: validate and append
+// staged batch — one routed chunk of it, the whole batch at N = 1 —
+// under the part's seal policy. Buffered: validate and append
 // under the read lock and leave the rows to the sealer. Immediate: hold
 // the write lock across the append and a flush of the store, so the rows
 // are indexed (Section 4.1: they extend the tail's imprint, no stored
 // vector is touched) before any reader can look. Either way the commit
 // is acknowledged only once its log record, if a WAL is attached, is
 // durable — waited for outside every lock.
+//
+//imprintvet:locks acquires=mu
 func (t *Table) commitRows(staged map[string]any, from, to int) error {
 	d := t.delta
 	var (
@@ -413,17 +408,13 @@ func (t *Table) flushAllLocked() int {
 // immutable segments with their indexes built off-lock, and the
 // remainder folds into the columnar tail. Returns the rows moved.
 func (t *Table) FlushDelta() int {
-	if t.shard != nil {
-		n := 0
-		for _, kid := range t.shard.kids {
-			n += kid.FlushDelta()
-		}
-		return n
+	moved := 0
+	for _, kid := range t.parts() {
+		moved += kid.sealFullChunks(kid.delta)
+		kid.mu.Lock()
+		moved += kid.flushAllLocked()
+		kid.mu.Unlock()
 	}
-	moved := t.sealFullChunks(t.delta)
-	t.mu.Lock()
-	moved += t.flushAllLocked()
-	t.mu.Unlock()
 	return moved
 }
 
@@ -431,14 +422,11 @@ func (t *Table) FlushDelta() int {
 // (indexes built outside the table lock, installed atomically),
 // leaving a partial remainder buffered. Returns the rows sealed.
 func (t *Table) SealDelta() int {
-	if t.shard != nil {
-		n := 0
-		for _, kid := range t.shard.kids {
-			n += kid.SealDelta()
-		}
-		return n
+	n := 0
+	for _, kid := range t.parts() {
+		n += kid.sealFullChunks(kid.delta)
 	}
-	return t.sealFullChunks(t.delta)
+	return n
 }
 
 // ---- observability ----
@@ -499,31 +487,36 @@ func (s IngestStats) MaxShardDeltaRows() int {
 // policy (Enabled false) every commit counts as one flush and DeltaRows
 // is always 0.
 func (t *Table) IngestStats() IngestStats {
-	if t.shard != nil {
-		return t.shardIngestStats()
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	d := t.delta
-	st := IngestStats{
-		Enabled:        d.buffered.Load(),
-		DeltaRows:      d.store.Len(),
-		Seals:          d.seals.Load(),
-		SealedSegments: d.sealedSegs.Load(),
-		SealedRows:     d.sealedRows.Load(),
-		SealRetries:    d.sealRetries.Load(),
-		Flushes:        d.flushes.Load(),
-		FlushedRows:    d.flushedRows.Load(),
-		Merges:         d.merges.Load(),
-		MergeBacklog:   t.mergeBacklogLocked(d.mergeSat),
-		Recovery:       d.recovery,
-		ShardDeltaRows: []int{d.store.Len()},
-	}
-	if d.wal != nil {
-		st.WALEnabled = true
-		if err := d.wal.Err(); err != nil {
-			st.WALError = err.Error()
+	kids := t.parts()
+	st := IngestStats{ShardDeltaRows: make([]int, len(kids))}
+	for c, kid := range kids {
+		kid.mu.RLock()
+		d := kid.delta
+		rows := d.store.Len()
+		st.Enabled = st.Enabled || d.buffered.Load()
+		st.DeltaRows += rows
+		st.Seals += d.seals.Load()
+		st.SealedSegments += d.sealedSegs.Load()
+		st.SealedRows += d.sealedRows.Load()
+		st.SealRetries += d.sealRetries.Load()
+		st.Flushes += d.flushes.Load()
+		st.FlushedRows += d.flushedRows.Load()
+		st.Merges += d.merges.Load()
+		st.MergeBacklog += kid.mergeBacklogLocked(d.mergeSat)
+		if d.recovery != nil {
+			if st.Recovery == nil {
+				st.Recovery = &RecoveryReport{}
+			}
+			st.Recovery.add(d.recovery)
 		}
+		if d.wal != nil {
+			st.WALEnabled = true
+			if err := d.wal.Err(); err != nil && st.WALError == "" {
+				st.WALError = err.Error()
+			}
+		}
+		st.ShardDeltaRows[c] = rows
+		kid.mu.RUnlock()
 	}
 	return st
 }

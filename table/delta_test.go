@@ -503,8 +503,10 @@ func TestDeltaAutoSeal(t *testing.T) {
 // lock — rows indexed on return), "buffered" one that did, without a
 // sealer (append under the read lock — rows left in the store). The
 // shapes are mixed-ingest's /insert batch (512 rows of the benchmark's
-// five columns, 64 distinct cities) and one whole segment's worth.
-// Tables are replaced outside the timer once they pass a million rows.
+// five columns, 64 distinct cities) and one whole segment's worth, on
+// an unsharded table and on 2 shards (each batch routed in
+// segment-bounded chunks). Tables are replaced outside the timer once
+// they pass a million rows.
 func BenchmarkCommit(b *testing.B) {
 	const pool = 1 << 16
 	rng := rand.New(rand.NewPCG(23, 23))
@@ -515,8 +517,8 @@ func BenchmarkCommit(b *testing.B) {
 		price[i], pri[i] = rng.Float64()*500, uint8(rng.IntN(5))
 		city[i] = fmt.Sprint("city-", rng.IntN(64))
 	}
-	fresh := func(buffered bool) *Table {
-		tb := New("orders")
+	fresh := func(buffered bool, shards int) *Table {
+		tb := NewWithOptions("orders", TableOptions{Shards: shards})
 		add := func(err error) {
 			if err != nil {
 				b.Fatal(err)
@@ -534,30 +536,32 @@ func BenchmarkCommit(b *testing.B) {
 	}
 	for _, rows := range []int{512, pool} {
 		for _, policy := range []string{"immediate", "buffered"} {
-			b.Run(fmt.Sprintf("rows=%d/%s", rows, policy), func(b *testing.B) {
-				tb := fresh(policy == "buffered")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if tb.Rows() >= 1<<20 {
-						b.StopTimer()
-						tb = fresh(policy == "buffered")
-						b.StartTimer()
+			for _, shards := range []int{1, 2} {
+				b.Run(fmt.Sprintf("rows=%d/%s/shards=%d", rows, policy, shards), func(b *testing.B) {
+					tb := fresh(policy == "buffered", shards)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if tb.Rows() >= 1<<20 {
+							b.StopTimer()
+							tb = fresh(policy == "buffered", shards)
+							b.StartTimer()
+						}
+						lo := (i * rows) % pool
+						bt := tb.NewBatch()
+						err := errors.Join(
+							Append(bt, "ts", ts[lo:lo+rows]), Append(bt, "qty", qty[lo:lo+rows]),
+							Append(bt, "price", price[lo:lo+rows]), Append(bt, "pri", pri[lo:lo+rows]),
+							bt.AppendStrings("city", city[lo:lo+rows]))
+						if err = errors.Join(err, bt.Commit()); err != nil {
+							b.Fatal(err)
+						}
 					}
-					lo := (i * rows) % pool
-					bt := tb.NewBatch()
-					err := errors.Join(
-						Append(bt, "ts", ts[lo:lo+rows]), Append(bt, "qty", qty[lo:lo+rows]),
-						Append(bt, "price", price[lo:lo+rows]), Append(bt, "pri", pri[lo:lo+rows]),
-						bt.AppendStrings("city", city[lo:lo+rows]))
-					if err = errors.Join(err, bt.Commit()); err != nil {
-						b.Fatal(err)
+					if policy == "immediate" && tb.DeltaRows() != 0 {
+						b.Fatal("an immediate commit left rows buffered")
 					}
-				}
-				if policy == "immediate" && tb.DeltaRows() != 0 {
-					b.Fatal("an immediate commit left rows buffered")
-				}
-			})
+				})
+			}
 		}
 	}
 }

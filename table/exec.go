@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -92,13 +93,12 @@ func (p *part) span(lseg int) (lo, hi int) {
 type exec struct {
 	q     *Query
 	parts []part
-	one   [1]part  // the unsharded table's single part, no allocation
-	kids  []*Table // read-locked shards; nil when unsharded
-	units int      // sealed segments across the parts
-	slots int      // global segments spanning them (holes included)
-	spans int      // global segments spanning sealed and buffered rows
-	bufs  bool     // some part buffers rows
-	par   int      // workers the fan-out uses
+	one   [1]part // the unsharded table's single part, no allocation
+	units int     // sealed segments across the parts
+	slots int     // global segments spanning them (holes included)
+	spans int     // global segments spanning sealed and buffered rows
+	bufs  bool    // some part buffers rows
+	par   int     // workers the fan-out uses
 	// lagged starts each unit's work only once the unit par slots before
 	// it was merged (forEachSegment): set by an executor whose workers
 	// read what the merge publishes — the top-k's bound.
@@ -114,42 +114,30 @@ type exec struct {
 	emit func(u unit, gids []uint32) bool
 }
 
-// begin read-locks everything the execution reads — the table's own
-// lock exactly once, plus every shard's lock in ascending order when
-// sharded (sync.RWMutex is not reentrant: a second RLock behind a
-// queued writer deadlocks) — and rebinds the query to each part.
+// begin read-locks everything the execution reads (rlockParts) and
+// rebinds the query to each part: a prepared execution picks up the
+// statement's compilation for that part.
 //
 //imprintvet:locks returns-held=mu.R,kid.R
 func (x *exec) begin(q *Query) {
-	t := q.t
-	t.mu.RLock()
 	x.q = q
-	if sh := t.shard; sh != nil {
-		t.shardRLock()
-		x.kids = sh.kids
-		x.parts = make([]part, sh.nshards)
-		for c, kid := range sh.kids {
-			p := &x.parts[c]
-			p.t, p.q = kid, *q
-			p.q.t = kid
-			if q.prep != nil {
-				p.q.prep = q.prep.kids[c]
-			}
+	kids := q.t.rlockParts()
+	x.parts = slices.Grow(x.one[:0], len(kids))
+	for c, kid := range kids {
+		x.parts = append(x.parts, part{t: kid, q: *q})
+		p := &x.parts[c]
+		p.q.t = kid
+		if q.prep != nil {
+			p.q.prep = q.prep.parts[c]
 		}
-		return
 	}
-	x.one[0] = part{t: t, q: *q}
-	x.parts = x.one[:]
 }
 
 // end releases what begin acquired.
 //
 //imprintvet:locks releases=kid.R,mu.R
 func (x *exec) end() {
-	if x.kids != nil {
-		x.q.t.shardRUnlock()
-	}
-	x.q.t.mu.RUnlock()
+	x.q.t.runlockParts()
 }
 
 // ---- validation (every executor: projection, then order / group /

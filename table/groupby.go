@@ -21,10 +21,11 @@ import (
 // qualifying lane's slot and adds the row to its count and to every
 // integer sum in the same iteration. Float sums and min/max fold in
 // ascending row order in a walk of their own, so a group's float sum is
-// bit-identical to a row-at-a-time fold and NaN keeps its first-value
-// rule. Each segment's slots are remapped to the global key space (the
-// decoded symbol, the integer itself) when its partials are emitted, so
-// per-segment dictionaries never leak into results. The consumer merges
+// bit-identical to a row-at-a-time fold; min/max follow foldMin and
+// foldMax (NaN skipped, ties keep the first value seen). Each segment's
+// slots are remapped to the global key space (the decoded symbol, the
+// integer itself) when its partials are emitted, so per-segment
+// dictionaries never leak into results. The consumer merges
 // group partials in segment order and sorts groups by key, so grouped
 // results are identical at every parallelism level.
 //
@@ -340,7 +341,8 @@ type slotSum interface {
 
 // orderedAgg folds the lanes of a mask in ascending order in a walk of
 // its own: a float sum, whose rounding depends on the order of its
-// adds, or a min/max, where the first value seen wins ties and NaN.
+// adds, or a min/max under foldMin/foldMax, where ties keep the first
+// value seen and NaN is skipped.
 type orderedAgg interface {
 	slotAgg
 	fold(slots *laneSlots, base int, mask uint64)
@@ -420,7 +422,7 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 		for ; mask != 0; mask &= mask - 1 {
 			i := bits.TrailingZeros64(mask)
 			v, s := vals[i], slots[i]
-			if !a.seen[s] || v < a.m[s] {
+			if m := a.m[s]; !a.seen[s] || v < m || m != m {
 				a.m[s] = v
 			}
 			a.seen[s] = true
@@ -429,7 +431,7 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 		for ; mask != 0; mask &= mask - 1 {
 			i := bits.TrailingZeros64(mask)
 			v, s := vals[i], slots[i]
-			if !a.seen[s] || v > a.m[s] {
+			if m := a.m[s]; !a.seen[s] || v > m || m != m {
 				a.m[s] = v
 			}
 			a.seen[s] = true
@@ -442,9 +444,9 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 	}
 }
 
-// span keeps the row-at-a-time rule across spans: the first value the
-// slot sees seeds its extremum, so a span that opens with NaN after the
-// slot holds a value leaves the rest of the span to compete.
+// span folds min/max as fold does: a held NaN is empty, so the span's
+// values replace it until one is not NaN; from there a strict compare
+// never picks NaN.
 //
 //imprintvet:hotpath
 func (a *numSlotAgg[V]) span(from, to int) {
@@ -456,6 +458,9 @@ func (a *numSlotAgg[V]) span(from, to int) {
 	case aggMin, aggMax:
 		m := a.m[0]
 		if !a.seen[0] {
+			m, vals = vals[0], vals[1:]
+		}
+		for len(vals) > 0 && m != m {
 			m, vals = vals[0], vals[1:]
 		}
 		if a.op == aggMin {

@@ -964,10 +964,11 @@ func readEnvelope(br io.Reader, ctx *loadCtx) (*Table, error) {
 // fsysOr returns the table's injected filesystem, defaulting to the
 // real one.
 func (t *Table) fsysOr() faultfs.FS {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.fsys != nil {
-		return t.fsys
+	kid := t.parts()[0] // every part holds the same one
+	kid.mu.RLock()
+	defer kid.mu.RUnlock()
+	if kid.fsys != nil {
+		return kid.fsys
 	}
 	return faultfs.OS{}
 }
@@ -1028,6 +1029,8 @@ func Open(path string, opts LoadOptions) (*Table, *LoadReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	t.fsys = fsys
+	for _, kid := range t.parts() {
+		kid.fsys = fsys
+	}
 	return t, rep, nil
 }

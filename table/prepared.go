@@ -42,20 +42,21 @@ import (
 // with prepared statements too: bind the parameters, then finish with
 // Aggregate, GroupBy(...).Aggregate, or OrderBy(...).Limit(k).
 type Prepared struct {
-	t        *Table
-	opts     SelectOptions
-	cols     []string
-	params   map[string]*paramInfo
+	t      *Table
+	opts   SelectOptions
+	cols   []string
+	params map[string]*paramInfo
+	// parts holds the statement compiled against each of the table's
+	// parts — its shards, or the table itself — whose compiled and
+	// static fields are set; each execution binds every part's own
+	// compilation, so per-segment dictionary caches stay part-local.
+	parts    []*Prepared
 	compiled *compiledNode // nil for a match-everything statement
 	// static is the execution tree of a placeholder-free statement,
 	// bound once at Prepare time and shared by every execution (it is
 	// immutable — plans resolve segment state live), so steady-state
 	// executions skip the per-execution tree build entirely.
 	static *execNode
-	// kids holds a sharded table's per-shard statements (nil
-	// otherwise); each execution binds every shard's own compilation,
-	// so per-segment dictionary caches stay shard-local.
-	kids []*Prepared
 }
 
 // paramInfo records how one named placeholder is used across the tree,
@@ -79,21 +80,24 @@ func (pi *paramInfo) want() string {
 // evaluation options; individual executions may override them with
 // Query.Options.
 func (t *Table) Prepare(pred Predicate, opts SelectOptions) (*Prepared, error) {
-	if t.shard != nil {
-		p := &Prepared{t: t, opts: opts, kids: make([]*Prepared, t.shard.nshards)}
-		for c, kid := range t.shard.kids {
-			kp, err := kid.Prepare(pred, opts)
-			if err != nil {
-				return nil, err
-			}
-			p.kids[c] = kp
+	kids := t.parts()
+	p := &Prepared{t: t, opts: opts, parts: make([]*Prepared, len(kids))}
+	for c, kid := range kids {
+		kp, err := kid.compileStatement(pred)
+		if err != nil {
+			return nil, err
 		}
-		p.params = p.kids[0].params
-		return p, nil
+		p.parts[c] = kp
 	}
+	p.params = p.parts[0].params
+	return p, nil
+}
+
+// compileStatement compiles the statement against one part.
+func (t *Table) compileStatement(pred Predicate) (*Prepared, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	p := &Prepared{t: t, opts: opts}
+	p := &Prepared{t: t}
 	if pred != nil {
 		params, err := collectParams(pred)
 		if err != nil {

@@ -36,21 +36,38 @@ type segment[V coltype.Value] struct {
 	sumWide bool
 }
 
-// summarize computes the [min, max] of vals; ok is false when vals is
-// empty. The single definition behind segment summaries (ingest,
-// rebuild, persistence load) so pruning semantics cannot drift.
+// foldMin and foldMax fold v into a held extremum m under the one
+// min/max rule of the table (and of core): a float NaN is unordered, so
+// a held NaN counts as empty and whatever comes next replaces it, while
+// an arriving NaN never replaces a value; ties, −0 and +0 among them,
+// keep the value held. Min and max thus skip NaN and answer NaN only
+// when every folded value is NaN. Pruning stays sound: no predicate
+// leaf holds on NaN.
+func foldMin[V coltype.Value](m, v V) V {
+	if v < m || m != m {
+		return v
+	}
+	return m
+}
+
+func foldMax[V coltype.Value](m, v V) V {
+	if v > m || m != m {
+		return v
+	}
+	return m
+}
+
+// summarize computes the [min, max] of vals under foldMin/foldMax; ok
+// is false when vals is empty. The single definition behind segment
+// summaries (ingest, rebuild, persistence load) so pruning semantics
+// cannot drift.
 func summarize[V coltype.Value](vals []V) (lo, hi V, ok bool) {
 	if len(vals) == 0 {
 		return lo, hi, false
 	}
 	lo, hi = vals[0], vals[0]
 	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi = foldMin(lo, v), foldMax(hi, v)
 	}
 	return lo, hi, true
 }
@@ -65,7 +82,7 @@ func (s *segment[V]) extend(chunk []V, mode IndexMode, opts core.Options) {
 		if fresh {
 			s.min, s.max = lo, hi
 		} else {
-			s.min, s.max = min(s.min, lo), max(s.max, hi)
+			s.min, s.max = foldMin(s.min, lo), foldMax(s.max, hi)
 		}
 	}
 	switch mode {
@@ -90,12 +107,7 @@ func (s *segment[V]) extend(chunk []V, mode IndexMode, opts core.Options) {
 // entry grow to also map v (never shrink — imprints must not yield
 // false negatives).
 func (s *segment[V]) widen(local int, v V) {
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
+	s.min, s.max = foldMin(s.min, v), foldMax(s.max, v)
 	s.sumWide = true
 	if s.ix != nil {
 		s.ix.MarkUpdated(local, v)

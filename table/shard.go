@@ -2,16 +2,13 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/coltype"
+	"repro/internal/core"
 )
 
-// Sharded storage (the query side lives in exec.go, which executes any
-// table as N parts — a sharded table's shards, or the unsharded table
-// itself at N = 1): TableOptions.Shards > 1 splits a table into N child
+// Sharded storage: TableOptions.Shards > 1 splits a table into N child
 // shards, each a complete single-shard Table with its own RWMutex,
 // segment lists, delta store + background sealer, and generation
 // counters. Batch commits, point updates, seal installs and
@@ -20,6 +17,19 @@ import (
 // writers on every other shard are never blocked by it. The parent
 // Table carries no column storage of its own: its lock guards only the
 // schema mirror (t.order), which changes solely under AddColumn / load.
+//
+// Every operation has one body, written once over the table's parts: a
+// sharded table's shards, or the unsharded table itself at N = 1. The
+// resolvers below are the only place the two shapes differ: parts and
+// locate (the identity at N = 1) name what a body runs on; rlockParts
+// and lockParts take every part's lock; quiesce stops a sharded table's
+// commits for the admin operations that change every part's layout or
+// row numbering, and takes nothing at N = 1, where the part's own lock
+// is the table's lock; pinLayout, route and routed cut a batch into
+// routed chunks — one chunk, the whole batch, at N = 1. Each body takes
+// its part's own lock and merges what the parts report (sums, maxima,
+// per-part entries); reads run through the execution frame (exec.go),
+// which fans out over the same parts.
 //
 // Global row ids interleave the shards' segments round-robin: global
 // segment g lives on shard g%N as that shard's local segment g/N, so
@@ -43,13 +53,14 @@ import (
 //
 // The package-wide lock order (checked by imprintvet's locksafe):
 // a sealer's sealMu orders before its table's mu; the parent table's
-// mu orders before the commit tokens; the tokens order before any kid
-// shard's mu ("kid" is the class of a child Table's mu as seen from
-// the parent); the WAL serialization mutex walMu nests inside every
-// table lock (commit: mu.R -> walMu; update/delete: mu -> walMu) and
-// is never held while waiting for durability; a leaf plan's cacheMu
-// nests innermost (taken under an execution's read lock, never
-// holding anything else).
+// mu orders before the commit tokens; the tokens order before any
+// part's mu ("kid" is the class of a part's mu as seen from the table
+// — a shard's, or at N = 1 the table's own, which no body then takes
+// twice); the WAL serialization mutex walMu nests inside every table
+// lock (commit: mu.R -> walMu; update/delete: mu -> walMu) and is never
+// held while waiting for durability; a leaf plan's cacheMu nests
+// innermost (taken under an execution's read lock, never holding
+// anything else).
 //
 //imprintvet:lockorder sealMu,mu,tokens,kid,walMu,cacheMu
 type shardState struct {
@@ -58,13 +69,13 @@ type shardState struct {
 	kids    []*Table
 	// tokens serialize commits per shard; they order after the parent
 	// lock and before any kid lock (commit: parent.RLock -> token ->
-	// kid lock inside kid.Commit; admin: parent.Lock -> all tokens ->
-	// kid locks inside kid calls).
+	// kid lock inside kid.commitRows; admin: parent.Lock -> all tokens
+	// -> kid locks).
 	tokens []sync.Mutex
 	// rows tracks each shard's total local rows (sealed + delta),
 	// updated under the shard's token after a successful commit and
-	// refreshed under all tokens after compaction/load. Routing and
-	// Rows() read it without any lock.
+	// refreshed under all tokens after compaction/load. Routing reads it
+	// without any lock.
 	rows []atomic.Int64
 }
 
@@ -102,15 +113,6 @@ func (sh *shardState) decode(gid int) (c, lid int) {
 	return gseg % sh.nshards, (gseg/sh.nshards)*s + gid%s
 }
 
-// totalRows sums the per-shard row counters (sealed + buffered).
-func (sh *shardState) totalRows() int {
-	n := 0
-	for c := range sh.rows {
-		n += int(sh.rows[c].Load())
-	}
-	return n
-}
-
 // lockTokens acquires every commit token in shard order (admin
 // operations quiesce commits this way); unlockTokens releases them.
 //
@@ -138,26 +140,186 @@ func (sh *shardState) refreshRowsLocked() {
 	}
 }
 
-// shardRLock read-locks every kid in ascending shard order (query
-// executions hold all of them for the duration of the merge, exactly
-// as an unsharded execution holds its one table lock).
-//
-//imprintvet:locks returns-held=kid.R
-func (t *Table) shardRLock() {
-	for _, kid := range t.shard.kids {
-		kid.mu.RLock()
+// ---- resolvers ----
+
+// initParts sets up what parts resolves: the table itself, and with
+// n > 1 that many empty shards.
+func (t *Table) initParts(n int) {
+	t.self[0] = t
+	if n > 1 {
+		t.shard = newShardState(t.segRows, n)
+		for c := 0; c < n; c++ {
+			t.shard.kids = append(t.shard.kids, NewWithOptions(t.name, TableOptions{SegmentRows: t.segRows}))
+		}
 	}
 }
 
-//imprintvet:locks releases=kid.R
-func (t *Table) shardRUnlock() {
-	kids := t.shard.kids
-	for i := len(kids) - 1; i >= 0; i-- {
-		kids[i].mu.RUnlock()
+// parts returns what every operation runs its one body over: a sharded
+// table's shards, or the table itself (held in t.self, so resolving
+// allocates nothing at N = 1).
+func (t *Table) parts() []*Table {
+	if sh := t.shard; sh != nil {
+		return sh.kids
+	}
+	return t.self[:]
+}
+
+// locate maps a global row id to the part holding it and the part's
+// local id for it — the table and the id itself at N = 1.
+func (t *Table) locate(id int) (*Table, int) {
+	if sh := t.shard; sh != nil {
+		c, lid := sh.decode(id)
+		return sh.kids[c], lid
+	}
+	return t, id
+}
+
+// walDir names part c's log directory: dir itself at N = 1, one
+// subdirectory per shard otherwise.
+func (t *Table) walDir(dir string, c int) string {
+	if t.shard == nil {
+		return dir
+	}
+	return fmt.Sprintf("%s/shard-%03d", dir, c)
+}
+
+// partErr names the shard a part's error came from; at N = 1 the
+// error is the table's own.
+func (t *Table) partErr(c int, err error) error {
+	if t.shard == nil {
+		return err
+	}
+	return fmt.Errorf("shard %d: %w", c, err)
+}
+
+// rlockParts read-locks everything a read holds for its duration — the
+// table's own lock exactly once, plus every shard's lock in ascending
+// order when sharded (sync.RWMutex is not reentrant: a second RLock
+// behind a queued writer deadlocks) — and returns the parts.
+//
+//imprintvet:locks returns-held=mu.R,kid.R
+func (t *Table) rlockParts() []*Table {
+	t.mu.RLock()
+	if sh := t.shard; sh != nil {
+		for _, kid := range sh.kids {
+			kid.mu.RLock()
+		}
+	}
+	return t.parts()
+}
+
+//imprintvet:locks releases=kid.R,mu.R
+func (t *Table) runlockParts() {
+	if sh := t.shard; sh != nil {
+		for c := len(sh.kids) - 1; c >= 0; c-- {
+			sh.kids[c].mu.RUnlock()
+		}
+	}
+	t.mu.RUnlock()
+}
+
+// lockParts write-locks every part in ascending order and returns them;
+// an admin body that must see all parts at one instant takes it after
+// quiesce.
+//
+//imprintvet:locks returns-held=kid
+func (t *Table) lockParts() []*Table {
+	kids := t.parts()
+	for _, kid := range kids {
+		kid.mu.Lock()
+	}
+	return kids
+}
+
+//imprintvet:locks releases=kid
+func (t *Table) unlockParts() {
+	kids := t.parts()
+	for c := len(kids) - 1; c >= 0; c-- {
+		kids[c].mu.Unlock()
+	}
+}
+
+// quiesce stops a sharded table's commits for an operation that changes
+// every part's layout or row numbering (Compact, Maintain, AddColumn,
+// AddStringColumn, EnableWAL): the parent's write lock, then every
+// commit token. At N = 1 it takes nothing: the part's own lock is the
+// table's lock, which the body takes itself.
+//
+//imprintvet:locks returns-held=mu,tokens
+func (t *Table) quiesce() {
+	if sh := t.shard; sh != nil {
+		t.mu.Lock()
+		sh.lockTokens()
+	}
+}
+
+// resume ends quiesce. It first re-seeds what the parent mirrors from
+// its shards — the routing counters and the schema — which only the
+// quiesced operations change.
+//
+//imprintvet:locks held=tokens releases=tokens,mu
+func (t *Table) resume() {
+	if sh := t.shard; sh != nil {
+		sh.refreshRowsLocked()
+		t.order = append([]string(nil), sh.kids[0].order...)
+		sh.unlockTokens()
+		t.mu.Unlock()
 	}
 }
 
 // ---- commit routing ----
+
+// pinLayout holds a sharded table's layout across one batch's chunks:
+// the parent's read lock, so no schema change lands between two
+// chunks, and the batch is checked against the layout before any chunk
+// commits. At N = 1 it takes nothing: the one chunk's commit checks the
+// batch under the part's own lock.
+//
+//imprintvet:locks returns-held=mu.R
+func (t *Table) pinLayout(staged map[string]any) error {
+	if t.shard == nil {
+		return nil
+	}
+	t.mu.RLock()
+	_, err := t.stagedVectors(staged)
+	return err
+}
+
+//imprintvet:locks releases=mu.R
+func (t *Table) unpinLayout() {
+	if t.shard != nil {
+		t.mu.RUnlock()
+	}
+}
+
+// route picks the part the next chunk of a batch's rows [from, rows)
+// lands on and returns it with its index and the chunk's end. A chunk
+// never spans a shard's segment boundary, so it maps to one run of
+// global ids; the shard's token is held until routed. At N = 1 the
+// route is the whole batch, with no token.
+//
+//imprintvet:locks returns-held=tokens
+func (t *Table) route(from, rows int) (*Table, int, int) {
+	sh := t.shard
+	if sh == nil {
+		return t, 0, rows
+	}
+	c := sh.route()
+	lrows := int(sh.rows[c].Load())
+	return sh.kids[c], c, from + min(rows-from, t.segRows-lrows%t.segRows)
+}
+
+// routed ends the chunk route started on part c: the shard's routing
+// counter advances by the n rows it committed and its token is
+// released.
+//
+//imprintvet:locks releases=tokens
+func (t *Table) routed(c, n int) {
+	if sh := t.shard; sh != nil {
+		sh.rows[c].Add(int64(n))
+		sh.tokens[c].Unlock()
+	}
+}
 
 // route picks the shard the next commit chunk lands on and returns
 // with that shard's token held. It try-locks every free token and
@@ -199,310 +361,102 @@ func (sh *shardState) route() int {
 	return best
 }
 
-// commitSharded routes rows [0, rows) of a staged batch across the
-// shards in segment-bounded chunks, each committed through its shard's
-// own write path (commitRows) under that shard's seal policy. Rows land
-// contiguously within each chunk; a chunk never spans a shard's segment
-// boundary, so every chunk maps to one run of global ids. The parent
-// read lock keeps the schema stable; it is never write-held by seals, so
-// commits on one shard proceed while another shard's sealer installs.
-// A batch that misses a column is refused before any chunk is routed.
-// A chunk can otherwise only fail on its shard's write-ahead log (the
-// log is fail-stop); chunks committed before it stay committed — and
-// durable — so the error then means "rows [0, k) are in, the rest are
-// not", not "nothing was applied".
-func (t *Table) commitSharded(staged map[string]any, rows int) error {
-	sh := t.shard
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if _, err := t.stagedVectors(staged); err != nil {
-		return err
-	}
-	for from := 0; from < rows; {
-		c := sh.route()
-		lrows := int(sh.rows[c].Load())
-		n := min(rows-from, t.segRows-lrows%t.segRows)
-		if err := sh.commitChunk(c, staged, from, from+n); err != nil {
-			sh.tokens[c].Unlock()
-			return err
-		}
-		sh.rows[c].Add(int64(n))
-		sh.tokens[c].Unlock()
-		from += n
-	}
-	return nil
-}
-
-// commitChunk commits rows [from, to) of the staged batch on shard c
-// through that shard's write path; callers hold shard c's token.
-//
-//imprintvet:locks held=tokens acquires=kid
-func (sh *shardState) commitChunk(c int, staged map[string]any, from, to int) error {
-	return sh.kids[c].commitRows(staged, from, to)
-}
-
 // ---- columns ----
 
-// shardDenseSplit partitions a dense global value slice into per-shard
-// local slices following the round-robin segment interleave.
-func shardDenseSplit[T any](vals []T, segRows, nshards int) [][]T {
-	parts := make([][]T, nshards)
+// shardDenseSplit partitions a dense global value slice into per-part
+// local slices following the round-robin segment interleave (the slice
+// itself at N = 1).
+func shardDenseSplit[T any](vals []T, segRows, nparts int) [][]T {
+	if nparts == 1 {
+		return [][]T{vals}
+	}
+	parts := make([][]T, nparts)
 	for g := 0; g*segRows < len(vals); g++ {
 		lo := g * segRows
 		hi := min(lo+segRows, len(vals))
-		parts[g%nshards] = append(parts[g%nshards], vals[lo:hi]...)
+		parts[g%nparts] = append(parts[g%nparts], vals[lo:hi]...)
 	}
 	return parts
 }
 
-// denseKidRows is the local row count shard c holds when total global
+// denseKidRows is the local row count part c holds when total global
 // rows are packed densely (no holes): the sum of its owned global
 // segments' fills.
-func denseKidRows(total, segRows, nshards, c int) int {
+func denseKidRows(total, segRows, nparts, c int) int {
 	rows := 0
-	for g := c; g*segRows < total; g += nshards {
+	for g := c; g*segRows < total; g += nparts {
 		rows += min(total-g*segRows, segRows)
 	}
 	return rows
 }
 
-// checkShardDense validates a new column definition against the
-// sharded layout; callers hold the parent write lock and all tokens.
-// Splitting a flat value slice across shards is only well defined when
-// the global id space is packed (serial commits, or a fresh/compacted
-// table) — concurrent commits can leave holes that no flat slice can
-// address.
-func (t *Table) checkShardDense(name string, nvals int) error {
-	sh := t.shard
-	for _, have := range t.order {
-		if have == name {
-			return fmt.Errorf("table %s: column %q already exists", t.name, name)
-		}
-	}
+// columnValues materializes one column in ascending global-id order.
+// local returns a part's values in local-id order (sealed, then
+// buffered) under the part's read lock; global segment g is local
+// segment g/N of part g%N, so the walk copies segment-sized runs
+// round-robin and skips the holes concurrent commits may leave.
+func columnValues[V any](t *Table, name string, local func(kid *Table, name string) ([]V, error)) ([]V, error) {
+	kids := t.rlockParts()
+	defer t.runlockParts()
+	vals := make([][]V, len(kids))
 	total := 0
-	for _, kid := range sh.kids {
-		total += kid.Rows()
+	for c, kid := range kids {
+		v, err := local(kid, name)
+		if err != nil {
+			return nil, err
+		}
+		vals[c], total = v, total+len(v)
 	}
-	if len(t.order) == 0 {
-		// First column: the kids are empty and the install seeds each
-		// with its dense split — nothing to validate yet.
-		return nil
-	}
-	if nvals != total {
-		return fmt.Errorf("table %s: column %q has %d rows, table has %d",
-			t.name, name, nvals, total)
-	}
-	for c, kid := range sh.kids {
-		if want := denseKidRows(total, t.segRows, sh.nshards, c); kid.Rows() != want {
-			return &ShardDenseError{Table: t.name, Column: name, Shard: c, Have: kid.Rows(), Want: want}
+	out := make([]V, 0, total)
+	for g := 0; len(out) < total; g++ {
+		v, lo := vals[g%len(kids)], g/len(kids)*t.segRows
+		if lo < len(v) {
+			out = append(out, v[lo:min(lo+t.segRows, len(v))]...)
 		}
 	}
-	return nil
+	return out, nil
 }
 
-// addColumnSharded splits the dense global values across the shards
-// and installs the column on each; callers own nothing (it locks the
-// parent and quiesces commits itself).
-func addColumnSharded[V any](t *Table, name string, vals []V, install func(kid *Table, part []V) error) error {
-	sh := t.shard
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sh.lockTokens()
-	defer sh.unlockTokens()
-	if len(sh.kids) > 0 {
-		// The kid check would also catch this, but only after earlier
-		// kids applied the change; refuse up front so no shard diverges.
-		if sh.kids[0].walPtr() != nil {
+// addColumn is the one body of AddColumn and AddStringColumn: with
+// commits quiesced and every part write-locked it validates the column
+// against the whole table, then flushes each part and installs the
+// part's share of the values, built by build. A failed check changes
+// nothing anywhere.
+func addColumn[V any](t *Table, name string, vals []V, opts core.Options, build func(part []V) anyColumn) error {
+	t.quiesce()
+	defer t.resume()
+	kids := t.lockParts()
+	defer t.unlockParts()
+	total := 0
+	for _, kid := range kids {
+		// Logged commit records carry the column layout they were framed
+		// under; replaying them against another would be unsound. Detach
+		// (Close) and re-enable after the change instead.
+		if kid.delta.wal != nil {
 			return fmt.Errorf("table %s: schema changes are not supported with a write-ahead log attached", t.name)
 		}
+		total += kid.totalRowsLocked()
 	}
-	if err := t.checkShardDense(name, len(vals)); err != nil {
+	if err := kids[0].checkNewColumn(name, len(vals), total, opts); err != nil {
 		return err
 	}
-	parts := shardDenseSplit(vals, t.segRows, sh.nshards)
-	for c, kid := range sh.kids {
-		if err := install(kid, parts[c]); err != nil {
-			// The checks a kid install runs are identical across kids and
-			// checkShardDense pre-validated counts, so a failure here hits
-			// the first kid before anything was applied anywhere.
-			return err
+	if len(kids[0].order) > 0 {
+		// Splitting a flat value slice across shards is only well defined
+		// when the global id space is packed (serial commits, or a fresh
+		// or compacted table) — concurrent commits can leave holes that
+		// no flat slice can address.
+		for c, kid := range kids {
+			if have, want := kid.totalRowsLocked(), denseKidRows(total, t.segRows, len(kids), c); have != want {
+				return &ShardDenseError{Table: t.name, Column: name, Shard: c, Have: have, Want: want}
+			}
 		}
 	}
-	t.order = append(t.order, name)
-	sh.refreshRowsLocked()
+	for c, part := range shardDenseSplit(vals, t.segRows, len(kids)) {
+		// Layout changes flush first: the delta's row shape must match
+		// the column order, and the new column's values must cover
+		// buffered rows too.
+		kids[c].flushAllLocked()
+		kids[c].installColumn(name, build(part), len(part))
+	}
 	return nil
-}
-
-// shardColumn materializes a typed column of a sharded table in
-// ascending global-id order (sealed segments and buffered delta rows
-// of every shard, merged by id).
-func shardColumn[V coltype.Value](t *Table, name string) ([]V, error) {
-	sh := t.shard
-	t.shardRLock()
-	defer t.shardRUnlock()
-	type ent struct {
-		gid int
-		v   V
-	}
-	var out []ent
-	for c, kid := range sh.kids {
-		cs, err := typedCol[V](kid, name)
-		if err != nil {
-			return nil, err
-		}
-		lid := 0
-		for _, s := range cs.segs {
-			for _, v := range s.vals {
-				out = append(out, ent{sh.gidOf(c, lid), v})
-				lid++
-			}
-		}
-		view := kid.deltaViewLocked()
-		for i, v := range cs.deltaValues(nil, view) {
-			out = append(out, ent{sh.gidOf(c, view.Base+i), v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].gid < out[j].gid })
-	vals := make([]V, len(out))
-	for i, e := range out {
-		vals[i] = e.v
-	}
-	return vals, nil
-}
-
-// shardStringColumn is shardColumn for dictionary-encoded columns.
-func (t *Table) shardStringColumn(name string) ([]string, error) {
-	sh := t.shard
-	t.shardRLock()
-	defer t.shardRUnlock()
-	type ent struct {
-		gid int
-		v   string
-	}
-	var out []ent
-	for c, kid := range sh.kids {
-		cs, err := strCol(kid, name)
-		if err != nil {
-			return nil, err
-		}
-		for lid, v := range cs.decodeAll() {
-			out = append(out, ent{sh.gidOf(c, lid), v})
-		}
-		view := kid.deltaViewLocked()
-		for i, v := range cs.deltaValues(nil, view) {
-			out = append(out, ent{sh.gidOf(c, view.Base+i), v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].gid < out[j].gid })
-	vals := make([]string, len(out))
-	for i, e := range out {
-		vals[i] = e.v
-	}
-	return vals, nil
-}
-
-// ---- administration ----
-
-// shardIndexStats merges one column's index stats across shards
-// (saturation re-weighted by indexed segment counts).
-func (t *Table) shardIndexStats(name string) (ColumnIndexStats, error) {
-	var st ColumnIndexStats
-	var sat float64
-	for _, kid := range t.shard.kids {
-		ks, err := kid.IndexStats(name)
-		if err != nil {
-			return ColumnIndexStats{}, err
-		}
-		st.Segments += ks.Segments
-		st.IndexedSegments += ks.IndexedSegments
-		st.StoredVectors += ks.StoredVectors
-		st.DictEntries += ks.DictEntries
-		st.SizeBytes += ks.SizeBytes
-		sat += ks.Saturation * float64(ks.IndexedSegments)
-	}
-	if st.IndexedSegments > 0 {
-		st.Saturation = sat / float64(st.IndexedSegments)
-	}
-	return st, nil
-}
-
-// shardCompact compacts every shard with commits quiesced. Each shard
-// renumbers its surviving rows locally (no cross-shard id exchange, no
-// global stop-the-world beyond the commit tokens), so global ids
-// change exactly as each shard's local ids do.
-func (t *Table) shardCompact() int {
-	sh := t.shard
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sh.lockTokens()
-	defer sh.unlockTokens()
-	removed := 0
-	for _, kid := range sh.kids {
-		removed += kid.Compact()
-	}
-	sh.refreshRowsLocked()
-	return removed
-}
-
-// shardMaintain runs the maintenance pass shard by shard and merges
-// the reports; commits are quiesced so a triggered compaction cannot
-// race the routing counters.
-func (t *Table) shardMaintain(opts MaintainOptions) MaintenanceReport {
-	sh := t.shard
-	sh.lockTokens()
-	defer sh.unlockTokens()
-	var rep MaintenanceReport
-	seen := map[string]bool{}
-	for _, kid := range sh.kids {
-		kr := kid.Maintain(opts)
-		for _, name := range kr.Rebuilt {
-			if !seen[name] {
-				seen[name] = true
-				rep.Rebuilt = append(rep.Rebuilt, name)
-			}
-		}
-		rep.SegmentsRebuilt += kr.SegmentsRebuilt
-		rep.Compacted = rep.Compacted || kr.Compacted
-		rep.RowsRemoved += kr.RowsRemoved
-		rep.DeltaRows += kr.DeltaRows
-		rep.MergeBacklog += kr.MergeBacklog
-		rep.SealRetries += kr.SealRetries
-		rep.SealBackoff = max(rep.SealBackoff, kr.SealBackoff)
-	}
-	sort.Strings(rep.Rebuilt)
-	sh.refreshRowsLocked()
-	return rep
-}
-
-// ---- ingest control ----
-
-func (t *Table) shardIngestStats() IngestStats {
-	var st IngestStats
-	perShard := make([]int, len(t.shard.kids))
-	for c, kid := range t.shard.kids {
-		ks := kid.IngestStats()
-		st.Enabled = st.Enabled || ks.Enabled
-		st.DeltaRows += ks.DeltaRows
-		st.Seals += ks.Seals
-		st.SealedSegments += ks.SealedSegments
-		st.SealedRows += ks.SealedRows
-		st.SealRetries += ks.SealRetries
-		st.Flushes += ks.Flushes
-		st.FlushedRows += ks.FlushedRows
-		st.Merges += ks.Merges
-		st.MergeBacklog += ks.MergeBacklog
-		st.WALEnabled = st.WALEnabled || ks.WALEnabled
-		if st.WALError == "" {
-			st.WALError = ks.WALError
-		}
-		if ks.Recovery != nil {
-			if st.Recovery == nil {
-				st.Recovery = &RecoveryReport{}
-			}
-			st.Recovery.add(ks.Recovery)
-		}
-		perShard[c] = ks.DeltaRows
-	}
-	st.ShardDeltaRows = perShard
-	return st
 }

@@ -63,7 +63,7 @@ func newSoMirror(shards, segRows int) *soMirror {
 	}
 }
 
-// append replicates commitSharded's serial routing: segment-bounded
+// append replicates Batch.Commit's serial routing: segment-bounded
 // chunks land on the shard whose next free global id is lowest.
 func (m *soMirror) append(vals []int64, strs []string) {
 	for from := 0; from < len(vals); {

@@ -80,36 +80,25 @@ func (t *Table) AddStringColumn(name string, vals []string, mode IndexMode, opts
 	if mode == Zonemap {
 		return fmt.Errorf("table %s: column %q: zonemap mode is not supported for string columns", t.name, name)
 	}
-	if t.shard != nil {
-		return addColumnSharded(t, name, vals, func(kid *Table, part []string) error {
-			return kid.AddStringColumn(name, part, mode, opts)
-		})
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkWALSchemaChangeLocked(); err != nil {
-		return err
-	}
-	// Layout changes flush first: the delta's row shape must match
-	// t.order, and the new column's values must cover buffered rows too.
-	t.flushAllLocked()
-	if err := t.checkNewColumn(name, len(vals), opts); err != nil {
-		return err
-	}
-	cs := &strColState{name: name, mode: mode, vpcOpts: opts, segRows: t.segRows}
-	cs.absorbStrings(vals)
-	t.installColumn(name, cs, len(vals))
-	return nil
+	return addColumn(t, name, vals, opts, func(part []string) anyColumn {
+		cs := &strColState{name: name, mode: mode, vpcOpts: opts, segRows: t.segRows}
+		//imprintvet:allow locksafe a column not yet installed; addColumn builds it under every part's write lock
+		cs.absorbStrings(part)
+		return cs
+	})
 }
 
 // StringColumn materializes the decoded values of a string column. The
 // returned slice is freshly allocated and safe to keep.
 func (t *Table) StringColumn(name string) ([]string, error) {
-	if t.shard != nil {
-		return t.shardStringColumn(name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	return columnValues(t, name, localStringColumn)
+}
+
+// localStringColumn is one part's decoded values of a string column in
+// local-id order: its segments, then its buffered rows.
+//
+//imprintvet:locks held=mu.R
+func localStringColumn(t *Table, name string) ([]string, error) {
 	cs, err := strCol(t, name)
 	if err != nil {
 		return nil, err
@@ -123,11 +112,8 @@ func (t *Table) StringColumn(name string) ([]string, error) {
 // order must stay aligned with string order — leaving every other
 // segment (and plans compiled over them) untouched.
 func (t *Table) UpdateString(name string, id int, v string) error {
-	if sh := t.shard; sh != nil {
-		c, lid := sh.decode(id)
-		return sh.kids[c].UpdateString(name, lid, v)
-	}
-	lg, lsn, err := t.updateStringLocked(name, id, v)
+	kid, lid := t.locate(id)
+	lg, lsn, err := kid.updateStringLocked(name, lid, v)
 	if err != nil || lg == nil {
 		return err
 	}
@@ -235,9 +221,8 @@ func (c *strColState) indexKind() string {
 }
 
 //imprintvet:locks held=mu.R
-func (c *strColState) indexStats() ColumnIndexStats {
-	st := ColumnIndexStats{Segments: len(c.segs)}
-	var sat float64
+func (c *strColState) addIndexStats(st *ColumnIndexStats) {
+	st.Segments += len(c.segs)
 	for _, s := range c.segs {
 		if s.ix == nil {
 			continue
@@ -246,12 +231,8 @@ func (c *strColState) indexStats() ColumnIndexStats {
 		st.StoredVectors += s.ix.StoredVectors()
 		st.DictEntries += s.ix.DictEntries()
 		st.SizeBytes += s.ix.SizeBytes()
-		sat += s.ix.Saturation()
+		st.Saturation += s.ix.Saturation()
 	}
-	if st.IndexedSegments > 0 {
-		st.Saturation = sat / float64(st.IndexedSegments)
-	}
-	return st
 }
 
 //imprintvet:locks held=mu

@@ -75,6 +75,7 @@ package table
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,9 +117,10 @@ type TableOptions struct {
 	// commits, updates, seals and merges on different shards run fully
 	// concurrently. 0 or 1 means the single-shard layout: one lock, and
 	// WriteFile writes the checksummed v5 image; sharded tables persist
-	// as a v6 envelope of per-shard v5 images. Queries run through the
-	// same execution frame either way (exec.go) — an unsharded table is
-	// its single part.
+	// as a v6 envelope of per-shard v5 images. Every operation runs one
+	// body over the table's parts either way — its shards, or an
+	// unsharded table itself — and queries run through the one
+	// execution frame (exec.go).
 	Shards int
 }
 
@@ -144,7 +146,8 @@ type anyColumn interface {
 	gather(dst *ColVec, r segRef, locals []uint32)
 	// persist writes the column's checksummed sections (persist.go).
 	persist(io.Writer) error
-	indexStats() ColumnIndexStats
+	// addIndexStats adds the column's index state to a per-table total.
+	addIndexStats(st *ColumnIndexStats)
 	// compileLeaf translates one predicate leaf against this column
 	// exactly once: typed bounds and IN-sets are derived here and
 	// nowhere else. The returned plan resolves segments live at
@@ -236,8 +239,10 @@ type Table struct {
 	// own mutex.
 	delta *deltaState
 	shard *shardState // sharded layout (TableOptions.Shards > 1); nil otherwise
+	// self holds the table itself: its parts when unsharded (parts).
+	self [1]*Table
 	// fsys is the filesystem WriteFile/checkpointing goes through (nil
-	// means the real one); set by Open and EnableWAL.
+	// means the real one); set on every part by Open and EnableWAL.
 	fsys faultfs.FS
 	// walKeepSeq is the checkpoint baked into the loaded image: WAL
 	// records in segments below it are superseded and skipped on
@@ -257,13 +262,7 @@ func New(name string) *Table { return NewWithOptions(name, TableOptions{}) }
 func NewWithOptions(name string, opts TableOptions) *Table {
 	t := &Table{name: name, cols: map[string]anyColumn{}, segRows: normalizeSegmentRows(opts.SegmentRows),
 		delta: newDeltaState()}
-	if opts.Shards > 1 {
-		t.shard = newShardState(t.segRows, opts.Shards)
-		for c := 0; c < opts.Shards; c++ {
-			t.shard.kids = append(t.shard.kids,
-				NewWithOptions(name, TableOptions{SegmentRows: t.segRows}))
-		}
-	}
+	t.initParts(opts.Shards)
 	return t
 }
 
@@ -284,45 +283,31 @@ func (t *Table) Name() string { return t.name }
 
 // Rows returns the number of rows, including deleted-but-not-compacted
 // ones and rows still buffered in the delta store.
-func (t *Table) Rows() int {
-	if t.shard != nil {
-		return t.shard.totalRows()
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.totalRowsLocked()
-}
+func (t *Table) Rows() int { return sumParts(t, (*Table).totalRowsLocked) }
 
 // LiveRows returns the number of rows not marked deleted.
-func (t *Table) LiveRows() int {
-	if t.shard != nil {
-		n := 0
-		for _, kid := range t.shard.kids {
-			n += kid.LiveRows()
-		}
-		return n
+func (t *Table) LiveRows() int { return sumParts(t, (*Table).liveRowsLocked) }
+
+//imprintvet:locks held=mu.R
+func (t *Table) liveRowsLocked() int { return t.totalRowsLocked() - t.ndel }
+
+// sumParts sums one counter over the parts, each read under its part's
+// read lock.
+func sumParts[N int | int64](t *Table, counter func(kid *Table) N) N {
+	var n N
+	for _, kid := range t.parts() {
+		kid.mu.RLock()
+		n += counter(kid)
+		kid.mu.RUnlock()
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.totalRowsLocked() - t.ndel
+	return n
 }
 
 // SegmentRows returns the rows-per-segment storage granularity.
 func (t *Table) SegmentRows() int { return t.segRows }
 
 // Segments returns the current number of storage segments.
-func (t *Table) Segments() int {
-	if t.shard != nil {
-		n := 0
-		for _, kid := range t.shard.kids {
-			n += kid.Segments()
-		}
-		return n
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.segCount()
-}
+func (t *Table) Segments() int { return sumParts(t, (*Table).segCount) }
 
 // segCount returns the segment count for the current row count; callers
 // hold a lock.
@@ -350,12 +335,10 @@ func (t *Table) Columns() []string {
 // "string", ...), so external planners (e.g. the SQL front-end) can
 // choose typed literals without reflection over row values.
 func (t *Table) ColumnType(name string) (string, error) {
-	if t.shard != nil {
-		return t.shard.kids[0].ColumnType(name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c, ok := t.cols[name]
+	kid := t.parts()[0] // schemas are identical across parts
+	kid.mu.RLock()
+	defer kid.mu.RUnlock()
+	c, ok := kid.cols[name]
 	if !ok {
 		return "", fmt.Errorf("table %s: no column %q", t.name, name)
 	}
@@ -363,39 +346,20 @@ func (t *Table) ColumnType(name string) (string, error) {
 }
 
 // SizeBytes returns total column payload bytes.
-func (t *Table) SizeBytes() int64 {
-	if t.shard != nil {
-		var s int64
-		for _, kid := range t.shard.kids {
-			s += kid.SizeBytes()
-		}
-		return s
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var s int64
-	for _, c := range t.cols {
-		s += c.sizeBytes()
-	}
-	return s
-}
+func (t *Table) SizeBytes() int64 { return sumParts(t, colsSum(anyColumn.sizeBytes)) }
 
 // IndexBytes returns total secondary index bytes.
-func (t *Table) IndexBytes() int64 {
-	if t.shard != nil {
+func (t *Table) IndexBytes() int64 { return sumParts(t, colsSum(anyColumn.indexBytes)) }
+
+// colsSum is the counter summing one byte count over a part's columns.
+func colsSum(bytes func(anyColumn) int64) func(kid *Table) int64 {
+	return func(kid *Table) int64 {
 		var s int64
-		for _, kid := range t.shard.kids {
-			s += kid.IndexBytes()
+		for _, c := range kid.cols {
+			s += bytes(c)
 		}
 		return s
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var s int64
-	for _, c := range t.cols {
-		s += c.indexBytes()
-	}
-	return s
 }
 
 // ColumnIndexStats aggregates one column's secondary-index state across
@@ -411,16 +375,22 @@ type ColumnIndexStats struct {
 
 // IndexStats reports the aggregated index state of one column.
 func (t *Table) IndexStats(name string) (ColumnIndexStats, error) {
-	if t.shard != nil {
-		return t.shardIndexStats(name)
+	var st ColumnIndexStats
+	for _, kid := range t.parts() {
+		kid.mu.RLock()
+		c, ok := kid.cols[name]
+		if ok {
+			c.addIndexStats(&st)
+		}
+		kid.mu.RUnlock()
+		if !ok {
+			return ColumnIndexStats{}, fmt.Errorf("table %s: no column %q", t.name, name)
+		}
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c, ok := t.cols[name]
-	if !ok {
-		return ColumnIndexStats{}, fmt.Errorf("table %s: no column %q", t.name, name)
+	if st.IndexedSegments > 0 {
+		st.Saturation /= float64(st.IndexedSegments)
 	}
-	return c.indexStats(), nil
+	return st, nil
 }
 
 // AddColumn defines a new column with initial values. All columns must
@@ -429,49 +399,23 @@ func (t *Table) IndexStats(name string) (ColumnIndexStats, error) {
 // segments of the table's SegmentRows — so the caller's slice stays
 // independent of the table.
 func AddColumn[V coltype.Value](t *Table, name string, vals []V, mode IndexMode, opts core.Options) error {
-	if t.shard != nil {
-		return addColumnSharded(t, name, vals, func(kid *Table, part []V) error {
-			return AddColumn(kid, name, part, mode, opts)
-		})
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkWALSchemaChangeLocked(); err != nil {
-		return err
-	}
-	// Layout changes flush first: the delta's row shape must match
-	// t.order, and the new column's values must cover buffered rows too.
-	t.flushAllLocked()
-	if err := t.checkNewColumn(name, len(vals), opts); err != nil {
-		return err
-	}
-	cs := newColState[V](name, mode, opts, t.segRows)
-	cs.absorb(vals)
-	t.installColumn(name, cs, len(vals))
-	return nil
+	return addColumn(t, name, vals, opts, func(part []V) anyColumn {
+		cs := newColState[V](name, mode, opts, t.segRows)
+		//imprintvet:allow locksafe a column not yet installed; addColumn builds it under every part's write lock
+		cs.absorb(part)
+		return cs
+	})
 }
 
-// checkWALSchemaChangeLocked refuses layout changes on a WAL-attached
-// table: logged commit records carry the column layout they were
-// framed under, and replaying them against a different layout would be
-// unsound. Detach (Close) and re-enable after the change instead.
-//
-//imprintvet:locks held=mu.R
-func (t *Table) checkWALSchemaChangeLocked() error {
-	if t.delta.wal != nil {
-		return fmt.Errorf("table %s: schema changes are not supported with a write-ahead log attached", t.name)
-	}
-	return nil
-}
-
-// checkNewColumn validates a column definition; callers hold mu.
-func (t *Table) checkNewColumn(name string, nvals int, opts core.Options) error {
+// checkNewColumn validates a column definition for a table that holds
+// rows rows; callers hold mu.
+func (t *Table) checkNewColumn(name string, nvals, rows int, opts core.Options) error {
 	if _, dup := t.cols[name]; dup {
 		return fmt.Errorf("table %s: column %q already exists", t.name, name)
 	}
-	if len(t.order) > 0 && nvals != t.rows {
+	if len(t.order) > 0 && nvals != rows {
 		return fmt.Errorf("table %s: column %q has %d rows, table has %d",
-			t.name, name, nvals, t.rows)
+			t.name, name, nvals, rows)
 	}
 	if err := validateOptions(opts); err != nil {
 		return fmt.Errorf("table %s: column %q: %w", t.name, name, err)
@@ -517,11 +461,14 @@ func (t *Table) installColumn(name string, c anyColumn, nvals int) {
 // reflects the table at call time; later updates are not visible
 // through it.
 func Column[V coltype.Value](t *Table, name string) ([]V, error) {
-	if t.shard != nil {
-		return shardColumn[V](t, name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	return columnValues(t, name, localColumn[V])
+}
+
+// localColumn is one part's values of a typed column in local-id order:
+// its segments, then its buffered rows.
+//
+//imprintvet:locks held=mu.R
+func localColumn[V coltype.Value](t *Table, name string) ([]V, error) {
 	cs, err := typedCol[V](t, name)
 	if err != nil {
 		return nil, err
@@ -539,50 +486,40 @@ func Column[V coltype.Value](t *Table, name string) ([]V, error) {
 // the table's live one, outside the table lock: probing it while
 // writers are active races — use queries when writers may be running.
 func Index[V coltype.Value](t *Table, name string) (*core.Index[V], error) {
-	if sh := t.shard; sh != nil {
-		if nsegs := t.Segments(); nsegs > 1 {
-			return nil, fmt.Errorf("table %s: column %q has %d segments (use SegmentIndex or IndexStats)",
-				t.name, name, nsegs)
-		}
-		return Index[V](sh.kids[0], name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cs, err := typedCol[V](t, name)
+	nsegs := t.Segments()
+	kid := t.parts()[0] // global segment 0 is part 0's first
+	kid.mu.RLock()
+	defer kid.mu.RUnlock()
+	cs, err := typedCol[V](kid, name)
 	if err != nil {
 		return nil, err
 	}
-	switch len(cs.segs) {
-	case 0:
+	switch {
+	case nsegs > 1:
+		return nil, fmt.Errorf("table %s: column %q has %d segments (use SegmentIndex or IndexStats)",
+			t.name, name, nsegs)
+	case len(cs.segs) == 0:
 		return nil, nil
-	case 1:
-		return cs.segs[0].ix, nil
 	}
-	return nil, fmt.Errorf("table %s: column %q has %d segments (use SegmentIndex or IndexStats)",
-		t.name, name, len(cs.segs))
+	return cs.segs[0].ix, nil
 }
 
 // SegmentIndex returns the imprints index of one segment of a column,
 // or nil when that segment is unindexed.
 func SegmentIndex[V coltype.Value](t *Table, name string, seg int) (*core.Index[V], error) {
-	if sh := t.shard; sh != nil {
-		c, lseg := 0, seg
-		if seg >= 0 {
-			c, lseg = seg%sh.nshards, seg/sh.nshards
-		}
-		return SegmentIndex[V](sh.kids[c], name, lseg)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cs, err := typedCol[V](t, name)
+	kid, lid := t.locate(seg * t.segRows)
+	lseg := lid / t.segRows
+	kid.mu.RLock()
+	defer kid.mu.RUnlock()
+	cs, err := typedCol[V](kid, name)
 	if err != nil {
 		return nil, err
 	}
-	if seg < 0 || seg >= len(cs.segs) {
+	if lseg < 0 || lseg >= len(cs.segs) {
 		return nil, fmt.Errorf("table %s: column %q has no segment %d (of %d)",
-			t.name, name, seg, len(cs.segs))
+			t.name, name, lseg, len(cs.segs))
 	}
-	return cs.segs[seg].ix, nil
+	return cs.segs[lseg].ix, nil
 }
 
 func typedCol[V coltype.Value](t *Table, name string) (*colState[V], error) {
@@ -619,22 +556,13 @@ func (t *Table) NewBatch() *Batch {
 	return &Batch{t: t, rows: -1, staged: map[string]any{}}
 }
 
-// schemaTable is the table column definitions are checked against: the
-// table itself, or — schemas being identical across shards — shard 0.
-func (t *Table) schemaTable() *Table {
-	if t.shard != nil {
-		return t.shard.kids[0]
-	}
-	return t
-}
-
 // Append stages new values for one column of the batch. The values are
 // copied, so the caller's slice may be reused afterwards.
 func Append[V coltype.Value](b *Batch, name string, vals []V) error {
-	t := b.t.schemaTable()
-	t.mu.RLock()
-	_, err := typedCol[V](t, name)
-	t.mu.RUnlock()
+	kid := b.t.parts()[0] // schemas are identical across parts
+	kid.mu.RLock()
+	_, err := typedCol[V](kid, name)
+	kid.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -647,10 +575,10 @@ func Append[V coltype.Value](b *Batch, name string, vals []V) error {
 
 // AppendStrings stages new values for one string column of the batch.
 func (b *Batch) AppendStrings(name string, vals []string) error {
-	t := b.t.schemaTable()
-	t.mu.RLock()
-	_, err := strCol(t, name)
-	t.mu.RUnlock()
+	kid := b.t.parts()[0] // schemas are identical across parts
+	kid.mu.RLock()
+	_, err := strCol(kid, name)
+	kid.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -684,17 +612,30 @@ func (b *Batch) stage(name string, nvals int) error {
 // they fill; already sealed segments, and any compiled plans over them,
 // are untouched). After EnableDeltaIngest the append takes the shared
 // lock only and the rows stay buffered, visible to every query, until
-// they are sealed off the query path. On error an unsharded table is
-// unchanged and the batch keeps its staging; see commitSharded for what
-// a sharded table guarantees.
+// they are sealed off the query path.
+//
+// The batch commits in routed chunks: on a sharded table each chunk
+// lands on one shard, within one of its segments; unsharded, the one
+// chunk is the whole batch — one commit, one log record — so an error
+// leaves the table unchanged. A batch that misses a column is refused
+// before any chunk commits; a later chunk can fail only on its shard's
+// write-ahead log (the log is fail-stop), and chunks committed before
+// it stay committed and durable: the error then means "rows [0, k) are
+// in, the rest are not". On error the batch keeps its staging.
 func (b *Batch) Commit() error {
+	t := b.t
 	var err error
-	switch t := b.t; {
-	case b.rows <= 0:
-	case t.shard != nil:
-		err = t.commitSharded(b.staged, b.rows)
-	default:
-		err = t.commitRows(b.staged, 0, b.rows)
+	if b.rows > 0 {
+		err = t.pinLayout(b.staged)
+		for from := 0; err == nil && from < b.rows; {
+			kid, c, to := t.route(from, b.rows)
+			if err = kid.commitRows(b.staged, from, to); err != nil {
+				to = from
+			}
+			t.routed(c, to-from)
+			from = to
+		}
+		t.unpinLayout()
 	}
 	if err == nil {
 		b.staged, b.rows = map[string]any{}, -1
@@ -742,25 +683,24 @@ func (c *colState[V]) indexKind() string {
 	return "scan"
 }
 
+// addIndexStats adds the column's segments to st, summing their
+// saturations into st.Saturation (IndexStats divides the sum by the
+// indexed segments once every part is in).
+//
 //imprintvet:locks held=mu.R
-func (c *colState[V]) indexStats() ColumnIndexStats {
-	st := ColumnIndexStats{Segments: len(c.segs)}
-	var sat float64
+func (c *colState[V]) addIndexStats(st *ColumnIndexStats) {
+	st.Segments += len(c.segs)
 	for _, s := range c.segs {
 		st.SizeBytes += s.indexBytes()
 		if s.ix != nil {
 			st.IndexedSegments++
 			st.StoredVectors += s.ix.StoredVectors()
 			st.DictEntries += s.ix.DictEntries()
-			sat += s.ix.Saturation()
+			st.Saturation += s.ix.Saturation()
 		} else if s.zm != nil {
 			st.IndexedSegments++
 		}
 	}
-	if st.IndexedSegments > 0 {
-		st.Saturation = sat / float64(st.IndexedSegments)
-	}
-	return st
 }
 
 // absorb extends the column with new rows, filling the active tail
@@ -821,11 +761,8 @@ func (c *colState[V]) compact(keep []int) {
 // Repeated updates saturate that segment's index; Maintain rebuilds it
 // — and only it — when they do.
 func Update[V coltype.Value](t *Table, name string, id int, v V) error {
-	if sh := t.shard; sh != nil {
-		c, lid := sh.decode(id)
-		return Update(sh.kids[c], name, lid, v)
-	}
-	lg, lsn, err := updateLocked(t, name, id, v)
+	kid, lid := t.locate(id)
+	lg, lsn, err := updateLocked(kid, name, lid, v)
 	if err != nil || lg == nil {
 		return err
 	}
@@ -865,11 +802,8 @@ func updateLocked[V coltype.Value](t *Table, name string, id int, v V) (*wal.Log
 // Delete marks a row deleted; it stops appearing in query results.
 // Space is reclaimed by Compact.
 func (t *Table) Delete(id int) error {
-	if sh := t.shard; sh != nil {
-		c, lid := sh.decode(id)
-		return sh.kids[c].Delete(lid)
-	}
-	lg, lsn, err := t.deleteLocked(id)
+	kid, lid := t.locate(id)
+	lg, lsn, err := kid.deleteLocked(lid)
 	if err != nil || lg == nil {
 		return err
 	}
@@ -902,39 +836,50 @@ func (t *Table) deleteLocked(id int) (*wal.Log, int64, error) {
 
 // IsDeleted reports whether a row is deleted.
 func (t *Table) IsDeleted(id int) bool {
-	if sh := t.shard; sh != nil {
-		c, lid := sh.decode(id)
-		return sh.kids[c].IsDeleted(lid)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.deletedAt(id)
+	kid, lid := t.locate(id)
+	kid.mu.RLock()
+	defer kid.mu.RUnlock()
+	return kid.deletedAt(lid)
 }
 
 // Compact removes deleted rows, renumbering ids, and rebuilds all
 // segments (surviving rows are re-chunked, so all but the last segment
-// are full again). It returns the number of rows removed.
+// are full again). It returns the number of rows removed; a table with
+// nothing deleted only folds its buffered rows. A sharded table
+// renumbers each shard's rows locally (no cross-shard id exchange), so
+// global ids change exactly as each shard's local ids do.
 func (t *Table) Compact() int {
-	if t.shard != nil {
-		return t.shardCompact()
+	t.quiesce()
+	defer t.resume()
+	kids := t.lockParts()
+	defer t.unlockParts()
+	ndel := 0
+	for _, kid := range kids {
+		kid.flushAllLocked()
+		ndel += kid.ndel
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.compactLocked()
+	if ndel == 0 {
+		return 0
+	}
+	removed := 0
+	for _, kid := range kids {
+		removed += kid.compactLocked()
+	}
+	return removed
 }
 
+// compactLocked drops the part's deleted rows and rebuilds every
+// segment of it; callers hold the write lock.
+//
 //imprintvet:locks held=mu
 func (t *Table) compactLocked() int {
 	// Fold buffered rows first so the keep-list covers them and ids
 	// renumber consistently across sealed and delta rows.
 	t.flushAllLocked()
-	if t.ndel == 0 {
-		return 0
-	}
 	pre := t.totalRowsLocked()
 	keep := make([]int, 0, t.rows-t.ndel)
 	for id := 0; id < t.rows; id++ {
-		if !t.deleted.Get(id) {
+		if !t.deletedAt(id) {
 			keep = append(keep, id)
 		}
 	}
@@ -1026,40 +971,46 @@ type MaintainOptions struct {
 // Maintain applies the rebuild policy: any segment index saturated by
 // updates is rebuilt (segment-locally — the rest of the column is left
 // alone), and the table is compacted when the deleted-row fraction
-// crosses opts.DeletedFraction.
+// crosses opts.DeletedFraction. The fraction is the whole table's; a
+// sharded table then compacts every shard (see Compact).
 func (t *Table) Maintain(opts MaintainOptions) MaintenanceReport {
-	if t.shard != nil {
-		return t.shardMaintain(opts)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.quiesce()
+	defer t.resume()
+	kids := t.lockParts()
+	defer t.unlockParts()
 	satLimit := opts.SaturationLimit
 	if satLimit == 0 {
 		satLimit = 0.5
 	}
+	ndel, total := 0, 0
+	for _, kid := range kids {
+		ndel += kid.ndel
+		total += kid.totalRowsLocked()
+	}
 	delFrac := opts.DeletedFraction
-	total := t.totalRowsLocked()
-	compacting := delFrac > 0 && total > 0 && float64(t.ndel)/float64(total) >= delFrac
-	var rep MaintenanceReport
-	for _, name := range t.order {
-		// Compaction rebuilds every segment anyway; don't build twice.
-		if n := t.cols[name].maintain(satLimit, !compacting); n > 0 {
-			rep.Rebuilt = append(rep.Rebuilt, name)
-			rep.SegmentsRebuilt += n
+	compacting := delFrac > 0 && total > 0 && float64(ndel)/float64(total) >= delFrac
+	rep := MaintenanceReport{Compacted: compacting}
+	for _, kid := range kids {
+		for _, name := range kid.order {
+			// Compaction rebuilds every segment anyway; don't build twice.
+			if n := kid.cols[name].maintain(satLimit, !compacting); n > 0 {
+				rep.Rebuilt = append(rep.Rebuilt, name)
+				rep.SegmentsRebuilt += n
+			}
+		}
+		if compacting {
+			rep.RowsRemoved += kid.compactLocked()
+		}
+		if d := kid.delta; d.buffered.Load() {
+			rep.DeltaRows += d.store.Len()
+			rep.MergeBacklog += kid.mergeBacklogLocked(d.mergeSat)
+			rep.SealRetries += d.sealRetries.Load()
+			rep.SealBackoff = max(rep.SealBackoff, time.Duration(d.backoffNanos.Load()))
+			d.kickSeal()
 		}
 	}
 	sort.Strings(rep.Rebuilt)
-	if compacting {
-		rep.RowsRemoved = t.compactLocked()
-		rep.Compacted = true
-	}
-	if d := t.delta; d.buffered.Load() {
-		rep.DeltaRows = d.store.Len()
-		rep.MergeBacklog = t.mergeBacklogLocked(d.mergeSat)
-		rep.SealRetries = d.sealRetries.Load()
-		rep.SealBackoff = time.Duration(d.backoffNanos.Load())
-		d.kickSeal()
-	}
+	rep.Rebuilt = slices.Compact(rep.Rebuilt)
 	return rep
 }
 
@@ -1067,10 +1018,7 @@ func (t *Table) Maintain(opts MaintainOptions) MaintenanceReport {
 // reconstruction of Section 2: values from different columns with the
 // same id belong to the same tuple).
 func (t *Table) ReadRow(id int) (map[string]any, error) {
-	if sh := t.shard; sh != nil {
-		c, lid := sh.decode(id)
-		return sh.kids[c].ReadRow(lid)
-	}
+	t, id = t.locate(id)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if id < 0 || id >= t.totalRowsLocked() {

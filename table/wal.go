@@ -110,37 +110,21 @@ func (r *RecoveryReport) String() string {
 // before serving writes. Enabling is one-way; Close flushes and closes
 // the log.
 func (t *Table) EnableWAL(opts WALOptions) (*RecoveryReport, error) {
-	if t.shard != nil {
-		return t.shardEnableWAL(opts)
-	}
-	return t.enableWALKid(opts, opts.Dir)
-}
-
-func (t *Table) shardEnableWAL(opts WALOptions) (*RecoveryReport, error) {
-	sh := t.shard
+	t.quiesce()
+	defer t.resume()
 	total := &RecoveryReport{}
-	for c, kid := range sh.kids {
-		rep, err := kid.enableWALKid(opts, shardWALDir(opts.Dir, c))
+	for c, kid := range t.parts() {
+		rep, err := kid.enableWALPart(opts, t.walDir(opts.Dir, c))
 		if err != nil {
-			return nil, fmt.Errorf("table %s shard %d: %w", t.name, c, err)
+			return nil, t.partErr(c, err)
 		}
 		total.add(rep)
 	}
-	// Replay changed kid row counts; refresh the routing counters.
-	t.mu.Lock()
-	t.fsys = opts.FS
-	t.mu.Unlock()
-	sh.lockTokens()
-	sh.refreshRowsLocked()
-	sh.unlockTokens()
 	return total, nil
 }
 
-// shardWALDir names one shard's log directory.
-func shardWALDir(dir string, c int) string { return fmt.Sprintf("%s/shard-%03d", dir, c) }
-
-// enableWALKid replays and attaches one (unsharded) table's log.
-func (t *Table) enableWALKid(opts WALOptions, dir string) (*RecoveryReport, error) {
+// enableWALPart replays and attaches one part's log.
+func (t *Table) enableWALPart(opts WALOptions, dir string) (*RecoveryReport, error) {
 	d := t.delta
 	if t.walPtr() != nil {
 		return nil, fmt.Errorf("table %s: WAL already enabled", t.name)
@@ -680,24 +664,18 @@ func (t *Table) walKeepSeqLocked() uint64 {
 // into became durable: it logs a checkpoint record and drops the log
 // segments the image supersedes. Safe to call without a WAL (no-op).
 func (t *Table) walCheckpoint() error {
-	if sh := t.shard; sh != nil {
-		for c, kid := range sh.kids {
-			if err := kid.walCheckpoint(); err != nil {
-				return fmt.Errorf("shard %d: %w", c, err)
-			}
+	for c, kid := range t.parts() {
+		kid.mu.Lock()
+		d := kid.delta
+		cut, lg := d.pendingCut, d.wal
+		d.pendingCut = walCut{}
+		kid.mu.Unlock()
+		if lg == nil || !cut.ok {
+			continue
 		}
-		return nil
-	}
-	t.mu.Lock()
-	d := t.delta
-	cut, lg := d.pendingCut, d.wal
-	d.pendingCut = walCut{}
-	t.mu.Unlock()
-	if lg == nil || !cut.ok {
-		return nil
-	}
-	if err := lg.TruncateBefore(cut.seq, encodeWALCheckpoint(cut.rows)); err != nil {
-		return fmt.Errorf("table %s: wal checkpoint: %w", t.name, err)
+		if err := lg.TruncateBefore(cut.seq, encodeWALCheckpoint(cut.rows)); err != nil {
+			return t.partErr(c, fmt.Errorf("table %s: wal checkpoint: %w", t.name, err))
+		}
 	}
 	return nil
 }
