@@ -1,22 +1,14 @@
 // Command imprintbench regenerates the tables and figures of the column
-// imprints paper (SIGMOD 2013) over the synthetic dataset suite, plus
-// five table-layer experiments: queryplan drives the lazy Query API
-// and reports the per-leaf EXPLAIN access paths (imprints probe vs
-// zonemap vs scan fallback) over a mixed numeric/string relation,
-// prepared measures the amortized prepare-once/execute-N serving loop
-// of Table.Prepare against ad-hoc plan-per-query execution, segments
-// measures segmented storage — parallel segment fan-out at several
-// SelectOptions.Parallelism levels and min/max summary pruning —
-// aggregate measures the segment-parallel aggregation pipeline: the
-// pushdown hit-rates of the summary-answered / run-wholesale / scanned
-// tiers plus grouped and top-k execution across a parallelism sweep —
-// and serve load-tests the imprintd SQL serving stack over real HTTP at
-// 1/8/64 concurrent clients, reporting p50/p99 latency, statement-cache
-// hit rate, and admission-control rejections.
+// imprints paper (SIGMOD 2013) over the synthetic dataset suite —
+// table1 and fig3 through fig11 — plus two table-layer sweeps that the
+// serving benchmark in bench/ does not cover: shards (aggregate write
+// rate and reader latency, writers × shards) and ingest-recover (WAL
+// fsync policies and cold replay). Figures 4–11 share one measurement
+// pass over the dataset columns.
 //
 // Usage:
 //
-//	imprintbench [-exp all|table1|fig3|...|fig11|queryplan|prepared|segments|aggregate|serve|ingest|shards|ingest-recover[,...]]
+//	imprintbench [-exp all|table1|fig3|...|fig11|shards|ingest-recover[,...]]
 //	             [-scale 1.0] [-seed 42] [-queries 3] [-maxcols 0]
 //	             [-format text|csv] [-json] [-outdir DIR]
 //
@@ -25,9 +17,9 @@
 // scale. -format csv emits machine-readable rows instead (to stdout, or
 // one file per experiment under -outdir), and -json emits one JSON
 // document covering every experiment run — id, title, header, rows and
-// elapsed milliseconds — for bench-trajectory tooling. The integer
-// outputs (sizes, probes, comparisons, cacheline tallies) at scale 0.1,
-// seed 42 are pinned by TestPaperCounts in internal/harness.
+// elapsed milliseconds. The integer outputs (sizes, probes,
+// comparisons, cacheline tallies) at scale 0.1, seed 42 are pinned by
+// TestPaperCounts in internal/harness.
 package main
 
 import (
@@ -71,17 +63,13 @@ func main() {
 	ids := harness.IDs()
 	if *exps != "all" {
 		ids = strings.Split(*exps, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
 	}
 	var jsonOut []jsonExperiment
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		start := time.Now()
-		exp, err := harness.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imprintbench:", err)
-			os.Exit(2)
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
+	err := harness.Run(cfg, ids, func(exp *harness.Experiment) {
+		elapsed := exp.Elapsed.Round(time.Millisecond)
 		switch {
 		case *asJSON:
 			jsonOut = append(jsonOut, jsonExperiment{
@@ -99,6 +87,10 @@ func main() {
 				os.Exit(1)
 			}
 		}
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "imprintbench:", err)
+		os.Exit(2)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Min returns the smallest value in the column using the imprint to
 // restrict the search: the global minimum must live in a cacheline
@@ -13,7 +16,8 @@ import "math/bits"
 // occupied bin. On clustered, unmodified data the first candidate bin
 // wins and a tiny fraction of the column is touched. A float NaN is
 // unordered: Min and Max skip it, and answer NaN only for a column that
-// holds nothing else.
+// holds nothing else. −0 orders below +0, as Go's builtin min and max
+// order them, so the answer does not depend on which zero is read first.
 func (ix *Index[V]) Min() (V, QueryStats) {
 	return ix.extreme(true)
 }
@@ -60,7 +64,8 @@ func (ix *Index[V]) extreme(min bool) (V, QueryStats) {
 					}
 					continue
 				}
-				if !found || (min && v < best) || (!min && v > best) {
+				if !found || (min && (v < best || v == 0 && best == 0 && math.Signbit(float64(v)))) ||
+					(!min && (v > best || v == 0 && best == 0 && math.Signbit(float64(best)))) {
 					best, found = v, true
 				}
 			}

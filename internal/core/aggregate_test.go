@@ -97,6 +97,33 @@ func TestMinMaxSkipNaN(t *testing.T) {
 	}
 }
 
+// TestMinMaxSignedZero: −0 orders below +0 whichever of the two the
+// walk reads first, so Min is −0 and Max +0 for a column of zeros and
+// positives, in either order of the zeros.
+func TestMinMaxSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, first := range []float64{negZero, 0} {
+		col := make([]float64, 1000)
+		for i := range col {
+			col[i] = float64(i%50) + 1
+		}
+		col[100], col[900] = first, -first
+		ix := Build(col, Options{Seed: 4})
+		if got, _ := ix.Min(); math.Float64bits(got) != math.Float64bits(negZero) {
+			t.Errorf("zero at 100 %v: Min = %v, want -0", first, got)
+		}
+		col = make([]float64, 1000)
+		for i := range col {
+			col[i] = -float64(i%50) - 1
+		}
+		col[100], col[900] = first, -first
+		ix = Build(col, Options{Seed: 4})
+		if got, _ := ix.Max(); math.Float64bits(got) != 0 {
+			t.Errorf("zero at 100 %v: Max = %v, want +0", first, got)
+		}
+	}
+}
+
 func TestQuickMinMax(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0xa99))

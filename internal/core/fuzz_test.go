@@ -73,8 +73,8 @@ func FuzzRangeQuery(f *testing.F) {
 	})
 }
 
-// fuzzFloat maps the low byte of x to NaN, -0, +Inf and -Inf for 0–3,
-// and to a multiple of 1/4 in [-32, 32) otherwise.
+// fuzzFloat maps the low byte of x to NaN, -0, +Inf, -Inf and +0 for
+// 0–4, and to a multiple of 1/4 in [-32, 32) otherwise.
 func fuzzFloat(x int64) float64 {
 	switch x & 255 {
 	case 0:
@@ -85,6 +85,8 @@ func fuzzFloat(x int64) float64 {
 		return math.Inf(1)
 	case 3:
 		return math.Inf(-1)
+	case 4:
+		return 0
 	}
 	return float64(int8(x)) / 4
 }
@@ -142,7 +144,8 @@ func checkEntryPoints[V coltype.Value](t *testing.T, col []V, low, high V) {
 	equalIDs(t, got, scan(func(v V) bool { return slices.Contains(set, v) }), "InSetIDs "+ctx)
 
 	// Min and Max skip NaN, which is unordered; only a column of NaNs
-	// answers NaN.
+	// answers NaN. -0 orders below +0, as the builtin min and max order
+	// them.
 	var lo, hi V
 	seen := false
 	for _, v := range col {
@@ -152,15 +155,15 @@ func checkEntryPoints[V coltype.Value](t *testing.T, col []V, low, high V) {
 			}
 			continue
 		}
-		if !seen || v < lo {
-			lo = v
+		if !seen {
+			lo, hi = v, v
 		}
-		if !seen || v > hi {
-			hi = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 		seen = true
 	}
-	same := func(a, b V) bool { return a == b || a != a && b != b }
+	same := func(a, b V) bool {
+		return a == b && math.Signbit(float64(a)) == math.Signbit(float64(b)) || a != a && b != b
+	}
 	if got, _ := ix.Min(); !same(got, lo) {
 		t.Fatalf("Min = %v, scan %v (%s)", got, lo, ctx)
 	}

@@ -3,9 +3,12 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"text/tabwriter"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -13,86 +16,78 @@ import (
 // Experiment is one regenerated table or figure: structured rows for
 // machine consumption (CSV export, tests) plus a text rendering for the
 // CLI. Free-form experiments (Figure 3's prints) carry only Text.
+// Elapsed is the wall time Run spent on it, the shared measurement pass
+// included for the first figure that reads it.
 type Experiment struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Text   string
+	ID      string
+	Title   string
+	Header  []string
+	Rows    [][]string
+	Text    string
+	Elapsed time.Duration
+}
+
+// experiment is one registry entry. own builds its own data from the
+// Config; a figure instead reads the dataset columns, measured once per
+// Run however many figures ask.
+type experiment struct {
+	id     string
+	own    func(Config) *Experiment
+	figure func([]*ColumnRun) *Experiment
+}
+
+// experiments is the registry, in paper order.
+var experiments = []experiment{
+	{id: "table1", own: Table1},
+	{id: "fig3", own: Fig3},
+	{id: "fig4", figure: Fig4},
+	{id: "fig5", figure: Fig5},
+	{id: "fig6", figure: Fig6},
+	{id: "fig7", figure: Fig7},
+	{id: "fig8", figure: Fig8},
+	{id: "fig9", figure: Fig9},
+	{id: "fig10", figure: Fig10},
+	{id: "fig11", figure: Fig11},
+	{id: "shards", own: ShardsExp},
+	{id: "ingest-recover", own: IngestRecoverExp},
 }
 
 // IDs lists all experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "queryplan", "prepared", "segments", "aggregate", "serve", "ingest", "shards", "ingest-recover"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
-// Run executes one experiment by id.
-func Run(id string, cfg Config) (*Experiment, error) {
-	switch id {
-	case "table1":
-		return Table1(cfg), nil
-	case "fig3":
-		return Fig3(cfg), nil
-	case "fig4":
-		return Fig4(MeasureAll(cfg, false)), nil
-	case "fig5":
-		return Fig5(MeasureAll(cfg, false)), nil
-	case "fig6":
-		return Fig6(MeasureAll(cfg, false)), nil
-	case "fig7":
-		return Fig7(MeasureAll(cfg, false)), nil
-	case "fig8":
-		return Fig8(MeasureAll(cfg, true)), nil
-	case "fig9":
-		return Fig9(MeasureAll(cfg, true)), nil
-	case "fig10":
-		return Fig10(MeasureAll(cfg, true)), nil
-	case "fig11":
-		return Fig11(MeasureAll(cfg, true)), nil
-	case "queryplan":
-		return QueryPlan(cfg), nil
-	case "prepared":
-		return PreparedExp(cfg), nil
-	case "segments":
-		return SegmentsExp(cfg), nil
-	case "aggregate":
-		return AggregateExp(cfg), nil
-	case "serve":
-		return ServeExp(cfg), nil
-	case "ingest":
-		return IngestExp(cfg), nil
-	case "shards":
-		return ShardsExp(cfg), nil
-	case "ingest-recover":
-		return IngestRecoverExp(cfg), nil
+// Run executes the experiments named by ids in the order given and
+// hands each to emit as it completes. Every id is checked before
+// anything runs. Figures 4–11 share one MeasureAll(cfg, true) pass,
+// made when the first of them runs: the size figures read only build
+// fields, which the query workload leaves alone.
+func Run(cfg Config, ids []string, emit func(*Experiment)) error {
+	todo := make([]experiment, len(ids))
+	for i, id := range ids {
+		j := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })
+		if j < 0 {
+			return fmt.Errorf("harness: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
+		}
+		todo[i] = experiments[j]
 	}
-	return nil, fmt.Errorf("harness: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
-}
-
-// RunAll executes every experiment, sharing the expensive measurement
-// passes.
-func RunAll(cfg Config) []*Experiment {
-	sizeRuns := MeasureAll(cfg, false)
-	queryRuns := MeasureAll(cfg, true)
-	return []*Experiment{
-		Table1(cfg),
-		Fig3(cfg),
-		Fig4(sizeRuns),
-		Fig5(sizeRuns),
-		Fig6(sizeRuns),
-		Fig7(sizeRuns),
-		Fig8(queryRuns),
-		Fig9(queryRuns),
-		Fig10(queryRuns),
-		Fig11(queryRuns),
-		QueryPlan(cfg),
-		PreparedExp(cfg),
-		SegmentsExp(cfg),
-		AggregateExp(cfg),
-		ServeExp(cfg),
-		IngestExp(cfg),
-		ShardsExp(cfg),
+	cols := sync.OnceValue(func() []*ColumnRun { return MeasureAll(cfg, true) })
+	for _, e := range todo {
+		start := time.Now()
+		var exp *Experiment
+		if e.figure != nil {
+			exp = e.figure(cols())
+		} else {
+			exp = e.own(cfg)
+		}
+		exp.Elapsed = time.Since(start)
+		emit(exp)
 	}
+	return nil
 }
 
 func table(f func(w *tabwriter.Writer)) string {

@@ -72,6 +72,14 @@ type ColumnRun struct {
 
 	Imprints, Zonemap, WAH IndexBuild
 
+	// The imprint's geometry: histogram bins and the distinct values
+	// its sample held, cachelines and values per cacheline, dictionary
+	// entries, stored vectors, and stored vectors per cacheline.
+	Bins, SampledUnique            int
+	Cachelines, ValuesPerCacheline int
+	DictEntries, StoredVectors     int
+	Compression                    float64
+
 	Queries []QueryMeasurement
 
 	// FingerprintHead holds the first lines of the imprint print
@@ -104,6 +112,10 @@ func measure[V coltype.Value](dsName string, col *column.Column[V], cfg Config, 
 	wb := wah.BuildWithHistogram(vals, imp.Histogram())
 	run.WAH = IndexBuild{SizeBytes: wb.SizeBytes(), BuildTime: time.Since(t0)}
 
+	run.Bins, run.SampledUnique = imp.Bins(), imp.Histogram().SampledUnique
+	run.Cachelines, run.ValuesPerCacheline = imp.Cachelines(), imp.ValuesPerCacheline()
+	run.DictEntries, run.StoredVectors = imp.DictEntries(), imp.StoredVectors()
+	run.Compression = imp.CompressionRatio()
 	run.Entropy = imp.Entropy()
 	if fingerprintLines > 0 {
 		run.FingerprintHead = imp.Fingerprint(fingerprintLines)

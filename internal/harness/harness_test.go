@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,22 +69,27 @@ func TestMaxColumnsPerDataset(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig99", testCfg()); err == nil {
+	ran := 0
+	err := Run(testCfg(), []string{"table1", "fig99"}, func(*Experiment) { ran++ })
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if ran != 0 {
+		t.Errorf("%d experiments ran before the unknown id was refused", ran)
 	}
 }
 
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxColumnsPerDataset = 3
-	for _, id := range IDs() {
-		exp, err := Run(id, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if exp.ID != id {
-			t.Errorf("%s: ID = %q", id, exp.ID)
-		}
+	want := []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "shards", "ingest-recover"}
+	if !slices.Equal(IDs(), want) {
+		t.Fatalf("IDs() = %v, want %v", IDs(), want)
+	}
+	var got []string
+	err := Run(cfg, IDs(), func(exp *Experiment) {
+		got = append(got, exp.ID)
+		id := exp.ID
 		if exp.Title == "" || len(exp.Text) == 0 {
 			t.Errorf("%s: empty output", id)
 		}
@@ -93,7 +99,7 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		// Structured rows are populated and rectangular.
 		if len(exp.Header) == 0 || len(exp.Rows) == 0 {
 			t.Errorf("%s: no structured rows", id)
-			continue
+			return
 		}
 		for i, row := range exp.Rows {
 			if len(row) != len(exp.Header) {
@@ -101,6 +107,12 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 					id, i, len(row), len(exp.Header))
 			}
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Run emitted %v, want %v", got, want)
 	}
 }
 

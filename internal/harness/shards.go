@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,4 +132,20 @@ func ShardsExp(cfg Config) *Experiment {
 	return tabular("shards",
 		"Sharded ingest: aggregate write rate and read latency, writers x shards",
 		header, rows)
+}
+
+// percentile returns the p-quantile of the latency sample.
+func percentile(lat []time.Duration, p float64) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(lat)
+	slices.Sort(sorted)
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

@@ -15,9 +15,9 @@ var fuzzAggSpecs = []AggSpec{
 	Min("v"), Max("v"), Min("w"), Max("w"), Min("s"), Max("s"),
 }
 
-// fuzzAggFloat maps a byte to NaN, -0, +Inf and -Inf for 0–3, and to a
-// multiple of 1/4 in [-32, 32) otherwise — so float sums are exact in
-// any order until they meet NaN or an infinity.
+// fuzzAggFloat maps a byte to NaN, -0, +Inf, -Inf and +0 for 0–4, and
+// to a multiple of 1/4 in [-32, 32) otherwise — so float sums are exact
+// in any order until they meet NaN or an infinity.
 func fuzzAggFloat(b byte) float64 {
 	switch b {
 	case 0:
@@ -28,6 +28,8 @@ func fuzzAggFloat(b byte) float64 {
 		return math.Inf(1)
 	case 3:
 		return math.Inf(-1)
+	case 4:
+		return 0
 	}
 	return float64(int8(b)) / 4
 }
@@ -47,7 +49,7 @@ func fuzzAggFloat(b byte) float64 {
 // buffered rows stay in the delta store, across as many segment spans
 // as they reach: the limited form folds them per span, the others as
 // one unit per part, and min/max must not depend on where a fold starts
-// (foldMin/foldMax skip NaN; ties keep the first value seen).
+// (foldMin/foldMax skip NaN and order -0 below +0).
 //
 // Counts, integer sums and extrema must match the reference bit for
 // bit; float sums too in the grouped and limited forms. The unlimited

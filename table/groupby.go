@@ -22,12 +22,12 @@ import (
 // integer sum in the same iteration. Float sums and min/max fold in
 // ascending row order in a walk of their own, so a group's float sum is
 // bit-identical to a row-at-a-time fold; min/max follow foldMin and
-// foldMax (NaN skipped, ties keep the first value seen). Each segment's
-// slots are remapped to the global key space (the decoded symbol, the
-// integer itself) when its partials are emitted, so per-segment
-// dictionaries never leak into results. The consumer merges
-// group partials in segment order and sorts groups by key, so grouped
-// results are identical at every parallelism level.
+// foldMax (NaN skipped, −0 below +0). Each segment's slots are
+// remapped to the global key space (the decoded symbol, the integer
+// itself) when its partials are emitted, so per-segment dictionaries
+// never leak into results. The consumer merges group partials in
+// segment order and sorts groups by key, so grouped results are
+// identical at every parallelism level.
 //
 // An ungrouped Query.Aggregate is the same fold with one group: the
 // oneSlot slotter puts every row in slot 0. Only there does an exact
@@ -341,8 +341,8 @@ type slotSum interface {
 
 // orderedAgg folds the lanes of a mask in ascending order in a walk of
 // its own: a float sum, whose rounding depends on the order of its
-// adds, or a min/max under foldMin/foldMax, where ties keep the first
-// value seen and NaN is skipped.
+// adds, or a min/max under foldMin/foldMax, where NaN is skipped and −0
+// orders below +0.
 type orderedAgg interface {
 	slotAgg
 	fold(slots *laneSlots, base int, mask uint64)
@@ -422,19 +422,19 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 		for ; mask != 0; mask &= mask - 1 {
 			i := bits.TrailingZeros64(mask)
 			v, s := vals[i], slots[i]
-			if m := a.m[s]; !a.seen[s] || v < m || m != m {
-				a.m[s] = v
+			if a.seen[s] {
+				v = foldMin(a.m[s], v)
 			}
-			a.seen[s] = true
+			a.m[s], a.seen[s] = v, true
 		}
 	case aggMax:
 		for ; mask != 0; mask &= mask - 1 {
 			i := bits.TrailingZeros64(mask)
 			v, s := vals[i], slots[i]
-			if m := a.m[s]; !a.seen[s] || v > m || m != m {
-				a.m[s] = v
+			if a.seen[s] {
+				v = foldMax(a.m[s], v)
 			}
-			a.seen[s] = true
+			a.m[s], a.seen[s] = v, true
 		}
 	default:
 		for ; mask != 0; mask &= mask - 1 {
@@ -444,9 +444,7 @@ func (a *numSlotAgg[V]) fold(slots *laneSlots, base int, mask uint64) {
 	}
 }
 
-// span folds min/max as fold does: a held NaN is empty, so the span's
-// values replace it until one is not NaN; from there a strict compare
-// never picks NaN.
+// span folds min/max as fold does, under foldMin/foldMax.
 //
 //imprintvet:hotpath
 func (a *numSlotAgg[V]) span(from, to int) {
@@ -458,22 +456,15 @@ func (a *numSlotAgg[V]) span(from, to int) {
 	case aggMin, aggMax:
 		m := a.m[0]
 		if !a.seen[0] {
-			m, vals = vals[0], vals[1:]
-		}
-		for len(vals) > 0 && m != m {
-			m, vals = vals[0], vals[1:]
+			m = vals[0]
 		}
 		if a.op == aggMin {
 			for _, v := range vals {
-				if v < m {
-					m = v
-				}
+				m = foldMin(m, v)
 			}
 		} else {
 			for _, v := range vals {
-				if v > m {
-					m = v
-				}
+				m = foldMax(m, v)
 			}
 		}
 		a.m[0], a.seen[0] = m, true

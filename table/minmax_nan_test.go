@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestPartialMergeSkipsNaN(t *testing.T) {
 }
 
 // TestMinMaxNaNOnlyWhenAllNaN: min/max answer NaN only when every
-// folded row is NaN, and ±0 ties keep the value seen first in id order.
+// folded row is NaN, and −0 orders below +0 whichever is seen first.
 func TestMinMaxNaNOnlyWhenAllNaN(t *testing.T) {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	got := minMaxForms(t, 64, []float64{nan, nan}, []float64{nan, nan, nan})
@@ -121,6 +122,71 @@ func TestMinMaxNaNOnlyWhenAllNaN(t *testing.T) {
 			t.Errorf("all NaN, %s: min, max = %v, %v; want NaN, NaN", form, mm[0], mm[1])
 		}
 	}
-	checkMinMaxForms(t, minMaxForms(t, 64, []float64{nan, 0, 2}, []float64{negZero, nan, 2}), 0, 2)
-	checkMinMaxForms(t, minMaxForms(t, 64, []float64{negZero, nan}, []float64{0}), negZero, negZero)
+	checkMinMaxForms(t, minMaxForms(t, 64, []float64{nan, 0, 2}, []float64{negZero, nan, 2}), negZero, 2)
+	checkMinMaxForms(t, minMaxForms(t, 64, []float64{negZero, nan}, []float64{0}), negZero, 0)
+}
+
+// TestSignedZeroMinMaxIndependentOfMergeOrder: −0 orders below +0, as
+// Go's builtin min and max order them, so the answer does not depend on
+// where units merge. At two shards each part folds its buffered rows as
+// one unit, merged after the sealed segments and part by part, so +0
+// (id 130, part 0) merges before −0 (id 70, part 1).
+func TestSignedZeroMinMaxIndependentOfMergeOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, shards := range []int{1, 2} {
+		tb := NewWithOptions("signedzero", TableOptions{SegmentRows: 64, Shards: shards})
+		for _, err := range []error{
+			AddColumn(tb, "v", []float64{}, NoIndex, core.Options{}),
+			AddColumn(tb, "k", []int64{}, NoIndex, core.Options{}),
+			tb.EnableDeltaIngest(IngestOptions{}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := range 3 {
+			v := make([]float64, 64)
+			for i := range v {
+				v[i] = 1
+			}
+			switch c {
+			case 1:
+				v[70-64] = negZero
+			case 2:
+				v[130-128] = 0
+			}
+			bt := tb.NewBatch()
+			for _, err := range []error{Append(bt, "v", v), Append(bt, "k", make([]int64, 64)), bt.Commit()} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		specs := []AggSpec{Min("v"), Max("v")}
+		got := map[string][2]float64{}
+		for _, par := range []int{1, 3} {
+			res, _, err := tb.Select().Options(SelectOptions{Parallelism: par}).Aggregate(specs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("unlimited parallelism %d", par)] = [2]float64{res.Float(0), res.Float(1)}
+		}
+		res, _, err := tb.Select().Limit(1000).Aggregate(specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["limited"] = [2]float64{res.Float(0), res.Float(1)}
+		grouped, _, err := tb.Select().GroupBy("k").Aggregate(specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := grouped.Groups[0].Aggs
+		got["grouped"] = [2]float64{g[0].Float, g[1].Float}
+		for form, mm := range got {
+			if math.Float64bits(mm[0]) != math.Float64bits(negZero) || mm[1] != 1 {
+				t.Errorf("shards %d, %s: min, max = %v, %v; want -0, 1", shards, form, mm[0], mm[1])
+			}
+		}
+		tb.Close()
+	}
 }

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+
 	"repro/internal/coltype"
 	"repro/internal/core"
 	"repro/internal/zonemap"
@@ -39,19 +41,20 @@ type segment[V coltype.Value] struct {
 // foldMin and foldMax fold v into a held extremum m under the one
 // min/max rule of the table (and of core): a float NaN is unordered, so
 // a held NaN counts as empty and whatever comes next replaces it, while
-// an arriving NaN never replaces a value; ties, −0 and +0 among them,
-// keep the value held. Min and max thus skip NaN and answer NaN only
-// when every folded value is NaN. Pruning stays sound: no predicate
-// leaf holds on NaN.
+// an arriving NaN never replaces a value; −0 orders below +0, as Go's
+// builtin min and max order them. Min and max thus skip NaN, answer NaN
+// only when every folded value is NaN, and give the same answer in
+// every fold and merge order. Pruning stays sound: no predicate leaf
+// holds on NaN, and −0 == +0 in every leaf.
 func foldMin[V coltype.Value](m, v V) V {
-	if v < m || m != m {
+	if v < m || m != m || v == 0 && m == 0 && math.Signbit(float64(v)) {
 		return v
 	}
 	return m
 }
 
 func foldMax[V coltype.Value](m, v V) V {
-	if v > m || m != m {
+	if v > m || m != m || v == 0 && m == 0 && math.Signbit(float64(m)) {
 		return v
 	}
 	return m

@@ -92,6 +92,57 @@ func TestComparisonsCountLiveLanes(t *testing.T) {
 	}
 }
 
+// TestAutoSealedSegmentsStayVectorized: under AutoSeal ingest the
+// sealed segments keep answering through the block kernels while the
+// delta store holds rows, and once the buffered rows are sealed every
+// block of the table does, with the count unchanged.
+func TestAutoSealedSegmentsStayVectorized(t *testing.T) {
+	const sealed, segRows, batches, batchRows = 16384, 8192, 6, 2048
+	tb := vecTestTable(t, sealed, TableOptions{SegmentRows: segRows})
+	t.Cleanup(func() { tb.Close() })
+	if err := tb.EnableDeltaIngest(IngestOptions{AutoSeal: true, MaxSealSegments: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(17, 19))
+	for range batches {
+		v, price := make([]int64, batchRows), make([]float64, batchRows)
+		for i := range v {
+			v[i], price[i] = rng.Int64N(1_000_000), rng.Float64()*1000
+		}
+		b := tb.NewBatch()
+		for _, err := range []error{Append(b, "v", v), Append(b, "price", price), b.Commit()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	count := func() (uint64, core.QueryStats) {
+		t.Helper()
+		n, st, err := tb.Select().Where(Range[int64]("v", 0, 900_000)).
+			Options(SelectOptions{Parallelism: 1, ScanThreshold: 0.001}).Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, st
+	}
+	buffered, st := count()
+	if st.BlocksVectorized < sealed/BlockRows {
+		t.Errorf("with rows buffered: BlocksVectorized = %d, want at least the sealed segments' %d",
+			st.BlocksVectorized, sealed/BlockRows)
+	}
+	tb.FlushDelta()
+	if got := tb.DeltaRows(); got != 0 {
+		t.Fatalf("%d rows buffered after FlushDelta", got)
+	}
+	n, st := count()
+	if n != buffered {
+		t.Errorf("count %d after sealing, %d before", n, buffered)
+	}
+	if want := uint64(sealed+batches*batchRows) / BlockRows; st.BlocksVectorized != want {
+		t.Errorf("all sealed: BlocksVectorized = %d, want %d", st.BlocksVectorized, want)
+	}
+}
+
 // TestExplainBlocksVectorizedPreview pins that the plan's vectorized
 // preview matches what the execution actually reports, and that the
 // rendering mentions it.
