@@ -52,7 +52,7 @@ func (ix *Index[V]) extreme(min bool) (V, QueryStats) {
 		}
 		remaining &^= 1 << uint(b)
 		var s QueryStats
-		runs, s = ix.RunsInto(runs[:0], Masks{Mask: 1 << uint(b)}, 1)
+		runs, s = ix.RunsInto(runs[:0], Masks{Mask: 1 << uint(b)}, 1, nil)
 		st.Add(s)
 		for _, r := range runs {
 			from, to := ix.rows(r)

@@ -75,7 +75,7 @@ func (ix *Index[V]) RangeCachelines(low, high V) ([]CandidateRun, QueryStats) {
 // RangeCachelinesInto is RangeCachelines appending into dst (pass a
 // recycled buffer truncated to length 0 to avoid the allocation).
 func (ix *Index[V]) RangeCachelinesInto(dst []CandidateRun, low, high V) ([]CandidateRun, QueryStats) {
-	return ix.RunsInto(dst, ix.RangeMasks(low, high), 1)
+	return ix.RunsInto(dst, ix.RangeMasks(low, high), 1, nil)
 }
 
 // AtLeastCachelines evaluates v >= low down to candidate cachelines.
@@ -85,7 +85,7 @@ func (ix *Index[V]) AtLeastCachelines(low V) ([]CandidateRun, QueryStats) {
 
 // AtLeastCachelinesInto is AtLeastCachelines appending into dst.
 func (ix *Index[V]) AtLeastCachelinesInto(dst []CandidateRun, low V) ([]CandidateRun, QueryStats) {
-	return ix.RunsInto(dst, ix.AtLeastMasks(low), 1)
+	return ix.RunsInto(dst, ix.AtLeastMasks(low), 1, nil)
 }
 
 // LessThanCachelines evaluates v < high down to candidate cachelines.
@@ -95,7 +95,7 @@ func (ix *Index[V]) LessThanCachelines(high V) ([]CandidateRun, QueryStats) {
 
 // LessThanCachelinesInto is LessThanCachelines appending into dst.
 func (ix *Index[V]) LessThanCachelinesInto(dst []CandidateRun, high V) ([]CandidateRun, QueryStats) {
-	return ix.RunsInto(dst, ix.LessThanMasks(high), 1)
+	return ix.RunsInto(dst, ix.LessThanMasks(high), 1, nil)
 }
 
 // PointCachelines evaluates v == x down to candidate cachelines.
@@ -105,7 +105,7 @@ func (ix *Index[V]) PointCachelines(x V) ([]CandidateRun, QueryStats) {
 
 // PointCachelinesInto is PointCachelines appending into dst.
 func (ix *Index[V]) PointCachelinesInto(dst []CandidateRun, x V) ([]CandidateRun, QueryStats) {
-	return ix.RunsInto(dst, ix.PointMasks(x), 1)
+	return ix.RunsInto(dst, ix.PointMasks(x), 1, nil)
 }
 
 // InSetCachelines reduces an IN-list to candidate cachelines for late
@@ -120,7 +120,7 @@ func (ix *Index[V]) InSetCachelinesInto(dst []CandidateRun, set []V) ([]Candidat
 	if len(set) == 0 {
 		return dst, QueryStats{}
 	}
-	return ix.RunsInto(dst, ix.InSetMasks(set), 1)
+	return ix.RunsInto(dst, ix.InSetMasks(set), 1, nil)
 }
 
 // b2u is the flag-set behind the probe's branch-free verdict bitmaps.
@@ -159,13 +159,26 @@ func b2u(b bool) uint64 {
 // ahead but tested and fed 64 vectors at a time as the walk reaches it,
 // so equality on such a column still tests each vector once.
 //
+// The same walk also yields the verdicts a unit coarsens away: when
+// hits is not nil, RunsInto overwrites its first HitWords() words with
+// one bit per cacheline, bit c set iff cacheline c's vector meets the
+// mask (exact ones included). A caller that checks a candidate unit's
+// values reads from it which cachelines can hold a qualifying value —
+// Algorithm 3's per-cacheline residual — while it walks the units.
+// Pass nil when only the runs are wanted, as every unit-1 caller does;
+// the buffer is the caller's, so the walk allocates nothing either way.
+//
 //imprintvet:hotpath
-func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]CandidateRun, QueryStats) {
+func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int, hits []uint64) ([]CandidateRun, QueryStats) {
 	if unit < 1 || unit > 64 || unit&(unit-1) != 0 {
 		panic("core: probe unit must be a power of two in [1, 64]")
 	}
 	w := unitWalk{mask: m.Mask, inner: m.Inner, f: unit, shift: uint(bits.TrailingZeros(uint(unit))),
 		runs: dst, base: len(dst)}
+	if hits != nil {
+		w.hits = hits[:ix.HitWords()]
+		clear(w.hits)
+	}
 	var win verdictWindow
 	var cur, curX uint64 // the verdict of the stretch being walked, all ones or zero
 	dict := ix.dict
@@ -235,6 +248,10 @@ func (ix *Index[V]) RunsInto(dst []CandidateRun, m Masks, unit int) ([]Candidate
 		CachelinesSkipped: uint64(ix.Cachelines() - w.hitCl),
 	}
 }
+
+// HitWords is how many words RunsInto's per-cacheline hit bitmap takes:
+// one bit for every cacheline, the partial tail included.
+func (ix *Index[V]) HitWords() int { return (ix.Cachelines() + 63) / 64 }
 
 // probeWindow is how many words of verdict bitmaps RunsInto keeps on
 // its stack: the verdicts of 4,096 consecutive stored vectors.
@@ -317,6 +334,8 @@ type unitWalk struct {
 	uHit, uExact int // ... of which these many hit, and are exact
 
 	hitCl, exactCl int // cachelines that hit; those of them that are exact
+
+	hits []uint64 // the per-cacheline hit bitmap, when the caller asked for it
 }
 
 // push appends count units from start, extending the last run when it
@@ -352,6 +371,9 @@ func (w *unitWalk) add(hit, exact bool, cnt int) {
 		return
 	}
 	w.hitCl += cnt
+	if w.hits != nil {
+		setBits(w.hits, w.cl, cnt)
+	}
 	nExact := 0
 	if exact {
 		w.exactCl += cnt
@@ -401,6 +423,9 @@ func (w *unitWalk) group(n, nHit, nExact int) {
 func (w *unitWalk) feed(hit, exact uint64, n int) {
 	w.hitCl += bits.OnesCount64(hit)
 	w.exactCl += bits.OnesCount64(exact)
+	if w.hits != nil {
+		orBits(w.hits, w.cl, hit, n)
+	}
 	if fill := w.cl & (w.f - 1); fill > 0 {
 		k := uint(min(n, w.f-fill))
 		w.group(int(k), bits.OnesCount64(hit&lowBits(k)), bits.OnesCount64(exact&lowBits(k)))
@@ -432,6 +457,30 @@ func (w *unitWalk) units(hit, exact uint64) {
 		length := uint(bits.TrailingZeros64(^run))
 		w.push(u+int(at), int(length), isExact)
 		hit &^= lowBits(length) << at
+	}
+}
+
+// setBits sets bits [from, from+n) of the bitmap bm.
+//
+//imprintvet:hotpath
+func setBits(bm []uint64, from, n int) {
+	for n > 0 {
+		s := uint(from & 63)
+		c := min(n, 64-int(s))
+		bm[from>>6] |= lowBits(uint(c)) << s
+		from, n = from+c, n-c
+	}
+}
+
+// orBits ORs x, whose bits from n <= 64 on are clear, into the bitmap bm
+// at bit at.
+//
+//imprintvet:hotpath
+func orBits(bm []uint64, at int, x uint64, n int) {
+	s := uint(at & 63)
+	bm[at>>6] |= x << s
+	if s > 0 && int(s)+n > 64 {
+		bm[at>>6+1] |= x >> (64 - s)
 	}
 }
 

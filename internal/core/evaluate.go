@@ -98,7 +98,7 @@ func EvaluateAndNot(res []uint32, p, q Conjunct) ([]uint32, QueryStats) {
 // no id list is materialized.
 func (ix *Index[V]) Range(low, high V) iter.Seq[uint32] {
 	return func(yield func(uint32) bool) {
-		runs, _ := ix.RunsInto(nil, ix.RangeMasks(low, high), 1)
+		runs, _ := ix.RunsInto(nil, ix.RangeMasks(low, high), 1, nil)
 		for _, r := range runs {
 			from, to := ix.rows(r)
 			for id := from; id < to; id++ {

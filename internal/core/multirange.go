@@ -24,7 +24,7 @@ func (ix *Index[V]) MultiRangeIDs(ranges [][2]V, res []uint32) ([]uint32, QueryS
 		m.Mask |= rm.Mask
 		m.Inner |= rm.Inner
 	}
-	runs, st := ix.RunsInto(nil, m, 1)
+	runs, st := ix.RunsInto(nil, m, 1, nil)
 	res, st.Comparisons = ix.collect(runs, res, func(res []uint32, vals []V, from int) []uint32 {
 		for i, v := range vals {
 			for _, r := range ranges {
@@ -50,7 +50,7 @@ func (ix *Index[V]) InSetIDs(set []V, res []uint32) ([]uint32, QueryStats) {
 	// cacheline is checked: equality is never inner.
 	sorted := slices.DeleteFunc(slices.Clone(set), func(v V) bool { return v != v })
 	slices.Sort(sorted)
-	runs, st := ix.RunsInto(nil, ix.InSetMasks(sorted), 1)
+	runs, st := ix.RunsInto(nil, ix.InSetMasks(sorted), 1, nil)
 	res, st.Comparisons = ix.collect(runs, res, func(res []uint32, vals []V, from int) []uint32 {
 		for i, v := range vals {
 			if _, ok := slices.BinarySearch(sorted, v); ok {

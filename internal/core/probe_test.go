@@ -296,25 +296,54 @@ func referenceRuns[V coltype.Value](ix *Index[V], dst []CandidateRun, m Masks, u
 	return dst, st
 }
 
+// referenceHits is RunsInto's per-cacheline hit bitmap spelled out: one
+// bit per decompressed vector, then the pending vector's.
+func referenceHits[V coltype.Value](ix *Index[V], m Masks) []uint64 {
+	hits := make([]uint64, ix.HitWords())
+	cl := 0
+	set := func(vec uint64) {
+		if vec&m.Mask != 0 {
+			hits[cl/64] |= 1 << uint(cl%64)
+		}
+		cl++
+	}
+	ix.decompress(func(_ int, vec uint64) bool { set(vec); return true })
+	if vec, count := ix.PendingVector(); count > 0 {
+		set(vec)
+	}
+	return hits
+}
+
 // checkRunsInto holds RunsInto at unit to referenceRuns, twice: into an
 // empty dst, and after a caller's run that is adjacent to the first
-// run and as exact, which must be left as it is.
+// run and as exact, which must be left as it is. The first walk also
+// writes the per-cacheline hits, into a buffer longer than HitWords and
+// full of stale bits: the walk's words must equal referenceHits, and
+// the words past them stay as they were; the runs and stats must not
+// depend on whether hits were asked for.
 func checkRunsInto[V coltype.Value](t *testing.T, ix *Index[V], m Masks, unit int, ctx string) {
 	t.Helper()
 	want, wantSt := referenceRuns(ix, nil, m, unit)
-	got, gotSt := ix.RunsInto(nil, m, unit)
+	buf := slices.Repeat([]uint64{0xdeadbeefcafef00d}, ix.HitWords()+1)
+	got, gotSt := ix.RunsInto(nil, m, unit, buf)
 	if gotSt != wantSt {
 		t.Fatalf("%s unit %d mask %#x inner %#x: stats %+v, want %+v", ctx, unit, m.Mask, m.Inner, gotSt, wantSt)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s unit %d mask %#x inner %#x: runs\n%+v\nwant\n%+v", ctx, unit, m.Mask, m.Inner, got, want)
 	}
+	if wantHits := referenceHits(ix, m); !slices.Equal(buf[:len(wantHits)], wantHits) || buf[len(wantHits)] != 0xdeadbeefcafef00d {
+		t.Fatalf("%s unit %d mask %#x inner %#x: hits\n%x\nwant\n%x", ctx, unit, m.Mask, m.Inner, buf, wantHits)
+	}
+	if noHits, noHitsSt := ix.RunsInto(nil, m, unit, nil); noHitsSt != gotSt || !slices.Equal(noHits, got) {
+		t.Fatalf("%s unit %d mask %#x inner %#x: runs without hits differ", ctx, unit, m.Mask, m.Inner)
+	}
 	if len(want) == 0 {
 		return
 	}
 	prefix := []CandidateRun{{Start: 0, Count: want[0].Start, Exact: want[0].Exact}}
 	want, _ = referenceRuns(ix, slices.Clone(prefix), m, unit)
-	got, _ = ix.RunsInto(slices.Clone(prefix), m, unit)
+	got, _ = ix.RunsInto(slices.Clone(prefix), m, unit, nil)
 	if !slices.Equal(got, want) || got[0] != prefix[0] {
 		t.Fatalf("%s unit %d mask %#x inner %#x: after an adjacent caller run\n%+v\nwant\n%+v", ctx, unit, m.Mask, m.Inner, got, want)
 	}
@@ -371,7 +400,8 @@ func TestRunsIntoMatchesReference(t *testing.T) {
 
 // TestRunsIntoAllocs pins the probe at zero allocations into a reused
 // dst, on the shapes that take the skip between verdict changes and
-// the fused loop, at the cacheline and the block unit.
+// the fused loop, at the cacheline and the block unit, with and
+// without the per-cacheline hit bitmap.
 func TestRunsIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -379,10 +409,13 @@ func TestRunsIntoAllocs(t *testing.T) {
 	for _, name := range []string{"walk", "uncompressed"} {
 		ix := Build(benchProbeCols()[name], Options{Seed: 11})
 		m := ix.RangeMasks(450_000, 550_000)
+		hits := make([]uint64, ix.HitWords())
 		for _, unit := range []int{1, 8} {
-			runs, _ := ix.RunsInto(nil, m, unit)
-			if allocs := testing.AllocsPerRun(20, func() { runs, _ = ix.RunsInto(runs[:0], m, unit) }); allocs != 0 {
-				t.Errorf("%s unit %d: %.1f allocations per probe, want 0", name, unit, allocs)
+			for _, h := range [][]uint64{nil, hits} {
+				runs, _ := ix.RunsInto(nil, m, unit, h)
+				if allocs := testing.AllocsPerRun(20, func() { runs, _ = ix.RunsInto(runs[:0], m, unit, h) }); allocs != 0 {
+					t.Errorf("%s unit %d, hits %t: %.1f allocations per probe, want 0", name, unit, h != nil, allocs)
+				}
 			}
 		}
 	}
@@ -407,7 +440,7 @@ func BenchmarkBlockProbe(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%s/unit%d", name, mask.name, unit), func(b *testing.B) {
 					var runs []CandidateRun
 					for i := 0; i < b.N; i++ {
-						runs, _ = ix.RunsInto(runs[:0], mask.m, unit)
+						runs, _ = ix.RunsInto(runs[:0], mask.m, unit, nil)
 					}
 					perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 					b.ReportMetric(perOp/float64(ix.StoredVectors()), "ns/vector")

@@ -197,7 +197,7 @@ func (ix *Index[V]) PointIDs(v V, res []uint32) ([]uint32, QueryStats) {
 // queryPred answers p with Algorithm 3: one probe of the cacheline
 // dictionary, then the ids of its runs.
 func (ix *Index[V]) queryPred(p *pred[V], res []uint32) ([]uint32, QueryStats) {
-	runs, st := ix.RunsInto(nil, ix.bind(*p), 1)
+	runs, st := ix.RunsInto(nil, ix.bind(*p), 1, nil)
 	if !p.lowUnb && !p.highUnb && p.lowIncl && !p.highIncl {
 		// The canonical [low, high) query gets a branch-lean check loop;
 		// the generic matcher handles unbounded/inclusive variants.
@@ -252,7 +252,7 @@ func (ix *Index[V]) rows(r CandidateRun) (from, to int) {
 // CountRange returns the number of values in [low, high) without
 // materializing ids.
 func (ix *Index[V]) CountRange(low, high V) (uint64, QueryStats) {
-	runs, st := ix.RunsInto(nil, ix.RangeMasks(low, high), 1)
+	runs, st := ix.RunsInto(nil, ix.RangeMasks(low, high), 1, nil)
 	var count uint64
 	for _, r := range runs {
 		from, to := ix.rows(r)

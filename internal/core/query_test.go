@@ -372,7 +372,7 @@ func TestNaNColumnProbes(t *testing.T) {
 				{"range", ix.RangeMasks(th, th+10), func(v float64) bool { return v >= th && v < th+10 }},
 				{"point", ix.PointMasks(th), func(v float64) bool { return v == th }},
 			} {
-				runs, _ := ix.RunsInto(nil, p.m, 1)
+				runs, _ := ix.RunsInto(nil, p.m, 1, nil)
 				covered := make([]int, c.n) // 0 none, 1 candidate, 2 exact
 				for _, r := range runs {
 					for i := int(r.Start) * vpc; i < min(int(r.Start+r.Count)*vpc, c.n); i++ {

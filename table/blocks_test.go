@@ -239,7 +239,7 @@ func TestUnitProbeMatchesRenormalizedProbe(t *testing.T) {
 					} {
 						cl, clStats := probe.cl()
 						want := blocksFromCachelinesInto(nil, cl, f, totalCl)
-						got, stats := ix.RunsInto(nil, probe.m, f)
+						got, stats := ix.RunsInto(nil, probe.m, f, nil)
 						ctx := fmt.Sprintf("%s bins=%d vpc=%d %s [%d, %d)", shape, bins, vpc, kind, lo, hi)
 						if stats != clStats {
 							t.Fatalf("%s: stats diverge\nunit %d: %+v\nunit 1: %+v", ctx, f, stats, clStats)

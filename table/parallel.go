@@ -211,6 +211,26 @@ func putRunScratch(buf *[]core.CandidateRun) {
 	}
 }
 
+// laneScratchPool recycles candidate-lane bitmaps: the per-cacheline
+// hits of imprint probes and the row bitmaps composed from them.
+var laneScratchPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// getLaneScratch returns a pooled bitmap of n words, its contents stale.
+func getLaneScratch(n int) *[]uint64 {
+	buf := laneScratchPool.Get().(*[]uint64)
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
+}
+
+func putLaneScratch(buf *[]uint64) {
+	if buf != nil {
+		laneScratchPool.Put(buf)
+	}
+}
+
 // spanAction tells walkBlocks how to continue after a run was offered
 // wholesale.
 type spanAction int
@@ -255,13 +275,16 @@ func (t *Table) liveMask64(b, n int) uint64 {
 // selection mask: deleted lanes are cleared with one word-AND against
 // the deleted bitmap, and inexact runs additionally evaluate the
 // residual predicate over the block through the evaluation's
-// selection-mask kernel (one branch-light pass over the value slab,
-// counted in st.BlocksVectorized). Comparisons counts one comparison
-// per evaluated live lane (the popcount of the live mask), preserving
-// its Figure-11 meaning. block returning false stops the walk. Runs
-// start on block boundaries and segments hold whole blocks, so every
-// mask is 64-row aligned; only a segment's ragged tail yields a
-// shorter block.
+// selection-mask kernel (counted in st.BlocksVectorized). The kernel
+// is asked only for the live lanes the evaluation's candidate lanes
+// keep — the rows of the cachelines the imprint marks, Algorithm 3's
+// residual, not the whole block its run holds — and is skipped when
+// none is left. Comparisons counts one comparison per lane the kernel
+// is asked for (for one imprint leaf: its scanned cachelines' rows),
+// preserving its Figure-11 meaning. block returning false stops the
+// walk. Runs start on block boundaries and segments hold whole blocks,
+// so every mask is 64-row aligned; only a segment's ragged tail yields
+// a shorter block.
 //
 // The same walk evaluates buffered rows (ev.buffered: one inexact run
 // over a stretch of the part's delta vectors, evalDelta): the rows may
@@ -274,6 +297,7 @@ func (t *Table) liveMask64(b, n int) uint64 {
 //imprintvet:hotpath
 func (t *Table) walkBlocks(ev evaluated, st *core.QueryStats, span func(from, to int, exact bool) spanAction, block func(base int, mask uint64) bool) {
 	base := ev.origin
+	deletes := t.deleted != nil && t.ndel > 0
 	for _, r := range ev.runs {
 		from := max(base+int(r.Start)*BlockRows, base+ev.lo)
 		to := min(base+(int(r.Start)+int(r.Count))*BlockRows, base+ev.hi)
@@ -291,19 +315,25 @@ func (t *Table) walkBlocks(ev evaluated, st *core.QueryStats, span func(from, to
 		residual := !r.Exact && ev.kern != nil
 		for b := from &^ (BlockRows - 1); b < to; b += BlockRows {
 			n := min(BlockRows, to-b)
-			m := t.liveMask64(b, n)
+			m := blockOnes(n)
+			if deletes {
+				m = t.liveMask64(b, n)
+			}
 			if b < from {
 				m &^= blockOnes(from - b)
 			}
 			if ev.buffered {
 				st.DeltaRowsScanned += uint64(bits.OnesCount64(m))
 				if ev.kern != nil {
-					m &= ev.kern(b-base, b-base+n)
+					m &= ev.kern(b-base, b-base+n, m)
 				}
 			} else if residual {
+				m &= ev.lanes.block((b - base) / BlockRows)
 				st.Comparisons += uint64(bits.OnesCount64(m))
 				st.BlocksVectorized++
-				m &= ev.kern(b-base, b-base+n)
+				if m != 0 {
+					m &= ev.kern(b-base, b-base+n, m)
+				}
 			}
 			if m != 0 && !block(b, m) {
 				return

@@ -599,6 +599,9 @@ type segmentLoader interface {
 	// placeholderSegment builds the stand-in for a quarantined segment:
 	// fill zero values, indexed like any other segment of the column.
 	placeholderSegment(fill int) any
+	// placeholderBytes is what the values of a placeholder of fill rows
+	// take.
+	placeholderBytes(fill int) int
 }
 
 // newSegmentLoader builds the empty typed column a colhdr describes and
@@ -716,7 +719,13 @@ func readColumn(t *Table, r io.Reader, rows uint64, ctx *loadCtx) error {
 			}
 		}
 		if cse != nil {
-			if !ctx.opts.Quarantine {
+			// Frames holding fewer bytes than the placeholder's values
+			// would take were never a whole segment damaged in place:
+			// quarantining them would build fill rows — the header's
+			// count — out of a few hostile bytes, so they are as fatal as
+			// the stream breaking off. Placeholders stay bounded by the
+			// bytes the image holds.
+			if !ctx.opts.Quarantine || len(payload)+len(image) < col.placeholderBytes(fill) {
 				return cse
 			}
 			// The rows are marked deleted by markQuarantined once the
@@ -780,6 +789,8 @@ func (c *colState[V]) loadSegment(payload, image []byte, fill int) (any, string,
 	return s, "", nil
 }
 
+func (c *colState[V]) placeholderBytes(fill int) int { return fill * coltype.Width[V]() }
+
 func (c *colState[V]) placeholderSegment(fill int) any {
 	s := &segment[V]{vals: make([]V, fill)}
 	s.rebuild(c.mode, c.vpcOpts)
@@ -801,6 +812,9 @@ func (c *strColState) loadSegment(payload, image []byte, fill int) (any, string,
 	}
 	return s, "", nil
 }
+
+// placeholderBytes counts a string placeholder's codes.
+func (c *strColState) placeholderBytes(fill int) int { return fill * 4 }
 
 func (c *strColState) placeholderSegment(fill int) any {
 	s := &strSegment{dict: column.EncodeStrings(c.name, make([]string, fill))}

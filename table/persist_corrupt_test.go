@@ -393,3 +393,69 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 	}
 }
+
+// shortFrameImage is a hostile image of a healthy header: two columns
+// over three default-size segments (131,072 + 1,000 rows), every
+// segment's payload and index section cut to an 8-byte frame with a
+// wrong checksum, the header and colhdr sections intact: 317 bytes
+// declare 133,072 rows in each column.
+func shortFrameImage(t *testing.T) []byte {
+	t.Helper()
+	const rows = 2*DefaultSegmentRows + 1000
+	qty, city := make([]int64, rows), make([]string, rows)
+	for i := range qty {
+		qty[i], city[i] = int64(i%97), []string{"Oslo", "Rome"}[i%2]
+	}
+	tb := New("orders")
+	if err := AddColumn(tb, "qty", qty, Imprints, core.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AddStringColumn("city", city, Imprints, core.Options{Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tb.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// Section layout: 0 header, 1 qty colhdr, 2-7 qty slab/index x3,
+	// 8 city colhdr, 9-14 city dict/index x3.
+	frames := walkFrames(t, img)
+	if len(frames) != 15 {
+		t.Fatalf("%d sections, want 15", len(frames))
+	}
+	out := append([]byte(nil), img[:6]...)
+	for i, fr := range frames {
+		if i == 0 || i == 1 || i == 8 {
+			out = append(out, img[fr.payload-4:fr.payload+fr.n+4]...)
+			continue
+		}
+		out = binary.LittleEndian.AppendUint32(out, 8)
+		out = append(out, make([]byte, 8)...)
+		out = binary.LittleEndian.AppendUint32(out, 1) // the checksum of 8 zero bytes is not 1
+	}
+	return out
+}
+
+// TestQuarantineRefusesShortPayload holds quarantine to the bytes an
+// image holds: a segment whose two frames hold fewer bytes than the
+// values of its rows — the header's count — is refused with its
+// CorruptSegmentError, not replaced by a placeholder of those rows;
+// else twelve 16-byte frames would stand for 133,072 rows in each of
+// two columns. A damaged segment of about its own size still
+// quarantines (TestPersistQuarantine, TestRejectsUnderfullSealedSegment,
+// TestHostileDeclaredLengths).
+func TestQuarantineRefusesShortPayload(t *testing.T) {
+	img := shortFrameImage(t)
+	for _, quarantine := range []bool{false, true} {
+		tb, _, err := ReadWithOptions(bytes.NewReader(img), LoadOptions{Quarantine: quarantine})
+		var cse *CorruptSegmentError
+		if !errors.As(err, &cse) || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("quarantine=%t: got table %v, error %v; want a *CorruptSegmentError", quarantine, tb != nil, err)
+		}
+		if cse.Column != "qty" || cse.Segment != 0 || cse.Section != secSlab {
+			t.Errorf("quarantine=%t: error names %s segment %d section %s, want qty segment 0 slab",
+				quarantine, cse.Column, cse.Segment, cse.Section)
+		}
+	}
+}

@@ -403,17 +403,28 @@ func (o SelectOptions) threshold() float64 {
 // subtree over one segment: it evaluates rows [from, to) of the
 // segment's value slab — segment-local ids, to-from <= BlockRows — into
 // a selection bitmask whose bit i is set iff row from+i satisfies the
-// predicate (bits at and above to-from are zero). The mask travels by
-// value, keeping every block evaluation on the stack. Leaf kernels are
-// monomorphized comparison loops over the slab; And/Or/AndNot combine
-// child masks word-wise, so a whole tree costs one dynamic call per
-// 64-row block instead of one (or one per leaf) per row.
-type blockKernel func(from, to int) uint64
+// predicate. Only the lanes in want are asked for: for them the mask is
+// exact, kern(from, to, want) & want == kern(from, to, all) & want, and
+// the bits outside want (at and above to-from included) mean nothing —
+// callers AND the mask with want. The mask travels by value, keeping
+// every block evaluation on the stack. Leaf kernels are monomorphized
+// comparison loops over the slab; And/Or/AndNot combine child masks
+// word-wise, each child asked only for the lanes still undecided, so a
+// whole tree costs one dynamic call per 64-row block instead of one (or
+// one per leaf) per row.
+//
+// want is what lets the residual read only the cachelines the imprint
+// marks (Algorithm 3): walkBlocks passes the block's live candidate
+// lanes, and a leaf whose wanted lanes fill at most half the block's
+// octets (8-lane groups: one cacheline of 8-byte values) checks those
+// octets alone; any denser block runs the 64-lane body, whose carry
+// chain streams a whole block faster than eight octet checks.
+type blockKernel func(from, to int, want uint64) uint64
 
 // zeroMask is the kernel of a subtree that matches nothing in the
 // segment (a pruned leaf under OR). A package-level func converts to a
 // blockKernel without allocating.
-func zeroMask(from, to int) uint64 { return 0 }
+func zeroMask(from, to int, want uint64) uint64 { return 0 }
 
 // leafPlan is one predicate leaf translated against its column exactly
 // once: typed bounds and IN-sets come from that single translation.
@@ -435,8 +446,10 @@ type leafPlan interface {
 	prune(s int) bool
 	// segRuns probes segment s's index down to candidate runs in
 	// BlockRows units, local to the segment, appended into dst (pass a
-	// pooled buffer truncated to length 0 to keep probing alloc-free).
-	segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats)
+	// pooled buffer truncated to length 0 to keep probing alloc-free),
+	// and the candidate lanes within them: an imprint's per-cacheline
+	// hits, every lane for a zonemap or a scan-only segment.
+	segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, candLanes, core.QueryStats)
 	// segKernel is the vectorized residual evaluator for segment s.
 	// Kernels are cached per segment (re-derived when the segment's
 	// value slab or dictionary generation changes), so steady-state
@@ -490,6 +503,31 @@ func nibble(b0, b1, b2, b3 bool) uint64 {
 	return b2u(b0) | b2u(b1)<<1 | b2u(b2)<<2 | b2u(b3)<<3
 }
 
+// octetMask returns bit 8k set iff octet k of want — lanes 8k to 8k+7 —
+// holds a wanted lane.
+func octetMask(want uint64) uint64 {
+	want |= want >> 4
+	want |= want >> 2
+	want |= want >> 1
+	return want & 0x0101010101010101
+}
+
+// sparseOctets returns want's octets (octetMask) and whether they are
+// few enough — at most half the block's — to be checked one by one.
+func sparseOctets(want uint64) (uint64, bool) {
+	if want == ^uint64(0) { // a whole live block: a scan's common case
+		return 0, false
+	}
+	occ := octetMask(want)
+	return occ, bits.OnesCount64(occ) <= BlockRows/8/2
+}
+
+// octet returns the 8 lanes of blk from lane at (a multiple of 8) on.
+func octet[V any](blk *[BlockRows]V, at int) *[8]V {
+	at &= BlockRows - 8
+	return (*[8]V)(blk[at : at+8])
+}
+
 // padBlock fills pad — the caller's stack array — with a ragged block's
 // rows followed by copies of the first one: a value already in the
 // block, so a padded lane is as valid an operand (a real dictionary
@@ -538,13 +576,50 @@ func intRangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
 // intBandKernel answers uint64(v-lo64) < span for every lane, the mask
 // xor-ed with inv (all ones complements the band).
 func intBandKernel[V coltype.Value](vals []V, lo64 int64, span, inv uint64) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
-			return intBandLanes((*[BlockRows]V)(vals[from:to]), lo64, span) ^ inv
+			return intBandBlock((*[BlockRows]V)(vals[from:to]), want, lo64, span) ^ inv
 		}
 		var pad [BlockRows]V
-		return (intBandLanes(padBlock(&pad, vals[from:to]), lo64, span) ^ inv) & blockOnes(to-from)
+		return intBandBlock(padBlock(&pad, vals[from:to]), want, lo64, span) ^ inv
 	}
+}
+
+// intBandBlock runs the band over the wanted lanes of one block: octet
+// by octet when they are sparse, else the whole carry chain.
+//
+//imprintvet:hotpath
+func intBandBlock[V coltype.Value](blk *[BlockRows]V, want uint64, lo64 int64, span uint64) uint64 {
+	occ, sparse := sparseOctets(want)
+	if !sparse {
+		return intBandLanes(blk, lo64, span)
+	}
+	var acc uint64
+	for ; occ != 0; occ &= occ - 1 {
+		// intBandLanes' carry chain over one octet, written out: a call
+		// per octet would cost as much as its eight lanes.
+		at := bits.TrailingZeros64(occ)
+		o := octet(blk, at)
+		var r, b uint64
+		_, b = bits.Sub64(uint64(int64(o[7])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[6])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[5])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[4])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[3])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[2])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[1])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		_, b = bits.Sub64(uint64(int64(o[0])-lo64), span, 0)
+		r, _ = bits.Add64(r, r, b)
+		acc |= r << uint(at)
+	}
+	return acc
 }
 
 // intBandLanes is the carry chain: the lanes from 63 down to 0, each
@@ -571,13 +646,29 @@ func intBandLanes[V coltype.Value](blk *[BlockRows]V, lo64 int64, span uint64) u
 // compares, so it never qualifies). It and the float kernels after
 // it keep flag-sets: none of the integer band's wrap-around applies.
 func rangeKernel[V coltype.Value](vals []V, low, high V) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
-			return rangeLanes((*[BlockRows]V)(vals[from:to]), low, high)
+			return rangeBlock((*[BlockRows]V)(vals[from:to]), want, low, high)
 		}
 		var pad [BlockRows]V
-		return rangeLanes(padBlock(&pad, vals[from:to]), low, high) & blockOnes(to-from)
+		return rangeBlock(padBlock(&pad, vals[from:to]), want, low, high)
 	}
+}
+
+//imprintvet:hotpath
+func rangeBlock[V coltype.Value](blk *[BlockRows]V, want uint64, low, high V) uint64 {
+	occ, sparse := sparseOctets(want)
+	if !sparse {
+		return rangeLanes(blk, low, high)
+	}
+	var acc uint64
+	for ; occ != 0; occ &= occ - 1 {
+		at := bits.TrailingZeros64(occ)
+		o := octet(blk, at)
+		acc |= (nibble(o[0] >= low, o[1] >= low, o[2] >= low, o[3] >= low)&nibble(o[0] < high, o[1] < high, o[2] < high, o[3] < high) |
+			(nibble(o[4] >= low, o[5] >= low, o[6] >= low, o[7] >= low)&nibble(o[4] < high, o[5] < high, o[6] < high, o[7] < high))<<4) << uint(at)
+	}
+	return acc
 }
 
 //imprintvet:hotpath
@@ -591,13 +682,28 @@ func rangeLanes[V coltype.Value](blk *[BlockRows]V, low, high V) uint64 {
 }
 
 func atLeastKernel[V coltype.Value](vals []V, low V) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
-			return atLeastLanes((*[BlockRows]V)(vals[from:to]), low)
+			return atLeastBlock((*[BlockRows]V)(vals[from:to]), want, low)
 		}
 		var pad [BlockRows]V
-		return atLeastLanes(padBlock(&pad, vals[from:to]), low) & blockOnes(to-from)
+		return atLeastBlock(padBlock(&pad, vals[from:to]), want, low)
 	}
+}
+
+//imprintvet:hotpath
+func atLeastBlock[V coltype.Value](blk *[BlockRows]V, want uint64, low V) uint64 {
+	occ, sparse := sparseOctets(want)
+	if !sparse {
+		return atLeastLanes(blk, low)
+	}
+	var acc uint64
+	for ; occ != 0; occ &= occ - 1 {
+		at := bits.TrailingZeros64(occ)
+		o := octet(blk, at)
+		acc |= (nibble(o[0] >= low, o[1] >= low, o[2] >= low, o[3] >= low) | nibble(o[4] >= low, o[5] >= low, o[6] >= low, o[7] >= low)<<4) << uint(at)
+	}
+	return acc
 }
 
 //imprintvet:hotpath
@@ -610,13 +716,28 @@ func atLeastLanes[V coltype.Value](blk *[BlockRows]V, low V) uint64 {
 }
 
 func lessThanKernel[V coltype.Value](vals []V, high V) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
-			return lessThanLanes((*[BlockRows]V)(vals[from:to]), high)
+			return lessThanBlock((*[BlockRows]V)(vals[from:to]), want, high)
 		}
 		var pad [BlockRows]V
-		return lessThanLanes(padBlock(&pad, vals[from:to]), high) & blockOnes(to-from)
+		return lessThanBlock(padBlock(&pad, vals[from:to]), want, high)
 	}
+}
+
+//imprintvet:hotpath
+func lessThanBlock[V coltype.Value](blk *[BlockRows]V, want uint64, high V) uint64 {
+	occ, sparse := sparseOctets(want)
+	if !sparse {
+		return lessThanLanes(blk, high)
+	}
+	var acc uint64
+	for ; occ != 0; occ &= occ - 1 {
+		at := bits.TrailingZeros64(occ)
+		o := octet(blk, at)
+		acc |= (nibble(o[0] < high, o[1] < high, o[2] < high, o[3] < high) | nibble(o[4] < high, o[5] < high, o[6] < high, o[7] < high)<<4) << uint(at)
+	}
+	return acc
 }
 
 //imprintvet:hotpath
@@ -629,13 +750,28 @@ func lessThanLanes[V coltype.Value](blk *[BlockRows]V, high V) uint64 {
 }
 
 func equalsKernel[V coltype.Value](vals []V, v V) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
-			return equalsLanes((*[BlockRows]V)(vals[from:to]), v)
+			return equalsBlock((*[BlockRows]V)(vals[from:to]), want, v)
 		}
 		var pad [BlockRows]V
-		return equalsLanes(padBlock(&pad, vals[from:to]), v) & blockOnes(to-from)
+		return equalsBlock(padBlock(&pad, vals[from:to]), want, v)
 	}
+}
+
+//imprintvet:hotpath
+func equalsBlock[V coltype.Value](blk *[BlockRows]V, want uint64, v V) uint64 {
+	occ, sparse := sparseOctets(want)
+	if !sparse {
+		return equalsLanes(blk, v)
+	}
+	var acc uint64
+	for ; occ != 0; occ &= occ - 1 {
+		at := bits.TrailingZeros64(occ)
+		o := octet(blk, at)
+		acc |= (nibble(o[0] == v, o[1] == v, o[2] == v, o[3] == v) | nibble(o[4] == v, o[5] == v, o[6] == v, o[7] == v)<<4) << uint(at)
+	}
+	return acc
 }
 
 //imprintvet:hotpath
@@ -655,15 +791,21 @@ func inKernel[V coltype.Value](vals []V, set []V, member map[V]struct{}) blockKe
 	if len(set) <= 4 {
 		small, member = append(small, set...), nil
 	}
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
 			return inLanes((*[BlockRows]V)(vals[from:to]), small, member)
 		}
 		var pad [BlockRows]V
-		return inLanes(padBlock(&pad, vals[from:to]), small, member) & blockOnes(to-from)
+		return inLanes(padBlock(&pad, vals[from:to]), small, member)
 	}
 }
 
+// inLanes tests every lane, whatever is wanted: no served statement
+// holds an IN-list, and a loop over only the wanted lanes, paying a
+// trailing-zero count and a shift per lane, would need a cut-over of
+// its own (on the delta's member table it already lost at half a
+// block).
+//
 //imprintvet:hotpath
 func inLanes[V coltype.Value](blk *[BlockRows]V, small []V, member map[V]struct{}) uint64 {
 	var acc uint64
@@ -688,14 +830,15 @@ func inLanes[V coltype.Value](blk *[BlockRows]V, small []V, member map[V]struct{
 
 // memberKernel tests each lane's dictionary code against a membership
 // table indexed by code — how a string leaf evaluates a delta slab,
-// whose arrival-ordered codes form no interval.
+// whose arrival-ordered codes form no interval. Like inLanes, it tests
+// every lane whatever is wanted.
 func memberKernel(codes []int32, member []bool) blockKernel {
-	return func(from, to int) uint64 {
+	return func(from, to int, want uint64) uint64 {
 		if to-from == BlockRows {
 			return memberLanes((*[BlockRows]int32)(codes[from:to]), member)
 		}
 		var pad [BlockRows]int32
-		return memberLanes(padBlock(&pad, codes[from:to]), member) & blockOnes(to-from)
+		return memberLanes(padBlock(&pad, codes[from:to]), member)
 	}
 }
 
@@ -710,45 +853,45 @@ func memberLanes(blk *[BlockRows]int32, member []bool) uint64 {
 
 // ---- word-wise mask composition ----
 
-// andKernels combines child masks with word-AND, short-circuiting the
-// remaining children once the accumulator is empty.
+// andKernels combines child masks with word-AND: each child is asked
+// only for the lanes every earlier one kept, and the rest are skipped
+// once none is left.
 func andKernels(ks []blockKernel) blockKernel {
-	return func(from, to int) uint64 {
-		acc := ks[0](from, to)
-		for _, k := range ks[1:] {
-			if acc == 0 {
+	return func(from, to int, want uint64) uint64 {
+		for _, k := range ks {
+			if want == 0 {
 				return 0
 			}
-			acc &= k(from, to)
+			want &= k(from, to, want)
 		}
-		return acc
+		return want
 	}
 }
 
-// orKernels combines child masks with word-OR, short-circuiting once
-// every lane of the block is set.
+// orKernels combines child masks with word-OR: each child is asked only
+// for the lanes no earlier one set, and the rest are skipped once every
+// wanted lane is.
 func orKernels(ks []blockKernel) blockKernel {
-	return func(from, to int) uint64 {
-		full := blockOnes(to - from)
-		acc := ks[0](from, to)
-		for _, k := range ks[1:] {
-			if acc == full {
-				return acc
+	return func(from, to int, want uint64) uint64 {
+		var acc uint64
+		for _, k := range ks {
+			if want == 0 {
+				break
 			}
-			acc |= k(from, to)
+			hit := k(from, to, want) & want
+			acc, want = acc|hit, want&^hit
 		}
 		return acc
 	}
 }
 
-// andNotKernel computes p &^ q, skipping q when no p lane survives.
+// andNotKernel computes p &^ q, asking q only for the lanes p kept.
 func andNotKernel(p, q blockKernel) blockKernel {
-	return func(from, to int) uint64 {
-		acc := p(from, to)
-		if acc == 0 {
+	return func(from, to int, want uint64) uint64 {
+		if want &= p(from, to, want); want == 0 {
 			return 0
 		}
-		return acc &^ q(from, to)
+		return want &^ q(from, to, want)
 	}
 }
 
@@ -923,6 +1066,7 @@ func (t *Table) bindTree(cn *compiledNode, binds map[string]any) (*execNode, err
 type evaluated struct {
 	runs  []core.CandidateRun // in BlockRows units, segment-local
 	kern  blockKernel         // residual (nil for a match-all tree)
+	lanes candLanes           // the rows of inexact runs kern is asked about
 	plan  *PlanNode
 	owner *[]core.CandidateRun // pooled backing of runs; released by releaseEval
 	// origin is the row id (part-local) that position 0 of the runs, the
@@ -934,21 +1078,118 @@ type evaluated struct {
 	buffered       bool
 }
 
-// releaseEval returns an evaluation's pooled run buffer to the scratch
-// pool. Executors call it once the runs have been fully consumed; the
-// evaluation must not be walked afterwards.
+// releaseEval returns an evaluation's pooled run and lane buffers to
+// the scratch pools. Executors call it once the runs have been fully
+// consumed; the evaluation must not be walked afterwards.
 func releaseEval(ev *evaluated) {
 	putRunScratch(ev.owner)
 	ev.owner, ev.runs = nil, nil
+	ev.lanes.release()
+}
+
+// candLanes is a subtree's candidate lanes within one segment: the rows
+// of its inexact blocks that the imprint could not rule out, at the
+// granularity the imprint answers in. An imprint leaf holds RunsInto's
+// per-cacheline hit bitmap (vpc rows a bit); an and or an or over such
+// leaves holds one bit per row, its kids' lanes ANDed or ORed block by
+// block over its own runs; an andnot takes p's. The zero value is every
+// lane — all a scan fallback, a zonemap leaf or buffered rows know.
+// Lanes outside a subtree's runs are clear, so an or reads its kids'
+// lanes anywhere; an extra lane only costs a check, never a row.
+type candLanes struct {
+	bits  []uint64 // nil: every lane (or none, below)
+	vpc   int      // rows per bit: the imprint's values per cacheline, or 1
+	none  bool     // no lane: a subtree that matches nothing here
+	owner *[]uint64
+}
+
+// block returns the candidate lanes of the segment's block b, bit i
+// standing for the block's row i.
+//
+//imprintvet:hotpath
+func (l *candLanes) block(b int) uint64 {
+	switch {
+	case l.bits == nil:
+		if l.none {
+			return 0
+		}
+		return ^uint64(0)
+	case l.vpc == 1:
+		return l.bits[b]
+	case l.vpc == 8:
+		return octetLanes[uint8(l.bits[b>>3]>>uint(b&7*8))]
+	}
+	per := BlockRows / l.vpc // cachelines a block
+	cl := b * per
+	h := l.bits[cl>>6] >> uint(cl&63) & blockOnes(per)
+	var m uint64
+	for ; h != 0; h &= h - 1 {
+		m |= blockOnes(l.vpc) << (uint(bits.TrailingZeros64(h)) * uint(l.vpc))
+	}
+	return m
+}
+
+// octetLanes[h] sets octet k's 8 lanes for every bit k of h: the lanes
+// of a block of 8-value cachelines (8-byte values), from its hit bits.
+var octetLanes = func() (t [256]uint64) {
+	for h := range t {
+		for k := 0; k < 8; k++ {
+			if h>>k&1 != 0 {
+				t[h] |= 0xff << (8 * k)
+			}
+		}
+	}
+	return t
+}()
+
+func (l *candLanes) release() {
+	putLaneScratch(l.owner)
+	*l = candLanes{}
+}
+
+// composeLanes folds the lanes of two kids of an and (or of an or) into
+// their parent's over the parent's runs, releasing both. Every lane and
+// no lane pass through without a buffer; two bitmaps fold block by
+// block into a row bitmap of the segment's blocks, exact blocks all
+// ones and blocks outside the runs clear.
+func composeLanes(or bool, a, b candLanes, runs []core.CandidateRun, blocks int) candLanes {
+	all := func(l candLanes) bool { return l.bits == nil && !l.none }
+	switch {
+	case or && (all(a) || b.none), !or && (a.none || all(b)):
+		b.release()
+		return a
+	case or && (all(b) || a.none), !or && (b.none || all(a)):
+		a.release()
+		return b
+	}
+	buf := getLaneScratch(blocks)
+	out := *buf
+	clear(out)
+	for _, r := range runs {
+		for blk := int(r.Start); blk < int(r.Start+r.Count); blk++ {
+			switch {
+			case r.Exact:
+				out[blk] = ^uint64(0)
+			case or:
+				out[blk] = a.block(blk) | b.block(blk)
+			default:
+				out[blk] = a.block(blk) & b.block(blk)
+			}
+		}
+	}
+	a.release()
+	b.release()
+	return candLanes{bits: out, vpc: 1, owner: buf}
 }
 
 // mergeRuns composes two child run lists with merge into a fresh pooled
-// buffer and releases both children's buffers.
+// buffer and releases both children's run buffers (their lanes are the
+// caller's to compose).
 func mergeRuns(a, b *evaluated, merge func(dst, x, y []core.CandidateRun) []core.CandidateRun) ([]core.CandidateRun, *[]core.CandidateRun) {
 	buf := getRunScratch()
 	*buf = merge((*buf)[:0], a.runs, b.runs)
-	releaseEval(a)
-	releaseEval(b)
+	putRunScratch(a.owner)
+	putRunScratch(b.owner)
 	return *buf, buf
 }
 
@@ -993,6 +1234,7 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 			ev := t.evalTree(kid, s, opts, st, record)
 			kerns = append(kerns, ev.kern)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.IntersectRunsInto)
+			acc.lanes = composeLanes(false, acc.lanes, ev.lanes, acc.runs, t.segBlocks(s))
 			if record {
 				kids = append(kids, ev.plan)
 			}
@@ -1013,6 +1255,7 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 			ev := t.evalTree(kid, s, opts, st, record)
 			kerns = append(kerns, ev.kern)
 			acc.runs, acc.owner = mergeRuns(&acc, &ev, core.UnionRunsInto)
+			acc.lanes = composeLanes(true, acc.lanes, ev.lanes, acc.runs, t.segBlocks(s))
 			if record {
 				kids = append(kids, ev.plan)
 			}
@@ -1028,7 +1271,8 @@ func (t *Table) evalTree(en *execNode, s int, opts SelectOptions, st *core.Query
 		}
 		evP := t.evalTree(en.kids[0], s, opts, st, record)
 		evQ := t.evalTree(en.kids[1], s, opts, st, record)
-		out := evaluated{kern: andNotKernel(evP.kern, evQ.kern)}
+		out := evaluated{kern: andNotKernel(evP.kern, evQ.kern), lanes: evP.lanes}
+		evQ.lanes.release()
 		var plans []*PlanNode
 		if record {
 			plans = []*PlanNode{evP.plan, evQ.plan}
@@ -1077,7 +1321,7 @@ func excludes(en *execNode, s int) bool {
 // segment: no runs, and a residual that rejects every row (it is still
 // asked under or, where sibling runs may cover the segment's rows).
 func empty(plan *PlanNode) evaluated {
-	return evaluated{kern: zeroMask, plan: plan}
+	return evaluated{kern: zeroMask, lanes: candLanes{none: true}, plan: plan}
 }
 
 // excluded is the evaluation of a subtree excludes ruled out on segment
@@ -1168,14 +1412,14 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 		}
 	}
 	buf := getRunScratch()
-	runs, s1 := plan.segRuns(s, (*buf)[:0])
+	runs, lanes, s1 := plan.segRuns(s, (*buf)[:0])
 	*buf = runs
 	st.Add(s1)
 	if record {
 		node.Stats = s1
 		node.setRuns(runs)
 	}
-	return evaluated{runs: runs, kern: plan.segKernel(s), plan: node, owner: buf}
+	return evaluated{runs: runs, kern: plan.segKernel(s), lanes: lanes, plan: node, owner: buf}
 }
 
 // blockSpanRunsInto appends one run covering every block of an n-row
@@ -1340,16 +1584,14 @@ func (pl *numLeafPlan[V]) segResidual(s int) float64 {
 }
 
 //imprintvet:locks held=mu.R
-func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats) {
+func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, candLanes, core.QueryStats) {
 	seg := pl.c.segs[s]
 	if ix := seg.ix; ix != nil {
-		// The imprint answers in the executor's own unit: one verdict per
-		// BlockRows block.
-		return ix.RunsInto(dst, pl.masks(ix), BlockRows/ix.ValuesPerCacheline())
+		return imprintRuns(ix, pl.masks(ix), dst)
 	}
 	if seg.zm == nil {
 		// Scan-only segment: every block is a candidate.
-		return blockSpanRunsInto(dst, len(seg.vals), false), core.QueryStats{}
+		return blockSpanRunsInto(dst, len(seg.vals), false), candLanes{}, core.QueryStats{}
 	}
 	// A zonemap answers per zone: its run list lands in a pooled temp and
 	// is renormalized to BlockRows blocks appended into dst.
@@ -1369,13 +1611,23 @@ func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.Candid
 	}
 	vpc := seg.zm.ValuesPerZone()
 	zones := (len(seg.vals) + vpc - 1) / vpc
-	return blocksFromCachelinesInto(dst, cl, BlockRows/vpc, zones), core.QueryStats{
+	return blocksFromCachelinesInto(dst, cl, BlockRows/vpc, zones), candLanes{}, core.QueryStats{
 		Probes:            zst.Probes,
 		Comparisons:       zst.Comparisons,
 		CachelinesScanned: zst.ZonesScanned,
 		CachelinesExact:   zst.ZonesExact,
 		CachelinesSkipped: zst.ZonesSkipped,
 	}
+}
+
+// imprintRuns probes one segment imprint in the executor's own unit —
+// one verdict per BlockRows block — and keeps the per-cacheline hits
+// the same walk yields, in a pooled buffer, as the leaf's candidate
+// lanes.
+func imprintRuns[V coltype.Value](ix *core.Index[V], m core.Masks, dst []core.CandidateRun) ([]core.CandidateRun, candLanes, core.QueryStats) {
+	buf := getLaneScratch(ix.HitWords())
+	runs, st := ix.RunsInto(dst, m, BlockRows/ix.ValuesPerCacheline(), *buf)
+	return runs, candLanes{bits: *buf, vpc: ix.ValuesPerCacheline(), owner: buf}, st
 }
 
 // segKernel returns the leaf's cached selection-mask kernel for segment

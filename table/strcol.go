@@ -551,17 +551,17 @@ func (pl *strLeafPlan) deltaKernel(r segRef) blockKernel {
 }
 
 //imprintvet:locks held=mu.R
-func (pl *strLeafPlan) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, core.QueryStats) {
+func (pl *strLeafPlan) segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, candLanes, core.QueryStats) {
 	e := pl.trans(s)
 	if e.none {
-		return dst, core.QueryStats{}
+		return dst, candLanes{none: true}, core.QueryStats{}
 	}
 	seg := pl.c.segs[s]
 	if seg.ix == nil {
 		// Scan-only segment: every block is a candidate.
-		return blockSpanRunsInto(dst, seg.rows(), false), core.QueryStats{}
+		return blockSpanRunsInto(dst, seg.rows(), false), candLanes{}, core.QueryStats{}
 	}
-	return seg.ix.RunsInto(dst, e.masks(pl.kind, seg.ix), BlockRows/seg.ix.ValuesPerCacheline())
+	return imprintRuns(seg.ix, e.masks(pl.kind, seg.ix), dst)
 }
 
 // masks binds the translated leaf to the segment's code imprint.

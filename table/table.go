@@ -324,6 +324,10 @@ func (t *Table) segLen(s int) int {
 	return n
 }
 
+// segBlocks is how many BlockRows blocks segment s spans, the last
+// possibly ragged.
+func (t *Table) segBlocks(s int) int { return (t.segLen(s) + BlockRows - 1) / BlockRows }
+
 // Columns lists column names in definition order.
 func (t *Table) Columns() []string {
 	t.mu.RLock()

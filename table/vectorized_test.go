@@ -92,6 +92,70 @@ func TestComparisonsCountLiveLanes(t *testing.T) {
 	}
 }
 
+// TestPointComparisonsAreScannedCachelines pins the residual of an
+// imprint equality leaf to the cachelines the imprint marks: on a
+// sealed int64 table with no deletes, uniform values (no bin is exact,
+// so every hit cacheline is checked) and default 8-value cachelines,
+// Comparisons is CachelinesScanned × 8 — the rows of the hit cachelines,
+// not of the 64-row blocks holding them. The partial tail cacheline
+// (3 rows here) is the one exception: it counts as a cacheline but
+// holds 3 rows. The forced scan agrees on every count.
+func TestPointComparisonsAreScannedCachelines(t *testing.T) {
+	tb := vecTestTable(t, 2*DefaultSegmentRows+1003, TableOptions{})
+	col := tb.cols["v"].(*colState[int64])
+	rng := rand.New(rand.NewPCG(3, 4))
+	const vpc, tail = 8, 3
+	for range 20 {
+		v := col.segs[rng.IntN(len(col.segs))].vals[rng.IntN(1000)]
+		n, st, err := tb.Select().Where(Equals("v", v)).Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CachelinesExact != 0 || st.CachelinesScanned == 0 {
+			t.Fatalf("v = %d: %+v, want scanned cachelines and no exact one", v, st)
+		}
+		if missing := st.CachelinesScanned*vpc - st.Comparisons; missing != 0 && missing != vpc-tail {
+			t.Errorf("v = %d: %d comparisons for %d scanned cachelines of %d values (the tail one of %d)",
+				v, st.Comparisons, st.CachelinesScanned, vpc, tail)
+		}
+		scanned, _, err := tb.Select().Where(Equals("v", v)).Options(SelectOptions{ScanThreshold: 1e-9}).Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != scanned || n == 0 {
+			t.Fatalf("v = %d: probe counts %d, scan %d", v, n, scanned)
+		}
+	}
+}
+
+// BenchmarkPointCount times Count(v = x) over 16 × 64K-row segments of
+// uniform int64 values, the paper's worst case for an imprint: the
+// probe keeps most 64-row blocks, and the residual checks only their
+// hit cachelines. scan is the same query at ScanThreshold 1e-9, which
+// skips every probe and checks every row: the probe-vs-scan frontier
+// at one point. Serial, so ns/op is one core's work; comparisons/op is
+// the residual's live lanes.
+func BenchmarkPointCount(b *testing.B) {
+	tb := vecTestTable(b, 16*DefaultSegmentRows, TableOptions{})
+	vals := tb.cols["v"].(*colState[int64]).segs[3].vals
+	for _, c := range []struct {
+		name string
+		opts SelectOptions
+	}{{"probe", SelectOptions{Parallelism: 1}}, {"scan", SelectOptions{Parallelism: 1, ScanThreshold: 1e-9}}} {
+		b.Run(c.name, func(b *testing.B) {
+			var cmp uint64
+			for i := 0; i < b.N; i++ {
+				_, st, err := tb.Select().Where(Equals("v", vals[i%1024*61])).Options(c.opts).Count()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cmp += st.Comparisons
+			}
+			b.ReportMetric(float64(cmp)/float64(b.N), "comparisons/op")
+		})
+	}
+}
+
 // TestAutoSealedSegmentsStayVectorized: under AutoSeal ingest the
 // sealed segments keep answering through the block kernels while the
 // delta store holds rows, and once the buffered rows are sealed every
@@ -469,7 +533,11 @@ func leafHolds[V coltype.Value](p *leafPred, v V) bool {
 // both ending the slab — a segment's tail — and followed by further rows
 // — a delta stretch cut inside its vector — where an unmasked lane
 // would show as a qualifying row past the block. vals holds 3*BlockRows
-// values; the second block is the one evaluated.
+// values; the second block is the one evaluated. Every block is asked
+// for each of oracleWants' lane sets, and only the wanted lanes are
+// compared: kern(from, to, want) & want must equal the reference & want.
+// The And, Or and AndNot combinators run the same way over each pair of
+// neighbouring leaves.
 func kernelOracle[V coltype.Value](t *testing.T, vals []V, bounds []V) {
 	t.Helper()
 	c := &colState[V]{name: "v", segs: []*segment[V]{{vals: vals}}}
@@ -486,32 +554,78 @@ func kernelOracle[V coltype.Value](t *testing.T, vals []V, bounds []V) {
 			&leafPred{col: "v", kind: kindIn, low: append([]V{lo, hi}, vals[:7]...)}, // probed in the member map
 		)
 	}
-	for _, leaf := range leaves {
-		p, err := c.compileLeaf(leaf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl := p.(*numLeafPlan[V])
-		for _, slab := range [][]V{vals[:2*BlockRows], vals} {
-			for n := 1; n <= BlockRows; n++ {
-				from := BlockRows
-				cut := slab[: from+n : from+n]
-				if len(slab) > 2*BlockRows {
-					cut = slab // rows past the block stay readable
-				}
-				var want uint64
+	rng := rand.New(rand.NewPCG(uint64(len(bounds)), 41))
+	vpc := 64 / coltype.Width[V]()
+	for _, slab := range [][]V{vals[:2*BlockRows], vals} {
+		for n := 1; n <= BlockRows; n++ {
+			from := BlockRows
+			cut := slab[: from+n : from+n]
+			if len(slab) > 2*BlockRows {
+				cut = slab // rows past the block stay readable
+			}
+			refs := make([]uint64, len(leaves))
+			kerns := make([]blockKernel, len(leaves))
+			for l, leaf := range leaves {
 				for i := 0; i < n; i++ {
 					if leafHolds(leaf, slab[from+i]) {
-						want |= 1 << uint(i)
+						refs[l] |= 1 << uint(i)
 					}
 				}
-				if got := pl.kernel(cut)(from, from+n); got != want {
-					t.Fatalf("%T %s, %d-row block, slab of %d: kernel %064b\nreference             %064b",
-						vals[0], leaf.describe(nil), n, len(cut), got, want)
+				p, err := c.compileLeaf(leaf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kerns[l] = p.(*numLeafPlan[V]).kernel(cut)
+			}
+			for _, want := range oracleWants(rng, n, vpc) {
+				for l, leaf := range leaves {
+					if got := kerns[l](from, from+n, want) & want; got != refs[l]&want {
+						t.Fatalf("%T %s, %d-row block, slab of %d, want %064b: kernel %064b\nreference             %064b",
+							vals[0], leaf.describe(nil), n, len(cut), want, got, refs[l]&want)
+					}
+					p, q := kerns[l], kerns[(l+1)%len(kerns)]
+					rp, rq := refs[l], refs[(l+1)%len(refs)]
+					for _, comb := range []struct {
+						name string
+						k    blockKernel
+						ref  uint64
+					}{
+						{"and", andKernels([]blockKernel{p, q}), rp & rq},
+						{"or", orKernels([]blockKernel{p, q}), rp | rq},
+						{"andnot", andNotKernel(p, q), rp &^ rq},
+					} {
+						if got := comb.k(from, from+n, want) & want; got != comb.ref&want {
+							t.Fatalf("%T %s of %s and its neighbour, %d-row block, want %064b: kernel %064b\nreference %064b",
+								vals[0], comb.name, leaf.describe(nil), n, want, got, comb.ref&want)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// oracleWants is the lane sets kernelOracle asks an n-row block for:
+// none, every lane, each cacheline of vpc values alone, each octet
+// alone, and random sets — within 1 to 5 random octets, across the
+// octet-by-octet path's bound, and over the whole block.
+func oracleWants(rng *rand.Rand, n, vpc int) []uint64 {
+	all := blockOnes(n)
+	wants := []uint64{0, all}
+	for at := 0; at < n; at += vpc {
+		wants = append(wants, blockOnes(vpc)<<uint(at)&all)
+	}
+	for at := 0; at < n; at += 8 {
+		wants = append(wants, 0xff<<uint(at)&all)
+	}
+	for octets := 1; octets <= 5; octets++ {
+		var span uint64
+		for _, k := range rng.Perm(8)[:octets] {
+			span |= 0xff << uint(8*k)
+		}
+		wants = append(wants, rng.Uint64()&span&all, span&all)
+	}
+	return append(wants, rng.Uint64()&all, rng.Uint64()&rng.Uint64()&all)
 }
 
 // TestLeafKernelsMatchScalarChecks runs kernelOracle over all ten
@@ -576,14 +690,16 @@ func TestLeafKernelsMatchScalarChecks(t *testing.T) {
 		}
 		k := memberKernel(codes, member)
 		for n := 1; n <= BlockRows; n++ {
-			var want uint64
+			var ref uint64
 			for i := 0; i < n; i++ {
 				if member[codes[BlockRows+i]] {
-					want |= 1 << uint(i)
+					ref |= 1 << uint(i)
 				}
 			}
-			if got := k(BlockRows, BlockRows+n); got != want {
-				t.Fatalf("%d-row block: kernel %064b\nmember table      %064b", n, got, want)
+			for _, want := range oracleWants(rng, n, 16) {
+				if got := k(BlockRows, BlockRows+n, want) & want; got != ref&want {
+					t.Fatalf("%d-row block, want %064b: kernel %064b\nmember table      %064b", n, want, got, ref&want)
+				}
 			}
 		}
 	})
@@ -675,7 +791,12 @@ func planKernel[V coltype.Value](tb testing.TB, vals []V, kind leafKind, low, hi
 // 37-row blocks (the padded tail every segment or delta stretch can end
 // in — one block per unit, so its higher per-row cost is noise). Each
 // kernel is the one the table dispatches to for the leaf;
-// intRange/codes is a string leaf's, over int32 dictionary codes.
+// intRange/codes is a string leaf's, over int32 dictionary codes. The
+// want axis is the lanes each block is asked for: one cacheline of the
+// slab's values (what equality leaves on a uniform column), every other
+// cacheline (half the block: the most the octet-by-octet path takes),
+// or the whole block (the 64-lane body). ns/row counts every row of the
+// block, wanted or not.
 func BenchmarkLeafKernels(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewPCG(21, 22))
@@ -693,32 +814,44 @@ func BenchmarkLeafKernels(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name string
+		vpc  int // values per cacheline of the slab
 		k    blockKernel
 	}{
-		{"intRange", planKernel(b, ints, kindRange, int64(450_000), int64(550_000))},
-		{"intRange/codes", intRangeKernel(codes, 16, 40)},
-		{"range", planKernel(b, floats, kindRange, 450.0, 550.0)},
-		{"atLeast", planKernel(b, ints, kindAtLeast, int64(900_000), nil)},
-		{"lessThan", planKernel(b, floats, kindLessThan, nil, 100.0)},
-		{"equals", planKernel(b, ints, kindEquals, int64(123_456), nil)},
-		{"in/small", planKernel(b, ints, kindIn, big[:3], nil)},
-		{"in/map", planKernel(b, ints, kindIn, big, nil)},
-		{"member", memberKernel(codes, evens)},
+		{"intRange", 8, planKernel(b, ints, kindRange, int64(450_000), int64(550_000))},
+		{"intRange/codes", 16, intRangeKernel(codes, 16, 40)},
+		{"range", 8, planKernel(b, floats, kindRange, 450.0, 550.0)},
+		{"atLeast", 8, planKernel(b, ints, kindAtLeast, int64(900_000), nil)},
+		{"lessThan", 8, planKernel(b, floats, kindLessThan, nil, 100.0)},
+		{"equals", 8, planKernel(b, ints, kindEquals, int64(123_456), nil)},
+		{"in/small", 8, planKernel(b, ints, kindIn, big[:3], nil)},
+		{"in/map", 8, planKernel(b, ints, kindIn, big, nil)},
+		{"member", 16, memberKernel(codes, evens)},
 	} {
+		line := blockOnes(c.vpc)
+		var half uint64
+		for at := 0; at < BlockRows; at += 2 * c.vpc {
+			half |= line << uint(at)
+		}
 		for _, w := range []struct {
 			name string
 			rows int
 		}{{"full", BlockRows}, {"ragged", 37}} {
-			b.Run(c.name+"/"+w.name, func(b *testing.B) {
-				var acc uint64
-				for i := 0; i < b.N; i++ {
-					for from := 0; from < n; from += BlockRows {
-						acc += c.k(from, from+w.rows)
+			for _, x := range []struct {
+				name string
+				want uint64
+			}{{"one-line", line}, {"half", half}, {"all", ^uint64(0)}} {
+				want := x.want & blockOnes(w.rows)
+				b.Run(c.name+"/"+w.name+"/want="+x.name, func(b *testing.B) {
+					var acc uint64
+					for i := 0; i < b.N; i++ {
+						for from := 0; from < n; from += BlockRows {
+							acc += c.k(from, from+w.rows, want)
+						}
 					}
-				}
-				kernSink = acc
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n/BlockRows*w.rows), "ns/row")
-			})
+					kernSink = acc
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n/BlockRows*w.rows), "ns/row")
+				})
+			}
 		}
 	}
 }
