@@ -1,10 +1,10 @@
 package imprints
 
-// One benchmark per table and figure of the paper (see DESIGN.md §5 for
-// the experiment index) plus ablations over the design choices. The
-// figure-level text renderings live in cmd/imprintbench; these benches
-// regenerate the same quantities under `go test -bench` with stable
-// timing, reporting the paper's metrics via b.ReportMetric.
+// Ablations over the design choices, plus Section 4.1's append, the
+// table predicate engine and serialization, under `go test -bench`. The
+// paper's tables and figures are measured by the experiment harness
+// (cmd/imprintbench -exp table1,fig3,...,fig11), gated by its paper
+// counts test, not here.
 
 import (
 	"bytes"
@@ -12,33 +12,25 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/harness"
-	"repro/internal/scan"
-	"repro/internal/wah"
-	"repro/internal/workload"
-	"repro/internal/zonemap"
 	"repro/table"
 )
-
-const benchScale = 0.1 // dataset scale for harness-level benches
 
 // Shared fixtures, built once.
 var fixtures struct {
 	once      sync.Once
-	clustered []int64 // 1M-row random walk (the "secondary data" regime)
-	random    []int64 // 1M-row uniform (the high-entropy regime)
-	queries   map[float64][]workload.Query[int64]
+	clustered []int64                // 1M-row random walk (the "secondary data" regime)
+	random    []int64                // 1M-row uniform (the high-entropy regime)
+	queries   []harness.Query[int64] // 10% ranges over clustered
 }
 
 func fx() *struct {
 	once      sync.Once
 	clustered []int64
 	random    []int64
-	queries   map[float64][]workload.Query[int64]
+	queries   []harness.Query[int64]
 } {
 	fixtures.once.Do(func() {
 		const n = 1 << 20
@@ -53,269 +45,10 @@ func fx() *struct {
 		for i := range fixtures.random {
 			fixtures.random[i] = rng.Int64N(1 << 40)
 		}
-		fixtures.queries = map[float64][]workload.Query[int64]{}
-		for _, sel := range []float64{0.1, 0.5, 0.9} {
-			fixtures.queries[sel] = workload.Ranges(fixtures.clustered, []float64{sel}, 4, 7)
-		}
+		fixtures.queries = harness.Ranges(fixtures.clustered, []float64{0.1}, 4, 7)
 	})
 	return &fixtures
 }
-
-// BenchmarkTable1Datasets measures dataset generation and reports the
-// Table 1 statistics as metrics.
-func BenchmarkTable1Datasets(b *testing.B) {
-	var bytes int64
-	var cols int
-	for i := 0; i < b.N; i++ {
-		bytes, cols = 0, 0
-		for _, d := range dataset.All(dataset.Config{Scale: benchScale, Seed: 1}) {
-			bytes += d.SizeBytes()
-			cols += len(d.Columns)
-		}
-	}
-	b.ReportMetric(float64(bytes)/(1<<20), "MB")
-	b.ReportMetric(float64(cols), "columns")
-}
-
-// BenchmarkFig3Entropy measures imprint construction plus entropy
-// computation on the five representative Figure 3 columns.
-func BenchmarkFig3Entropy(b *testing.B) {
-	sets := dataset.All(dataset.Config{Scale: benchScale, Seed: 1})
-	for _, d := range sets {
-		c := d.Column(d.Representative)
-		b.Run(d.Name, func(b *testing.B) {
-			var e float64
-			for i := 0; i < b.N; i++ {
-				run := harness.MeasureColumn(d.Name, c, harness.Config{Seed: 1}, false, 0)
-				e = run.Entropy
-			}
-			b.ReportMetric(e, "entropy")
-		})
-	}
-}
-
-// BenchmarkFig4EntropyCDF measures the full entropy sweep across all
-// dataset columns and reports the share of low-entropy columns.
-func BenchmarkFig4EntropyCDF(b *testing.B) {
-	var low, total int
-	for i := 0; i < b.N; i++ {
-		runs := harness.MeasureAll(harness.Config{Scale: 0.02, Seed: 1}, false)
-		low, total = 0, len(runs)
-		for _, r := range runs {
-			if r.Entropy < 0.4 {
-				low++
-			}
-		}
-	}
-	b.ReportMetric(float64(low)/float64(total), "fracE<0.4")
-}
-
-// BenchmarkFig5Construction measures index creation time per value for
-// each index type over the two data regimes (Figure 5's bottom row; the
-// sizes of its top row are reported as bytes/value metrics).
-func BenchmarkFig5Construction(b *testing.B) {
-	f := fx()
-	regimes := map[string][]int64{"clustered": f.clustered, "random": f.random}
-	for name, col := range regimes {
-		b.Run("imprints/"+name, func(b *testing.B) {
-			b.SetBytes(int64(len(col)) * 8)
-			var sz int64
-			for i := 0; i < b.N; i++ {
-				ix := core.Build(col, core.Options{Seed: 1})
-				sz = ix.SizeBytes()
-			}
-			b.ReportMetric(float64(sz)*8/float64(len(col)), "idxbits/val")
-		})
-		b.Run("zonemap/"+name, func(b *testing.B) {
-			b.SetBytes(int64(len(col)) * 8)
-			var sz int64
-			for i := 0; i < b.N; i++ {
-				ix := zonemap.Build(col, zonemap.Options{})
-				sz = ix.SizeBytes()
-			}
-			b.ReportMetric(float64(sz)*8/float64(len(col)), "idxbits/val")
-		})
-		b.Run("wah/"+name, func(b *testing.B) {
-			b.SetBytes(int64(len(col)) * 8)
-			var sz int64
-			for i := 0; i < b.N; i++ {
-				ix := wah.Build(col, wah.Options{Seed: 1})
-				sz = ix.SizeBytes()
-			}
-			b.ReportMetric(float64(sz)*8/float64(len(col)), "idxbits/val")
-		})
-	}
-}
-
-// BenchmarkFig6SizeOverhead reports index size as % of column size per
-// dataset (built once per iteration over the generated datasets).
-func BenchmarkFig6SizeOverhead(b *testing.B) {
-	var imp, zm, wh, colBytes int64
-	for i := 0; i < b.N; i++ {
-		imp, zm, wh, colBytes = 0, 0, 0, 0
-		for _, r := range harness.MeasureAll(harness.Config{Scale: 0.02, Seed: 1}, false) {
-			imp += r.Imprints.SizeBytes
-			zm += r.Zonemap.SizeBytes
-			wh += r.WAH.SizeBytes
-			colBytes += r.ColBytes
-		}
-	}
-	b.ReportMetric(100*float64(imp)/float64(colBytes), "imprints%")
-	b.ReportMetric(100*float64(zm)/float64(colBytes), "zonemap%")
-	b.ReportMetric(100*float64(wh)/float64(colBytes), "wah%")
-}
-
-// BenchmarkFig7OverheadVsEntropy contrasts the storage overhead of
-// imprints vs WAH on a low-entropy and a high-entropy column — the
-// paper's robustness headline (imprints ≤ ~12% everywhere, WAH up to
-// ~100% at high entropy).
-func BenchmarkFig7OverheadVsEntropy(b *testing.B) {
-	f := fx()
-	for name, col := range map[string][]int64{"lowE": f.clustered, "highE": f.random} {
-		b.Run(name, func(b *testing.B) {
-			var impPct, wahPct, e float64
-			for i := 0; i < b.N; i++ {
-				ix := core.Build(col, core.Options{Seed: 1})
-				wb := wah.BuildWithHistogram(col, ix.Histogram())
-				colBytes := float64(len(col) * 8)
-				impPct = 100 * float64(ix.SizeBytes()) / colBytes
-				wahPct = 100 * float64(wb.SizeBytes()) / colBytes
-				e = ix.Entropy()
-			}
-			b.ReportMetric(e, "entropy")
-			b.ReportMetric(impPct, "imprints%")
-			b.ReportMetric(wahPct, "wah%")
-		})
-	}
-}
-
-// BenchmarkFig8Query measures range query latency per evaluator and
-// selectivity step over the 1M-row clustered column.
-func BenchmarkFig8Query(b *testing.B) {
-	f := fx()
-	col := f.clustered
-	imp := core.Build(col, core.Options{Seed: 1})
-	zm := zonemap.Build(col, zonemap.Options{})
-	wb := wah.BuildWithHistogram(col, imp.Histogram())
-	res := make([]uint32, 0, len(col))
-	for _, sel := range []float64{0.1, 0.5, 0.9} {
-		qs := f.queries[sel]
-		b.Run(fmt.Sprintf("scan/sel%.1f", sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				res, _ = scan.RangeIDs(col, q.Low, q.High, res[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("imprints/sel%.1f", sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				res, _ = imp.RangeIDs(q.Low, q.High, res[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("zonemap/sel%.1f", sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				res, _ = zm.RangeIDs(q.Low, q.High, res[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("wah/sel%.1f", sel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				res, _ = wb.RangeIDs(q.Low, q.High, res[:0])
-			}
-		})
-	}
-}
-
-// BenchmarkFig9QueryCDF runs the full ten-step selectivity workload per
-// iteration and reports how many of the 10 queries each evaluator
-// finished under 1ms — the Figure 9 cumulative view in miniature.
-func BenchmarkFig9QueryCDF(b *testing.B) {
-	f := fx()
-	col := f.clustered
-	imp := core.Build(col, core.Options{Seed: 1})
-	qs := workload.Ranges(col, workload.DefaultSelectivities(), 1, 3)
-	res := make([]uint32, 0, len(col))
-	var fast float64
-	for i := 0; i < b.N; i++ {
-		fast = 0
-		for _, q := range qs {
-			start := testingNano()
-			res, _ = imp.RangeIDs(q.Low, q.High, res[:0])
-			if testingNano()-start < 1e6 {
-				fast++
-			}
-		}
-	}
-	b.ReportMetric(fast, "queries<1ms/10")
-}
-
-// BenchmarkFig10Improvement reports the imprint improvement factor over
-// scan and zonemap at high selectivity (the paper reports up to ~1000x
-// over scan, ~100x over zonemap). The best case is time-ordered data —
-// a column that is nearly sorted with local noise — where a narrow value
-// band maps to a handful of cacheline runs.
-func BenchmarkFig10Improvement(b *testing.B) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	col := make([]int64, 1<<20)
-	for i := range col {
-		col[i] = int64(i)*20 + int64(rng.IntN(2000)) // ordered + noise
-	}
-	imp := core.Build(col, core.Options{Seed: 1})
-	zm := zonemap.Build(col, zonemap.Options{})
-	// A very selective query: 0.1% of the domain.
-	qs := workload.Ranges(col, []float64{0.001}, 4, 9)
-	res := make([]uint32, 0, len(col))
-	var scanNs, impNs, zmNs int64
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		t0 := testingNano()
-		res, _ = scan.RangeIDs(col, q.Low, q.High, res[:0])
-		t1 := testingNano()
-		res, _ = imp.RangeIDs(q.Low, q.High, res[:0])
-		t2 := testingNano()
-		res, _ = zm.RangeIDs(q.Low, q.High, res[:0])
-		t3 := testingNano()
-		scanNs += t1 - t0
-		impNs += t2 - t1
-		zmNs += t3 - t2
-	}
-	if impNs > 0 {
-		b.ReportMetric(float64(scanNs)/float64(impNs), "scan/imprints")
-		b.ReportMetric(float64(zmNs)/float64(impNs), "zonemap/imprints")
-	}
-}
-
-// BenchmarkFig11ProbesComparisons reports the normalized probe and
-// comparison counts of the three indexes for a 0.4-0.5 selectivity
-// query (Figure 11's two panels).
-func BenchmarkFig11ProbesComparisons(b *testing.B) {
-	f := fx()
-	col := f.random // high-entropy regime, the interesting case
-	imp := core.Build(col, core.Options{Seed: 1})
-	zm := zonemap.Build(col, zonemap.Options{})
-	wb := wah.BuildWithHistogram(col, imp.Histogram())
-	qs := workload.Ranges(col, []float64{0.45}, 2, 5)
-	res := make([]uint32, 0, len(col))
-	rows := float64(len(col))
-	var ist core.QueryStats
-	var zst zonemap.QueryStats
-	var wst wah.QueryStats
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		res, ist = imp.RangeIDs(q.Low, q.High, res[:0])
-		res, zst = zm.RangeIDs(q.Low, q.High, res[:0])
-		res, wst = wb.RangeIDs(q.Low, q.High, res[:0])
-	}
-	b.ReportMetric(float64(ist.Probes)/rows, "imp-probes/row")
-	b.ReportMetric(float64(zst.Probes)/rows, "zm-probes/row")
-	b.ReportMetric(float64(wst.Probes)/rows, "wah-probes/row")
-	b.ReportMetric(float64(ist.Comparisons)/rows, "imp-cmps/row")
-	b.ReportMetric(float64(zst.Comparisons)/rows, "zm-cmps/row")
-	b.ReportMetric(float64(wst.Comparisons)/rows, "wah-cmps/row")
-}
-
-// ---- Ablation benches over DESIGN.md's design choices ----
 
 // BenchmarkAblationBinning contrasts Algorithm 2's dedup binning with
 // the prose variant that counts duplicate sample values: comparisons
@@ -333,7 +66,7 @@ func BenchmarkAblationBinning(b *testing.B) {
 	for name, dup := range map[string]bool{"dedup": false, "dupcount": true} {
 		b.Run(name, func(b *testing.B) {
 			ix := core.Build(col, core.Options{Seed: 1, CountDuplicates: dup})
-			qs := workload.Ranges(col, []float64{0.2}, 4, 3)
+			qs := harness.Ranges(col, []float64{0.2}, 4, 3)
 			res := make([]uint32, 0, len(col))
 			var st core.QueryStats
 			for i := 0; i < b.N; i++ {
@@ -350,7 +83,7 @@ func BenchmarkAblationBinning(b *testing.B) {
 func BenchmarkAblationGranularity(b *testing.B) {
 	f := fx()
 	col := f.clustered
-	qs := f.queries[0.1]
+	qs := f.queries
 	for _, vpc := range []int{8, 16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("vpc%d", vpc), func(b *testing.B) {
 			ix := core.Build(col, core.Options{Seed: 1, ValuesPerCacheline: vpc})
@@ -371,7 +104,7 @@ func BenchmarkAblationTwoLevel(b *testing.B) {
 	col := f.clustered
 	base := core.Build(col, core.Options{Seed: 1})
 	tl := core.NewTwoLevel(base, 64)
-	qs := workload.Ranges(col, []float64{0.01}, 4, 13)
+	qs := harness.Ranges(col, []float64{0.01}, 4, 13)
 	res := make([]uint32, 0, len(col))
 	b.Run("flat", func(b *testing.B) {
 		var st core.QueryStats
@@ -391,21 +124,6 @@ func BenchmarkAblationTwoLevel(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelBuild sweeps worker counts for index
-// construction (Section 7 extension).
-func BenchmarkAblationParallelBuild(b *testing.B) {
-	f := fx()
-	col := f.random
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(col)) * 8)
-			for i := 0; i < b.N; i++ {
-				core.BuildParallel(col, core.Options{Seed: 1}, workers)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLateMaterialization contrasts evaluating a two-column
 // conjunction naively (materialize both, intersect) with the candidate
 // cacheline merge-join of Section 3.
@@ -415,8 +133,8 @@ func BenchmarkAblationLateMaterialization(b *testing.B) {
 	c := f.random
 	ixA := core.Build(a, core.Options{Seed: 1})
 	ixC := core.Build(c, core.Options{Seed: 2})
-	qa := workload.Ranges(a, []float64{0.1}, 1, 3)[0]
-	qc := workload.Ranges(c, []float64{0.1}, 1, 3)[0]
+	qa := harness.Ranges(a, []float64{0.1}, 1, 3)[0]
+	qc := harness.Ranges(c, []float64{0.1}, 1, 3)[0]
 	b.Run("naive", func(b *testing.B) {
 		r1 := make([]uint32, 0, len(a))
 		r2 := make([]uint32, 0, len(a))
@@ -435,9 +153,6 @@ func BenchmarkAblationLateMaterialization(b *testing.B) {
 		}
 	})
 }
-
-// testingNano is a monotonic-enough clock for intra-benchmark deltas.
-func testingNano() int64 { return time.Now().UnixNano() }
 
 func intersectSorted(a, b []uint32) int {
 	i, j, n := 0, 0, 0
@@ -511,8 +226,8 @@ func BenchmarkTableSelect(b *testing.B) {
 	if err := table.AddColumn(tb, "status", status, table.NoIndex, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
-	q := workload.Ranges(qty, []float64{0.05}, 1, 3)[0]
-	p := workload.Ranges(price, []float64{0.2}, 1, 4)[0]
+	q := harness.Ranges(qty, []float64{0.05}, 1, 3)[0]
+	p := harness.Ranges(price, []float64{0.2}, 1, 4)[0]
 	pred := table.And(
 		table.Range[int64]("qty", q.Low, q.High),
 		table.Range[int64]("price", p.Low, p.High),

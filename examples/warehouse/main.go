@@ -4,8 +4,7 @@
 // codes live in a dictionary-encoded string column, point updates widen
 // the covering vectors until the saturation heuristic fires, Maintain
 // rebuilds, and the whole table round-trips through its binary
-// serialization for reuse across restarts. The query-time delta
-// structure of Section 4.2 remains available on the raw index facade.
+// serialization for reuse across restarts.
 package main
 
 import (
@@ -106,19 +105,7 @@ func main() {
 	fmt.Printf("maintenance: %s\n", rep)
 	stats, err = tb.IndexStats("delay")
 	must(err)
-	fmt.Printf("mean saturation after rebuild: %.3f\n", stats.Saturation)
-
-	// Alternatively, corrections can stay out of the index entirely via
-	// the query-time delta of Section 4.2 (raw facade, whole column).
-	col, err := table.Column[int16](tb, "delay")
-	must(err)
-	ix := imprints.Build(col, imprints.Options{Seed: 5})
-	delta := imprints.NewDelta[int16]()
-	for u := 0; u < 5_000; u++ {
-		delta.Update(uint32(rng.IntN(len(col))), int16(rng.IntN(600)-60))
-	}
-	ids2, _ := ix.RangeIDsDelta(180, 600, delta, nil)
-	fmt.Printf("with a 5000-entry query-time delta: %d flights in [180,600)\n\n", len(ids2))
+	fmt.Printf("mean saturation after rebuild: %.3f\n\n", stats.Saturation)
 
 	// Persist and reload the whole table (indexes travel along).
 	var buf bytes.Buffer

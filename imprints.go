@@ -36,15 +36,27 @@
 //	p, _ := t.Prepare(pred, table.SelectOptions{})
 //	ids, _, _ := p.Bind("lo", int64(40)).Bind("hi", int64(90)).IDs()
 //
-// The free functions below remain stable thin wrappers over the
-// internal packages, so existing raw-index callers keep working.
+// # The frozen paper API
 //
-// The package also exposes the paper's comparator structures — zonemaps
-// (BuildZonemap) and bit-binned WAH bitmaps (BuildWAH) — plus a
-// sequential scan (ScanRange), so applications can benchmark all four on
-// their own data, and the supporting machinery: column entropy
-// (Index.Entropy), delta-update merging, parallel and two-level builds,
-// and binary serialization.
+// The facade is the paper's API and stays this size; each name is a thin
+// wrapper or alias over the internal packages:
+//
+//   - Algorithm 1, the build: Build, plus ReadIndex and Index.Write for
+//     binary images.
+//   - Algorithm 3, the probes: Index.RangeIDs, RangeIDsClosed, AtLeast,
+//     LessThan, PointIDs, InSetIDs, CountRange and the Range iterator,
+//     with the candidate cachelines they walk (Index.RangeCachelines).
+//   - Section 3, late-materialized conjunctions: NewRangeConjunct,
+//     EvaluateAnd, IntersectRuns and TotalRunCachelines.
+//   - Section 4.1 append (Index.Append) and Section 4.2 update marking
+//     (Index.MarkUpdated, Saturation, NeedsRebuild).
+//   - The comparators of Section 6: zonemaps (BuildZonemap), bit-binned
+//     WAH bitmaps (BuildWAH, BuildWAHShared) and a sequential scan
+//     (ScanRange), so applications can measure all four on their own
+//     data; column entropy and imprint prints (Index.Entropy,
+//     Fingerprint) for Figures 3 and 4.
+//   - The multi-level extension (NewTwoLevel) and string columns
+//     (EncodeStrings, BuildStringIndex).
 //
 // All types are generic over the fixed-width value types in Value;
 // strings are supported through dictionary encoding (EncodeStrings).
@@ -95,10 +107,6 @@ type TwoLevel[V Value] = core.TwoLevel[V]
 // WAH comparator.
 type Histogram[V Value] = histogram.Histogram[V]
 
-// Delta is the query-time update structure of Section 4.2 (insert and
-// delete tables merged into index results).
-type Delta[V Value] = column.Delta[V]
-
 // StringDict is a dictionary-encoded string column: build indexes over
 // Codes() and translate string ranges with CodeRange.
 type StringDict = column.StringDict
@@ -110,13 +118,6 @@ var ErrCorrupt = core.ErrCorrupt
 // paper). It panics on an empty column.
 func Build[V Value](col []V, opts Options) *Index[V] {
 	return core.Build(col, opts)
-}
-
-// BuildParallel constructs the same index as Build using the given
-// number of worker goroutines; the result is bit-identical to the
-// sequential build.
-func BuildParallel[V Value](col []V, opts Options, workers int) *Index[V] {
-	return core.BuildParallel(col, opts, workers)
 }
 
 // NewTwoLevel adds a second summary level over an existing index;
@@ -144,34 +145,12 @@ func EvaluateAnd(res []uint32, conjs ...Conjunct) ([]uint32, QueryStats) {
 	return core.EvaluateAnd(res, conjs...)
 }
 
-// EvaluateOr evaluates a disjunction of range predicates with late
-// materialization (candidate lists unioned before fetching values).
-func EvaluateOr(res []uint32, conjs ...Conjunct) ([]uint32, QueryStats) {
-	return core.EvaluateOr(res, conjs...)
-}
-
-// EvaluateAndNot evaluates "p AND NOT q" with late materialization
-// (Section 4.2's inter-column difference applied to candidate lists).
-func EvaluateAndNot(res []uint32, p, q Conjunct) ([]uint32, QueryStats) {
-	return core.EvaluateAndNot(res, p, q)
-}
-
-// IntersectRuns, UnionRuns and DiffRuns compose candidate cacheline
-// lists for custom evaluation strategies.
+// IntersectRuns merge-joins two candidate cacheline lists, the step
+// EvaluateAnd takes between conjuncts.
 func IntersectRuns(a, b []CandidateRun) []CandidateRun { return core.IntersectRuns(a, b) }
-
-// UnionRuns merges candidate lists for disjunctions; see IntersectRuns.
-func UnionRuns(a, b []CandidateRun) []CandidateRun { return core.UnionRuns(a, b) }
-
-// DiffRuns subtracts candidate lists for negations; see IntersectRuns.
-func DiffRuns(a, b []CandidateRun) []CandidateRun { return core.DiffRuns(a, b) }
 
 // TotalRunCachelines sums the cachelines covered by a candidate list.
 func TotalRunCachelines(runs []CandidateRun) uint64 { return core.TotalCachelines(runs) }
-
-// NewDelta returns an empty update delta for use with
-// Index.RangeIDsDelta.
-func NewDelta[V Value]() *Delta[V] { return column.NewDelta[V]() }
 
 // EncodeStrings dictionary-encodes a string attribute into an int32 code
 // column (codes are ordered like the strings, so string ranges map to

@@ -59,19 +59,13 @@ func TestFacadeComparators(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelAndTwoLevel(t *testing.T) {
+func TestFacadeTwoLevel(t *testing.T) {
 	col := mkCol(20000, 3)
-	seq := Build(col, Options{Seed: 1})
-	par := BuildParallel(col, Options{Seed: 1}, 4)
-	a, _ := seq.RangeIDs(1<<20, 1<<20+500, nil)
-	b, _ := par.RangeIDs(1<<20, 1<<20+500, nil)
-	if len(a) != len(b) {
-		t.Fatal("parallel facade build differs")
-	}
-	tl := NewTwoLevel(seq, 16)
-	c, _ := tl.RangeIDs(1<<20, 1<<20+500, nil)
-	if len(c) != len(a) {
-		t.Fatal("two-level facade differs")
+	want, _ := ScanRange(col, 1<<20, 1<<20+500, nil)
+	tl := NewTwoLevel(Build(col, Options{Seed: 1}), 16)
+	got, _ := tl.RangeIDs(1<<20, 1<<20+500, nil)
+	if len(got) != len(want) {
+		t.Fatalf("two-level facade: %d ids, scan %d", len(got), len(want))
 	}
 }
 
@@ -119,25 +113,6 @@ func TestFacadeConjunction(t *testing.T) {
 	}
 }
 
-func TestFacadeDelta(t *testing.T) {
-	col := mkCol(3000, 6)
-	ix := Build(col, Options{Seed: 1})
-	d := NewDelta[int64]()
-	d.Delete(0)
-	d.Insert(uint32(len(col)), 1<<20+10)
-	ids, _ := ix.RangeIDsDelta(1<<20, 1<<20+100000, d, nil)
-	base, _ := ScanRange(col, 1<<20, 1<<20+100000, nil)
-	// The deleted row leaves the result iff it qualified; the inserted
-	// row (value inside the range) always joins it.
-	wantLen := len(base) + 1
-	if col[0] >= 1<<20 && col[0] < 1<<20+100000 {
-		wantLen--
-	}
-	if len(ids) != wantLen {
-		t.Errorf("delta query: %d ids, want %d", len(ids), wantLen)
-	}
-}
-
 func TestFacadeStrings(t *testing.T) {
 	vals := []string{"delta", "alpha", "charlie", "bravo", "alpha", "echo"}
 	dict := EncodeStrings("s", vals)
@@ -162,5 +137,51 @@ func TestFacadeEntropyAndFingerprint(t *testing.T) {
 	}
 	if fp := ix.Fingerprint(5); fp == "" {
 		t.Error("empty fingerprint")
+	}
+}
+
+func TestFacadeRunAlgebra(t *testing.T) {
+	a := []CandidateRun{{Start: 0, Count: 10, Exact: true}}
+	b := []CandidateRun{{Start: 5, Count: 10, Exact: false}}
+	// b is inexact, so the overlap must be re-checked.
+	if got := IntersectRuns(a, b); len(got) != 1 || got[0].Start != 5 || got[0].Exact || TotalRunCachelines(got) != 5 {
+		t.Errorf("IntersectRuns = %+v", got)
+	}
+}
+
+func TestFacadeInSet(t *testing.T) {
+	rng := rand.New(rand.NewPCG(62, 62))
+	col := make([]int64, 4000)
+	for i := range col {
+		col[i] = int64(rng.IntN(100))
+	}
+	ix := Build(col, Options{Seed: 3})
+
+	got, _ := ix.InSetIDs([]int64{5, 42, 77}, nil)
+	var want int
+	for _, v := range col {
+		if v == 5 || v == 42 || v == 77 {
+			want++
+		}
+	}
+	if len(got) != want {
+		t.Errorf("InSetIDs = %d, want %d", len(got), want)
+	}
+}
+
+func TestFacadeEstimateAndSaturation(t *testing.T) {
+	col := mkCol(10000, 63)
+	ix := Build(col, Options{Seed: 4})
+	lo := col[0] - 1000
+	hi := col[0] + 1000
+	est := ix.EstimateSelectivity(lo, hi)
+	if est < 0 || est > 1 {
+		t.Errorf("EstimateSelectivity = %v", est)
+	}
+	if s := ix.Saturation(); s <= 0 || s >= 1 {
+		t.Errorf("Saturation = %v", s)
+	}
+	if ix.NeedsRebuild(0.99, 0, 0.99) {
+		t.Error("fresh index wants a rebuild")
 	}
 }

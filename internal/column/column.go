@@ -1,8 +1,8 @@
 // Package column provides the columnar storage substrate assumed by the
 // paper (Section 2): a relation decomposed into dense, typed value arrays
 // whose ids are implied by position. It also supplies dictionary encoding
-// for string attributes and the delta structures of Section 4.2 that
-// absorb updates between index rebuilds.
+// for string attributes. Section 4.2's update delta is the table's delta
+// store (package delta).
 package column
 
 import (

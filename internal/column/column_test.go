@@ -1,11 +1,6 @@
 package column
 
-import (
-	"math/rand/v2"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewAndAccessors(t *testing.T) {
 	c := New("qty", []int32{5, 7, 9})
@@ -120,161 +115,5 @@ func TestStringDictSizeBytes(t *testing.T) {
 	// 3 int32 codes + 4 bytes of symbols.
 	if got := d.SizeBytes(); got != 3*4+4 {
 		t.Errorf("SizeBytes = %d, want 16", got)
-	}
-}
-
-func TestDeltaBasics(t *testing.T) {
-	d := NewDelta[int64]()
-	if d.Len() != 0 {
-		t.Fatalf("empty delta Len = %d", d.Len())
-	}
-	d.Insert(100, 42)
-	d.Delete(5)
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if !d.IsDeleted(5) || d.IsDeleted(6) {
-		t.Error("IsDeleted wrong")
-	}
-	if v, ok := d.Override(100); !ok || v != 42 {
-		t.Error("Override wrong")
-	}
-	// Re-inserting a deleted id revives it.
-	d.Insert(5, 7)
-	if d.IsDeleted(5) {
-		t.Error("insert did not revive deleted id")
-	}
-	// Deleting an overridden id drops the override.
-	d.Delete(100)
-	if _, ok := d.Override(100); ok {
-		t.Error("delete did not drop override")
-	}
-}
-
-func TestDeltaMerge(t *testing.T) {
-	d := NewDelta[int32]()
-	d.Delete(2)
-	d.Insert(10, 55) // qualifies for [50,60)
-	d.Insert(11, 99) // does not qualify
-	d.Update(4, 51)  // override: old row 4 qualified, new value still qualifies
-	base := []uint32{1, 2, 4, 7}
-	got := d.Merge(base, 50, 60)
-	want := []uint32{1, 4, 7, 10}
-	if len(got) != len(want) {
-		t.Fatalf("Merge = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Merge = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestDeltaMergeEmptyDeltaIsIdentity(t *testing.T) {
-	d := NewDelta[int32]()
-	base := []uint32{3, 5}
-	got := d.Merge(base, 0, 10)
-	if &got[0] != &base[0] || len(got) != 2 {
-		t.Error("empty delta should return input unchanged")
-	}
-}
-
-func TestDeltaApplyTo(t *testing.T) {
-	d := NewDelta[int16]()
-	base := []int16{10, 20, 30, 40}
-	d.Delete(1)
-	d.Update(2, 35)
-	d.Insert(4, 50)
-	d.Insert(6, 70) // gap beyond base: appended in id order
-	got := d.ApplyTo(base)
-	want := []int16{10, 35, 40, 50, 70}
-	if len(got) != len(want) {
-		t.Fatalf("ApplyTo = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ApplyTo = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestDeltaRatio(t *testing.T) {
-	d := NewDelta[int32]()
-	d.Insert(0, 1)
-	if got := d.Ratio(10); got != 0.1 {
-		t.Errorf("Ratio = %v", got)
-	}
-	if got := d.Ratio(0); got != 1 {
-		t.Errorf("Ratio(0) = %v", got)
-	}
-}
-
-// Property: Merge(baseResult) equals a scan over ApplyTo-materialized
-// data restricted to ids (deleted rows keep their ids out; inserted rows
-// appear iff their value qualifies).
-func TestQuickDeltaMergeMatchesNaive(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 77))
-		n := 50 + rng.IntN(200)
-		base := make([]int32, n)
-		for i := range base {
-			base[i] = int32(rng.IntN(1000))
-		}
-		d := NewDelta[int32]()
-		for k := 0; k < rng.IntN(40); k++ {
-			id := uint32(rng.IntN(n + 20))
-			switch rng.IntN(3) {
-			case 0:
-				d.Delete(id)
-			case 1:
-				d.Insert(id, int32(rng.IntN(1000)))
-			case 2:
-				d.Update(id, int32(rng.IntN(1000)))
-			}
-		}
-		low := int32(rng.IntN(900))
-		high := low + int32(rng.IntN(100)) + 1
-
-		// Base index result: ids of base rows qualifying.
-		var baseIDs []uint32
-		for id, v := range base {
-			if v >= low && v < high {
-				baseIDs = append(baseIDs, uint32(id))
-			}
-		}
-		got := d.Merge(baseIDs, low, high)
-
-		// Naive expectation from first principles.
-		var want []uint32
-		for id := 0; id < n+20; id++ {
-			uid := uint32(id)
-			if d.IsDeleted(uid) {
-				continue
-			}
-			var v int32
-			if ov, ok := d.Override(uid); ok {
-				v = ov
-			} else if id < n {
-				v = base[id]
-			} else {
-				continue // id beyond base with no insert: row absent
-			}
-			if v >= low && v < high {
-				want = append(want, uid)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }

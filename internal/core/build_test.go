@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/rand/v2"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBuildEmptyPanics(t *testing.T) {
 	defer func() {
@@ -243,50 +239,6 @@ func TestMakeEntryOverflowPanics(t *testing.T) {
 		}
 	}()
 	makeEntry(MaxCount+1, false)
-}
-
-// Property: commitRun(vec, k) produces exactly the same index state as k
-// sequential commit(vec) calls, across random vector streams.
-func TestQuickCommitRunEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0x5ca1e))
-		type run struct {
-			vec uint64
-			cnt int
-		}
-		var runList []run
-		for i := 0; i < 1+rng.IntN(20); i++ {
-			runList = append(runList, run{
-				vec: uint64(1 + rng.IntN(255)),
-				cnt: 1 + rng.IntN(50),
-			})
-		}
-		a := &Index[int64]{vecs: newVecstore(8), vpc: 8}
-		b := &Index[int64]{vecs: newVecstore(8), vpc: 8}
-		for _, r := range runList {
-			for i := 0; i < r.cnt; i++ {
-				a.commit(r.vec)
-			}
-			b.commitRun(r.vec, r.cnt)
-		}
-		if a.committed != b.committed || len(a.dict) != len(b.dict) || a.vecs.n != b.vecs.n {
-			return false
-		}
-		for i := range a.dict {
-			if a.dict[i] != b.dict[i] {
-				return false
-			}
-		}
-		for i := 0; i < a.vecs.n; i++ {
-			if a.vecs.get(i) != b.vecs.get(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 // The paper's Figure 2 walkthrough: 7 distinct vectors, then 13 identical

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -45,7 +46,8 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// BuildParallel's internal workers must not race; meaningful under -race.
+// Builds over one shared column must not race and must agree;
+// meaningful under -race.
 func TestConcurrentBuilds(t *testing.T) {
 	col := clusteredCol(30000, 72)
 	var wg sync.WaitGroup
@@ -54,13 +56,11 @@ func TestConcurrentBuilds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = BuildParallel(col, Options{Seed: 5}, 4)
+			results[i] = Build(col, Options{Seed: 5})
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < len(results); i++ {
-		if results[i].StoredVectors() != results[0].StoredVectors() {
-			t.Errorf("build %d differs", i)
-		}
+		equalIndexes(t, results[i], results[0], fmt.Sprintf("build %d", i))
 	}
 }

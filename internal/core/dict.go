@@ -91,54 +91,6 @@ func (ix *Index[V]) commit(vec uint64) {
 	ix.committed++
 }
 
-// commitRun is equivalent to calling commit(vec) count times but runs in
-// O(1) amortized per run. It is the workhorse of parallel construction,
-// where per-part compressed streams are replayed into a master index.
-func (ix *Index[V]) commitRun(vec uint64, count int) {
-	if count <= 0 {
-		return
-	}
-	// First cacheline goes through the full state machine.
-	ix.commit(vec)
-	count--
-	if count == 0 {
-		return
-	}
-	// All remaining cachelines repeat the last committed vector. Extend
-	// the tail entry, chunking at the 24-bit counter limit.
-	for count > 0 {
-		d := len(ix.dict) - 1
-		e := ix.dict[d]
-		if e.Count() >= MaxCount {
-			// Saturated: sequential commit would store the vector again
-			// and open a distinct entry, which subsequent repeats then
-			// convert; replicate the end state directly.
-			ix.vecs.append(vec)
-			ix.dict = append(ix.dict, makeEntry(1, false))
-			ix.committed++
-			count--
-			continue
-		}
-		if !e.Repeat() {
-			if e.Count() != 1 {
-				ix.dict[d] = makeEntry(e.Count()-1, false)
-				ix.dict = append(ix.dict, makeEntry(1, true))
-				d++
-			} else {
-				ix.dict[d] = makeEntry(1, true)
-			}
-			e = ix.dict[d]
-		}
-		add := uint32(count)
-		if room := MaxCount - e.Count(); add > room {
-			add = room
-		}
-		ix.dict[d] = makeEntry(e.Count()+add, true)
-		ix.committed += int(add)
-		count -= int(add)
-	}
-}
-
 // decompress iterates the per-cacheline imprint vector stream hidden
 // behind the dictionary compression, calling f(cacheline, vec) for every
 // committed cacheline in order. It stops early if f returns false.

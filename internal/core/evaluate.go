@@ -2,94 +2,6 @@ package core
 
 import "iter"
 
-// EvaluateOr evaluates a disjunction of range predicates with late
-// materialization: the per-conjunct candidate cacheline lists are
-// unioned, and rows of non-exact cachelines are checked against the
-// residual predicates (a row qualifies if any disjunct accepts it).
-// All conjuncts must cover columns of identical geometry.
-func EvaluateOr(res []uint32, conjs ...Conjunct) ([]uint32, QueryStats) {
-	if len(conjs) == 0 {
-		return res, QueryStats{}
-	}
-	var st QueryStats
-	vpc0, n0 := conjs[0].Geometry()
-	runs, s := conjs[0].Runs()
-	st.Add(s)
-	for _, c := range conjs[1:] {
-		vpc, n := c.Geometry()
-		if vpc != vpc0 || n != n0 {
-			panic("core: disjunction over misaligned columns")
-		}
-		r, s := c.Runs()
-		st.Add(s)
-		runs = UnionRuns(runs, r)
-	}
-	checks := make([]CheckFunc, len(conjs))
-	for i, c := range conjs {
-		checks[i] = c.Check()
-	}
-	for _, r := range runs {
-		from := int(r.Start) * vpc0
-		to := (int(r.Start) + int(r.Count)) * vpc0
-		if to > n0 {
-			to = n0
-		}
-		if r.Exact {
-			for id := from; id < to; id++ {
-				res = append(res, uint32(id))
-			}
-			continue
-		}
-		for id := from; id < to; id++ {
-			for _, c := range checks {
-				st.Comparisons++
-				if c(uint32(id)) {
-					res = append(res, uint32(id))
-					break
-				}
-			}
-		}
-	}
-	return res, st
-}
-
-// EvaluateAndNot evaluates "p AND NOT q" with late materialization:
-// q's exact cachelines are subtracted wholesale from p's candidates and
-// the remainder is checked row by row.
-func EvaluateAndNot(res []uint32, p, q Conjunct) ([]uint32, QueryStats) {
-	var st QueryStats
-	vpcP, nP := p.Geometry()
-	vpcQ, nQ := q.Geometry()
-	if vpcP != vpcQ || nP != nQ {
-		panic("core: and-not over misaligned columns")
-	}
-	pr, s := p.Runs()
-	st.Add(s)
-	qr, s := q.Runs()
-	st.Add(s)
-	runs := DiffRuns(pr, qr)
-	pCheck, qCheck := p.Check(), q.Check()
-	for _, r := range runs {
-		from := int(r.Start) * vpcP
-		to := (int(r.Start) + int(r.Count)) * vpcP
-		if to > nP {
-			to = nP
-		}
-		for id := from; id < to; id++ {
-			st.Comparisons++
-			if !pCheck(uint32(id)) {
-				continue
-			}
-			st.Comparisons++
-			if qCheck(uint32(id)) {
-				continue
-			}
-			res = append(res, uint32(id))
-		}
-	}
-	return res, st
-}
-
 // Range returns a streaming iterator over the ascending ids of values
 // in [low, high). The probe is eager and the rows are lazy: iteration
 // starts with one walk of the dictionary, and each candidate run's

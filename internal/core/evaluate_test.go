@@ -6,101 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestEvaluateOrTwoColumns(t *testing.T) {
-	n := 6000
-	rng := rand.New(rand.NewPCG(41, 42))
-	a := make([]int64, n)
-	b := make([]int64, n)
-	for i := 0; i < n; i++ {
-		a[i] = int64(rng.IntN(10000))
-		b[i] = int64(rng.IntN(10000))
-	}
-	ixA := Build(a, Options{Seed: 1})
-	ixB := Build(b, Options{Seed: 2})
-	for q := 0; q < 25; q++ {
-		aLo := int64(rng.IntN(9000))
-		aHi := aLo + int64(rng.IntN(2000))
-		bLo := int64(rng.IntN(9000))
-		bHi := bLo + int64(rng.IntN(2000))
-		got, st := EvaluateOr(nil,
-			NewRangeConjunct(ixA, aLo, aHi),
-			NewRangeConjunct(ixB, bLo, bHi),
-		)
-		var want []uint32
-		for i := 0; i < n; i++ {
-			if (a[i] >= aLo && a[i] < aHi) || (b[i] >= bLo && b[i] < bHi) {
-				want = append(want, uint32(i))
-			}
-		}
-		equalIDs(t, got, want, "disjunction")
-		if st.Probes == 0 {
-			t.Error("no probes recorded")
-		}
-	}
-}
-
-func TestEvaluateOrEmptyAndMisaligned(t *testing.T) {
-	got, _ := EvaluateOr(nil)
-	if len(got) != 0 {
-		t.Error("empty disjunction not empty")
-	}
-	a := Build(randomCol(100, 10, 1), Options{Seed: 1})
-	b := Build(randomCol(200, 10, 2), Options{Seed: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EvaluateOr(nil, NewRangeConjunct(a, 0, 5), NewRangeConjunct(b, 0, 5))
-}
-
-func TestEvaluateAndNot(t *testing.T) {
-	n := 6000
-	rng := rand.New(rand.NewPCG(43, 44))
-	a := make([]int64, n)
-	b := make([]int64, n)
-	for i := 0; i < n; i++ {
-		a[i] = int64(rng.IntN(10000))
-		b[i] = int64(rng.IntN(10000))
-	}
-	ixA := Build(a, Options{Seed: 1})
-	ixB := Build(b, Options{Seed: 2})
-	for q := 0; q < 25; q++ {
-		aLo := int64(rng.IntN(9000))
-		aHi := aLo + int64(rng.IntN(3000))
-		bLo := int64(rng.IntN(9000))
-		bHi := bLo + int64(rng.IntN(3000))
-		got, _ := EvaluateAndNot(nil,
-			NewRangeConjunct(ixA, aLo, aHi),
-			NewRangeConjunct(ixB, bLo, bHi),
-		)
-		var want []uint32
-		for i := 0; i < n; i++ {
-			if a[i] >= aLo && a[i] < aHi && !(b[i] >= bLo && b[i] < bHi) {
-				want = append(want, uint32(i))
-			}
-		}
-		equalIDs(t, got, want, "and-not")
-	}
-}
-
-func TestEvaluateAndNotSameColumn(t *testing.T) {
-	// "v in [0, 1000) AND NOT v in [200, 300)" over one column.
-	col := randomCol(4000, 1000, 45)
-	ix := Build(col, Options{Seed: 1})
-	got, _ := EvaluateAndNot(nil,
-		NewRangeConjunct(ix, 0, 1000),
-		NewRangeConjunct(ix, 200, 300),
-	)
-	var want []uint32
-	for i, v := range col {
-		if v < 1000 && !(v >= 200 && v < 300) {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "same-column and-not")
-}
-
 func TestRangeIteratorMatchesRangeIDs(t *testing.T) {
 	cols := map[string][]int64{
 		"clustered": clusteredCol(5000, 1),

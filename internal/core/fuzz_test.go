@@ -91,8 +91,9 @@ func fuzzFloat(x int64) float64 {
 	return float64(int8(x)) / 4
 }
 
-// checkEntryPoints holds RangeIDs, CountRange, MultiRangeIDs, InSetIDs,
-// Range and Min/Max over col to a scan of col.
+// checkEntryPoints holds RangeIDs, CountRange, Range, the inclusive and
+// unbounded shapes (RangeIDsClosed, AtLeast, LessThan, PointIDs),
+// InSetIDs and Min/Max over col to a scan of col.
 func checkEntryPoints[V coltype.Value](t *testing.T, col []V, low, high V) {
 	t.Helper()
 	ix := Build(col, Options{Seed: 42})
@@ -128,16 +129,16 @@ func checkEntryPoints[V coltype.Value](t *testing.T, col []V, low, high V) {
 	}
 	equalIDs(t, got, want[:len(want)/2], "Range stopped early "+ctx)
 
-	ranges := [][2]V{{low, high}, {col[0], col[len(col)/2]}, {col[len(col)-1], low}}
-	got, _ = ix.MultiRangeIDs(ranges, nil)
-	equalIDs(t, got, scan(func(v V) bool {
-		for _, r := range ranges {
-			if v >= r[0] && v < r[1] {
-				return true
-			}
-		}
-		return false
-	}), "MultiRangeIDs "+ctx)
+	got, _ = ix.RangeIDsClosed(low, high, nil)
+	equalIDs(t, got, scan(func(v V) bool { return v >= low && v <= high }), "RangeIDsClosed "+ctx)
+	got, _ = ix.AtLeast(low, nil)
+	equalIDs(t, got, scan(func(v V) bool { return v >= low }), "AtLeast "+ctx)
+	got, _ = ix.LessThan(high, nil)
+	equalIDs(t, got, scan(func(v V) bool { return v < high }), "LessThan "+ctx)
+	for _, x := range []V{low, high, col[0]} {
+		got, _ = ix.PointIDs(x, nil)
+		equalIDs(t, got, scan(func(v V) bool { return v == x }), fmt.Sprintf("PointIDs(%v) %s", x, ctx))
+	}
 
 	set := []V{low, col[len(col)-1], high, col[0], low}
 	got, _ = ix.InSetIDs(set, nil)

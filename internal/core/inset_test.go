@@ -8,52 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestMultiRangeIDs(t *testing.T) {
-	col := randomCol(6000, 100000, 51)
-	ix := Build(col, Options{Seed: 51})
-	ranges := [][2]int64{{1000, 5000}, {40000, 45000}, {90000, 95000}}
-	got, st := ix.MultiRangeIDs(ranges, nil)
-	var want []uint32
-	for i, v := range col {
-		for _, r := range ranges {
-			if v >= r[0] && v < r[1] {
-				want = append(want, uint32(i))
-				break
-			}
-		}
-	}
-	equalIDs(t, got, want, "multi-range")
-	if st.Probes == 0 {
-		t.Error("no probes recorded")
-	}
-}
-
-func TestMultiRangeOverlappingAndEmpty(t *testing.T) {
-	col := randomCol(3000, 1000, 52)
-	ix := Build(col, Options{Seed: 52})
-	// Overlapping ranges must not duplicate ids.
-	got, _ := ix.MultiRangeIDs([][2]int64{{100, 500}, {300, 700}}, nil)
-	want := scanIDs(col, 100, 700)
-	equalIDs(t, got, want, "overlapping")
-	// No ranges -> no results.
-	if got, _ := ix.MultiRangeIDs(nil, nil); len(got) != 0 {
-		t.Error("empty range list returned ids")
-	}
-}
-
-func TestMultiRangeSinglePassProbes(t *testing.T) {
-	// The whole point: K ranges cost the same probes as one.
-	col := clusteredCol(20000, 53)
-	ix := Build(col, Options{Seed: 53})
-	_, st1 := ix.RangeIDs(100000, 200000, nil)
-	_, stK := ix.MultiRangeIDs([][2]int64{
-		{100000, 200000}, {400000, 450000}, {700000, 800000},
-	}, nil)
-	if stK.Probes != st1.Probes {
-		t.Errorf("multi-range probes %d != single-range probes %d", stK.Probes, st1.Probes)
-	}
-}
-
 func TestInSetIDs(t *testing.T) {
 	col := randomCol(8000, 50, 54) // low cardinality: IN-lists shine
 	ix := Build(col, Options{Seed: 54})
@@ -117,52 +71,6 @@ func TestInSetCachelinesConsistent(t *testing.T) {
 	ids, _ := MaterializeRuns(runs, ix.ValuesPerCacheline(), ix.Len(), nil, check)
 	want, _ := ix.InSetIDs(set, nil)
 	equalIDs(t, ids, want, "in-set runs")
-}
-
-// Property: MultiRangeIDs equals unioning per-range scans.
-func TestQuickMultiRangeEqualsUnion(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0x517))
-		n := 100 + rng.IntN(3000)
-		col := make([]int64, n)
-		for i := range col {
-			col[i] = int64(rng.IntN(10000))
-		}
-		ix := Build(col, Options{Seed: seed})
-		k := 1 + rng.IntN(4)
-		ranges := make([][2]int64, k)
-		inAny := func(v int64) bool {
-			for _, r := range ranges {
-				if v >= r[0] && v < r[1] {
-					return true
-				}
-			}
-			return false
-		}
-		for i := range ranges {
-			lo := int64(rng.IntN(10000))
-			ranges[i] = [2]int64{lo, lo + int64(rng.IntN(2000))}
-		}
-		got, _ := ix.MultiRangeIDs(ranges, nil)
-		var want []uint32
-		for i, v := range col {
-			if inAny(v) {
-				want = append(want, uint32(i))
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: InSetIDs equals the naive membership scan.

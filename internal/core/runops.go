@@ -7,16 +7,11 @@ package core
 // arbitrary AND/OR/AND-NOT predicate trees evaluable before any value
 // is materialized.
 
-// UnionRuns merges two sorted candidate run lists, keeping cachelines
-// present in either. A cacheline is Exact in the union if it is exact
-// on at least one side (every value qualifies for that disjunct, hence
-// for the disjunction).
-func UnionRuns(a, b []CandidateRun) []CandidateRun {
-	return UnionRunsInto(nil, a, b)
-}
-
-// UnionRunsInto is UnionRuns appending into dst, which must not alias a
-// or b.
+// UnionRunsInto merges two sorted candidate run lists, keeping
+// cachelines present in either, and appends the result to dst, which
+// must not alias a or b. A cacheline is Exact in the union if it is
+// exact on at least one side (every value qualifies for that disjunct,
+// hence for the disjunction).
 func UnionRunsInto(dst, a, b []CandidateRun) []CandidateRun {
 	out := dst
 	push := func(start, count uint32, exact bool) {
@@ -108,19 +103,14 @@ func clip(r CandidateRun, cur uint32) CandidateRun {
 	return CandidateRun{Start: cur, Count: r.Count - cut, Exact: r.Exact}
 }
 
-// DiffRuns returns the cachelines of a that may hold rows NOT excluded
-// by b, for evaluating "P AND NOT Q" at cacheline granularity:
+// DiffRunsInto appends to dst, which must not alias a or b, the
+// cachelines of a that may hold rows NOT excluded by b, for evaluating
+// "P AND NOT Q" at cacheline granularity:
 //
 //   - cachelines of a absent from b survive unchanged;
 //   - cachelines present in both survive as inexact (some rows may
 //     match Q, so values must be re-checked) UNLESS b is exact there —
 //     every row matches Q — in which case the cacheline is dropped.
-func DiffRuns(a, b []CandidateRun) []CandidateRun {
-	return DiffRunsInto(nil, a, b)
-}
-
-// DiffRunsInto is DiffRuns appending into dst, which must not alias a
-// or b.
 func DiffRunsInto(dst, a, b []CandidateRun) []CandidateRun {
 	out := dst
 	push := func(start, count uint32, exact bool) {

@@ -18,29 +18,29 @@ func runsOf(pairs ...[3]uint32) []CandidateRun {
 func TestUnionRunsBasic(t *testing.T) {
 	a := runsOf([3]uint32{0, 5, 1}, [3]uint32{20, 5, 0})
 	b := runsOf([3]uint32{3, 10, 0})
-	got := UnionRuns(a, b)
+	got := UnionRunsInto(nil, a, b)
 	// [0,3) exact, [3,5) exact|inexact = exact, [5,13) inexact, [20,25) inexact.
 	want := runsOf([3]uint32{0, 5, 1}, [3]uint32{5, 8, 0}, [3]uint32{20, 5, 0})
 	if !slices.Equal(got, want) {
-		t.Fatalf("UnionRuns = %+v, want %+v", got, want)
+		t.Fatalf("UnionRunsInto = %+v, want %+v", got, want)
 	}
 }
 
 func TestUnionRunsDisjointAndEmpty(t *testing.T) {
 	a := runsOf([3]uint32{0, 2, 0})
 	b := runsOf([3]uint32{5, 2, 1})
-	got := UnionRuns(a, b)
+	got := UnionRunsInto(nil, a, b)
 	want := runsOf([3]uint32{0, 2, 0}, [3]uint32{5, 2, 1})
 	if !slices.Equal(got, want) {
-		t.Fatalf("UnionRuns = %+v, want %+v", got, want)
+		t.Fatalf("UnionRunsInto = %+v, want %+v", got, want)
 	}
-	if got := UnionRuns(nil, b); !slices.Equal(got, b) {
+	if got := UnionRunsInto(nil, nil, b); !slices.Equal(got, b) {
 		t.Fatalf("union with empty = %+v", got)
 	}
-	if got := UnionRuns(a, nil); !slices.Equal(got, a) {
+	if got := UnionRunsInto(nil, a, nil); !slices.Equal(got, a) {
 		t.Fatalf("union with empty = %+v", got)
 	}
-	if got := UnionRuns(nil, nil); len(got) != 0 {
+	if got := UnionRunsInto(nil, nil, nil); len(got) != 0 {
 		t.Fatalf("union of empties = %+v", got)
 	}
 }
@@ -48,26 +48,26 @@ func TestUnionRunsDisjointAndEmpty(t *testing.T) {
 func TestDiffRunsBasic(t *testing.T) {
 	a := runsOf([3]uint32{0, 10, 1})
 	b := runsOf([3]uint32{2, 3, 1}, [3]uint32{7, 2, 0})
-	got := DiffRuns(a, b)
+	got := DiffRunsInto(nil, a, b)
 	// [0,2) survives exact; [2,5) dropped (b exact); [5,7) exact;
 	// [7,9) inexact (b candidates but not exact); [9,10) exact.
 	want := runsOf([3]uint32{0, 2, 1}, [3]uint32{5, 2, 1}, [3]uint32{7, 2, 0}, [3]uint32{9, 1, 1})
 	if !slices.Equal(got, want) {
-		t.Fatalf("DiffRuns = %+v, want %+v", got, want)
+		t.Fatalf("DiffRunsInto = %+v, want %+v", got, want)
 	}
 }
 
 func TestDiffRunsNoOverlap(t *testing.T) {
 	a := runsOf([3]uint32{0, 3, 0})
 	b := runsOf([3]uint32{10, 3, 1})
-	if got := DiffRuns(a, b); !slices.Equal(got, a) {
-		t.Fatalf("DiffRuns = %+v", got)
+	if got := DiffRunsInto(nil, a, b); !slices.Equal(got, a) {
+		t.Fatalf("DiffRunsInto = %+v", got)
 	}
-	if got := DiffRuns(a, nil); !slices.Equal(got, a) {
-		t.Fatalf("DiffRuns empty b = %+v", got)
+	if got := DiffRunsInto(nil, a, nil); !slices.Equal(got, a) {
+		t.Fatalf("DiffRunsInto empty b = %+v", got)
 	}
-	if got := DiffRuns(nil, b); len(got) != 0 {
-		t.Fatalf("DiffRuns empty a = %+v", got)
+	if got := DiffRunsInto(nil, nil, b); len(got) != 0 {
+		t.Fatalf("DiffRunsInto empty a = %+v", got)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestQuickUnionRunsModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0xabcd))
 		a, b := randomRuns(rng), randomRuns(rng)
-		got := UnionRuns(a, b)
+		got := UnionRunsInto(nil, a, b)
 		if !wellFormed(got) {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestQuickDiffRunsModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0xdcba))
 		a, b := randomRuns(rng), randomRuns(rng)
-		got := DiffRuns(a, b)
+		got := DiffRunsInto(nil, a, b)
 		if !wellFormed(got) {
 			return false
 		}

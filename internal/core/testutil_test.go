@@ -101,8 +101,8 @@ func uniformFloats(n int, seed uint64) []float64 {
 	return col
 }
 
-// equalIndexes compares complete index state (used by parallel and
-// serialization tests).
+// equalIndexes compares complete index state (used by the build,
+// append and serialization tests).
 func equalIndexes[V coltype.Value](t *testing.T, a, b *Index[V], ctx string) {
 	t.Helper()
 	if a.n != b.n || a.committed != b.committed || a.vpc != b.vpc {

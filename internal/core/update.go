@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"repro/internal/column"
-)
+import "math/bits"
 
 // Append extends the index over newly appended rows (Section 4.1: "data
 // appends simply cause new imprint vectors to be appended to the end of
@@ -115,17 +111,4 @@ func (ix *Index[V]) NeedsRebuild(saturationLimit float64, deltaLen int, deltaRat
 // left untouched so callers can swap atomically).
 func (ix *Index[V]) Rebuild() *Index[V] {
 	return Build(ix.col, ix.opts)
-}
-
-// RangeIDsDelta evaluates [low, high) against the base index and merges
-// the pending delta (Section 4.2): deleted rows are removed, overridden
-// and inserted rows are re-qualified against their current values.
-func (ix *Index[V]) RangeIDsDelta(low, high V, delta *column.Delta[V], res []uint32) ([]uint32, QueryStats) {
-	ids, st := ix.RangeIDs(low, high, res)
-	if delta == nil || delta.Len() == 0 {
-		return ids, st
-	}
-	merged := delta.Merge(ids, low, high)
-	st.Comparisons += uint64(delta.Len())
-	return merged, st
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/column"
 )
 
 func TestAppendEqualsBulkBuild(t *testing.T) {
@@ -235,56 +233,6 @@ func TestNeedsRebuildUntouchedIndex(t *testing.T) {
 		t.Errorf("one extra bit at saturation %v: limit %v -> %v, limit %v -> %v", sat,
 			sat, ix.NeedsRebuild(sat, 0, 0), sat+0.01, ix.NeedsRebuild(sat+0.01, 0, 0))
 	}
-}
-
-func TestRangeIDsDelta(t *testing.T) {
-	col := randomCol(5000, 10000, 19)
-	ix := Build(col, Options{Seed: 19})
-	delta := column.NewDelta[int64]()
-	rng := rand.New(rand.NewPCG(10, 10))
-	// Track expected state in a shadow copy. Note Delta ids may exceed
-	// the base length (freshly inserted rows).
-	shadow := make(map[uint32]int64)
-	for i, v := range col {
-		shadow[uint32(i)] = v
-	}
-	for u := 0; u < 300; u++ {
-		switch rng.IntN(3) {
-		case 0:
-			id := uint32(rng.IntN(len(col)))
-			delta.Delete(id)
-			delete(shadow, id)
-		case 1:
-			id := uint32(len(col) + rng.IntN(500))
-			v := int64(rng.IntN(10000))
-			delta.Insert(id, v)
-			shadow[id] = v
-		case 2:
-			id := uint32(rng.IntN(len(col)))
-			v := int64(rng.IntN(10000))
-			delta.Update(id, v)
-			shadow[id] = v
-		}
-	}
-	for q := 0; q < 30; q++ {
-		low := int64(rng.IntN(9000))
-		high := low + int64(rng.IntN(1000))
-		got, _ := ix.RangeIDsDelta(low, high, delta, nil)
-		var want []uint32
-		for id := uint32(0); id < uint32(len(col)+500); id++ {
-			if v, ok := shadow[id]; ok && v >= low && v < high {
-				want = append(want, id)
-			}
-		}
-		equalIDs(t, got, want, "delta query")
-	}
-}
-
-func TestRangeIDsDeltaNil(t *testing.T) {
-	col := randomCol(1000, 100, 23)
-	ix := Build(col, Options{Seed: 23})
-	got, _ := ix.RangeIDsDelta(0, 50, nil, nil)
-	equalIDs(t, got, scanIDs(col, 0, 50), "nil delta")
 }
 
 // Property: appending in two arbitrary chunks equals bulk building, for

@@ -17,7 +17,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/scan"
 	"repro/internal/wah"
-	"repro/internal/workload"
 	"repro/internal/zonemap"
 )
 
@@ -122,7 +121,7 @@ func measure[V coltype.Value](dsName string, col *column.Column[V], cfg Config, 
 	}
 
 	if withQueries {
-		queries := workload.Ranges(vals, workload.DefaultSelectivities(), cfg.queriesPerSel(), cfg.Seed+uint64(len(vals)))
+		queries := Ranges(vals, DefaultSelectivities(), cfg.queriesPerSel(), cfg.Seed+uint64(len(vals)))
 		res := make([]uint32, 0, len(vals))
 		for _, q := range queries {
 			m := QueryMeasurement{

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/wah"
-	"repro/internal/workload"
 	"repro/internal/zonemap"
 )
 
@@ -122,7 +121,7 @@ func paperCounts[V coltype.Value](lines []string, dsName string, col *column.Col
 
 	// The queries of measure, in its order: perSel per step.
 	perSel := cfg.queriesPerSel()
-	queries := workload.Ranges(vals, workload.DefaultSelectivities(), perSel, cfg.Seed+uint64(len(vals)))
+	queries := Ranges(vals, DefaultSelectivities(), perSel, cfg.Seed+uint64(len(vals)))
 	res := make([]uint32, 0, len(vals))
 	for s := 0; s*perSel < len(queries); s++ {
 		ps := paperStep{Dataset: dsName, Column: col.Name(), Step: s}

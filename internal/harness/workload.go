@@ -1,9 +1,10 @@
-// Package workload generates range-query workloads with controlled
-// selectivity, reproducing the evaluation protocol of Section 6.3: "For
-// each column, ten different range queries with varying selectivity are
-// created. The selectivity starts from less than 0.1 and increases each
-// time by 0.1, until it surpasses 0.9."
-package workload
+package harness
+
+// The range-query workload with controlled selectivity, reproducing the
+// evaluation protocol of Section 6.3: "For each column, ten different
+// range queries with varying selectivity are created. The selectivity
+// starts from less than 0.1 and increases each time by 0.1, until it
+// surpasses 0.9."
 
 import (
 	"math"
@@ -38,7 +39,7 @@ func DefaultSelectivities() []float64 {
 // the achieved selectivity tracks the target even under heavy skew.
 func Ranges[V coltype.Value](col []V, selectivities []float64, perSel int, seed uint64) []Query[V] {
 	if len(col) == 0 {
-		panic("workload: empty column")
+		panic("harness: empty column")
 	}
 	sorted := make([]V, len(col))
 	copy(sorted, col)

@@ -1,4 +1,4 @@
-package workload
+package harness
 
 import (
 	"math/rand/v2"

@@ -1,57 +1,11 @@
 package zonemap
 
-import (
-	"repro/internal/coltype"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
-// RangeCachelines evaluates [low, high) down to a candidate cacheline
-// run list in the same currency as imprints (core.CandidateRun), so
-// multi-attribute conjunctions can mix zonemap- and imprint-indexed
-// columns through core.EvaluateAnd/Or/AndNot.
-func (ix *Index[V]) RangeCachelines(low, high V) ([]core.CandidateRun, QueryStats) {
-	var st QueryStats
-	var runs []core.CandidateRun
-	push := func(z int, exact bool) {
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if last.Exact == exact && last.Start+last.Count == uint32(z) {
-				last.Count++
-				return
-			}
-		}
-		runs = append(runs, core.CandidateRun{Start: uint32(z), Count: 1, Exact: exact})
-	}
-	for z := 0; z < len(ix.mins); z++ {
-		st.Probes++
-		zmin, zmax := ix.mins[z], ix.maxs[z]
-		if zmax < low || zmin >= high {
-			st.ZonesSkipped++
-			continue
-		}
-		if zmin >= low && zmax < high {
-			st.ZonesExact++
-			push(z, true)
-			continue
-		}
-		st.ZonesScanned++
-		push(z, false)
-	}
-	return runs, st
-}
-
-// RangeCheck returns the residual [low, high) predicate over the base
-// column (core.CheckFunc).
-func (ix *Index[V]) RangeCheck(low, high V) core.CheckFunc {
-	col := ix.col
-	return func(id uint32) bool {
-		v := col[id]
-		return v >= low && v < high
-	}
-}
-
-// cachelinesWhere walks the zones with explicit skip/exact predicates
-// over the zone [min, max] interval.
+// cachelinesWhere walks the zones down to a candidate cacheline run
+// list in the same currency as imprints (core.CandidateRun), with
+// explicit skip/exact predicates over the zone [min, max] interval. A
+// zone holding a NaN is never exact.
 func (ix *Index[V]) cachelinesWhere(skip, exact func(zmin, zmax V) bool) ([]core.CandidateRun, QueryStats) {
 	var st QueryStats
 	var runs []core.CandidateRun
@@ -72,7 +26,7 @@ func (ix *Index[V]) cachelinesWhere(skip, exact func(zmin, zmax V) bool) ([]core
 			st.ZonesSkipped++
 			continue
 		}
-		if exact(zmin, zmax) {
+		if exact(zmin, zmax) && !ix.hasNaN(z) {
 			st.ZonesExact++
 			push(z, true)
 			continue
@@ -81,6 +35,14 @@ func (ix *Index[V]) cachelinesWhere(skip, exact func(zmin, zmax V) bool) ([]core
 		push(z, false)
 	}
 	return runs, st
+}
+
+// RangeCachelines evaluates [low, high) down to candidate zones.
+func (ix *Index[V]) RangeCachelines(low, high V) ([]core.CandidateRun, QueryStats) {
+	return ix.cachelinesWhere(
+		func(zmin, zmax V) bool { return zmax < low || zmin >= high },
+		func(zmin, zmax V) bool { return zmin >= low && zmax < high },
+	)
 }
 
 // AtLeastCachelines evaluates v >= low down to candidate zones.
@@ -133,31 +95,3 @@ func (ix *Index[V]) PointCachelines(x V) ([]core.CandidateRun, QueryStats) {
 		func(zmin, zmax V) bool { return zmin == x && zmax == x },
 	)
 }
-
-// zoneConjunct adapts a zonemap range predicate to core.Conjunct.
-type zoneConjunct[V coltype.Value] struct {
-	ix        *Index[V]
-	low, high V
-}
-
-// NewRangeConjunct builds a core.Conjunct over a zonemap so it can
-// participate in mixed-index conjunctions. The zonemap's zone geometry
-// must match the other conjuncts' cacheline geometry.
-func NewRangeConjunct[V coltype.Value](ix *Index[V], low, high V) core.Conjunct {
-	return &zoneConjunct[V]{ix: ix, low: low, high: high}
-}
-
-func (c *zoneConjunct[V]) Runs() ([]core.CandidateRun, core.QueryStats) {
-	runs, st := c.ix.RangeCachelines(c.low, c.high)
-	return runs, core.QueryStats{
-		Probes:            st.Probes,
-		Comparisons:       st.Comparisons,
-		CachelinesScanned: st.ZonesScanned,
-		CachelinesExact:   st.ZonesExact,
-		CachelinesSkipped: st.ZonesSkipped,
-	}
-}
-
-func (c *zoneConjunct[V]) Check() core.CheckFunc { return c.ix.RangeCheck(c.low, c.high) }
-
-func (c *zoneConjunct[V]) Geometry() (vpc, n int) { return c.ix.vpz, c.ix.n }

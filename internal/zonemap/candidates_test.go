@@ -18,64 +18,9 @@ func TestRangeCachelinesConsistent(t *testing.T) {
 		low := int64(rng.IntN(90000))
 		high := low + int64(rng.IntN(10000))
 		runs, _ := ix.RangeCachelines(low, high)
-		ids, _ := core.MaterializeRuns(runs, ix.ValuesPerZone(), ix.Len(), nil, ix.RangeCheck(low, high))
+		check := func(id uint32) bool { return col[id] >= low && col[id] < high }
+		ids, _ := core.MaterializeRuns(runs, ix.ValuesPerZone(), ix.Len(), nil, check)
 		want, _ := ix.RangeIDs(low, high, nil)
 		equalIDs(t, ids, want, "zonemap runs")
 	}
-}
-
-func TestMixedIndexConjunction(t *testing.T) {
-	// One column indexed with imprints, another with a zonemap: the
-	// conjunction still evaluates through candidate run merge-join.
-	n := 6000
-	rng := rand.New(rand.NewPCG(10, 10))
-	a := make([]int64, n)
-	b := make([]int64, n)
-	for i := 0; i < n; i++ {
-		a[i] = int64(rng.IntN(10000))
-		b[i] = int64(rng.IntN(10000))
-	}
-	imp := core.Build(a, core.Options{Seed: 1})
-	zm := Build(b, Options{})
-	for q := 0; q < 20; q++ {
-		aLo := int64(rng.IntN(9000))
-		aHi := aLo + int64(rng.IntN(2000))
-		bLo := int64(rng.IntN(9000))
-		bHi := bLo + int64(rng.IntN(2000))
-		got, _ := core.EvaluateAnd(nil,
-			core.NewRangeConjunct(imp, aLo, aHi),
-			NewRangeConjunct(zm, bLo, bHi),
-		)
-		var want []uint32
-		for i := 0; i < n; i++ {
-			if a[i] >= aLo && a[i] < aHi && b[i] >= bLo && b[i] < bHi {
-				want = append(want, uint32(i))
-			}
-		}
-		equalIDs(t, got, want, "mixed conjunction")
-	}
-}
-
-func TestMixedIndexDisjunction(t *testing.T) {
-	n := 4000
-	rng := rand.New(rand.NewPCG(11, 11))
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = rng.Float64() * 100
-		b[i] = rng.Float64() * 100
-	}
-	imp := core.Build(a, core.Options{Seed: 2})
-	zm := Build(b, Options{})
-	got, _ := core.EvaluateOr(nil,
-		core.NewRangeConjunct(imp, 10.0, 20.0),
-		NewRangeConjunct(zm, 80.0, 90.0),
-	)
-	var want []uint32
-	for i := 0; i < n; i++ {
-		if (a[i] >= 10 && a[i] < 20) || (b[i] >= 80 && b[i] < 90) {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "mixed disjunction")
 }

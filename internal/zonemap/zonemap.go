@@ -14,8 +14,12 @@ type Index[V coltype.Value] struct {
 	col  []V
 	mins []V
 	maxs []V
-	vpz  int // values per zone
-	n    int
+	// nan has bit z set when zone z holds a NaN. The bounds skip NaN,
+	// which satisfies no predicate, so such a zone is never exact. It
+	// stays nil until some zone holds a NaN.
+	nan []uint64
+	vpz int // values per zone
+	n   int
 }
 
 // Options configures zonemap construction.
@@ -42,25 +46,56 @@ func Build[V coltype.Value](col []V, opts Options) *Index[V] {
 		vpz:  vpz,
 		n:    len(col),
 	}
-	for z := 0; z < nz; z++ {
-		from := z * vpz
-		to := from + vpz
-		if to > len(col) {
-			to = len(col)
-		}
-		lo, hi := col[from], col[from]
-		for _, v := range col[from+1 : to] {
-			if v < lo {
+	ix.addZones(col, 0)
+	return ix
+}
+
+// addZones appends the bounds of every zone of col from the
+// zone-aligned row from on. A zone's bounds are the min and max of its
+// non-NaN values (NaN only when it holds nothing else), and its NaN bit
+// says whether it holds a NaN.
+func (ix *Index[V]) addZones(col []V, from int) {
+	for ; from < len(col); from += ix.vpz {
+		zone := col[from:min(from+ix.vpz, len(col))]
+		lo, hi := zone[0], zone[0]
+		nan := false
+		for _, v := range zone {
+			switch {
+			case v != v:
+				nan = true
+			case lo != lo:
+				lo, hi = v, v
+			case v < lo:
 				lo = v
-			}
-			if v > hi {
+			case v > hi:
 				hi = v
 			}
 		}
+		ix.setNaN(len(ix.mins), nan)
 		ix.mins = append(ix.mins, lo)
 		ix.maxs = append(ix.maxs, hi)
 	}
-	return ix
+}
+
+// setNaN records whether zone z holds a NaN.
+func (ix *Index[V]) setNaN(z int, nan bool) {
+	w, bit := z>>6, uint64(1)<<(z&63)
+	if !nan {
+		if w < len(ix.nan) {
+			ix.nan[w] &^= bit
+		}
+		return
+	}
+	for len(ix.nan) <= w {
+		ix.nan = append(ix.nan, 0)
+	}
+	ix.nan[w] |= bit
+}
+
+// hasNaN reports whether zone z holds a NaN.
+func (ix *Index[V]) hasNaN(z int) bool {
+	w := z >> 6
+	return w < len(ix.nan) && ix.nan[w]>>(z&63)&1 != 0
 }
 
 // Len returns the number of values covered.
@@ -72,9 +107,10 @@ func (ix *Index[V]) Zones() int { return len(ix.mins) }
 // ValuesPerZone returns the zone size in values.
 func (ix *Index[V]) ValuesPerZone() int { return ix.vpz }
 
-// SizeBytes returns the footprint: two value arrays.
+// SizeBytes returns the footprint: two value arrays, plus the NaN
+// bitmap once some zone holds a NaN.
 func (ix *Index[V]) SizeBytes() int64 {
-	return int64(len(ix.mins)+len(ix.maxs)) * int64(coltype.Width[V]())
+	return int64(len(ix.mins)+len(ix.maxs))*int64(coltype.Width[V]()) + int64(len(ix.nan))*8
 }
 
 // QueryStats mirrors core.QueryStats for the comparator: Probes counts
@@ -87,9 +123,10 @@ type QueryStats struct {
 	ZonesSkipped uint64
 }
 
-// RangeIDs returns ascending ids of values in [low, high). A zone whose
-// [min, max] lies entirely inside the query range is emitted without
-// value checks (the same rigidity as the imprints innermask fast path).
+// RangeIDs returns ascending ids of values in [low, high). A NaN-free
+// zone whose [min, max] lies entirely inside the query range is emitted
+// without value checks (the same rigidity as the imprints innermask
+// fast path).
 func (ix *Index[V]) RangeIDs(low, high V, res []uint32) ([]uint32, QueryStats) {
 	var st QueryStats
 	col := ix.col
@@ -106,7 +143,7 @@ func (ix *Index[V]) RangeIDs(low, high V, res []uint32) ([]uint32, QueryStats) {
 		if to > ix.n {
 			to = ix.n
 		}
-		if zmin >= low && zmax < high {
+		if zmin >= low && zmax < high && !ix.hasNaN(z) {
 			// Fully contained: all values qualify.
 			st.ZonesExact++
 			for id := from; id < to; id++ {
@@ -143,7 +180,7 @@ func (ix *Index[V]) CountRange(low, high V) (uint64, QueryStats) {
 		if to > ix.n {
 			to = ix.n
 		}
-		if zmin >= low && zmax < high {
+		if zmin >= low && zmax < high && !ix.hasNaN(z) {
 			st.ZonesExact++
 			count += uint64(to - from)
 			continue
@@ -168,10 +205,14 @@ func (ix *Index[V]) Widen(id int, v V) {
 		panic("zonemap: Widen id out of range")
 	}
 	z := id / ix.vpz
-	if v < ix.mins[z] {
+	switch {
+	case v != v:
+		ix.setNaN(z, true)
+	case ix.mins[z] != ix.mins[z]: // the zone held only NaN
+		ix.mins[z], ix.maxs[z] = v, v
+	case v < ix.mins[z]:
 		ix.mins[z] = v
-	}
-	if v > ix.maxs[z] {
+	case v > ix.maxs[z]:
 		ix.maxs[z] = v
 	}
 }
@@ -188,23 +229,6 @@ func (ix *Index[V]) Append(col []V) {
 		ix.mins = ix.mins[:len(ix.mins)-1]
 		ix.maxs = ix.maxs[:len(ix.maxs)-1]
 	}
-	start := len(ix.mins) * ix.vpz
-	for from := start; from < len(col); from += ix.vpz {
-		to := from + ix.vpz
-		if to > len(col) {
-			to = len(col)
-		}
-		lo, hi := col[from], col[from]
-		for _, v := range col[from+1 : to] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		ix.mins = append(ix.mins, lo)
-		ix.maxs = append(ix.maxs, hi)
-	}
+	ix.addZones(col, len(ix.mins)*ix.vpz)
 	ix.n = len(col)
 }

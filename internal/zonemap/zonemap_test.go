@@ -1,11 +1,13 @@
 package zonemap
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/coltype"
+	"repro/internal/core"
 )
 
 func scanIDs[V coltype.Value](col []V, low, high V) []uint32 {
@@ -236,3 +238,59 @@ func TestQuickRangeEqualsScan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A NaN satisfies no predicate but is skipped by the zone bounds, so a
+// zone holding one must never be emitted without value checks, however
+// the NaN got there: built, appended, or written by an update.
+func TestNaNZonesAreNeverExact(t *testing.T) {
+	nan := math.NaN()
+	col := []float64{1, nan, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	want := []uint32{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	check := func(ix *Index[float64], ctx string) {
+		t.Helper()
+		got, _ := ix.RangeIDs(0, 100, nil)
+		equalIDs(t, got, want, ctx+" RangeIDs")
+		if n, _ := ix.CountRange(0, 100); n != uint64(len(want)) {
+			t.Errorf("%s: CountRange = %d, want %d", ctx, n, len(want))
+		}
+		for name, runs := range map[string][]core.CandidateRun{
+			"RangeCachelines":    first(ix.RangeCachelines(0, 100)),
+			"AtLeastCachelines":  first(ix.AtLeastCachelines(0)),
+			"LessThanCachelines": first(ix.LessThanCachelines(100)),
+		} {
+			if len(runs) == 0 || runs[0].Start != 0 || runs[0].Exact {
+				t.Errorf("%s: %s = %+v, want zone 0 inexact", ctx, name, runs)
+			}
+		}
+	}
+	check(Build(col, Options{}), "build")
+
+	app := Build(col[:1], Options{})
+	app.Append(col)
+	check(app, "append")
+
+	clean := append([]float64(nil), col...)
+	clean[1] = 1.5
+	upd := Build(clean, Options{})
+	clean[1] = nan
+	upd.Widen(1, nan)
+	check(upd, "widen")
+
+	// A zone of NaNs only has NaN bounds; an update into it must still
+	// be found by every probe.
+	nans := []float64{nan, nan, nan, nan, nan, nan, nan, nan}
+	ix := Build(nans, Options{})
+	nans[3] = 5
+	ix.Widen(3, 5)
+	if runs, _ := ix.InSetCachelines([]float64{5}); len(runs) != 1 || runs[0].Exact {
+		t.Errorf("InSetCachelines after widening a NaN zone = %+v", runs)
+	}
+	if runs, _ := ix.PointCachelines(5); len(runs) != 1 || runs[0].Exact {
+		t.Errorf("PointCachelines after widening a NaN zone = %+v", runs)
+	}
+	if ix.SizeBytes() != 2*8+8 {
+		t.Errorf("SizeBytes = %d, want the bounds plus one bitmap word", ix.SizeBytes())
+	}
+}
+
+func first[A, B any](a A, _ B) A { return a }

@@ -190,3 +190,47 @@ func TestSignedZeroMinMaxIndependentOfMergeOrder(t *testing.T) {
 		tb.Close()
 	}
 }
+
+// TestZonemapLeafSkipsNaNRows: a zone whose NaN is not its first value
+// lies inside [0, 10) by its min and max, but NaN satisfies no
+// predicate, so the zonemap leaf must check the zone rather than emit
+// it whole. Both index kinds must count the scan's 7 rows in 8.
+func TestZonemapLeafSkipsNaNRows(t *testing.T) {
+	zone := []float64{1, math.NaN(), 2, 3, 4, 5, 6, 7}
+	var vals []float64
+	for range 512 {
+		vals = append(vals, zone...)
+	}
+	const want = 512 * 7
+	preds := map[string]Predicate{
+		"[0, 10)": Range[float64]("v", 0, 10),
+		">= 0":    AtLeast[float64]("v", 0),
+		"< 10":    LessThan[float64]("v", 10),
+	}
+	for mode, kind := range map[string]IndexMode{"zonemap": Zonemap, "imprints": Imprints} {
+		tb := New("nan")
+		if err := AddColumn(tb, "v", vals, kind, core.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range preds {
+			ctx := mode + " " + name
+			n, _, err := tb.Select().Where(p).Count()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, _, err := tb.Select().Where(p).IDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != want || len(ids) != want {
+				t.Errorf("%s: Count %d, IDs %d; want %d", ctx, n, len(ids), want)
+			}
+			for _, id := range ids {
+				if math.IsNaN(vals[id]) {
+					t.Fatalf("%s: NaN row %d matched", ctx, id)
+				}
+			}
+		}
+		tb.Close()
+	}
+}
