@@ -369,7 +369,7 @@ func TestRunsIntoMatchesReference(t *testing.T) {
 	units := []int{1, 2, 4, 8, 16, 32, 64}
 	for shape, gen := range shapes {
 		for _, bins := range []int{8, 16, 32, 64} {
-			for _, vpc := range []int{0, 4} {
+			for _, vpc := range []int{0, 4, 16, 32, 64} {
 				for _, n := range []int{1, 7, 9_000, 40_963} { // 40,963 is prime: a partial cacheline in a partial unit
 					rng := rand.New(rand.NewPCG(uint64(bins*n), uint64(vpc)))
 					ix := Build(gen(n, uint64(n+bins)), Options{Seed: 5, MaxBins: bins, ValuesPerCacheline: vpc})

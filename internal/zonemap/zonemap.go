@@ -46,16 +46,15 @@ func Build[V coltype.Value](col []V, opts Options) *Index[V] {
 		vpz:  vpz,
 		n:    len(col),
 	}
-	ix.addZones(col, 0)
+	ix.addZones(col)
 	return ix
 }
 
-// addZones appends the bounds of every zone of col from the
-// zone-aligned row from on. A zone's bounds are the min and max of its
-// non-NaN values (NaN only when it holds nothing else), and its NaN bit
-// says whether it holds a NaN.
-func (ix *Index[V]) addZones(col []V, from int) {
-	for ; from < len(col); from += ix.vpz {
+// addZones appends the bounds of every zone of col. A zone's bounds
+// are the min and max of its non-NaN values (NaN only when it holds
+// nothing else), and its NaN bit says whether it holds a NaN.
+func (ix *Index[V]) addZones(col []V) {
+	for from := 0; from < len(col); from += ix.vpz {
 		zone := col[from:min(from+ix.vpz, len(col))]
 		lo, hi := zone[0], zone[0]
 		nan := false
@@ -71,25 +70,21 @@ func (ix *Index[V]) addZones(col []V, from int) {
 				hi = v
 			}
 		}
-		ix.setNaN(len(ix.mins), nan)
+		if nan {
+			ix.setNaN(len(ix.mins))
+		}
 		ix.mins = append(ix.mins, lo)
 		ix.maxs = append(ix.maxs, hi)
 	}
 }
 
-// setNaN records whether zone z holds a NaN.
-func (ix *Index[V]) setNaN(z int, nan bool) {
-	w, bit := z>>6, uint64(1)<<(z&63)
-	if !nan {
-		if w < len(ix.nan) {
-			ix.nan[w] &^= bit
-		}
-		return
-	}
+// setNaN records that zone z holds a NaN.
+func (ix *Index[V]) setNaN(z int) {
+	w := z >> 6
 	for len(ix.nan) <= w {
 		ix.nan = append(ix.nan, 0)
 	}
-	ix.nan[w] |= bit
+	ix.nan[w] |= 1 << (z & 63)
 }
 
 // hasNaN reports whether zone z holds a NaN.
@@ -133,8 +128,9 @@ func (ix *Index[V]) RangeIDs(low, high V, res []uint32) ([]uint32, QueryStats) {
 	for z := 0; z < len(ix.mins); z++ {
 		st.Probes++
 		zmin, zmax := ix.mins[z], ix.maxs[z]
-		// Overlap test: [zmin, zmax] vs [low, high).
-		if zmax < low || zmin >= high {
+		// Overlap test: [zmin, zmax] vs [low, high), stated positively
+		// so that an all-NaN zone, whose bounds are NaN, is skipped.
+		if !(zmax >= low && zmin < high) {
 			st.ZonesSkipped++
 			continue
 		}
@@ -171,7 +167,7 @@ func (ix *Index[V]) CountRange(low, high V) (uint64, QueryStats) {
 	for z := 0; z < len(ix.mins); z++ {
 		st.Probes++
 		zmin, zmax := ix.mins[z], ix.maxs[z]
-		if zmax < low || zmin >= high {
+		if !(zmax >= low && zmin < high) {
 			st.ZonesSkipped++
 			continue
 		}
@@ -195,40 +191,4 @@ func (ix *Index[V]) CountRange(low, high V) (uint64, QueryStats) {
 		}
 	}
 	return count, st
-}
-
-// Widen grows the zone covering row id so that it also admits value v —
-// the zonemap analogue of the imprint's MarkUpdated (Section 4.2):
-// queries stay sound (no false negatives) at the cost of looser bounds.
-func (ix *Index[V]) Widen(id int, v V) {
-	if id < 0 || id >= ix.n {
-		panic("zonemap: Widen id out of range")
-	}
-	z := id / ix.vpz
-	switch {
-	case v != v:
-		ix.setNaN(z, true)
-	case ix.mins[z] != ix.mins[z]: // the zone held only NaN
-		ix.mins[z], ix.maxs[z] = v, v
-	case v < ix.mins[z]:
-		ix.mins[z] = v
-	case v > ix.maxs[z]:
-		ix.maxs[z] = v
-	}
-}
-
-// Append extends the zonemap over newly appended rows; col must be the
-// complete column including the indexed prefix.
-func (ix *Index[V]) Append(col []V) {
-	if len(col) < ix.n {
-		panic("zonemap: Append column shorter than the indexed prefix")
-	}
-	ix.col = col
-	// The last zone may have been partial: recompute it.
-	if ix.n%ix.vpz != 0 && len(ix.mins) > 0 {
-		ix.mins = ix.mins[:len(ix.mins)-1]
-		ix.maxs = ix.maxs[:len(ix.maxs)-1]
-	}
-	ix.addZones(col, len(ix.mins)*ix.vpz)
-	ix.n = len(col)
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/coltype"
-	"repro/internal/core"
 )
 
 func scanIDs[V coltype.Value](col []V, low, high V) []uint32 {
@@ -167,35 +166,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestAppend(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	full := make([]int64, 4003)
-	for i := range full {
-		full[i] = int64(rng.IntN(10000))
-	}
-	for _, cut := range []int{1, 7, 8, 100, 4000} {
-		ix := Build(full[:cut], Options{})
-		ix.Append(full)
-		bulk := Build(full, Options{})
-		if ix.Zones() != bulk.Zones() {
-			t.Fatalf("cut %d: zones %d vs %d", cut, ix.Zones(), bulk.Zones())
-		}
-		got, _ := ix.RangeIDs(2000, 7000, nil)
-		want, _ := bulk.RangeIDs(2000, 7000, nil)
-		equalIDs(t, got, want, "append")
-	}
-}
-
-func TestAppendShorterPanics(t *testing.T) {
-	ix := Build(make([]int64, 100), Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix.Append(make([]int64, 50))
-}
-
 func TestCustomZoneSize(t *testing.T) {
 	col := make([]int64, 1024)
 	for i := range col {
@@ -240,57 +210,50 @@ func TestQuickRangeEqualsScan(t *testing.T) {
 }
 
 // A NaN satisfies no predicate but is skipped by the zone bounds, so a
-// zone holding one must never be emitted without value checks, however
-// the NaN got there: built, appended, or written by an update.
+// zone holding one must never be emitted without value checks.
 func TestNaNZonesAreNeverExact(t *testing.T) {
 	nan := math.NaN()
 	col := []float64{1, nan, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	want := []uint32{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	check := func(ix *Index[float64], ctx string) {
-		t.Helper()
-		got, _ := ix.RangeIDs(0, 100, nil)
-		equalIDs(t, got, want, ctx+" RangeIDs")
-		if n, _ := ix.CountRange(0, 100); n != uint64(len(want)) {
-			t.Errorf("%s: CountRange = %d, want %d", ctx, n, len(want))
-		}
-		for name, runs := range map[string][]core.CandidateRun{
-			"RangeCachelines":    first(ix.RangeCachelines(0, 100)),
-			"AtLeastCachelines":  first(ix.AtLeastCachelines(0)),
-			"LessThanCachelines": first(ix.LessThanCachelines(100)),
-		} {
-			if len(runs) == 0 || runs[0].Start != 0 || runs[0].Exact {
-				t.Errorf("%s: %s = %+v, want zone 0 inexact", ctx, name, runs)
-			}
-		}
+	ix := Build(col, Options{})
+	got, _ := ix.RangeIDs(0, 100, nil)
+	equalIDs(t, got, want, "RangeIDs")
+	if n, _ := ix.CountRange(0, 100); n != uint64(len(want)) {
+		t.Errorf("CountRange = %d, want %d", n, len(want))
 	}
-	check(Build(col, Options{}), "build")
-
-	app := Build(col[:1], Options{})
-	app.Append(col)
-	check(app, "append")
-
-	clean := append([]float64(nil), col...)
-	clean[1] = 1.5
-	upd := Build(clean, Options{})
-	clean[1] = nan
-	upd.Widen(1, nan)
-	check(upd, "widen")
-
-	// A zone of NaNs only has NaN bounds; an update into it must still
-	// be found by every probe.
-	nans := []float64{nan, nan, nan, nan, nan, nan, nan, nan}
-	ix := Build(nans, Options{})
-	nans[3] = 5
-	ix.Widen(3, 5)
-	if runs, _ := ix.InSetCachelines([]float64{5}); len(runs) != 1 || runs[0].Exact {
-		t.Errorf("InSetCachelines after widening a NaN zone = %+v", runs)
-	}
-	if runs, _ := ix.PointCachelines(5); len(runs) != 1 || runs[0].Exact {
-		t.Errorf("PointCachelines after widening a NaN zone = %+v", runs)
-	}
-	if ix.SizeBytes() != 2*8+8 {
-		t.Errorf("SizeBytes = %d, want the bounds plus one bitmap word", ix.SizeBytes())
+	if nans := Build([]float64{nan, nan}, Options{}); nans.SizeBytes() != 2*8+8 {
+		t.Errorf("SizeBytes = %d, want the bounds plus one bitmap word", nans.SizeBytes())
 	}
 }
 
-func first[A, B any](a A, _ B) A { return a }
+// A zone of NaNs only has NaN bounds, and no range overlaps it: both
+// probes skip it without a value check, beside zones they must scan.
+func TestAllNaNZonesAreSkipped(t *testing.T) {
+	col := make([]float64, 4096)
+	for i := range col {
+		col[i] = math.NaN()
+	}
+	ix := Build(col, Options{})
+	ids, st := ix.RangeIDs(0, 10, nil)
+	if len(ids) != 0 || st.Comparisons != 0 || st.ZonesSkipped != 512 {
+		t.Errorf("RangeIDs over NaNs: %d ids, %+v; want 0 ids, 0 comparisons, 512 zones skipped", len(ids), st)
+	}
+	n, st := ix.CountRange(0, 10)
+	if n != 0 || st.Comparisons != 0 || st.ZonesSkipped != 512 {
+		t.Errorf("CountRange over NaNs: %d, %+v; want 0, 0 comparisons, 512 zones skipped", n, st)
+	}
+
+	// One zone of real values among the NaN zones is still scanned.
+	for i := 8; i < 16; i++ {
+		col[i] = float64(i)
+	}
+	ix = Build(col, Options{})
+	ids, st = ix.RangeIDs(0, 10, nil)
+	equalIDs(t, ids, []uint32{8, 9}, "RangeIDs mixed")
+	if st.Comparisons != 8 || st.ZonesScanned != 1 || st.ZonesSkipped != 511 {
+		t.Errorf("RangeIDs mixed: %+v; want 8 comparisons, 1 zone scanned, 511 skipped", st)
+	}
+	if n, st := ix.CountRange(0, 10); n != 2 || st.Comparisons != 8 {
+		t.Errorf("CountRange mixed = %d, %+v; want 2 over 8 comparisons", n, st)
+	}
+}

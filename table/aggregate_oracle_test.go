@@ -341,7 +341,7 @@ func TestAggregateOracleRandomized(t *testing.T) {
 	if err := AddColumn(tb, "a", a, Imprints, core.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddColumn(tb, "f", f, Zonemap, core.Options{}); err != nil {
+	if err := AddColumn(tb, "f", f, NoIndex, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AddStringColumn("s", s, Imprints, core.Options{Seed: 4}); err != nil {

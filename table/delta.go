@@ -27,7 +27,7 @@ import (
 //   - buffered, auto (EnableDeltaIngest with AutoSeal): the same, plus a
 //     background sealer that cuts full segment-sized slabs off the
 //     vectors into immutable segments — building their imprints,
-//     zonemaps, summaries and dictionaries off the query path —
+//     summaries and dictionaries off the query path —
 //     installing them atomically under the table lock.
 //
 // Updates and deletes of buffered rows never touch sealed segments.
@@ -59,10 +59,6 @@ type IngestOptions struct {
 	// MaxSealSegments bounds how many full segments one seal pass
 	// builds off-lock before installing (memory bound). 0 means 4.
 	MaxSealSegments int
-	// MergeSaturation is the index-saturation fraction past which the
-	// merge-compactor rewrites a sealed segment. 0 means 0.5; set
-	// above 1 to only rewrite widened summaries.
-	MergeSaturation float64
 }
 
 // deltaState is the per-table write-path state, created with the table:
@@ -82,11 +78,10 @@ type deltaState struct {
 	// sealMu serializes seal passes (background and manual); it is
 	// never held while waiting on table commits, and t.mu write
 	// sections never acquire it, so lock order is always sealMu then
-	// t.mu. maxSealSegs and mergeSat are written by EnableDeltaIngest
-	// under the write lock before the sealer that reads them starts.
+	// t.mu. maxSealSegs is written by EnableDeltaIngest under the
+	// write lock before the sealer that reads it starts.
 	sealMu      sync.Mutex
 	maxSealSegs int
-	mergeSat    float64
 
 	// kick wakes the background sealer (a kick nobody waits for stays
 	// pending in the channel's one slot); stop ends it, and sealer is
@@ -123,17 +118,13 @@ type deltaState struct {
 	merges      atomic.Uint64
 }
 
-// Defaults of IngestOptions.MaxSealSegments and MergeSaturation.
-const (
-	defaultMaxSealSegs = 4
-	defaultMergeSat    = 0.5
-)
+// defaultMaxSealSegs is IngestOptions.MaxSealSegments' default.
+const defaultMaxSealSegs = 4
 
 func newDeltaState() *deltaState {
 	return &deltaState{
 		store:       delta.NewStore(0, BlockRows, nil),
 		maxSealSegs: defaultMaxSealSegs,
-		mergeSat:    defaultMergeSat,
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -180,9 +171,6 @@ func (t *Table) enableDeltaIngestLocked(opts IngestOptions) error {
 	}
 	if opts.MaxSealSegments > 0 {
 		d.maxSealSegs = opts.MaxSealSegments
-	}
-	if opts.MergeSaturation != 0 {
-		d.mergeSat = opts.MergeSaturation
 	}
 	d.buffered.Store(true)
 	if opts.AutoSeal {
@@ -502,7 +490,7 @@ func (t *Table) IngestStats() IngestStats {
 		st.Flushes += d.flushes.Load()
 		st.FlushedRows += d.flushedRows.Load()
 		st.Merges += d.merges.Load()
-		st.MergeBacklog += kid.mergeBacklogLocked(d.mergeSat)
+		st.MergeBacklog += kid.mergeBacklogLocked()
 		if d.recovery != nil {
 			if st.Recovery == nil {
 				st.Recovery = &RecoveryReport{}
@@ -525,10 +513,10 @@ func (t *Table) IngestStats() IngestStats {
 // callers hold a lock.
 //
 //imprintvet:locks held=mu.R
-func (t *Table) mergeBacklogLocked(satLimit float64) int {
+func (t *Table) mergeBacklogLocked() int {
 	n := 0
 	for _, name := range t.order {
-		n += t.cols[name].mergeBacklog(satLimit)
+		n += t.cols[name].mergeBacklog(defaultSatLimit)
 	}
 	return n
 }

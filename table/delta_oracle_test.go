@@ -369,7 +369,7 @@ func mkDeltaColumnarTable(t *testing.T, shards int, flush bool) *Table {
 	}
 	opts := core.Options{Seed: 5}
 	must(AddColumn(tb, "i8", dcoCast[int8](0, sealed), Imprints, opts))
-	must(AddColumn(tb, "i16", dcoCast[int16](0, sealed), Zonemap, opts))
+	must(AddColumn(tb, "i16", dcoCast[int16](0, sealed), NoIndex, opts))
 	must(AddColumn(tb, "i32", dcoCast[int32](0, sealed), NoIndex, opts))
 	must(AddColumn(tb, "i64", dcoCast[int64](0, sealed), Imprints, opts))
 	must(AddColumn(tb, "u8", dcoCast[uint8](0, sealed), Imprints, opts))

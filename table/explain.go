@@ -8,9 +8,9 @@ import (
 )
 
 // Plan is the rendered execution plan of a Query: what the evaluator
-// decided per leaf and per segment (pruned vs imprints probe vs zonemap
-// vs scan fallback, the estimated selectivity behind that choice) and
-// what each subtree's candidate-run list looked like after composition.
+// decided per leaf and per segment (pruned vs imprints probe vs scan,
+// the estimated selectivity behind that choice) and what each
+// subtree's candidate-run list looked like after composition.
 // Explain executes the index probes against every segment — the
 // candidate-run statistics are real — but never materializes a row.
 type Plan struct {
@@ -79,9 +79,10 @@ type PlanNode struct {
 	Op     string // "and", "or", "andnot", "leaf", "all"
 	Pred   string // leaf predicate rendering, e.g. `city in ["A", "N"]`
 	Column string // leaf column name
-	// Access is the leaf access path: "imprints", "zonemap", "scan" —
-	// or "pruned" when every segment was pruned, and "mixed" when
-	// segments resolved differently (see SegmentDetails).
+	// Access is the leaf access path: "imprints" or "scan" (the column
+	// has no imprint, or Reason says why it was not probed) — or
+	// "pruned" when every segment was pruned, and "mixed" when segments
+	// resolved differently (see SegmentDetails).
 	Access string
 	// Reason says why a non-default path was chosen: "summary excludes"
 	// (pruned: the leaf's own min/max or dictionary rules the segment
@@ -95,7 +96,7 @@ type PlanNode struct {
 	// Selectivity is the leaf's estimated selectivity (fraction of rows
 	// expected to qualify, row-weighted across probed segments) from the
 	// imprint histograms; negative when no segment has an imprint to
-	// estimate from (scan-only, zonemap).
+	// estimate from (scan-only).
 	Selectivity float64
 	// Residual is the sampled share of blocks a probe would leave to the
 	// residual evaluator (core.Index.ResidualShare, row-weighted across
@@ -122,7 +123,7 @@ type PlanNode struct {
 type SegmentPlan struct {
 	Segment         int
 	Rows            int
-	Access          string // "pruned", "imprints", "zonemap", "scan"
+	Access          string // "pruned", "imprints", "scan"
 	Reason          string
 	Selectivity     float64 // negative when the segment has no imprint
 	Residual        float64 // negative when the segment was not sampled

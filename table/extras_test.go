@@ -1,12 +1,6 @@
 package table
 
-import (
-	"bytes"
-	"math/rand/v2"
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 func TestInPredicate(t *testing.T) {
 	tb, _, _, status := mkTable(t, 4000, 30)
@@ -44,193 +38,6 @@ func TestInPredicate(t *testing.T) {
 	// Type mismatch is an error.
 	if _, _, err := tb.Select().Where(In[int32]("qty", 5)).IDs(); err == nil {
 		t.Error("IN with wrong element type accepted")
-	}
-}
-
-func TestZonemapMode(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 31))
-	n := 5000
-	// Near-sorted data: the zonemap's sweet spot.
-	ts := make([]int64, n)
-	v := int64(0)
-	for i := 0; i < n; i++ {
-		v += int64(rng.IntN(10))
-		ts[i] = v
-	}
-	other := make([]float64, n)
-	for i := range other {
-		other[i] = rng.Float64() * 100
-	}
-	tb := New("events")
-	if err := AddColumn(tb, "ts", ts, Zonemap, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AddColumn(tb, "score", other, Imprints, core.Options{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if tb.IndexBytes() <= 0 {
-		t.Error("zonemap mode reports no index bytes")
-	}
-
-	// Every leaf kind over the zonemap column.
-	lo, hi := ts[n/4], ts[n/2]
-	got, st, err := tb.Select().Where(Range[int64]("ts", lo, hi)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []uint32
-	for i, x := range ts {
-		if x >= lo && x < hi {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap range")
-	if st.Probes == 0 {
-		t.Error("zonemap leaf did not probe")
-	}
-
-	got, _, err = tb.Select().Where(AtLeast[int64]("ts", hi)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = nil
-	for i, x := range ts {
-		if x >= hi {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap at-least")
-
-	got, _, err = tb.Select().Where(LessThan[int64]("ts", lo)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = nil
-	for i, x := range ts {
-		if x < lo {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap less-than")
-
-	got, _, err = tb.Select().Where(Equals[int64]("ts", ts[777])).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = nil
-	for i, x := range ts {
-		if x == ts[777] {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap equals")
-
-	got, _, err = tb.Select().Where(In("ts", ts[5], ts[n-5])).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := map[int64]bool{ts[5]: true, ts[n-5]: true}
-	want = nil
-	for i, x := range ts {
-		if in[x] {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap in")
-
-	// Mixed zonemap + imprints conjunction.
-	got, _, err = tb.Select().Where(And(
-		Range[int64]("ts", lo, hi),
-		LessThan[float64]("score", 25.0),
-	)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = nil
-	for i := range ts {
-		if ts[i] >= lo && ts[i] < hi && other[i] < 25 {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "mixed zonemap+imprints AND")
-}
-
-func TestZonemapModeUpdatesAndAppends(t *testing.T) {
-	rng := rand.New(rand.NewPCG(32, 32))
-	ts := make([]int64, 2000)
-	for i := range ts {
-		ts[i] = int64(i * 3)
-	}
-	tb := New("e")
-	if err := AddColumn(tb, "ts", ts, Zonemap, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// In-place updates widen zones; queries stay sound.
-	for u := 0; u < 150; u++ {
-		id := rng.IntN(len(ts))
-		nv := int64(rng.IntN(6000))
-		if err := Update(tb, "ts", id, nv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Column materializes a snapshot; re-fetch after the updates.
-	live, _ := Column[int64](tb, "ts")
-	lo, hi := int64(1000), int64(2000)
-	got, _, err := tb.Select().Where(Range[int64]("ts", lo, hi)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []uint32
-	for i, x := range live {
-		if x >= lo && x < hi {
-			want = append(want, uint32(i))
-		}
-	}
-	equalIDs(t, got, want, "zonemap after updates")
-
-	// Batch append extends the zonemap.
-	b := tb.NewBatch()
-	if err := Append(b, "ts", []int64{9000, 9001, 9002}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = tb.Select().Where(AtLeast[int64]("ts", 9000)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("appended rows not found: %v", got)
-	}
-}
-
-func TestZonemapModePersistence(t *testing.T) {
-	ts := make([]int64, 1000)
-	for i := range ts {
-		ts[i] = int64(i)
-	}
-	tb := New("z")
-	if err := AddColumn(tb, "ts", ts, Zonemap, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tb.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, st, err := got.Select().Where(Range[int64]("ts", 100, 200)).IDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 100 {
-		t.Errorf("persisted zonemap query: %d ids", len(ids))
-	}
-	if st.Probes == 0 {
-		t.Error("rebuilt zonemap did not probe")
 	}
 }
 

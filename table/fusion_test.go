@@ -179,7 +179,7 @@ func fuseTable(t *testing.T, rng *rand.Rand, shards int) *Table {
 	for _, err := range []error{
 		AddColumn(tb, "i", is, Imprints, core.Options{Seed: 31}),
 		AddColumn(tb, "u", us, Imprints, core.Options{Seed: 32}),
-		AddColumn(tb, "f", fs, Zonemap, core.Options{}),
+		AddColumn(tb, "f", fs, NoIndex, core.Options{}),
 		tb.AddStringColumn("s", ss, Imprints, core.Options{Seed: 33}),
 		tb.EnableDeltaIngest(IngestOptions{}),
 	} {

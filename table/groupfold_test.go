@@ -94,7 +94,7 @@ func gfTable(t *testing.T, shards, sealed, buffered int) *Table {
 		AddColumn(tb, "t", c.t, Imprints, core.Options{Seed: 1}),
 		AddColumn(tb, "a", c.a, Imprints, core.Options{Seed: 2}),
 		AddColumn(tb, "b", c.b, NoIndex, core.Options{}),
-		AddColumn(tb, "f", c.f, Zonemap, core.Options{}),
+		AddColumn(tb, "f", c.f, NoIndex, core.Options{}),
 		AddColumn(tb, "g", c.g, NoIndex, core.Options{}),
 		tb.AddStringColumn("s", c.s, Imprints, core.Options{Seed: 3}),
 		AddColumn(tb, "n", c.n, Imprints, core.Options{Seed: 4}),

@@ -191,15 +191,15 @@ func TestSignedZeroMinMaxIndependentOfMergeOrder(t *testing.T) {
 	}
 }
 
-// TestZonemapLeafSkipsNaNRows: a zone whose NaN is not its first value
-// lies inside [0, 10) by its min and max, but NaN satisfies no
-// predicate, so the zonemap leaf must check the zone rather than emit
-// it whole. Both index kinds must count the scan's 7 rows in 8.
-func TestZonemapLeafSkipsNaNRows(t *testing.T) {
-	zone := []float64{1, math.NaN(), 2, 3, 4, 5, 6, 7}
+// TestImprintLeafSkipsNaNRows: a cacheline whose NaN is not its first
+// value lies inside [0, 10) by its other values, but NaN satisfies no
+// predicate, so the imprint leaf must check the cacheline rather than
+// emit it whole. Every leaf must count the scan's 7 rows in 8.
+func TestImprintLeafSkipsNaNRows(t *testing.T) {
+	line := []float64{1, math.NaN(), 2, 3, 4, 5, 6, 7}
 	var vals []float64
 	for range 512 {
-		vals = append(vals, zone...)
+		vals = append(vals, line...)
 	}
 	const want = 512 * 7
 	preds := map[string]Predicate{
@@ -207,30 +207,27 @@ func TestZonemapLeafSkipsNaNRows(t *testing.T) {
 		">= 0":    AtLeast[float64]("v", 0),
 		"< 10":    LessThan[float64]("v", 10),
 	}
-	for mode, kind := range map[string]IndexMode{"zonemap": Zonemap, "imprints": Imprints} {
-		tb := New("nan")
-		if err := AddColumn(tb, "v", vals, kind, core.Options{Seed: 1}); err != nil {
+	tb := New("nan")
+	if err := AddColumn(tb, "v", vals, Imprints, core.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	for name, p := range preds {
+		n, _, err := tb.Select().Where(p).Count()
+		if err != nil {
 			t.Fatal(err)
 		}
-		for name, p := range preds {
-			ctx := mode + " " + name
-			n, _, err := tb.Select().Where(p).Count()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, _, err := tb.Select().Where(p).IDs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != want || len(ids) != want {
-				t.Errorf("%s: Count %d, IDs %d; want %d", ctx, n, len(ids), want)
-			}
-			for _, id := range ids {
-				if math.IsNaN(vals[id]) {
-					t.Fatalf("%s: NaN row %d matched", ctx, id)
-				}
+		ids, _, err := tb.Select().Where(p).IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || len(ids) != want {
+			t.Errorf("%s: Count %d, IDs %d; want %d", name, n, len(ids), want)
+		}
+		for _, id := range ids {
+			if math.IsNaN(vals[id]) {
+				t.Fatalf("%s: NaN row %d matched", name, id)
 			}
 		}
-		tb.Close()
 	}
 }

@@ -630,9 +630,6 @@ func newSegmentLoader(kind reflect.Kind, name string, mode IndexMode, opts core.
 	case reflect.Float64:
 		col = newColState[float64](name, mode, opts, segRows)
 	case reflect.String:
-		if mode == Zonemap {
-			return nil, "", fmt.Errorf("string column has zonemap mode")
-		}
 		col, payloadSec = &strColState{name: name, mode: mode, vpcOpts: opts, segRows: segRows}, secDict
 	default:
 		return nil, "", fmt.Errorf("unsupported kind %d", kind)
@@ -658,7 +655,7 @@ func readColumn(t *Table, r io.Reader, rows uint64, ctx *loadCtx) error {
 		return sectionError(ctx, name, -1, secColHdr, err)
 	}
 	mode := IndexMode(kindMode[1])
-	if mode != Imprints && mode != NoIndex && mode != Zonemap {
+	if mode != Imprints && mode != NoIndex {
 		return sectionError(ctx, name, -1, secColHdr, fmt.Errorf("invalid index mode %d", mode))
 	}
 	opts, err := readOptions(hr)
@@ -746,9 +743,9 @@ func readColumn(t *Table, r io.Reader, rows uint64, ctx *loadCtx) error {
 // decodeIndexImage decodes an index section: the hasIndex flag and,
 // when set, the imprint image (self-delimiting, carrying its own
 // checksum) reattached to vals. Only Imprints columns ever persist an
-// image: Write emits none for NoIndex/Zonemap modes, and a loaded one
-// would go unmaintained by appends, so a flagged image on any other
-// mode is corruption.
+// image: Write emits none for NoIndex columns, and a loaded one would
+// go unmaintained by appends, so a flagged image on a NoIndex column is
+// corruption.
 func decodeIndexImage[V coltype.Value](image []byte, mode IndexMode, vals []V) (*core.Index[V], error) {
 	if len(image) == 0 {
 		return nil, fmt.Errorf("missing index flag")
@@ -782,8 +779,8 @@ func (c *colState[V]) loadSegment(payload, image []byte, fill int) (any, string,
 	s := &segment[V]{vals: vals, ix: ix}
 	s.min, s.max, _ = summarize(vals)
 	if ix == nil {
-		// Persisted without an image (zonemap/scan mode): rebuild
-		// whatever index the mode calls for.
+		// Persisted without an image: rebuild whatever index the mode
+		// calls for.
 		s.rebuild(c.mode, c.vpcOpts)
 	}
 	return s, "", nil

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -456,6 +458,97 @@ func TestQuarantineRefusesShortPayload(t *testing.T) {
 		if cse.Column != "qty" || cse.Segment != 0 || cse.Section != secSlab {
 			t.Errorf("quarantine=%t: error names %s segment %d section %s, want qty segment 0 slab",
 				quarantine, cse.Column, cse.Segment, cse.Section)
+		}
+	}
+}
+
+// setColHdrMode returns a copy of a v5 image whose colhdr section for
+// column col declares index mode mode, its checksum refit: the mode
+// byte follows the length-prefixed name and the kind byte.
+func setColHdrMode(t *testing.T, img []byte, col string, mode byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), img...)
+	prefix := binary.LittleEndian.AppendUint16(nil, uint16(len(col)))
+	prefix = append(prefix, col...)
+	for _, fr := range walkFrames(t, out) {
+		payload := out[fr.payload : fr.payload+fr.n]
+		if !bytes.HasPrefix(payload, prefix) || len(payload) < len(prefix)+2 {
+			continue
+		}
+		payload[len(prefix)+1] = mode
+		binary.LittleEndian.PutUint32(out[fr.payload+fr.n:], crc32.Checksum(payload, crcTable))
+		return out
+	}
+	t.Fatalf("no colhdr for column %q", col)
+	return nil
+}
+
+// TestPersistedIndexMode pins the colhdr mode byte: Imprints is 0,
+// NoIndex is 1, and any other value is colhdr damage, fatal with or
+// without quarantine, and refused when a column is added. A NoIndex
+// column round-trips as mode 1 and answers as a scan does.
+func TestPersistedIndexMode(t *testing.T) {
+	tb := mkPersistTable(t, 160)
+	ts := make([]int64, 160)
+	for i := range ts {
+		ts[i] = int64(i * 7 % 160)
+	}
+	if err := AddColumn(tb, "bad", ts, IndexMode(2), core.Options{}); err == nil {
+		t.Error("AddColumn accepted index mode 2")
+	}
+	if err := tb.AddStringColumn("bad", make([]string, 160), IndexMode(2), core.Options{}); err == nil {
+		t.Error("AddStringColumn accepted index mode 2")
+	}
+	if err := AddColumn(tb, "ts", ts, NoIndex, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tb.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	for col, want := range map[string]IndexMode{"qty": Imprints, "city": Imprints, "ts": NoIndex} {
+		if got := setColHdrMode(t, img, col, byte(want)); !bytes.Equal(got, img) {
+			t.Errorf("column %s: colhdr mode byte is not %d", col, want)
+		}
+	}
+
+	got, err := Read(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := got.IndexStats("ts")
+	if err != nil || st.Segments != 3 || st.IndexedSegments != 0 || st.SizeBytes != 0 {
+		t.Errorf("reloaded NoIndex column: %+v, %v; want 3 segments, none indexed", st, err)
+	}
+	q := got.Select().Where(Range[int64]("ts", 20, 90))
+	ids, _, err := q.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint32
+	for i, v := range ts {
+		if v >= 20 && v < 90 {
+			want = append(want, uint32(i))
+		}
+	}
+	equalIDs(t, ids, want, "reloaded NoIndex range")
+	if plan, err := q.Explain(); err != nil || plan.Root.Access != "scan" || plan.Root.Reason != "" {
+		t.Errorf("reloaded NoIndex leaf: plan %+v, %v; want a plain scan", plan.Root, err)
+	}
+
+	for _, col := range []string{"ts", "qty", "city"} {
+		bad := setColHdrMode(t, img, col, 2)
+		for _, quarantine := range []bool{false, true} {
+			tb, _, err := ReadWithOptions(bytes.NewReader(bad), LoadOptions{Quarantine: quarantine})
+			var cse *CorruptSegmentError
+			if !errors.As(err, &cse) || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s mode 2, quarantine=%t: got table %v, error %v; want a *CorruptSegmentError",
+					col, quarantine, tb != nil, err)
+			}
+			if cse.Section != secColHdr || cse.Column != col || !strings.Contains(err.Error(), "invalid index mode 2") {
+				t.Errorf("%s mode 2, quarantine=%t: %v; want the %s colhdr's invalid index mode 2", col, quarantine, err, col)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/coltype"
 	"repro/internal/core"
-	"repro/internal/zonemap"
 )
 
 // BlockRows is the row granularity at which table-level predicates are
@@ -448,16 +447,16 @@ type leafPlan interface {
 	// BlockRows units, local to the segment, appended into dst (pass a
 	// pooled buffer truncated to length 0 to keep probing alloc-free),
 	// and the candidate lanes within them: an imprint's per-cacheline
-	// hits, every lane for a zonemap or a scan-only segment.
+	// hits, every lane for a scan-only segment.
 	segRuns(s int, dst []core.CandidateRun) ([]core.CandidateRun, candLanes, core.QueryStats)
 	// segKernel is the vectorized residual evaluator for segment s.
 	// Kernels are cached per segment (re-derived when the segment's
 	// value slab or dictionary generation changes), so steady-state
 	// executions fetch a closure instead of building one.
 	segKernel(s int) blockKernel
-	// access names the column's index kind ("imprints", "zonemap",
-	// "scan"); per-segment deviations (pruned, scan fallback) are
-	// decided during evaluation.
+	// access names the column's index kind ("imprints" or "scan");
+	// per-segment deviations (pruned, scan fallback) are decided during
+	// evaluation.
 	access() string
 	// deltaKernel is the selection-mask kernel of the leaf over the
 	// buffered slab r names, derived per execution (slabs have no index,
@@ -1093,7 +1092,7 @@ func releaseEval(ev *evaluated) {
 // per-cacheline hit bitmap (vpc rows a bit); an and or an or over such
 // leaves holds one bit per row, its kids' lanes ANDed or ORed block by
 // block over its own runs; an andnot takes p's. The zero value is every
-// lane — all a scan fallback, a zonemap leaf or buffered rows know.
+// lane — all a scan fallback, a scan-only leaf or buffered rows know.
 // Lanes outside a subtree's runs are clear, so an or reads its kids'
 // lanes anywhere; an extra lane only costs a check, never a row.
 type candLanes struct {
@@ -1380,9 +1379,9 @@ func (t *Table) evalSegmentLeaf(en *execNode, s int, opts SelectOptions, st *cor
 	}
 	// Cost-based access path: skip index probing for segments where the
 	// probe cannot pay for itself. Only imprint-backed segments yield an
-	// estimate (negative means none); zonemap leaves are always probed —
-	// their per-zone cost is two comparisons, so a scan buys nothing. A
-	// threshold of 1 or more can never be crossed, so it samples nothing.
+	// estimate (negative means none); a segment without one is scanned
+	// by segRuns. A threshold of 1 or more can never be crossed, so it
+	// samples nothing.
 	if est := plan.segEstimate(s); est >= 0 {
 		thr := opts.threshold()
 		why := ""
@@ -1589,35 +1588,8 @@ func (pl *numLeafPlan[V]) segRuns(s int, dst []core.CandidateRun) ([]core.Candid
 	if ix := seg.ix; ix != nil {
 		return imprintRuns(ix, pl.masks(ix), dst)
 	}
-	if seg.zm == nil {
-		// Scan-only segment: every block is a candidate.
-		return blockSpanRunsInto(dst, len(seg.vals), false), candLanes{}, core.QueryStats{}
-	}
-	// A zonemap answers per zone: its run list lands in a pooled temp and
-	// is renormalized to BlockRows blocks appended into dst.
-	var cl []core.CandidateRun
-	var zst zonemap.QueryStats
-	switch pl.kind {
-	case kindIn:
-		cl, zst = seg.zm.InSetCachelines(pl.set)
-	case kindRange:
-		cl, zst = seg.zm.RangeCachelines(pl.low, pl.high)
-	case kindAtLeast:
-		cl, zst = seg.zm.AtLeastCachelines(pl.low)
-	case kindLessThan:
-		cl, zst = seg.zm.LessThanCachelines(pl.high)
-	case kindEquals:
-		cl, zst = seg.zm.PointCachelines(pl.low)
-	}
-	vpc := seg.zm.ValuesPerZone()
-	zones := (len(seg.vals) + vpc - 1) / vpc
-	return blocksFromCachelinesInto(dst, cl, BlockRows/vpc, zones), candLanes{}, core.QueryStats{
-		Probes:            zst.Probes,
-		Comparisons:       zst.Comparisons,
-		CachelinesScanned: zst.ZonesScanned,
-		CachelinesExact:   zst.ZonesExact,
-		CachelinesSkipped: zst.ZonesSkipped,
-	}
+	// Scan-only segment: every block is a candidate.
+	return blockSpanRunsInto(dst, len(seg.vals), false), candLanes{}, core.QueryStats{}
 }
 
 // imprintRuns probes one segment imprint in the executor's own unit —
@@ -1705,93 +1677,4 @@ func (pl *numLeafPlan[V]) segEstimate(s int) float64 {
 // share per member, a bin counted once however many members it holds.
 func inSetEstimate(m core.Masks, bins int) float64 {
 	return float64(bits.OnesCount64(m.Mask)) / float64(bins)
-}
-
-// blocksFromCachelinesInto renormalizes a zonemap's run list (vpc rows
-// per zone) into BlockRows blocks appended into dst (which must not
-// alias runs): f = zones per block. A block is a candidate if any of
-// its zones is, and exact only if every one of its (existing) zones is
-// covered exactly — exactness may only shrink under coarsening,
-// candidacy may only grow; both directions are sound (false positives
-// are re-checked, exact rows truly all qualify). Imprint segments need
-// no such pass: core.Index.RunsInto emits blocks directly, and is held
-// to this function's output by TestUnitProbeMatchesRenormalizedProbe.
-//
-// Runs spanning many whole blocks are translated in O(1); only the
-// partial head/tail blocks of each run need accumulation. An f of 1
-// copies.
-func blocksFromCachelinesInto(dst, runs []core.CandidateRun, f int, totalCl int) []core.CandidateRun {
-	if f == 1 || len(runs) == 0 {
-		return append(dst, runs...)
-	}
-	out := dst
-	push := func(start, count uint32, exact bool) {
-		if count == 0 {
-			return
-		}
-		if n := len(out); n > 0 {
-			last := &out[n-1]
-			if last.Exact == exact && last.Start+last.Count == start {
-				last.Count += count
-				return
-			}
-		}
-		out = append(out, core.CandidateRun{Start: start, Count: count, Exact: exact})
-	}
-
-	// Accumulator for the block currently being assembled from partial
-	// run pieces.
-	accBlock := -1
-	accCovered := 0
-	accExact := true
-	blockLen := func(b int) int {
-		l := totalCl - b*f
-		if l > f {
-			l = f
-		}
-		return l
-	}
-	flush := func() {
-		if accBlock < 0 {
-			return
-		}
-		push(uint32(accBlock), 1, accExact && accCovered == blockLen(accBlock))
-		accBlock = -1
-	}
-	addPiece := func(b, covered int, exact bool) {
-		if accBlock != b {
-			flush()
-			accBlock = b
-			accCovered = 0
-			accExact = true
-		}
-		accCovered += covered
-		accExact = accExact && exact
-	}
-
-	for _, r := range runs {
-		clStart := int(r.Start)
-		clEnd := clStart + int(r.Count)
-		b0 := clStart / f
-		b1 := (clEnd - 1) / f // last block touched
-		if b0 == b1 {
-			addPiece(b0, clEnd-clStart, r.Exact)
-			continue
-		}
-		// Head partial (or full) block.
-		headEnd := (b0 + 1) * f
-		addPiece(b0, headEnd-clStart, r.Exact)
-		flush()
-		// Middle whole blocks in one go.
-		mb1 := clEnd / f // first block NOT fully covered
-		if mb1 > b0+1 {
-			push(uint32(b0+1), uint32(mb1-(b0+1)), r.Exact)
-		}
-		// Tail partial block.
-		if tail := clEnd - mb1*f; tail > 0 {
-			addPiece(mb1, tail, r.Exact)
-		}
-	}
-	flush()
-	return out
 }

@@ -435,7 +435,7 @@ func mkOracleTable(t *testing.T, rng *rand.Rand, n int) *Table {
 	if err := AddColumn(tb, "a", a, Imprints, core.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddColumn(tb, "z", z, Zonemap, core.Options{}); err != nil {
+	if err := AddColumn(tb, "z", z, NoIndex, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := AddColumn(tb, "f", f, Imprints, core.Options{Seed: 2}); err != nil {

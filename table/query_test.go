@@ -188,35 +188,6 @@ func TestUnindexedStringEmptyLeafShortCircuit(t *testing.T) {
 	}
 }
 
-func TestZonemapLeafIgnoresScanThreshold(t *testing.T) {
-	ts := make([]int64, 4000)
-	for i := range ts {
-		ts[i] = int64(i)
-	}
-	tb := New("zm")
-	if err := AddColumn(tb, "ts", ts, Zonemap, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	q := tb.Select().Where(Range[int64]("ts", 100, 110)).Options(SelectOptions{ScanThreshold: 0.4})
-	plan, err := q.Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Root.Access != "zonemap" || plan.Root.Reason != "" {
-		t.Errorf("zonemap leaf fell back to %s (%s) under a low threshold", plan.Root.Access, plan.Root.Reason)
-	}
-	if plan.Root.Selectivity >= 0 {
-		t.Errorf("zonemap leaf reports a fabricated estimate %f", plan.Root.Selectivity)
-	}
-	ids, st, err := q.IDs()
-	if err != nil || len(ids) != 10 {
-		t.Fatalf("zonemap query: %v %v", ids, err)
-	}
-	if st.Probes == 0 {
-		t.Error("zonemap was not probed")
-	}
-}
-
 func TestCompactToZeroThenAppend(t *testing.T) {
 	tb := New("drain")
 	if err := AddColumn(tb, "v", []int64{1, 2, 3}, Imprints, core.Options{}); err != nil {
@@ -377,12 +348,12 @@ func TestQueryErrors(t *testing.T) {
 
 func TestExplainShape(t *testing.T) {
 	tb, _, _, _, _ := mkMixedTable(t, 5000, 7)
-	// Zonemap column rides along to show up in the plan.
+	// A scan-only column rides along to show up in the plan.
 	ts := make([]int64, 5000)
 	for i := range ts {
 		ts[i] = int64(i)
 	}
-	if err := AddColumn(tb, "ts", ts, Zonemap, core.Options{}); err != nil {
+	if err := AddColumn(tb, "ts", ts, NoIndex, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	q := tb.Select("qty", "city").Where(And(
@@ -404,12 +375,12 @@ func TestExplainShape(t *testing.T) {
 	if plan.Root.Op != "and" || len(plan.Root.Children) != 4 {
 		t.Fatalf("plan root: %s with %d children", plan.Root.Op, len(plan.Root.Children))
 	}
-	access := map[string]string{}
+	access, reason := map[string]string{}, map[string]string{}
 	for _, kid := range plan.Root.Children {
-		access[kid.Column] = kid.Access
+		access[kid.Column], reason[kid.Column] = kid.Access, kid.Reason
 	}
-	if access["qty"] != "imprints" || access["city"] != "imprints" || access["ts"] != "zonemap" {
-		t.Errorf("access paths: %v", access)
+	if access["qty"] != "imprints" || access["city"] != "imprints" || access["ts"] != "scan" || reason["ts"] != "" {
+		t.Errorf("access paths: %v, reasons: %v", access, reason)
 	}
 	if access["price"] != "scan" {
 		t.Errorf("unselective leaf access = %q, want scan", access["price"])
@@ -420,7 +391,7 @@ func TestExplainShape(t *testing.T) {
 	text := plan.String()
 	for _, want := range []string{
 		"select qty, city from orders limit 10",
-		"and:", "imprints", "zonemap", "scan (unselective)",
+		"and:", "imprints", "ts in [100, 4000): scan →", "scan (unselective)",
 		`city prefix "A"`, "est=",
 	} {
 		if !strings.Contains(text, want) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/column"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/zonemap"
 )
 
 // Background sealing (the write path's second stage under the buffered
@@ -200,7 +199,7 @@ func (t *Table) mergePass(d *deltaState) {
 		t.mu.Lock()
 		merged := false
 		for _, name := range t.order {
-			if t.cols[name].mergeOne(d.mergeSat) {
+			if t.cols[name].mergeOne(defaultSatLimit) {
 				merged = true
 				d.merges.Add(1)
 				break
@@ -222,11 +221,8 @@ func (c *colState[V]) buildSealed(prefix delta.View, k int) any {
 	vals := delta.NumVec[V](prefix, c.pos)[lo : lo+c.segRows : lo+c.segRows]
 	s := &segment[V]{vals: vals}
 	s.min, s.max, _ = summarize(vals)
-	switch c.mode {
-	case Imprints:
+	if c.mode == Imprints {
 		s.ix = core.Build(vals, c.vpcOpts)
-	case Zonemap:
-		s.zm = zonemap.Build(vals, zonemap.Options{})
 	}
 	return s
 }

@@ -14,7 +14,7 @@ import (
 // (sparse imprints, so update marks visibly saturate them) and a string
 // column of five symbols laid out in runs — with delta ingest on and no
 // background worker.
-func mkMergeTable(t testing.TB, mergeSat float64) *Table {
+func mkMergeTable(t testing.TB) *Table {
 	t.Helper()
 	const n = 1024
 	a := make([]int64, n)
@@ -30,33 +30,29 @@ func mkMergeTable(t testing.TB, mergeSat float64) *Table {
 	if err := tb.AddStringColumn("s", s, Imprints, core.Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.EnableDeltaIngest(IngestOptions{MergeSaturation: mergeSat}); err != nil {
+	if err := tb.EnableDeltaIngest(IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return tb
 }
 
 // The merge-compactor's trigger, pinned both ways: segments no update
-// touched are never counted or rewritten, at any limit; a segment whose
-// summary an update widened, and one whose imprint update marks pushed
-// past MergeSaturation, are found by IngestStats().MergeBacklog,
+// touched are never counted or rewritten; a segment whose summary an
+// update widened, and one whose imprint update marks pushed past the
+// 0.5 saturation limit, are found by IngestStats().MergeBacklog,
 // rewritten by mergePass one per lock hold, and gone from the backlog
 // afterwards; marks that stay under the limit are left alone.
 func TestMergePassFindsWhatUpdatesTouched(t *testing.T) {
-	for _, sat := range []float64{1e-9, 0.5, 1} {
-		tb := mkMergeTable(t, sat)
-		d := tb.delta
-		if got := tb.IngestStats().MergeBacklog; got != 0 {
-			t.Fatalf("limit %v: untouched table has merge backlog %d", sat, got)
-		}
-		tb.mergePass(d)
-		if got := tb.IngestStats().Merges; got != 0 {
-			t.Fatalf("limit %v: idle merge pass rewrote %d segments", sat, got)
-		}
+	tb := mkMergeTable(t)
+	d := tb.delta
+	if got := tb.IngestStats().MergeBacklog; got != 0 {
+		t.Fatalf("untouched table has merge backlog %d", got)
+	}
+	tb.mergePass(d)
+	if got := tb.IngestStats().Merges; got != 0 {
+		t.Fatalf("idle merge pass rewrote %d segments", got)
 	}
 
-	tb := mkMergeTable(t, 0.5)
-	d := tb.delta
 	sc := tb.cols["s"].(*strColState)
 	ac := tb.cols["a"].(*colState[int64])
 

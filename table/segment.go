@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/coltype"
 	"repro/internal/core"
-	"repro/internal/zonemap"
 )
 
 // DefaultSegmentRows is the number of rows one storage segment holds
@@ -15,15 +14,14 @@ import (
 const DefaultSegmentRows = 65536
 
 // segment is one horizontal slice of a numeric column: a value slab of
-// at most segRows values, the secondary index built over exactly that
-// slab, and a [min, max] summary used to prune the whole segment when a
-// predicate provably selects nothing in it. Only the column's last
-// segment (the active tail) ever grows; once full it is sealed and a
-// fresh tail starts.
+// at most segRows values, the imprint built over exactly that slab (nil
+// when the column is NoIndex: the segment is scanned), and a [min, max]
+// summary used to prune the whole segment when a predicate provably
+// selects nothing in it. Only the column's last segment (the active
+// tail) ever grows; once full it is sealed and a fresh tail starts.
 type segment[V coltype.Value] struct {
 	vals []V
 	ix   *core.Index[V]
-	zm   *zonemap.Index[V]
 	// min/max summarize the values ever stored in the segment: set on
 	// ingest, widened by in-place updates, recomputed exactly on rebuild
 	// and compact. Conservative (deleted rows keep their contribution),
@@ -88,21 +86,15 @@ func (s *segment[V]) extend(chunk []V, mode IndexMode, opts core.Options) {
 			s.min, s.max = foldMin(s.min, lo), foldMax(s.max, hi)
 		}
 	}
-	switch mode {
-	case Imprints:
-		if s.ix == nil {
-			s.ix = core.Build(s.vals, opts)
-		} else {
-			// Append wants the whole slab (committed prefix + new rows):
-			// the append above may have reallocated it.
-			s.ix.Append(s.vals)
-		}
-	case Zonemap:
-		if s.zm == nil {
-			s.zm = zonemap.Build(s.vals, zonemap.Options{})
-		} else {
-			s.zm.Append(s.vals)
-		}
+	switch {
+	case mode != Imprints:
+		return
+	case s.ix == nil:
+		s.ix = core.Build(s.vals, opts)
+	default:
+		// Append wants the whole slab (committed prefix + new rows): the
+		// append above may have reallocated it.
+		s.ix.Append(s.vals)
 	}
 }
 
@@ -115,36 +107,27 @@ func (s *segment[V]) widen(local int, v V) {
 	if s.ix != nil {
 		s.ix.MarkUpdated(local, v)
 	}
-	if s.zm != nil {
-		s.zm.Widen(local, v)
-	}
 }
 
 // rebuild reconstructs the segment's index from its current values and
 // recomputes the summary exactly (dropping the widening accumulated by
 // updates).
 func (s *segment[V]) rebuild(mode IndexMode, opts core.Options) {
-	s.ix, s.zm = nil, nil
+	s.ix = nil
 	s.sumWide = false
 	if len(s.vals) == 0 {
 		return
 	}
 	s.min, s.max, _ = summarize(s.vals)
-	switch mode {
-	case Imprints:
+	if mode == Imprints {
 		s.ix = core.Build(s.vals, opts)
-	case Zonemap:
-		s.zm = zonemap.Build(s.vals, zonemap.Options{})
 	}
 }
 
 // indexBytes returns the segment's secondary-index footprint.
 func (s *segment[V]) indexBytes() int64 {
-	switch {
-	case s.ix != nil:
-		return s.ix.SizeBytes()
-	case s.zm != nil:
-		return s.zm.SizeBytes()
+	if s.ix == nil {
+		return 0
 	}
-	return 0
+	return s.ix.SizeBytes()
 }

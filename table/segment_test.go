@@ -14,7 +14,7 @@ import (
 // mkSegmented builds a multi-segment mixed table with a small segment
 // size so every code path crosses segment boundaries: qty (int64 walk,
 // imprints), price (float64, imprints), ts (int64 near-sorted,
-// zonemap), city (string, per-segment code imprints), tag (string,
+// unindexed), city (string, per-segment code imprints), tag (string,
 // unindexed).
 func mkSegmented(t *testing.T, n, segRows int, seed uint64) (*Table, *segModel) {
 	t.Helper()
@@ -39,7 +39,7 @@ func mkSegmented(t *testing.T, n, segRows int, seed uint64) (*Table, *segModel) 
 	if err := AddColumn(tb, "price", m.price, Imprints, core.Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddColumn(tb, "ts", m.ts, Zonemap, core.Options{}); err != nil {
+	if err := AddColumn(tb, "ts", m.ts, NoIndex, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AddStringColumn("city", m.city, Imprints, core.Options{Seed: 3}); err != nil {

@@ -422,7 +422,7 @@ func columnValues[V any](t *Table, name string, local func(kid *Table, name stri
 // against the whole table, then flushes each part and installs the
 // part's share of the values, built by build. A failed check changes
 // nothing anywhere.
-func addColumn[V any](t *Table, name string, vals []V, opts core.Options, build func(part []V) anyColumn) error {
+func addColumn[V any](t *Table, name string, vals []V, mode IndexMode, opts core.Options, build func(part []V) anyColumn) error {
 	t.quiesce()
 	defer t.resume()
 	kids := t.lockParts()
@@ -437,7 +437,7 @@ func addColumn[V any](t *Table, name string, vals []V, opts core.Options, build 
 		}
 		total += kid.totalRowsLocked()
 	}
-	if err := kids[0].checkNewColumn(name, len(vals), total, opts); err != nil {
+	if err := kids[0].checkNewColumn(name, len(vals), total, mode, opts); err != nil {
 		return err
 	}
 	if len(kids[0].order) > 0 {

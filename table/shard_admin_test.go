@@ -158,7 +158,7 @@ func TestShardAdminSurface(t *testing.T) {
 	first := 150
 	q, p, c := ints(first), floats(first), strs(first)
 	step("add q", func(tb *Table) any { return AddColumn(tb, "q", q, Imprints, core.Options{Seed: 1}) })
-	step("add p", func(tb *Table) any { return AddColumn(tb, "p", p, Zonemap, core.Options{}) })
+	step("add p", func(tb *Table) any { return AddColumn(tb, "p", p, NoIndex, core.Options{}) })
 	step("add c", func(tb *Table) any { return tb.AddStringColumn("c", c, Imprints, core.Options{Seed: 2}) })
 	step("commit immediate", commit(41))
 	step("ingest", func(tb *Table) any { return tb.EnableDeltaIngest(IngestOptions{}) })

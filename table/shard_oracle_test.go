@@ -398,7 +398,7 @@ func mkShardOracleTableCols(t *testing.T, shards int, vals []int64, strs []strin
 	}
 	if derived {
 		fs, ks, ns := soDerived(vals)
-		if err := AddColumn(tb, "f", fs, Zonemap, core.Options{}); err != nil {
+		if err := AddColumn(tb, "f", fs, NoIndex, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := AddColumn(tb, "k", ks, Imprints, core.Options{Seed: 23}); err != nil {

@@ -74,13 +74,8 @@ func (c *strColState) nextGen() uint64 {
 // AddStringColumn defines a new string column, dictionary-encoding vals
 // segment by segment and (unless mode is NoIndex) building a code
 // imprint per segment. Like AddColumn, the values are copied on ingest.
-// Zonemap mode is not supported for strings: dictionary codes are
-// dense, which makes the imprint strictly better.
 func (t *Table) AddStringColumn(name string, vals []string, mode IndexMode, opts core.Options) error {
-	if mode == Zonemap {
-		return fmt.Errorf("table %s: column %q: zonemap mode is not supported for string columns", t.name, name)
-	}
-	return addColumn(t, name, vals, opts, func(part []string) anyColumn {
+	return addColumn(t, name, vals, mode, opts, func(part []string) anyColumn {
 		cs := &strColState{name: name, mode: mode, vpcOpts: opts, segRows: t.segRows}
 		//imprintvet:allow locksafe a column not yet installed; addColumn builds it under every part's write lock
 		cs.absorbStrings(part)

@@ -1,7 +1,7 @@
 // Package table provides the columnar-relation substrate around the
-// imprints index: a Table is a set of equal-length typed columns with
-// per-column secondary indexes (imprints or zonemaps), batch appends
-// (Section 4.1), in-place updates with index widening, delete tracking,
+// imprints index: a Table is a set of equal-length typed columns, each
+// with an imprint index or none (scan-only), batch appends (Section
+// 4.1), in-place updates with index widening, delete tracking,
 // rebuild policies (Section 4.2), tuple reconstruction (ReadRow), whole-
 // table persistence, and a composable predicate engine that evaluates
 // Range/AtLeast/LessThan/Equals/In leaves (plus StrRange and friends on
@@ -26,7 +26,7 @@
 //
 // Queries execute via Rows (a streaming iterator), IDs, Count, and
 // Explain, which renders the per-leaf access-path plan including the
-// per-segment decisions (pruned / imprints / zonemap / scan).
+// per-segment decisions (pruned / imprints / scan).
 //
 // Execution inside each segment is vectorized: candidate runs are
 // walked 64 rows (one machine word) at a time, each predicate leaf
@@ -97,10 +97,6 @@ const (
 	Imprints IndexMode = iota
 	// NoIndex leaves the column scan-only.
 	NoIndex
-	// Zonemap maintains a per-cacheline min/max zonemap instead of an
-	// imprint (the paper's comparator, useful for near-sorted columns
-	// where its two values per zone beat the imprint's bit vector).
-	Zonemap
 )
 
 // TableOptions configures table-wide storage policy.
@@ -131,7 +127,7 @@ type anyColumn interface {
 	colType() string
 	sizeBytes() int64
 	indexBytes() int64
-	indexKind() string // access path name: "imprints", "zonemap", "scan"
+	indexKind() string // access path name: "imprints" or "scan"
 	segments() int
 	// maintain counts the segments whose index is saturated past
 	// satLimit and, when rebuild is set, rebuilds exactly those.
@@ -403,7 +399,7 @@ func (t *Table) IndexStats(name string) (ColumnIndexStats, error) {
 // segments of the table's SegmentRows — so the caller's slice stays
 // independent of the table.
 func AddColumn[V coltype.Value](t *Table, name string, vals []V, mode IndexMode, opts core.Options) error {
-	return addColumn(t, name, vals, opts, func(part []V) anyColumn {
+	return addColumn(t, name, vals, mode, opts, func(part []V) anyColumn {
 		cs := newColState[V](name, mode, opts, t.segRows)
 		//imprintvet:allow locksafe a column not yet installed; addColumn builds it under every part's write lock
 		cs.absorb(part)
@@ -412,10 +408,14 @@ func AddColumn[V coltype.Value](t *Table, name string, vals []V, mode IndexMode,
 }
 
 // checkNewColumn validates a column definition for a table that holds
-// rows rows; callers hold mu.
-func (t *Table) checkNewColumn(name string, nvals, rows int, opts core.Options) error {
+// rows rows; callers hold mu. Only Imprints and NoIndex columns can be
+// persisted and read back.
+func (t *Table) checkNewColumn(name string, nvals, rows int, mode IndexMode, opts core.Options) error {
 	if _, dup := t.cols[name]; dup {
 		return fmt.Errorf("table %s: column %q already exists", t.name, name)
+	}
+	if mode != Imprints && mode != NoIndex {
+		return fmt.Errorf("table %s: column %q: invalid index mode %d", t.name, name, mode)
 	}
 	if len(t.order) > 0 && nvals != rows {
 		return fmt.Errorf("table %s: column %q has %d rows, table has %d",
@@ -678,11 +678,8 @@ func (c *colState[V]) indexBytes() int64 {
 }
 
 func (c *colState[V]) indexKind() string {
-	switch c.mode {
-	case Imprints:
+	if c.mode == Imprints {
 		return "imprints"
-	case Zonemap:
-		return "zonemap"
 	}
 	return "scan"
 }
@@ -701,8 +698,6 @@ func (c *colState[V]) addIndexStats(st *ColumnIndexStats) {
 			st.StoredVectors += s.ix.StoredVectors()
 			st.DictEntries += s.ix.DictEntries()
 			st.Saturation += s.ix.Saturation()
-		} else if s.zm != nil {
-			st.IndexedSegments++
 		}
 	}
 }
@@ -960,6 +955,11 @@ func (r MaintenanceReport) String() string {
 	return strings.Join(parts, ", ")
 }
 
+// defaultSatLimit is the index-saturation fraction past which a
+// segment's index is rebuilt: Maintain's default, and the limit the
+// merge-compactor always uses.
+const defaultSatLimit = 0.5
+
 // MaintainOptions tunes the Maintain policy. The zero value applies
 // the defaults: rebuild at 50% index saturation, never compact.
 type MaintainOptions struct {
@@ -984,7 +984,7 @@ func (t *Table) Maintain(opts MaintainOptions) MaintenanceReport {
 	defer t.unlockParts()
 	satLimit := opts.SaturationLimit
 	if satLimit == 0 {
-		satLimit = 0.5
+		satLimit = defaultSatLimit
 	}
 	ndel, total := 0, 0
 	for _, kid := range kids {
@@ -1007,7 +1007,7 @@ func (t *Table) Maintain(opts MaintainOptions) MaintenanceReport {
 		}
 		if d := kid.delta; d.buffered.Load() {
 			rep.DeltaRows += d.store.Len()
-			rep.MergeBacklog += kid.mergeBacklogLocked(d.mergeSat)
+			rep.MergeBacklog += kid.mergeBacklogLocked()
 			rep.SealRetries += d.sealRetries.Load()
 			rep.SealBackoff = max(rep.SealBackoff, time.Duration(d.backoffNanos.Load()))
 			d.kickSeal()

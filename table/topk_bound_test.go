@@ -148,9 +148,9 @@ func boundTable(t *testing.T, shards int, buffered bool) (*Table, *boundModel) {
 		AddColumn(tb, "desc", []int64(nil), Imprints, core.Options{Seed: 3}),
 		AddColumn(tb, "const", []int64(nil), Imprints, core.Options{Seed: 4}),
 		AddColumn(tb, "ext", []int64(nil), Imprints, core.Options{Seed: 5}),
-		AddColumn(tb, "top", []int64(nil), Zonemap, core.Options{}),
+		AddColumn(tb, "top", []int64(nil), NoIndex, core.Options{}),
 		AddColumn(tb, "walk", []float64(nil), Imprints, core.Options{Seed: 6}),
-		AddColumn(tb, "f32", []float32(nil), Zonemap, core.Options{}),
+		AddColumn(tb, "f32", []float32(nil), NoIndex, core.Options{}),
 		AddColumn(tb, "iwalk", []int32(nil), Imprints, core.Options{Seed: 7}),
 		AddColumn(tb, "edge", []int16(nil), Imprints, core.Options{Seed: 10}),
 		AddColumn(tb, "u", []uint64(nil), Imprints, core.Options{Seed: 8}),

@@ -52,9 +52,6 @@ type WALOptions struct {
 	// GroupWindow is the max added commit latency under SyncGroup.
 	// 0 means the wal package default.
 	GroupWindow time.Duration
-	// SegmentBytes rolls the log to a new segment file past this size.
-	// 0 means the wal package default.
-	SegmentBytes int64
 	// FS overrides the filesystem (fault injection in tests); nil means
 	// the real one.
 	FS faultfs.FS
@@ -167,10 +164,9 @@ func (t *Table) enableWALPart(opts WALOptions, dir string) (*RecoveryReport, err
 		rep.SegmentsRebuilt = t.Segments() - before
 	}
 	lg, err := wal.Open(dir, wal.Options{
-		Policy:       opts.Policy,
-		GroupWindow:  opts.GroupWindow,
-		SegmentBytes: opts.SegmentBytes,
-		FS:           opts.FS,
+		Policy:      opts.Policy,
+		GroupWindow: opts.GroupWindow,
+		FS:          opts.FS,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("table %s: wal open: %w", t.name, err)
