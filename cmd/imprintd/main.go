@@ -17,7 +17,8 @@
 //
 // Exactly one of -load (a table file written by Table.Write) or
 // -sample (a synthetic "orders" table with that many rows) selects the
-// served relation; -sample is the default.
+// served relation; -sample is the default. A -load start logs the
+// image's bytes, its segment count and how long the load took.
 //
 // With -wal, every commit, update and delete is written to a
 // write-ahead log under DIR before it is acknowledged; on startup the
@@ -183,10 +184,18 @@ func main() {
 // float64, pri uint8, city string), sharded when -shards > 1.
 func loadTable(path string, rows int, seed int64, segRows, shards int, quarantine bool) (*table.Table, error) {
 	if path != "" {
+		start := time.Now()
 		tbl, rep, err := table.Open(path, table.LoadOptions{Quarantine: quarantine})
 		if err != nil {
 			return nil, err
 		}
+		took := time.Since(start)
+		fi, err := os.Stat(path)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("loaded %s: %d bytes, %d segments in %s (%.0f MB/s)",
+			path, fi.Size(), tbl.Segments(), took.Round(time.Microsecond), float64(fi.Size())/1e6/took.Seconds())
 		if rep.Degraded() {
 			log.Printf("loaded %s degraded: %d segments quarantined", path, len(rep.Quarantined))
 		}

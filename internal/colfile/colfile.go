@@ -7,7 +7,6 @@
 package colfile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,29 +27,18 @@ const (
 // ErrFormat reports an invalid column file.
 var ErrFormat = errors.New("colfile: invalid column file")
 
-// Write serializes col to w.
+// Write serializes col to w in one write: header and values, each value
+// encoded by the loop for its type.
 func Write[V coltype.Value](w io.Writer, col []V) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var hdr [11]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], version)
+	b := make([]byte, headerLen+len(col)*coltype.Width[V]())
+	copy(b, magic)
+	binary.LittleEndian.PutUint16(b[4:6], version)
 	var zero V
-	hdr[2] = uint8(reflect.TypeOf(zero).Kind())
-	binary.LittleEndian.PutUint64(hdr[3:11], uint64(len(col)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	width := coltype.Width[V]()
-	var buf [8]byte
-	for _, v := range col {
-		putValue(buf[:width], v)
-		if _, err := bw.Write(buf[:width]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	b[6] = uint8(reflect.TypeOf(zero).Kind())
+	binary.LittleEndian.PutUint64(b[7:headerLen], uint64(len(col)))
+	encodeValues(b[headerLen:], col)
+	_, err := w.Write(b)
+	return err
 }
 
 // Read deserializes a column of type V from r, which must hold exactly
@@ -89,9 +77,7 @@ func Decode[V coltype.Value](b []byte) ([]V, error) {
 		return nil, fmt.Errorf("%w: header declares %d rows of %d bytes, %d bytes follow", ErrFormat, n, width, len(body))
 	}
 	col := make([]V, n)
-	for i := range col {
-		col[i] = getValue[V](body[i*width : (i+1)*width])
-	}
+	decodeValues(col, body)
 	return col, nil
 }
 
@@ -135,65 +121,68 @@ func WriteAny(w io.Writer, c column.Any) error {
 	return fmt.Errorf("colfile: unsupported column type %T", c)
 }
 
-func putValue[V coltype.Value](dst []byte, v V) {
-	rv := reflect.ValueOf(v)
-	var u uint64
-	switch rv.Kind() {
-	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		u = uint64(rv.Int())
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		u = rv.Uint()
-	case reflect.Float32:
-		u = uint64(math.Float32bits(float32(rv.Float())))
-	case reflect.Float64:
-		u = math.Float64bits(rv.Float())
-	}
-	switch len(dst) {
-	case 1:
-		dst[0] = byte(u)
-	case 2:
-		binary.LittleEndian.PutUint16(dst, uint16(u))
-	case 4:
-		binary.LittleEndian.PutUint32(dst, uint32(u))
-	case 8:
-		binary.LittleEndian.PutUint64(dst, u)
+// encodeValues writes vals into dst, which holds exactly len(vals)
+// values at native width. The loop is chosen once per slice: a
+// conversion between integers of one width keeps every bit, so one
+// loop per width serves signed and unsigned types alike.
+func encodeValues[V coltype.Value](dst []byte, vals []V) {
+	le := binary.LittleEndian
+	switch width := coltype.Width[V](); {
+	case coltype.IsFloat[V]() && width == 4:
+		for i, v := range vals {
+			le.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
+		}
+	case coltype.IsFloat[V]():
+		for i, v := range vals {
+			le.PutUint64(dst[8*i:], math.Float64bits(float64(v)))
+		}
+	case width == 1:
+		for i, v := range vals {
+			dst[i] = uint8(v)
+		}
+	case width == 2:
+		for i, v := range vals {
+			le.PutUint16(dst[2*i:], uint16(v))
+		}
+	case width == 4:
+		for i, v := range vals {
+			le.PutUint32(dst[4*i:], uint32(v))
+		}
+	default:
+		for i, v := range vals {
+			le.PutUint64(dst[8*i:], uint64(v))
+		}
 	}
 }
 
-func getValue[V coltype.Value](src []byte) V {
-	var u uint64
-	switch len(src) {
-	case 1:
-		u = uint64(src[0])
-	case 2:
-		u = uint64(binary.LittleEndian.Uint16(src))
-	case 4:
-		u = uint64(binary.LittleEndian.Uint32(src))
-	case 8:
-		u = binary.LittleEndian.Uint64(src)
+// decodeValues fills dst from src, which holds exactly len(dst) values
+// at native width; it inverts encodeValues bit for bit.
+func decodeValues[V coltype.Value](dst []V, src []byte) {
+	le := binary.LittleEndian
+	switch width := coltype.Width[V](); {
+	case coltype.IsFloat[V]() && width == 4:
+		for i := range dst {
+			dst[i] = V(math.Float32frombits(le.Uint32(src[4*i:])))
+		}
+	case coltype.IsFloat[V]():
+		for i := range dst {
+			dst[i] = V(math.Float64frombits(le.Uint64(src[8*i:])))
+		}
+	case width == 1:
+		for i := range dst {
+			dst[i] = V(src[i])
+		}
+	case width == 2:
+		for i := range dst {
+			dst[i] = V(le.Uint16(src[2*i:]))
+		}
+	case width == 4:
+		for i := range dst {
+			dst[i] = V(le.Uint32(src[4*i:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = V(le.Uint64(src[8*i:]))
+		}
 	}
-	var v V
-	switch reflect.TypeOf(v).Kind() {
-	case reflect.Int8:
-		i := int64(int8(u))
-		return V(i)
-	case reflect.Int16:
-		i := int64(int16(u))
-		return V(i)
-	case reflect.Int32:
-		i := int64(int32(u))
-		return V(i)
-	case reflect.Int64:
-		i := int64(u)
-		return V(i)
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return V(u)
-	case reflect.Float32:
-		f := float64(math.Float32frombits(uint32(u)))
-		return V(f)
-	case reflect.Float64:
-		f := math.Float64frombits(u)
-		return V(f)
-	}
-	panic("colfile: unsupported kind")
 }

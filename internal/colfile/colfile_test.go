@@ -3,6 +3,7 @@ package colfile
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/column"
 )
 
+// roundTrip writes col, reads it back and requires every value to come
+// back bit for bit, so NaN payloads and the sign of zero are checked.
 func roundTrip[V interface {
 	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64 | float32 | float64
 }](t *testing.T, col []V) {
@@ -28,10 +31,23 @@ func roundTrip[V interface {
 		t.Fatalf("rows %d, want %d", len(got), len(col))
 	}
 	for i := range col {
-		if got[i] != col[i] {
-			t.Fatalf("row %d = %v, want %v", i, got[i], col[i])
+		if bitsOf(got[i]) != bitsOf(col[i]) {
+			t.Fatalf("%T row %d = %v (%#x), want %v (%#x)", col, i, got[i], bitsOf(got[i]), col[i], bitsOf(col[i]))
 		}
 	}
+}
+
+// bitsOf is v's bit pattern: a float's IEEE bits, an integer's value.
+func bitsOf[V interface {
+	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64 | float32 | float64
+}](v V) uint64 {
+	switch x := any(v).(type) {
+	case float32:
+		return uint64(math.Float32bits(x))
+	case float64:
+		return math.Float64bits(x)
+	}
+	return uint64(v)
 }
 
 func TestRoundTripAllTypes(t *testing.T) {
@@ -42,6 +58,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 	i32 := make([]int32, n)
 	i64 := make([]int64, n)
 	u8 := make([]uint8, n)
+	u16 := make([]uint16, n)
+	u32 := make([]uint32, n)
 	u64 := make([]uint64, n)
 	f32 := make([]float32, n)
 	f64 := make([]float64, n)
@@ -51,6 +69,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 		i32[i] = int32(rng.IntN(1<<31) - 1<<30)
 		i64[i] = rng.Int64() - (1 << 62)
 		u8[i] = uint8(rng.IntN(256))
+		u16[i] = uint16(rng.IntN(1 << 16))
+		u32[i] = rng.Uint32()
 		u64[i] = rng.Uint64()
 		f32[i] = rng.Float32()*2e6 - 1e6
 		f64[i] = rng.Float64()*2e12 - 1e12
@@ -60,6 +80,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 	roundTrip(t, i32)
 	roundTrip(t, i64)
 	roundTrip(t, u8)
+	roundTrip(t, u16)
+	roundTrip(t, u32)
 	roundTrip(t, u64)
 	roundTrip(t, f32)
 	roundTrip(t, f64)
@@ -69,9 +91,77 @@ func TestRoundTripEmpty(t *testing.T) {
 	roundTrip(t, []int32{})
 }
 
+// TestRoundTripSpecialFloats round-trips the values a value-wise
+// comparison cannot tell apart or cannot compare at all: -0, NaNs with
+// payloads (quiet and signalling, either sign) in both float widths,
+// infinities, subnormals and each type's extremes.
 func TestRoundTripSpecialFloats(t *testing.T) {
-	col := []float64{0, -0, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
-	roundTrip(t, col)
+	roundTrip(t, []float64{
+		0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN, payload
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff4_0000_0000_0abc), // negative signalling NaN
+	})
+	roundTrip(t, []float32{
+		0, float32(math.Copysign(0, -1)), math.MaxFloat32, -math.MaxFloat32,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc0_beef), // quiet NaN, payload
+		math.Float32frombits(0x7f80_0001), // signalling NaN
+		math.Float32frombits(0xffa0_0abc), // negative signalling NaN
+	})
+}
+
+// TestRoundTripIntegerExtremes round-trips each integer type's extremes
+// and the values either side of its sign bit.
+func TestRoundTripIntegerExtremes(t *testing.T) {
+	roundTrip(t, []int8{math.MinInt8, -1, 0, 1, math.MaxInt8})
+	roundTrip(t, []int16{math.MinInt16, -1, 0, 1, math.MaxInt16})
+	roundTrip(t, []int32{math.MinInt32, -1, 0, 1, math.MaxInt32})
+	roundTrip(t, []int64{math.MinInt64, -1, 0, 1, math.MaxInt64})
+	roundTrip(t, []uint8{0, 1, 1 << 7, math.MaxUint8})
+	roundTrip(t, []uint16{0, 1, 1 << 15, math.MaxUint16})
+	roundTrip(t, []uint32{0, 1, 1 << 31, math.MaxUint32})
+	roundTrip(t, []uint64{0, 1, 1 << 63, math.MaxUint64})
+}
+
+// encodeHex is the hex of col's file body: everything after the magic.
+func encodeHex[V interface {
+	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64 | float32 | float64
+}](t *testing.T, col []V) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, col); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String()[:4]; got != magic {
+		t.Fatalf("magic %q", got)
+	}
+	return hex.EncodeToString(buf.Bytes()[4:])
+}
+
+// TestEncodedBytes pins the file layout of one small column per type:
+// version 1, the reflect.Kind, the row count, then the values little
+// endian at native width.
+func TestEncodedBytes(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{encodeHex(t, []int8{-2, 3}), "0100" + "03" + "0200000000000000" + "fe03"},
+		{encodeHex(t, []int16{-2, 0x102}), "0100" + "04" + "0200000000000000" + "feff" + "0201"},
+		{encodeHex(t, []int32{-2, 0x1020304}), "0100" + "05" + "0200000000000000" + "feffffff" + "04030201"},
+		{encodeHex(t, []int64{-2}), "0100" + "06" + "0100000000000000" + "feffffffffffffff"},
+		{encodeHex(t, []uint8{0xfe, 3}), "0100" + "08" + "0200000000000000" + "fe03"},
+		{encodeHex(t, []uint16{0xfffe}), "0100" + "09" + "0100000000000000" + "feff"},
+		{encodeHex(t, []uint32{0x1020304}), "0100" + "0a" + "0100000000000000" + "04030201"},
+		{encodeHex(t, []uint64{0x102030405060708}), "0100" + "0b" + "0100000000000000" + "0807060504030201"},
+		{encodeHex(t, []float32{1, float32(math.Copysign(0, -1))}), "0100" + "0d" + "0200000000000000" + "0000803f" + "00000080"},
+		{encodeHex(t, []float64{1, math.Copysign(0, -1)}), "0100" + "0e" + "0200000000000000" + "000000000000f03f" + "0000000000000080"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("encoded %s, want %s", tc.got, tc.want)
+		}
+	}
 }
 
 func TestKindMismatch(t *testing.T) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,216 +42,227 @@ const (
 // ErrCorrupt is returned when a serialized index fails validation.
 var ErrCorrupt = errors.New("core: corrupt serialized imprint")
 
-// encodeValue converts a value to a stable 64-bit pattern.
-func encodeValue[V coltype.Value](v V) uint64 {
-	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return uint64(rv.Int())
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return rv.Uint()
-	case reflect.Float32, reflect.Float64:
-		return math.Float64bits(rv.Float())
-	}
-	panic("core: unsupported value kind")
-}
-
-// decodeValue inverts encodeValue.
-func decodeValue[V coltype.Value](u uint64) V {
-	var v V
-	switch reflect.TypeOf(v).Kind() {
-	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		i := int64(u)
-		return V(i)
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return V(u)
-	case reflect.Float32, reflect.Float64:
-		f := math.Float64frombits(u)
-		return V(f)
-	}
-	panic("core: unsupported value kind")
-}
-
-type crcWriter struct {
-	w       io.Writer
-	crc     uint32
-	err     error
-	scratch [8]byte
-}
-
-func (cw *crcWriter) bytes(b []byte) {
-	if cw.err != nil {
-		return
-	}
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, b)
-	_, cw.err = cw.w.Write(b)
-}
-
-func (cw *crcWriter) u8(v uint8) {
-	cw.scratch[0] = v
-	cw.bytes(cw.scratch[:1])
-}
-
-func (cw *crcWriter) u16(v uint16) {
-	binary.LittleEndian.PutUint16(cw.scratch[:2], v)
-	cw.bytes(cw.scratch[:2])
-}
-
-func (cw *crcWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(cw.scratch[:4], v)
-	cw.bytes(cw.scratch[:4])
-}
-
-func (cw *crcWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(cw.scratch[:8], v)
-	cw.bytes(cw.scratch[:8])
-}
-
-// Write serializes the index to w.
-func (ix *Index[V]) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-
-	cw.bytes([]byte(serialMagic))
-	cw.u16(serialVersion)
-	var v V
-	cw.u8(uint8(reflect.TypeOf(v).Kind()))
-	cw.u32(uint32(ix.vpc))
-	cw.u64(uint64(ix.n))
-	cw.u16(uint16(ix.hist.Bins))
-	cw.u32(uint32(ix.hist.SampledUnique))
-	for _, b := range ix.hist.Borders {
-		cw.u64(encodeValue(b))
-	}
-	cw.u64(uint64(len(ix.dict)))
-	for _, e := range ix.dict {
-		cw.u32(uint32(e))
-	}
-	cw.u64(uint64(ix.vecs.n))
-	cw.u8(uint8(ix.vecs.width))
-	cw.u64(uint64(len(ix.vecs.words)))
-	for _, w := range ix.vecs.words {
-		cw.u64(w)
-	}
-	cw.u64(ix.pendingVec)
-	cw.u32(uint32(ix.pendingCount))
-	cw.u64(uint64(ix.extraBits))
-	if cw.err != nil {
-		return cw.err
-	}
-	// Trailing CRC (not itself checksummed).
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], cw.crc)
-	if _, err := bw.Write(buf[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-type crcReader struct {
-	r       io.Reader
-	crc     uint32
-	err     error
-	scratch [8]byte
-}
-
-// bytes reads n bytes; for n <= 8 the internal scratch buffer is reused
-// (the caller must consume the result before the next read).
-func (cr *crcReader) bytes(n int) []byte {
-	var b []byte
-	if n <= len(cr.scratch) {
-		b = cr.scratch[:n]
-		for i := range b {
-			b[i] = 0
+// appendBorders appends the histogram borders as stable 64-bit
+// patterns: an integer as its value widened to 64 bits, a float (float32
+// too) as the bits of its float64 value. The kind is chosen once.
+func appendBorders[V coltype.Value](b []byte, borders []V) []byte {
+	le := binary.LittleEndian
+	if coltype.IsFloat[V]() {
+		for _, x := range borders {
+			b = le.AppendUint64(b, math.Float64bits(float64(x)))
 		}
-	} else {
-		b = make([]byte, n)
-	}
-	if cr.err != nil {
 		return b
 	}
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		cr.err = err
-		return b
+	for _, x := range borders {
+		b = le.AppendUint64(b, uint64(x))
 	}
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, b)
 	return b
 }
 
-func (cr *crcReader) u8() uint8   { return cr.bytes(1)[0] }
-func (cr *crcReader) u16() uint16 { return binary.LittleEndian.Uint16(cr.bytes(2)) }
-func (cr *crcReader) u32() uint32 { return binary.LittleEndian.Uint32(cr.bytes(4)) }
-func (cr *crcReader) u64() uint64 { return binary.LittleEndian.Uint64(cr.bytes(8)) }
+// getBorders inverts appendBorders.
+func getBorders[V coltype.Value](dst []V, src []byte) {
+	le := binary.LittleEndian
+	if coltype.IsFloat[V]() {
+		for i := range dst {
+			dst[i] = V(math.Float64frombits(le.Uint64(src[8*i:])))
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] = V(le.Uint64(src[8*i:]))
+	}
+}
+
+// fixedBytes is the size of an image but for its dictionary entries and
+// vector words.
+const fixedBytes = 25 + histogram.MaxBins*8 + 8 + 8 + 1 + 8 + 20 + 4
+
+// Write serializes the index to w in one write, the checksum computed in
+// one pass over the encoded image.
+func (ix *Index[V]) Write(w io.Writer) error {
+	le := binary.LittleEndian
+	b := make([]byte, 0, fixedBytes+4*len(ix.dict)+8*len(ix.vecs.words))
+	b = append(b, serialMagic...)
+	b = le.AppendUint16(b, serialVersion)
+	var v V
+	b = append(b, uint8(reflect.TypeOf(v).Kind()))
+	b = le.AppendUint32(b, uint32(ix.vpc))
+	b = le.AppendUint64(b, uint64(ix.n))
+	b = le.AppendUint16(b, uint16(ix.hist.Bins))
+	b = le.AppendUint32(b, uint32(ix.hist.SampledUnique))
+	b = appendBorders(b, ix.hist.Borders[:])
+	b = le.AppendUint64(b, uint64(len(ix.dict)))
+	for _, e := range ix.dict {
+		b = le.AppendUint32(b, uint32(e))
+	}
+	b = le.AppendUint64(b, uint64(ix.vecs.n))
+	b = append(b, uint8(ix.vecs.width))
+	b = le.AppendUint64(b, uint64(len(ix.vecs.words)))
+	for _, w := range ix.vecs.words {
+		b = le.AppendUint64(b, w)
+	}
+	b = le.AppendUint64(b, ix.pendingVec)
+	b = le.AppendUint32(b, uint32(ix.pendingCount))
+	b = le.AppendUint64(b, uint64(ix.extraBits))
+	// Trailing CRC (not itself checksummed).
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	_, err := w.Write(b)
+	return err
+}
+
+// imageReader walks a serialized index held in memory. It fails as
+// reading the fields one at a time from a stream would: io.EOF when the
+// image ends on a field boundary, io.ErrUnexpectedEOF inside a field,
+// and every read after the first failure yields nothing.
+type imageReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+// take returns the next n bytes, a run of fields of unit bytes each, or
+// nil when fewer remain.
+func (r *imageReader) take(n uint64, unit int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	rest := len(r.b) - r.off
+	if uint64(rest) < n {
+		r.err = io.ErrUnexpectedEOF
+		if rest%unit == 0 {
+			r.err = io.EOF
+		}
+		r.off = len(r.b)
+		return nil
+	}
+	p := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return p
+}
+
+// field reads one field of n bytes. A field the image cuts short holds
+// the bytes that remain, zero-padded, as a short read into a zeroed
+// buffer would.
+func (r *imageReader) field(n int) (f [8]byte) {
+	if r.err == nil {
+		copy(f[:n], r.b[r.off:])
+		r.take(uint64(n), n)
+	}
+	return f
+}
+
+func (r *imageReader) u8() uint8 {
+	f := r.field(1)
+	return f[0]
+}
+
+func (r *imageReader) u16() uint16 {
+	f := r.field(2)
+	return binary.LittleEndian.Uint16(f[:])
+}
+
+func (r *imageReader) u32() uint32 {
+	f := r.field(4)
+	return binary.LittleEndian.Uint32(f[:])
+}
+
+func (r *imageReader) u64() uint64 {
+	f := r.field(8)
+	return binary.LittleEndian.Uint64(f[:])
+}
 
 // ReadIndex deserializes an index and reattaches it to col, which must
 // be the same column contents the index was built over (only its length
 // is validated here; a mismatched column silently yields wrong query
-// results, exactly like any detached secondary index).
+// results, exactly like any detached secondary index). A *bytes.Buffer
+// is decoded in place and advanced past the image; any other reader is
+// read to its end first.
 func ReadIndex[V coltype.Value](r io.Reader, col []V) (*Index[V], error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	if string(cr.bytes(4)) != serialMagic {
-		if cr.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, cr.err)
+	if buf, ok := r.(*bytes.Buffer); ok {
+		ir := &imageReader{b: buf.Bytes()}
+		ix, err := decodeIndex(ir, col)
+		buf.Next(ir.off)
+		return ix, err
+	}
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return decodeIndex(&imageReader{b: b}, col)
+}
+
+// decodeIndex decodes the image at the start of ir's bytes. Every count
+// is checked against the bytes present before anything is allocated
+// for it.
+func decodeIndex[V coltype.Value](ir *imageReader, col []V) (*Index[V], error) {
+	if string(ir.take(4, 4)) != serialMagic {
+		if ir.err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, ir.err)
 		}
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := cr.u16(); v != serialVersion {
+	if v := ir.u16(); v != serialVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	var zero V
-	if k := reflect.Kind(cr.u8()); k != reflect.TypeOf(zero).Kind() {
+	if k := reflect.Kind(ir.u8()); k != reflect.TypeOf(zero).Kind() {
 		return nil, fmt.Errorf("%w: value kind mismatch: file has %v, want %v",
 			ErrCorrupt, k, reflect.TypeOf(zero).Kind())
 	}
-	vpc := int(cr.u32())
-	n := int(cr.u64())
-	bins := int(cr.u16())
-	sampled := int(cr.u32())
+	vpc := int(ir.u32())
+	n := int(ir.u64())
+	bins := int(ir.u16())
+	sampled := int(ir.u32())
 	hist := &histogram.Histogram[V]{Bins: bins, SampledUnique: sampled}
-	for i := range hist.Borders {
-		hist.Borders[i] = decodeValue[V](cr.u64())
+	if p := ir.take(histogram.MaxBins*8, 8); p != nil {
+		getBorders(hist.Borders[:], p)
 	}
 	// Every dictionary entry covers at least one cacheline and every
 	// vector word at least one stored vector, so neither count can
 	// exceed the rows of the column the image reattaches to: a hostile
 	// length is rejected before anything is allocated for it.
-	dictLen := cr.u64()
+	dictLen := ir.u64()
 	if dictLen > uint64(len(col)) {
 		return nil, fmt.Errorf("%w: dictionary of %d entries over a %d-row column", ErrCorrupt, dictLen, len(col))
 	}
-	dict := make([]DictEntry, dictLen)
-	for i := range dict {
-		dict[i] = DictEntry(cr.u32())
+	var dict []DictEntry
+	if p := ir.take(4*dictLen, 4); p != nil {
+		dict = make([]DictEntry, dictLen)
+		for i := range dict {
+			dict[i] = DictEntry(binary.LittleEndian.Uint32(p[4*i:]))
+		}
 	}
-	vecN := int(cr.u64())
-	width := int(cr.u8())
+	vecN := int(ir.u64())
+	width := int(ir.u8())
 	switch width {
 	case 8, 16, 32, 64:
 	default:
 		return nil, fmt.Errorf("%w: invalid vector width %d", ErrCorrupt, width)
 	}
-	wordLen := cr.u64()
+	wordLen := ir.u64()
 	if wordLen > uint64(len(col)) {
 		return nil, fmt.Errorf("%w: vector arena of %d words over a %d-row column", ErrCorrupt, wordLen, len(col))
 	}
 	vecs := newVecstore(width)
 	vecs.n = vecN
-	vecs.words = make([]uint64, wordLen)
-	for i := range vecs.words {
-		vecs.words[i] = cr.u64()
+	if p := ir.take(8*wordLen, 8); p != nil {
+		vecs.words = make([]uint64, wordLen)
+		for i := range vecs.words {
+			vecs.words[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
 	}
-	pendingVec := cr.u64()
-	pendingCount := int(cr.u32())
-	extraBits := int(cr.u64())
-	if cr.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, cr.err)
+	pendingVec := ir.u64()
+	pendingCount := int(ir.u32())
+	extraBits := int(ir.u64())
+	if ir.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, ir.err)
 	}
-	wantCRC := cr.crc
-	var buf [4]byte
-	if _, err := io.ReadFull(cr.r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
+	wantCRC := crc32.ChecksumIEEE(ir.b[:ir.off])
+	sum := ir.take(4, 4)
+	if sum == nil {
+		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, ir.err)
 	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != wantCRC {
+	if got := binary.LittleEndian.Uint32(sum); got != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 

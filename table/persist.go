@@ -10,6 +10,8 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/colfile"
@@ -186,51 +188,109 @@ func writeSection(w io.Writer, fill func(*bytes.Buffer) error) error {
 	return err
 }
 
-// crcMismatch is the error readSection returns alongside the payload
-// when framing succeeded but the checksum did not verify; the caller
-// wraps it with location context (and may quarantine, since the stream
-// position is still good).
+// crcMismatch is the error verify returns when a section was framed
+// intact but its checksum did not verify; the caller wraps it with
+// location context (and may quarantine, since the stream position is
+// still good). Any other read error means the framing itself failed: the
+// stream position is lost, which is always fatal.
 type crcMismatch struct{ got, want uint32 }
 
 func (e *crcMismatch) Error() string {
 	return fmt.Sprintf("checksum mismatch (got %08x, want %08x)", e.got, e.want)
 }
 
-// frameLost reports whether a readSection error means the framing
-// itself failed: the stream position is lost, which is always fatal. A
-// *crcMismatch is the other kind — the frame was intact, so the caller
-// can skip the section and keep reading.
-func frameLost(err error) bool {
-	var cm *crcMismatch
-	return err != nil && !errors.As(err, &cm)
-}
+// sectionChunk bounds how far a section buffer may run ahead of the
+// bytes that have arrived. The value slab of a default-size segment
+// fits in one chunk.
+const sectionChunk = 1 << 20
 
-// readSection reads one framed section. On a checksum mismatch the
-// payload is returned together with a *crcMismatch error.
-func readSection(r io.Reader) ([]byte, error) {
+// readFrame reads one framed section without verifying it: the payload,
+// in a buffer of exactly its length, and the checksum its frame carries.
+func readFrame(r io.Reader) (payload []byte, sum uint32, err error) {
 	var word [4]byte
 	if _, err := io.ReadFull(r, word[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := binary.LittleEndian.Uint32(word[:])
 	if n > maxSectionBytes {
-		return nil, fmt.Errorf("section of %d bytes exceeds limit", n)
+		return nil, 0, fmt.Errorf("section of %d bytes exceeds limit", n)
 	}
-	// CopyN grows the buffer as bytes actually arrive, so a corrupt
-	// length against a truncated file fails fast instead of allocating
-	// the declared size up front.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, err
+	if payload, err = readPayload(r, int(n)); err != nil {
+		return nil, 0, err
 	}
 	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return nil, 0, err
+	}
+	return payload, binary.LittleEndian.Uint32(word[:]), nil
+}
+
+// frameBufs recycles the buffers segment frames are read into. A load
+// keeps only a few segments in flight, so the next frame mostly reuses
+// the buffer of one already decoded instead of allocating (and zeroing)
+// a fresh one.
+var frameBufs sync.Pool // of *[]byte
+
+// frameBuf returns a buffer of n bytes, recycled when the pool offers
+// one large enough.
+func frameBuf(n int) []byte {
+	if p, _ := frameBufs.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
+// recycleFrame hands a frame's buffer back once nothing references it.
+func recycleFrame(b []byte) {
+	if cap(b) > 0 {
+		frameBufs.Put(&b)
+	}
+}
+
+// readPayload reads n bytes chunk by chunk, taking each chunk only once
+// the one before it has filled, so a corrupt length against a short
+// input fails having allocated at most one chunk past the bytes the
+// input holds. A payload of one chunk is read straight into its final
+// buffer; a longer one is joined once it is whole. A short input is
+// io.EOF however many bytes it held.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	var chunks [][]byte
+	for got := 0; got < n; {
+		c := frameBuf(min(sectionChunk, n-got))
+		if _, err := io.ReadFull(r, c); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				err = io.EOF
+			}
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		got += len(c)
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
+	}
+	whole := bytes.Join(chunks, nil)
+	for _, c := range chunks {
+		recycleFrame(c)
+	}
+	return whole, nil
+}
+
+// verify checks a payload against the checksum its frame carries.
+func verify(payload []byte, sum uint32) error {
+	if got := crc32.Checksum(payload, crcTable); got != sum {
+		return &crcMismatch{got: got, want: sum}
+	}
+	return nil
+}
+
+// readSection reads and verifies one framed section. On a checksum
+// mismatch the payload is returned together with a *crcMismatch error.
+func readSection(r io.Reader) ([]byte, error) {
+	payload, sum, err := readFrame(r)
+	if err != nil {
 		return nil, err
 	}
-	want := binary.LittleEndian.Uint32(word[:])
-	if got := crc32.Checksum(buf.Bytes(), crcTable); got != want {
-		return buf.Bytes(), &crcMismatch{got: got, want: want}
-	}
-	return buf.Bytes(), nil
+	return payload, verify(payload, sum)
 }
 
 // loadCtx threads load policy and provenance (which shard is being
@@ -462,6 +522,13 @@ func persistDict(w io.Writer, s *strSegment) error {
 
 // Read loads a table persisted with Write. Corruption is fatal; use
 // ReadWithOptions to quarantine instead.
+//
+// Each byte of r is read once, into a section buffer of exactly its
+// length, and decoded from there. Segments are verified and decoded on
+// GOMAXPROCS goroutines, with at most two per goroutine read but not yet
+// installed, so peak memory is the decoded table plus those raw
+// segments. Errors come in stream order: the first damage in the image
+// is the one reported, at any GOMAXPROCS.
 func Read(r io.Reader) (*Table, error) {
 	t, _, err := ReadWithOptions(r, LoadOptions{})
 	return t, err
@@ -470,10 +537,11 @@ func Read(r io.Reader) (*Table, error) {
 // ReadWithOptions loads a table persisted with Write, applying the
 // given load policy. With Quarantine set, segment-level corruption is
 // tolerated: the table loads degraded (damaged segments emptied, their
-// rows marked deleted) and the report lists the casualties.
+// rows marked deleted) and the report lists the casualties in stream
+// order. It reads and decodes as Read does.
 func ReadWithOptions(r io.Reader, opts LoadOptions) (*Table, *LoadReport, error) {
 	ctx := &loadCtx{opts: opts, shard: -1, rep: &LoadReport{}}
-	t, err := readInternal(r, ctx)
+	t, err := readInternal(bufio.NewReader(r), ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -483,8 +551,7 @@ func ReadWithOptions(r io.Reader, opts LoadOptions) (*Table, *LoadReport, error)
 
 // readInternal parses magic and version and dispatches to the table or
 // the envelope reader, threading the load policy through.
-func readInternal(r io.Reader, ctx *loadCtx) (*Table, error) {
-	br := bufio.NewReader(r)
+func readInternal(br io.Reader, ctx *loadCtx) (*Table, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -594,7 +661,8 @@ type segmentLoader interface {
 	anyColumn
 	// loadSegment turns one segment's verified payload and index
 	// sections into a sealed segment of exactly fill rows (ready for
-	// installSealed), or names the section whose decoding failed.
+	// installSealed), or names the section whose decoding failed. It
+	// keeps no reference to either section: their buffers are reused.
 	loadSegment(payload, image []byte, fill int) (seg any, section string, err error)
 	// placeholderSegment builds the stand-in for a quarantined segment:
 	// fill zero values, indexed like any other segment of the column.
@@ -686,58 +754,132 @@ func readColumn(t *Table, r io.Reader, rows uint64, ctx *loadCtx) error {
 	if err != nil {
 		return sectionError(ctx, name, -1, secColHdr, err)
 	}
-	n := 0
-	for i, nsegs := 0, int(ns); i < nsegs; i++ {
-		fill := t.segRows
-		if i == nsegs-1 {
-			fill = int(rows) - i*t.segRows
+	if err := loadSegments(r, ctx, name, col, payloadSec, rows, int(ns), t.segRows); err != nil {
+		return err
+	}
+	//imprintvet:allow locksafe loading into a freshly constructed table, not yet shared
+	t.installColumn(name, col, int(rows))
+	return nil
+}
+
+// segLoad is one segment on its way from the stream into its column:
+// the two frames as read, then what verifying and decoding them came to.
+type segLoad struct {
+	seg                  int
+	fill                 int
+	payload, image       []byte
+	payloadSum, imageSum uint32
+	built                any                  // the segment, or its placeholder
+	cse                  *CorruptSegmentError // nil when the segment decoded
+	done                 chan struct{}        // closed once decoded
+}
+
+// decode verifies and decodes the segment's frames, checksums before
+// anything is decoded. A damaged segment gets its placeholder when the
+// load may quarantine it: the load quarantines and its frames hold at
+// least the bytes the placeholder's values take. Frames holding fewer
+// were never a whole segment damaged in place; quarantining them would
+// build fill rows — the header's count — out of a few hostile bytes, so
+// they are as fatal as the stream breaking off.
+func (l *segLoad) decode(ctx *loadCtx, name string, col segmentLoader, payloadSec string) {
+	section, err := payloadSec, verify(l.payload, l.payloadSum)
+	if err == nil {
+		section, err = secIndex, verify(l.image, l.imageSum)
+	}
+	if err == nil {
+		l.built, section, err = col.loadSegment(l.payload, l.image, l.fill)
+	}
+	if err != nil {
+		l.cse = sectionError(ctx, name, l.seg, section, err)
+		if ctx.opts.Quarantine && len(l.payload)+len(l.image) >= col.placeholderBytes(l.fill) {
+			l.built = col.placeholderSegment(l.fill)
 		}
-		n += fill
-		payload, payloadErr := readSection(r)
-		if frameLost(payloadErr) {
-			return sectionError(ctx, name, i, payloadSec, payloadErr)
-		}
-		image, imageErr := readSection(r)
-		if frameLost(imageErr) {
-			return sectionError(ctx, name, i, secIndex, imageErr)
-		}
-		// Checksum failures surface before decode failures.
-		var seg any
-		var cse *CorruptSegmentError
-		switch {
-		case payloadErr != nil:
-			cse = sectionError(ctx, name, i, payloadSec, payloadErr)
-		case imageErr != nil:
-			cse = sectionError(ctx, name, i, secIndex, imageErr)
-		default:
-			var section string
-			if seg, section, err = col.loadSegment(payload, image, fill); err != nil {
-				cse = sectionError(ctx, name, i, section, err)
+	}
+	recycleFrame(l.payload)
+	recycleFrame(l.image)
+	l.payload, l.image = nil, nil
+}
+
+// loadSegments reads a column's nsegs segments. The stream is framed
+// here, in order; each segment is verified and decoded on one of
+// GOMAXPROCS goroutines, with at most two per goroutine framed and not
+// yet installed. Segments are installed, and damage reported or
+// quarantined, in stream order, so the first damage in the stream is
+// the error returned whatever order the decoding finished in.
+func loadSegments(r io.Reader, ctx *loadCtx, name string, col segmentLoader, payloadSec string, rows uint64, nsegs, segRows int) error {
+	workers := min(runtime.GOMAXPROCS(0), nsegs)
+	// Sized to the in-flight bound: every queued segment is also in
+	// inflight, so a send never blocks.
+	queue := make(chan *segLoad, 2*workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := range queue {
+				l.decode(ctx, name, col, payloadSec)
+				close(l.done)
 			}
+		}()
+	}
+	defer func() {
+		// On an early return, segments still queued are dropped
+		// undecoded; the workers finish the ones they hold.
+		close(queue)
+		for range queue {
 		}
-		if cse != nil {
-			// Frames holding fewer bytes than the placeholder's values
-			// would take were never a whole segment damaged in place:
-			// quarantining them would build fill rows — the header's
-			// count — out of a few hostile bytes, so they are as fatal as
-			// the stream breaking off. Placeholders stay bounded by the
-			// bytes the image holds.
-			if !ctx.opts.Quarantine || len(payload)+len(image) < col.placeholderBytes(fill) {
-				return cse
+		wg.Wait()
+	}()
+	var inflight []*segLoad
+	install := func() error {
+		l := inflight[0]
+		inflight = inflight[1:]
+		<-l.done
+		if l.cse != nil {
+			if l.built == nil {
+				return l.cse
 			}
 			// The rows are marked deleted by markQuarantined once the
 			// table is assembled.
 			ctx.rep.Quarantined = append(ctx.rep.Quarantined, QuarantinedSegment{
-				Shard: cse.Shard, Column: cse.Column, Segment: cse.Segment,
-				Section: cse.Section, Rows: fill, Err: cse.Error(),
+				Shard: l.cse.Shard, Column: l.cse.Column, Segment: l.cse.Segment,
+				Section: l.cse.Section, Rows: l.fill, Err: l.cse.Error(),
 			})
-			seg = col.placeholderSegment(fill)
 		}
-		col.installSealed(seg)
+		col.installSealed(l.built)
+		return nil
 	}
-	//imprintvet:allow locksafe loading into a freshly constructed table, not yet shared
-	t.installColumn(name, col, n)
-	return nil
+	var frameErr error
+	for i := 0; i < nsegs; i++ {
+		if len(inflight) == cap(queue) {
+			if err := install(); err != nil {
+				return err
+			}
+		}
+		l := &segLoad{seg: i, fill: segRows, done: make(chan struct{})}
+		if i == nsegs-1 {
+			l.fill = int(rows) - i*segRows
+		}
+		var err error
+		if l.payload, l.payloadSum, err = readFrame(r); err != nil {
+			frameErr = sectionError(ctx, name, i, payloadSec, err)
+			break
+		}
+		if l.image, l.imageSum, err = readFrame(r); err != nil {
+			frameErr = sectionError(ctx, name, i, secIndex, err)
+			break
+		}
+		inflight = append(inflight, l)
+		queue <- l
+	}
+	// A lost frame loses the stream position, which is fatal, but damage
+	// earlier in the stream is reported first.
+	for len(inflight) > 0 {
+		if err := install(); err != nil {
+			return err
+		}
+	}
+	return frameErr
 }
 
 // decodeIndexImage decodes an index section: the hasIndex flag and,
@@ -760,7 +902,7 @@ func decodeIndexImage[V coltype.Value](image []byte, mode IndexMode, vals []V) (
 	case mode != Imprints:
 		return nil, fmt.Errorf("index image on a column of mode %d", mode)
 	default:
-		return core.ReadIndex(bytes.NewReader(rest), vals)
+		return core.ReadIndex(bytes.NewBuffer(rest), vals)
 	}
 }
 
@@ -936,10 +1078,16 @@ func readEnvelope(br io.Reader, ctx *loadCtx) (*Table, error) {
 			return nil, fmt.Errorf("%w: shard %d: %v", ErrCorrupt, c, err)
 		}
 		ctx.shard = c
-		kid, err := readInternal(io.LimitReader(br, int64(n)), ctx)
+		lr := io.LimitReader(br, int64(n))
+		kid, err := readInternal(lr, ctx)
 		ctx.shard = -1
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", c, err)
+		}
+		// Bytes a shard image leaves unread inside its declared length
+		// are skipped: the next shard starts where its length says.
+		if _, err := io.Copy(io.Discard, lr); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrCorrupt, c, err)
 		}
 		if kid.shard != nil {
 			return nil, fmt.Errorf("%w: shard %d is itself sharded", ErrCorrupt, c)
@@ -1025,7 +1173,8 @@ func (t *Table) WriteFile(path string) error {
 // Open loads a table image from a file, optionally through an injected
 // filesystem and with quarantine enabled. The returned LoadReport is
 // non-nil on success; the table remembers the filesystem for later
-// WriteFile/WAL use.
+// WriteFile/WAL use. The file is read once, front to back, and its
+// segments decoded concurrently, as Read describes.
 func Open(path string, opts LoadOptions) (*Table, *LoadReport, error) {
 	fsys := opts.FS
 	if fsys == nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/colfile"
+	"repro/internal/coltype"
 	"repro/internal/core"
 )
 
@@ -404,6 +405,72 @@ func TestImageFixtures(t *testing.T) {
 		}
 		if !bytes.Equal(again.Bytes(), img) {
 			t.Errorf("%s: Read then Write does not reproduce the fixture (%d vs %d bytes)", f.file, again.Len(), len(img))
+		}
+	}
+}
+
+// walkColumn is n values of a random walk in V, the clustered shape
+// imprints compress.
+func walkColumn[V coltype.Value](n int, rng *rand.Rand) []V {
+	col := make([]V, n)
+	v := 0
+	for i := range col {
+		v += rng.IntN(7) - 3
+		col[i] = V(v)
+	}
+	return col
+}
+
+// BenchmarkOpen opens a temp-file image of eight default-size segments
+// per column, one column of each numeric type and one string column,
+// and reports the image bytes loaded per second.
+func BenchmarkOpen(b *testing.B) {
+	const rows = 8 * DefaultSegmentRows
+	rng := rand.New(rand.NewPCG(45, 1))
+	tb := New("orders")
+	opts := core.Options{Seed: 1}
+	for _, err := range []error{
+		AddColumn(tb, "i8", walkColumn[int8](rows, rng), Imprints, opts),
+		AddColumn(tb, "i16", walkColumn[int16](rows, rng), Imprints, opts),
+		AddColumn(tb, "i32", walkColumn[int32](rows, rng), Imprints, opts),
+		AddColumn(tb, "i64", walkColumn[int64](rows, rng), Imprints, opts),
+		AddColumn(tb, "u8", walkColumn[uint8](rows, rng), Imprints, opts),
+		AddColumn(tb, "u16", walkColumn[uint16](rows, rng), Imprints, opts),
+		AddColumn(tb, "u32", walkColumn[uint32](rows, rng), Imprints, opts),
+		AddColumn(tb, "u64", walkColumn[uint64](rows, rng), Imprints, opts),
+		AddColumn(tb, "f32", walkColumn[float32](rows, rng), Imprints, opts),
+		AddColumn(tb, "f64", walkColumn[float64](rows, rng), Imprints, opts),
+	} {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	cities := []string{"Amsterdam", "Berlin", "Lisbon", "Oslo", "Rome"}
+	city := make([]string, rows)
+	for i := range city {
+		city[i] = cities[rng.IntN(len(cities))]
+	}
+	if err := tb.AddStringColumn("city", city, Imprints, opts); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "orders.ctbl")
+	if err := tb.WriteFile(path); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		got, _, err := Open(path, LoadOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Rows() != rows {
+			b.Fatalf("%d rows, want %d", got.Rows(), rows)
 		}
 	}
 }
